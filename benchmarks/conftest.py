@@ -18,13 +18,12 @@ The experiment scale used here is deliberately smaller than the library
 default so the full harness finishes in minutes; the relative platform
 ordering — the part of the figures we reproduce — is insensitive to it.
 
-Setting ``$REPRO_BENCH_SHARDS`` to an integer > 0 routes every figure's
-matrix through the ``repro.distrib`` sharding tier (plan → work → merge in
-this process), and ``$REPRO_BENCH_EXECUTOR`` (``serial``/``pool``/
-``sharded``) pins the execution tier outright.  The results are
-bit-identical either way — that is the executor layer's contract — so
-these are ways to measure each tier's overhead on real figure matrices,
-not different experiments.
+Setting ``$REPRO_BENCH_EXECUTOR`` (``serial``/``pool``/``sharded``) pins
+the execution tier; ``sharded`` routes every figure's matrix through the
+``repro.distrib`` plan → work → merge protocol in this process.  The
+results are bit-identical either way — that is the executor layer's
+contract — so this is a way to measure each tier's overhead on real figure
+matrices, not a different experiment.
 """
 
 from __future__ import annotations
@@ -40,14 +39,6 @@ import pytest
 
 from repro.api import Session
 from repro.workloads.registry import ExperimentScale
-
-#: > 0: run each figure matrix through the sharded plan/work/merge path.
-_BENCH_SHARDS_RAW = os.environ.get("REPRO_BENCH_SHARDS", "0") or "0"
-try:
-    BENCH_SHARDS = int(_BENCH_SHARDS_RAW)
-except ValueError:
-    raise SystemExit(f"$REPRO_BENCH_SHARDS must be an integer, "
-                     f"got {_BENCH_SHARDS_RAW!r}") from None
 
 #: Execution tier override: serial | pool | sharded (empty: the default).
 BENCH_EXECUTOR = os.environ.get("REPRO_BENCH_EXECUTOR", "").strip() or None
@@ -84,7 +75,6 @@ def record_figure(figure: str, tables: Mapping[str, Any],
         "figure": figure,
         "created_unix": time.time(),
         "host": socket.gethostname(),
-        "shards": BENCH_SHARDS,
         "executor": BENCH_EXECUTOR or "default",
         "tables": dict(tables),
     }
@@ -108,15 +98,13 @@ SMALL_SCALE = ExperimentScale(capacity_scale=1 / 128, min_accesses=1_000,
 @pytest.fixture(scope="session")
 def bench_runner() -> Session:
     """Session shared by the application-level figure benchmarks."""
-    return Session(BENCH_SCALE, shards=BENCH_SHARDS,
-                   executor=BENCH_EXECUTOR)
+    return Session(BENCH_SCALE, executor=BENCH_EXECUTOR)
 
 
 @pytest.fixture(scope="session")
 def small_runner() -> Session:
     """Session shared by the motivation-figure benchmarks."""
-    return Session(SMALL_SCALE, shards=BENCH_SHARDS,
-                   executor=BENCH_EXECUTOR)
+    return Session(SMALL_SCALE, executor=BENCH_EXECUTOR)
 
 
 def run_once(benchmark, function):

@@ -25,7 +25,6 @@ from .api import (
     Session,
     adaptive_sweep,
     compare,
-    run_sharded,
     simulate,
     sweep,
 )
@@ -53,7 +52,7 @@ from .config import (
     SystemConfig,
     default_config,
 )
-from .analysis.experiments import ExperimentResult, ExperimentRunner
+from .analysis.experiments import ExperimentResult
 from .core.hams_controller import HAMSAccessResult, HAMSController
 from .platforms.base import (
     MemoryRequest,
@@ -100,7 +99,6 @@ __all__ = [
     "sweep",
     "adaptive_sweep",
     "AdaptiveSweepResult",
-    "run_sharded",
     "Event",
     "Executor",
     "ExperimentCancelled",
@@ -141,7 +139,6 @@ __all__ = [
     "SystemConfig",
     "default_config",
     "ExperimentResult",
-    "ExperimentRunner",
     "HAMSAccessResult",
     "HAMSController",
     "Platform",

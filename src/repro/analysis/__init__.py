@@ -6,7 +6,7 @@ from .breakdown import (
     normalised_energy_table,
 )
 from .reporting import format_table, series_to_rows
-from .experiments import ExperimentRunner, ExperimentResult
+from .experiments import ExperimentResult
 
 __all__ = [
     "execution_breakdown_table",
@@ -14,6 +14,5 @@ __all__ = [
     "normalised_energy_table",
     "format_table",
     "series_to_rows",
-    "ExperimentRunner",
     "ExperimentResult",
 ]

@@ -1,26 +1,18 @@
-"""Experiment runner: replay a set of workloads on a set of platforms.
+"""Experiment results: the run records of one (platform x workload) matrix.
 
-Every benchmark in ``benchmarks/`` and most examples reduce to the same
-loop: build scaled traces, build scaled platforms (a fresh platform per run
-so device state never leaks between workloads), replay, and collect the
-:class:`~repro.platforms.base.RunResult` records.  This module centralises
-that loop and offers convenience accessors for the metrics each figure
-plots.
+:class:`ExperimentResult` is what every execution tier folds its runs into
+(see :meth:`repro.api.Session.collect`); it indexes the
+:class:`~repro.platforms.base.RunResult` records by (platform, workload)
+and offers convenience accessors for the metrics each figure plots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
-from ..config import SystemConfig, default_config
 from ..platforms.base import RunResult
-from ..platforms.registry import create_platform
-from ..workloads.registry import (
-    ExperimentScale,
-    build_trace,
-    scale_system_config,
-)
+from ..workloads.registry import ExperimentScale
 
 
 @dataclass
@@ -114,53 +106,3 @@ class ExperimentResult:
             return 0.0
         return sum(ratios) / len(ratios)
 
-
-class ExperimentRunner:
-    """Builds scaled platforms/traces and replays every combination.
-
-    ``scaled_config`` bypasses the scaling step entirely and installs an
-    already-scaled configuration verbatim.  Distributed shard workers use
-    it: a shard manifest freezes the planner's *scaled* config as JSON, and
-    re-scaling it on the worker would shrink capacities twice.
-    """
-
-    def __init__(self, scale: Optional[ExperimentScale] = None,
-                 base_config: Optional[SystemConfig] = None,
-                 scaled_config: Optional[SystemConfig] = None) -> None:
-        self.scale = scale if scale is not None else ExperimentScale()
-        if scaled_config is not None:
-            if base_config is not None:
-                raise ValueError(
-                    "pass either base_config (to be scaled) or scaled_config "
-                    "(used verbatim), not both")
-            self.config = scaled_config
-        else:
-            base = base_config if base_config is not None else default_config()
-            self.config = scale_system_config(base, self.scale)
-        self._trace_cache: Dict[tuple, object] = {}
-
-    def trace(self, workload: str, dataset_bytes_override: Optional[int] = None):
-        """Build (and memoise) the trace for one workload."""
-        key = (workload, dataset_bytes_override)
-        if key not in self._trace_cache:
-            self._trace_cache[key] = build_trace(
-                workload, self.scale,
-                dataset_bytes_override=dataset_bytes_override)
-        return self._trace_cache[key]
-
-    def run_one(self, platform_name: str, workload: str,
-                dataset_bytes_override: Optional[int] = None) -> RunResult:
-        """Replay one workload on a freshly built platform."""
-        platform = create_platform(platform_name, self.config)
-        trace = self.trace(workload, dataset_bytes_override)
-        return platform.run(trace)
-
-    def run_matrix(self, platform_names: Iterable[str],
-                   workloads: Iterable[str]) -> ExperimentResult:
-        """Replay every workload on every platform."""
-        experiment = ExperimentResult(scale=self.scale)
-        for workload in workloads:
-            for platform_name in platform_names:
-                result = self.run_one(platform_name, workload)
-                experiment.results[(platform_name, workload)] = result
-        return experiment

@@ -12,18 +12,17 @@ lives behind this one module:
   streaming :class:`~repro.exec.ExperimentHandle` back immediately,
 * :func:`simulate` / :func:`compare` / :func:`sweep` — one-shot conveniences
   that build a throwaway session,
-* :func:`run_sharded` — plan/execute/merge an experiment through the
-  :mod:`repro.distrib` sharding tier (bit-identical to the unsharded run),
 * :func:`platforms` / :func:`workloads` — the valid axis names.
 
 The facade is a thin, stable skin over the execution layer: a
 :class:`Session` submits picklable :class:`~repro.runner.specs.RunSpec`
 records to an executor, and results come back as
 :class:`~repro.platforms.base.RunResult` records or
-:class:`~repro.analysis.experiments.ExperimentResult` matrices.  The
-blocking verbs (:meth:`Session.collect` / :meth:`Session.compare` /
-:meth:`Session.sweep`) are consumers of :meth:`Session.submit` — they
-simply drain the handle — and stay supported indefinitely; out-of-tree
+:class:`~repro.analysis.experiments.ExperimentResult` matrices.  Every
+blocking verb (:meth:`Session.simulate` / :meth:`Session.run` /
+:meth:`Session.collect` / :meth:`Session.compare` / :meth:`Session.sweep`)
+is a consumer of :meth:`Session.submit` — it simply drains the handle —
+and stays supported indefinitely; out-of-tree
 callers migrate to ``submit()`` only when they want streaming results,
 progress or cancellation.  Reaching below the facade (``Platform``,
 ``WorkloadTrace``, the device models) remains supported for platform
@@ -47,6 +46,10 @@ Streaming::
         print(run.spec.platform, run.result.operations_per_second,
               "cached" if run.cache_hit else "", handle.progress().format())
     experiment = handle.result()           # == session.collect(specs)
+
+Sharding is an execution tier like any other::
+
+    session = Session(executor=ShardedExecutor(shards=4, spool_dir=spool))
 """
 
 from __future__ import annotations
@@ -60,14 +63,17 @@ from .exec import (
     ExecutionContext,
     Executor,
     ExperimentHandle,
-    ShardedExecutor,
     resolve_executor,
 )
 from .platforms.base import RunResult
 from .platforms.registry import PLATFORM_NAMES, available_platforms
 from .runner.parallel import ParallelExperimentRunner
 from .runner.specs import RunSpec, matrix_specs
-from .sweep.driver import AdaptiveSweepResult, sweep_labels
+from .sweep.driver import (
+    AdaptiveSweepDriver,
+    AdaptiveSweepResult,
+    sweep_labels,
+)
 from .workloads.registry import ExperimentScale, all_workload_names
 from .workloads.trace import WorkloadTrace
 
@@ -79,7 +85,6 @@ __all__ = [
     "sweep",
     "adaptive_sweep",
     "AdaptiveSweepResult",
-    "run_sharded",
     "platforms",
     "workloads",
 ]
@@ -108,16 +113,11 @@ class Session:
     *executor* selects the execution tier every verb goes through:
     ``"serial"`` (inline, no pool), ``"pool"`` (the default process-pool
     tier), ``"sharded"`` (the :mod:`repro.distrib` plan/claim/merge
-    protocol), or any object implementing the
-    :class:`~repro.exec.Executor` protocol.  All tiers produce
-    bit-identical results — the knob trades mechanism, not answers.
-
-    *shards* routes every matrix verb (:meth:`collect`, :meth:`compare`,
-    :meth:`sweep`) through the :mod:`repro.distrib` sharding tier by
-    default: the spec list is planned into that many shard manifests,
-    executed (in this process, shard by shard) and provenance-checked
-    merged — bit-identical to the unsharded path, and leaving reusable
-    shard artifacts behind under *spool_dir* when one is given.
+    protocol with :class:`~repro.exec.ShardedExecutor`'s defaults), or any
+    object implementing the :class:`~repro.exec.Executor` protocol — a
+    configured ``ShardedExecutor(shards=..., spool_dir=...)`` included.
+    All tiers produce bit-identical results — the knob trades mechanism,
+    not answers.
     """
 
     def __init__(self, scale: Optional[ExperimentScale] = None,
@@ -125,19 +125,11 @@ class Session:
                  workers: Optional[int] = None,
                  cache_dir: Optional[Path] = None,
                  force: bool = False,
-                 executor: Union[str, Executor, None] = None,
-                 shards: Optional[int] = None,
-                 spool_dir: Optional[Path] = None,
-                 wait_timeout: Optional[float] = None) -> None:
+                 executor: Union[str, Executor, None] = None) -> None:
         self._runner = ParallelExperimentRunner(
             scale=scale, base_config=base_config, workers=workers,
             cache_dir=cache_dir, force=force)
         self._executor = executor
-        self._shards = shards
-        self._spool_dir = spool_dir
-        # Bounds how long a sharded run waits on shards claimed by workers
-        # on other hosts (None: wait indefinitely, with stderr notices).
-        self._wait_timeout = wait_timeout
 
     # -- context accessors ----------------------------------------------------------
 
@@ -173,11 +165,12 @@ class Session:
                  platform_kwargs: Optional[Mapping[str, Any]] = None
                  ) -> RunResult:
         """Replay one workload on one platform and return its RunResult."""
-        return self._runner.run_spec(RunSpec(
+        return self.run([RunSpec(
             platform=platform, workload=workload,
             dataset_bytes_override=dataset_bytes_override,
             config_overrides=dict(config_overrides or {}),
-            platform_kwargs=dict(platform_kwargs or {})))
+            platform_kwargs=dict(platform_kwargs or {}))],
+            name="simulate")[0]
 
     def scenario(self, scenario: "ScenarioSpec", platform: str, *,
                  label: Optional[str] = None,
@@ -202,78 +195,58 @@ class Session:
 
         if isinstance(scenario, Mapping):
             scenario = ScenarioSpec.from_dict(scenario)
-        return self._runner.run_spec(scenario_run_spec(
+        return self.run([scenario_run_spec(
             scenario, platform, label=label,
             config_overrides=config_overrides,
-            platform_kwargs=platform_kwargs))
+            platform_kwargs=platform_kwargs)], name="scenario")[0]
 
-    def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
+    def run(self, specs: Sequence[RunSpec], *,
+            name: str = "run") -> List[RunResult]:
         """Execute explicit run specs, preserving input order."""
-        return self._runner.run_specs(specs)
-
-    def _effective_shards(self, shards: Optional[int]) -> Optional[int]:
-        value = shards if shards is not None else self._shards
-        # 0 (or anything non-positive) is the natural "off" value when the
-        # count is plumbed from an env var or config: treat it as unsharded
-        # rather than failing deep inside the planner.
-        if value is None or value <= 0:
-            return None
-        return value
+        return self.submit(specs, name=name).run_results()
 
     def submit(self, specs: Sequence[RunSpec], *,
                name: str = "session",
                executor: Union[str, Executor, None] = None,
-               shards: Optional[int] = None,
                events_path: Optional[Path] = None) -> ExperimentHandle:
         """Hand *specs* to an executor; returns a streaming handle at once.
 
         The unified entry point every blocking verb consumes.  *executor*
-        overrides the session's tier for this submission; with neither, the
-        pool tier runs (or the sharded tier when *shards* — per-call or
-        session-level — is in play).  *events_path* additionally dumps the
-        typed event stream as a ``repro.events/1`` JSONL artifact.
+        overrides the session's tier for this submission (with neither, the
+        pool tier runs).  *events_path* additionally dumps the typed event
+        stream as a ``repro.events/1`` JSONL artifact.
 
         The handle's :meth:`~repro.exec.ExperimentHandle.result` is
         bit-identical to :meth:`collect` on the same specs, on every tier.
         """
-        shards = self._effective_shards(shards)
         chosen = resolve_executor(
-            executor if executor is not None else self._executor,
-            shards=shards)
-        ctx = ExecutionContext(
-            runner=self._runner, name=name, shards=shards,
-            spool_dir=self._spool_dir, wait_timeout=self._wait_timeout,
-            events_path=events_path)
+            executor if executor is not None else self._executor)
+        ctx = ExecutionContext(runner=self._runner, name=name,
+                               events_path=events_path)
         return chosen.submit(specs, ctx)
 
     def collect(self, specs: Sequence[RunSpec], *,
-                shards: Optional[int] = None,
                 name: str = "session") -> ExperimentResult:
         """Execute specs and merge the runs into one ExperimentResult.
 
-        A blocking consumer of :meth:`submit` (it drains the handle).  With
-        *shards* (or a session-level default), execution goes through the
-        plan/claim/merge protocol of :mod:`repro.distrib` instead of one
-        pool call — same results, shard artifacts on the side.
+        A blocking consumer of :meth:`submit` (it drains the handle).
         """
-        return self.submit(specs, name=name, shards=shards).result()
+        return self.submit(specs, name=name).result()
 
-    def compare(self, platforms: Iterable[str], workloads: Iterable[str], *,
-                shards: Optional[int] = None) -> ExperimentResult:
+    def compare(self, platforms: Iterable[str],
+                workloads: Iterable[str]) -> ExperimentResult:
         """Replay the full (platform x workload) matrix."""
         return self.collect(matrix_specs(list(platforms), list(workloads)),
-                            shards=shards, name="compare")
+                            name="compare")
 
     def sweep(self, platform: str, workloads: Iterable[str],
               section: str, field: str, values: Sequence[Any], *,
-              labels: Optional[Sequence[str]] = None,
-              shards: Optional[int] = None) -> ExperimentResult:
+              labels: Optional[Sequence[str]] = None) -> ExperimentResult:
         """Sweep one config field of one platform across *values*.
 
         Each value becomes one labelled run per workload (default label:
         ``str(value)``), so the result is keyed ``(label, workload)`` —
-        the shape the Figure 20a page-size study plots.  *shards* splits
-        the sweep across the distributed tier.
+        the shape the Figure 20a page-size study plots.
 
         Labels must be unique: two values that stringify identically
         (``4096`` and ``"4096"``) or user-passed duplicate labels would
@@ -288,7 +261,7 @@ class Session:
                     label=label)
             for workload in workloads
             for value, label in zip(values, labels)
-        ], shards=shards, name=f"sweep-{platform}-{section}.{field}")
+        ], name=f"sweep-{platform}-{section}.{field}")
 
     def adaptive_sweep(self, platform: str, workloads: Iterable[str],
                        section: str, field: str, values: Sequence[Any], *,
@@ -301,7 +274,6 @@ class Session:
                        settle_rounds: Optional[int] = 3,
                        name: Optional[str] = None,
                        executor: Union[str, Executor, None] = None,
-                       shards: Optional[int] = None,
                        observer: Any = None) -> AdaptiveSweepResult:
         """Sweep one config field adaptively: refine where the curve bends.
 
@@ -324,107 +296,42 @@ class Session:
         ``(label, workload)`` keys as :meth:`sweep`), the per-round
         refinement trace, per-workload knees and the cost accounting.
         """
-        from .sweep.driver import AdaptiveSweepDriver
         return AdaptiveSweepDriver(
             self, platform, list(workloads), section, field, values,
             labels=labels, metric=metric, tolerance=tolerance,
             budget=budget, seed_points=seed_points, max_rounds=max_rounds,
             settle_rounds=settle_rounds, name=name, executor=executor,
-            shards=shards, observer=observer).run()
-
-
-def _validate_execution_knobs(executor: Union[str, Executor, None],
-                              shards: Optional[int],
-                              spool_dir: Optional[Path],
-                              wait_timeout: Optional[float]) -> None:
-    """Reject conflicting one-shot execution knobs up front.
-
-    The sharded tier is the only consumer of *spool_dir*/*wait_timeout*,
-    and an :class:`Executor` instance carries its own configuration — so a
-    combination that would silently drop (or half-apply) a knob is an
-    error here, not a surprise later.
-    """
-    effective = shards if shards is not None and shards > 0 else None
-    if isinstance(executor, str):
-        sharded = executor == "sharded"
-        if not sharded and effective is not None:
-            raise ValueError(
-                f"executor={executor!r} conflicts with shards={shards}: "
-                f"the {executor!r} tier does not shard; pass "
-                f"executor='sharded' (or drop shards=)")
-    elif executor is None:
-        sharded = effective is not None
-    else:
-        if effective is not None:
-            raise ValueError(
-                f"shards={shards} conflicts with an Executor instance: "
-                f"configure the instance instead (e.g. "
-                f"ShardedExecutor(shards={shards}))")
-        sharded = isinstance(executor, ShardedExecutor)
-    if not sharded:
-        dead = [knob for knob, value in (("spool_dir", spool_dir),
-                                         ("wait_timeout", wait_timeout))
-                if value is not None]
-        if dead:
-            raise ValueError(
-                f"{' and '.join(dead)} only apply to the sharded tier; "
-                f"pass shards=N or executor='sharded' (or a "
-                f"ShardedExecutor instance) to use "
-                f"{'them' if len(dead) > 1 else 'it'}")
-
-
-def _session(scale: Optional[ExperimentScale],
-             workers: Optional[int], *,
-             executor: Union[str, Executor, None] = None,
-             shards: Optional[int] = None,
-             spool_dir: Optional[Path] = None,
-             wait_timeout: Optional[float] = None) -> Session:
-    _validate_execution_knobs(executor, shards, spool_dir, wait_timeout)
-    return Session(scale=scale, workers=workers, executor=executor,
-                   shards=shards, spool_dir=spool_dir,
-                   wait_timeout=wait_timeout)
+            observer=observer).run()
 
 
 def simulate(platform: str, workload: str, *,
              scale: Optional[ExperimentScale] = None,
              workers: Optional[int] = None, **kwargs) -> RunResult:
     """One-shot :meth:`Session.simulate` with a throwaway session."""
-    return _session(scale, workers).simulate(platform, workload, **kwargs)
+    return Session(scale=scale, workers=workers).simulate(
+        platform, workload, **kwargs)
 
 
 def compare(platforms: Iterable[str], workloads: Iterable[str], *,
             scale: Optional[ExperimentScale] = None,
             workers: Optional[int] = None,
-            executor: Union[str, Executor, None] = None,
-            shards: Optional[int] = None,
-            spool_dir: Optional[Path] = None,
-            wait_timeout: Optional[float] = None) -> ExperimentResult:
+            executor: Union[str, Executor, None] = None) -> ExperimentResult:
     """One-shot :meth:`Session.compare` with a throwaway session.
 
-    Accepts the same execution knobs as :func:`sweep` — the two one-shot
-    matrix helpers are deliberately symmetric: *executor* picks the tier,
-    *shards* routes through the distributed tier, *spool_dir* keeps the
-    shard artifacts, *wait_timeout* bounds waiting on foreign workers.
-    Conflicting combinations (a non-sharded tier with sharded-only knobs,
-    or *shards* alongside an :class:`Executor` instance) raise
-    ``ValueError`` instead of half-applying.
+    *executor* picks the tier, exactly as for :class:`Session`; sharding
+    knobs live on the :class:`~repro.exec.ShardedExecutor` instance.
     """
-    return _session(scale, workers, executor=executor, shards=shards,
-                    spool_dir=spool_dir,
-                    wait_timeout=wait_timeout).compare(platforms, workloads)
+    return Session(scale=scale, workers=workers,
+                   executor=executor).compare(platforms, workloads)
 
 
 def sweep(platform: str, workloads: Iterable[str], section: str, field: str,
           values: Sequence[Any], *, labels: Optional[Sequence[str]] = None,
           scale: Optional[ExperimentScale] = None,
           workers: Optional[int] = None,
-          executor: Union[str, Executor, None] = None,
-          shards: Optional[int] = None,
-          spool_dir: Optional[Path] = None,
-          wait_timeout: Optional[float] = None) -> ExperimentResult:
+          executor: Union[str, Executor, None] = None) -> ExperimentResult:
     """One-shot :meth:`Session.sweep` with a throwaway session."""
-    return _session(scale, workers, executor=executor, shards=shards,
-                    spool_dir=spool_dir, wait_timeout=wait_timeout).sweep(
+    return Session(scale=scale, workers=workers, executor=executor).sweep(
         platform, workloads, section, field, values, labels=labels)
 
 
@@ -441,10 +348,7 @@ def adaptive_sweep(platform: str, workloads: Iterable[str], section: str,
                    scale: Optional[ExperimentScale] = None,
                    workers: Optional[int] = None,
                    cache_dir: Optional[Path] = None,
-                   executor: Union[str, Executor, None] = None,
-                   shards: Optional[int] = None,
-                   spool_dir: Optional[Path] = None,
-                   wait_timeout: Optional[float] = None
+                   executor: Union[str, Executor, None] = None
                    ) -> AdaptiveSweepResult:
     """One-shot :meth:`Session.adaptive_sweep` with a throwaway session.
 
@@ -453,45 +357,13 @@ def adaptive_sweep(platform: str, workloads: Iterable[str], section: str,
     shares cells with an earlier fixed-grid study) resolve those cells as
     zero-cost cache skips.
     """
-    _validate_execution_knobs(executor, shards, spool_dir, wait_timeout)
     session = Session(scale=scale, workers=workers, cache_dir=cache_dir,
-                      executor=executor, shards=shards, spool_dir=spool_dir,
-                      wait_timeout=wait_timeout)
+                      executor=executor)
     return session.adaptive_sweep(
         platform, workloads, section, field, values, labels=labels,
         metric=metric, tolerance=tolerance, budget=budget,
         seed_points=seed_points, max_rounds=max_rounds,
         settle_rounds=settle_rounds, name=name)
-
-
-def run_sharded(platforms: Iterable[str], workloads: Iterable[str], *,
-                shards: int = 2,
-                name: str = "sharded",
-                scale: Optional[ExperimentScale] = None,
-                base_config: Optional[SystemConfig] = None,
-                workers: Optional[int] = None,
-                spool_dir: Optional[Path] = None,
-                wait_timeout: Optional[float] = None) -> ExperimentResult:
-    """Replay a matrix through the distributed tier: plan, work, merge.
-
-    .. deprecated:: PR 4
-        A working shim kept for out-of-tree callers;
-        ``Session(shards=N).compare(...)`` — or ``Session(executor=
-        "sharded").submit(...)`` for streaming results — is the same thing
-        through the unified executor layer.
-
-    The "cluster of one" convenience: shards are planned, executed in this
-    process and provenance-check merged, producing an
-    :class:`~repro.analysis.experiments.ExperimentResult` bit-identical to
-    :func:`compare` on the same matrix.  Give *spool_dir* to keep the shard
-    manifests/artifacts (or to let workers on other hosts pick shards up
-    from a shared filesystem instead — see ``python -m repro shard``).
-    """
-    session = Session(scale=scale, base_config=base_config, workers=workers,
-                      shards=shards, spool_dir=spool_dir,
-                      wait_timeout=wait_timeout)
-    return session.collect(
-        matrix_specs(list(platforms), list(workloads)), name=name)
 
 
 # The serve tier's client is part of the stable facade (submit experiments

@@ -7,32 +7,22 @@ matrix past one host without adding a single dependency or network service:
   a spec list into N ``repro.shard/1`` manifests,
 * :class:`~repro.distrib.spool.ShardSpool` coordinates any number of
   workers over a shared directory with atomic claim-by-rename,
-* :func:`~repro.distrib.worker.execute_shard` /
-  :func:`~repro.distrib.worker.work_spool` replay shards over the local
-  process pool, resuming crashed shards from the content-addressed run
-  cache,
+* :func:`~repro.distrib.worker.iter_shard` — the one shard-execution
+  routine, behind :func:`~repro.distrib.worker.work_spool` and the
+  streaming :class:`~repro.exec.ShardedExecutor` — replays a shard over
+  the local process pool, resuming crashed shards from the
+  content-addressed run cache,
 * :func:`~repro.distrib.coordinator.merge_shards` validates provenance and
   folds the shards into an :class:`~repro.analysis.experiments
   .ExperimentResult` bit-identical to an unsharded run.
 
 ``python -m repro shard plan|work|merge|status`` is the CLI skin;
-:func:`repro.api.run_sharded` and ``Session(..., shards=N)`` are the
-library skin.  :func:`run_sharded_specs` below is the single-process
-convenience that drives all three stages in order — the degenerate
-"cluster of one" every test and the facade build on.
+``Session(executor=ShardedExecutor(shards=N, spool_dir=...))`` is the
+library skin, and without a spool it is the degenerate "cluster of one".
 """
 
 from __future__ import annotations
 
-import sys
-import time
-from pathlib import Path
-from typing import Optional, Sequence
-
-from ..analysis.experiments import ExperimentResult
-from ..config import SystemConfig
-from ..runner.specs import RunSpec
-from ..workloads.registry import ExperimentScale
 from .coordinator import MergedShards, load_shard_results, merge_shards
 from .manifest import (
     BALANCE_MODES,
@@ -59,7 +49,7 @@ from .spool import (
 from .worker import (
     execute_shard,
     execute_shard_file,
-    progress_on_run,
+    iter_shard,
     shard_result_payload,
     shard_runner,
     work_spool,
@@ -79,6 +69,7 @@ __all__ = [
     "execute_shard_file",
     "experiment_id_of",
     "experiment_tag",
+    "iter_shard",
     "load_manifest",
     "load_shard_results",
     "manifest_specs",
@@ -86,8 +77,6 @@ __all__ = [
     "partition_bounds",
     "partition_bounds_by_cost",
     "plan_shards",
-    "progress_on_run",
-    "run_sharded_specs",
     "shard_file_name",
     "shard_label",
     "shard_result_payload",
@@ -96,102 +85,3 @@ __all__ = [
     "work_spool",
 ]
 
-
-def run_sharded_specs(name: str, specs: Sequence[RunSpec],
-                      config: SystemConfig, scale: ExperimentScale,
-                      shards: int, *,
-                      spool_dir: Optional[Path] = None,
-                      workers: Optional[int] = None,
-                      force: bool = False,
-                      cache_dir: Optional[Path] = None,
-                      wait_timeout: Optional[float] = None
-                      ) -> ExperimentResult:
-    """Plan, execute and merge *specs* across *shards* in this process.
-
-    With a *spool_dir* the full multi-host protocol runs against it —
-    claiming, resuming and merging only this plan's shards, so a spool may
-    be reused across experiments — and its artifacts stay behind for
-    inspection or for additional workers on other hosts.  Shards claimed
-    by such helpers are waited for (and re-claimed if released after a
-    failure) rather than merged around, so the merge always sees the full
-    shard set.  Without a spool the shards execute directly, with no spool
-    files at all and no run cache unless *cache_dir* supplies a persistent
-    one (an ephemeral cache would cost serialisation without ever enabling
-    a resume).  Either way the returned result is bit-identical to
-    ``ParallelExperimentRunner.collect`` on the same specs.
-    """
-    manifests = plan_shards(name, specs, config, scale, shards)
-    experiment_id = manifests[0]["experiment_id"]
-    if spool_dir is None:
-        results = [execute_shard(manifest, cache_dir=cache_dir,
-                                 workers=workers, force=force)
-                   for manifest in manifests]
-    else:
-        spool = ShardSpool(spool_dir).prepare()
-        if force:
-            # force's contract is "re-execute everything": published shard
-            # results of this plan would otherwise short-circuit the
-            # re-queue (add_manifests skips done shards).  Limitation:
-            # force cannot reach a shard currently claimed by a worker on
-            # another host — that worker runs with its own flags and its
-            # result is merged as published.  Cross-host force means
-            # restarting those workers with --force too.
-            for manifest in manifests:
-                (spool.results_dir / shard_file_name(
-                    experiment_id, manifest["shard_index"])
-                 ).unlink(missing_ok=True)
-        spool.add_manifests(manifests)
-        expected = sorted(shard_file_name(experiment_id,
-                                          manifest["shard_index"])
-                          for manifest in manifests)
-        started = last_notice = time.monotonic()
-        poll = 0.05
-        first_invisible: Optional[float] = None
-        while True:
-            work_spool(spool, workers=workers, force=force,
-                       cache_dir=cache_dir, experiment_id=experiment_id)
-            # Done is judged solely by published results — renames bounce
-            # shards between pending/ and claims/, so directory scans can
-            # transiently miss a live shard, but a result file only ever
-            # appears.
-            in_flight = [shard for shard in expected
-                         if not (spool.results_dir / shard).exists()]
-            if not in_flight:
-                break
-            # Shards claimed by workers on other hosts: wait for their
-            # results (or for a failed claim to return to pending, which
-            # the next work_spool pass picks up).  A claim orphaned by a
-            # dead worker never completes, so say what is being waited on
-            # and honour *wait_timeout* instead of spinning silently.  The
-            # poll backs off to 1 s so a long foreign shard does not keep
-            # hammering an NFS spool with directory scans.
-            visible = spool.outstanding(experiment_id)
-            now = time.monotonic()
-            if visible:
-                first_invisible = None
-            else:
-                # Seen in neither directory: either the shard files are
-                # gone without results (deleted claim, wiped spool) or a
-                # remote host's rename is hidden by filesystem caching
-                # (NFS negative-dentry caches last seconds).  Only declare
-                # the shards lost after a sustained wall-clock absence,
-                # then let merge_shards name exactly which are missing.
-                if first_invisible is None:
-                    first_invisible = now
-                elif now - first_invisible >= 10.0:
-                    break
-            if wait_timeout is not None and now - started >= wait_timeout:
-                raise TimeoutError(
-                    f"{name}: still waiting on shard(s) {in_flight} after "
-                    f"{now - started:.0f}s; if their worker died, recover "
-                    f"with `repro shard work --spool {spool.root} "
-                    f"{spool.claims_dir}/<shard>.json` or "
-                    f"ShardSpool.release")
-            if now - last_notice >= 5.0:
-                last_notice = now
-                print(f"{name}: waiting on shard(s) claimed elsewhere: "
-                      f"{', '.join(in_flight)}", file=sys.stderr)
-            time.sleep(poll)
-            poll = min(poll * 2, 1.0)
-        results = spool.load_results(experiment_id)
-    return merge_shards(results).result

@@ -10,7 +10,7 @@ no duplicates, and only then are the shards folded, in index order, with
 
 Because the planner's partition is contiguous and the fold is ordered, the
 merged result's runs sit in exactly the insertion order an unsharded
-``ParallelExperimentRunner.collect`` over the same specs would have
+``Session.collect`` over the same specs would have
 produced — including the overwrite-keeps-first-position semantics of
 duplicate result keys — so the final ``repro.experiment/1`` artifact is
 bit-identical in its runs to the unsharded one.

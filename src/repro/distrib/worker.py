@@ -15,18 +15,29 @@ finished runs back as cache hits and only executes the remainder.  The
 shard result is assembled from the full, ordered spec list either way — a
 resumed shard can neither drop nor duplicate runs.
 
-Progress is observable while a shard runs: :func:`work_spool` (and the
-``repro shard work`` CLI on top of it) appends one ``repro.events/1``
-record per finished run to the spool's ``progress/`` directory, which is
-what lets a coordinating :class:`~repro.exec.ExperimentHandle` on another
-host — or ``repro shard status --watch`` — tail remote execution run by
-run instead of waiting for the shard artifact.
+Progress is observable while a shard runs: :func:`iter_shard` — the one
+routine behind :func:`work_spool`, the ``repro shard work`` CLI and the
+streaming :class:`~repro.exec.ShardedExecutor` — appends one
+``repro.events/1`` record per finished run to the spool's ``progress/``
+directory, which is what lets a coordinating
+:class:`~repro.exec.ExperimentHandle` on another host — or ``repro shard
+status --watch`` — tail remote execution run by run instead of waiting for
+the shard artifact.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..platforms.base import RunResult
 from ..runner.artifacts import (
@@ -35,7 +46,7 @@ from ..runner.artifacts import (
     run_result_to_dict,
     scale_from_dict,
 )
-from ..runner.events import append_event, run_event
+from ..runner.events import Event, append_event, run_event
 from ..runner.parallel import ParallelExperimentRunner
 from ..runner.specs import RunSpec
 from .manifest import (
@@ -45,12 +56,6 @@ from .manifest import (
     validate_manifest,
 )
 from .spool import ClaimedShard, ShardSpool, default_owner, shard_file_name
-
-#: Signature of the per-run streaming hook: (manifest spec entry, spec,
-#: result, cache_hit).  The entry carries the run's global ``index`` and
-#: content-addressed ``key``.
-OnRun = Callable[[Dict[str, Any], RunSpec, RunResult, bool], None]
-
 
 def shard_runner(manifest: Dict[str, Any], *,
                  cache_dir: Optional[Path] = None,
@@ -62,9 +67,7 @@ def shard_runner(manifest: Dict[str, Any], *,
     This is the planner/worker drift check: the reconstructed config must
     hash to the manifest's ``config_hash`` and every rebuilt spec must
     content-address to the planner's ``key``, or the worker refuses the
-    shard before burning any cycles.  Both :func:`execute_shard` and the
-    streaming :class:`~repro.exec.ShardedExecutor` start here, so the two
-    paths can never diverge in what they agree to run.
+    shard before burning any cycles.  :func:`iter_shard` starts here.
     """
     validate_manifest(manifest)
     scale = scale_from_dict(manifest["scale"])
@@ -133,86 +136,115 @@ def shard_result_payload(manifest: Dict[str, Any],
     }
 
 
-def execute_shard(manifest: Dict[str, Any], *,
-                  cache_dir: Optional[Path] = None,
-                  workers: Optional[int] = None,
-                  force: bool = False,
-                  host: Optional[str] = None,
-                  on_run: Optional[OnRun] = None) -> Dict[str, Any]:
-    """Run one shard manifest to completion and return its result payload.
+def iter_shard(manifest: Dict[str, Any], *,
+               cache_dir: Optional[Path] = None,
+               workers: Optional[int] = None,
+               force: bool = False,
+               owner: Optional[str] = None,
+               spool: Optional[ShardSpool] = None,
+               claim: Optional[ClaimedShard] = None,
+               should_stop: Optional[Callable[[], bool]] = None
+               ) -> Generator[Event, None, Optional[Dict[str, Any]]]:
+    """Execute one shard manifest, yielding a run event per finished run.
+
+    The single shard-execution routine: the streaming
+    :class:`~repro.exec.ShardedExecutor`, :func:`work_spool` and
+    :func:`execute_shard_file` all consume it.  It validates the manifest
+    (:func:`shard_runner`), streams the shard's runs in completion order
+    and returns the ``repro.shard-result/1`` payload once every run is in.
 
     *cache_dir* should be shared by all workers of one plan (the spool's
-    ``cache/`` by default when going through :func:`work_spool`); it is what
-    makes re-execution after a crash resume rather than recompute.  *on_run*
-    fires once per finished run, in completion order — the hook behind
-    per-run spool progress records.
+    ``cache/`` by default when going through :func:`work_spool`); it is
+    what makes re-execution after a crash resume rather than recompute.
+    With a *spool*, each run is also appended to the shard's progress
+    records; with a *claim* as well, the finished shard is published as a
+    shard artifact, while a stop requested by *should_stop* (returning
+    ``None``) or any error — including an abandoned generator — releases
+    the claim back to ``pending/`` so another worker, or a resumed
+    submit, completes it from the shared cache.
     """
-    runner, specs = shard_runner(manifest, cache_dir=cache_dir,
-                                 workers=workers, force=force)
-    outcomes: List[Optional[Tuple[RunResult, bool]]] = [None] * len(specs)
-    for position, result, cache_hit, _key in runner.iter_specs(specs):
-        outcomes[position] = (result, cache_hit)
-        if on_run is not None:
-            on_run(manifest["specs"][position], specs[position], result,
-                   cache_hit)
-    return shard_result_payload(
-        manifest, runner,
-        outcomes,  # type: ignore[arg-type]  # iter_specs covered every spec
-        host=host)
+    owner = owner or default_owner()
+    try:
+        runner, specs = shard_runner(manifest, cache_dir=cache_dir,
+                                     workers=workers, force=force)
+        progress_path = None if spool is None else spool.progress_path(
+            shard_file_name(manifest["experiment_id"],
+                            manifest["shard_index"]))
+        outcomes: List[Optional[Tuple[RunResult, bool]]] = [None] * len(specs)
+        for position, result, cache_hit, _key in runner.iter_specs(
+                specs, should_stop=should_stop):
+            outcomes[position] = (result, cache_hit)
+            entry = manifest["specs"][position]
+            event = run_event(entry["index"], specs[position], result,
+                              cache_hit, key=entry["key"],
+                              shard_index=manifest["shard_index"],
+                              owner=owner)
+            if progress_path is not None:
+                # One shard has one writer, so appends never interleave.
+                append_event(progress_path, event)
+            yield event
+        if any(outcome is None for outcome in outcomes):
+            # should_stop fired mid-shard: hand the remainder back.
+            if claim is not None:
+                spool.release(claim)
+            return None
+        payload = shard_result_payload(
+            manifest, runner,
+            outcomes,  # type: ignore[arg-type]  # every spec finished
+            host=owner)
+        if claim is not None:
+            spool.finish(claim, payload)
+        return payload
+    except BaseException:
+        # Includes GeneratorExit: an abandoned stream must not leave an
+        # orphaned claim behind.
+        if claim is not None:
+            spool.release(claim)
+        raise
 
 
-def progress_on_run(spool: ShardSpool, shard_name: str,
-                    owner: Optional[str] = None,
-                    shard_index: Optional[int] = None) -> OnRun:
-    """An *on_run* hook appending per-run records to the spool's progress.
+def execute_shard(manifest: Dict[str, Any], **kwargs: Any
+                  ) -> Dict[str, Any]:
+    """Run one shard to completion and return its result payload.
 
-    Each record is one ``repro.events/1`` line carrying the run's global
-    index, its content-addressed key (so a remote tail can load the full
-    result from the shared cache) and the cache-hit flag.  One shard has
-    one writer, so the append never interleaves.
+    The blocking consumer of :func:`iter_shard` (same keyword arguments).
     """
-    path = spool.progress_path(shard_name)
-
-    def on_run(entry: Dict[str, Any], spec: RunSpec, result: RunResult,
-               cache_hit: bool) -> None:
-        append_event(path, run_event(
-            entry["index"], spec, result, cache_hit, key=entry["key"],
-            shard_index=shard_index, owner=owner))
-
-    return on_run
+    stream = iter_shard(manifest, **kwargs)
+    while True:
+        try:
+            next(stream)
+        except StopIteration as done:
+            return done.value
 
 
 def execute_shard_file(path: Path, spool: ShardSpool, *,
                        workers: Optional[int] = None,
                        force: bool = False,
-                       host: Optional[str] = None) -> Path:
+                       owner: Optional[str] = None) -> Path:
     """Execute one explicit manifest (or claim) file into the spool.
 
     This is the recovery path: pointing a worker at an orphaned
     ``claims/shard-NNNN.json`` re-runs that shard — resuming from the shared
     cache — and publishes its result; the stale claim file is cleaned up if
-    the executed manifest was it.
+    the executed manifest was it.  A failure returns the shard to
+    ``pending/``, as for any claimed shard.
     """
     path = Path(path)
     manifest = load_manifest(path)
     spool.prepare()
-    shard_name = shard_file_name(manifest["experiment_id"],
-                                 manifest["shard_index"])
-    result = execute_shard(manifest, cache_dir=spool.cache_dir,
-                           workers=workers, force=force, host=host,
-                           on_run=progress_on_run(
-                               spool, shard_name, host or default_owner(),
-                               shard_index=manifest["shard_index"]))
-    claim = ClaimedShard(path=spool.claims_dir / shard_name,
-                         payload=manifest)
-    published = spool.finish(claim, result)
+    claim = ClaimedShard(
+        path=spool.claims_dir / shard_file_name(manifest["experiment_id"],
+                                                manifest["shard_index"]),
+        payload=manifest)
+    execute_shard(manifest, cache_dir=spool.cache_dir, workers=workers,
+                  force=force, owner=owner, spool=spool, claim=claim)
     # Resolve before comparing: the manifest may have been named relative
     # to the cwd while the spool was given absolute (or vice versa).
     resolved = path.resolve()
     if resolved != claim.path.resolve() and resolved.parent in (
             spool.pending_dir.resolve(), spool.claims_dir.resolve()):
         path.unlink(missing_ok=True)
-    return published
+    return spool.results_dir / claim.path.name
 
 
 def work_spool(spool: ShardSpool, *,
@@ -227,11 +259,10 @@ def work_spool(spool: ShardSpool, *,
     Returns the shard-result paths this worker published.  On a failure the
     claimed shard is released back to ``pending/`` before the exception
     propagates, so other workers (or a retry) can pick it up.  *cache_dir*
-    overrides the spool's shared ``cache/`` — a session that already owns a
-    content-addressed cache keeps hitting (and feeding) it when sharded.
-    *experiment_id* restricts this worker to one plan's shards.  Every
-    finished run is additionally appended to the spool's ``progress/``
-    records, so remote observers see the shard advance run by run.
+    overrides the spool's shared ``cache/``.  *experiment_id* restricts
+    this worker to one plan's shards.  Every finished run is additionally
+    appended to the spool's ``progress/`` records, so remote observers see
+    the shard advance run by run.
     """
     owner = owner or default_owner()
     published: List[Path] = []
@@ -239,16 +270,8 @@ def work_spool(spool: ShardSpool, *,
         claim = spool.claim_next(owner, experiment_id=experiment_id)
         if claim is None:
             break
-        try:
-            result = execute_shard(
-                claim.payload,
-                cache_dir=cache_dir or spool.cache_dir,
-                workers=workers, force=force, host=owner,
-                on_run=progress_on_run(
-                    spool, claim.path.name, owner,
-                    shard_index=claim.shard_index))
-        except BaseException:
-            spool.release(claim)
-            raise
-        published.append(spool.finish(claim, result))
+        execute_shard(claim.payload, cache_dir=cache_dir or spool.cache_dir,
+                      workers=workers, force=force, owner=owner,
+                      spool=spool, claim=claim)
+        published.append(spool.results_dir / claim.path.name)
     return published

@@ -24,7 +24,8 @@ contract ``tests/test_exec.py`` pins.
   the spool protocol, appends per-run progress records for remote
   observers, and tails other hosts' progress records (loading their
   results from the shared cache by content address) so the handle sees
-  every run — local or remote — as it completes.
+  every run — local or remote — as it completes.  It is the only place
+  the sharding knobs (shard count, balance, spool, wait timeout) live.
 """
 
 from __future__ import annotations
@@ -47,17 +48,11 @@ from typing import (
 )
 
 from ..distrib.manifest import plan_shards
-from ..distrib.spool import (
-    ClaimedShard,
-    ShardSpool,
-    default_owner,
-    shard_file_name,
-)
-from ..distrib.worker import shard_result_payload, shard_runner
+from ..distrib.spool import ShardSpool, default_owner, shard_file_name
+from ..distrib.worker import iter_shard
 from ..runner.artifacts import RunCache, run_result_from_dict
 from ..runner.events import (
     Event,
-    append_event,
     claim_event,
     read_events,
     run_event,
@@ -78,15 +73,12 @@ class ExecutionContext:
     """Everything an executor needs from the session submitting to it.
 
     The *runner* carries the scaled config, the scale, the worker count,
-    the content-addressed cache and the force flag; the remaining fields
-    are the sharding/observability knobs the session holds.
+    the content-addressed cache and the force flag; *name* labels the
+    submission and *events_path* optionally dumps its event stream.
     """
 
     runner: ParallelExperimentRunner
     name: str = "experiment"
-    shards: Optional[int] = None
-    spool_dir: Optional[Path] = None
-    wait_timeout: Optional[float] = None
     events_path: Optional[Path] = None
 
 
@@ -181,8 +173,8 @@ class PoolExecutor(_RunnerExecutor):
 class ShardedExecutor(_ExecutorBase):
     """Plan, claim and execute shard manifests; tail the ones other hosts run.
 
-    Without a spool directory the planned manifests execute directly in
-    this process (the "cluster of one"), still per-run streaming.  With a
+    Without a *spool_dir* the planned manifests execute directly in this
+    process (the "cluster of one"), still per-run streaming.  With a
     spool, the full multi-host protocol runs: manifests queue under
     ``pending/``, this executor claims and executes what it can (appending
     per-run progress records other observers tail), and shards claimed by
@@ -190,103 +182,59 @@ class ShardedExecutor(_ExecutorBase):
     as events, with full results loaded from the shared content-addressed
     cache by key — rather than silently blocked on.
 
-    *shards* overrides the context's shard count (default 2);  *balance*
-    selects the partition (``"count"`` or ``"cost"``, see
-    :func:`~repro.distrib.manifest.plan_shards`).
+    *shards* is the shard count; *balance* selects the partition
+    (``"count"`` or ``"cost"``, see
+    :func:`~repro.distrib.manifest.plan_shards`); *spool_dir* keeps the
+    shard artifacts and lets ``repro shard work`` helpers on other hosts
+    join in; *wait_timeout* bounds how long a spooled run waits on shards
+    claimed elsewhere (``None``: indefinitely, with stderr notices).
     """
 
     name = "sharded"
 
-    def __init__(self, shards: Optional[int] = None,
-                 balance: str = "count") -> None:
+    def __init__(self, shards: int = 2, balance: str = "count",
+                 spool_dir: Optional[Path] = None,
+                 wait_timeout: Optional[float] = None) -> None:
+        if shards < 1:
+            raise ValueError(f"shard count must be >= 1, got {shards}")
         self.shards = shards
         self.balance = balance
+        self.spool_dir = spool_dir
+        self.wait_timeout = wait_timeout
 
     def _drive(self, specs: List[RunSpec], ctx: ExecutionContext,
                token: CancelToken) -> Iterator[Event]:
         runner = ctx.runner
-        shard_count = self.shards or ctx.shards or 2
         manifests = plan_shards(ctx.name, specs, runner.config, runner.scale,
-                                shard_count, balance=self.balance)
+                                self.shards, balance=self.balance)
         owner = default_owner()
-        # The session's own cache keeps serving (and absorbing) runs when
-        # execution is sharded; the spool's shared cache is the fallback.
-        cache_root = runner.cache.root
-        if ctx.spool_dir is None:
+        if self.spool_dir is None:
             for manifest in manifests:
                 if token():
                     return
                 if not manifest["specs"]:
                     continue
                 yield claim_event(manifest["shard_index"], owner)
-                yield from self._run_shard(
-                    manifest, cache_dir=cache_root, workers=runner.workers,
-                    force=runner.force, token=token, owner=owner,
-                    spool=None, claim=None, seen=set())
+                # The session's own cache keeps serving (and absorbing)
+                # runs when execution is sharded.
+                yield from iter_shard(
+                    manifest, cache_dir=runner.cache.root,
+                    workers=runner.workers, force=runner.force, owner=owner,
+                    should_stop=token)
             return
-        yield from self._drive_spool(manifests, ctx, token, owner,
-                                     cache_root)
-
-    # -- local shard execution -------------------------------------------------------
-
-    def _run_shard(self, manifest: Dict[str, Any], *,
-                   cache_dir: Optional[Path], workers: int, force: bool,
-                   token: CancelToken, owner: str,
-                   spool: Optional[ShardSpool],
-                   claim: Optional[ClaimedShard],
-                   seen: Set[int]) -> Iterator[Event]:
-        """Execute one manifest run by run, yielding an event per run.
-
-        With a spool, each run is also appended to the shard's progress
-        records and the finished shard is published as a shard artifact;
-        a cancellation (or any error) releases the claim back to
-        ``pending/`` so another worker — or a resumed submit — picks the
-        shard up and completes it from the shared cache.
-        """
-        try:
-            runner, shard_specs = shard_runner(
-                manifest, cache_dir=cache_dir, workers=workers, force=force)
-            progress_path = (spool.progress_path(claim.path.name)
-                             if spool is not None and claim is not None
-                             else None)
-            outcomes: List[Optional[tuple]] = [None] * len(shard_specs)
-            for position, result, cache_hit, _key in runner.iter_specs(
-                    shard_specs, should_stop=token):
-                outcomes[position] = (result, cache_hit)
-                entry = manifest["specs"][position]
-                event = run_event(entry["index"], shard_specs[position],
-                                  result, cache_hit, key=entry["key"],
-                                  shard_index=manifest["shard_index"],
-                                  owner=owner)
-                if progress_path is not None:
-                    append_event(progress_path, event)
-                seen.add(entry["index"])
-                yield event
-            if any(outcome is None for outcome in outcomes):
-                # token() fired mid-shard: hand the remainder back.
-                if spool is not None and claim is not None:
-                    spool.release(claim)
-                return
-            if spool is not None and claim is not None:
-                spool.finish(claim, shard_result_payload(
-                    manifest, runner,
-                    outcomes,  # type: ignore[arg-type]
-                    host=owner))
-        except BaseException:
-            # Includes GeneratorExit: an abandoned handle must not leave
-            # an orphaned claim behind.
-            if spool is not None and claim is not None:
-                spool.release(claim)
-            raise
+        yield from self._drive_spool(manifests, ctx, token, owner)
 
     # -- the spool protocol ----------------------------------------------------------
 
     def _drive_spool(self, manifests: List[Dict[str, Any]],
-                     ctx: ExecutionContext, token: CancelToken, owner: str,
-                     cache_root: Optional[Path]) -> Iterator[Event]:
+                     ctx: ExecutionContext, token: CancelToken,
+                     owner: str) -> Iterator[Event]:
         runner = ctx.runner
+        # The session's own cache keeps serving (and absorbing) runs; the
+        # spool's shared cache is the fallback.
+        cache_root = runner.cache.root
         experiment_id = manifests[0]["experiment_id"]
-        spool = ShardSpool(ctx.spool_dir).prepare()
+        spool = ShardSpool(self.spool_dir).prepare()
         if runner.force:
             # force's contract is "re-execute everything": published shard
             # results of this plan would otherwise short-circuit the
@@ -319,11 +267,14 @@ class ShardedExecutor(_ExecutorBase):
             claim = spool.claim_next(owner, experiment_id=experiment_id)
             if claim is not None:
                 yield claim_event(claim.shard_index, owner)
-                yield from self._run_shard(
-                    claim.payload,
-                    cache_dir=cache_root or spool.cache_dir,
-                    workers=runner.workers, force=runner.force, token=token,
-                    owner=owner, spool=spool, claim=claim, seen=seen)
+                for event in iter_shard(
+                        claim.payload,
+                        cache_dir=cache_root or spool.cache_dir,
+                        workers=runner.workers, force=runner.force,
+                        owner=owner, spool=spool, claim=claim,
+                        should_stop=token):
+                    seen.add(event.index)
+                    yield event
                 if token():
                     return
                 continue
@@ -352,8 +303,8 @@ class ShardedExecutor(_ExecutorBase):
                     first_invisible = now
                 elif now - first_invisible >= 10.0:
                     break
-            if ctx.wait_timeout is not None and \
-                    now - started >= ctx.wait_timeout:
+            if self.wait_timeout is not None and \
+                    now - started >= self.wait_timeout:
                 raise TimeoutError(
                     f"{ctx.name}: still waiting on shard(s) {in_flight} "
                     f"after {now - started:.0f}s; if their worker died, "
@@ -429,16 +380,15 @@ class ShardedExecutor(_ExecutorBase):
                     owner=event.owner, remote=True, result=result)
 
 
-def resolve_executor(executor: Union[str, Executor, None], *,
-                     shards: Optional[int] = None) -> Executor:
+def resolve_executor(executor: Union[str, Executor, None]) -> Executor:
     """Turn a ``Session(executor=...)`` value into an Executor instance.
 
-    ``None`` keeps the historical defaults: the pool tier, or the sharded
-    tier when a shard count is in play.  Strings name the built-in tiers;
-    anything implementing the protocol passes through untouched.
+    ``None`` is the pool tier.  Strings name the built-in tiers (``"sharded"``
+    with :class:`ShardedExecutor`'s defaults); anything implementing the
+    protocol passes through untouched.
     """
     if executor is None:
-        return ShardedExecutor() if shards else PoolExecutor()
+        return PoolExecutor()
     if isinstance(executor, str):
         if executor == "serial":
             return SerialExecutor()

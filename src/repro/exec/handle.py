@@ -267,11 +267,17 @@ class ExperimentHandle:
         """Drain the stream and fold the runs into an ExperimentResult.
 
         The fold is index-ordered over the submitted spec list — exactly
-        the insertion order of the blocking
-        ``ParallelExperimentRunner.collect`` (and, transitively, of the
-        sharded merge) — so the returned experiment is bit-identical to
-        the pre-streaming verbs on every executor tier.
+        the insertion order of the sharded merge — so the returned
+        experiment is bit-identical on every executor tier.
         """
+        experiment = ExperimentResult(scale=self._scale)
+        for spec, result in zip(self._specs, self.run_results()):
+            platform_key, workload_key = spec.result_key
+            experiment.add(platform_key, workload_key, result)
+        return experiment
+
+    def run_results(self) -> List[RunResult]:
+        """Drain the stream; every run's result in submitted-spec order."""
         while self._pump():
             pass
         if len(self._runs) != len(self._specs):
@@ -280,9 +286,4 @@ class ExperimentHandle:
                 f"{'was cancelled' if self.cancelled else 'ended'} after "
                 f"{len(self._runs)} of {len(self._specs)} runs; finished "
                 f"runs are cached — submit() the same specs to resume")
-        experiment = ExperimentResult(scale=self._scale)
-        for index, spec in enumerate(self._specs):
-            platform_key, workload_key = spec.result_key
-            experiment.add(platform_key, workload_key,
-                           self._runs[index].result)
-        return experiment
+        return [self._runs[index].result for index in range(len(self._specs))]

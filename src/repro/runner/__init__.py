@@ -2,10 +2,10 @@
 
 Public surface:
 
-* :class:`~repro.runner.parallel.ParallelExperimentRunner` — drop-in
-  replacement for the serial ``ExperimentRunner`` that fans the
-  (platform x workload) matrix out over a process pool and consults a
-  content-addressed run cache,
+* :class:`~repro.runner.parallel.ParallelExperimentRunner` — the execution
+  core behind every executor tier: scales the config, memoises traces,
+  consults a content-addressed run cache and fans pending runs out over a
+  process pool,
 * :class:`~repro.runner.specs.RunSpec` — the picklable unit of work,
 * the artifact helpers for writing/reading versioned experiment JSON,
 * the named experiment presets behind ``python -m repro run``.

@@ -9,9 +9,10 @@ Subcommands
     versioned JSON artifact per experiment plus a ``repro.events/1`` JSONL
     event log, and print the throughput summary.  ``--executor
     {serial,pool,sharded}`` picks the execution tier (default: the process
-    pool; results are bit-identical on every tier), ``--progress`` renders
-    a live completed/total/ETA ticker from the streaming
-    :class:`~repro.exec.ExperimentHandle`, and
+    pool; results are bit-identical on every tier; ``--shards``/``--spool``
+    configure the sharded tier and are rejected on any other),
+    ``--progress`` renders a live completed/total/ETA ticker from the
+    streaming :class:`~repro.exec.ExperimentHandle`, and
     ``--platforms``/``--workloads`` replace the presets with one ad-hoc
     experiment called ``custom``.
 
@@ -92,7 +93,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from ..analysis.experiments import ExperimentResult
 from ..analysis.reporting import format_table
@@ -111,7 +112,7 @@ from ..distrib import (
     plan_shards,
     work_spool,
 )
-from ..exec import EXECUTOR_NAMES
+from ..exec import EXECUTOR_NAMES, Executor, ShardedExecutor
 from .events import read_events
 from ..platforms.registry import PLATFORM_NAMES, available_platforms
 from ..workloads.registry import (
@@ -206,17 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ignore cache hits but refresh stored runs")
     run.add_argument("--executor", default=None, metavar="TIER",
                      help=f"execution tier: one of {EXECUTOR_NAMES} "
-                          f"(default: pool, or sharded when --shards is "
-                          f"given); results are bit-identical on every "
-                          f"tier")
+                          f"(default: pool, or sharded when --shards or "
+                          f"--spool is given); results are bit-identical "
+                          f"on every tier")
     run.add_argument("--shards", type=int, default=None,
                      help="shard count for the sharded executor "
-                          "(implies --executor sharded; default: 2 when "
-                          "--executor sharded is given alone)")
+                          "(implies --executor sharded; default: 2)")
     run.add_argument("--spool", type=Path, default=None,
                      help="spool directory for the sharded executor: keeps "
                           "shard artifacts and lets `repro shard work` "
-                          "helpers on other hosts join in")
+                          "helpers on other hosts join in (implies "
+                          "--executor sharded)")
     run.add_argument("--progress", action="store_true",
                      help="render a live completed/total/ETA ticker on "
                           "stderr while the experiment streams")
@@ -313,12 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--force", action="store_true",
                        help="ignore cache hits but refresh stored runs")
     sweep.add_argument("--executor", default=None, metavar="TIER",
-                       help=f"execution tier: one of {EXECUTOR_NAMES} or "
-                            f"serve:<url> (default: pool)")
+                       help=f"execution tier: one of {EXECUTOR_NAMES} "
+                            f"(default: pool, or sharded when --shards or "
+                            f"--spool is given)")
     sweep.add_argument("--shards", type=int, default=None,
-                       help="shard count for the sharded executor")
+                       help="shard count for the sharded executor "
+                            "(implies --executor sharded; default: 2)")
     sweep.add_argument("--spool", type=Path, default=None,
-                       help="spool directory for the sharded executor")
+                       help="spool directory for the sharded executor "
+                            "(implies --executor sharded)")
     _add_scale_arguments(sweep)
     sweep.add_argument("--quiet", action="store_true",
                        help="only print the one-line summary")
@@ -428,6 +432,30 @@ def _build_scale(args: argparse.Namespace) -> ExperimentScale:
     return dataclasses.replace(base, **kwargs)
 
 
+def _session_of(args: argparse.Namespace) -> Session:
+    """The Session a ``run``/``sweep`` invocation executes through."""
+    if args.no_cache:
+        cache_dir = None
+    else:
+        cache_dir = args.cache_dir or args.output_dir / "cache"
+    return Session(scale=_build_scale(args), workers=args.workers,
+                   cache_dir=cache_dir, force=args.force,
+                   executor=_executor_of(args))
+
+
+def _executor_of(args: argparse.Namespace) -> Union[str, Executor, None]:
+    """``--executor``, with ``--shards``/``--spool`` configuring the sharded
+    tier — and only that tier: on any other they would be silently lost."""
+    if args.shards is None and args.spool is None:
+        return args.executor
+    if args.executor not in (None, "sharded"):
+        raise ValueError(f"--shards/--spool only apply to --executor "
+                         f"sharded, not {args.executor!r}")
+    return ShardedExecutor(
+        shards=2 if args.shards is None else args.shards,
+        spool_dir=args.spool)
+
+
 def _select_presets(args: argparse.Namespace) -> List[ExperimentPreset]:
     if args.platforms or args.workloads:
         if not (args.platforms and args.workloads):
@@ -481,23 +509,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    scale = _build_scale(args)
-    cache_dir: Optional[Path]
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir is not None:
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = args.output_dir / "cache"
-
-    executor = args.executor
-    if executor is None and args.shards:
-        executor = "sharded"  # --shards alone implies the sharded tier
     try:
-        session = Session(scale=scale, workers=args.workers,
-                          cache_dir=cache_dir, force=args.force,
-                          executor=executor, shards=args.shards,
-                          spool_dir=args.spool)
+        session = _session_of(args)
     except ValueError as error:  # e.g. a malformed $REPRO_WORKERS
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -562,24 +575,9 @@ def _parse_sweep_value(raw: str):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scale = _build_scale(args)
-    cache_dir: Optional[Path]
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir is not None:
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = args.output_dir / "cache"
     values = [_parse_sweep_value(raw) for raw in args.values]
-    executor = args.executor
-    if executor is None and args.shards:
-        executor = "sharded"
-
     try:
-        session = Session(scale=scale, workers=args.workers,
-                          cache_dir=cache_dir, force=args.force,
-                          executor=executor, shards=args.shards,
-                          spool_dir=args.spool)
+        session = _session_of(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -869,7 +867,7 @@ def cmd_shard_work(args: argparse.Namespace) -> int:
         if args.manifests:
             published = [
                 execute_shard_file(path, spool, workers=args.workers,
-                                   force=args.force, host=args.host)
+                                   force=args.force, owner=args.host)
                 for path in args.manifests]
         else:
             published = work_spool(spool, owner=args.host,

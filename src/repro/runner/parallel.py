@@ -12,8 +12,8 @@ platform through the registry, and ships back only the ``RunResult``.
 
 Because trace synthesis is fully seeded and the replay is pure float
 arithmetic in a fixed order, a worker-built run is bit-identical to the same
-run executed serially — ``ParallelExperimentRunner(workers=N)`` produces
-exactly the metrics of the legacy serial ``ExperimentRunner`` for any N.
+run executed inline — ``ParallelExperimentRunner(workers=N)`` produces
+exactly the same metrics for any N.
 """
 
 from __future__ import annotations
@@ -22,24 +22,18 @@ import multiprocessing
 import os
 import sys
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..analysis.experiments import ExperimentResult, ExperimentRunner
-from ..config import SystemConfig
+from ..config import SystemConfig, default_config
 from ..platforms.base import RunResult
 from ..platforms.registry import create_platform
-from ..workloads.registry import ExperimentScale, TraceSpec
+from ..workloads.registry import (
+    ExperimentScale,
+    TraceSpec,
+    scale_system_config,
+)
 from .artifacts import RunCache, run_cache_key
-from .specs import RunSpec, apply_config_overrides, matrix_specs
+from .specs import RunSpec, apply_config_overrides
 
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -129,15 +123,21 @@ def _pool_context():
     return multiprocessing.get_context("spawn")  # pragma: no cover
 
 
-class ParallelExperimentRunner(ExperimentRunner):
-    """Drop-in ``ExperimentRunner`` that fans runs out over processes.
+class ParallelExperimentRunner:
+    """The execution core every executor tier drives via :meth:`iter_specs`.
 
     Parameters
     ----------
+    scale:
+        Experiment scale (default: the library scale); *base_config* (the
+        unscaled Table II system, default :func:`~repro.config
+        .default_config`) is shrunk by it.  *scaled_config* instead installs
+        an already-scaled configuration verbatim — shard workers rebuild
+        the planner's frozen scaled config, which must not shrink twice.
     workers:
         Process count; ``None`` resolves via ``$REPRO_WORKERS`` then the CPU
         count.  ``workers=1`` executes inline (no pool) and is bit-identical
-        to the serial runner — as is any other worker count.
+        to any other worker count.
     cache_dir:
         Directory of the content-addressed run cache; ``None`` disables
         caching.  A cached run is returned without building anything.
@@ -152,11 +152,31 @@ class ParallelExperimentRunner(ExperimentRunner):
                  cache_dir: Optional[Path] = None,
                  force: bool = False,
                  scaled_config: Optional[SystemConfig] = None) -> None:
-        super().__init__(scale=scale, base_config=base_config,
-                         scaled_config=scaled_config)
+        self.scale = scale if scale is not None else ExperimentScale()
+        if scaled_config is not None:
+            if base_config is not None:
+                raise ValueError(
+                    "pass either base_config (to be scaled) or scaled_config "
+                    "(used verbatim), not both")
+            self.config = scaled_config
+        else:
+            self.config = scale_system_config(
+                base_config if base_config is not None else default_config(),
+                self.scale)
         self.workers = resolve_worker_count(workers)
         self.cache = RunCache(cache_dir)
         self.force = force
+        # Inline runs memoise traces here, keyed like the pool workers' cache.
+        self._trace_cache: Dict[tuple, object] = {}
+
+    def trace(self, workload: str,
+              dataset_bytes_override: Optional[int] = None):
+        """Build (and memoise) the trace for one workload."""
+        spec = TraceSpec(workload=workload, scale=self.scale,
+                         dataset_bytes_override=dataset_bytes_override)
+        if spec.cache_key not in self._trace_cache:
+            self._trace_cache[spec.cache_key] = spec.build()
+        return self._trace_cache[spec.cache_key]
 
     # -- cache plumbing ------------------------------------------------------------
 
@@ -251,37 +271,3 @@ class ParallelExperimentRunner(ExperimentRunner):
                     yield index, result, False, keys[index]
                     if should_stop is not None and should_stop():
                         return
-
-    def run_specs(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Execute every spec (cache, then pool) preserving input order."""
-        specs = list(specs)
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        for index, result, _cache_hit, _key in self.iter_specs(specs):
-            results[index] = result
-        return results  # type: ignore[return-value]
-
-    def run_spec(self, spec: RunSpec) -> RunResult:
-        return self.run_specs([spec])[0]
-
-    # -- ExperimentRunner API --------------------------------------------------------
-
-    def run_one(self, platform_name: str, workload: str,
-                dataset_bytes_override: Optional[int] = None) -> RunResult:
-        """Replay one workload on a freshly built platform (cache-aware)."""
-        return self.run_spec(RunSpec(
-            platform=platform_name, workload=workload,
-            dataset_bytes_override=dataset_bytes_override))
-
-    def run_matrix(self, platform_names: Iterable[str],
-                   workloads: Iterable[str]) -> ExperimentResult:
-        """Replay every workload on every platform, fanned out over workers."""
-        specs = matrix_specs(list(platform_names), list(workloads))
-        return self.collect(specs)
-
-    def collect(self, specs: Sequence[RunSpec]) -> ExperimentResult:
-        """Execute *specs* and merge the runs into one ExperimentResult."""
-        experiment = ExperimentResult(scale=self.scale)
-        for spec, result in zip(specs, self.run_specs(specs)):
-            key = spec.result_key
-            experiment.add(key[0], key[1], result)
-        return experiment

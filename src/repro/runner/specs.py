@@ -116,9 +116,8 @@ def apply_config_overrides(config: SystemConfig,
 def matrix_specs(platform_names, workloads) -> list:
     """Specs for the full (platform x workload) matrix.
 
-    Iteration order matches the serial ``ExperimentRunner.run_matrix`` loop
-    (workloads outer, platforms inner) so serial and parallel executions
-    enumerate — and therefore report — runs identically.
+    Iteration order is workloads outer, platforms inner, so every
+    execution tier enumerates — and therefore reports — runs identically.
 
     ``trace:<path>`` workloads are annotated with a ``workload_label``
     taken from the trace file's recorded workload name (provenance first,

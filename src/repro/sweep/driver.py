@@ -303,7 +303,6 @@ class AdaptiveSweepDriver:
                  settle_rounds: Optional[int] = 3,
                  name: Optional[str] = None,
                  executor: Any = None,
-                 shards: Optional[int] = None,
                  observer: Optional[Callable[[SweepRound], None]] = None
                  ) -> None:
         self.session = session
@@ -349,7 +348,6 @@ class AdaptiveSweepDriver:
         self.settle_rounds = settle_rounds
         self.name = name or f"adaptive-{platform}-{section}.{field_name}"
         self.executor = executor
-        self.shards = shards
         self.observer = observer
         self._workload_order = {workload: position for position, workload
                                 in enumerate(self.workloads)}
@@ -448,7 +446,7 @@ class AdaptiveSweepDriver:
             handle = self.session.submit(
                 [spec for _, _, spec, _, _ in to_run],
                 name=f"{self.name}-r{round_number}",
-                executor=self.executor, shards=self.shards)
+                executor=self.executor)
             outstanding: Dict[str, int] = {}
             for workload, _, _, _, _ in to_run:
                 outstanding[workload] = outstanding.get(workload, 0) + 1

@@ -13,9 +13,10 @@ The load-bearing contracts:
    recorded rather than silently dropped, and cache-resolved cells cost
    zero (a re-run of the same sweep spends nothing).
 4. **The bugfix batch** — duplicate sweep labels raise instead of
-   silently collapsing result keys; conflicting one-shot execution knobs
-   raise instead of half-applying; progress ETA edges report ``None``
-   instead of dividing by zero or leaking ``inf`` into event records.
+   silently collapsing result keys; sharding knobs exist only on
+   :class:`~repro.exec.ShardedExecutor`, so no one-shot combination can
+   half-apply them; progress ETA edges report ``None`` instead of dividing
+   by zero or leaking ``inf`` into event records.
 """
 
 from __future__ import annotations
@@ -159,8 +160,9 @@ class TestAdaptiveDriver:
             self, tmp_path, executor, shards):
         reference = run_adaptive(
             tiny_session(cache_dir=tmp_path / "reference"))
-        session = tiny_session(cache_dir=tmp_path / "tier",
-                               executor=executor, shards=shards)
+        session = tiny_session(
+            cache_dir=tmp_path / "tier",
+            executor=ShardedExecutor(shards=shards) if shards else executor)
         result = run_adaptive(session)
         path = [(round_.number,
                  sorted((cell.workload, cell.index)
@@ -298,46 +300,43 @@ class TestDuplicateSweepLabels:
 
 
 # ---------------------------------------------------------------------------
-# Bugfix: conflicting one-shot execution knobs
+# Sharding knobs live only on ShardedExecutor
 # ---------------------------------------------------------------------------
 
 
 class TestOneShotKnobValidation:
+    """The old conflicting combinations are no longer expressible."""
+
     def test_non_sharded_tier_rejects_shards(self):
-        with pytest.raises(ValueError, match="does not shard"):
+        with pytest.raises(TypeError, match="shards"):
             compare(["mmap"], ["seqRd"], scale=TINY, workers=1,
-                    executor="pool", shards=2)
+                    executor="pool", **{"shards": 2})
 
     def test_executor_instance_rejects_shards(self):
-        # Before the fix the sharded tier half-applied: shards was dropped
-        # on the floor for any instance that was not a ShardedExecutor.
-        with pytest.raises(ValueError, match="Executor instance"):
+        with pytest.raises(TypeError, match="shards"):
             sweep("hams-TE", ["seqRd"], "hams", "mos_page_bytes",
                   [4 * KB], scale=TINY, workers=1,
-                  executor=SerialExecutor(), shards=2)
+                  executor=SerialExecutor(), **{"shards": 2})
 
     def test_sharded_only_knobs_need_a_sharded_tier(self, tmp_path):
-        with pytest.raises(ValueError, match="spool_dir"):
+        with pytest.raises(TypeError, match="spool_dir"):
             compare(["mmap"], ["seqRd"], scale=TINY, workers=1,
                     spool_dir=tmp_path / "spool")
-        with pytest.raises(ValueError, match="wait_timeout"):
-            compare(["mmap"], ["seqRd"], scale=TINY, workers=1,
-                    executor="serial", wait_timeout=5.0)
-        with pytest.raises(ValueError, match="spool_dir and wait_timeout"):
-            compare(["mmap"], ["seqRd"], scale=TINY, workers=1,
-                    executor=SerialExecutor(),
-                    spool_dir=tmp_path / "spool", wait_timeout=5.0)
+        with pytest.raises(TypeError, match="wait_timeout"):
+            Session(TINY, workers=1, wait_timeout=5.0)
+        with pytest.raises(TypeError):
+            SerialExecutor(spool_dir=tmp_path / "spool")
 
     def test_legal_sharded_combinations_still_pass(self, tmp_path):
-        # The symmetric trio (shards + spool_dir + wait_timeout) and every
-        # sharded spelling keep working — only conflicts are rejected.
-        compare(["mmap"], ["seqRd"], scale=TINY, workers=1, shards=2,
-                spool_dir=tmp_path / "a", wait_timeout=60.0)
+        # Every sharded spelling works: the tier name with its defaults,
+        # or an instance carrying shards + spool_dir + wait_timeout.
         compare(["mmap"], ["seqRd"], scale=TINY, workers=1,
-                executor="sharded", spool_dir=tmp_path / "b")
+                executor="sharded")
         compare(["mmap"], ["seqRd"], scale=TINY, workers=1,
-                executor=ShardedExecutor(shards=2),
-                spool_dir=tmp_path / "c", wait_timeout=60.0)
+                executor=ShardedExecutor(shards=2,
+                                         spool_dir=tmp_path / "c",
+                                         wait_timeout=60.0))
+        assert list((tmp_path / "c" / "results").glob("shard-*.json"))
 
 
 # ---------------------------------------------------------------------------

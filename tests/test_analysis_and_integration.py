@@ -1,4 +1,4 @@
-"""Analysis helpers, the experiment runner, and end-to-end integration checks."""
+"""Analysis helpers, matrix replay, and end-to-end integration checks."""
 
 import pytest
 
@@ -8,8 +8,8 @@ from repro.analysis.breakdown import (
     memory_delay_table,
     normalised_energy_table,
 )
-from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.reporting import format_series, format_table, series_to_rows
+from repro.api import Session
 from repro.workloads.registry import ExperimentScale
 
 SCALE = ExperimentScale(capacity_scale=1 / 512, min_accesses=200,
@@ -18,9 +18,9 @@ SCALE = ExperimentScale(capacity_scale=1 / 512, min_accesses=200,
 
 @pytest.fixture(scope="module")
 def small_experiment():
-    runner = ExperimentRunner(SCALE)
-    return runner.run_matrix(["mmap", "hams-LE", "hams-TE", "oracle"],
-                             ["seqRd", "rndSel"])
+    session = Session(SCALE, executor="serial")
+    return session.compare(["mmap", "hams-LE", "hams-TE", "oracle"],
+                           ["seqRd", "rndSel"])
 
 
 class TestReporting:
@@ -45,9 +45,11 @@ class TestReporting:
 
 
 class TestExperimentRunner:
+    """Matrix replay through the serial session tier."""
+
     def test_traces_are_memoised(self):
-        runner = ExperimentRunner(SCALE)
-        assert runner.trace("seqRd") is runner.trace("seqRd")
+        session = Session(SCALE, executor="serial")
+        assert session.trace("seqRd") is session.trace("seqRd")
 
     def test_run_matrix_covers_all_combinations(self, small_experiment):
         assert len(small_experiment.results) == 8

@@ -7,11 +7,11 @@ from repro.api import (
     Session,
     compare,
     platforms,
-    run_sharded,
     simulate,
     sweep,
     workloads,
 )
+from repro.exec import ShardedExecutor
 from repro.runner.artifacts import run_result_to_dict
 from repro.platforms.registry import PLATFORM_NAMES, available_platforms
 from repro.runner.specs import RunSpec
@@ -31,7 +31,8 @@ def session():
 class TestSession:
     def test_simulate_matches_runner(self, session):
         result = session.simulate("oracle", "seqRd")
-        reference = session.runner.run_one("oracle", "seqRd")
+        [(_, reference, _, _)] = session.runner.iter_specs(
+            [RunSpec("oracle", "seqRd")])
         assert result == reference
         assert result.platform == "oracle"
         assert result.operations_per_second > 0
@@ -65,6 +66,20 @@ class TestSession:
         experiment = session.collect(specs)
         assert set(experiment.results) == {("oracle", "seqRd"),
                                            ("mmap", "seqRd")}
+
+    def test_list_verbs_ride_the_session_executor(self, monkeypatch):
+        """run/simulate on a serial session never fork a process pool."""
+        from repro.runner import parallel as parallel_module
+
+        def no_pool():
+            raise AssertionError("the serial tier must not fork a pool")
+
+        monkeypatch.setattr(parallel_module, "_pool_context", no_pool)
+        serial = Session(SCALE, workers=2, executor="serial")
+        results = serial.run([RunSpec("oracle", "seqRd"),
+                              RunSpec("mmap", "seqRd")])
+        assert [result.platform for result in results] == ["oracle", "mmap"]
+        assert serial.simulate("oracle", "seqRd") == results[0]
 
     def test_context_accessors(self, session):
         assert session.scale == SCALE
@@ -106,34 +121,53 @@ def _as_dicts(experiment):
 
 
 class TestShardedFacade:
-    def test_run_sharded_matches_compare(self, session):
+    def test_sharded_executor_matches_compare(self, session):
         direct = session.compare(["mmap", "oracle"], ["seqRd", "update"])
-        sharded = run_sharded(["mmap", "oracle"], ["seqRd", "update"],
-                              shards=3, scale=SCALE, workers=1)
+        sharded = Session(SCALE, workers=1,
+                          executor=ShardedExecutor(shards=3)).compare(
+            ["mmap", "oracle"], ["seqRd", "update"])
         assert _as_dicts(sharded) == _as_dicts(direct)
 
-    def test_session_default_shards_routes_every_verb(self, session):
-        sharded_session = Session(SCALE, workers=1, shards=2)
+    def test_session_default_shards_routes_every_verb(self, session,
+                                                      monkeypatch):
+        sharded_session = Session(SCALE, workers=1,
+                                  executor=ShardedExecutor(shards=2))
         direct = session.compare(["mmap", "oracle"], ["seqRd"])
         assert _as_dicts(sharded_session.compare(
             ["mmap", "oracle"], ["seqRd"])) == _as_dicts(direct)
         assert _as_dicts(sharded_session.collect(
             [RunSpec("mmap", "seqRd"), RunSpec("oracle", "seqRd")])) == \
             _as_dicts(direct)
+        # The single-spec and list verbs ride the session's tier too.
+        submitted = []
+        real_submit = ShardedExecutor.submit
+
+        def spy(executor, specs, ctx):
+            submitted.append(ctx.name)
+            return real_submit(executor, specs, ctx)
+
+        monkeypatch.setattr(ShardedExecutor, "submit", spy)
+        assert sharded_session.simulate("mmap", "seqRd") == \
+            direct.get("mmap", "seqRd")
+        assert sharded_session.run([RunSpec("oracle", "seqRd")]) == \
+            [direct.get("oracle", "seqRd")]
+        assert submitted == ["simulate", "run"]
 
     def test_sweep_accepts_shards(self, session):
         direct = session.sweep("hams-TE", ["update"], "hams",
                                "mos_page_bytes", [KB(4), KB(128)],
                                labels=["4KB", "128KB"])
-        sharded = session.sweep("hams-TE", ["update"], "hams",
-                                "mos_page_bytes", [KB(4), KB(128)],
-                                labels=["4KB", "128KB"], shards=2)
+        sharded = Session(SCALE, workers=1,
+                          executor=ShardedExecutor(shards=2)).sweep(
+            "hams-TE", ["update"], "hams", "mos_page_bytes",
+            [KB(4), KB(128)], labels=["4KB", "128KB"])
         assert _as_dicts(sharded) == _as_dicts(direct)
 
     def test_sharded_session_honors_its_cache_dir(self, tmp_path,
                                                   monkeypatch):
         cache_dir = tmp_path / "cache"
-        first = Session(SCALE, workers=1, shards=2, cache_dir=cache_dir)
+        first = Session(SCALE, workers=1, executor="sharded",
+                        cache_dir=cache_dir)
         expected = _as_dicts(first.compare(["mmap", "oracle"], ["seqRd"]))
         assert list(cache_dir.glob("*.json"))
 
@@ -145,19 +179,24 @@ class TestShardedFacade:
             raise AssertionError("cached sharded run must not re-execute")
 
         monkeypatch.setattr(parallel_module, "execute_spec", boom)
-        replay = Session(SCALE, workers=1, shards=2, cache_dir=cache_dir)
+        replay = Session(SCALE, workers=1, executor="sharded",
+                         cache_dir=cache_dir)
         assert _as_dicts(replay.compare(["mmap", "oracle"],
                                         ["seqRd"])) == expected
 
     def test_shards_zero_means_unsharded(self):
-        """The natural env-var 'off' value must not crash the planner."""
-        session = Session(SCALE, workers=1, shards=0)
+        """Sharding is opt-in via the executor; a count below 1 is refused."""
+        session = Session(SCALE, workers=1)
         experiment = session.compare(["mmap"], ["seqRd"])
         assert ("mmap", "seqRd") in experiment.results
+        assert session.submit([]).executor == "pool"
+        with pytest.raises(ValueError, match="shard count"):
+            ShardedExecutor(shards=0)
 
-    def test_run_sharded_keeps_spool_artifacts(self, tmp_path):
-        run_sharded(["mmap"], ["seqRd"], shards=2, scale=SCALE, workers=1,
-                    spool_dir=tmp_path / "spool")
+    def test_sharded_executor_keeps_spool_artifacts(self, tmp_path):
+        Session(SCALE, workers=1, executor=ShardedExecutor(
+            shards=2, spool_dir=tmp_path / "spool")).compare(
+            ["mmap"], ["seqRd"])
         results = sorted(
             (tmp_path / "spool" / "results").glob("shard-*.json"))
         assert len(results) == 2
@@ -169,7 +208,8 @@ class TestTopLevelExports:
         assert repro.simulate is simulate
         assert repro.compare is compare
         assert repro.sweep is sweep
-        assert repro.run_sharded is run_sharded
+        assert repro.ShardedExecutor is ShardedExecutor
+        assert not hasattr(repro, "ExperimentRunner")
 
     def test_batch_protocol_exported(self):
         for name in ("AccessStream", "MemoryRequestBatch",

@@ -4,8 +4,8 @@ The load-bearing properties, in order of importance:
 
 1. **Merge exactness** — for any shard count and any shard execution
    order, plan + work + merge produces runs bit-identical (as canonically
-   serialised) to an unsharded ``ParallelExperimentRunner.collect`` over
-   the same specs.
+   serialised) to an unsharded serial ``Session.collect`` over the same
+   specs.
 2. **Resume** — a worker killed mid-shard and restarted resumes from the
    shared run cache: finished runs are not recomputed, and the shard
    result neither drops nor duplicates runs.
@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from repro.api import Session
 from repro.distrib import (
     SHARD_MANIFEST_SCHEMA,
     SHARD_RESULT_SCHEMA,
@@ -32,11 +33,11 @@ from repro.distrib import (
     partition_bounds,
     partition_bounds_by_cost,
     plan_shards,
-    run_sharded_specs,
     validate_manifest,
     work_spool,
 )
 from repro.distrib import spool as spool_module
+from repro.exec import ShardedExecutor
 from repro.runner import parallel as parallel_module
 from repro.runner.artifacts import (
     RunCache,
@@ -57,6 +58,21 @@ WORKLOADS = ["seqRd", "update"]
 
 def tiny_runner(**kwargs) -> ParallelExperimentRunner:
     return ParallelExperimentRunner(TINY, workers=1, **kwargs)
+
+
+def tiny_session(**kwargs) -> Session:
+    return Session(TINY, workers=1, **kwargs)
+
+
+def unsharded(specs):
+    """The serial tier's result: the reference every sharded run matches."""
+    return tiny_session(executor="serial").collect(specs)
+
+
+def sharded(name, specs, shard_count, *, force=False, **executor_kwargs):
+    """Plan, work and merge *specs* through the sharded executor."""
+    return tiny_session(force=force, executor=ShardedExecutor(
+        shards=shard_count, **executor_kwargs)).collect(specs, name=name)
 
 
 def canonical_runs(experiment, config) -> str:
@@ -157,7 +173,7 @@ class TestCostPartition:
         """Merge exactness holds for the cost partition, like for count."""
         runner = tiny_runner()
         specs = matrix_specs(PLATFORMS, WORKLOADS)
-        expected = canonical_runs(runner.collect(specs), runner.config)
+        expected = canonical_runs(unsharded(specs), runner.config)
         manifests = plan_shards("golden-cost", specs, runner.config, TINY,
                                 shards, balance="cost")
         indices = [entry["index"] for manifest in manifests
@@ -239,15 +255,14 @@ class TestMergeExactness:
     def test_golden_against_unsharded(self, shards):
         runner = tiny_runner()
         specs = matrix_specs(PLATFORMS, WORKLOADS)
-        expected = canonical_runs(runner.collect(specs), runner.config)
-        merged = run_sharded_specs("golden", specs, runner.config, TINY,
-                                   shards, workers=1)
+        expected = canonical_runs(unsharded(specs), runner.config)
+        merged = sharded("golden", specs, shards)
         assert canonical_runs(merged, runner.config) == expected
 
     def test_shard_execution_order_is_irrelevant(self, tmp_path):
         runner = tiny_runner()
         specs = matrix_specs(PLATFORMS, WORKLOADS)
-        expected = canonical_runs(runner.collect(specs), runner.config)
+        expected = canonical_runs(unsharded(specs), runner.config)
         manifests = plan_shards("golden", specs, runner.config, TINY, 3)
         # Execute the shards back to front, merge the results shuffled.
         results = [execute_shard(manifest, cache_dir=tmp_path / "cache",
@@ -262,9 +277,8 @@ class TestMergeExactness:
                          config_overrides={"hams": {"mos_page_bytes": size}},
                          label=label)
                  for size, label in ((KB(4), "4KB"), (KB(128), "128KB"))]
-        expected = canonical_runs(runner.collect(specs), runner.config)
-        merged = run_sharded_specs("sweep", specs, runner.config, TINY, 2,
-                                   workers=1)
+        expected = canonical_runs(unsharded(specs), runner.config)
+        merged = sharded("sweep", specs, 2)
         assert canonical_runs(merged, runner.config) == expected
         assert ("4KB", "seqRd") in merged.results
 
@@ -273,7 +287,7 @@ class TestResume:
     def test_killed_worker_resumes_from_cache(self, tmp_path, monkeypatch):
         runner = tiny_runner()
         specs = matrix_specs(PLATFORMS, WORKLOADS)
-        expected = canonical_runs(runner.collect(specs), runner.config)
+        expected = canonical_runs(unsharded(specs), runner.config)
         manifest = plan_shards("resume", specs, runner.config, TINY, 1)[0]
         cache_dir = tmp_path / "cache"
 
@@ -304,29 +318,29 @@ class TestResume:
 
     def test_partially_written_cache_entry_recovers(self, tmp_path):
         """Satellite: a torn JSON entry is a miss, then healed by store."""
-        runner = tiny_runner(cache_dir=tmp_path)
+        session = tiny_session(cache_dir=tmp_path)
         spec = RunSpec("mmap", "seqRd")
-        result = runner.run_spec(spec)
-        path = runner.cache.path_for(runner.cache_key(spec))
+        [result] = session.run([spec])
+        path = session.runner.cache.path_for(session.runner.cache_key(spec))
         complete = path.read_text(encoding="utf-8")
         path.write_text(complete[:len(complete) // 2], encoding="utf-8")
 
-        fresh = tiny_runner(cache_dir=tmp_path)
-        recovered = fresh.run_spec(spec)
-        assert fresh.cache.hits == 0 and fresh.cache.misses == 1
-        assert recovered == result
+        fresh = tiny_session(cache_dir=tmp_path)
+        recovered = fresh.run([spec])
+        assert fresh.runner.cache.hits == 0 and fresh.runner.cache.misses == 1
+        assert recovered == [result]
         # The re-run healed the entry (atomically), so it hits again.
         assert json.loads(path.read_text(encoding="utf-8"))["schema"]
-        again = tiny_runner(cache_dir=tmp_path)
-        assert again.run_spec(spec) == result
-        assert again.cache.hits == 1
+        again = tiny_session(cache_dir=tmp_path)
+        assert again.run([spec]) == [result]
+        assert again.runner.cache.hits == 1
 
     def test_store_is_atomic_under_a_crashed_rename(self, tmp_path,
                                                     monkeypatch):
         """A store that dies before the rename leaves no partial entry."""
         runner = tiny_runner()
         spec = RunSpec("mmap", "seqRd")
-        result = runner.run_one("mmap", "seqRd")
+        [result] = tiny_session().run([spec])
         cache = RunCache(tmp_path)
         key = run_cache_key(spec, runner.config, TINY)
 
@@ -345,11 +359,11 @@ class TestResume:
 
 
 class TestSpool:
-    def _spooled(self, tmp_path, shards=2):
+    def _spooled(self, tmp_path, shard_count=2):
         runner = tiny_runner()
         specs = matrix_specs(["mmap", "hams-TE"], ["seqRd"])
         manifests = plan_shards("spooled", specs, runner.config, TINY,
-                                shards)
+                                shard_count)
         spool = ShardSpool(tmp_path / "spool").prepare()
         spool.add_manifests(manifests)
         return spool, specs, runner
@@ -402,7 +416,7 @@ class TestSpool:
                 for label in sorted(status.done)] == ["0000", "0001"]
         merged = merge_shards(spool.load_results())
         assert merged.hosts == ["worker-a", "worker-a"]
-        expected = canonical_runs(runner.collect(specs), runner.config)
+        expected = canonical_runs(unsharded(specs), runner.config)
         assert canonical_runs(merged.result, runner.config) == expected
 
     def test_failed_shard_is_released_before_the_error_surfaces(
@@ -412,8 +426,7 @@ class TestSpool:
         def boom(*args, **kwargs):
             raise RuntimeError("host lost power")
 
-        import repro.distrib.worker as worker_module
-        monkeypatch.setattr(worker_module, "execute_shard", boom)
+        monkeypatch.setattr(parallel_module, "execute_spec", boom)
         with pytest.raises(RuntimeError, match="host lost power"):
             work_spool(spool, owner="worker-a")
         status = spool.status()
@@ -426,22 +439,24 @@ class TestSpool:
         runner = tiny_runner()
         spool_dir = tmp_path / "spool"
         specs = matrix_specs(["mmap"], ["seqRd"])
-        expected = canonical_runs(runner.collect(specs), runner.config)
-        run_sharded_specs("forced", specs, runner.config, TINY, 1,
-                          spool_dir=spool_dir, workers=1)
-        # Poison the published shard result; a non-forced re-run returns
-        # the poisoned numbers, a forced one recomputes them.
-        result_path = ShardSpool(spool_dir).result_paths()[0]
+        expected = canonical_runs(unsharded(specs), runner.config)
+        sharded("forced", specs, 1, spool_dir=spool_dir)
+        # Poison the published shard result and drop its progress records
+        # (a worker that published without them): a non-forced re-run
+        # consumes the artifact as published, a forced one recomputes it.
+        spool = ShardSpool(spool_dir)
+        result_path = spool.result_paths()[0]
         poisoned = json.loads(result_path.read_text(encoding="utf-8"))
         poisoned["runs"][0]["result"]["total_ns"] *= 1000
         result_path.write_text(json.dumps(poisoned), encoding="utf-8")
-        stale = run_sharded_specs("forced", specs, runner.config, TINY, 1,
-                                  spool_dir=spool_dir, workers=1)
+        spool.progress_path(result_path.name).unlink()
+        stale = sharded("forced", specs, 1, spool_dir=spool_dir)
         assert canonical_runs(stale, runner.config) != expected
-        fresh = run_sharded_specs("forced", specs, runner.config, TINY, 1,
-                                  spool_dir=spool_dir, workers=1,
-                                  force=True)
+        fresh = sharded("forced", specs, 1, spool_dir=spool_dir, force=True)
         assert canonical_runs(fresh, runner.config) == expected
+        # The forced run re-published a healed shard artifact.
+        assert json.loads(result_path.read_text(encoding="utf-8")) \
+            != poisoned
 
     def test_spool_is_reusable_across_plans(self, tmp_path):
         """Two experiments can share one spool without cross-talk."""
@@ -449,14 +464,12 @@ class TestSpool:
         spool_dir = tmp_path / "spool"
         specs_a = matrix_specs(["mmap"], ["seqRd"])
         specs_b = matrix_specs(["hams-TE"], ["seqRd"])
-        merged_a = run_sharded_specs("plan-a", specs_a, runner.config, TINY,
-                                     2, spool_dir=spool_dir, workers=1)
-        merged_b = run_sharded_specs("plan-b", specs_b, runner.config, TINY,
-                                     2, spool_dir=spool_dir, workers=1)
+        merged_a = sharded("plan-a", specs_a, 2, spool_dir=spool_dir)
+        merged_b = sharded("plan-b", specs_b, 2, spool_dir=spool_dir)
         assert canonical_runs(merged_a, runner.config) == \
-            canonical_runs(runner.collect(specs_a), runner.config)
+            canonical_runs(unsharded(specs_a), runner.config)
         assert canonical_runs(merged_b, runner.config) == \
-            canonical_runs(runner.collect(specs_b), runner.config)
+            canonical_runs(unsharded(specs_b), runner.config)
         # Both plans' shard artifacts coexist under unique names.
         assert len(ShardSpool(spool_dir).result_paths()) == 4
 
@@ -497,17 +510,16 @@ class TestSpool:
             time_module.sleep(0.2)
             spool.finish(claim, execute_shard(
                 claim.payload, cache_dir=spool.cache_dir, workers=1,
-                host="foreign-host"))
+                owner="foreign-host"))
 
         thread = threading.Thread(target=foreign_worker)
         thread.start()
         try:
-            merged = run_sharded_specs("waited", specs, runner.config, TINY,
-                                       2, spool_dir=spool.root, workers=1)
+            merged = sharded("waited", specs, 2, spool_dir=spool.root)
         finally:
             thread.join()
         assert canonical_runs(merged, runner.config) == \
-            canonical_runs(runner.collect(specs), runner.config)
+            canonical_runs(unsharded(specs), runner.config)
 
     def test_replanning_skips_claimed_and_done_shards(self, tmp_path):
         spool, specs, runner = self._spooled(tmp_path)
@@ -515,7 +527,7 @@ class TestSpool:
         claim = spool.claim_next("worker-a")
         spool.finish(claim, execute_shard(claim.payload,
                                           cache_dir=spool.cache_dir,
-                                          workers=1, host="worker-a"))
+                                          workers=1, owner="worker-a"))
         other = spool.claim_next("worker-b")
         assert other is not None
         written = spool.add_manifests(manifests)
@@ -541,7 +553,7 @@ class TestSpool:
         spool, specs, runner = self._spooled(tmp_path)
         claim = spool.claim_next("worker-a")  # worker dies here
         published = execute_shard_file(claim.path, spool, workers=1,
-                                       host="worker-b")
+                                       owner="worker-b")
         assert published.parent == spool.results_dir
         assert not claim.path.exists()
         work_spool(spool, owner="worker-b", workers=1)
@@ -549,12 +561,13 @@ class TestSpool:
 
 
 class TestCoordinator:
-    def _results(self, tmp_path, shards=2):
+    def _results(self, tmp_path, shard_count=2):
         runner = tiny_runner()
         specs = matrix_specs(["mmap", "hams-TE"], ["seqRd"])
-        manifests = plan_shards("exp", specs, runner.config, TINY, shards)
+        manifests = plan_shards("exp", specs, runner.config, TINY,
+                                shard_count)
         return [execute_shard(manifest, cache_dir=tmp_path / "cache",
-                              workers=1, host=f"host-{index}")
+                              workers=1, owner=f"host-{index}")
                 for index, manifest in enumerate(manifests)]
 
     def test_merged_artifact_carries_shard_provenance(self, tmp_path):
@@ -635,7 +648,7 @@ class TestWorkerValidation:
         assert [len(result["runs"]) for result in results] == [1, 0, 0]
         merged = merge_shards(results)
         assert canonical_runs(merged.result, runner.config) == \
-            canonical_runs(runner.collect(specs), runner.config)
+            canonical_runs(unsharded(specs), runner.config)
         assert merged.result.scale == TINY
 
     def test_result_schema(self, tmp_path):
@@ -643,7 +656,7 @@ class TestWorkerValidation:
         manifest = plan_shards("exp", matrix_specs(["mmap"], ["seqRd"]),
                                runner.config, TINY, 1)[0]
         result = execute_shard(manifest, cache_dir=tmp_path, workers=1,
-                               host="me")
+                               owner="me")
         assert result["schema"] == SHARD_RESULT_SCHEMA
         assert result["host"] == "me"
         assert result["experiment_id"] == manifest["experiment_id"]

@@ -83,7 +83,7 @@ class TestDocumentation:
 
     def test_readme_quickstart_mentions_public_api(self):
         text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        for token in ("ExperimentRunner", "hams-TE", "pytest benchmarks/",
+        for token in ("Session", "hams-TE", "pytest benchmarks/",
                       "examples/quickstart.py"):
             assert token in text, token
 

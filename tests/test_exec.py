@@ -3,8 +3,8 @@
 The load-bearing contracts, in order of importance:
 
 1. **Tier parity** — ``ExperimentHandle.result()`` is bit-identical (as
-   canonically serialised) to the pre-refactor blocking verbs on the
-   serial, pool and sharded executors, for the same specs.
+   canonically serialised) to the serial reference tier on the serial,
+   pool and sharded executors, for the same specs.
 2. **Exactly-once streaming** — ``iter_results()`` yields every run
    exactly once, in completion order, with correct cache-hit flags.
 3. **Clean cancellation** — ``cancel()`` mid-matrix stops between runs,
@@ -28,6 +28,7 @@ from repro.distrib import (
     ShardSpool,
     execute_shard,
     plan_shards,
+    shard_file_name,
     work_spool,
 )
 from repro.exec import (
@@ -43,9 +44,7 @@ from repro.exec import (
     resolve_executor,
 )
 from repro.runner.artifacts import experiment_to_artifact
-from repro.runner.parallel import ParallelExperimentRunner
 from repro.runner.specs import RunSpec, matrix_specs
-
 from repro.workloads.registry import ExperimentScale
 
 #: Small enough for sub-second matrices, large enough for real replay work.
@@ -64,9 +63,14 @@ def tiny_session(**kwargs) -> Session:
 
 def canonical_runs(experiment) -> str:
     """The artifact 'runs' array exactly as it would be written to disk."""
-    config = ParallelExperimentRunner(TINY, workers=1).config
+    config = tiny_session().config
     return json.dumps(experiment_to_artifact("x", experiment, config)["runs"],
                       sort_keys=True)
+
+
+def reference_runs(specs) -> str:
+    """The serial tier's canonical runs: the reference every tier matches."""
+    return canonical_runs(tiny_session(executor="serial").collect(specs))
 
 
 @pytest.fixture()
@@ -80,18 +84,16 @@ class TestExecutorParity:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_result_is_bit_identical_to_blocking_collect(self, executor,
                                                          specs):
-        expected = canonical_runs(
-            ParallelExperimentRunner(TINY, workers=1).collect(specs))
-        session = tiny_session(executor=executor, shards=2)
+        expected = reference_runs(specs)
+        session = tiny_session(executor=executor)
         handle = session.submit(specs, name="parity")
         assert canonical_runs(handle.result()) == expected
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_blocking_verbs_ride_the_executor(self, executor, specs):
         """collect/compare are thin consumers of submit() on every tier."""
-        expected = canonical_runs(
-            ParallelExperimentRunner(TINY, workers=1).collect(specs))
-        session = tiny_session(executor=executor, shards=2)
+        expected = reference_runs(specs)
+        session = tiny_session(executor=executor)
         assert canonical_runs(session.collect(specs)) == expected
         assert canonical_runs(
             session.compare(PLATFORMS, WORKLOADS)) == expected
@@ -99,7 +101,7 @@ class TestExecutorParity:
     def test_sweep_labels_survive_every_tier(self):
         baseline = None
         for executor in EXECUTORS:
-            session = tiny_session(executor=executor, shards=2)
+            session = tiny_session(executor=executor)
             experiment = session.sweep(
                 "hams-TE", ["seqRd"], "hams", "mos_page_bytes",
                 [4096, 131072], labels=["4KB", "128KB"])
@@ -111,16 +113,14 @@ class TestExecutorParity:
 
     def test_pool_executor_with_real_pool_matches(self, specs):
         """workers > 1 exercises imap_unordered streaming, same result."""
-        expected = canonical_runs(
-            ParallelExperimentRunner(TINY, workers=1).collect(specs))
+        expected = reference_runs(specs)
         session = Session(TINY, workers=2, executor="pool")
         assert canonical_runs(session.submit(specs).result()) == expected
 
     def test_sharded_executor_with_spool_matches(self, tmp_path, specs):
-        expected = canonical_runs(
-            ParallelExperimentRunner(TINY, workers=1).collect(specs))
-        session = tiny_session(executor="sharded", shards=3,
-                               spool_dir=tmp_path / "spool")
+        expected = reference_runs(specs)
+        session = tiny_session(executor=ShardedExecutor(
+            shards=3, spool_dir=tmp_path / "spool"))
         assert canonical_runs(session.submit(specs).result()) == expected
         # The spool keeps the shard artifacts behind, like the old tier.
         results = list((tmp_path / "spool" / "results").glob("shard-*.json"))
@@ -130,12 +130,13 @@ class TestExecutorParity:
         assert len(progress) == 3
 
     def test_one_shot_compare_accepts_the_new_knobs(self, tmp_path):
-        """Satellite: compare() gained shards/spool_dir like sweep()."""
+        """The one-shot compare() takes a configured ShardedExecutor."""
         direct = compare(["mmap", "oracle"], ["seqRd"], scale=TINY,
                          workers=1)
         sharded = compare(["mmap", "oracle"], ["seqRd"], scale=TINY,
-                          workers=1, shards=2,
-                          spool_dir=tmp_path / "spool", wait_timeout=60.0)
+                          workers=1, executor=ShardedExecutor(
+                              shards=2, spool_dir=tmp_path / "spool",
+                              wait_timeout=60.0))
         assert canonical_runs(sharded) == canonical_runs(direct)
         assert list((tmp_path / "spool" / "results").glob("shard-*.json"))
 
@@ -166,8 +167,7 @@ class TestStreaming:
         cache_dir = tmp_path / f"cache-{executor}"
         warm = [RunSpec("mmap", "seqRd")]
         tiny_session(cache_dir=cache_dir).submit(warm).result()
-        session = tiny_session(cache_dir=cache_dir, executor=executor,
-                               shards=2)
+        session = tiny_session(cache_dir=cache_dir, executor=executor)
         specs = [RunSpec("mmap", "seqRd"), RunSpec("oracle", "seqRd")]
         flags = {run.spec.platform: run.cache_hit
                  for run in session.submit(specs).iter_results()}
@@ -216,7 +216,7 @@ class TestEvents:
         assert kinds == ["submitted", "cache-hit"]
 
     def test_sharded_events_carry_shard_claims(self, specs):
-        handle = tiny_session(executor="sharded", shards=2).submit(specs)
+        handle = tiny_session(executor="sharded").submit(specs)
         handle.result()
         kinds = [event.kind for event in handle.events()]
         assert kinds.count("shard-claimed") == 2
@@ -275,8 +275,7 @@ class TestCancellation:
     def test_cancel_mid_matrix_then_resume_from_cache(self, tmp_path,
                                                       executor, specs):
         cache_dir = tmp_path / "cache"
-        expected = canonical_runs(
-            ParallelExperimentRunner(TINY, workers=1).collect(specs))
+        expected = reference_runs(specs)
 
         session = tiny_session(cache_dir=cache_dir, executor=executor)
         handle = session.submit(specs, name="cancelled")
@@ -304,9 +303,9 @@ class TestCancellation:
 
     def test_cancel_sharded_releases_the_claim(self, tmp_path, specs):
         spool_dir = tmp_path / "spool"
-        session = tiny_session(executor="sharded", shards=2,
-                               spool_dir=spool_dir,
-                               cache_dir=tmp_path / "cache")
+        session = tiny_session(
+            executor=ShardedExecutor(spool_dir=spool_dir),
+            cache_dir=tmp_path / "cache")
         handle = session.submit(specs, name="cancelled")
         iterator = handle.iter_results()
         next(iterator)  # shard 0 is claimed and executing
@@ -319,19 +318,17 @@ class TestCancellation:
         assert not status.running
         assert len(status.pending) + len(status.done) == 2
 
-        resumed = tiny_session(executor="sharded", shards=2,
-                               spool_dir=spool_dir,
-                               cache_dir=tmp_path / "cache")
-        expected = canonical_runs(
-            ParallelExperimentRunner(TINY, workers=1).collect(specs))
+        resumed = tiny_session(
+            executor=ShardedExecutor(spool_dir=spool_dir),
+            cache_dir=tmp_path / "cache")
+        expected = reference_runs(specs)
         assert canonical_runs(
             resumed.submit(specs, name="cancelled").result()) == expected
 
     def test_abandoned_handle_releases_its_claim(self, tmp_path, specs):
         """Dropping a handle mid-shard must not orphan the claim."""
         spool_dir = tmp_path / "spool"
-        session = tiny_session(executor="sharded", shards=2,
-                               spool_dir=spool_dir)
+        session = tiny_session(executor=ShardedExecutor(spool_dir=spool_dir))
         handle = session.submit(specs, name="dropped")
         next(handle.iter_results())
         del handle  # generator close -> GeneratorExit -> release
@@ -352,9 +349,9 @@ class TestShardedRemoteProgress:
     def test_handle_tails_a_foreign_workers_progress(self, tmp_path, specs):
         """A shard claimed by another host streams in via progress records."""
         spool_dir = tmp_path / "spool"
-        runner = ParallelExperimentRunner(TINY, workers=1)
-        expected = canonical_runs(runner.collect(specs))
-        manifests = plan_shards("remote", specs, runner.config, TINY, 2)
+        expected = reference_runs(specs)
+        manifests = plan_shards("remote", specs, tiny_session().config,
+                                TINY, 2)
         spool = ShardSpool(spool_dir).prepare()
         spool.add_manifests(manifests)
         claim = spool.claim_next("foreign-host")
@@ -362,20 +359,15 @@ class TestShardedRemoteProgress:
 
         def foreign_worker():
             time_module.sleep(0.2)
-            from repro.distrib import progress_on_run
-            result = execute_shard(
-                claim.payload, cache_dir=spool.cache_dir, workers=1,
-                host="foreign-host",
-                on_run=progress_on_run(spool, claim.path.name,
-                                       "foreign-host",
-                                       shard_index=claim.shard_index))
-            spool.finish(claim, result)
+            execute_shard(claim.payload, cache_dir=spool.cache_dir,
+                          workers=1, owner="foreign-host", spool=spool,
+                          claim=claim)
 
         thread = threading.Thread(target=foreign_worker)
         thread.start()
         try:
-            session = tiny_session(executor="sharded", shards=2,
-                                   spool_dir=spool_dir)
+            session = tiny_session(
+                executor=ShardedExecutor(spool_dir=spool_dir))
             handle = session.submit(specs, name="remote")
             runs = list(handle.iter_results())
         finally:
@@ -388,14 +380,13 @@ class TestShardedRemoteProgress:
         assert owners == {"foreign-host"}
 
     def test_work_spool_emits_progress_records(self, tmp_path, specs):
-        runner = ParallelExperimentRunner(TINY, workers=1)
-        manifests = plan_shards("progress", specs, runner.config, TINY, 2)
+        manifests = plan_shards("progress", specs, tiny_session().config,
+                                TINY, 2)
         spool = ShardSpool(tmp_path / "spool").prepare()
         spool.add_manifests(manifests)
         work_spool(spool, owner="worker-a", workers=1)
         total = 0
         for manifest in manifests:
-            from repro.distrib import shard_file_name
             path = spool.progress_path(shard_file_name(
                 manifest["experiment_id"], manifest["shard_index"]))
             events, _ = read_events(path)
@@ -413,8 +404,11 @@ class TestExecutorResolution:
         assert isinstance(resolve_executor("sharded"), ShardedExecutor)
 
     def test_default_depends_on_shards(self):
+        """No executor means the pool; sharding is only ever opted into."""
         assert isinstance(resolve_executor(None), PoolExecutor)
-        assert isinstance(resolve_executor(None, shards=2), ShardedExecutor)
+        sharded = resolve_executor("sharded")
+        assert (sharded.shards, sharded.spool_dir,
+                sharded.wait_timeout) == (2, None, None)
 
     def test_instances_pass_through(self):
         executor = ShardedExecutor(shards=3, balance="cost")
@@ -431,8 +425,7 @@ class TestExecutorResolution:
         """Anything implementing the protocol plugs into Session."""
         session = tiny_session(
             executor=ShardedExecutor(shards=2, balance="cost"))
-        expected = canonical_runs(
-            ParallelExperimentRunner(TINY, workers=1).collect(specs))
+        expected = reference_runs(specs)
         assert canonical_runs(session.collect(specs)) == expected
 
     def test_cancel_token_is_callable(self):

@@ -157,6 +157,28 @@ class TestRunCommand:
         assert len(list((tmp_path / "spool" / "results")
                         .glob("shard-*.json"))) == 2
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_sharding_flags_need_the_sharded_executor(self, tmp_path,
+                                                      capsys, command):
+        """--shards/--spool on another tier exit 2 instead of vanishing."""
+        spool = tmp_path / "spool"
+        matrix = (["--smoke", "smoke"] if command == "run" else
+                  ["--platform", "hams-TE", "--workloads", "seqRd",
+                   "--section", "hams", "--field", "mos_page_bytes",
+                   "--values", "4096", "--smoke"])
+        status = main([command, *matrix, "--executor", "pool",
+                       "--shards", "3", "--spool", str(spool),
+                       "--output-dir", str(tmp_path / "out"), "--quiet"])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--executor sharded" in err and "'pool'" in err
+        assert not spool.exists()
+        assert main([command, *matrix, "--executor", "serial",
+                     "--spool", str(spool),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert not spool.exists()
+
     def test_platforms_without_workloads_is_an_error(self, tmp_path,
                                                      capsys):
         status = main(["run", "--smoke", "--platforms", "mmap",
@@ -218,8 +240,8 @@ TINY_FLAGS = ["--smoke", "--min-accesses", "100", "--max-accesses", "200"]
 
 
 class TestShardCLI:
-    def _plan(self, spool, shards=2):
-        return main(["shard", "plan", "--shards", str(shards),
+    def _plan(self, spool, shard_count=2):
+        return main(["shard", "plan", "--shards", str(shard_count),
                      "--spool", str(spool),
                      "--platforms", "mmap", "hams-TE",
                      "--workloads", "seqRd"] + TINY_FLAGS)

@@ -1,8 +1,8 @@
 """Tests for the parallel experiment runner, its cache and its artifacts.
 
 The load-bearing property is determinism: a pool run must be bit-identical
-to a serial run, and a cache hit must reproduce the original result exactly
-(the figures' assertions compare floats without tolerance).
+to the serial tier's run, and a cache hit must reproduce the original
+result exactly (the figures' assertions compare floats without tolerance).
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import ExperimentResult, ExperimentRunner
+from repro.analysis.experiments import ExperimentResult
+from repro.api import Session
+from repro.platforms.registry import create_platform
 from repro.runner import (
     EXPERIMENT_SCHEMA,
-    ParallelExperimentRunner,
     RunCache,
     RunSpec,
     apply_config_overrides,
@@ -43,21 +44,25 @@ def _as_dicts(experiment: ExperimentResult) -> dict:
             for key, result in experiment.results.items()}
 
 
+def tiny_session(**kwargs) -> Session:
+    return Session(TINY, workers=1, **kwargs)
+
+
 class TestDeterminism:
     def test_serial_runner_equivalence(self):
-        """workers=1 reproduces the legacy serial runner bit for bit."""
-        serial = ExperimentRunner(TINY).run_matrix(PLATFORMS, WORKLOADS)
-        inline = ParallelExperimentRunner(TINY, workers=1).run_matrix(
-            PLATFORMS, WORKLOADS)
+        """The pool tier at workers=1 reproduces the serial tier exactly."""
+        serial = tiny_session(executor="serial").compare(PLATFORMS,
+                                                         WORKLOADS)
+        inline = tiny_session(executor="pool").compare(PLATFORMS, WORKLOADS)
         assert _as_dicts(inline) == _as_dicts(serial)
 
     def test_pool_equivalence(self):
-        """A multi-process pool run is bit-identical to the inline run."""
-        inline = ParallelExperimentRunner(TINY, workers=1).run_matrix(
+        """A multi-process pool run is bit-identical to the serial tier."""
+        serial = tiny_session(executor="serial").compare(PLATFORMS,
+                                                         WORKLOADS)
+        pooled = Session(TINY, workers=3, executor="pool").compare(
             PLATFORMS, WORKLOADS)
-        pooled = ParallelExperimentRunner(TINY, workers=3).run_matrix(
-            PLATFORMS, WORKLOADS)
-        assert _as_dicts(pooled) == _as_dicts(inline)
+        assert _as_dicts(pooled) == _as_dicts(serial)
 
     def test_matrix_spec_order_matches_serial_loop(self):
         specs = matrix_specs(["a", "b"], ["w1", "w2"])
@@ -76,91 +81,82 @@ class TestDeterminism:
 
 class TestRunSpecs:
     def test_config_override_changes_behaviour(self):
-        runner = ParallelExperimentRunner(TINY, workers=1)
-        default = runner.run_spec(RunSpec("hams-TE", "seqSel"))
-        tiny_pages = runner.run_spec(RunSpec(
-            "hams-TE", "seqSel",
-            config_overrides={"hams": {"mos_page_bytes": KB(4)}}))
+        default, tiny_pages = tiny_session().run([
+            RunSpec("hams-TE", "seqSel"),
+            RunSpec("hams-TE", "seqSel",
+                    config_overrides={"hams": {"mos_page_bytes": KB(4)}})])
         assert tiny_pages.total_ns != default.total_ns
 
     def test_unknown_config_section_rejected(self):
-        runner = ParallelExperimentRunner(TINY, workers=1)
         with pytest.raises(ValueError, match="unknown config section"):
-            apply_config_overrides(runner.config, {"bogus": {"x": 1}})
+            apply_config_overrides(tiny_session().config,
+                                   {"bogus": {"x": 1}})
 
     def test_platform_kwargs_reach_constructor(self):
-        runner = ParallelExperimentRunner(TINY, workers=1)
-        result = runner.run_spec(RunSpec(
-            "oracle", "seqRd", platform_kwargs={"capacity_bytes": 1 << 26}))
+        result = tiny_session().simulate(
+            "oracle", "seqRd", platform_kwargs={"capacity_bytes": 1 << 26})
         assert result.platform == "oracle"
 
     def test_label_renames_result_key(self):
-        runner = ParallelExperimentRunner(TINY, workers=1)
-        experiment = runner.collect([
+        experiment = tiny_session().collect([
             RunSpec("hams-TE", "seqRd", label="sweep-point")])
         assert ("sweep-point", "seqRd") in experiment.results
 
     def test_run_one_matches_legacy_signature(self):
-        runner = ParallelExperimentRunner(TINY, workers=1)
+        """simulate(platform, workload, override) == a hand-built replay."""
+        session = tiny_session(executor="serial")
         override = TINY.scaled_bytes(1 << 34)
-        result = runner.run_one("mmap", "seqRd",
-                                dataset_bytes_override=override)
-        legacy = ExperimentRunner(TINY).run_one(
-            "mmap", "seqRd", dataset_bytes_override=override)
-        assert run_result_to_dict(result) == run_result_to_dict(legacy)
+        result = session.simulate("mmap", "seqRd",
+                                  dataset_bytes_override=override)
+        direct = create_platform("mmap", session.config).run(
+            session.trace("seqRd", override))
+        assert run_result_to_dict(result) == run_result_to_dict(direct)
 
 
 class TestRunCache:
     def test_miss_then_hit(self, tmp_path):
-        first = ParallelExperimentRunner(TINY, workers=1,
-                                         cache_dir=tmp_path)
-        baseline = first.run_matrix(PLATFORMS, WORKLOADS)
-        assert first.cache.hits == 0
-        assert first.cache.misses == len(PLATFORMS) * len(WORKLOADS)
+        first = tiny_session(cache_dir=tmp_path)
+        baseline = first.compare(PLATFORMS, WORKLOADS)
+        assert first.runner.cache.hits == 0
+        assert first.runner.cache.misses == len(PLATFORMS) * len(WORKLOADS)
 
-        second = ParallelExperimentRunner(TINY, workers=1,
-                                          cache_dir=tmp_path)
-        replay = second.run_matrix(PLATFORMS, WORKLOADS)
-        assert second.cache.hits == len(PLATFORMS) * len(WORKLOADS)
-        assert second.cache.misses == 0
+        second = tiny_session(cache_dir=tmp_path)
+        replay = second.compare(PLATFORMS, WORKLOADS)
+        assert second.runner.cache.hits == len(PLATFORMS) * len(WORKLOADS)
+        assert second.runner.cache.misses == 0
         assert _as_dicts(replay) == _as_dicts(baseline)
 
     def test_hit_skips_execution(self, tmp_path, monkeypatch):
-        runner = ParallelExperimentRunner(TINY, workers=1,
-                                          cache_dir=tmp_path)
-        runner.run_spec(RunSpec("mmap", "seqRd"))
+        tiny_session(cache_dir=tmp_path).run([RunSpec("mmap", "seqRd")])
 
         def boom(*args, **kwargs):
             raise AssertionError("cached run must not re-execute")
 
         monkeypatch.setattr(parallel_module, "execute_spec", boom)
-        fresh = ParallelExperimentRunner(TINY, workers=1,
-                                         cache_dir=tmp_path)
-        fresh.run_spec(RunSpec("mmap", "seqRd"))
-        assert fresh.cache.hits == 1
+        fresh = tiny_session(cache_dir=tmp_path)
+        fresh.run([RunSpec("mmap", "seqRd")])
+        assert fresh.runner.cache.hits == 1
 
     def test_scale_change_invalidates(self, tmp_path):
         spec = RunSpec("mmap", "seqRd")
-        ParallelExperimentRunner(TINY, workers=1,
-                                 cache_dir=tmp_path).run_spec(spec)
+        tiny_session(cache_dir=tmp_path).run([spec])
         other_scale = ExperimentScale(capacity_scale=1 / 512,
                                       min_accesses=120, max_accesses=240,
                                       seed=7)
-        other = ParallelExperimentRunner(other_scale, workers=1,
-                                         cache_dir=tmp_path)
-        other.run_spec(spec)
-        assert other.cache.hits == 0
-        assert other.cache.misses == 1
+        other = Session(other_scale, workers=1, cache_dir=tmp_path)
+        other.run([spec])
+        assert other.runner.cache.hits == 0
+        assert other.runner.cache.misses == 1
 
     def test_config_change_invalidates_key(self):
-        runner = ParallelExperimentRunner(TINY, workers=1)
+        runner = tiny_session().runner
         spec = RunSpec("hams-TE", "seqRd")
         base_key = run_cache_key(spec, runner.config, runner.scale)
         tweaked = runner.config.with_hams(mos_page_bytes=KB(4))
         assert run_cache_key(spec, tweaked, runner.scale) != base_key
 
     def test_spec_knobs_change_key(self):
-        runner = ParallelExperimentRunner(TINY, workers=1)
+        runner = tiny_session().runner
         base = run_cache_key(RunSpec("mmap", "seqRd"), runner.config,
                              runner.scale)
         for variant in (
@@ -174,12 +170,10 @@ class TestRunCache:
 
     def test_force_reexecutes_but_restores(self, tmp_path):
         spec = RunSpec("mmap", "seqRd")
-        ParallelExperimentRunner(TINY, workers=1,
-                                 cache_dir=tmp_path).run_spec(spec)
-        forced = ParallelExperimentRunner(TINY, workers=1,
-                                          cache_dir=tmp_path, force=True)
-        forced.run_spec(spec)
-        assert forced.cache.hits == 0
+        tiny_session(cache_dir=tmp_path).run([spec])
+        forced = tiny_session(cache_dir=tmp_path, force=True)
+        forced.run([spec])
+        assert forced.runner.cache.hits == 0
 
     def test_disabled_cache(self):
         cache = RunCache(None)
@@ -187,23 +181,20 @@ class TestRunCache:
         assert cache.load("deadbeef") is None
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
-        runner = ParallelExperimentRunner(TINY, workers=1,
-                                          cache_dir=tmp_path)
+        session = tiny_session(cache_dir=tmp_path)
         spec = RunSpec("mmap", "seqRd")
-        runner.run_spec(spec)
-        path = runner.cache.path_for(runner.cache_key(spec))
+        session.run([spec])
+        path = session.runner.cache.path_for(session.runner.cache_key(spec))
         path.write_text("{not json", encoding="utf-8")
-        fresh = ParallelExperimentRunner(TINY, workers=1,
-                                         cache_dir=tmp_path)
-        result = fresh.run_spec(spec)
-        assert fresh.cache.hits == 0
+        fresh = tiny_session(cache_dir=tmp_path)
+        [result] = fresh.run([spec])
+        assert fresh.runner.cache.hits == 0
         assert result.platform == "mmap"
 
 
 class TestArtifacts:
     def test_run_result_round_trip(self):
-        result = ParallelExperimentRunner(TINY, workers=1).run_one(
-            "hams-TE", "update")
+        result = tiny_session().simulate("hams-TE", "update")
         payload = run_result_to_dict(result)
         rebuilt = run_result_from_dict(
             json.loads(json.dumps(payload)))
@@ -212,11 +203,11 @@ class TestArtifacts:
         assert rebuilt.operations_per_second == result.operations_per_second
 
     def test_experiment_artifact_round_trip(self, tmp_path):
-        runner = ParallelExperimentRunner(TINY, workers=1)
-        experiment = runner.run_matrix(PLATFORMS, WORKLOADS)
+        session = tiny_session()
+        experiment = session.compare(PLATFORMS, WORKLOADS)
         path = write_experiment_artifact(tmp_path, "tiny", experiment,
-                                         runner.config,
-                                         meta={"workers": runner.workers})
+                                         session.config,
+                                         meta={"workers": session.workers})
         payload = load_experiment_artifact(path)
         assert payload["schema"] == EXPERIMENT_SCHEMA
         assert payload["experiment"] == "tiny"
@@ -236,9 +227,9 @@ class TestArtifacts:
 
 class TestExperimentResultMerge:
     def test_merge_combines_shards(self):
-        runner = ParallelExperimentRunner(TINY, workers=1)
-        left = runner.run_matrix(["mmap"], WORKLOADS)
-        right = runner.run_matrix(["hams-TE"], WORKLOADS)
+        session = tiny_session()
+        left = session.compare(["mmap"], WORKLOADS)
+        right = session.compare(["hams-TE"], WORKLOADS)
         merged = left.merge(right)
         assert merged is left
         assert set(merged.platforms()) == {"mmap", "hams-TE"}
@@ -246,9 +237,9 @@ class TestExperimentResultMerge:
 
     def test_speedup_tolerates_non_rectangular_results(self):
         """Merged shards need not be rectangular; missing cells are skipped."""
-        runner = ParallelExperimentRunner(TINY, workers=1)
-        experiment = runner.run_matrix(["mmap", "hams-TE"], ["seqRd"])
-        experiment.merge(runner.run_matrix(["hams-TE"], ["update"]))
+        session = tiny_session()
+        experiment = session.compare(["mmap", "hams-TE"], ["seqRd"])
+        experiment.merge(session.compare(["hams-TE"], ["update"]))
         speedups = experiment.speedup_over("hams-TE", "mmap")
         assert list(speedups) == ["seqRd"]
         assert experiment.mean_speedup("hams-TE", "mmap") > 0

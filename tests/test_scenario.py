@@ -529,7 +529,7 @@ class TestRunnerPlumbing:
         sessions = {
             "serial": Session(SCALE, executor="serial"),
             "pool": Session(SCALE, workers=2),
-            "sharded": Session(SCALE, shards=2),
+            "sharded": Session(SCALE, executor="sharded"),
         }
         outputs = {}
         for tier, session in sessions.items():
