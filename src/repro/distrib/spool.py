@@ -1,19 +1,17 @@
 """Dependency-free multi-host coordination: a spool directory of shards.
 
-There is no coordinator service.  A **spool** is a plain directory — local
-disk for one machine, NFS (or any shared filesystem with atomic same-
-directory rename) for a fleet — with one subdirectory per shard state:
+There is no coordinator service.  A shard spool is a
+:class:`~repro.runner.spool.Spool` — the one crash-safe state-directory
+protocol, which defines atomic writes, single-rename transitions, lost
+races and torn-file tolerance — with these directories:
 
 * ``pending/shard-<plan>-NNNN.json`` — manifests written by ``repro shard
   plan`` (``<plan>`` is a short experiment-id tag, so several experiments
   can share one spool without name collisions);
-* ``claims/shard-<plan>-NNNN.json`` — a manifest a worker has claimed.  Claiming
-  is a bare ``os.replace`` from ``pending/`` to ``claims/``: rename is
-  atomic, so exactly one of any number of racing workers wins a shard and
-  the losers simply move on to the next pending file.  After winning, the
-  worker rewrites its claim file (atomically) with an embedded ``claim``
-  record naming the owner, which is how ``repro shard status`` reports who
-  is running what;
+* ``claims/shard-<plan>-NNNN.json`` — a manifest a worker has claimed by
+  renaming it out of ``pending/`` (exactly one racing worker wins).  The
+  winner then annotates its claim file with a ``claim`` record naming the
+  owner, which is how ``repro shard status`` reports who is running what;
 * ``results/shard-<plan>-NNNN.json`` — the shard artifact
   (``repro.shard-result/1``) the worker emits on completion, after which
   the claim file is removed;
@@ -39,26 +37,17 @@ returns it to ``pending/``.
 
 from __future__ import annotations
 
-import json
-import os
-import socket
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..runner.artifacts import atomic_write_json
+from ..runner.spool import Spool, default_owner, read_json_object
 from .manifest import (
     SHARD_RESULT_SCHEMA,
     experiment_tag,
     validate_manifest,
 )
-
-
-def default_owner() -> str:
-    """Worker identity recorded in claims and shard results: host:pid."""
-    return f"{socket.gethostname()}:{os.getpid()}"
-
 
 def shard_file_name(experiment_id: str, shard_index: int) -> str:
     """Shard file name, unique *across plans* sharing one spool.
@@ -68,6 +57,13 @@ def shard_file_name(experiment_id: str, shard_index: int) -> str:
     with) the first one's manifests or results.
     """
     return f"shard-{experiment_tag(experiment_id)}-{shard_index:04d}.json"
+
+
+def _shard_pattern(experiment_id: Optional[str]) -> str:
+    """Glob of every shard file, or of one plan's shard files."""
+    if experiment_id is None:
+        return "shard-*.json"
+    return f"shard-{experiment_tag(experiment_id)}-*.json"
 
 
 def shard_label(payload: Dict[str, Any]) -> str:
@@ -115,23 +111,17 @@ class SpoolStatus:
         return not self.pending and not self.running and bool(self.done)
 
 
-class ShardSpool:
+class ShardSpool(Spool):
     """One spool directory; every method is safe under concurrent workers."""
 
     def __init__(self, root: Path) -> None:
-        self.root = Path(root)
+        super().__init__(root, ("pending", "claims", "results", "cache",
+                                "progress"))
         self.pending_dir = self.root / "pending"
         self.claims_dir = self.root / "claims"
         self.results_dir = self.root / "results"
         self.cache_dir = self.root / "cache"
         self.progress_dir = self.root / "progress"
-
-    def prepare(self) -> "ShardSpool":
-        for directory in (self.pending_dir, self.claims_dir,
-                          self.results_dir, self.cache_dir,
-                          self.progress_dir):
-            directory.mkdir(parents=True, exist_ok=True)
-        return self
 
     def progress_path(self, shard_name: str) -> Path:
         """Per-run progress record file for one shard file name."""
@@ -161,7 +151,7 @@ class ShardSpool:
             if (self.claims_dir / name).exists() or \
                     (self.results_dir / name).exists():
                 continue
-            paths.append(atomic_write_json(self.pending_dir / name, payload))
+            paths.append(self.put("pending", name, payload))
         return paths
 
     # -- claiming ------------------------------------------------------------------
@@ -171,10 +161,9 @@ class ShardSpool:
                    ) -> Optional[ClaimedShard]:
         """Atomically claim one pending shard; ``None`` when none are left.
 
-        Any number of workers may call this concurrently: ``os.replace`` of
-        the manifest from ``pending/`` into ``claims/`` either succeeds for
-        exactly one caller or raises ``FileNotFoundError`` for the ones that
-        lost the race, which simply try the next pending shard.
+        Any number of workers may call this concurrently: the rename from
+        ``pending/`` into ``claims/`` succeeds for exactly one caller, and
+        the ones that lost the race simply try the next pending shard.
 
         With *experiment_id*, shards of other plans sharing the spool are
         left alone — selection happens on the file name's experiment tag,
@@ -183,62 +172,48 @@ class ShardSpool:
         empty spool and stop early).
         """
         owner = owner or default_owner()
-        if experiment_id is None:
-            pattern = "shard-*.json"
-        else:
-            pattern = f"shard-{experiment_tag(experiment_id)}-*.json"
-        for path in sorted(self.pending_dir.glob(pattern)):
+        for path, payload in self.scan("pending",
+                                       _shard_pattern(experiment_id)):
             # Validate BEFORE claiming: a manifest that fails to parse
-            # (foreign schema version, hand-edited) stays in pending/ where
-            # the operator can see it, instead of becoming an orphaned
-            # claim that no worker owns and every merge waits on.
+            # (foreign schema version, hand-edited, missing or wrong-typed
+            # fields) stays in pending/ where the operator can see it,
+            # instead of becoming an orphaned claim that no worker owns
+            # and every merge waits on.
             try:
-                payload = validate_manifest(
-                    json.loads(path.read_text(encoding="utf-8")))
-            except FileNotFoundError:
-                continue  # another worker won this shard
-            except (json.JSONDecodeError, ValueError, KeyError, TypeError):
-                # Malformed in any way (bad JSON, missing fields,
-                # wrong-typed fields): leave for the operator rather than
-                # wedging every worker on one bad file.
+                validate_manifest(payload)
+            except (ValueError, KeyError, TypeError):
                 continue
             if experiment_id is not None and \
                     payload["experiment_id"] != experiment_id:
                 continue  # tag collision: another plan's shard
-            target = self.claims_dir / path.name
-            try:
-                os.replace(path, target)
-            except FileNotFoundError:
+            target = self.move(path.name, "pending", "claims")
+            if target is None:
                 continue  # another worker won this shard
             # The rename made us the sole owner (and a plan's manifest
             # bytes never change once written), so annotating the claim
             # file in place is race-free.
             payload["claim"] = {"owner": owner, "claimed_unix": time.time()}
-            atomic_write_json(target, payload)
+            self.put("claims", path.name, payload)
             return ClaimedShard(path=target, payload=payload)
         return None
 
     def release(self, claim: ClaimedShard) -> Path:
         """Return a claimed shard to ``pending/`` (e.g. after a failure).
 
-        The hand-back is the same single atomic rename claiming uses, in
-        reverse — never a copy-then-delete, whose window would let a racing
+        The hand-back is the single rename claiming uses, in reverse —
+        never a copy-then-delete, whose window would let a racing
         ``claim_next`` claim the copy and then lose its claim file to the
         delete.  The claim annotation is stripped in place first (safe: the
         releasing worker still owns the file while it sits in ``claims/``).
         """
         payload = dict(claim.payload)
         payload.pop("claim", None)
-        atomic_write_json(claim.path, payload)
-        path = self.pending_dir / claim.path.name
-        os.replace(claim.path, path)
-        return path
+        return self.move(claim.path.name, "claims", "pending", payload)
 
     def finish(self, claim: ClaimedShard,
                result_payload: Dict[str, Any]) -> Path:
         """Publish the shard artifact and retire the claim."""
-        path = atomic_write_json(self.results_dir / claim.path.name,
-                                 result_payload)
+        path = self.put("results", claim.path.name, result_payload)
         claim.path.unlink(missing_ok=True)
         return path
 
@@ -254,13 +229,10 @@ class ShardSpool:
         has either published a result or vanished entirely (a lost claim)
         — the coordinator's missing-shard check distinguishes the two.
         """
-        pattern = f"shard-{experiment_tag(experiment_id)}-*.json"
-        done = {path.name for path in self.results_dir.glob(pattern)}
-        return sorted(
-            {path.name for path in self.pending_dir.glob(pattern)
-             if path.name not in done} |
-            {path.name for path in self.claims_dir.glob(pattern)
-             if path.name not in done})
+        pattern = _shard_pattern(experiment_id)
+        return sorted((set(self.names("pending", pattern)) |
+                       set(self.names("claims", pattern))) -
+                      set(self.names("results", pattern)))
 
     def result_paths(self) -> List[Path]:
         return sorted(self.results_dir.glob("shard-*.json"))
@@ -271,18 +243,15 @@ class ShardSpool:
 
         With *experiment_id*, artifacts of other plans sharing the spool
         are never even opened (filename-tag filter), so a stray foreign or
-        malformed result cannot break an unrelated plan's merge; the
-        schema is enforced only on the selected files, and the coordinator
-        still re-validates provenance.
+        malformed result cannot break an unrelated plan's merge.  A
+        selected result that is unreadable or of the wrong schema raises
+        — a merge must fail loudly — and the coordinator still
+        re-validates provenance.
         """
-        if experiment_id is None:
-            paths = self.result_paths()
-        else:
-            paths = sorted(self.results_dir.glob(
-                f"shard-{experiment_tag(experiment_id)}-*.json"))
         payloads = []
-        for path in paths:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+        for name in self.names("results", _shard_pattern(experiment_id)):
+            path = self.results_dir / name
+            payload = read_json_object(path) or {}
             if payload.get("schema") != SHARD_RESULT_SCHEMA:
                 raise ValueError(
                     f"{path}: unsupported shard result schema "
@@ -295,51 +264,35 @@ class ShardSpool:
         return payloads
 
     def status(self) -> SpoolStatus:
-        # Workers move files between these directories while we read them
-        # (claim renames, finish unlinks), so a file that vanished between
-        # the glob and the read simply belongs to the next state already.
-        # Malformed files are reported under their file name rather than
-        # crashing the one command an operator uses to inspect the spool.
-        def read(path: Path) -> Optional[Dict[str, Any]]:
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                return None  # moved to its next state mid-scan
-            except json.JSONDecodeError:
-                return {}  # malformed: still report it, under its file name
-            return payload if isinstance(payload, dict) else {}
-
-        def label(path: Path, payload: Dict[str, Any]) -> str:
-            try:
-                return shard_label(payload)
-            except (KeyError, TypeError):
-                return path.stem
-
         status = SpoolStatus()
-        for path in sorted(self.pending_dir.glob("shard-*.json")):
-            # Same result-exists exemption as the claims branch below (and
-            # outstanding()): a shard both released and recovered leaves a
-            # pending file next to its published result — it is done.
-            if (self.results_dir / path.name).exists():
-                continue
-            payload = read(path)
-            if payload is None:
-                continue
-            status.pending.append(label(path, payload))
-        for path in sorted(self.claims_dir.glob("shard-*.json")):
-            # Same exemption as outstanding(): a claim whose result exists
-            # is a finished shard with raced cleanup, not a running one —
-            # counting it would hold `shard status` at exit 3 forever.
-            if (self.results_dir / path.name).exists():
-                continue
-            payload = read(path)
-            if payload is None:
-                continue
-            owner = payload.get("claim", {}).get("owner", "unknown")
-            status.running[label(path, payload)] = owner
-        for path in self.result_paths():
-            payload = read(path)
-            if payload is None:  # pragma: no cover - results only grow
-                continue
-            status.done.append(label(path, payload))
+        for state in ("pending", "claims", "results"):
+            for name in self.names(state, "shard-*.json"):
+                # Same exemption as outstanding(): a pending or claimed
+                # shard whose result exists is finished (raced cleanup, or
+                # released and recovered) — counting it would hold `shard
+                # status` at exit 3 forever.
+                if state != "results" and (self.results_dir / name).exists():
+                    continue
+                path = self.root / state / name
+                payload = read_json_object(path)
+                if payload is None:
+                    if not path.exists():
+                        continue  # moved to its next state mid-scan
+                    # Malformed: still report it, under its file name,
+                    # rather than crash the one command an operator uses
+                    # to inspect the spool.
+                    payload = {}
+                try:
+                    label = shard_label(payload)
+                except (KeyError, TypeError, ValueError):
+                    label = path.stem
+                if state == "pending":
+                    status.pending.append(label)
+                elif state == "claims":
+                    claim = payload.get("claim")
+                    status.running[label] = (
+                        claim.get("owner", "unknown")
+                        if isinstance(claim, dict) else "unknown")
+                else:
+                    status.done.append(label)
         return status

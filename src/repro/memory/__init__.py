@@ -1,14 +1,12 @@
-"""Memory-device substrate: DDR4 DRAM, NVDIMM-N, Optane DC PMM, and the MCH."""
+"""Memory-device substrate: DDR4 DRAM, NVDIMM-N and Optane DC PMM."""
 
 from .dram import DRAMDevice
 from .nvdimm import NVDIMM, NVDIMMState
 from .optane import OptaneDCPMM
-from .mch import MemoryControllerHub
 
 __all__ = [
     "DRAMDevice",
     "NVDIMM",
     "NVDIMMState",
     "OptaneDCPMM",
-    "MemoryControllerHub",
 ]

@@ -92,6 +92,21 @@ def atomic_write_json(path: Path, payload: Any) -> Path:
                              json.dumps(payload, sort_keys=True, indent=1))
 
 
+def read_json_object(path: Path) -> Optional[Dict[str, Any]]:
+    """The one reader of persistent JSON state: a dict, or ``None``.
+
+    ``None`` covers every way a state file can be unusable — missing
+    (vanished mid-scan), unreadable, not UTF-8, not valid JSON, or valid
+    JSON that is not an object — so callers handle one case instead of
+    each guessing which exceptions hostile bytes can raise.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
 def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
     return dataclasses.asdict(config)
 
@@ -269,16 +284,17 @@ class RunCache:
         if path is None or not path.is_file():
             self.misses += 1
             return None
+        payload = read_json_object(path) or {}
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        if payload.get("schema") != RUN_SCHEMA:
+            result = run_result_from_dict(payload["result"]) \
+                if payload.get("schema") == RUN_SCHEMA else None
+        except (KeyError, TypeError, ValueError, AttributeError):
+            result = None  # structurally broken: a miss the next store heals
+        if result is None:
             self.misses += 1
             return None
         self.hits += 1
-        return run_result_from_dict(payload["result"])
+        return result
 
     def store(self, key: str, spec: RunSpec, result: RunResult) -> None:
         path = self.path_for(key)
@@ -342,9 +358,10 @@ def write_experiment_artifact(directory: Path, name: str,
 def load_experiment_artifact(path: Path) -> Dict[str, Any]:
     """Read and validate one experiment artifact."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("schema") != EXPERIMENT_SCHEMA:
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != EXPERIMENT_SCHEMA:
         raise ValueError(
-            f"{path}: unsupported artifact schema {payload.get('schema')!r} "
+            f"{path}: unsupported artifact schema {schema!r} "
             f"(expected {EXPERIMENT_SCHEMA})")
     return payload
 

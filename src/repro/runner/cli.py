@@ -89,7 +89,6 @@ from __future__ import annotations
 
 import argparse
 import glob as glob_module
-import json
 import sys
 import time
 from pathlib import Path
@@ -124,6 +123,7 @@ from .artifacts import (
     EXPERIMENT_SCHEMA,
     experiment_from_artifact,
     load_experiment_artifact,
+    read_json_object,
     write_experiment_artifact,
 )
 from .presets import SMOKE_SCALE, ExperimentPreset, get_preset, preset_names
@@ -693,17 +693,15 @@ def cmd_list_artifacts(directory: Path) -> int:
         return 1
     print(f"artifacts under {directory}:")
     for path in paths:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except OSError:
-            continue  # vanished mid-scan
-        except json.JSONDecodeError:
+        payload = read_json_object(path)
+        if payload is None:
             # An inspection command must surface broken artifacts, not
             # hide exactly the files the operator is hunting for.
-            print(f"  {str(path.relative_to(directory)):32s} "
-                  f"(unreadable: not valid JSON)")
+            if path.exists():  # else it vanished mid-scan
+                print(f"  {str(path.relative_to(directory)):32s} "
+                      f"(unreadable: not a JSON object)")
             continue
-        schema = payload.get("schema") if isinstance(payload, dict) else None
+        schema = payload.get("schema")
         if not isinstance(schema, str) or not schema.startswith("repro."):
             continue  # foreign JSON legitimately sharing the directory
         runs = payload.get("runs") or payload.get("specs") or []
@@ -946,31 +944,25 @@ def _spool_run_progress(spool: ShardSpool) -> tuple:
     (done); its completed count from the artifact when finished, else from
     the unique run indices of its per-run progress records — resumed
     shards append duplicate indices, so the count dedupes.  Totals are
-    best-effort: a torn file counts as zero rather than crashing the one
-    command an operator watches a spool with.
+    best-effort: an unreadable file counts as zero rather than crashing
+    the one command an operator watches a spool with.
     """
+    def count(value) -> int:
+        return len(value) if isinstance(value, list) else 0
+
     done = 0
     total = 0
-    seen_result = set()
-    for path in spool.result_paths():
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            runs = len(payload.get("runs", []))
-        except (OSError, json.JSONDecodeError):
-            continue
-        seen_result.add(path.name)
-        done += runs
-        total += runs
-    for directory in (spool.claims_dir, spool.pending_dir):
-        for path in sorted(directory.glob("shard-*.json")):
-            if path.name in seen_result:
+    seen = set()
+    for state in ("results", "claims", "pending"):
+        for path, payload in spool.scan(state, "shard-*.json"):
+            if path.name in seen:
                 continue  # finished shard with raced claim cleanup
-            seen_result.add(path.name)
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                total += len(payload.get("specs", []))
-            except (OSError, json.JSONDecodeError):
+            seen.add(path.name)
+            if state == "results":
+                runs = count(payload.get("runs"))
+                done, total = done + runs, total + runs
                 continue
+            total += count(payload.get("specs"))
             events, _ = read_events(spool.progress_path(path.name))
             done += len({event.index for event in events
                          if event.index is not None})

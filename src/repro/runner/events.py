@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,12 +118,13 @@ class Event:
 def event_from_record(payload: Dict[str, Any]) -> Event:
     """Rebuild an :class:`Event` from one parsed JSON-line record.
 
-    Raises ``ValueError`` on a foreign schema so tail readers can skip
-    lines that are not event records.
+    Raises ``ValueError`` on anything but an object of this schema, so
+    tail readers can skip lines that are not event records.
     """
-    if payload.get("schema") != EVENTS_SCHEMA:
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != EVENTS_SCHEMA:
         raise ValueError(
-            f"unsupported event schema {payload.get('schema')!r} "
+            f"unsupported event schema {schema!r} "
             f"(expected {EVENTS_SCHEMA})")
     known = {f.name for f in dataclasses.fields(Event)} - {"result"}
     return Event(**{name: value for name, value in payload.items()
@@ -192,55 +194,48 @@ def append_event(path: Path, event: Event, *, mode: str = "a") -> Path:
     return path
 
 
+def parse_event_lines(data: bytes) -> List[Event]:
+    """The events of complete JSONL bytes; malformed or foreign lines
+    are skipped rather than wedging the reader."""
+    events: List[Event] = []
+    for raw in data.splitlines():
+        try:
+            events.append(event_from_record(json.loads(raw)))
+        except (ValueError, RecursionError):  # undecodable, invalid JSON
+            continue
+    return events
+
+
 def read_events(path: Path, offset: int = 0) -> Tuple[List[Event], int]:
-    """Read the complete event lines of *path* starting at byte *offset*.
+    """Parse the complete event lines :func:`tail_bytes` returns.
 
     Returns the parsed events and the new offset.  This is the tail
     primitive: callers keep the returned offset and poll again later; an
-    incomplete final line (a worker mid-append) is not consumed, and
-    malformed complete lines are skipped rather than wedging the tailer.
-    A missing file reads as empty — the worker has not started yet.
+    incomplete final line (a worker mid-append) is not consumed, a file
+    rewritten shorter than *offset* is re-read from the start, and
+    malformed complete lines are skipped.  A missing file reads as empty
+    — the worker has not started yet.
     """
-    path = Path(path)
-    try:
-        with path.open("rb") as handle:
-            handle.seek(offset)
-            data = handle.read()
-    except FileNotFoundError:
-        return [], offset
-    events: List[Event] = []
-    consumed = 0
-    for raw in data.split(b"\n")[:-1]:  # the piece after the last \n waits
-        consumed += len(raw) + 1
-        try:
-            events.append(event_from_record(
-                json.loads(raw.decode("utf-8"))))
-        except (ValueError, UnicodeDecodeError):
-            continue
-    return events, offset + consumed
+    data, offset = tail_bytes(path, offset)
+    return parse_event_lines(data), offset
 
 
 def tail_bytes(path: Path, offset: int = 0) -> Tuple[bytes, int]:
     """Raw complete-line bytes of *path* from byte *offset*, plus new offset.
 
-    The wire-level sibling of :func:`read_events`, used by the serve
-    daemon's HTTP event streamer: lines are relayed to clients verbatim (no
-    parse/re-serialise round trip), an incomplete final line is left for
-    the next poll, and a missing file reads as empty.  When the file is
-    *shorter* than the requested offset — a restarted execution truncated
-    and rewrote the stream — reading restarts from byte 0 rather than
-    waiting forever past the end; run-event consumers dedupe on ``index``,
-    so the replayed prefix is harmless.
+    The one tail reader: :func:`read_events` parses its lines, and the
+    serve daemon's HTTP event streamer relays them verbatim to clients,
+    which parse them with :func:`parse_event_lines`.  An incomplete final
+    line is left for the next poll, and a missing file reads as empty.
+    When the file is *shorter* than the requested offset — a restarted
+    execution truncated and rewrote the stream — reading restarts from
+    byte 0 rather than waiting forever past the end; run-event consumers
+    dedupe on ``index``, so the replayed prefix is harmless.
     """
-    path = Path(path)
     try:
-        size = path.stat().st_size
-    except OSError:
-        return b"", offset
-    if size < offset:
-        offset = 0
-    try:
-        with path.open("rb") as handle:
+        with Path(path).open("rb") as handle:
+            if os.fstat(handle.fileno()).st_size < offset:
+                offset = 0
             handle.seek(offset)
             data = handle.read()
     except OSError:

@@ -33,6 +33,7 @@ from ..exec.handle import CancelToken, ExperimentHandle
 from ..runner.artifacts import (
     config_hash_of,
     experiment_from_artifact,
+    read_json_object,
     run_cache_key,
     run_result_from_dict,
 )
@@ -42,7 +43,7 @@ from ..runner.events import (
     RUN_FINISH,
     RUN_START,
     Event,
-    event_from_record,
+    parse_event_lines,
 )
 from ..runner.specs import RunSpec
 from .jobs import ACTIVE_STATES, CANCELLED, DEFAULT_TENANT, DONE, FAILED
@@ -78,13 +79,12 @@ class ServeClient:
                        timeout: float = DEFAULT_TIMEOUT_S) -> "ServeClient":
         """Connect via the ``server.json`` record a running daemon wrote."""
         record_path = Path(state_dir) / "server.json"
-        try:
-            record = json.loads(record_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
+        url = (read_json_object(record_path) or {}).get("url")
+        if not isinstance(url, str):
             raise ServeUnavailable(
                 f"no running daemon found under {state_dir} "
-                f"({record_path}: {error})") from None
-        return cls(record["url"], tenant=tenant, timeout=timeout)
+                f"({record_path} is missing or unreadable)")
+        return cls(url, tenant=tenant, timeout=timeout)
 
     # -- plumbing --------------------------------------------------------------------
 
@@ -187,8 +187,7 @@ class ServeClient:
             raise ServeUnavailable(
                 f"cannot reach serve daemon at {self.url}: "
                 f"{error.reason}") from None
-        events = _parse_event_lines(data)
-        return events, start + len(data)
+        return parse_event_lines(data), start + len(data)
 
     def watch(self, job_id: str, *, offset: int = 0,
               wait: float = 10.0) -> Iterator[Event]:
@@ -229,21 +228,6 @@ class ServeClient:
                 raise TimeoutError(
                     f"job {job_id} still active after {timeout:.1f}s")
             _events, offset = self.events(job_id, offset, wait=5.0)
-
-
-def _parse_event_lines(data: bytes) -> List[Event]:
-    """Parse relayed JSONL bytes, skipping foreign/torn lines."""
-    events: List[Event] = []
-    for raw in data.split(b"\n"):
-        if not raw:
-            continue
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-            events.append(event_from_record(payload))
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError,
-                TypeError):
-            continue
-    return events
 
 
 # ---------------------------------------------------------------------------

@@ -2,25 +2,24 @@
 
 A **job** is one tenant's submission to the serve daemon: a named list of
 :class:`~repro.runner.specs.RunSpec` records plus scheduling metadata
-(tenant, priority).  Jobs are plain JSON files in a spool-style directory —
-the same dependency-free coordination idiom :mod:`repro.distrib.spool`
-uses — with one subdirectory per state:
+(tenant, priority).  Jobs are plain JSON files in a
+:class:`~repro.runner.spool.Spool` — the one crash-safe state-directory
+protocol the distrib shard spool uses too — with one subdirectory per
+state:
 
 * ``queue/pending/<job-id>.json`` — submitted, waiting for a worker;
-* ``queue/running/<job-id>.json`` — claimed by a worker thread.  Claiming
-  is an atomic ``os.replace`` from ``pending/`` — crash-safe bookkeeping,
-  not inter-process locking (one daemon owns a queue; its scheduler lock
-  serialises claims);
+* ``queue/running/<job-id>.json`` — claimed by a worker thread (one daemon
+  owns a queue; its scheduler lock serialises claims);
 * ``queue/done/<job-id>.json`` — terminal (``done``/``failed``/
   ``cancelled``, recorded inside the file).
 
-Every transition rewrites the record atomically (via the shared
-``atomic_write_json``) *before* the rename, so a daemon killed at any
-instant leaves only whole files: on restart, :meth:`JobQueue.requeue_running`
-returns claimed-but-unfinished jobs to ``pending/`` and execution resumes —
-finished runs of the interrupted experiment are already in the
-content-addressed run cache, so the rerun recomputes nothing and folds a
-bit-identical artifact (the same invariant the distrib spool workers keep).
+Every transition rewrites the record in place, then renames it once, so
+a daemon killed at any instant leaves one whole file: on restart,
+:meth:`JobQueue.requeue_running` returns claimed-but-unfinished jobs to
+``pending/`` and execution resumes — finished runs of the interrupted
+experiment are already in the content-addressed run cache, so the rerun
+recomputes nothing and folds a bit-identical artifact (the same
+invariant the distrib spool workers keep).
 
 The **execution key** is the submission-dedup address: the SHA-256 over the
 *sorted run-cache keys* of the job's specs.  Two tenants submitting the
@@ -36,16 +35,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..config import SystemConfig
-from ..runner.artifacts import atomic_write_json, run_cache_key
+from ..runner.artifacts import run_cache_key
 from ..runner.specs import RunSpec
+from ..runner.spool import Spool, read_json_object
 from ..workloads.registry import ExperimentScale
 
 #: Bump when the serialised job-record layout changes.
@@ -61,6 +59,9 @@ CANCELLED = "cancelled"
 JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 ACTIVE_STATES = (QUEUED, RUNNING)
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
+#: The queue subdirectory holding a job in each state.
+_STATE_DIRS = {QUEUED: "pending", RUNNING: "running", DONE: "done",
+               FAILED: "done", CANCELLED: "done"}
 
 #: Tenant used when a submission names none.
 DEFAULT_TENANT = "default"
@@ -119,10 +120,6 @@ class Job:
         payload["total"] = self.total
         return payload
 
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "Job":
-        return validate_job(payload)
-
 
 def validate_job(payload: Dict[str, Any]) -> Job:
     """Rebuild (and structurally validate) a job from its JSON payload."""
@@ -139,7 +136,17 @@ def validate_job(payload: Dict[str, Any]) -> Job:
     return Job(**kwargs)
 
 
-class JobQueue:
+def _job_from(payload: Optional[Dict[str, Any]]) -> Optional[Job]:
+    """The job a queue file holds; ``None`` for a torn or foreign one."""
+    if payload is None:
+        return None
+    try:
+        return validate_job(payload)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
+class JobQueue(Spool):
     """The persistent pending/running/done queue under one state directory.
 
     Methods mutate job files atomically but do **not** lock against each
@@ -150,63 +157,40 @@ class JobQueue:
     """
 
     def __init__(self, root: Path) -> None:
-        self.root = Path(root)
+        super().__init__(root, ("pending", "running", "done"))
         self.pending_dir = self.root / "pending"
         self.running_dir = self.root / "running"
         self.done_dir = self.root / "done"
 
-    def prepare(self) -> "JobQueue":
-        for directory in (self.pending_dir, self.running_dir, self.done_dir):
-            directory.mkdir(parents=True, exist_ok=True)
-        return self
-
-    def _dir_for(self, state: str) -> Path:
-        if state == QUEUED:
-            return self.pending_dir
-        if state == RUNNING:
-            return self.running_dir
-        return self.done_dir
-
-    def path_for(self, job: Job) -> Path:
-        return self._dir_for(job.state) / f"{job.id}.json"
-
     # -- transitions ---------------------------------------------------------------
+
+    def _transition(self, job: Job, source: str, **changes: Any) -> Job:
+        """Apply *changes*, then move the record from the *source*
+        directory to its new state's: rewrite in place, one rename."""
+        for name, value in changes.items():
+            setattr(job, name, value)
+        self.move(f"{job.id}.json", source, _STATE_DIRS[job.state],
+                  job.to_payload())
+        return job
 
     def submit(self, job: Job) -> Path:
         """Persist a freshly submitted job into ``pending/``."""
         self.prepare()
         job.state = QUEUED
-        return atomic_write_json(self.path_for(job), job.to_payload())
+        return self.put("pending", f"{job.id}.json", job.to_payload())
 
     def claim(self, job: Job, owner: str) -> Job:
-        """Move one pending job to ``running/`` (record first, then rename).
-
-        The record is rewritten *in pending* with the new state before the
-        rename: whichever instant a crash hits, the file is whole and
-        :meth:`requeue_running` (or a pending re-scan) recovers it.
-        """
-        source = self.pending_dir / f"{job.id}.json"
-        job.state = RUNNING
-        job.owner = owner
-        job.started_unix = time.time()
-        atomic_write_json(source, job.to_payload())
-        os.replace(source, self.path_for(job))
-        return job
+        """Move one pending job to ``running/``."""
+        return self._transition(job, "pending", state=RUNNING, owner=owner,
+                                started_unix=time.time())
 
     def finish(self, job: Job, state: str, *,
                error: Optional[str] = None) -> Job:
         """Move a job to ``done/`` with a terminal state."""
         if state not in TERMINAL_STATES:
             raise ValueError(f"not a terminal job state: {state!r}")
-        source = self.path_for(job)
-        job.state = state
-        job.error = error
-        job.finished_unix = time.time()
-        target = self.path_for(job)
-        atomic_write_json(target, job.to_payload())
-        if source != target:
-            source.unlink(missing_ok=True)
-        return job
+        return self._transition(job, _STATE_DIRS[job.state], state=state,
+                                error=error, finished_unix=time.time())
 
     def release(self, job: Job) -> Job:
         """Return a running job to ``pending/`` (drain or worker failure).
@@ -216,66 +200,53 @@ class JobQueue:
         kept, so a released job neither loses its queue position class nor
         duplicates: the run cache carries everything already computed.
         """
-        source = self.path_for(job)
-        job.state = QUEUED
-        job.owner = None
-        job.started_unix = None
-        job.completed = 0
-        job.cache_hits = 0
-        target = self.path_for(job)
-        atomic_write_json(target, job.to_payload())
-        if source != target:
-            source.unlink(missing_ok=True)
-        return job
+        return self._requeue(job, _STATE_DIRS[job.state])
+
+    def _requeue(self, job: Job, source: str) -> Job:
+        return self._transition(job, source, state=QUEUED, owner=None,
+                                started_unix=None, completed=0,
+                                cache_hits=0)
 
     def requeue_running(self) -> List[Job]:
-        """Startup recovery: every job a dead daemon left in ``running/``.
+        """Startup recovery: every job a dead daemon left claimed.
 
-        Each is atomically rewritten as queued and returned to ``pending/``;
-        the caller (the restarting daemon) schedules them normally and the
-        content-addressed cache turns the re-execution into a resume.
+        That is each record in ``running/`` — including one whose finish or
+        release was cut between its rewrite and its rename — plus a
+        ``pending/`` record whose claim was cut the same way.  Each is
+        rewritten as queued in ``pending/``; the caller (the restarting
+        daemon) schedules them normally and the content-addressed cache
+        turns the re-execution into a resume.
         """
         self.prepare()
         requeued = []
-        for path in sorted(self.running_dir.glob("*.json")):
-            job = self._load(path)
-            if job is None:
-                continue
-            requeued.append(self.release(job))
+        for source in ("running", "pending"):
+            for job in self._jobs(source):
+                if source == "running" or job.state != QUEUED:
+                    requeued.append(self._requeue(job, source))
         return requeued
 
     # -- inspection ----------------------------------------------------------------
 
-    def _load(self, path: Path) -> Optional[Job]:
-        try:
-            return validate_job(
-                json.loads(path.read_text(encoding="utf-8")))
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError):
-            # A torn or foreign file must not wedge the queue; atomic
-            # writes make this unreachable for our own records.
-            return None
-
-    def _scan(self, directory: Path) -> List[Job]:
-        jobs = [self._load(path) for path in sorted(directory.glob("*.json"))]
+    def _jobs(self, state: str) -> List[Job]:
+        jobs = (_job_from(payload) for _path, payload in self.scan(state))
         return [job for job in jobs if job is not None]
 
     def pending(self) -> List[Job]:
-        return self._scan(self.pending_dir)
+        return self._jobs("pending")
 
     def running(self) -> List[Job]:
-        return self._scan(self.running_dir)
+        return self._jobs("running")
 
     def finished(self) -> List[Job]:
-        return self._scan(self.done_dir)
+        return self._jobs("done")
 
     def all_jobs(self) -> List[Job]:
         return self.pending() + self.running() + self.finished()
 
     def get(self, job_id: str) -> Optional[Job]:
-        for directory in (self.pending_dir, self.running_dir, self.done_dir):
-            job = self._load(directory / f"{job_id}.json")
+        for state in self.states:
+            job = _job_from(read_json_object(
+                self.root / state / f"{job_id}.json"))
             if job is not None:
                 return job
         return None
@@ -284,15 +255,15 @@ class JobQueue:
         """A fresh job id, unique across restarts of the same state dir.
 
         Ids are ordinal (``j000001`` ...) so listings sort in submission
-        order; the max-scan keeps them unique after a restart without a
-        separate counter file to keep crash-consistent.
+        order; the max-scan over file names keeps them unique after a
+        restart without a separate counter file to keep crash-consistent.
         """
         self.prepare()
         highest = 0
-        for directory in (self.pending_dir, self.running_dir, self.done_dir):
-            for path in directory.glob("j*.json"):
+        for state in self.states:
+            for name in self.names(state, "j*.json"):
                 try:
-                    highest = max(highest, int(path.stem[1:]))
+                    highest = max(highest, int(Path(name).stem[1:]))
                 except ValueError:
                     continue
         return f"j{highest + 1:06d}"

@@ -50,7 +50,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import socket
 import threading
 import time
 import urllib.parse
@@ -79,6 +78,7 @@ from ..runner.events import (
     tail_bytes,
 )
 from ..runner.specs import RunSpec, apply_config_overrides
+from ..runner.spool import default_owner, read_json_object
 from ..workloads.registry import (
     ExperimentScale,
     all_workload_names,
@@ -191,7 +191,7 @@ class ServeDaemon:
         self.session_config = scale_system_config(default_config(),
                                                   self.scale)
         self.config_hash = config_hash_of(self.session_config)
-        self.owner = f"{socket.gethostname()}:{os.getpid()}"
+        self.owner = default_owner()
 
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
@@ -213,17 +213,12 @@ class ServeDaemon:
     def start(self) -> "ServeDaemon":
         """Bind, recover the queue, launch the fleet; returns immediately."""
         record_path = server_record_path(self.state_dir)
-        if record_path.exists():
-            try:
-                record = json.loads(record_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                record = {}
-            pid = record.get("pid")
-            if pid != os.getpid() and _pid_alive(pid):
-                raise RuntimeError(
-                    f"a serve daemon (pid {pid}) already owns "
-                    f"{self.state_dir}; two daemons sharing a queue would "
-                    f"double-execute jobs")
+        pid = (read_json_object(record_path) or {}).get("pid")
+        if pid != os.getpid() and _pid_alive(pid):
+            raise RuntimeError(
+                f"a serve daemon (pid {pid}) already owns "
+                f"{self.state_dir}; two daemons sharing a queue would "
+                f"double-execute jobs")
         for directory in (self.cache_dir, self.events_dir, self.results_dir):
             directory.mkdir(parents=True, exist_ok=True)
         self.queue.prepare()

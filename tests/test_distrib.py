@@ -36,7 +36,7 @@ from repro.distrib import (
     validate_manifest,
     work_spool,
 )
-from repro.distrib import spool as spool_module
+from repro.runner import spool as spool_module
 from repro.exec import ShardedExecutor
 from repro.runner import parallel as parallel_module
 from repro.runner.artifacts import (

@@ -1,10 +1,9 @@
-"""Memory devices: DDR4 DRAM timing, NVDIMM-N state machine, Optane model, MCH."""
+"""Memory devices: DDR4 DRAM timing, NVDIMM-N state machine, Optane model."""
 
 import pytest
 
-from repro.config import DDRConfig, NVDIMMConfig, OptaneConfig, default_config
+from repro.config import DDRConfig, NVDIMMConfig, OptaneConfig
 from repro.memory.dram import DRAMDevice
-from repro.memory.mch import MemoryControllerHub
 from repro.memory.nvdimm import NVDIMM, NVDIMMState
 from repro.memory.optane import OptaneDCPMM
 from repro.units import GB, KB, MB
@@ -138,20 +137,3 @@ class TestOptane:
         with pytest.raises(ValueError):
             optane.write(-1)
 
-
-class TestMCH:
-    def test_build_loose_topology_has_pcie(self):
-        mch = MemoryControllerHub.build(default_config())
-        assert mch.pcie is not None
-        assert mch.storage_link is mch.pcie
-
-    def test_build_tight_topology_uses_ddr(self):
-        mch = MemoryControllerHub.build(default_config(), attach_ssd_to_ddr=True)
-        assert mch.pcie is None
-        assert mch.storage_link is mch.ddr_bus
-
-    def test_statistics_merge_components(self):
-        mch = MemoryControllerHub.build(default_config())
-        stats = mch.statistics()
-        assert any(key.startswith("nvdimm.") for key in stats)
-        assert any(key.startswith("ddr_bus.") for key in stats)
