@@ -1,6 +1,6 @@
 """Flash translation layer: page-level mapping, allocation, garbage collection.
 
-The FTL maps logical page numbers (LPNs) to physical flash addresses and
+The FTL maps logical page numbers (LPNs) to physical flash pages and
 implements the two mechanisms that shape SSD write behaviour:
 
 * **Write allocation / striping** — new physical pages are allocated
@@ -13,15 +13,24 @@ implements the two mechanisms that shape SSD write behaviour:
   relocates those pages and erases the block.  The relocation work is
   returned to the caller so the device model can charge its time.
 
-The mapping table is lazy (a dictionary) so an 800 GB device can be modelled
-without allocating 200 M entries up front; only pages actually touched by a
-workload consume memory.
+Internally a physical page is a plain integer, its *physical page number*
+``PPN = plane_index * pages_per_plane + block * pages_per_block + page``,
+where ``plane_index`` enumerates planes channel-major (so the flat die index
+is ``plane_index // planes_per_die`` and the channel is
+``plane_index // planes_per_channel``).  :class:`PhysicalAddress` objects
+exist only at the API edge: :meth:`FlashTranslationLayer.lookup`, the return
+value of :meth:`FlashTranslationLayer.write` and
+:attr:`GCResult.page_moves`.
+
+The mapping table is lazy (two dictionaries, LPN → PPN and PPN → LPN) so an
+800 GB device can be modelled without allocating 200 M entries up front;
+only pages actually touched by a workload consume memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import FlashGeometry
 
@@ -57,17 +66,19 @@ class GCResult:
 class _Plane:
     """Allocation state of one flash plane (a set of blocks)."""
 
-    __slots__ = ("channel", "package", "die", "plane", "blocks_per_plane",
+    __slots__ = ("channel", "package", "die", "plane", "base",
                  "pages_per_block", "free_blocks", "open_block", "next_page",
                  "valid_pages", "erase_count", "gc_pressed")
 
     def __init__(self, channel: int, package: int, die: int, plane: int,
-                 blocks_per_plane: int, pages_per_block: int) -> None:
+                 base: int, blocks_per_plane: int,
+                 pages_per_block: int) -> None:
         self.channel = channel
         self.package = package
         self.die = die
         self.plane = plane
-        self.blocks_per_plane = blocks_per_plane
+        #: PPN of this plane's block 0, page 0.
+        self.base = base
         self.pages_per_block = pages_per_block
         self.free_blocks: List[int] = list(range(blocks_per_plane))
         self.open_block: Optional[int] = None
@@ -78,28 +89,24 @@ class _Plane:
         #: Maintained by the FTL: ``len(free_blocks) < gc_threshold_blocks``.
         self.gc_pressed = False
 
-    def has_space(self) -> bool:
-        return bool(self.free_blocks) or (
-            self.open_block is not None and self.next_page < self.pages_per_block)
-
-    def allocate_page(self) -> Optional[PhysicalAddress]:
-        """Return the next append point in this plane, or ``None`` if full."""
+    def allocate_page(self) -> Optional[int]:
+        """Return the PPN of the next append point, or ``None`` if full."""
         if self.open_block is None or self.next_page >= self.pages_per_block:
             if not self.free_blocks:
                 return None
             self.open_block = self.free_blocks.pop(0)
             self.next_page = 0
             self.valid_pages.setdefault(self.open_block, set())
-        address = PhysicalAddress(self.channel, self.package, self.die,
-                                  self.plane, self.open_block, self.next_page)
-        self.valid_pages[self.open_block].add(self.next_page)
-        self.next_page += 1
-        return address
+        page = self.next_page
+        self.valid_pages[self.open_block].add(page)
+        self.next_page = page + 1
+        return self.base + self.open_block * self.pages_per_block + page
 
-    def invalidate(self, address: PhysicalAddress) -> None:
-        pages = self.valid_pages.get(address.block)
+    def invalidate(self, ppn: int) -> None:
+        block, page = divmod(ppn - self.base, self.pages_per_block)
+        pages = self.valid_pages.get(block)
         if pages is not None:
-            pages.discard(address.page)
+            pages.discard(page)
 
     def victim_block(self) -> Optional[int]:
         """Block with the fewest valid pages, excluding the open block."""
@@ -128,14 +135,18 @@ class FlashTranslationLayer:
         self.gc_threshold_blocks = gc_threshold_blocks
         # The geometry is a frozen dataclass whose derived quantities are
         # recomputed property chains; the LPN bound is checked on every
-        # translation, so hoist it once.
+        # translation, so hoist it (and the PPN radices) once.
         self._logical_pages = geometry.logical_pages
-        #: Every LPN in ``[0, mapped_floor)`` is known to be mapped.  Writes
-        #: never unmap, so the floor only drops when :meth:`trim` punches a
-        #: hole below it; :meth:`SSD.precondition` uses it to skip re-scans.
-        self.mapped_floor = 0
-        self._mapping: Dict[int, PhysicalAddress] = {}
-        self._reverse: Dict[PhysicalAddress, int] = {}
+        self._pages_per_block = geometry.pages_per_block
+        self._pages_per_plane = geometry.pages_per_plane
+        #: ``ppn // _pages_per_die`` is the flat die index (channel-major,
+        #: as :meth:`ZNANDArray.flat_index`) and ``ppn //
+        #: _pages_per_channel`` the channel; the SSD walk decodes with these.
+        self._pages_per_die = self._pages_per_plane * geometry.planes_per_die
+        self._pages_per_channel = self._pages_per_die * (
+            geometry.packages_per_channel * geometry.dies_per_package)
+        self._mapping: Dict[int, int] = {}
+        self._reverse: Dict[int, int] = {}
         self._planes: List[_Plane] = []
         for channel in range(geometry.channels):
             for package in range(geometry.packages_per_channel):
@@ -143,6 +154,7 @@ class FlashTranslationLayer:
                     for plane in range(geometry.planes_per_die):
                         self._planes.append(
                             _Plane(channel, package, die, plane,
+                                   len(self._planes) * self._pages_per_plane,
                                    geometry.blocks_per_plane,
                                    geometry.pages_per_block))
         self._allocation_cursor = 0
@@ -152,8 +164,7 @@ class FlashTranslationLayer:
         #: Number of planes currently under GC pressure (fewer free blocks
         #: than the threshold).  When it is zero the per-write GC scan is
         #: provably a no-op — every plane's ``while`` loop would fall
-        #: through — so :meth:`_maybe_collect` returns immediately with the
-        #: same empty :class:`GCResult` the scan would have produced.
+        #: through — so :meth:`_write_ppn` skips it.
         self._gc_pressure_planes = 0
         for plane in self._planes:
             self._note_free_blocks(plane)
@@ -163,7 +174,8 @@ class FlashTranslationLayer:
     def lookup(self, lpn: int) -> Optional[PhysicalAddress]:
         """Translate a logical page number; ``None`` if never written."""
         self._check_lpn(lpn)
-        return self._mapping.get(lpn)
+        ppn = self._mapping.get(lpn)
+        return None if ppn is None else self._address(ppn)
 
     def lookup_batch(self, lpns) -> List[Optional[PhysicalAddress]]:
         """Translate a vector of LPNs (any int sequence, e.g. int64 arrays).
@@ -179,7 +191,9 @@ class FlashTranslationLayer:
                 raise ValueError(
                     f"LPN {bad} out of range [0, {self._logical_pages})")
         get = self._mapping.get
-        return [get(lpn) for lpn in lpn_list]
+        address = self._address
+        return [None if ppn is None else address(ppn)
+                for ppn in map(get, lpn_list)]
 
     def is_mapped(self, lpn: int) -> bool:
         return lpn in self._mapping
@@ -197,49 +211,115 @@ class FlashTranslationLayer:
         address together with the garbage-collection work (possibly empty)
         triggered by this allocation.
         """
+        ppn, gc_result = self._write_ppn(lpn)
+        return (self._address(ppn),
+                GCResult() if gc_result is None else gc_result)
+
+    def _write_ppn(self, lpn: int) -> Tuple[int, Optional[GCResult]]:
+        """:meth:`write` on integer PPNs; the GC result is ``None`` when no
+        plane is under GC pressure (the collection scan is then a no-op)."""
         self._check_lpn(lpn)
         self.host_writes += 1
-        gc_result = self._maybe_collect()
+        gc_result = self._collect() if self._gc_pressure_planes else None
         old = self._mapping.get(lpn)
         if old is not None:
-            self._plane_for(old).invalidate(old)
+            self._planes[old // self._pages_per_plane].invalidate(old)
             self._reverse.pop(old, None)
-        address = self._allocate()
-        self._mapping[lpn] = address
-        self._reverse[address] = lpn
-        return address, gc_result
+        ppn = self._allocate()
+        self._mapping[lpn] = ppn
+        self._reverse[ppn] = lpn
+        return ppn, gc_result
 
-    def write_batch(self, lpns) -> List[Tuple[PhysicalAddress, GCResult]]:
+    def fill(self, lpns) -> None:
         """Map a vector of LPNs in order (int sequence or int64 array).
 
-        Exactly equivalent to calling :meth:`write` per element: allocation
-        striping advances in order, and garbage collection triggers at the
-        same scalar points — each element's GC scan sees the mapping state
-        left by every earlier element.  ``tests/test_flash_ftl_batch.py``
-        pins the equivalence property-style.
+        Leaves the FTL state-identical to ``for lpn in lpns: write(lpn)``.
+        When no plane is under GC pressure, the LPNs are in range, unique
+        and unmapped, and no plane would end the fill short of
+        ``gc_threshold_blocks`` free blocks, that loop never collects and
+        never skips a plane, so allocation is a pure round-robin stripe:
+        plane ``(cursor + k) % planes`` takes the *k*-th LPN.  The fill is
+        then computed in closed form — each plane's quota extends its
+        append point block by block — and the dictionaries are updated in
+        bulk.  Otherwise it runs the per-LPN loop.
         """
-        write = self.write
-        return [write(int(lpn)) for lpn in lpns]
+        lpn_list = lpns.tolist() if hasattr(lpns, "tolist") else list(lpns)
+        stripes = self._stripe_plan(lpn_list)
+        if stripes is None:
+            write = self._write_ppn
+            for lpn in lpn_list:
+                write(lpn)
+            return
+        count = len(lpn_list)
+        total = len(self._planes)
+        pages_per_block = self._pages_per_block
+        ppns = [0] * count
+        for offset, (plane, quota, opened) in enumerate(stripes):
+            column: List[int] = []
+            page = plane.next_page
+            if plane.open_block is not None and page < pages_per_block:
+                take = min(quota, pages_per_block - page)
+                start = plane.base + plane.open_block * pages_per_block + page
+                column.extend(range(start, start + take))
+                plane.valid_pages[plane.open_block].update(
+                    range(page, page + take))
+                plane.next_page = page + take
+            for block in plane.free_blocks[:opened]:
+                take = min(quota - len(column), pages_per_block)
+                start = plane.base + block * pages_per_block
+                column.extend(range(start, start + take))
+                plane.valid_pages.setdefault(block, set()).update(range(take))
+                plane.open_block = block
+                plane.next_page = take
+            del plane.free_blocks[:opened]
+            ppns[offset::total] = column
+        self._mapping.update(zip(lpn_list, ppns))
+        self._reverse.update(zip(ppns, lpn_list))
+        self.host_writes += count
+        self._allocation_cursor = (self._allocation_cursor + count) % total
+
+    def _stripe_plan(self, lpn_list: List[int]
+                     ) -> Optional[List[Tuple[_Plane, int, int]]]:
+        """Per-stripe-offset ``(plane, quota, blocks opened)`` of a
+        closed-form :meth:`fill`, or ``None`` when the loop must run."""
+        count = len(lpn_list)
+        if not count or self._gc_pressure_planes:
+            return None
+        if min(lpn_list) < 0 or max(lpn_list) >= self._logical_pages:
+            return None
+        unique = set(lpn_list)
+        if len(unique) != count or not self._mapping.keys().isdisjoint(unique):
+            return None
+        planes = self._planes
+        total = len(planes)
+        cursor = self._allocation_cursor
+        rounds, extra = divmod(count, total)
+        pages_per_block = self._pages_per_block
+        stripes = []
+        for offset in range(total):
+            plane = planes[(cursor + offset) % total]
+            quota = rounds + (offset < extra)
+            room = (0 if plane.open_block is None
+                    else pages_per_block - plane.next_page)
+            opened = -(-max(0, quota - room) // pages_per_block)
+            free_after = len(plane.free_blocks) - opened
+            if free_after < 0 or free_after < self.gc_threshold_blocks:
+                return None
+            stripes.append((plane, quota, opened))
+        return stripes
 
     def trim(self, lpn: int) -> None:
         """Drop the mapping for *lpn* (discard / TRIM)."""
         self._check_lpn(lpn)
-        if lpn < self.mapped_floor:
-            self.mapped_floor = lpn
         old = self._mapping.pop(lpn, None)
         if old is not None:
-            self._plane_for(old).invalidate(old)
+            self._planes[old // self._pages_per_plane].invalidate(old)
             self._reverse.pop(old, None)
 
     # -- garbage collection -----------------------------------------------------
 
-    def _maybe_collect(self) -> GCResult:
+    def _collect(self) -> GCResult:
         result = GCResult()
-        if not self._gc_pressure_planes:
-            # No plane is below the free-block threshold, so the full scan
-            # would do no work; skip it (the dominant cost of buffered
-            # writes on a preconditioned device).
-            return result
         for plane in self._planes:
             while len(plane.free_blocks) < self.gc_threshold_blocks:
                 victim = plane.victim_block()
@@ -258,10 +338,10 @@ class FlashTranslationLayer:
     def _collect_block(self, plane: _Plane, block: int,
                        result: GCResult) -> bool:
         valid = sorted(plane.valid_pages.get(block, set()))
+        block_base = plane.base + block * self._pages_per_block
         moved_any = False
         for page in valid:
-            old = PhysicalAddress(plane.channel, plane.package, plane.die,
-                                  plane.plane, block, page)
+            old = block_base + page
             lpn = self._reverse.get(old)
             if lpn is None:
                 plane.invalidate(old)
@@ -271,7 +351,7 @@ class FlashTranslationLayer:
             self._reverse.pop(old, None)
             self._mapping[lpn] = new
             self._reverse[new] = lpn
-            result.page_moves.append((old, new))
+            result.page_moves.append((self._address(old), self._address(new)))
             moved_any = True
         plane.erase_block(block)
         self._note_free_blocks(plane)
@@ -280,25 +360,25 @@ class FlashTranslationLayer:
 
     # -- allocation ---------------------------------------------------------------
 
-    def _allocate(self, exclude_plane: Optional[_Plane] = None) -> PhysicalAddress:
+    def _allocate(self, exclude_plane: Optional[_Plane] = None) -> int:
         """Round-robin allocation across planes (channel/die striping)."""
         total = len(self._planes)
         for offset in range(total):
             plane = self._planes[(self._allocation_cursor + offset) % total]
             if exclude_plane is not None and plane is exclude_plane:
                 continue
-            address = plane.allocate_page()
-            if address is not None:
+            ppn = plane.allocate_page()
+            if ppn is not None:
                 self._note_free_blocks(plane)
                 self._allocation_cursor = (
                     self._allocation_cursor + offset + 1) % total
-                return address
+                return ppn
         # Fall back to the excluded plane before declaring the device full.
         if exclude_plane is not None:
-            address = exclude_plane.allocate_page()
-            if address is not None:
+            ppn = exclude_plane.allocate_page()
+            if ppn is not None:
                 self._note_free_blocks(exclude_plane)
-                return address
+                return ppn
         raise RuntimeError("flash device is full: no free pages in any plane")
 
     def _note_free_blocks(self, plane: _Plane) -> None:
@@ -310,11 +390,13 @@ class FlashTranslationLayer:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _plane_for(self, address: PhysicalAddress) -> _Plane:
-        index = (((address.channel * self.geometry.packages_per_channel
-                   + address.package) * self.geometry.dies_per_package
-                  + address.die) * self.geometry.planes_per_die + address.plane)
-        return self._planes[index]
+    def _address(self, ppn: int) -> PhysicalAddress:
+        """Decode a PPN into its :class:`PhysicalAddress` (the API edge)."""
+        plane_index, offset = divmod(ppn, self._pages_per_plane)
+        block, page = divmod(offset, self._pages_per_block)
+        plane = self._planes[plane_index]
+        return PhysicalAddress(plane.channel, plane.package, plane.die,
+                               plane.plane, block, page)
 
     def _check_lpn(self, lpn: int) -> None:
         if lpn < 0 or lpn >= self._logical_pages:

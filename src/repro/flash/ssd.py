@@ -10,10 +10,11 @@ lower layers of this package:
 
 Submission is batch-first: :meth:`SSD.submit_batch` services an
 :class:`IORequestBatch` with one amortised walk over the flash stack —
-array-based FTL translation (:meth:`~repro.flash.ftl.FlashTranslationLayer.
-lookup_batch`), the DRAM-buffer hit/dirty-evict folds, and channel/die
-occupancy reserved against the schedulers' flat occupancy arrays.  The
-scalar :meth:`SSD.submit` is a batch-of-one wrapper around it, so there is
+FTL translation on integer PPNs (the die and channel are decoded from
+the PPN by integer division, so no address objects are built), the
+DRAM-buffer hit/dirty-evict folds, and channel/die occupancy reserved
+against the schedulers' flat occupancy arrays.  The scalar
+:meth:`SSD.submit` is a batch-of-one wrapper around it, so there is
 exactly one service path; ``tests/test_flash_batch.py`` pins the
 equivalence and the platform golden-parity suite
 (``tests/test_batched_replay.py``) gates every consumer.
@@ -298,22 +299,20 @@ class SSD:
 
         The paper's experiments write every data block to the flash media in
         a warm-up phase before measuring (Section VI-A); preconditioning
-        reproduces that state so reads hit mapped pages.
+        reproduces that state so reads hit mapped pages.  LPNs already
+        mapped keep their pages; the rest are written in LPN order by one
+        :meth:`~repro.flash.ftl.FlashTranslationLayer.fill`.
         """
+        if start_lpn < 0:
+            raise ValueError("start_lpn must be non-negative")
         if page_count < 0:
             raise ValueError("page_count must be non-negative")
         end = start_lpn + page_count
         if end > self.logical_pages:
             raise ValueError("precondition range exceeds device capacity")
-        if end > self.ftl.mapped_floor:
-            # Below the floor every LPN is already mapped (the common case
-            # when a platform's replay re-prepares an already warmed
-            # device), so only the unproven tail needs the scan.
-            for lpn in range(max(start_lpn, self.ftl.mapped_floor), end):
-                if not self.ftl.is_mapped(lpn):
-                    self.ftl.write(lpn)
-            if start_lpn <= self.ftl.mapped_floor:
-                self.ftl.mapped_floor = end
+        mapped = self.ftl._mapping
+        self.ftl.fill([lpn for lpn in range(start_lpn, end)
+                       if lpn not in mapped])
         self.buffer.clear()
 
     # -- request servicing -------------------------------------------------------------
@@ -366,7 +365,7 @@ class SSD:
         buffer_insert = buffer._insert
         ftl = self.ftl
         mapping_get = ftl._mapping.get
-        ftl_write = ftl.write
+        ftl_write = ftl._write_ppn
         fil = self.fil
         hil = self.hil
         outstanding = self._outstanding
@@ -378,9 +377,8 @@ class SSD:
         # Flat die/channel occupancy shared with the layer objects.
         array = self.array
         die_states = array._states
-        geometry = config.geometry
-        packages_per_channel = geometry.packages_per_channel
-        dies_per_package = geometry.dies_per_package
+        pages_per_die = ftl._pages_per_die
+        pages_per_channel = ftl._pages_per_channel
         read_ns = array.timing.read_ns
         program_ns = array.timing.program_ns
         channels = self.channels
@@ -511,25 +509,22 @@ class SSD:
                     else:
                         buf_read_misses += 1
                         r_bm = 1
-                        address = mapping_get(lpn)
-                        if address is None:
+                        ppn = mapping_get(lpn)
+                        if ppn is None:
                             # Never-written page: zeroes from the controller.
                             sub_finish = firmware_done + hit_ns
                         else:
                             # Inlined FlashInterfaceLayer.read_page against
                             # the flat occupancy arrays: array sensing, then
                             # the (optionally split) channel DMA.
-                            state = die_states[
-                                (address.channel * packages_per_channel
-                                 + address.package) * dies_per_package
-                                + address.die]
+                            state = die_states[ppn // pages_per_die]
                             busy = state.busy_until_ns
                             array_start = (firmware_done
                                            if firmware_done >= busy else busy)
                             array_finish = array_start + read_ns
                             state.busy_until_ns = array_finish
                             state.reads += 1
-                            channel = address.channel
+                            channel = ppn // pages_per_channel
                             if split:
                                 partner = channel + 1
                                 if partner == channel_count:
@@ -583,14 +578,11 @@ class SSD:
                         else:
                             buf_read_misses += 1
                             r_bm += 1
-                            address = mapping_get(lpn)
-                            if address is None:
+                            ppn = mapping_get(lpn)
+                            if ppn is None:
                                 sub_finish = zero_finish
                             else:
-                                state = die_states[
-                                    (address.channel * packages_per_channel
-                                     + address.package) * dies_per_package
-                                    + address.die]
+                                state = die_states[ppn // pages_per_die]
                                 busy = state.busy_until_ns
                                 array_start = (firmware_done
                                                if firmware_done >= busy
@@ -598,7 +590,7 @@ class SSD:
                                 array_finish = array_start + read_ns
                                 state.busy_until_ns = array_finish
                                 state.reads += 1
-                                channel = address.channel
+                                channel = ppn // pages_per_channel
                                 if split:
                                     partner = channel + 1
                                     if partner == channel_count:
@@ -670,10 +662,10 @@ class SSD:
                             sub_finish = firmware_done
                             program_lpn = lpn
                         if program_lpn is not None:
-                            address, gc_result = ftl_write(program_lpn)
+                            ppn, gc_result = ftl_write(program_lpn)
                             # Inlined FlashInterfaceLayer.write_page: the
                             # (optionally split) DMA in, then the program.
-                            channel = address.channel
+                            channel = ppn // pages_per_channel
                             if split:
                                 partner = channel + 1
                                 if partner == channel_count:
@@ -703,10 +695,7 @@ class SSD:
                                 chan_busy[channel] = transfer_finish
                                 chan_bytes[channel] += page_size
                                 chan_transfers[channel] += 1
-                            state = die_states[
-                                (channel * packages_per_channel
-                                 + address.package) * dies_per_package
-                                + address.die]
+                            state = die_states[ppn // pages_per_die]
                             busy = state.busy_until_ns
                             array_start = (transfer_finish
                                            if transfer_finish >= busy
@@ -716,15 +705,12 @@ class SSD:
                             state.programs += 1
                             page_programs_local += 1
                             r_fp += 1
-                            # GC relocations charged serially after the
-                            # triggering program (rare; layer calls are
-                            # fine here).
-                            for old, new in gc_result.page_moves:
-                                read_access = fil.read_page(old, sub_finish)
-                                write_access = fil.write_page(
-                                    new, read_access.finish_ns)
-                                sub_finish = write_access.finish_ns
-                            r_gc += gc_result.pages_moved
+                            if gc_result is not None:
+                                # GC relocations charged serially after the
+                                # triggering program (rare).
+                                sub_finish = self._charge_gc(gc_result,
+                                                             sub_finish)
+                                r_gc += gc_result.pages_moved
                         if sub_finish > finish:
                             finish = sub_finish
 

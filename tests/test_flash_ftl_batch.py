@@ -1,22 +1,25 @@
-"""Property-based parity: ``FlashTranslationLayer.write_batch`` vs scalar.
+"""Property-based parity: ``FlashTranslationLayer.fill`` vs a scalar loop.
 
-The batched flash walk leans on :meth:`write_batch` keeping the *entire*
-FTL state — mapping table, reverse map, per-plane append points, free
-lists, GC pressure and the round-robin allocation cursor — bit-identical
-to a scalar :meth:`write` loop.  Garbage collection is the hard part:
-each element's allocation must observe the mapping state left by every
-earlier element so victim selection and relocation happen at the same
-points.  Hypothesis drives arbitrary LPN streams (with heavy overwrite
-skew, so GC actually fires on the tiny geometry) and the suite asserts
-exact state equality after every interleaving, including trim holes and
-device wrap-around.
+Preconditioning leans on :meth:`fill` keeping the *entire* FTL state —
+mapping table, reverse map, per-plane append points, free lists, GC
+pressure and the round-robin allocation cursor — bit-identical to a
+scalar :meth:`write` loop.  ``fill`` has two paths: a closed-form striped
+fill when the loop provably never collects or skips a plane, and the
+per-LPN loop otherwise.  Hypothesis drives arbitrary LPN streams (with
+duplicates and heavy overwrite skew, so GC fires on the tiny geometry and
+the loop path runs) and arbitrary unmapped ranges over a partly written
+device (so the closed form runs from a non-zero cursor and part-full open
+blocks); the suite asserts exact state equality after every interleaving,
+including trim holes and device wrap-around.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import FlashGeometry
+from repro.config import GB, FlashGeometry, SSDConfig
 from repro.flash.ftl import FlashTranslationLayer
+from repro.flash.ssd import SSD
 
 
 def tiny_ftl() -> FlashTranslationLayer:
@@ -28,6 +31,30 @@ def tiny_ftl() -> FlashTranslationLayer:
                              dies_per_package=2, planes_per_die=1,
                              blocks_per_plane=8, pages_per_block=4)
     return FlashTranslationLayer(geometry)
+
+
+def roomy_ftl() -> FlashTranslationLayer:
+    # 2 channels x 3 planes x 16 blocks x 4 pages = 384 physical pages: a
+    # pre-state of at most 48 writes plus any fill of at most 96 pages
+    # leaves every plane well above the GC threshold, so the closed form
+    # always applies.  Six planes and four-page blocks make the stripe
+    # quotas uneven and the open blocks part-full.
+    geometry = FlashGeometry(channels=2, packages_per_channel=1,
+                             dies_per_package=3, planes_per_die=1,
+                             blocks_per_plane=16, pages_per_block=4)
+    return FlashTranslationLayer(geometry)
+
+
+def scalar_fill(ftl: FlashTranslationLayer, lpns) -> None:
+    for lpn in lpns:
+        ftl.write(int(lpn))
+
+
+def forbid_scalar_writes(ftl: FlashTranslationLayer) -> None:
+    """Make the per-LPN path of :meth:`fill` raise on *ftl*."""
+    def scalar_write(lpn):
+        raise AssertionError("fill fell back to the per-LPN loop")
+    ftl._write_ppn = scalar_write
 
 
 def assert_state_equal(left: FlashTranslationLayer,
@@ -46,6 +73,7 @@ def assert_state_equal(left: FlashTranslationLayer,
         assert plane_l.next_page == plane_r.next_page
         assert plane_l.valid_pages == plane_r.valid_pages
         assert plane_l.gc_pressed == plane_r.gc_pressed
+    assert left._gc_pressure_planes == right._gc_pressure_planes
 
 
 # A 16-LPN working set on a 64-page device: overwrites (and therefore
@@ -54,36 +82,41 @@ def assert_state_equal(left: FlashTranslationLayer,
 lpn_streams = st.lists(st.integers(min_value=0, max_value=15),
                        min_size=1, max_size=64)
 
+# (lpn, trim?) operations over LPNs 0..31 that build a partly written
+# device: a non-zero cursor, part-full open blocks and trim holes.
+pre_states = st.lists(st.tuples(st.integers(min_value=0, max_value=31),
+                                st.booleans()),
+                      max_size=48)
+
+
+def apply_pre_state(ftl: FlashTranslationLayer, operations) -> None:
+    for lpn, trim in operations:
+        if trim:
+            ftl.trim(lpn)
+        else:
+            ftl.write(lpn)
+
 
 class TestWriteBatchParity:
     @settings(max_examples=120, deadline=None)
     @given(lpn_streams)
     def test_batch_equals_scalar_loop(self, lpns):
         scalar = tiny_ftl()
-        batched = tiny_ftl()
-        scalar_results = [scalar.write(lpn) for lpn in lpns]
-        batch_results = batched.write_batch(np.array(lpns, dtype=np.int64))
-        assert len(batch_results) == len(scalar_results)
-        for (addr_b, gc_b), (addr_s, gc_s) in zip(batch_results,
-                                                  scalar_results):
-            assert addr_b == addr_s
-            assert gc_b.page_moves == gc_s.page_moves
-            assert gc_b.blocks_erased == gc_s.blocks_erased
-        assert_state_equal(batched, scalar)
+        filled = tiny_ftl()
+        scalar_fill(scalar, lpns)
+        filled.fill(np.array(lpns, dtype=np.int64))
+        assert_state_equal(filled, scalar)
 
     @settings(max_examples=60, deadline=None)
     @given(lpn_streams, lpn_streams)
     def test_split_points_are_invisible(self, first, second):
-        # One batch vs two back-to-back batches over the same stream: the
-        # walk must be history-free at batch boundaries.
+        # One fill vs two back-to-back fills over the same stream: the
+        # walk must be history-free at fill boundaries.
         whole = tiny_ftl()
         split = tiny_ftl()
-        whole_results = whole.write_batch(first + second)
-        split_results = split.write_batch(first) + split.write_batch(second)
-        assert [(a, g.page_moves, g.blocks_erased)
-                for a, g in whole_results] == \
-               [(a, g.page_moves, g.blocks_erased)
-                for a, g in split_results]
+        whole.fill(first + second)
+        split.fill(first)
+        split.fill(second)
         assert_state_equal(split, whole)
 
     @settings(max_examples=60, deadline=None)
@@ -93,23 +126,21 @@ class TestWriteBatchParity:
            lpn_streams)
     def test_trim_between_batches(self, before, trims, after):
         scalar = tiny_ftl()
-        batched = tiny_ftl()
-        for lpn in before:
-            scalar.write(lpn)
-        batched.write_batch(before)
+        filled = tiny_ftl()
+        scalar_fill(scalar, before)
+        filled.fill(before)
         for lpn in trims:
             scalar.trim(lpn)
-            batched.trim(lpn)
-        for lpn in after:
-            scalar.write(lpn)
-        batched.write_batch(after)
-        assert_state_equal(batched, scalar)
+            filled.trim(lpn)
+        scalar_fill(scalar, after)
+        filled.fill(after)
+        assert_state_equal(filled, scalar)
 
     @settings(max_examples=60, deadline=None)
     @given(lpn_streams)
     def test_lookup_batch_matches_scalar_lookup(self, lpns):
         ftl = tiny_ftl()
-        ftl.write_batch(lpns)
+        ftl.fill(lpns)
         probe = list(range(16))
         batch_view = ftl.lookup_batch(np.array(probe, dtype=np.int64))
         assert batch_view == [ftl.lookup(lpn) for lpn in probe]
@@ -128,6 +159,65 @@ class TestWriteBatchParity:
             else:
                 stream.append(j % 4)
         ftl = tiny_ftl()
-        ftl.write_batch(stream)
+        ftl.fill(stream)
         assert ftl.gc_invocations > 0
         assert ftl.gc_pages_moved > 0
+
+
+class TestClosedFormFill:
+    @settings(max_examples=120, deadline=None)
+    @given(pre_states, st.integers(min_value=0, max_value=200),
+           st.integers(min_value=0, max_value=96))
+    def test_unmapped_range_after_arbitrary_pre_state(self, operations,
+                                                      start, length):
+        scalar = roomy_ftl()
+        filled = roomy_ftl()
+        apply_pre_state(scalar, operations)
+        apply_pre_state(filled, operations)
+        # The unmapped LPNs of [start, start + length): exactly the list
+        # SSD.precondition hands to fill.
+        lpns = [lpn for lpn in range(start, start + length)
+                if not filled.is_mapped(lpn)]
+        scalar_fill(scalar, lpns)
+        forbid_scalar_writes(filled)
+        filled.fill(lpns)
+        assert_state_equal(filled, scalar)
+        # The device stays usable: later writes go through the same path.
+        del filled._write_ppn
+        for lpn in (0, 5, 250):
+            scalar.write(lpn)
+            filled.write(lpn)
+        assert_state_equal(filled, scalar)
+
+    def test_closed_form_preconditions_a_fresh_fig16_device(self):
+        # The fig16 default-scale ULL-Flash device (128 planes, 108 blocks
+        # x 256 pages); one precondition is the whole warm-up of a run.
+        ssd = SSD(SSDConfig.ull_flash(GB(800) // 64))
+        forbid_scalar_writes(ssd.ftl)
+        ssd.precondition(0, 65536)
+        assert ssd.ftl.mapped_pages == 65536
+        assert ssd.ftl.host_writes == 65536
+        assert ssd.ftl._allocation_cursor == 65536 % 128
+
+    def test_fill_into_gc_threshold_falls_back(self):
+        # 2 planes x 8 blocks x 4 pages with a threshold of 2 blocks: 48
+        # fresh pages leave each plane 2 free blocks (the closed form); 49
+        # leave plane 0 with 1, under the threshold, so the loop must run
+        # and end with that plane under GC pressure.
+        fits = tiny_ftl()
+        forbid_scalar_writes(fits)
+        fits.fill(range(48))
+        reference = tiny_ftl()
+        scalar_fill(reference, range(48))
+        assert_state_equal(fits, reference)
+
+        scalar = tiny_ftl()
+        filled = tiny_ftl()
+        scalar_fill(scalar, range(49))
+        forbid_scalar_writes(filled)
+        with pytest.raises(AssertionError, match="per-LPN loop"):
+            filled.fill(range(49))
+        filled = tiny_ftl()
+        filled.fill(range(49))
+        assert_state_equal(filled, scalar)
+        assert filled._gc_pressure_planes == 1

@@ -113,6 +113,21 @@ class TestPrecondition:
         with pytest.raises(ValueError):
             ssd.precondition(0, ssd.logical_pages + 1)
 
+    def test_precondition_negative_start_rejected(self):
+        # Used to map only LPNs 0..4 of [-5, 5) without complaint.
+        ssd = small_ssd()
+        with pytest.raises(ValueError):
+            ssd.precondition(-5, 10)
+        assert ssd.ftl.mapped_pages == 0
+
+    def test_precondition_after_trim_maps_the_hole(self):
+        ssd = small_ssd()
+        ssd.precondition(0, 32)
+        ssd.ftl.trim(3)
+        ssd.precondition(0, 32)
+        assert ssd.ftl.mapped_pages == 32
+        assert ssd.ftl.host_writes == 33
+
 
 class TestSupercapFlush:
     def test_flush_programs_dirty_pages(self):

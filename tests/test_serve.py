@@ -523,7 +523,10 @@ class TestDrainAndResume:
                 specs, name="local").result())
         state = tmp_path / "state"
 
-        first = _spawn_daemon(state, tmp_path / "daemon1.log")
+        # The first daemon holds the job after two finished runs, so the
+        # kill lands mid-experiment however fast the runs are.
+        first = _spawn_daemon(state, tmp_path / "daemon1.log",
+                              hold_after_runs=2)
         try:
             client = ServeClient.from_state_dir(state)
             job = client.submit(specs, name="interrupted")
@@ -559,18 +562,46 @@ class TestDrainAndResume:
                 second.wait(timeout=30.0)
 
 
-def _spawn_daemon(state, log_path) -> subprocess.Popen:
-    """Start a real `repro serve start` subprocess and wait for its record."""
+# Runs `python -m repro` with every run after the first N (argv[1]) held
+# forever, so a job can be interrupted at a known point.
+_HOLD_AFTER_RUNS = """
+import runpy, sys, threading
+import repro.runner.parallel as parallel
+hold_after = int(sys.argv.pop(1))
+real_execute_spec = parallel.execute_spec
+finished = []
+def execute_spec(*args, **kwargs):
+    if len(finished) >= hold_after:
+        threading.Event().wait()
+    result = real_execute_spec(*args, **kwargs)
+    finished.append(result)
+    return result
+parallel.execute_spec = execute_spec
+runpy.run_module("repro", run_name="__main__", alter_sys=True)
+"""
+
+
+def _spawn_daemon(state, log_path,
+                  hold_after_runs=None) -> subprocess.Popen:
+    """Start a real `repro serve start` subprocess and wait for its record.
+
+    With *hold_after_runs*, the daemon stalls every run after that many
+    have finished (until it is killed).
+    """
     env = dict(os.environ)
     src = str((_repo_root() / "src").resolve())
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    if hold_after_runs is None:
+        command = [sys.executable, "-m", "repro"]
+    else:
+        command = [sys.executable, "-c", _HOLD_AFTER_RUNS,
+                   str(hold_after_runs)]
     with log_path.open("wb") as log:
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "start",
-             "--state", str(state),
-             "--capacity-scale", str(TINY.capacity_scale),
-             "--min-accesses", str(TINY.min_accesses),
-             "--max-accesses", str(TINY.max_accesses)],
+            command + ["serve", "start", "--state", str(state),
+                       "--capacity-scale", str(TINY.capacity_scale),
+                       "--min-accesses", str(TINY.min_accesses),
+                       "--max-accesses", str(TINY.max_accesses)],
             stdout=log, stderr=subprocess.STDOUT, env=env)
     record = state / "server.json"
     deadline = time.monotonic() + 60.0
