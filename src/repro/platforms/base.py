@@ -15,11 +15,12 @@ bit-identical results:
 
 * the legacy **scalar** loop hands each miss to
   :meth:`Platform.service_memory_access` one at a time, and
-* the default **batched** loop walks the trace's columnar
-  :class:`~repro.workloads.trace.AccessStream` chunk-at-a-time, filters each
-  chunk through the caches in one call, gathers the misses into a
-  :class:`MemoryRequestBatch` and hands the whole batch to
-  :meth:`Platform.service_batch`.
+* the default **batched** loop takes the trace's L1/L2 outcomes from the
+  memoised filter stage (:func:`repro.host.caches.filter_trace`, one walk
+  per trace and ``CacheConfig``, shared by every platform), walks the
+  columnar :class:`~repro.workloads.trace.AccessStream` chunk-at-a-time,
+  gathers each chunk's misses into a :class:`MemoryRequestBatch` and hands
+  the whole batch to :meth:`Platform.service_batch`.
 
 ``service_batch`` is the one new per-platform hook.  Its default
 implementation replays the batch through the scalar
@@ -48,7 +49,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..energy.accounting import EnergyAccount, EnergyBreakdown
 from ..energy.models import EnergyModel
-from ..host.caches import CacheHierarchy
+from ..host.caches import CacheHierarchy, filter_trace
 from ..host.cpu import CPUModel
 from ..numerics import sequential_add
 from ..workloads.trace import WorkloadTrace
@@ -373,7 +374,7 @@ class Platform(abc.ABC):
     #: legacy per-access loop (the two are bit-identical).
     replay_mode: str = "batched"
 
-    #: Accesses handed to the cache filter / service batch per chunk.
+    #: Accesses per replay chunk (one service batch each).
     replay_chunk_size: int = 4096
 
     def __init__(self, config: SystemConfig) -> None:
@@ -513,29 +514,36 @@ class Platform(abc.ABC):
                      observer: Optional[object] = None) -> RunResult:
         """Chunk-at-a-time replay over the trace's columnar stream.
 
-        Per chunk: one cache-filter pass classifies every reference, the
-        misses form a :class:`MemoryRequestBatch` resolved by one
-        :meth:`service_batch` call, and all CPU/clock accounting folds in
-        through :func:`~repro.numerics.sequential_add`, which reproduces the
-        scalar loop's floating-point rounding exactly.
+        The L1/L2 filter is not part of the loop: :func:`~repro.host.caches
+        .filter_trace` classifies the whole trace once per (trace,
+        ``CacheConfig``) and memoises the per-access outcomes on the trace,
+        so every platform replaying the same trace object shares one walk.
+        Per chunk, the outcome slice gives the full-miss mask and on-chip
+        latencies, the misses form a :class:`MemoryRequestBatch` resolved by
+        one :meth:`service_batch` call, and all CPU/clock accounting folds
+        in through :func:`~repro.numerics.sequential_add`, which reproduces
+        the scalar loop's floating-point rounding exactly.  After the loop
+        the filter's counters are installed into ``self.caches``, so its
+        statistics match the scalar walk's.
         """
         self.prepare(trace)
+        cache_filter = filter_trace(trace, self.config.caches)
         account = self.cpu.account
         compute_instructions = int(trace.compute_instructions_per_access)
         # Same expression execute_compute evaluates, hoisted out of the loop.
         compute_ns = (compute_instructions * self.cpu.config.base_cpi
                       * self.cpu.cycle_ns)
-        cache_line = self.config.caches.line_size
-        l2_latency = self.config.caches.l2_latency_ns
         now = 0.0
         offchip = 0
+        start = 0
 
         for chunk in trace.stream.chunks(self.replay_chunk_size):
             count = len(chunk)
             # y[i] starts as the on-chip latency of reference i and ends as
             # its memory-stall addend (hits keep the cache latency, misses
             # are overwritten with on-chip + service latency).
-            miss, y = self._filter_chunk(chunk, cache_line, l2_latency)
+            miss, y = cache_filter.window(start, start + count)
+            start += count
             miss_indices = np.flatnonzero(miss)
             misses = len(miss_indices)
 
@@ -588,35 +596,8 @@ class Platform(abc.ABC):
             if observer is not None:
                 observer.on_chunk(chunk, y, miss_indices, results)
 
+        cache_filter.install(self.caches)
         return self._build_result(trace, now, offchip)
-
-    def _filter_chunk(self, chunk, cache_line: int, l2_latency: float):
-        """Classify one chunk: full-miss mask + on-chip latency per access."""
-        sizes = chunk.sizes
-        count = len(chunk)
-        fine = sizes <= cache_line
-        if fine.all():
-            return self.caches.access_batch(chunk.addresses, chunk.writes)
-        if not fine.any():
-            self.caches.record_bypass(count)
-            return (np.ones(count, dtype=bool),
-                    np.full(count, l2_latency, dtype=np.float64))
-        # Mixed granularity inside one chunk (not produced by the current
-        # generators): fall back to an order-preserving per-access walk.
-        miss = np.empty(count, dtype=bool)
-        latency = np.empty(count, dtype=np.float64)
-        for index, (address, size_bytes, is_write) in enumerate(
-                zip(chunk.addresses.tolist(), sizes.tolist(),
-                    chunk.writes.tolist())):
-            if size_bytes <= cache_line:
-                result = self.caches.access(address, is_write)
-                miss[index] = result.is_miss
-                latency[index] = result.latency_ns
-            else:
-                self.caches.record_bypass()
-                miss[index] = True
-                latency[index] = l2_latency
-        return miss, latency
 
     def _build_result(self, trace: WorkloadTrace, now: float,
                       offchip: int) -> RunResult:

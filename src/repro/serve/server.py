@@ -109,6 +109,9 @@ _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 DEFAULT_WAIT_S = 30.0
 MAX_WAIT_S = 120.0
 
+#: Largest request body the daemon reads; a job submission is a few KB.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -668,8 +671,18 @@ class _ServeHandler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_json_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not re.fullmatch(r"[0-9]+", raw):
+            # The body's extent is unknown: answer, then drop the
+            # connection rather than parse the body as the next request.
+            self.close_connection = True
+            raise ServeError(400, f"invalid Content-Length {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServeError(413, f"request body of {length} bytes exceeds "
+                                  f"the {MAX_BODY_BYTES}-byte limit")
+        if length == 0:
             return {}
         try:
             payload = json.loads(self.rfile.read(length).decode("utf-8"))

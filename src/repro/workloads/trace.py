@@ -177,11 +177,16 @@ class WorkloadTrace:
     :class:`MemoryAccess` records (converted once); it is stored — and
     exposed through both ``trace.stream`` and the legacy ``trace.accesses``
     name — as the columnar stream.
+
+    ``cache_filters`` memoises the trace's L1/L2 filter outcome per
+    :class:`~repro.config.CacheConfig` (:func:`repro.host.caches
+    .filter_trace`); it lives exactly as long as the trace, so a runner's
+    or pool worker's trace memo filters each trace once for all platforms.
     """
 
     __slots__ = ("name", "suite", "stream", "dataset_bytes",
                  "compute_instructions_per_access", "accesses_per_operation",
-                 "operation_unit", "total_instructions")
+                 "operation_unit", "total_instructions", "cache_filters")
 
     def __init__(self, name: str, suite: str,
                  accesses: Union[AccessStream, Sequence[MemoryAccess]],
@@ -204,6 +209,7 @@ class WorkloadTrace:
         self.accesses_per_operation = accesses_per_operation
         self.operation_unit = operation_unit
         self.total_instructions = total_instructions
+        self.cache_filters: dict = {}
 
     @property
     def accesses(self) -> AccessStream:

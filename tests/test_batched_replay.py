@@ -1,7 +1,7 @@
 """Golden equivalence of the batched and scalar replay paths.
 
-The batched replay loop (chunked cache filtering, ``service_batch``,
-``sequential_add`` accounting) promises results that are *bit-identical* to
+The batched replay loop (the memoised whole-trace cache filter,
+``service_batch``, ``sequential_add`` accounting) promises results that are *bit-identical* to
 the legacy scalar loop on every registered platform — not approximately
 equal: every float in the ``RunResult``, including the energy breakdown and
 the extras counters, must match to the last ulp.  These tests are the
@@ -26,6 +26,7 @@ import pytest
 from repro.config import default_config
 from repro.numerics import sequential_add
 from repro.platforms.registry import available_platforms, create_platform
+from repro.scenario import ScenarioSpec, TenantSpec, scenario_source
 from repro.workloads.registry import (
     ExperimentScale,
     build_trace,
@@ -181,6 +182,38 @@ def test_chunk_size_does_not_change_results(platform_name, config, traces):
         platform.replay_chunk_size = chunk_size
         assert result_fields(platform.run(trace)) \
             == result_fields(reference), chunk_size
+
+
+@pytest.fixture(scope="module")
+def mixed_trace():
+    """The ``trio`` scenario mix: page-granular seqRd/rndRd interleaved with
+    64 B ``update`` references, so replay chunks mix granularities."""
+    spec = ScenarioSpec(name="trio", tenants=(
+        TenantSpec(workload="seqRd"), TenantSpec(workload="rndRd"),
+        TenantSpec(workload="update", weight=2)))
+    return build_trace(scenario_source(spec), SCALE)
+
+
+@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+@pytest.mark.parametrize("platform_name", available_platforms())
+def test_mixed_granularity_replay_is_bit_identical(platform_name, chunk_size,
+                                                   config, mixed_trace):
+    """Chunks mixing 64 B and 4 KB references replay exactly: the filter
+    stage bypasses the wide rows per access, and the raw L1/L2 counters
+    it installs equal the scalar walk's."""
+    head = mixed_trace.stream[:4096].sizes
+    line = config.caches.line_size
+    assert (head <= line).any() and (head > line).any()
+    scalar_platform = create_platform(platform_name, config)
+    scalar = scalar_platform.run(mixed_trace, execution="scalar")
+    platform, batched = _run_batched(platform_name, config, mixed_trace,
+                                     chunk_size)
+    assert result_fields(batched) == result_fields(scalar)
+    for level in ("l1", "l2"):
+        for counter in ("hits", "misses", "writebacks"):
+            assert getattr(getattr(platform.caches, level), counter) \
+                == getattr(getattr(scalar_platform.caches, level), counter), \
+                (level, counter)
 
 
 def test_sequential_add_matches_python_accumulation():

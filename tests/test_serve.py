@@ -22,6 +22,7 @@ The load-bearing contracts, in order of importance:
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import signal
@@ -29,6 +30,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -68,6 +70,7 @@ from repro.serve import (
     waiting_duplicates,
 )
 from repro.serve.client import ServeExecutor
+from repro.serve.server import MAX_BODY_BYTES
 from repro.workloads.registry import ExperimentScale, scale_system_config
 
 TINY = ExperimentScale(capacity_scale=1 / 512, min_accesses=120,
@@ -414,6 +417,26 @@ class TestServiceParity:
         with pytest.raises(ServeClientError, match="specs"):
             client._request("POST", "/v1/jobs", {"tenant": "x", "name": "x",
                                                  "priority": 0, "specs": []})
+
+    def test_request_body_length_is_bounded(self, daemon):
+        """A malformed Content-Length is a typed 400 and an oversized one a
+        413 sent before the body is read; the daemon keeps serving."""
+        url = urllib.parse.urlsplit(daemon.url)
+        cases = [("abc", 400), ("-5", 400), ("1e3", 400),
+                 (str(MAX_BODY_BYTES + 1), 413)]
+        for length, status in cases:
+            connection = http.client.HTTPConnection(url.hostname, url.port,
+                                                    timeout=30.0)
+            try:
+                connection.putrequest("POST", "/v1/jobs")
+                connection.putheader("Content-Length", length)
+                connection.endheaders()
+                response = connection.getresponse()
+                assert response.status == status, length
+                assert "error" in json.loads(response.read())
+            finally:
+                connection.close()
+        assert ServeClient(daemon.url).status()["schema"]
 
     def test_cancel_queued_job(self, daemon):
         # Saturate the fleet so a third job stays queued long enough.
