@@ -26,6 +26,13 @@ what the batched path buys in wall-clock terms:
   ``bypass-ull`` (the chained closed-loop flash recurrence) and
   ``hams-TE`` (the clock-free tag-array walk + miss replay) are held to
   it; their ``seqRd`` rows document the colder chunk-miss regime,
+* ``mmap`` / ``flatflash-M`` / ``flatflash-P`` are the page-fault
+  baselines: their batched path is the same page-cache walk (the fault
+  install with readahead, the promotion counter) plus an exact replay of
+  only the faults / MMIO accesses, whose storage-stack and flash work
+  stays per-request.  Their ``pageHot`` rows record the speedup without
+  a bar: flatflash-P has no host cache, so its gain is the inlined link
+  recurrence and the batched device-cache walk alone,
 * every row of a platform that owns a flash stack also records the
   unified ``flash_*`` counter namespace (``SSD.statistics()``) of the
   batched replay, pinning how much device work the run performed.
@@ -84,10 +91,11 @@ MIGRATION_WORKLOAD = "migrate"
 MIGRATE_REPEATS = 6
 MIGRATE_WRITE_FRACTION = 0.3
 
-#: (platform, workload) rows; ``pageHot`` rows are the DRAM-cache
-#: acceptance rows (>= 5x), ``migrate`` rows are the migration-bound
+#: (platform, workload) rows; the DRAM-cache platforms' ``pageHot`` rows
+#: are acceptance rows (>= 5x), ``migrate`` rows are the migration-bound
 #: acceptance rows (>= 5x), ``seqRd`` rows document the colder
-#: chunk-miss regime.
+#: chunk-miss regime, and the page-fault baselines' ``pageHot`` rows are
+#: recorded without a bar.
 MATRIX = (
     ("oracle", "seqRd"),
     ("oracle", "update"),
@@ -103,6 +111,9 @@ MATRIX = (
     ("bypass-ull", MIGRATION_WORKLOAD),
     ("hams-TE", "seqRd"),
     ("hams-TE", MIGRATION_WORKLOAD),
+    ("mmap", PAGE_LOCAL_WORKLOAD),
+    ("flatflash-M", PAGE_LOCAL_WORKLOAD),
+    ("flatflash-P", PAGE_LOCAL_WORKLOAD),
 )
 
 #: The DRAM-cache platforms and the acceptance bar their ``pageHot``

@@ -25,12 +25,11 @@ bit-identical results:
 ``service_batch`` is the one new per-platform hook.  Its default
 implementation replays the batch through the scalar
 ``service_memory_access`` hook while advancing the clock exactly as the
-scalar loop would (so clock- and history-dependent platforms — mmap,
-FlatFlash — are correct without any changes), the analytic platforms
-override it with truly vectorized implementations, the DRAM-cache
-platforms (NVDIMM-C, Optane memory mode, the ULL bypasses) combine an
-order-exact batched LRU walk (:meth:`repro.host.os_stack.PageCache.access_batch`)
-with :meth:`MemoryRequestBatch.service_page_cached`, and HAMS splits its
+scalar loop would; every registered platform overrides it.  The analytic
+platforms are truly vectorized; the page-cached platforms (mmap, FlatFlash,
+NVDIMM-C, Optane memory mode, the ULL bypasses) combine an order-exact
+batched LRU walk (:meth:`repro.host.os_stack.PageCache.access_batch`) with
+:meth:`MemoryRequestBatch.service_page_cached`; and HAMS splits its
 datapath into a clock-free tag classification plus clock-exact miss
 replay (:meth:`repro.core.hams_controller.HAMSController.classify_batch`).  All batched
 bookkeeping uses :func:`repro.numerics.sequential_add`, which reproduces the
@@ -394,17 +393,16 @@ class Platform(abc.ABC):
 
         The default drives :meth:`service_memory_access` one request at a
         time while advancing the clock exactly as the scalar replay loop
-        would (via the batch's timeline), so platforms whose device timing
-        depends on the clock or on request history — mmap, FlatFlash —
-        inherit correct and bit-identical behaviour without any changes.
-        Platforms whose service cost is clock-independent (oracle, Optane
-        App Direct, the NVDIMM bypass) override this with truly vectorized
-        implementations; the DRAM-cache platforms (NVDIMM-C, Optane
-        memory mode, the ULL bypasses) override it with the batched
-        page-cache walk + :meth:`MemoryRequestBatch.service_page_cached`
-        fold, whose migration/miss chunks ride the batched flash
-        submission API (:meth:`repro.flash.ssd.SSD.submit_batch`); and
-        HAMS overrides it with the clock-free tag-classification walk in
+        would (via the batch's timeline), so a new platform is correct and
+        bit-identical before it vectorizes anything.  Every registered
+        platform overrides it: those whose service cost is
+        clock-independent (oracle, Optane App Direct, the NVDIMM bypass)
+        with truly vectorized implementations; the page-cached platforms
+        (mmap, FlatFlash, NVDIMM-C, Optane memory mode, the ULL bypasses)
+        with the batched page-cache walk +
+        :meth:`MemoryRequestBatch.service_page_cached` fold, which replays
+        only the misses against the device; and HAMS with the clock-free
+        tag-classification walk in
         :class:`repro.platforms.hams_platform.HAMSPlatform`.
         """
         return batch.service_sequentially(self.service_memory_access)

@@ -10,15 +10,19 @@ DRAM speed; evictions of dirty pages go back down the same stack.
 The SSD behind the file is configurable (``ull-flash``, ``nvme-ssd`` or
 ``sata-ssd``) which is exactly the comparison of Figure 6.
 
-Batched replay note: page-cache state, readahead (which keys on fault
-adjacency) and SSD queueing make every fault order- and clock-dependent, so
-this platform relies on the base class's exact sequential
-:meth:`~repro.platforms.base.Platform.service_batch` fallback.
+Batched replay: a hit depends only on page-cache state, and readahead keys
+on fault adjacency — a function of the miss sequence alone — so one
+order-exact :meth:`~repro.host.os_stack.PageCache.access_batch` walk, whose
+install policy is the fault install (readahead included), classifies a
+whole batch; the DRAM charge folds in one vectorized call, and only the
+faults replay against the storage stack at their exact issue clocks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..config import SystemConfig
 from ..energy.accounting import EnergyAccount
@@ -28,11 +32,17 @@ from ..interconnect.link import Link
 from ..interconnect.pcie import PCIeLink
 from ..interconnect.sata import SATALink
 from ..memory.nvdimm import NVDIMM
+from ..numerics import sequential_add
 from ..nvme.commands import build_read, build_write
 from ..nvme.controller import NVMeController
 from ..units import KB
 from ..workloads.trace import WorkloadTrace
-from .base import MemoryServiceResult, Platform
+from .base import (
+    MemoryRequestBatch,
+    MemoryServiceBatch,
+    MemoryServiceResult,
+    Platform,
+)
 
 OS_PAGE_BYTES = KB(4)
 
@@ -80,53 +90,97 @@ class MmapPlatform(Platform):
     def service_memory_access(self, address: int, size_bytes: int,
                               is_write: bool, at_ns: float) -> MemoryServiceResult:
         page = address // OS_PAGE_BYTES
-        if self.page_cache.access(page, is_write):
-            dram = self.nvdimm.access(min(size_bytes, OS_PAGE_BYTES), is_write)
-            self._nvdimm_busy_ns += dram.latency_ns
-            return MemoryServiceResult(latency_ns=dram.latency_ns)
-        return self._page_fault(page, size_bytes, is_write, at_ns)
-
-    def _page_fault(self, page: int, size_bytes: int, is_write: bool,
-                    at_ns: float) -> MemoryServiceResult:
-        """A major fault: software stack + device read + page-cache install."""
-        self.major_faults += 1
-        fault = self.os_stack.fault_cost(needs_io=True)
-        os_ns = fault.mmap_ns + fault.io_stack_ns + fault.copy_ns
-
-        # Sequential faults benefit from readahead: one larger device read
-        # covers the next pages, which then hit in the page cache.
-        sequential = page == self._last_faulted_page + 1
-        self._last_faulted_page = page
-        readahead = self.os_stack.readahead_pages if sequential else 1
-        read_bytes = OS_PAGE_BYTES * readahead
-
-        command = build_read(lba=page * (OS_PAGE_BYTES // 512),
-                             length_bytes=read_bytes, prp=0)
-        io = self.controller.execute(command, at_ns + os_ns)
-        storage_ns = io.latency_ns
-
-        os_ns += self._install_pages(page, readahead, is_write,
-                                     at_ns + os_ns + storage_ns)
-        if sequential and readahead > 1:
-            self.readahead_fills += readahead - 1
-
-        # The faulting reference finally completes from DRAM.
+        hit = self.page_cache.access(page, is_write)
+        if not hit:
+            readahead, victims = self._install_fault(page, is_write)
+            os_ns, storage_ns = self._fault_io(page, readahead, victims, at_ns)
+        # The reference completes from DRAM (after the fault, on a miss).
         dram = self.nvdimm.access(min(size_bytes, OS_PAGE_BYTES), is_write)
         self._nvdimm_busy_ns += dram.latency_ns
-
+        if hit:
+            return MemoryServiceResult(latency_ns=dram.latency_ns)
         return MemoryServiceResult(latency_ns=dram.latency_ns, os_ns=os_ns,
                                    storage_ns=storage_ns)
 
-    def _install_pages(self, first_page: int, count: int,
-                       first_is_dirty: bool, at_ns: float) -> float:
-        """Install faulted/readahead pages; dirty evictions go back to the SSD."""
-        extra_os_ns = 0.0
-        for offset in range(count):
-            dirty = first_is_dirty and offset == 0
-            evicted = self.page_cache.install(first_page + offset, dirty=dirty)
+    def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
+        """One page-cache walk for the whole batch; only faults replay.
+
+        The walk's install policy is the fault install, so residency,
+        readahead and the dirty-victim schedule are settled up front; every
+        request's DRAM charge folds in one vectorized call, and the faults
+        replay against the OS stack and the SSD at their exact scalar-loop
+        issue clocks (:meth:`MemoryRequestBatch.service_page_cached`).
+        """
+        if len(batch) == 0:
+            return MemoryServiceBatch(latency_ns=np.empty(0))
+        pages = batch.addresses // OS_PAGE_BYTES
+        readaheads: List[int] = []
+
+        def install(page: int, is_write: bool) -> List[Tuple[int, bool]]:
+            readahead, victims = self._install_fault(page, is_write)
+            readaheads.append(readahead)
+            return victims
+
+        walk = self.page_cache.access_batch(pages, batch.writes,
+                                            install=install)
+        dram_latency = self.nvdimm.access_batch(
+            np.minimum(batch.sizes, OS_PAGE_BYTES), batch.writes)
+        self._nvdimm_busy_ns = sequential_add(self._nvdimm_busy_ns,
+                                              dram_latency)
+        # Only the faults read the scalar views; all-hit chunks skip them.
+        pages_list = pages.tolist() if walk.miss_count else []
+        dram_latency_list = dram_latency.tolist() if walk.miss_count else []
+        victims = walk.evictions
+
+        def miss_service(k: int, index: int, now: float):
+            os_ns, storage_ns = self._fault_io(pages_list[index],
+                                               readaheads[k], victims[k], now)
+            return dram_latency_list[index], os_ns, storage_ns
+
+        return batch.service_page_cached(walk.hits, dram_latency,
+                                         walk.miss_indices, miss_service)
+
+    def _install_fault(self, page: int, is_write: bool
+                       ) -> Tuple[int, List[Tuple[int, bool]]]:
+        """Page-cache side of a major fault: install the page + readahead.
+
+        Sequential faults benefit from readahead: one larger device read
+        covers the next pages, which then hit in the page cache.  Only the
+        faulting page inherits the access's dirtiness.  Returns the
+        readahead page count and the dirty victims the installs evicted, in
+        install order.
+        """
+        sequential = page == self._last_faulted_page + 1
+        self._last_faulted_page = page
+        readahead = self.os_stack.readahead_pages if sequential else 1
+        self.readahead_fills += readahead - 1
+        victims: List[Tuple[int, bool]] = []
+        for offset in range(readahead):
+            evicted = self.page_cache.install(page + offset,
+                                              dirty=is_write and offset == 0)
             if evicted is not None and evicted[1]:
-                extra_os_ns += self._writeback_page(evicted[0], at_ns)
-        return extra_os_ns
+                victims.append(evicted)
+        return readahead, victims
+
+    def _fault_io(self, page: int, readahead: int,
+                  victims: List[Tuple[int, bool]],
+                  at_ns: float) -> Tuple[float, float]:
+        """Storage side of a major fault: software stack, read, writebacks.
+
+        Returns the fault's ``(os_ns, storage_ns)``; the dirty victims go
+        back to the SSD once the read has landed.
+        """
+        self.major_faults += 1
+        fault = self.os_stack.fault_cost(needs_io=True)
+        os_ns = fault.mmap_ns + fault.io_stack_ns + fault.copy_ns
+        command = build_read(lba=page * (OS_PAGE_BYTES // 512),
+                             length_bytes=OS_PAGE_BYTES * readahead, prp=0)
+        storage_ns = self.controller.execute(command, at_ns + os_ns).latency_ns
+        writeback_at = at_ns + os_ns + storage_ns
+        writeback_os_ns = 0.0
+        for victim, _ in victims:
+            writeback_os_ns += self._writeback_page(victim, writeback_at)
+        return os_ns + writeback_os_ns, storage_ns
 
     def _writeback_page(self, page: int, at_ns: float) -> float:
         """Write one dirty page back through the storage stack.

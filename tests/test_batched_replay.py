@@ -14,7 +14,11 @@ the vectorized platforms on bit-exactness at pathological chunk
 boundaries.  The DRAM-cache platforms (nvdimm-C, optane-M and the ULL
 bypasses), whose batched path is the order-exact ``PageCache.access_batch``
 walk, additionally get a dedicated chunk-size sweep ({1, 7, whole-trace})
-with explicit page-cache hit-rate / writeback assertions.
+with explicit page-cache hit-rate / writeback assertions.  The page-fault
+platforms (mmap and FlatFlash, whose batched path replays only the misses
+against the storage stack or the MMIO link) get the same sweep on a
+shrunken-DRAM config that makes readahead, dirty writebacks, promotions and
+device-cache evictions fire, with their device-side state compared too.
 """
 
 import dataclasses
@@ -27,6 +31,7 @@ from repro.config import default_config
 from repro.numerics import sequential_add
 from repro.platforms.registry import available_platforms, create_platform
 from repro.scenario import ScenarioSpec, TenantSpec, scenario_source
+from repro.units import KB
 from repro.workloads.registry import (
     ExperimentScale,
     build_trace,
@@ -54,6 +59,20 @@ DRAM_CACHE_PLATFORMS = {
 }
 
 
+#: The page-fault platforms and the event counters (attribute paths) the
+#: stress config must fire on each.
+STRESS_COUNTERS = {
+    "mmap": ("major_faults", "readahead_fills", "writebacks",
+             "page_cache.hits"),
+    "mmap-sata": ("major_faults", "readahead_fills", "writebacks",
+                  "page_cache.hits"),
+    "flatflash-M": ("promotions", "host_cache.hits", "device_cache.hits",
+                    "device_cache.misses", "device_cache.dirty_writebacks"),
+    "flatflash-P": ("device_cache.hits", "device_cache.misses",
+                    "device_cache.dirty_writebacks"),
+}
+
+
 def _chunk_sizes():
     """Chunk sizes to sweep, from ``REPRO_TEST_CHUNK_SIZES`` (CI leg)."""
     raw = os.environ.get("REPRO_TEST_CHUNK_SIZES", "").strip()
@@ -78,6 +97,17 @@ def config():
 def traces():
     return {workload: build_trace(workload, SCALE)
             for workload in WORKLOADS}
+
+
+@pytest.fixture(scope="module")
+def stress_config(config):
+    """Host DRAM of 16 pages (8 cacheable) and an SSD-internal DRAM of 16
+    pages (12 for data), so the smoke traces overflow every page cache."""
+    return dataclasses.replace(
+        config,
+        nvdimm=dataclasses.replace(config.nvdimm, capacity_bytes=KB(64),
+                                   pinned_region_bytes=KB(32)),
+        ssd=dataclasses.replace(config.ssd, dram_buffer_bytes=KB(64)))
 
 
 def result_fields(result) -> dict:
@@ -138,6 +168,62 @@ def test_dram_cache_platform_chunk_parity(platform_name, workload, config,
         assert cache.resident_pages() == scalar_cache.resident_pages(), \
             chunk_size
         assert cache.dirty_pages() == scalar_cache.dirty_pages(), chunk_size
+
+
+def _counter(platform, path: str):
+    value = platform
+    for name in path.split("."):
+        value = getattr(value, name)
+    return value
+
+
+def _device_state(platform) -> dict:
+    """The page-fault platforms' device-side observables."""
+    state = {"link": platform.link.statistics(),
+             "ssd": platform.ssd.statistics()}
+    if hasattr(platform, "os_stack"):
+        state["os_stack"] = platform.os_stack.statistics()
+        state["controller"] = platform.controller.statistics()
+    return state
+
+
+@pytest.mark.parametrize("platform_name", sorted(STRESS_COUNTERS))
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_page_fault_platform_stress_parity(platform_name, workload,
+                                           stress_config, traces):
+    """mmap/FlatFlash replay only their misses, exactly, at any chunk size.
+
+    Under the shrunken DRAM every batched path's side effects fire —
+    readahead installs, dirty writebacks, promotions, device-cache
+    evictions — and the link horizon, the OS-stack and NVMe counters and
+    the SSD's statistics must end where the scalar loop leaves them.
+    """
+    trace = traces[workload]
+    scalar_platform = create_platform(platform_name, stress_config)
+    scalar = result_fields(scalar_platform.run(trace, execution="scalar"))
+    chunk_sizes = {1, 7, len(trace)} | {size for size in CHUNK_SIZES
+                                        if size is not None}
+    for chunk_size in sorted(chunk_sizes):
+        platform, batched = _run_batched(platform_name, stress_config, trace,
+                                         chunk_size)
+        assert result_fields(batched) == scalar, chunk_size
+        assert _device_state(platform) == _device_state(scalar_platform), \
+            chunk_size
+        for counter in STRESS_COUNTERS[platform_name]:
+            assert _counter(platform, counter) \
+                == _counter(scalar_platform, counter), (chunk_size, counter)
+
+
+@pytest.mark.parametrize("platform_name", sorted(STRESS_COUNTERS))
+def test_stress_config_fires_every_event(platform_name, stress_config,
+                                         traces):
+    """The stress parity above is not vacuous: every event it guards
+    happens on the fine-grained ``update`` trace."""
+    platform, _ = _run_batched(platform_name, stress_config,
+                               traces["update"], None)
+    fired = {counter: _counter(platform, counter)
+             for counter in STRESS_COUNTERS[platform_name]}
+    assert all(fired.values()), fired
 
 
 @pytest.mark.parametrize("platform_name", ("nvdimm-C", "optane-M",

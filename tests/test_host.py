@@ -1,11 +1,10 @@
-"""Host substrate: CPU model, cache hierarchy, MMU/TLB, OS storage stack."""
+"""Host substrate: CPU model, cache hierarchy, OS storage stack."""
 
 import pytest
 
 from repro.config import CacheConfig, CPUConfig, OSStackConfig
 from repro.host.caches import CacheHierarchy, CacheLevel
 from repro.host.cpu import CPUModel
-from repro.host.mmu import MMU, TLB
 from repro.host.os_stack import OSStorageStack, PageCache
 from repro.units import KB, MB, us
 
@@ -121,57 +120,6 @@ class TestCacheHierarchy:
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             CacheHierarchy(CacheConfig()).access(-1, False)
-
-
-class TestTLBAndMMU:
-    def test_tlb_hit_after_first_access(self):
-        tlb = TLB(entries=4)
-        assert tlb.lookup(1) is False
-        assert tlb.lookup(1) is True
-        assert tlb.hit_rate == pytest.approx(0.5)
-
-    def test_tlb_lru_eviction(self):
-        tlb = TLB(entries=2)
-        tlb.lookup(1)
-        tlb.lookup(2)
-        tlb.lookup(3)          # evicts 1
-        assert tlb.lookup(1) is False
-
-    def test_tlb_flush(self):
-        tlb = TLB(entries=4)
-        tlb.lookup(1)
-        tlb.flush()
-        assert tlb.lookup(1) is False
-
-    def test_mmu_page_fault_tracking(self):
-        mmu = MMU(page_size=KB(4))
-        result = mmu.translate(KB(8) + 12)
-        assert result.page_number == 2
-        assert not result.page_present
-        assert mmu.page_faults == 1
-        mmu.map_page(2)
-        assert mmu.translate(KB(8)).page_present
-        assert mmu.resident_pages == 1
-
-    def test_mmu_unmap_invalidates_tlb(self):
-        mmu = MMU(page_size=KB(4))
-        mmu.map_page(5)
-        mmu.translate(5 * KB(4))
-        mmu.unmap_page(5)
-        result = mmu.translate(5 * KB(4))
-        assert not result.page_present
-        assert not result.tlb_hit
-
-    def test_page_size_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            MMU(page_size=3000)
-
-    def test_statistics(self):
-        mmu = MMU(page_size=KB(4))
-        mmu.translate(0)
-        stats = mmu.statistics()
-        assert stats["translations"] == 1
-        assert stats["page_faults"] == 1
 
 
 class TestPageCache:

@@ -8,9 +8,11 @@ set, same LRU order, same dirty flags, same ``hits``/``misses``/
 ``dirty_writebacks`` counters — and must report the same hit mask and the
 same eviction ``(page, dirty)`` sequence.  Hypothesis drives arbitrary page
 streams, capacities (including the 0 and 1 edge cases), chunked submission
-and the chunk-install policy of nvdimm-C (whose install can evict the
-faulting page itself); a state machine interleaves batched and scalar
-operations against a mirrored reference cache.
+and the install policies of the platforms: nvdimm-C's chunk install (which
+can evict the faulting page itself), mmap's adjacency-keyed readahead
+install and FlatFlash's count-then-maybe-install promotion; a state
+machine interleaves batched and scalar operations against a mirrored
+reference cache.
 """
 
 from typing import List, Optional, Tuple
@@ -88,6 +90,50 @@ def chunk_install(cache: PageCache, chunk_pages: int):
     return install
 
 
+def readahead_install(cache: PageCache, readahead_pages: int):
+    """The mmap fault policy: a fault right after a fault on the previous
+    page installs ``readahead_pages`` pages, any other fault one; only the
+    faulting (head) page takes the access's dirtiness.  Records each
+    fault's page count and returns the dirty victims."""
+    last = [-2]
+    counts: List[int] = []
+
+    def install(page: int, is_write: bool) -> List[Tuple[int, bool]]:
+        readahead = readahead_pages if page == last[0] + 1 else 1
+        last[0] = page
+        counts.append(readahead)
+        victims = []
+        for offset in range(readahead):
+            evicted = cache.install(page + offset,
+                                    dirty=is_write and offset == 0)
+            if evicted is not None and evicted[1]:
+                victims.append(evicted)
+        return victims
+
+    return install, counts
+
+
+def promotion_install(cache: PageCache, threshold: int):
+    """The FlatFlash-M policy: count the miss, install only once the page's
+    count reaches *threshold* (otherwise it stays non-resident and keeps
+    missing).  Records whether each miss promoted."""
+    counts = {}
+    promoted: List[bool] = []
+
+    def install(page: int, is_write: bool) -> List[Tuple[int, bool]]:
+        count = counts.get(page, 0) + 1
+        if count < threshold:
+            counts[page] = count
+            promoted.append(False)
+            return []
+        counts.pop(page, None)
+        promoted.append(True)
+        evicted = cache.install(page, dirty=is_write)
+        return [] if evicted is None else [evicted]
+
+    return install, counts, promoted
+
+
 @settings(max_examples=200, deadline=None)
 @given(capacity=capacity_st, stream=stream_st)
 def test_access_batch_matches_scalar_replay(capacity, stream):
@@ -138,6 +184,57 @@ def test_access_batch_matches_scalar_with_chunk_install(capacity, chunk_pages,
     assert batched_hits == scalar_hits
     assert batched_evictions == scalar_evictions
     assert cache_state(batched_cache) == cache_state(scalar_cache)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=capacity_st, readahead_pages=st.sampled_from([1, 2, 4, 8]),
+       stream=stream_st)
+def test_access_batch_matches_scalar_with_readahead_install(
+        capacity, readahead_pages, stream):
+    """mmap's readahead policy: the adjacency decision is a function of
+    the miss sequence alone, so the walk takes the same faults, installs
+    the same pages and reports the same dirty victims as the scalar
+    loop — including readahead that evicts the faulting page again."""
+    scalar_cache = make_cache(capacity)
+    batched_cache = make_cache(capacity)
+    scalar_policy, scalar_counts = readahead_install(scalar_cache,
+                                                     readahead_pages)
+    batched_policy, batched_counts = readahead_install(batched_cache,
+                                                       readahead_pages)
+    scalar_hits, scalar_evictions = scalar_replay(scalar_cache, stream,
+                                                  install=scalar_policy)
+    batched_hits, batched_evictions, _ = batched_replay(
+        batched_cache, stream, install=batched_policy)
+    assert batched_hits == scalar_hits
+    assert batched_evictions == scalar_evictions
+    assert batched_counts == scalar_counts
+    assert cache_state(batched_cache) == cache_state(scalar_cache)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=capacity_st, threshold=st.sampled_from([1, 2, 4]),
+       stream=stream_st)
+def test_access_batch_matches_scalar_with_promotion_install(
+        capacity, threshold, stream):
+    """FlatFlash-M's promotion policy leaves most misses non-resident; the
+    walk's residency re-check keeps them missing exactly as the scalar
+    loop does, so counts and promotions line up one for one."""
+    scalar_cache = make_cache(capacity)
+    batched_cache = make_cache(capacity)
+    scalar_policy, scalar_counts, scalar_promoted = promotion_install(
+        scalar_cache, threshold)
+    batched_policy, batched_counts, batched_promoted = promotion_install(
+        batched_cache, threshold)
+    scalar_hits, scalar_evictions = scalar_replay(scalar_cache, stream,
+                                                  install=scalar_policy)
+    batched_hits, batched_evictions, result = batched_replay(
+        batched_cache, stream, install=batched_policy)
+    assert batched_hits == scalar_hits
+    assert batched_evictions == scalar_evictions
+    assert batched_promoted == scalar_promoted
+    assert batched_counts == scalar_counts
+    assert cache_state(batched_cache) == cache_state(scalar_cache)
+    assert result.miss_count == len(batched_promoted)
 
 
 @settings(max_examples=100, deadline=None)
