@@ -22,9 +22,22 @@ exist only at the API edge: :meth:`FlashTranslationLayer.lookup`, the return
 value of :meth:`FlashTranslationLayer.write` and
 :attr:`GCResult.page_moves`.
 
-The mapping table is lazy (two dictionaries, LPN → PPN and PPN → LPN) so an
-800 GB device can be modelled without allocating 200 M entries up front;
-only pages actually touched by a workload consume memory.
+The mapping table is lazy, so an 800 GB device can be modelled without
+allocating 200 M entries up front.  It has two parts:
+
+* the **base stripe** — the LPN range a pristine FTL was preconditioned
+  with by one :meth:`FlashTranslationLayer.fill`.  A fresh device
+  stripes it round-robin from plane 0, so LPN ``start + k`` sits at PPN
+  ``(k % planes) * pages_per_plane + k // planes``; the FTL keeps only
+  the range and the set of base LPNs that have since left it
+  (overwritten, trimmed or relocated by GC).  A base LPN is live exactly
+  while its base PPN still holds it;
+* two dictionaries, LPN → PPN and PPN → LPN, for every page written
+  after that.
+
+Every reader goes through one lookup pair,
+:meth:`FlashTranslationLayer._lpn_to_ppn` and
+:meth:`FlashTranslationLayer._ppn_to_lpn`.
 """
 
 from __future__ import annotations
@@ -145,8 +158,15 @@ class FlashTranslationLayer:
         self._pages_per_die = self._pages_per_plane * geometry.planes_per_die
         self._pages_per_channel = self._pages_per_die * (
             geometry.packages_per_channel * geometry.dies_per_package)
+        #: Pages written after the base stripe: LPN -> PPN and PPN -> LPN.
         self._mapping: Dict[int, int] = {}
         self._reverse: Dict[int, int] = {}
+        #: The base stripe ``[_base_start, _base_end)`` and the base LPNs
+        #: that have left it.  The set is only ever mutated in place, so
+        #: callers (the SSD walk) may hoist it.
+        self._base_start = 0
+        self._base_end = 0
+        self._base_gone: Set[int] = set()
         self._planes: List[_Plane] = []
         for channel in range(geometry.channels):
             for package in range(geometry.packages_per_channel):
@@ -157,6 +177,7 @@ class FlashTranslationLayer:
                                    len(self._planes) * self._pages_per_plane,
                                    geometry.blocks_per_plane,
                                    geometry.pages_per_block))
+        self._plane_count = len(self._planes)
         self._allocation_cursor = 0
         self.gc_invocations = 0
         self.gc_pages_moved = 0
@@ -171,10 +192,33 @@ class FlashTranslationLayer:
 
     # -- lookup ---------------------------------------------------------------
 
+    def _lpn_to_ppn(self, lpn: int) -> Optional[int]:
+        """The PPN holding *lpn*, or ``None`` if it is unmapped."""
+        k = lpn - self._base_start
+        if 0 <= k < self._base_end - self._base_start and (
+                lpn not in self._base_gone):
+            return ((k % self._plane_count) * self._pages_per_plane
+                    + k // self._plane_count)
+        return self._mapping.get(lpn)
+
+    def _ppn_to_lpn(self, ppn: int) -> Optional[int]:
+        """The LPN whose data *ppn* holds, or ``None`` if it holds none.
+
+        The dictionary comes first: once GC erases and reuses a block that
+        held base pages, its new PPNs decode to base positions.
+        """
+        lpn = self._reverse.get(ppn)
+        if lpn is None:
+            plane_index, column = divmod(ppn, self._pages_per_plane)
+            lpn = self._base_start + column * self._plane_count + plane_index
+            if lpn >= self._base_end or lpn in self._base_gone:
+                return None
+        return lpn
+
     def lookup(self, lpn: int) -> Optional[PhysicalAddress]:
         """Translate a logical page number; ``None`` if never written."""
         self._check_lpn(lpn)
-        ppn = self._mapping.get(lpn)
+        ppn = self._lpn_to_ppn(lpn)
         return None if ppn is None else self._address(ppn)
 
     def lookup_batch(self, lpns) -> List[Optional[PhysicalAddress]]:
@@ -190,17 +234,17 @@ class FlashTranslationLayer:
                 bad = low if low < 0 else high
                 raise ValueError(
                     f"LPN {bad} out of range [0, {self._logical_pages})")
-        get = self._mapping.get
         address = self._address
         return [None if ppn is None else address(ppn)
-                for ppn in map(get, lpn_list)]
+                for ppn in map(self._lpn_to_ppn, lpn_list)]
 
     def is_mapped(self, lpn: int) -> bool:
-        return lpn in self._mapping
+        return self._lpn_to_ppn(lpn) is not None
 
     @property
     def mapped_pages(self) -> int:
-        return len(self._mapping)
+        return (len(self._mapping) + self._base_end - self._base_start
+                - len(self._base_gone))
 
     # -- writes ----------------------------------------------------------------
 
@@ -221,14 +265,22 @@ class FlashTranslationLayer:
         self._check_lpn(lpn)
         self.host_writes += 1
         gc_result = self._collect() if self._gc_pressure_planes else None
-        old = self._mapping.get(lpn)
-        if old is not None:
-            self._planes[old // self._pages_per_plane].invalidate(old)
-            self._reverse.pop(old, None)
+        self._unmap(lpn)
         ppn = self._allocate()
         self._mapping[lpn] = ppn
         self._reverse[ppn] = lpn
         return ppn, gc_result
+
+    def _unmap(self, lpn: int) -> None:
+        """Invalidate the page holding *lpn*, if any."""
+        old = self._lpn_to_ppn(lpn)
+        if old is None:
+            return
+        if self._reverse.pop(old, None) is None:
+            self._base_gone.add(lpn)
+        else:
+            del self._mapping[lpn]
+        self._planes[old // self._pages_per_plane].invalidate(old)
 
     def fill(self, lpns) -> None:
         """Map a vector of LPNs in order (int sequence or int64 array).
@@ -240,58 +292,56 @@ class FlashTranslationLayer:
         never skips a plane, so allocation is a pure round-robin stripe:
         plane ``(cursor + k) % planes`` takes the *k*-th LPN.  The fill is
         then computed in closed form — each plane's quota extends its
-        append point block by block — and the dictionaries are updated in
-        bulk.  Otherwise it runs the per-LPN loop.
+        append point block by block.  On a pristine FTL (no host writes
+        yet, so the cursor is 0 and every free list is in order) a
+        contiguous ``range`` becomes the base stripe and no mapping entry
+        is stored; otherwise the dictionaries are updated in bulk.  When
+        the stripe does not apply it runs the per-LPN loop.
         """
+        if (isinstance(lpns, range) and lpns.step == 1 and lpns
+                and not self.host_writes and lpns.start >= 0
+                and lpns.stop <= self._logical_pages):
+            # In range on a pristine FTL: unique and unmapped.
+            stripes = self._stripe_plan(len(lpns))
+            if stripes is not None:
+                self._apply_stripes(stripes, len(lpns))
+                self._base_start, self._base_end = lpns.start, lpns.stop
+                return
         lpn_list = lpns.tolist() if hasattr(lpns, "tolist") else list(lpns)
-        stripes = self._stripe_plan(lpn_list)
+        stripes = (self._stripe_plan(len(lpn_list))
+                   if self._fresh_unique(lpn_list) else None)
         if stripes is None:
             write = self._write_ppn
             for lpn in lpn_list:
                 write(lpn)
             return
         count = len(lpn_list)
-        total = len(self._planes)
-        pages_per_block = self._pages_per_block
+        total = self._plane_count
         ppns = [0] * count
-        for offset, (plane, quota, opened) in enumerate(stripes):
-            column: List[int] = []
-            page = plane.next_page
-            if plane.open_block is not None and page < pages_per_block:
-                take = min(quota, pages_per_block - page)
-                start = plane.base + plane.open_block * pages_per_block + page
-                column.extend(range(start, start + take))
-                plane.valid_pages[plane.open_block].update(
-                    range(page, page + take))
-                plane.next_page = page + take
-            for block in plane.free_blocks[:opened]:
-                take = min(quota - len(column), pages_per_block)
-                start = plane.base + block * pages_per_block
-                column.extend(range(start, start + take))
-                plane.valid_pages.setdefault(block, set()).update(range(take))
-                plane.open_block = block
-                plane.next_page = take
-            del plane.free_blocks[:opened]
-            ppns[offset::total] = column
+        for offset, runs in enumerate(self._apply_stripes(stripes, count)):
+            ppns[offset::total] = [ppn for run in runs for ppn in run]
         self._mapping.update(zip(lpn_list, ppns))
         self._reverse.update(zip(ppns, lpn_list))
-        self.host_writes += count
-        self._allocation_cursor = (self._allocation_cursor + count) % total
 
-    def _stripe_plan(self, lpn_list: List[int]
+    def _fresh_unique(self, lpn_list: List[int]) -> bool:
+        """Whether *lpn_list* is non-empty, in range, unique and unmapped."""
+        if not lpn_list:
+            return False
+        if min(lpn_list) < 0 or max(lpn_list) >= self._logical_pages:
+            return False
+        unique = set(lpn_list)
+        return len(unique) == len(lpn_list) and not any(
+            self._lpn_to_ppn(lpn) is not None for lpn in unique)
+
+    def _stripe_plan(self, count: int
                      ) -> Optional[List[Tuple[_Plane, int, int]]]:
         """Per-stripe-offset ``(plane, quota, blocks opened)`` of a
-        closed-form :meth:`fill`, or ``None`` when the loop must run."""
-        count = len(lpn_list)
-        if not count or self._gc_pressure_planes:
-            return None
-        if min(lpn_list) < 0 or max(lpn_list) >= self._logical_pages:
-            return None
-        unique = set(lpn_list)
-        if len(unique) != count or not self._mapping.keys().isdisjoint(unique):
+        closed-form :meth:`fill` of *count* fresh LPNs, or ``None`` when
+        the loop must run."""
+        if self._gc_pressure_planes:
             return None
         planes = self._planes
-        total = len(planes)
+        total = self._plane_count
         cursor = self._allocation_cursor
         rounds, extra = divmod(count, total)
         pages_per_block = self._pages_per_block
@@ -308,13 +358,43 @@ class FlashTranslationLayer:
             stripes.append((plane, quota, opened))
         return stripes
 
+    def _apply_stripes(self, stripes: List[Tuple[_Plane, int, int]],
+                       count: int) -> List[List[range]]:
+        """Write *count* LPNs' worth of *stripes* into the plane state:
+        extend each plane's append point by its quota and advance the
+        cursor.  Returns, per stripe offset, the PPN runs it took."""
+        pages_per_block = self._pages_per_block
+        columns = []
+        for plane, quota, opened in stripes:
+            runs = []
+            page = plane.next_page
+            if plane.open_block is not None and page < pages_per_block:
+                take = min(quota, pages_per_block - page)
+                start = plane.base + plane.open_block * pages_per_block + page
+                runs.append(range(start, start + take))
+                plane.valid_pages[plane.open_block].update(
+                    range(page, page + take))
+                plane.next_page = page + take
+                quota -= take
+            for block in plane.free_blocks[:opened]:
+                take = min(quota, pages_per_block)
+                start = plane.base + block * pages_per_block
+                runs.append(range(start, start + take))
+                plane.valid_pages.setdefault(block, set()).update(range(take))
+                plane.open_block = block
+                plane.next_page = take
+                quota -= take
+            del plane.free_blocks[:opened]
+            columns.append(runs)
+        self.host_writes += count
+        self._allocation_cursor = (
+            self._allocation_cursor + count) % self._plane_count
+        return columns
+
     def trim(self, lpn: int) -> None:
         """Drop the mapping for *lpn* (discard / TRIM)."""
         self._check_lpn(lpn)
-        old = self._mapping.pop(lpn, None)
-        if old is not None:
-            self._planes[old // self._pages_per_plane].invalidate(old)
-            self._reverse.pop(old, None)
+        self._unmap(lpn)
 
     # -- garbage collection -----------------------------------------------------
 
@@ -342,13 +422,14 @@ class FlashTranslationLayer:
         moved_any = False
         for page in valid:
             old = block_base + page
-            lpn = self._reverse.get(old)
+            lpn = self._ppn_to_lpn(old)
             if lpn is None:
                 plane.invalidate(old)
                 continue
             new = self._allocate(exclude_plane=plane)
             plane.invalidate(old)
-            self._reverse.pop(old, None)
+            if self._reverse.pop(old, None) is None:
+                self._base_gone.add(lpn)
             self._mapping[lpn] = new
             self._reverse[new] = lpn
             result.page_moves.append((self._address(old), self._address(new)))

@@ -301,7 +301,9 @@ class SSD:
         a warm-up phase before measuring (Section VI-A); preconditioning
         reproduces that state so reads hit mapped pages.  LPNs already
         mapped keep their pages; the rest are written in LPN order by one
-        :meth:`~repro.flash.ftl.FlashTranslationLayer.fill`.
+        :meth:`~repro.flash.ftl.FlashTranslationLayer.fill`.  On a fresh
+        device that fill is the FTL's base stripe, kept as a formula
+        rather than as per-page mapping entries.
         """
         if start_lpn < 0:
             raise ValueError("start_lpn must be non-negative")
@@ -310,10 +312,19 @@ class SSD:
         end = start_lpn + page_count
         if end > self.logical_pages:
             raise ValueError("precondition range exceeds device capacity")
-        mapped = self.ftl._mapping
-        self.ftl.fill([lpn for lpn in range(start_lpn, end)
-                       if lpn not in mapped])
+        ftl = self.ftl
+        lpns = range(start_lpn, end)
+        if ftl.mapped_pages:
+            is_mapped = ftl.is_mapped
+            lpns = [lpn for lpn in lpns if not is_mapped(lpn)]
+        ftl.fill(lpns)
         self.buffer.clear()
+
+    def precondition_dataset(self, dataset_bytes: int) -> None:
+        """Precondition the pages backing a *dataset_bytes* dataset laid
+        out from LPN 0, clamped to the device capacity."""
+        self.precondition(0, min(self.logical_pages,
+                                 -(-dataset_bytes // self.page_size)))
 
     # -- request servicing -------------------------------------------------------------
 
@@ -359,12 +370,19 @@ class SSD:
         # The buffer/FTL per-page operations are inlined below against these
         # shared structures (the batch walk IS the one service path, so the
         # inlining is the method bodies of InternalDRAMBuffer.read/write/
-        # fill and FlashTranslationLayer.lookup, loop-hoisted).
+        # fill and FlashTranslationLayer._lpn_to_ppn, loop-hoisted).
         buffer_pages = buffer._pages
         buffer_move = buffer_pages.move_to_end
         buffer_insert = buffer._insert
         ftl = self.ftl
         mapping_get = ftl._mapping.get
+        # The base stripe (FlashTranslationLayer._lpn_to_ppn, inlined): only
+        # fill on a pristine FTL sets the range, so it is fixed per batch.
+        base_start = ftl._base_start
+        base_count = ftl._base_end - base_start
+        base_gone = ftl._base_gone
+        plane_count = ftl._plane_count
+        pages_per_plane = ftl._pages_per_plane
         ftl_write = ftl._write_ppn
         fil = self.fil
         hil = self.hil
@@ -509,7 +527,12 @@ class SSD:
                     else:
                         buf_read_misses += 1
                         r_bm = 1
-                        ppn = mapping_get(lpn)
+                        k = lpn - base_start
+                        if 0 <= k < base_count and lpn not in base_gone:
+                            ppn = ((k % plane_count) * pages_per_plane
+                                   + k // plane_count)
+                        else:
+                            ppn = mapping_get(lpn)
                         if ppn is None:
                             # Never-written page: zeroes from the controller.
                             sub_finish = firmware_done + hit_ns
@@ -578,7 +601,12 @@ class SSD:
                         else:
                             buf_read_misses += 1
                             r_bm += 1
-                            ppn = mapping_get(lpn)
+                            k = lpn - base_start
+                            if 0 <= k < base_count and lpn not in base_gone:
+                                ppn = ((k % plane_count) * pages_per_plane
+                                       + k // plane_count)
+                            else:
+                                ppn = mapping_get(lpn)
                             if ppn is None:
                                 sub_finish = zero_finish
                             else:
@@ -820,10 +848,6 @@ class SSD:
             write_access = self.fil.write_page(new, read_access.finish_ns)
             finish = write_access.finish_ns
         return finish
-
-    def _clamp_lpn(self, lpn: int) -> int:
-        """Wrap out-of-range LPNs into the device (callers address modulo capacity)."""
-        return lpn % self.logical_pages
 
     # -- reporting -------------------------------------------------------------------
 

@@ -57,9 +57,7 @@ class BypassPlatform(Platform):
 
     def prepare(self, trace: WorkloadTrace) -> None:
         if self.strategy != "nvdimm":
-            pages = min(self.ssd.logical_pages,
-                        (trace.dataset_bytes + _PAGE - 1) // _PAGE)
-            self.ssd.precondition(0, pages)
+            self.ssd.precondition_dataset(trace.dataset_bytes)
 
     def service_memory_access(self, address: int, size_bytes: int,
                               is_write: bool, at_ns: float) -> MemoryServiceResult:

@@ -76,9 +76,7 @@ class FlatFlashPlatform(Platform):
         self.promotions = 0
 
     def prepare(self, trace: WorkloadTrace) -> None:
-        pages = min(self.ssd.logical_pages,
-                    (trace.dataset_bytes + _PAGE - 1) // _PAGE)
-        self.ssd.precondition(0, pages)
+        self.ssd.precondition_dataset(trace.dataset_bytes)
 
     # -- the MMIO datapath -------------------------------------------------------
 

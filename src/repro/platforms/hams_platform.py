@@ -69,10 +69,7 @@ class HAMSPlatform(Platform):
 
     def prepare(self, trace: WorkloadTrace) -> None:
         """Precondition the ULL-Flash so the dataset is fully mapped."""
-        page_size = self.controller.ssd.page_size
-        pages = min(self.controller.ssd.logical_pages,
-                    (trace.dataset_bytes + page_size - 1) // page_size)
-        self.controller.ssd.precondition(0, pages)
+        self.controller.ssd.precondition_dataset(trace.dataset_bytes)
 
     # -- the hardware datapath -------------------------------------------------------
 

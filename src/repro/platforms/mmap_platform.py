@@ -81,9 +81,7 @@ class MmapPlatform(Platform):
 
     def prepare(self, trace: WorkloadTrace) -> None:
         """Precondition the SSD so every dataset page is mapped (warm media)."""
-        pages = min(self.ssd.logical_pages,
-                    (trace.dataset_bytes + OS_PAGE_BYTES - 1) // OS_PAGE_BYTES)
-        self.ssd.precondition(0, pages)
+        self.ssd.precondition_dataset(trace.dataset_bytes)
 
     # -- the software datapath -------------------------------------------------------
 

@@ -10,27 +10,40 @@ duplicates and heavy overwrite skew, so GC fires on the tiny geometry and
 the loop path runs) and arbitrary unmapped ranges over a partly written
 device (so the closed form runs from a non-zero cursor and part-full open
 blocks); the suite asserts exact state equality after every interleaving,
-including trim holes and device wrap-around.
+including trim holes and device wrap-around.  State equality compares
+the complete logical LPN -> PPN and PPN -> LPN maps, so it holds across
+the two mapping representations: a fresh FTL preconditioned with a
+``range`` keeps it as a base stripe (a formula) rather than as dict
+entries, and ``TestBaseStripe`` drives such an FTL (and the SSD walk
+over it) against a scalar-preconditioned twin while GC relocates base
+pages and reuses base blocks.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import GB, FlashGeometry, SSDConfig
+from repro.config import GB, FlashGeometry, SSDConfig, default_config
 from repro.flash.ftl import FlashTranslationLayer
-from repro.flash.ssd import SSD
+from repro.flash.ssd import SSD, IORequestBatch
+from repro.units import MB
+from repro.workloads.registry import ExperimentScale, scale_system_config
 
 
-def tiny_ftl() -> FlashTranslationLayer:
+def tiny_geometry() -> FlashGeometry:
     # 2 planes x 8 blocks x 4 pages = 64 physical pages.  The streams below
     # only touch LPNs 0..15, so steady state keeps ~16 valid pages: victims
     # are mostly-invalid blocks and collections stay cheap, yet the append
     # points still wrap both planes many times per stream.
-    geometry = FlashGeometry(channels=1, packages_per_channel=1,
-                             dies_per_package=2, planes_per_die=1,
-                             blocks_per_plane=8, pages_per_block=4)
-    return FlashTranslationLayer(geometry)
+    return FlashGeometry(channels=1, packages_per_channel=1,
+                         dies_per_package=2, planes_per_die=1,
+                         blocks_per_plane=8, pages_per_block=4)
+
+
+def tiny_ftl() -> FlashTranslationLayer:
+    return FlashTranslationLayer(tiny_geometry())
 
 
 def roomy_ftl() -> FlashTranslationLayer:
@@ -57,10 +70,20 @@ def forbid_scalar_writes(ftl: FlashTranslationLayer) -> None:
     ftl._write_ppn = scalar_write
 
 
+def logical_maps(ftl: FlashTranslationLayer):
+    """The complete LPN -> PPN and PPN -> LPN maps, base stripe included."""
+    physical_pages = len(ftl._planes) * ftl._pages_per_plane
+    forward = {lpn: ppn for lpn in range(ftl._logical_pages)
+               if (ppn := ftl._lpn_to_ppn(lpn)) is not None}
+    reverse = {ppn: lpn for ppn in range(physical_pages)
+               if (lpn := ftl._ppn_to_lpn(ppn)) is not None}
+    assert reverse == {ppn: lpn for lpn, ppn in forward.items()}
+    return forward, reverse
+
+
 def assert_state_equal(left: FlashTranslationLayer,
                        right: FlashTranslationLayer) -> None:
-    assert left._mapping == right._mapping
-    assert left._reverse == right._reverse
+    assert logical_maps(left) == logical_maps(right)
     assert left._allocation_cursor == right._allocation_cursor
     assert left.gc_invocations == right.gc_invocations
     assert left.gc_pages_moved == right.gc_pages_moved
@@ -221,3 +244,172 @@ class TestClosedFormFill:
         filled.fill(range(49))
         assert_state_equal(filled, scalar)
         assert filled._gc_pressure_planes == 1
+
+    def test_fresh_fig16_precondition_is_the_base_stripe(self):
+        # A fresh device keeps its preconditioned range as a formula: no
+        # mapping entry is stored, so the warm-up allocates only the
+        # per-plane valid-page sets (a per-entry pair of dicts would take
+        # ~11 MB here).
+        ssd = SSD(scale_system_config(default_config(),
+                                      ExperimentScale()).ssd)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ssd.precondition(0, 65536)
+        peak = tracemalloc.get_traced_memory()[1]
+        if not was_tracing:
+            tracemalloc.stop()
+        ftl = ssd.ftl
+        assert ftl._mapping == {} and ftl._reverse == {}
+        assert (ftl._base_start, ftl._base_end) == (0, 65536)
+        assert ftl.mapped_pages == 65536
+        assert peak - before < MB(4)
+
+
+def precondition_unmapped(ftl: FlashTranslationLayer, start: int,
+                          count: int) -> None:
+    """``SSD.precondition`` on *ftl* through the scalar write loop."""
+    scalar_fill(ftl, [lpn for lpn in range(start, start + count)
+                      if not ftl.is_mapped(lpn)])
+
+
+def base_twins(start: int, count: int):
+    """A tiny SSD preconditioned through the base stripe, and an FTL
+    preconditioned through the per-LPN write loop."""
+    ssd = SSD(SSDConfig(geometry=tiny_geometry()))
+    ssd.precondition(start, count)
+    assert ssd.ftl._mapping == {} and ssd.ftl._reverse == {}
+    assert (ssd.ftl._base_start, ssd.ftl._base_end) == (start, start + count)
+    reference = tiny_ftl()
+    precondition_unmapped(reference, start, count)
+    assert_state_equal(ssd.ftl, reference)
+    return ssd, reference
+
+
+def outcome(action):
+    """The value of *action()*, or the exception it raised."""
+    try:
+        return action()
+    except (RuntimeError, ValueError) as error:
+        return type(error), str(error)
+
+
+def write_outcome(ftl: FlashTranslationLayer, lpn: int):
+    def action():
+        address, gc_result = ftl.write(lpn)
+        return address, gc_result.page_moves, gc_result.blocks_erased
+    return outcome(action)
+
+
+# One step of the base-stripe differential.  LPNs stay below 40 so at most
+# 47 of the 64 physical pages hold live data; overwrites of base LPNs make
+# GC relocate base pages and erase and reuse base blocks.
+base_lpns = st.integers(min_value=0, max_value=39)
+base_steps = st.one_of(
+    st.tuples(st.just("write"), base_lpns),
+    st.tuples(st.just("trim"), base_lpns),
+    st.tuples(st.just("fill"), base_lpns,
+              st.integers(min_value=0, max_value=8)),
+    st.tuples(st.just("precondition"), base_lpns,
+              st.integers(min_value=0, max_value=8)),
+    st.tuples(st.just("lookup"),
+              st.lists(st.integers(min_value=0, max_value=58), max_size=8)))
+
+
+class TestBaseStripe:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=8),
+           st.integers(min_value=1, max_value=40),
+           st.lists(base_steps, max_size=80))
+    def test_base_stripe_equals_scalar_preconditioning(self, start, count,
+                                                       steps):
+        ssd, reference = base_twins(start, count)
+        based = ssd.ftl
+        for step in steps:
+            kind = step[0]
+            result = None
+            if kind == "write":
+                result = write_outcome(based, step[1])
+                assert result == write_outcome(reference, step[1])
+            elif kind == "trim":
+                based.trim(step[1])
+                reference.trim(step[1])
+            elif kind == "fill":
+                lpns = [lpn for lpn in range(step[1], step[1] + step[2])
+                        if not based.is_mapped(lpn)]
+                result = outcome(lambda: based.fill(lpns))
+                assert result == outcome(lambda: scalar_fill(reference, lpns))
+            elif kind == "precondition":
+                result = outcome(lambda: ssd.precondition(step[1], step[2]))
+                assert result == outcome(lambda: precondition_unmapped(
+                    reference, step[1], step[2]))
+            else:
+                lpns = step[1]
+                assert based.lookup_batch(lpns) == reference.lookup_batch(lpns)
+                assert ([based.lookup(lpn) for lpn in lpns]
+                        == [reference.lookup(lpn) for lpn in lpns])
+                assert ([based.is_mapped(lpn) for lpn in lpns]
+                        == [reference.is_mapped(lpn) for lpn in lpns])
+            assert_state_equal(based, reference)
+            if isinstance(result, tuple) and result[:1] == (RuntimeError,):
+                break  # the device filled up identically on both twins
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=8),
+           st.integers(min_value=1, max_value=40),
+           st.lists(st.tuples(
+               st.lists(st.tuples(st.booleans(), base_lpns,
+                                  st.integers(min_value=1, max_value=2)),
+                        min_size=1, max_size=4),
+               st.lists(base_lpns, max_size=2)), max_size=24))
+    def test_submit_batch_follows_the_base_stripe(self, start, count,
+                                                  batches):
+        # The SSD walk inlines the LPN -> PPN lookup: with the DRAM buffer
+        # off, every read of an overwritten, trimmed or relocated base LPN
+        # must reach the page (or the zero fill) the scalar twin reaches.
+        geometry = tiny_geometry()
+        config = SSDConfig(geometry=geometry, dram_buffer_enabled=False)
+        based = SSD(config)
+        based.precondition(start, count)
+        assert based.ftl._mapping == {}
+        reference = SSD(config)
+        precondition_unmapped(reference.ftl, start, count)
+        clock = 0.0
+        for requests, trims in batches:
+            columns = list(zip(*requests))
+            sizes = [pages * geometry.page_size for pages in columns[2]]
+            offsets = [lpn * geometry.page_size for lpn in columns[1]]
+            submits = [clock + 1000.0 * j for j in range(len(requests))]
+            clock = submits[-1] + 1000.0
+            results = [outcome(lambda ssd=ssd: ssd.submit_batch(
+                IORequestBatch(list(columns[0]), offsets, sizes, submits)))
+                for ssd in (based, reference)]
+            assert results[0] == results[1]
+            for lpn in trims:
+                based.ftl.trim(lpn)
+                reference.ftl.trim(lpn)
+            assert_state_equal(based.ftl, reference.ftl)
+            assert based.statistics() == reference.statistics()
+            if isinstance(results[0], tuple):
+                break  # the device filled up identically on both twins
+
+    def test_gc_reuses_base_blocks(self):
+        # Guard against the differential never leaving the base: hammering
+        # a few base LPNs makes GC relocate the live base pages of a
+        # victim, erase it and reuse its PPNs, which then decode to base
+        # positions while the dictionary says otherwise.
+        ssd, reference = base_twins(0, 40)
+        based = ssd.ftl
+        for j in range(120):
+            lpn = j % 6
+            assert write_outcome(based, lpn) == write_outcome(reference, lpn)
+            assert_state_equal(based, reference)
+        assert based.gc_pages_moved > 0
+        assert any(lpn >= 6 for lpn in based._base_gone)  # relocated
+        reused = [ppn for ppn in based._reverse
+                  if (ppn % based._pages_per_plane) * based._plane_count
+                  + ppn // based._pages_per_plane < 40]
+        assert reused
+        assert based.mapped_pages == reference.mapped_pages == 40
