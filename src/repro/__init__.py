@@ -55,7 +55,6 @@ from .config import (
 from .analysis.experiments import ExperimentResult
 from .core.hams_controller import HAMSAccessResult, HAMSController
 from .platforms.base import (
-    MemoryRequest,
     MemoryRequestBatch,
     MemoryServiceBatch,
     MemoryServiceResult,
@@ -123,7 +122,6 @@ __all__ = [
     "build_mixed_trace",
     "run_scenario",
     "scenario_run_spec",
-    "MemoryRequest",
     "MemoryRequestBatch",
     "MemoryServiceBatch",
     "MemoryServiceResult",

@@ -7,23 +7,28 @@ fields of a 64 B command, enqueues it in the SQ held in pinned NVDIMM
 memory, rings the doorbell, and on the completion interrupt synchronises the
 CQ and clears the SQ/CQ entries — with no software on the path.
 
-The engine also owns the two mode policies:
+The engine also holds the command side of the two mode policies:
 
 * **persist mode** — every eviction is tagged FUA and at most one I/O is in
   flight, serialising misses but guaranteeing that data reaches the flash
   media before the instruction retires,
 * **extend mode** — evictions and fills ride the NVMe queue in parallel and
   persistency is provided by the journal-tag recovery protocol instead.
+
+The order in which a miss issues its eviction and fills is the
+controller's: the miss handler of
+:class:`repro.core.hams_controller.HAMSController` calls
+:meth:`HardwareNVMeEngine.issue` once per command.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..config import HAMSConfig, NVMeConfig
 from ..nvme.commands import NVMeCommand, NVMeCompletion, NVMeOpcode
-from ..nvme.controller import CommandResult, NVMeController
+from ..nvme.controller import NVMeController
 from ..nvme.queues import QueuePair
 from .register_interface import RegisterInterface
 
@@ -38,8 +43,6 @@ class EngineIOResult:
     protocol_ns: float
     transfer_ns: float
     device_ns: float
-    flash_reads: int
-    flash_programs: int
 
     @property
     def latency_ns(self) -> float:
@@ -122,32 +125,7 @@ class HardwareNVMeEngine:
                               finish_ns=result.finish_ns,
                               protocol_ns=result.protocol_ns,
                               transfer_ns=result.transfer_ns,
-                              device_ns=result.device_ns,
-                              flash_reads=result.flash_reads,
-                              flash_programs=result.flash_programs)
-
-    def issue_miss(self, fill: NVMeCommand, evict: Optional[NVMeCommand],
-                   at_ns: float) -> Dict[str, Optional[EngineIOResult]]:
-        """Issue the command(s) for one cache miss.
-
-        Persist mode serialises the eviction (FUA) before the fill; extend
-        mode issues both and only the fill sits on the access's critical
-        path — the eviction drains in the background, which is where the
-        ~34 % memory-delay gap between the two modes comes from (Figure 18).
-        """
-        results: Dict[str, Optional[EngineIOResult]] = {"evict": None, "fill": None}
-        if self.hams_config.is_persist:
-            cursor = at_ns
-            if evict is not None:
-                evict_result = self.issue(evict, cursor)
-                results["evict"] = evict_result
-                cursor = evict_result.finish_ns
-            results["fill"] = self.issue(fill, cursor)
-            return results
-        if evict is not None:
-            results["evict"] = self.issue(evict, at_ns)
-        results["fill"] = self.issue(fill, at_ns)
-        return results
+                              device_ns=result.device_ns)
 
     # -- reporting -------------------------------------------------------------------
 

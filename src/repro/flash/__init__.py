@@ -3,8 +3,10 @@
 This package models the full SSD datapath the paper relies on (Section II-C
 and the Amber simulator): Z-NAND dies and planes, channel DMA scheduling, a
 page-mapping flash translation layer with garbage collection, the flash
-interface layer, the host interface layer that splits requests, and the
-SSD-internal DRAM write-back buffer.  Three device presets are provided —
+interface layer and the SSD-internal DRAM write-back buffer.  Every
+per-request operation — the host interface's request split and parse
+cost included — runs in one walk, :meth:`SSD.submit_batch`; the layer
+classes hold the state it advances.  Three device presets are provided —
 ULL-Flash (Z-NAND), a conventional NVMe SSD (V-NAND TLC) and a SATA SSD —
 matching the comparison points of Figures 5 and 6.
 """
@@ -13,7 +15,6 @@ from .znand import DieState, FlashOperation, ZNANDArray
 from .channel import ChannelScheduler
 from .ftl import FlashTranslationLayer, PhysicalAddress
 from .dram_buffer import InternalDRAMBuffer
-from .hil import HostInterfaceLayer, SubRequest
 from .fil import FlashInterfaceLayer
 from .ssd import (SSD, IOBatchResult, IORequest, IORequestBatch, IOResult,
                   make_ssd)
@@ -26,8 +27,6 @@ __all__ = [
     "FlashTranslationLayer",
     "PhysicalAddress",
     "InternalDRAMBuffer",
-    "HostInterfaceLayer",
-    "SubRequest",
     "FlashInterfaceLayer",
     "SSD",
     "IORequest",

@@ -11,18 +11,16 @@ answers "when can channel C move N bytes starting at time T?".
 Channel occupancy is kept as flat parallel arrays (``busy_until_ns``,
 ``bytes_moved``, ``transfers`` indexed by channel) rather than per-channel
 objects, so the batched submission walk of :meth:`repro.flash.ssd.SSD.
-submit_batch` can reserve long schedules against the shared state without a
-per-command attribute chase.  A reservation is the exact recurrence
-``start = max(at, busy); busy = start + t`` — :meth:`reserve_schedule`
-computes it for a whole vector of transfers, using a closed-form prefix-max
-fast path when every channel appears at most once (the per-element results
-are then independent, so vectorizing is bitwise exact) and the sequential
-walk otherwise.
+submit_batch` reserves transfers against the shared state without a
+per-command attribute chase.  A reservation is the recurrence
+``start = max(at, busy); busy = start + t``: the walk inlines it for host
+requests, and :meth:`ChannelScheduler.reserve` runs it for the page moves
+of GC relocation and the supercap flush.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 from ..config import FlashGeometry
 from ..units import transfer_time_ns
@@ -70,69 +68,6 @@ class ChannelScheduler:
         self.bytes_moved[channel] += size_bytes
         self.transfers[channel] += 1
         return start, finish
-
-    def reserve_schedule(
-            self, channels: Sequence[int],
-            sizes: Union[int, Sequence[int]],
-            at_ns: Union[float, Sequence[float]],
-    ) -> Tuple[List[float], List[float]]:
-        """Reserve a vector of transfers in order; returns start/finish lists.
-
-        Equivalent to calling :meth:`reserve` once per element, in order.
-        When no channel repeats within the schedule the reservations are
-        independent, so ``start = max(at, busy)`` resolves element-wise —
-        the prefix-max collapses — and the loop body carries no recurrence;
-        with repeats the exact sequential walk runs.  Either way the result
-        is bit-identical to the scalar call sequence.
-        """
-        count = len(channels)
-        size_list = [sizes] * count if isinstance(sizes, int) else sizes
-        at_list = ([at_ns] * count if isinstance(at_ns, (int, float))
-                   else at_ns)
-        busy = self.busy_until_ns
-        bytes_moved = self.bytes_moved
-        transfers = self.transfers
-        limit = self.channel_count
-        times: Dict[int, float] = {}
-        starts: List[float] = []
-        finishes: List[float] = []
-        for index in range(count):
-            channel = channels[index]
-            if channel < 0 or channel >= limit:
-                raise ValueError(f"channel index out of range: {channel}")
-            size = size_list[index]
-            time = times.get(size)
-            if time is None:
-                time = times[size] = transfer_time_ns(size, self.bandwidth)
-            at = at_list[index]
-            horizon = busy[channel]
-            start = at if at >= horizon else horizon
-            finish = start + time
-            busy[channel] = finish
-            bytes_moved[channel] += size
-            transfers[channel] += 1
-            starts.append(start)
-            finishes.append(finish)
-        return starts, finishes
-
-    def next_free(self, channel: int, at_ns: float) -> float:
-        """Earliest time the channel could start a new transfer."""
-        self._check(channel)
-        return max(at_ns, self.busy_until_ns[channel])
-
-    def least_loaded(self, at_ns: float, count: int = 1) -> List[int]:
-        """Return the *count* channels that free up earliest at *at_ns*.
-
-        Used by the ULL-Flash split policy to pick the pair of channels for
-        the two half-page transfers.
-        """
-        if count <= 0:
-            raise ValueError("count must be positive")
-        ranked = sorted(range(self.channel_count),
-                        key=lambda index: (max(at_ns,
-                                               self.busy_until_ns[index]),
-                                           index))
-        return ranked[:count]
 
     def utilisation_summary(self) -> Dict[str, float]:
         return {

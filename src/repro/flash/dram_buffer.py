@@ -6,18 +6,22 @@ page-granular write-back cache: reads that hit are served at DRAM speed,
 writes are absorbed and marked dirty, and evictions of dirty pages have to be
 programmed into flash.
 
+This class holds the buffer's state (the LRU order and dirty flags), its
+counters and the LRU insert.  The per-request hit, fill and dirty-evict
+operations run inside :meth:`repro.flash.ssd.SSD.submit_batch`, against
+these structures; :meth:`flush_all` serves the supercap flush.
+
 The *advanced* HAMS design removes this buffer entirely (the NVDIMM becomes
 the only buffer), which is modelled by constructing the SSD with
-``dram_buffer_enabled=False`` — the buffer then reports every access as a
-miss and absorbs nothing, and its energy contribution drops out of
-Figure 19.
+``dram_buffer_enabled=False`` — every access then misses and nothing is
+absorbed, and the buffer's energy contribution drops out of Figure 19.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 @dataclass
@@ -71,129 +75,7 @@ class InternalDRAMBuffer:
     def dirty_pages(self) -> int:
         return sum(1 for dirty in self._pages.values() if dirty)
 
-    # -- accesses ---------------------------------------------------------------
-
-    def read(self, lpn: int) -> bool:
-        """Record a read access; returns ``True`` on a buffer hit."""
-        if not self.enabled:
-            self.stats.read_misses += 1
-            return False
-        if lpn in self._pages:
-            self._pages.move_to_end(lpn)
-            self.stats.read_hits += 1
-            return True
-        self.stats.read_misses += 1
-        return False
-
-    def write(self, lpn: int) -> Tuple[bool, Optional[Tuple[int, bool]]]:
-        """Record a write access.
-
-        Returns ``(hit, evicted)`` where *evicted* is ``(lpn, dirty)`` for
-        the page pushed out to make room, or ``None`` when nothing was
-        evicted.  With the buffer disabled every write is a miss and nothing
-        is cached.
-        """
-        if not self.enabled:
-            self.stats.write_misses += 1
-            return False, None
-        if lpn in self._pages:
-            self._pages.move_to_end(lpn)
-            self._pages[lpn] = True
-            self.stats.write_hits += 1
-            return True, None
-        self.stats.write_misses += 1
-        evicted = self._insert(lpn, dirty=True)
-        return False, evicted
-
-    def read_fill_batch(self, lpns: List[int],
-                        mapped: List[bool]) -> List[bool]:
-        """Classify a read vector and install the miss fills, in order.
-
-        The batched-submission fold of the scalar per-page sequence
-        ``read(lpn)`` then — on a miss whose LPN is mapped — ``fill(lpn)``.
-        Returns the per-page hit flags.  Buffer state and counters end up
-        exactly as the scalar calls would leave them (duplicate LPNs inside
-        the vector hit the fill installed by the earlier element, matching
-        the scalar walk).  Fill evictions are clean-or-dirty *counted* but
-        not returned: the read path never programs them, exactly like
-        :meth:`repro.flash.ssd.SSD` ignoring :meth:`fill`'s return value.
-        """
-        count = len(lpns)
-        stats = self.stats
-        if not self.enabled:
-            stats.read_misses += count
-            return [False] * count
-        pages = self._pages
-        move_to_end = pages.move_to_end
-        insert = self._insert
-        hits = []
-        append = hits.append
-        read_hits = 0
-        read_misses = 0
-        for index in range(count):
-            lpn = lpns[index]
-            if lpn in pages:
-                move_to_end(lpn)
-                read_hits += 1
-                append(True)
-            else:
-                read_misses += 1
-                append(False)
-                if mapped[index]:
-                    insert(lpn, dirty=False)
-        stats.read_hits += read_hits
-        stats.read_misses += read_misses
-        return hits
-
-    def write_batch(
-            self, lpns: List[int],
-    ) -> Tuple[List[bool], List[Optional[Tuple[int, bool]]]]:
-        """Classify a write vector; the batched hit/dirty-evict fold.
-
-        Equivalent to calling :meth:`write` once per LPN in order: returns
-        the per-page hit flags and the per-page eviction (``(lpn, dirty)``
-        or ``None``).  Dirty victims must then be programmed by the caller
-        in the same order, exactly as the scalar walk does.
-        """
-        count = len(lpns)
-        stats = self.stats
-        if not self.enabled:
-            stats.write_misses += count
-            return [False] * count, [None] * count
-        pages = self._pages
-        move_to_end = pages.move_to_end
-        insert = self._insert
-        hits: List[bool] = []
-        evictions: List[Optional[Tuple[int, bool]]] = []
-        write_hits = 0
-        write_misses = 0
-        for lpn in lpns:
-            if lpn in pages:
-                move_to_end(lpn)
-                pages[lpn] = True
-                write_hits += 1
-                hits.append(True)
-                evictions.append(None)
-            else:
-                write_misses += 1
-                hits.append(False)
-                evictions.append(insert(lpn, dirty=True))
-        stats.write_hits += write_hits
-        stats.write_misses += write_misses
-        return hits, evictions
-
-    def fill(self, lpn: int) -> Optional[Tuple[int, bool]]:
-        """Install a clean copy of *lpn* after a flash read (read miss fill)."""
-        if not self.enabled:
-            return None
-        if lpn in self._pages:
-            self._pages.move_to_end(lpn)
-            return None
-        return self._insert(lpn, dirty=False)
-
-    def invalidate(self, lpn: int) -> None:
-        """Drop *lpn* from the buffer (e.g. after a TRIM)."""
-        self._pages.pop(lpn, None)
+    # -- operations ---------------------------------------------------------------
 
     def flush_all(self) -> List[int]:
         """Return and clean every dirty page (power-failure supercap flush)."""

@@ -10,12 +10,19 @@ the paper leans on:
 * **ULL-Flash channel splitting** — a 4 KB request is split into two
   half-page operations issued to two channels simultaneously, which roughly
   halves the DMA component of the access latency (Section II-C).
+
+Host requests reach the flash complex through
+:meth:`repro.flash.ssd.SSD.submit_batch`, which inlines :meth:`read_page`
+and :meth:`write_page` against the shared die and channel occupancy.  The
+methods themselves serve the page moves of GC relocation and the supercap
+flush, and this class keeps the page counters of both paths.  Block erases
+are counted by the FTL and charge no die time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .channel import ChannelScheduler
 from .ftl import PhysicalAddress
@@ -37,7 +44,7 @@ class FlashAccessResult:
 
 
 class FlashInterfaceLayer:
-    """Places page reads/programs and block erases onto the flash complex."""
+    """Places page reads and programs onto the flash complex."""
 
     def __init__(self, array: ZNANDArray, channels: ChannelScheduler,
                  page_size: int, split_channels: bool = True) -> None:
@@ -47,7 +54,6 @@ class FlashInterfaceLayer:
         self.split_channels = split_channels and channels.geometry.channels >= 2
         self.page_reads = 0
         self.page_programs = 0
-        self.block_erases = 0
 
     # -- page reads -------------------------------------------------------------
 
@@ -57,69 +63,18 @@ class FlashInterfaceLayer:
         start, array_finish = self.array.issue(
             address.channel, address.package, address.die,
             FlashOperation.READ, at_ns)
-        transfer_finish, transfer_time = self._transfer_out(
-            address, array_finish)
+        transfer_finish, transfer_time = self._transfer(address,
+                                                        array_finish)
         return FlashAccessResult(start_ns=start, finish_ns=transfer_finish,
                                  array_time_ns=array_finish - start,
                                  transfer_time_ns=transfer_time)
-
-    def read_pages(self, addresses: List[PhysicalAddress],
-                   at_ns: float) -> List[float]:
-        """Read a vector of pages all issued at *at_ns*; returns finish times.
-
-        Bit-identical to calling :meth:`read_page` per address in order, but
-        serviced as two reservation schedules instead of per-command walks:
-        every array sensing is issued first (die occupancy is independent of
-        channel state, so hoisting the issues out of the interleaved scalar
-        order is exact), then the channel DMA schedule runs in page order at
-        each page's array-finish time.  This is the migration-chunk path —
-        a 16-page chunk read becomes two schedule calls.
-        """
-        count = len(addresses)
-        if not count:
-            return []
-        self.page_reads += count
-        array = self.array
-        flat_index = array.flat_index
-        indices = [flat_index(address.channel, address.package, address.die)
-                   for address in addresses]
-        _, array_finishes = array.issue_schedule(indices, FlashOperation.READ,
-                                                 at_ns)
-        channels = self.channels
-        if not self.split_channels:
-            _, finishes = channels.reserve_schedule(
-                [address.channel for address in addresses], self.page_size,
-                array_finishes)
-            return finishes
-        half = self.page_size // 2
-        rest = self.page_size - half
-        channel_count = channels.channel_count
-        sched_channels: List[int] = []
-        sched_sizes: List[int] = []
-        sched_at: List[float] = []
-        for index in range(count):
-            channel = addresses[index].channel
-            partner = (channel + 1) % channel_count
-            finish = array_finishes[index]
-            sched_channels.append(channel)
-            sched_sizes.append(half)
-            sched_at.append(finish)
-            sched_channels.append(partner)
-            sched_sizes.append(rest)
-            sched_at.append(finish)
-        _, pair_finishes = channels.reserve_schedule(sched_channels,
-                                                     sched_sizes, sched_at)
-        return [pair_finishes[2 * index]
-                if pair_finishes[2 * index] >= pair_finishes[2 * index + 1]
-                else pair_finishes[2 * index + 1]
-                for index in range(count)]
 
     # -- page programs -------------------------------------------------------------
 
     def write_page(self, address: PhysicalAddress, at_ns: float) -> FlashAccessResult:
         """Program one flash page: DMA data in, then the array program."""
         self.page_programs += 1
-        transfer_finish, transfer_time = self._transfer_in(address, at_ns)
+        transfer_finish, transfer_time = self._transfer(address, at_ns)
         start, array_finish = self.array.issue(
             address.channel, address.package, address.die,
             FlashOperation.PROGRAM, transfer_finish)
@@ -127,29 +82,7 @@ class FlashInterfaceLayer:
                                  array_time_ns=array_finish - start,
                                  transfer_time_ns=transfer_time)
 
-    # -- erases -------------------------------------------------------------------
-
-    def erase_block(self, address: PhysicalAddress, at_ns: float) -> FlashAccessResult:
-        """Erase the block containing *address* (no data transfer involved)."""
-        self.block_erases += 1
-        start, finish = self.array.issue(
-            address.channel, address.package, address.die,
-            FlashOperation.ERASE, at_ns)
-        return FlashAccessResult(start_ns=start, finish_ns=finish,
-                                 array_time_ns=finish - start,
-                                 transfer_time_ns=0.0)
-
     # -- internals -------------------------------------------------------------------
-
-    def _transfer_out(self, address: PhysicalAddress,
-                      at_ns: float) -> Tuple[float, float]:
-        """DMA page data from the die to the controller."""
-        return self._transfer(address, at_ns)
-
-    def _transfer_in(self, address: PhysicalAddress,
-                     at_ns: float) -> Tuple[float, float]:
-        """DMA page data from the controller to the die."""
-        return self._transfer(address, at_ns)
 
     def _transfer(self, address: PhysicalAddress,
                   at_ns: float) -> Tuple[float, float]:
@@ -177,5 +110,4 @@ class FlashInterfaceLayer:
         return {
             "page_reads": self.page_reads,
             "page_programs": self.page_programs,
-            "block_erases": self.block_erases,
         }

@@ -59,9 +59,6 @@ class PhysicalAddress:
     block: int
     page: int
 
-    def block_id(self) -> Tuple[int, int, int, int, int]:
-        return (self.channel, self.package, self.die, self.plane, self.block)
-
 
 @dataclass
 class GCResult:
@@ -220,23 +217,6 @@ class FlashTranslationLayer:
         self._check_lpn(lpn)
         ppn = self._lpn_to_ppn(lpn)
         return None if ppn is None else self._address(ppn)
-
-    def lookup_batch(self, lpns) -> List[Optional[PhysicalAddress]]:
-        """Translate a vector of LPNs (any int sequence, e.g. int64 arrays).
-
-        Pure: no state changes, so the batch is trivially order-exact.
-        Range validation happens once over the whole vector.
-        """
-        lpn_list = [int(lpn) for lpn in lpns]
-        if lpn_list:
-            low, high = min(lpn_list), max(lpn_list)
-            if low < 0 or high >= self._logical_pages:
-                bad = low if low < 0 else high
-                raise ValueError(
-                    f"LPN {bad} out of range [0, {self._logical_pages})")
-        address = self._address
-        return [None if ppn is None else address(ppn)
-                for ppn in map(self._lpn_to_ppn, lpn_list)]
 
     def is_mapped(self, lpn: int) -> bool:
         return self._lpn_to_ppn(lpn) is not None

@@ -2,19 +2,24 @@
 
 An :class:`SSD` accepts byte-ranged I/O requests at arbitrary submission
 times and returns completion times computed from the state of its internal
-resources (DRAM buffer, channels, dies, mapping table).  It composes the
-lower layers of this package:
+resources (DRAM buffer, channels, dies, mapping table).  The firmware stack
+of the paper (Figure 4c) is host interface -> internal DRAM ->
+FTL -> FIL -> dies and channels; the lower layers of this package hold
+its state (:class:`~repro.flash.dram_buffer.InternalDRAMBuffer`,
+:class:`~repro.flash.ftl.FlashTranslationLayer`,
+:class:`~repro.flash.fil.FlashInterfaceLayer`,
+:class:`~repro.flash.znand.ZNANDArray`,
+:class:`~repro.flash.channel.ChannelScheduler`).
 
-``HostInterfaceLayer`` -> ``InternalDRAMBuffer`` -> ``FlashTranslationLayer``
--> ``FlashInterfaceLayer`` -> ``ZNANDArray`` / ``ChannelScheduler``.
-
-Submission is batch-first: :meth:`SSD.submit_batch` services an
-:class:`IORequestBatch` with one amortised walk over the flash stack —
-FTL translation on integer PPNs (the die and channel are decoded from
-the PPN by integer division, so no address objects are built), the
-DRAM-buffer hit/dirty-evict folds, and channel/die occupancy reserved
-against the schedulers' flat occupancy arrays.  The scalar
-:meth:`SSD.submit` is a batch-of-one wrapper around it, so there is
+:meth:`SSD.submit_batch` owns every per-request operation: one walk over
+an :class:`IORequestBatch` parses and splits each request (the host
+interface), applies the DRAM-buffer hit/fill/dirty-evict steps, translates
+on integer PPNs (the die and channel are decoded from the PPN by integer
+division, so no address objects are built) and reserves die and channel
+occupancy against the layers' flat arrays.  The layer classes keep only
+their state, their counters, and the page operations that GC relocation
+(:meth:`SSD._charge_gc`) and :meth:`SSD.supercap_flush` use.  The scalar
+:meth:`SSD.submit` is a batch-of-one wrapper around the walk, so there is
 exactly one service path; ``tests/test_flash_batch.py`` pins the
 equivalence and the platform golden-parity suite
 (``tests/test_batched_replay.py``) gates every consumer.
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional
 
 from ..config import SSDConfig
 from ..sim.stats import StatRegistry
@@ -35,7 +40,6 @@ from .channel import ChannelScheduler
 from .dram_buffer import InternalDRAMBuffer
 from .fil import FlashInterfaceLayer
 from .ftl import FlashTranslationLayer, GCResult
-from .hil import HostInterfaceLayer
 from .znand import ZNANDArray
 
 
@@ -65,11 +69,6 @@ class IOResult:
     request: IORequest
     start_ns: float
     finish_ns: float
-    buffer_hits: int = 0
-    buffer_misses: int = 0
-    flash_reads: int = 0
-    flash_programs: int = 0
-    gc_pages_moved: int = 0
 
     @property
     def latency_ns(self) -> float:
@@ -119,28 +118,22 @@ class IORequestBatch:
       (the exact :meth:`repro.interconnect.link.Link.transfer` recurrence,
       inlined).  This runs the whole closed-loop recurrence inside one
       batch call while remaining bit-identical to the scalar loop.
-
-    ``record_details=False`` skips the per-request counter columns of the
-    result (start/finish/latency are always recorded) for hot paths that
-    only consume latencies.
     """
 
     __slots__ = ("is_write", "byte_offset", "size_bytes", "submit_ns", "fua",
                  "chained", "start_ns", "pre_gap_ns", "post_gap_ns", "link",
-                 "link_bytes", "record_details")
+                 "link_bytes")
 
     def __init__(self, is_write, byte_offset, size_bytes,
                  submit_ns=None, fua=None, *, chained: bool = False,
                  start_ns: float = 0.0, pre_gap_ns=None, post_gap_ns=None,
-                 link=None, link_bytes: int = 0,
-                 record_details: bool = True) -> None:
+                 link=None, link_bytes: int = 0) -> None:
         self.byte_offset = _column(byte_offset)
         count = len(self.byte_offset)
         self.size_bytes = _column(size_bytes, count)
         self.is_write = _column(is_write, count)
         self.fua = _column(False if fua is None else fua, count)
         self.chained = bool(chained)
-        self.record_details = bool(record_details)
         if not (len(self.size_bytes) == len(self.is_write)
                 == len(self.fua) == count):
             raise ValueError("batch columns must be equal-length")
@@ -196,7 +189,6 @@ class IORequestBatch:
         batch.post_gap_ns = None
         batch.link = None
         batch.link_bytes = 0
-        batch.record_details = True
         return batch
 
     def __len__(self) -> int:
@@ -217,21 +209,16 @@ class IORequestBatch:
 class IOBatchResult:
     """Columnar completion record of one :class:`IORequestBatch`.
 
-    ``start_ns`` / ``finish_ns`` / ``latency_ns`` are always present; the
-    per-request counter columns are ``None`` when the batch was built with
-    ``record_details=False``.  For chained batches, ``service_latency_ns``
-    holds the closed-loop service latency (device + link) per request and
-    ``end_ns`` the clock after the last post-gap.
+    ``start_ns`` / ``finish_ns`` / ``latency_ns`` hold one entry per
+    request; device-wide counters live in :meth:`SSD.statistics`.  For
+    chained batches, ``service_latency_ns`` holds the closed-loop service
+    latency (device + link) per request and ``end_ns`` the clock after the
+    last post-gap.
     """
 
     start_ns: List[float]
     finish_ns: List[float]
     latency_ns: List[float]
-    buffer_hits: Optional[List[int]] = None
-    buffer_misses: Optional[List[int]] = None
-    flash_reads: Optional[List[int]] = None
-    flash_programs: Optional[List[int]] = None
-    gc_pages_moved: Optional[List[int]] = None
     service_latency_ns: Optional[List[float]] = None
     end_ns: float = 0.0
 
@@ -240,16 +227,8 @@ class IOBatchResult:
 
     def result(self, index: int, request: IORequest) -> IOResult:
         """Materialise the scalar :class:`IOResult` view of one row."""
-        detail = self.buffer_hits is not None
-        return IOResult(
-            request=request,
-            start_ns=self.start_ns[index],
-            finish_ns=self.finish_ns[index],
-            buffer_hits=self.buffer_hits[index] if detail else 0,
-            buffer_misses=self.buffer_misses[index] if detail else 0,
-            flash_reads=self.flash_reads[index] if detail else 0,
-            flash_programs=self.flash_programs[index] if detail else 0,
-            gc_pages_moved=self.gc_pages_moved[index] if detail else 0)
+        return IOResult(request=request, start_ns=self.start_ns[index],
+                        finish_ns=self.finish_ns[index])
 
 
 class SSD:
@@ -266,7 +245,8 @@ class SSD:
         self.fil = FlashInterfaceLayer(self.array, self.channels,
                                        self.page_size,
                                        split_channels=config.split_channels)
-        self.hil = HostInterfaceLayer(self.page_size, config.firmware_latency_ns)
+        if config.firmware_latency_ns < 0:
+            raise ValueError("firmware latency cannot be negative")
         self.buffer = InternalDRAMBuffer(
             config.dram_buffer_bytes, self.page_size,
             enabled=config.dram_buffer_enabled,
@@ -352,13 +332,11 @@ class SSD:
     def submit_batch(self, batch: IORequestBatch) -> IOBatchResult:
         """Service a whole request vector with one walk over the flash stack.
 
-        Bit-identical to submitting each request through the historical
-        scalar path in order: the DRAM-buffer folds, the batched FTL
-        translation and the flat channel/die reservation schedules replay
-        exactly the scalar call sequence per layer (per-resource state is
-        only ever advanced in request order), and garbage collection
-        triggers at the same scalar points.  Requests must be ordered by
-        non-decreasing submission clock, like :meth:`submit` callers.
+        Bit-identical to submitting each request through :meth:`submit` in
+        order: per-resource state (buffer LRU order, FTL mapping, die and
+        channel occupancy) only ever advances in request order, and garbage
+        collection triggers at the same points.  Requests must be ordered
+        by non-decreasing submission clock, like :meth:`submit` callers.
         """
         count = len(batch)
         config = self.config
@@ -367,10 +345,9 @@ class SSD:
         logical_pages = self._logical_pages
         buffer = self.buffer
         buffer_enabled = buffer.enabled
-        # The buffer/FTL per-page operations are inlined below against these
-        # shared structures (the batch walk IS the one service path, so the
-        # inlining is the method bodies of InternalDRAMBuffer.read/write/
-        # fill and FlashTranslationLayer._lpn_to_ppn, loop-hoisted).
+        # The buffer's per-page hit/fill/dirty-evict steps and
+        # FlashTranslationLayer._lpn_to_ppn run inline below against these
+        # shared structures (this walk is the one service path).
         buffer_pages = buffer._pages
         buffer_move = buffer_pages.move_to_end
         buffer_insert = buffer._insert
@@ -385,11 +362,10 @@ class SSD:
         pages_per_plane = ftl._pages_per_plane
         ftl_write = ftl._write_ppn
         fil = self.fil
-        hil = self.hil
         outstanding = self._outstanding
         max_outstanding = config.max_outstanding
         hit_ns = config.dram_buffer_hit_ns
-        firmware_ns = hil.firmware_latency_ns
+        firmware_ns = config.firmware_latency_ns
         heappush = heapq.heappush
         heappop = heapq.heappop
         # Flat die/channel occupancy shared with the layer objects.
@@ -427,8 +403,6 @@ class SSD:
         buf_read_misses = 0
         buf_write_hits = 0
         buf_write_misses = 0
-        parsed_local = 0
-        subs_local = 0
         served_local = 0
         bytes_read_local = 0
         bytes_written_local = 0
@@ -438,7 +412,6 @@ class SSD:
         size_col = batch.size_bytes
         fua_col = batch.fua
         chained = batch.chained
-        detail = batch.record_details
         if chained:
             now = batch.start_ns
             pre_gaps = batch.pre_gap_ns
@@ -456,12 +429,6 @@ class SSD:
         starts: List[float] = []
         finishes: List[float] = []
         latencies: List[float] = []
-        if detail:
-            col_bh: List[int] = []
-            col_bm: List[int] = []
-            col_fr: List[int] = []
-            col_fp: List[int] = []
-            col_gc: List[int] = []
 
         try:
             for j in range(count):
@@ -479,13 +446,11 @@ class SSD:
                 else:
                     earliest = heappop(outstanding)
                     start = submit if submit >= earliest else earliest
-                # HIL parse/split.  The single-whole-page fast path covers
-                # every hot caller; the general splitter mirrors
-                # HostInterfaceLayer.split's page walk.
+                # Host-interface parse/split into page-sized sub-requests.
+                # The single-whole-page fast path covers every hot caller.
                 offset = offset_col[j]
                 size = size_col[j]
                 is_write = write_col[j]
-                parsed_local += 1
                 in_page = offset % page_size
                 if size <= page_size - in_page:
                     n_sub = 1
@@ -502,7 +467,8 @@ class SSD:
                         cursor += chunk
                         remaining -= chunk
                     n_sub = len(lpns)
-                subs_local += n_sub
+                # Parse cost: a fixed command decode plus 5% per extra
+                # sub-request.
                 if n_sub == 1:
                     # firmware_ns * (1.0 + 0.05 * 0) == firmware_ns exactly.
                     firmware_done = start + firmware_ns
@@ -510,11 +476,6 @@ class SSD:
                     firmware_done = start + firmware_ns * (1.0
                                                           + 0.05 * (n_sub - 1))
                 finish = firmware_done
-                r_bh = 0
-                r_bm = 0
-                r_fr = 0
-                r_fp = 0
-                r_gc = 0
 
                 if n_sub == 1 and not is_write:
                     # -- single-page read (the dominant shape) ------------
@@ -522,11 +483,9 @@ class SSD:
                     if buffer_enabled and lpn in buffer_pages:
                         buffer_move(lpn)
                         buf_read_hits += 1
-                        r_bh = 1
                         sub_finish = firmware_done + hit_ns
                     else:
                         buf_read_misses += 1
-                        r_bm = 1
                         k = lpn - base_start
                         if 0 <= k < base_count and lpn not in base_gone:
                             ppn = ((k % plane_count) * pages_per_plane
@@ -577,9 +536,8 @@ class SSD:
                                 chan_bytes[channel] += page_size
                                 chan_transfers[channel] += 1
                             page_reads_local += 1
-                            r_fr = 1
-                            # Read-miss fill (the page is known absent, so
-                            # this is InternalDRAMBuffer.fill's insert arm).
+                            # Read-miss fill: the page is known absent, so
+                            # a clean insert (its eviction programs nothing).
                             if buffer_enabled:
                                 buffer_insert(lpn, False)
                     if sub_finish > finish:
@@ -596,11 +554,9 @@ class SSD:
                         if buffer_enabled and lpn in buffer_pages:
                             buffer_move(lpn)
                             buf_read_hits += 1
-                            r_bh += 1
                             sub_finish = zero_finish
                         else:
                             buf_read_misses += 1
-                            r_bm += 1
                             k = lpn - base_start
                             if 0 <= k < base_count and lpn not in base_gone:
                                 ppn = ((k % plane_count) * pages_per_plane
@@ -652,7 +608,6 @@ class SSD:
                                     chan_bytes[channel] += page_size
                                     chan_transfers[channel] += 1
                                 page_reads_local += 1
-                                r_fr += 1
                                 if buffer_enabled:
                                     buffer_insert(lpn, False)
                         if sub_finish > finish:
@@ -666,18 +621,16 @@ class SSD:
                         write_lpns = [lpn % logical_pages for lpn in lpns]
                     for lpn in write_lpns:
                         if not fua and buffer_enabled:
-                            # InternalDRAMBuffer.write, inlined: hits mark
-                            # dirty in place, misses insert (possibly
-                            # evicting the LRU victim).
+                            # Buffered write: hits mark dirty in place,
+                            # misses insert (possibly evicting the LRU
+                            # victim, which is programmed if dirty).
                             if lpn in buffer_pages:
                                 buffer_move(lpn)
                                 buffer_pages[lpn] = True
                                 buf_write_hits += 1
-                                r_bh += 1
                                 evicted = None
                             else:
                                 buf_write_misses += 1
-                                r_bm += 1
                                 evicted = buffer_insert(lpn, True)
                             sub_finish = firmware_done + hit_ns
                             if evicted is not None and evicted[1]:
@@ -686,7 +639,6 @@ class SSD:
                                 program_lpn = None
                         else:
                             # FUA (or no buffer): data must reach the media.
-                            r_bm += 1
                             sub_finish = firmware_done
                             program_lpn = lpn
                         if program_lpn is not None:
@@ -732,13 +684,11 @@ class SSD:
                             state.busy_until_ns = sub_finish
                             state.programs += 1
                             page_programs_local += 1
-                            r_fp += 1
                             if gc_result is not None:
                                 # GC relocations charged serially after the
                                 # triggering program (rare).
                                 sub_finish = self._charge_gc(gc_result,
                                                              sub_finish)
-                                r_gc += gc_result.pages_moved
                         if sub_finish > finish:
                             finish = sub_finish
 
@@ -763,12 +713,6 @@ class SSD:
                 starts.append(start)
                 finishes.append(finish)
                 latencies.append(latency)
-                if detail:
-                    col_bh.append(r_bh)
-                    col_bm.append(r_bm)
-                    col_fr.append(r_fr)
-                    col_fp.append(r_fp)
-                    col_gc.append(r_gc)
                 if chained:
                     service_latency = latency
                     if link is not None:
@@ -802,8 +746,6 @@ class SSD:
             buffer_stats.read_misses += buf_read_misses
             buffer_stats.write_hits += buf_write_hits
             buffer_stats.write_misses += buf_write_misses
-            hil.requests_parsed += parsed_local
-            hil.subrequests_created += subs_local
             self.requests_served += served_local
             self.bytes_read += bytes_read_local
             self.bytes_written += bytes_written_local
@@ -813,11 +755,6 @@ class SSD:
 
         return IOBatchResult(
             start_ns=starts, finish_ns=finishes, latency_ns=latencies,
-            buffer_hits=col_bh if detail else None,
-            buffer_misses=col_bm if detail else None,
-            flash_reads=col_fr if detail else None,
-            flash_programs=col_fp if detail else None,
-            gc_pages_moved=col_gc if detail else None,
             service_latency_ns=service_latencies if chained else None,
             end_ns=now if chained else 0.0)
 
@@ -855,9 +792,10 @@ class SSD:
         """Unified ``flash_*`` counter fold over every layer of the stack.
 
         One stable namespace replaces the historical ad-hoc per-layer
-        dictionaries: host-interface service counters, the DRAM buffer's
+        dictionaries: request service counters, the DRAM buffer's
         hit/eviction counters, FTL mapping/GC counters and the FIL/channel
-        traffic counters all appear under ``flash_`` keys.
+        traffic counters all appear under ``flash_`` keys.  Block erases
+        are the FTL's (GC is the only eraser).
         """
         buffer_stats = self.buffer.stats
         summary: Dict[str, float] = {
@@ -875,7 +813,7 @@ class SSD:
                 buffer_stats.clean_evictions),
             "flash_page_reads": float(self.fil.page_reads),
             "flash_page_programs": float(self.fil.page_programs),
-            "flash_block_erases": float(self.fil.block_erases),
+            "flash_block_erases": float(sum(self.ftl.erase_counts())),
         }
         summary.update({f"flash_{key}": value
                         for key, value in self.channels.statistics().items()})

@@ -10,16 +10,17 @@ may cover several planes of that die with a single array time.
 Die state lives in one flat list indexed by
 ``(channel * packages_per_channel + package) * dies_per_package + die`` so
 the batched submission walk (:meth:`repro.flash.ssd.SSD.submit_batch`) can
-index occupancy directly; :meth:`issue_schedule` issues a whole vector of
-operations against that shared state with the exact per-die
-``start = max(at, busy); busy = start + t`` recurrence.
+index occupancy directly.  The walk inlines the per-die recurrence
+``start = max(at, busy); busy = start + t`` for host requests;
+:meth:`ZNANDArray.issue` runs it for the page moves of GC relocation and
+the supercap flush.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 from ..config import FlashGeometry, FlashTiming
 
@@ -61,9 +62,6 @@ class ZNANDArray:
     def __init__(self, geometry: FlashGeometry, timing: FlashTiming) -> None:
         self.geometry = geometry
         self.timing = timing
-        self.dies_per_channel = (geometry.packages_per_channel
-                                 * geometry.dies_per_package)
-        self.die_count = geometry.channels * self.dies_per_channel
         self._states: List[DieState] = []
         for channel in range(geometry.channels):
             for package in range(geometry.packages_per_channel):
@@ -89,12 +87,6 @@ class ZNANDArray:
 
     def dies(self) -> List[DieState]:
         return list(self._states)
-
-    def dies_on_channel(self, channel: int) -> List[DieState]:
-        base = channel * self.dies_per_channel
-        if channel < 0 or base >= self.die_count:
-            return []
-        return self._states[base:base + self.dies_per_channel]
 
     # -- timing -------------------------------------------------------------
 
@@ -127,53 +119,6 @@ class ZNANDArray:
         else:
             state.erases += 1
         return start, finish
-
-    def issue_schedule(
-            self, flat_indices: Sequence[int], operation: FlashOperation,
-            at_ns: Union[float, Sequence[float]],
-    ) -> Tuple[List[float], List[float]]:
-        """Issue a vector of same-type operations in order.
-
-        Equivalent to calling :meth:`issue` once per element.  Dies that
-        appear once in the schedule resolve element-wise (their ``max(at,
-        busy)`` is independent of the rest of the vector); repeated dies
-        carry the exact sequential recurrence.  Returns start/finish lists
-        bit-identical to the scalar call sequence.
-        """
-        count = len(flat_indices)
-        at_list = ([at_ns] * count if isinstance(at_ns, (int, float))
-                   else at_ns)
-        time = self.operation_time_ns(operation)
-        states = self._states
-        counter = operation.value + "s"
-        starts: List[float] = []
-        finishes: List[float] = []
-        for index in range(count):
-            state = states[flat_indices[index]]
-            at = at_list[index]
-            horizon = state.busy_until_ns
-            start = at if at >= horizon else horizon
-            finish = start + time
-            state.busy_until_ns = finish
-            setattr(state, counter, getattr(state, counter) + 1)
-            starts.append(start)
-            finishes.append(finish)
-        return starts, finishes
-
-    def earliest_available(self, at_ns: float) -> Tuple[int, int, int]:
-        """Address of the die that frees up first at or after *at_ns*.
-
-        Used by the write allocator to stripe programs across idle dies.
-        """
-        best_state = None
-        best_free = None
-        for state in self._states:
-            free = max(at_ns, state.busy_until_ns)
-            if best_free is None or free < best_free:
-                best_free = free
-                best_state = state
-        assert best_state is not None
-        return best_state.channel, best_state.package, best_state.die
 
     # -- statistics ----------------------------------------------------------
 

@@ -15,13 +15,12 @@ design) — and also the software NVMe driver path of the mmap baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..config import NVMeConfig
 from ..flash.ssd import IORequest, SSD
 from ..interconnect.link import Link
-from .commands import NVMeCommand, NVMeCompletion
-from .queues import QueuePair
+from .commands import NVMeCommand
 
 
 @dataclass
@@ -34,9 +33,6 @@ class CommandResult:
     protocol_ns: float
     transfer_ns: float
     device_ns: float
-    flash_reads: int = 0
-    flash_programs: int = 0
-    buffer_hits: int = 0
 
     @property
     def latency_ns(self) -> float:
@@ -96,34 +92,7 @@ class NVMeController:
         self.commands_executed += 1
         return CommandResult(command=command, submit_ns=at_ns, finish_ns=finish,
                              protocol_ns=protocol_in + protocol_out,
-                             transfer_ns=transfer_ns, device_ns=device_ns,
-                             flash_reads=io.flash_reads,
-                             flash_programs=io.flash_programs,
-                             buffer_hits=io.buffer_hits)
-
-    # -- queue-pair driven execution ------------------------------------------------
-
-    def drain(self, queue_pair: QueuePair, at_ns: float) -> List[CommandResult]:
-        """Fetch and execute every command pending in *queue_pair*.
-
-        Commands are consumed in FIFO order from the submission queue; a
-        completion entry is posted for each.  Returns the per-command
-        results in execution order.
-        """
-        results: List[CommandResult] = []
-        now = at_ns
-        while True:
-            command = queue_pair.sq.fetch()
-            if command is None:
-                break
-            result = self.execute(command, now)
-            completion = NVMeCompletion(command_id=command.command_id,
-                                        sq_head=queue_pair.sq.head,
-                                        posted_ns=result.finish_ns)
-            queue_pair.cq.post(completion)
-            results.append(result)
-            now = max(now, result.finish_ns) if command.fua else now
-        return results
+                             transfer_ns=transfer_ns, device_ns=device_ns)
 
     def statistics(self) -> Dict[str, float]:
         return {

@@ -24,11 +24,13 @@ bit-identical results:
 
 ``service_batch`` is the one new per-platform hook.  Its default
 implementation replays the batch through the scalar
-``service_memory_access`` hook while advancing the clock exactly as the
-scalar loop would; every registered platform overrides it.  The analytic
-platforms are truly vectorized; the page-cached platforms (mmap, FlatFlash,
-NVDIMM-C, Optane memory mode, the ULL bypasses) combine an order-exact
-batched LRU walk (:meth:`repro.host.os_stack.PageCache.access_batch`) with
+``service_memory_access`` hook as an all-miss
+:meth:`MemoryRequestBatch.service_page_cached` fold, advancing the clock
+exactly as the scalar loop would; every registered platform overrides
+it.  The analytic platforms are truly vectorized; the page-cached
+platforms (mmap, FlatFlash, NVDIMM-C, Optane memory mode, the ULL
+bypasses) combine an order-exact batched LRU walk
+(:meth:`repro.host.os_stack.PageCache.access_batch`) with
 :meth:`MemoryRequestBatch.service_page_cached`; and HAMS splits its
 datapath into a clock-free tag classification plus clock-exact miss
 replay (:meth:`repro.core.hams_controller.HAMSController.classify_batch`).  All batched
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -76,16 +78,6 @@ class MemoryServiceResult:
             raise ValueError("latencies cannot be negative")
 
 
-@dataclass(frozen=True)
-class MemoryRequest:
-    """One off-chip memory request (the scalar view of a batch row)."""
-
-    address: int
-    size_bytes: int
-    is_write: bool
-    at_ns: float
-
-
 @dataclass
 class BatchTimeline:
     """Exact clock-reconstruction data attached to a request batch.
@@ -110,7 +102,7 @@ class MemoryRequestBatch:
     ``addresses`` / ``sizes`` / ``writes`` are equal-length columns,
     ``on_chip_ns`` is the on-chip (cache walk) latency already paid per
     request, and ``start_ns`` is the replay clock when the batch was formed.
-    The optional :class:`BatchTimeline` lets :meth:`service_sequentially`
+    The optional :class:`BatchTimeline` lets :meth:`service_page_cached`
     reproduce the scalar replay loop's per-request issue times exactly;
     without it, requests are assumed back-to-back from ``start_ns``.
 
@@ -149,63 +141,6 @@ class MemoryRequestBatch:
     def __len__(self) -> int:
         return len(self.addresses)
 
-    def request(self, index: int) -> MemoryRequest:
-        """Scalar view of one batch row (issue time = ``start_ns``)."""
-        return MemoryRequest(address=int(self.addresses[index]),
-                             size_bytes=int(self.sizes[index]),
-                             is_write=bool(self.writes[index]),
-                             at_ns=self.start_ns)
-
-    def __iter__(self) -> Iterator[MemoryRequest]:
-        return (self.request(index) for index in range(len(self)))
-
-    def service_sequentially(self, scalar_service) -> "MemoryServiceBatch":
-        """Drive *scalar_service* one request at a time, clock-exactly.
-
-        This is the default :meth:`Platform.service_batch` engine: with a
-        timeline it interleaves the chunk's compute/cache-hit time addends
-        with the requests so every call sees the exact ``at_ns`` the scalar
-        replay loop would have passed; without one, each request issues as
-        soon as the previous one completes.
-        """
-        count = len(self)
-        latency = np.empty(count, dtype=np.float64)
-        os_ns = np.empty(count, dtype=np.float64)
-        storage_ns = np.empty(count, dtype=np.float64)
-        addresses = self.addresses.tolist()
-        sizes = self.sizes.tolist()
-        writes = self.writes.tolist()
-        on_chip = self.on_chip_ns.tolist()
-        now = self.start_ns
-        if self.timeline is None:
-            for j in range(count):
-                result = scalar_service(addresses[j], sizes[j], writes[j],
-                                        now)
-                latency[j] = result.latency_ns
-                os_ns[j] = result.os_ns
-                storage_ns[j] = result.storage_ns
-                now += (((on_chip[j] + result.latency_ns) + result.os_ns)
-                        + result.storage_ns)
-        else:
-            addends = self.timeline.addends.tolist()
-            slots = self.timeline.service_slots.tolist()
-            cursor = 0
-            for j in range(count):
-                slot = slots[j]
-                while cursor < slot:
-                    now += addends[cursor]
-                    cursor += 1
-                result = scalar_service(addresses[j], sizes[j], writes[j],
-                                        now)
-                latency[j] = result.latency_ns
-                os_ns[j] = result.os_ns
-                storage_ns[j] = result.storage_ns
-                now += (((on_chip[j] + result.latency_ns) + result.os_ns)
-                        + result.storage_ns)
-                cursor = slot + 1
-        return MemoryServiceBatch(latency_ns=latency, os_ns=os_ns,
-                                  storage_ns=storage_ns)
-
     def service_page_cached(self, hit_mask: np.ndarray,
                             hit_latency_ns: np.ndarray,
                             miss_indices: np.ndarray,
@@ -213,7 +148,8 @@ class MemoryRequestBatch:
         """Fold a page-cache hit/miss split into a service batch, clock-exactly.
 
         The engine behind the DRAM-cache platforms' vectorized
-        ``service_batch``: the caller classifies every request against its
+        ``service_batch`` (and, with every request a miss, behind the
+        default :meth:`Platform.service_batch`): the caller classifies every request against its
         page cache (one :meth:`~repro.host.os_stack.PageCache.access_batch`
         walk) and computes the hits' clock-independent service latencies in
         one vectorized pass (``hit_latency_ns``, a full-length column whose
@@ -303,12 +239,6 @@ class MemoryServiceBatch:
     def __len__(self) -> int:
         return len(self.latency_ns)
 
-    def result(self, index: int) -> MemoryServiceResult:
-        """Scalar view of one result row."""
-        return MemoryServiceResult(latency_ns=float(self.latency_ns[index]),
-                                   os_ns=float(self.os_ns[index]),
-                                   storage_ns=float(self.storage_ns[index]))
-
 
 @dataclass
 class RunResult:
@@ -392,7 +322,8 @@ class Platform(abc.ABC):
         """Resolve a whole batch of off-chip memory requests.
 
         The default drives :meth:`service_memory_access` one request at a
-        time while advancing the clock exactly as the scalar replay loop
+        time as an all-miss :meth:`MemoryRequestBatch.service_page_cached`
+        fold, which advances the clock exactly as the scalar replay loop
         would (via the batch's timeline), so a new platform is correct and
         bit-identical before it vectorizes anything.  Every registered
         platform overrides it: those whose service cost is
@@ -405,7 +336,20 @@ class Platform(abc.ABC):
         tag-classification walk in
         :class:`repro.platforms.hams_platform.HAMSPlatform`.
         """
-        return batch.service_sequentially(self.service_memory_access)
+        count = len(batch)
+        addresses = batch.addresses.tolist()
+        sizes = batch.sizes.tolist()
+        writes = batch.writes.tolist()
+        service = self.service_memory_access
+
+        def miss_service(k, index, now):
+            result = service(addresses[index], sizes[index], writes[index],
+                             now)
+            return result.latency_ns, result.os_ns, result.storage_ns
+
+        return batch.service_page_cached(
+            np.zeros(count, dtype=bool), np.zeros(count, dtype=np.float64),
+            np.arange(count, dtype=np.int64), miss_service)
 
     @abc.abstractmethod
     def collect_energy(self, account: EnergyAccount) -> None:

@@ -189,8 +189,7 @@ class BypassPlatform(Platform):
             pre_gap_ns=pre_gap,
             post_gap_ns=batch.on_chip_ns,
             link=self.link,
-            link_bytes=_PAGE,
-            record_details=False)
+            link_bytes=_PAGE)
         result = self.ssd.submit_batch(io_batch)
         return MemoryServiceBatch(
             latency_ns=np.asarray(result.service_latency_ns,

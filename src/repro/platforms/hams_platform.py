@@ -99,11 +99,11 @@ class HAMSPlatform(Platform):
         addresses = batch.addresses
         sizes = batch.sizes
         # Out-of-range requests must raise mid-walk exactly where the
-        # scalar loop would; hand those batches to the sequential engine.
+        # scalar loop would; hand those batches to the per-request default.
         if (int(addresses.min()) < 0 or int(sizes.min()) <= 0
                 or int((addresses + sizes).max())
                 > controller.mos_capacity_bytes):
-            return batch.service_sequentially(self.service_memory_access)
+            return super().service_batch(batch)
 
         plan = controller.classify_batch(addresses, sizes, batch.writes)
         probe = plan.probe_ns

@@ -129,7 +129,7 @@ class NvdimmCPlatform(Platform):
                                at_ns: float) -> float:
         """The batch-API route of :meth:`_migrate_chunk` (bit-identical).
 
-        The chunk read goes through one lean
+        The chunk read goes through one
         :meth:`~repro.flash.ssd.SSD.submit_batch` call, and — because a
         victim writeback's completion never feeds back into the migration
         latency (the scalar loop ignores its result and bumps the clock by
@@ -140,8 +140,7 @@ class NvdimmCPlatform(Platform):
         chunk_first = self._chunk_first(page)
         read = self.ssd.submit_batch(IORequestBatch(
             is_write=False, byte_offset=[chunk_first * _PAGE],
-            size_bytes=self.migration_granularity_bytes, submit_ns=at_ns,
-            record_details=False))
+            size_bytes=self.migration_granularity_bytes, submit_ns=at_ns))
         device_ns = read.finish_ns[0] - at_ns
         migration_ns = max(self.migration_latency_ns, device_ns)
         offsets: List[int] = []
@@ -155,7 +154,7 @@ class NvdimmCPlatform(Platform):
         if offsets:
             self.ssd.submit_batch(IORequestBatch(
                 is_write=True, byte_offset=offsets, size_bytes=_PAGE,
-                submit_ns=submits, record_details=False))
+                submit_ns=submits))
         return migration_ns
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:

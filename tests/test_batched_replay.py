@@ -22,6 +22,7 @@ device-cache evictions fire, with their device-side state compared too.
 """
 
 import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -29,6 +30,7 @@ import pytest
 
 from repro.config import default_config
 from repro.numerics import sequential_add
+from repro.platforms.base import MemoryRequestBatch, Platform
 from repro.platforms.registry import available_platforms, create_platform
 from repro.scenario import ScenarioSpec, TenantSpec, scenario_source
 from repro.units import KB
@@ -37,6 +39,7 @@ from repro.workloads.registry import (
     build_trace,
     scale_system_config,
 )
+from repro.workloads.trace import AccessStream, WorkloadTrace
 
 #: Smoke-scale traces: small enough for the full platform matrix, large
 #: enough to exercise cache evictions, page-cache misses and migrations.
@@ -324,3 +327,83 @@ def test_cache_statistics_match_between_paths(config, traces):
     assert scalar.caches.statistics() == batched.caches.statistics()
     assert scalar.caches.l1.hits == batched.caches.l1.hits
     assert scalar.caches.l2.writebacks == batched.caches.l2.writebacks
+
+
+def _with_default_service_batch(platform):
+    """Route *platform*'s batched replay through the base
+    :meth:`Platform.service_batch`, which every registered platform
+    overrides: the per-request all-miss fold a new platform starts from."""
+    platform.service_batch = functools.partial(Platform.service_batch,
+                                               platform)
+    return platform
+
+
+@pytest.mark.parametrize("platform_name", ("mmap", "hams-LE", "oracle"))
+@pytest.mark.parametrize("workload", ("rndWr", "update"))
+def test_default_service_batch_is_bit_identical(platform_name, workload,
+                                                config, traces):
+    """The default hook replays the scalar loop's clock exactly, OS and
+    storage time included, at any chunk size."""
+    trace = traces[workload]
+    scalar = create_platform(platform_name, config).run(trace,
+                                                        execution="scalar")
+    for chunk_size in (1, 7, len(trace)):
+        platform = _with_default_service_batch(
+            create_platform(platform_name, config))
+        platform.replay_chunk_size = chunk_size
+        batched = platform.run(trace, execution="batched")
+        assert result_fields(batched) == result_fields(scalar), chunk_size
+
+
+def test_default_service_batch_without_timeline(config):
+    """Without a timeline the requests issue back to back from the batch's
+    start clock, each after the previous one's full cost."""
+    rng = np.random.default_rng(3)
+    count = 40
+    addresses = rng.integers(0, 64, count) * KB(4)
+    writes = rng.random(count) < 0.5
+    on_chip = rng.random(count) * 10.0
+    batch = MemoryRequestBatch(addresses=addresses,
+                               sizes=np.full(count, KB(4)), writes=writes,
+                               on_chip_ns=on_chip, start_ns=250.0)
+    result = Platform.service_batch(create_platform("mmap", config), batch)
+    reference = create_platform("mmap", config)
+    now = 250.0
+    for j in range(count):
+        expected = reference.service_memory_access(
+            int(addresses[j]), KB(4), bool(writes[j]), now)
+        assert result.latency_ns[j] == expected.latency_ns
+        assert result.os_ns[j] == expected.os_ns
+        assert result.storage_ns[j] == expected.storage_ns
+        now += (((on_chip[j] + expected.latency_ns) + expected.os_ns)
+                + expected.storage_ns)
+
+
+@pytest.mark.parametrize("platform_name", ("hams-LE", "hams-TE"))
+def test_hams_out_of_range_chunk_raises_like_scalar(platform_name, config):
+    """A chunk holding an address past the MoS space takes the per-request
+    fallback, so it raises the scalar loop's error at the same request and
+    leaves the controller and the ULL-Flash in the same state."""
+    capacity = create_platform(platform_name,
+                               config).controller.mos_capacity_bytes
+    pages = [0, 3, 1, 3, 5, 2]
+    addresses = [page * KB(64) for page in pages] + [capacity, 0]
+    trace = WorkloadTrace(
+        name="out-of-range", suite="test",
+        accesses=AccessStream.from_arrays(
+            np.array(addresses, dtype=np.int64), KB(4),
+            np.arange(len(addresses)) % 2 == 0),
+        dataset_bytes=KB(512), compute_instructions_per_access=10.0,
+        accesses_per_operation=1.0, operation_unit="ops",
+        total_instructions=10 * len(addresses))
+    outcomes = []
+    for execution in ("scalar", "batched"):
+        platform = create_platform(platform_name, config)
+        with pytest.raises(ValueError) as error:
+            platform.run(trace, execution=execution)
+        outcomes.append((str(error.value),
+                         platform.controller.statistics(),
+                         platform.controller.ssd.statistics()))
+    assert outcomes[0] == outcomes[1]
+    assert "exceeds the MoS space" in outcomes[0][0]
+    assert outcomes[0][1]["fills"] > 0

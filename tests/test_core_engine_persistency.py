@@ -104,21 +104,6 @@ class TestHardwareNVMeEngine:
         engine.issue(engine.build_fill(0, KB(128), 0), 0.0)
         assert engine.next_available(0.0) == 0.0
 
-    def test_issue_miss_persist_orders_evict_before_fill(self):
-        engine = _engine("persist")
-        fill = engine.build_fill(lba=256, length_bytes=KB(128), prp=0)
-        evict = engine.build_evict(lba=0, length_bytes=KB(128), prp=0)
-        results = engine.issue_miss(fill, evict, at_ns=0.0)
-        assert results["evict"].finish_ns <= results["fill"].submit_ns \
-            or results["fill"].submit_ns == 0.0
-        assert results["fill"].finish_ns > results["evict"].finish_ns
-
-    def test_issue_miss_without_evict(self):
-        engine = _engine()
-        results = engine.issue_miss(engine.build_fill(0, KB(128), 0), None, 0.0)
-        assert results["evict"] is None
-        assert results["fill"] is not None
-
     def test_tight_engine_charges_register_delivery(self):
         engine = _engine(tight=True)
         engine.issue(engine.build_fill(0, KB(4), 0), 0.0)

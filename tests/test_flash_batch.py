@@ -5,7 +5,8 @@ docstring states: a batch is bit-identical to submitting each request
 through the scalar entry point in order.  Since :meth:`SSD.submit` is
 itself the batch-of-one wrapper, the parity tests here compare two fresh
 devices — one fed scalar calls, one fed whole vectors — and require every
-completion time, per-request counter and device statistic to match exactly.
+per-request start, finish and latency and every device statistic to match
+exactly.
 """
 
 import numpy as np
@@ -34,17 +35,14 @@ def scalar_replay(ssd: SSD, batch: IORequestBatch) -> list:
 
 
 def assert_batch_matches_scalar(batch_result: IOBatchResult,
-                                scalar_results: list) -> None:
+                                scalar_results: list, batched_ssd: SSD,
+                                scalar_ssd: SSD) -> None:
     assert len(batch_result) == len(scalar_results)
     for j, scalar in enumerate(scalar_results):
         assert batch_result.start_ns[j] == scalar.start_ns
         assert batch_result.finish_ns[j] == scalar.finish_ns
         assert batch_result.latency_ns[j] == scalar.latency_ns
-        assert batch_result.buffer_hits[j] == scalar.buffer_hits
-        assert batch_result.buffer_misses[j] == scalar.buffer_misses
-        assert batch_result.flash_reads[j] == scalar.flash_reads
-        assert batch_result.flash_programs[j] == scalar.flash_programs
-        assert batch_result.gc_pages_moved[j] == scalar.gc_pages_moved
+    assert batched_ssd.statistics() == scalar_ssd.statistics()
 
 
 class TestBatchConstruction:
@@ -119,8 +117,8 @@ class TestScalarShimParity:
                                submit_ns=[j * 500.0 for j in range(32)])
         scalar_results = scalar_replay(scalar_ssd, batch)
         batch_result = batched_ssd.submit_batch(batch)
-        assert_batch_matches_scalar(batch_result, scalar_results)
-        assert batched_ssd.statistics() == scalar_ssd.statistics()
+        assert_batch_matches_scalar(batch_result, scalar_results,
+                                    batched_ssd, scalar_ssd)
 
     def test_mixed_read_write_fua_matches(self):
         scalar_ssd = small_ssd()
@@ -136,8 +134,8 @@ class TestScalarShimParity:
             fua=[j % 7 == 0 for j in range(count)])
         scalar_results = scalar_replay(scalar_ssd, batch)
         batch_result = batched_ssd.submit_batch(batch)
-        assert_batch_matches_scalar(batch_result, scalar_results)
-        assert batched_ssd.statistics() == scalar_ssd.statistics()
+        assert_batch_matches_scalar(batch_result, scalar_results,
+                                    batched_ssd, scalar_ssd)
 
     def test_queue_pressure_matches(self):
         # Back-to-back submissions at one clock exercise the bounded
@@ -151,18 +149,8 @@ class TestScalarShimParity:
                                size_bytes=KB(4), submit_ns=0.0)
         scalar_results = scalar_replay(scalar_ssd, batch)
         batch_result = batched_ssd.submit_batch(batch)
-        assert_batch_matches_scalar(batch_result, scalar_results)
-
-    def test_record_details_false_drops_counter_columns(self):
-        ssd = small_ssd()
-        ssd.precondition(0, 16)
-        batch = IORequestBatch(is_write=False,
-                               byte_offset=[0, KB(4)], size_bytes=KB(4),
-                               submit_ns=[0.0, 100.0], record_details=False)
-        result = ssd.submit_batch(batch)
-        assert result.buffer_hits is None
-        assert result.flash_reads is None
-        assert len(result.latency_ns) == 2
+        assert_batch_matches_scalar(batch_result, scalar_results,
+                                    batched_ssd, scalar_ssd)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.booleans(),
@@ -184,8 +172,8 @@ class TestScalarShimParity:
             fua=[row[3] for row in rows])
         scalar_results = scalar_replay(scalar_ssd, batch)
         batch_result = batched_ssd.submit_batch(batch)
-        assert_batch_matches_scalar(batch_result, scalar_results)
-        assert batched_ssd.statistics() == scalar_ssd.statistics()
+        assert_batch_matches_scalar(batch_result, scalar_results,
+                                    batched_ssd, scalar_ssd)
 
 
 class TestChainedParity:

@@ -1,51 +1,116 @@
-"""SSD-internal DRAM buffer, host interface layer, and flash interface layer."""
+"""SSD-internal DRAM buffer, host-interface request handling, and the FIL.
+
+The buffer's per-request hit, fill and dirty-evict steps and the host
+interface's request split and parse cost run inside ``SSD.submit_batch``,
+so their behaviour is checked through an SSD: by deltas of
+``SSD.statistics()``, by the buffer's residency and by the FTL mapping a
+buffer eviction leaves behind.
+"""
 
 import pytest
 
-from repro.config import FlashGeometry, FlashTiming
+from repro.config import FlashGeometry, FlashTiming, SSDConfig
 from repro.flash.channel import ChannelScheduler
 from repro.flash.dram_buffer import InternalDRAMBuffer
 from repro.flash.fil import FlashInterfaceLayer
 from repro.flash.ftl import PhysicalAddress
-from repro.flash.hil import HostInterfaceLayer
+from repro.flash.ssd import SSD
 from repro.flash.znand import ZNANDArray
-from repro.units import KB, mb_per_s
+from repro.units import KB, mb_per_s, us
+
+GEOMETRY = FlashGeometry(channels=4, packages_per_channel=1,
+                         dies_per_package=2, planes_per_die=1,
+                         blocks_per_plane=32, pages_per_block=32)
+
+
+def small_ssd(buffer_pages: int = 16, enabled: bool = True,
+              **overrides) -> SSD:
+    """An SSD whose internal DRAM caches exactly *buffer_pages* pages."""
+    return SSD(SSDConfig(geometry=GEOMETRY,
+                         dram_buffer_bytes=buffer_pages * KB(4),
+                         dram_buffer_enabled=enabled,
+                         mapping_table_fraction=0.0, **overrides))
+
+
+def stat_delta(ssd: SSD, *requests) -> dict:
+    """Submit each ``(is_write, byte_offset, size_bytes)`` request, 10 us
+    after the device's previous one, and return the change of every
+    ``ssd.statistics()`` key."""
+    before = ssd.statistics()
+    for is_write, offset, size in requests:
+        at_ns = us(10) * ssd.requests_served
+        if is_write:
+            ssd.write(offset, size, at_ns)
+        else:
+            ssd.read(offset, size, at_ns)
+    after = ssd.statistics()
+    return {key: after[key] - before[key] for key in after}
+
+
+def read(lpn: int, pages: int = 1):
+    return (False, lpn * KB(4), pages * KB(4))
+
+
+def write(lpn: int):
+    return (True, lpn * KB(4), KB(4))
 
 
 class TestInternalDRAMBuffer:
     def test_read_miss_then_fill_then_hit(self):
-        buffer = InternalDRAMBuffer(KB(64), KB(4))
-        assert buffer.read(1) is False
-        buffer.fill(1)
-        assert buffer.read(1) is True
-        assert buffer.stats.read_hits == 1
-        assert buffer.stats.read_misses == 1
+        ssd = small_ssd()
+        ssd.precondition(0, 16)
+        first = stat_delta(ssd, read(1))
+        assert first["flash_buffer_read_misses"] == 1
+        assert first["flash_buffer_read_hits"] == 0
+        assert first["flash_page_reads"] == 1
+        assert 1 in ssd.buffer
+        second = stat_delta(ssd, read(1))
+        assert second["flash_buffer_read_hits"] == 1
+        assert second["flash_buffer_read_misses"] == 0
+        assert second["flash_page_reads"] == 0
 
     def test_write_marks_dirty(self):
-        buffer = InternalDRAMBuffer(KB(64), KB(4))
-        buffer.write(2)
-        assert buffer.dirty_pages == 1
+        ssd = small_ssd()
+        delta = stat_delta(ssd, write(2))
+        assert delta["flash_buffer_write_misses"] == 1
+        assert delta["flash_page_programs"] == 0
+        assert ssd.buffer.dirty_pages == 1
 
     def test_lru_eviction_returns_victim(self):
-        buffer = InternalDRAMBuffer(KB(8), KB(4))  # two pages
-        buffer.write(1)
-        buffer.write(2)
-        hit, evicted = buffer.write(3)
-        assert hit is False
-        assert evicted == (1, True)
+        # LPN 0 is written first but touched again, so LPN 1 is the least
+        # recently used page when LPN 2 overflows the two-page buffer.
+        ssd = small_ssd(buffer_pages=2)
+        stat_delta(ssd, write(0), write(1), write(0))
+        delta = stat_delta(ssd, write(2))
+        assert delta["flash_buffer_dirty_evictions"] == 1
+        assert delta["flash_buffer_clean_evictions"] == 0
+        assert delta["flash_page_programs"] == 1
+        assert delta["flash_ftl_host_writes"] == 1
+        assert [lpn for lpn in range(3) if ssd.ftl.is_mapped(lpn)] == [1]
+        assert 1 not in ssd.buffer
+        assert 0 in ssd.buffer and 2 in ssd.buffer
 
     def test_clean_fill_eviction_is_not_dirty(self):
-        buffer = InternalDRAMBuffer(KB(8), KB(4))
-        buffer.fill(1)
-        buffer.fill(2)
-        evicted = buffer.fill(3)
-        assert evicted == (1, False)
+        ssd = small_ssd(buffer_pages=2)
+        ssd.precondition(0, 8)
+        stat_delta(ssd, read(0), read(1))
+        delta = stat_delta(ssd, read(2))
+        assert delta["flash_buffer_clean_evictions"] == 1
+        assert delta["flash_buffer_dirty_evictions"] == 0
+        assert delta["flash_page_programs"] == 0
+        assert delta["flash_ftl_host_writes"] == 0
+        assert 0 not in ssd.buffer
 
     def test_disabled_buffer_never_hits(self):
-        buffer = InternalDRAMBuffer(KB(64), KB(4), enabled=False)
-        buffer.write(1)
-        assert buffer.read(1) is False
-        assert len(buffer) == 0
+        ssd = small_ssd(enabled=False)
+        ssd.precondition(0, 8)
+        delta = stat_delta(ssd, write(1), read(1), read(1))
+        assert delta["flash_buffer_read_hits"] == 0
+        assert delta["flash_buffer_write_hits"] == 0
+        assert delta["flash_buffer_read_misses"] == 2
+        assert delta["flash_page_reads"] == 2
+        assert delta["flash_page_programs"] == 1
+        assert len(ssd.buffer) == 0
 
     def test_mapping_table_fraction_reduces_capacity(self):
         full = InternalDRAMBuffer(KB(16), KB(4))
@@ -53,61 +118,69 @@ class TestInternalDRAMBuffer:
         assert reduced.capacity_pages < full.capacity_pages
 
     def test_flush_all_cleans_dirty_pages(self):
-        buffer = InternalDRAMBuffer(KB(64), KB(4))
-        buffer.write(1)
-        buffer.write(2)
-        flushed = buffer.flush_all()
+        ssd = small_ssd()
+        stat_delta(ssd, write(1), write(2))
+        flushed = ssd.buffer.flush_all()
         assert sorted(flushed) == [1, 2]
-        assert buffer.dirty_pages == 0
-
-    def test_invalidate(self):
-        buffer = InternalDRAMBuffer(KB(64), KB(4))
-        buffer.fill(7)
-        buffer.invalidate(7)
-        assert 7 not in buffer
+        assert ssd.buffer.dirty_pages == 0
 
     def test_hit_rate(self):
-        buffer = InternalDRAMBuffer(KB(64), KB(4))
-        buffer.write(1)       # miss
-        buffer.read(1)        # hit
-        assert buffer.stats.hit_rate == pytest.approx(0.5)
+        ssd = small_ssd()
+        stat_delta(ssd, write(1), read(1))   # a write miss, then a read hit
+        assert ssd.buffer.stats.hit_rate == pytest.approx(0.5)
+        assert ssd.statistics()["flash_buffer_hit_rate"] == pytest.approx(0.5)
 
 
-class TestHostInterfaceLayer:
+class TestRequestSplitAndParse:
     def test_aligned_request_splits_into_pages(self):
-        hil = HostInterfaceLayer(KB(4), firmware_latency_ns=800)
-        pieces = hil.split(0, KB(16), is_write=False)
-        assert len(pieces) == 4
-        assert [piece.lpn for piece in pieces] == [0, 1, 2, 3]
-        assert all(piece.size_bytes == KB(4) for piece in pieces)
+        ssd = small_ssd()
+        ssd.precondition(0, 16)
+        delta = stat_delta(ssd, read(0, pages=4))
+        assert delta["flash_buffer_read_misses"] == 4
+        assert delta["flash_page_reads"] == 4
+        assert all(lpn in ssd.buffer for lpn in range(4))
 
     def test_unaligned_request_has_partial_edges(self):
-        hil = HostInterfaceLayer(KB(4), firmware_latency_ns=800)
-        pieces = hil.split(KB(2), KB(4), is_write=True)
-        assert len(pieces) == 2
-        assert pieces[0].size_bytes == KB(2)
-        assert pieces[1].size_bytes == KB(2)
-        assert all(piece.is_write for piece in pieces)
+        # A 4 KB read at byte offset 2 KB covers the back half of LPN 0
+        # and the front half of LPN 1.
+        ssd = small_ssd()
+        ssd.precondition(0, 16)
+        delta = stat_delta(ssd, (False, KB(2), KB(4)))
+        assert delta["flash_buffer_read_misses"] == 2
+        assert delta["flash_page_reads"] == 2
+        assert len(ssd.buffer) == 2 and 0 in ssd.buffer and 1 in ssd.buffer
 
     def test_sub_page_request(self):
-        hil = HostInterfaceLayer(KB(4), firmware_latency_ns=800)
-        pieces = hil.split(100, 64, is_write=False)
-        assert len(pieces) == 1
-        assert pieces[0].lpn == 0
-        assert pieces[0].size_bytes == 64
+        ssd = small_ssd()
+        ssd.precondition(0, 16)
+        delta = stat_delta(ssd, (False, 100, 64))
+        assert delta["flash_page_reads"] == 1
+        assert len(ssd.buffer) == 1 and 0 in ssd.buffer
 
     def test_parse_latency_grows_with_fanout(self):
-        hil = HostInterfaceLayer(KB(4), firmware_latency_ns=800)
-        assert hil.parse_latency(8) > hil.parse_latency(1)
+        # Unmapped pages come back from the controller at DRAM speed, so an
+        # n-page read costs exactly the parse time plus one buffer hit.
+        latencies = []
+        for pages in (1, 2, 8):
+            ssd = small_ssd()
+            config = ssd.config
+            result = ssd.read(0, pages * KB(4), at_ns=0.0)
+            assert result.latency_ns == (
+                config.firmware_latency_ns * (1.0 + 0.05 * (pages - 1))
+                + config.dram_buffer_hit_ns)
+            latencies.append(result.latency_ns)
+        assert latencies == sorted(set(latencies))
 
     def test_invalid_requests_rejected(self):
-        hil = HostInterfaceLayer(KB(4), firmware_latency_ns=800)
+        with pytest.raises(ValueError,
+                           match="firmware latency cannot be negative"):
+            small_ssd(firmware_latency_ns=-1.0)
+        ssd = small_ssd()
         with pytest.raises(ValueError):
-            hil.split(-1, 10, False)
+            ssd.read(-1, 10, at_ns=0.0)
         with pytest.raises(ValueError):
-            hil.split(0, 0, False)
-        with pytest.raises(ValueError):
-            hil.parse_latency(0)
+            ssd.read(0, 0, at_ns=0.0)
+        assert ssd.requests_served == 0
 
 
 def _fil(split: bool) -> FlashInterfaceLayer:
@@ -146,18 +219,10 @@ class TestFlashInterfaceLayer:
         assert access.array_time_ns == pytest.approx(100_000.0)
         assert access.finish_ns > 100_000.0
 
-    def test_erase_has_no_transfer(self):
-        fil = _fil(split=False)
-        address = PhysicalAddress(1, 0, 0, 0, 0, 0)
-        access = fil.erase_block(address, 0.0)
-        assert access.transfer_time_ns == 0.0
-        assert access.array_time_ns == pytest.approx(1_000_000.0)
-
     def test_operation_counters(self):
         fil = _fil(split=True)
         address = PhysicalAddress(0, 0, 0, 0, 0, 0)
         fil.read_page(address, 0.0)
         fil.write_page(address, 0.0)
-        fil.erase_block(address, 0.0)
         stats = fil.statistics()
-        assert stats == {"page_reads": 1, "page_programs": 1, "block_erases": 1}
+        assert stats == {"page_reads": 1, "page_programs": 1}

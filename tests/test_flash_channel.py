@@ -1,4 +1,4 @@
-"""Flash channel scheduler: serialisation per channel, load balancing."""
+"""Flash channel scheduler: serialisation per channel."""
 
 import pytest
 
@@ -35,24 +35,6 @@ class TestTransferTiming:
         sched.reserve(0, 4096, 0.0)
         start, _ = sched.reserve(1, 4096, 0.0)
         assert start == 0.0
-
-
-class TestLoadBalancing:
-    def test_least_loaded_prefers_idle(self):
-        sched = scheduler()
-        sched.reserve(0, 1 << 20, 0.0)
-        choices = sched.least_loaded(0.0, count=2)
-        assert 0 not in choices
-
-    def test_least_loaded_count_validation(self):
-        with pytest.raises(ValueError):
-            scheduler().least_loaded(0.0, count=0)
-
-    def test_next_free(self):
-        sched = scheduler()
-        _, finish = sched.reserve(2, 4096, 0.0)
-        assert sched.next_free(2, 0.0) == pytest.approx(finish)
-        assert sched.next_free(3, 50.0) == 50.0
 
 
 class TestValidation:

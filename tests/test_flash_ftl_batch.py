@@ -159,15 +159,6 @@ class TestWriteBatchParity:
         filled.fill(after)
         assert_state_equal(filled, scalar)
 
-    @settings(max_examples=60, deadline=None)
-    @given(lpn_streams)
-    def test_lookup_batch_matches_scalar_lookup(self, lpns):
-        ftl = tiny_ftl()
-        ftl.fill(lpns)
-        probe = list(range(16))
-        batch_view = ftl.lookup_batch(np.array(probe, dtype=np.int64))
-        assert batch_view == [ftl.lookup(lpn) for lpn in probe]
-
     def test_gc_actually_fires_under_this_geometry(self):
         # Guard against the suite silently testing the no-GC fast path
         # only: every 4th write lands a fresh cold LPN (so each 4-page block
@@ -347,7 +338,6 @@ class TestBaseStripe:
                     reference, step[1], step[2]))
             else:
                 lpns = step[1]
-                assert based.lookup_batch(lpns) == reference.lookup_batch(lpns)
                 assert ([based.lookup(lpn) for lpn in lpns]
                         == [reference.lookup(lpn) for lpn in lpns])
                 assert ([based.is_mapped(lpn) for lpn in lpns]

@@ -1,4 +1,10 @@
-"""Full SSD device model: request servicing, buffering, FUA, presets."""
+"""Full SSD device model: request servicing, buffering, FUA, presets.
+
+Per-request effects are read as deltas of the device-wide
+``SSD.statistics()`` counters.
+"""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +24,14 @@ def small_ssd(buffer_enabled: bool = True, name: str = "ull-flash") -> SSD:
     return SSD(config)
 
 
+def counted(ssd: SSD, request):
+    """Run *request()* and return its result with the statistics deltas."""
+    before = ssd.statistics()
+    result = request()
+    after = ssd.statistics()
+    return result, {key: after[key] - before[key] for key in after}
+
+
 class TestRequestValidation:
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
@@ -33,49 +47,50 @@ class TestRequestValidation:
 class TestReads:
     def test_unwritten_page_read_is_cheap(self):
         ssd = small_ssd()
-        result = ssd.read(0, KB(4), at_ns=0.0)
-        assert result.flash_reads == 0
+        result, delta = counted(ssd, lambda: ssd.read(0, KB(4), at_ns=0.0))
+        assert delta["flash_page_reads"] == 0
         assert result.latency_ns < us(10)
 
     def test_read_after_precondition_touches_flash(self):
         ssd = small_ssd()
         ssd.precondition(0, 16)
-        result = ssd.read(0, KB(4), at_ns=0.0)
-        assert result.flash_reads == 1
+        result, delta = counted(ssd, lambda: ssd.read(0, KB(4), at_ns=0.0))
+        assert delta["flash_page_reads"] == 1
         assert result.latency_ns >= us(3)
 
     def test_second_read_hits_internal_buffer(self):
         ssd = small_ssd()
         ssd.precondition(0, 16)
         ssd.read(0, KB(4), at_ns=0.0)
-        second = ssd.read(0, KB(4), at_ns=us(100))
-        assert second.buffer_hits == 1
-        assert second.flash_reads == 0
+        _, delta = counted(ssd, lambda: ssd.read(0, KB(4), at_ns=us(100)))
+        assert delta["flash_buffer_read_hits"] == 1
+        assert delta["flash_page_reads"] == 0
 
     def test_large_read_splits_into_pages(self):
         ssd = small_ssd()
         ssd.precondition(0, 16)
-        result = ssd.read(0, KB(16), at_ns=0.0)
-        assert result.flash_reads == 4
+        _, delta = counted(ssd, lambda: ssd.read(0, KB(16), at_ns=0.0))
+        assert delta["flash_page_reads"] == 4
 
 
 class TestWrites:
     def test_buffered_write_is_fast(self):
         ssd = small_ssd()
-        result = ssd.write(0, KB(4), at_ns=0.0)
-        assert result.flash_programs == 0
+        result, delta = counted(ssd, lambda: ssd.write(0, KB(4), at_ns=0.0))
+        assert delta["flash_page_programs"] == 0
         assert result.latency_ns < us(10)
 
     def test_fua_write_reaches_flash(self):
         ssd = small_ssd()
-        result = ssd.write(0, KB(4), at_ns=0.0, fua=True)
-        assert result.flash_programs == 1
+        result, delta = counted(
+            ssd, lambda: ssd.write(0, KB(4), at_ns=0.0, fua=True))
+        assert delta["flash_page_programs"] == 1
         assert result.latency_ns >= us(100)
 
     def test_write_without_buffer_reaches_flash(self):
         ssd = small_ssd(buffer_enabled=False)
-        result = ssd.write(0, KB(4), at_ns=0.0)
-        assert result.flash_programs == 1
+        _, delta = counted(ssd, lambda: ssd.write(0, KB(4), at_ns=0.0))
+        assert delta["flash_page_programs"] == 1
 
     def test_buffer_evictions_program_flash(self):
         ssd = small_ssd()
@@ -192,6 +207,22 @@ class TestStatisticsAndProperties:
         for key in ("flash_buffer_read_hits", "flash_page_programs",
                     "flash_channel_bytes_moved", "flash_ftl_host_writes"):
             assert key in stats
+
+    def test_block_erases_count_gc_erases(self):
+        # GC is the only eraser: random overwrites on a tiny unbuffered
+        # device make it erase blocks, and the stat must report them.
+        geometry = FlashGeometry(channels=2, packages_per_channel=1,
+                                 dies_per_package=3, planes_per_die=1,
+                                 blocks_per_plane=16, pages_per_block=4)
+        ssd = SSD(SSDConfig(geometry=geometry, dram_buffer_enabled=False))
+        pick = random.Random(7).randrange
+        for index in range(2000):
+            ssd.write(pick(ssd.logical_pages) * KB(4), KB(4),
+                      at_ns=index * 1000.0)
+        stats = ssd.statistics()
+        assert stats["flash_ftl_gc_invocations"] > 0
+        assert stats["flash_block_erases"] == sum(ssd.ftl.erase_counts())
+        assert stats["flash_block_erases"] > 0
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.tuples(st.booleans(),

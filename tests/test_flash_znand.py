@@ -66,18 +66,6 @@ class TestDieOccupancy:
 
 
 class TestSelection:
-    def test_earliest_available_prefers_idle_die(self):
-        array = small_array()
-        array.issue(0, 0, 0, FlashOperation.PROGRAM, 0.0)
-        channel, package, die = array.earliest_available(0.0)
-        assert (channel, package, die) != (0, 0, 0)
-
-    def test_dies_on_channel(self):
-        array = small_array()
-        dies = array.dies_on_channel(0)
-        assert len(dies) == 2
-        assert all(die.channel == 0 for die in dies)
-
     def test_total_die_count(self):
         assert len(small_array().dies()) == 4
 

@@ -184,17 +184,6 @@ class TestController:
         assert command.journal_tag == 0
         assert command.completed_ns is not None
 
-    def test_drain_processes_all_commands(self):
-        controller = _controller()
-        pair = QueuePair.create(depth=16)
-        for index in range(4):
-            pair.sq.submit(build_read(lba=index * 8, length_bytes=KB(4), prp=0))
-        results = controller.drain(pair, at_ns=0.0)
-        assert len(results) == 4
-        assert pair.sq.outstanding == 0
-        assert pair.cq.outstanding == 4
-        assert controller.commands_executed == 4
-
     def test_statistics(self):
         controller = _controller()
         controller.execute(build_read(lba=0, length_bytes=KB(4), prp=0), 0.0)
