@@ -199,7 +199,6 @@ class DDRConfig:
     line_size: int = 64
     channels: int = 2
     ranks: int = 2
-    banks_per_rank: int = 8
     # Extra cycles the advanced-HAMS register interface spends writing a 64 B
     # NVMe command into the data-buffer registers (8-beat burst, Section V-A).
     register_command_ns: float = 30.0
@@ -252,7 +251,6 @@ class OptaneConfig:
     xpbuffer_bytes: int = KB(16)
     read_bw_bytes_per_ns: float = gb_per_s(2.2)
     write_bw_bytes_per_ns: float = gb_per_s(0.8)
-    dram_cache_bytes: int = 0  # Memory mode sets this to the DRAM size.
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +260,8 @@ class OptaneConfig:
 
 @dataclass(frozen=True)
 class CPUConfig:
-    """Simplified in-order core model (quad-core ARM v8 @ 2 GHz in Table II)."""
+    """Simplified in-order core model (one core of Table II's ARM v8 @ 2 GHz)."""
 
-    cores: int = 4
     frequency_ghz: float = 2.0
     base_cpi: float = 1.0
 
@@ -321,15 +318,11 @@ class OSStackConfig:
 
 @dataclass(frozen=True)
 class NVMeConfig:
-    """NVMe queue-pair and protocol constants (Section II-C)."""
+    """NVMe protocol timing constants (Section II-C)."""
 
-    queue_depth: int = 64 * 1024
-    command_size_bytes: int = 64
-    completion_size_bytes: int = 16
     doorbell_ns: float = 100.0
     msi_ns: float = 200.0
     controller_processing_ns: float = 500.0
-    prp_entry_bytes: int = 8
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +347,8 @@ class HAMSConfig:
     mode: str = "extend"             # "persist" | "extend"
     mos_page_bytes: int = KB(128)
     tag_check_ns: float = 10.0
-    cache_logic_ns: float = 20.0
     prp_pool_bytes: int = MB(512)
     wait_queue_depth: int = 256
-    max_outstanding_io: int = 16
 
     def __post_init__(self) -> None:
         if self.integration not in ("loose", "tight"):

@@ -163,50 +163,52 @@ class HAMSController:
 
     def access(self, address: int, size_bytes: int, is_write: bool,
                at_ns: float) -> HAMSAccessResult:
-        """Serve one memory request from the MMU.
+        """Serve one memory request from the MMU (the scalar reference).
 
-        Requests must arrive in non-decreasing time order (the platform's
-        trace loop guarantees this).
+        The request is classified on its own — validation, tag probe,
+        lookup — and its NVDIMM traffic is charged in scalar call order.  A
+        hit is served straight from the cache entry; a miss installs its tag
+        and then runs :meth:`replay_miss`, the clocked miss sequence the
+        batched path replays after :meth:`classify_batch`.  Requests must
+        arrive in non-decreasing time order (the platform's trace loop
+        guarantees this).
         """
         self.address_manager.validate(address, size_bytes)
         self.accesses += 1
         decomposed = self.address_manager.decompose(address)
-        result = HAMSAccessResult(address=address, is_write=is_write, hit=False,
-                                  start_ns=at_ns, finish_ns=at_ns)
+        nvdimm = self.nvdimm
 
         # 1. Tag probe: one NVDIMM line access plus the comparator.
-        probe_ns = (self.nvdimm.line_access_ns()
-                    + self.hams_config.tag_check_ns)
-        self.nvdimm.access(self.config.nvdimm.ddr.line_size, is_write=False)
-        result.nvdimm_ns += probe_ns
-        now = at_ns + probe_ns
-
+        probe_ns = nvdimm.line_access_ns() + self.hams_config.tag_check_ns
+        nvdimm.access(self.config.nvdimm.ddr.line_size, is_write=False)
         lookup = self.tag_array.lookup(decomposed.mos_page)
 
-        # 2. Redundant-eviction / hazard check: an outstanding background
-        #    eviction on this entry blocks reuse until it drains.
-        pending = self._background_evictions.get(decomposed.index, 0.0)
-        if not lookup.hit and pending > now:
-            self.hazards.park(decomposed.mos_page, is_write, now)
-            result.wait_ns += pending - now
-            now = pending
-            self._background_evictions.pop(decomposed.index, None)
-            self.hazards.drain_parked()
-
-        if not lookup.hit:
-            now = self._handle_miss(decomposed, lookup, is_write, now, result)
+        if lookup.hit:
+            # 2. Serve the data from the NVDIMM cache entry.
+            serve_ns = self._nvdimm_serve_ns(size_bytes)
+            nvdimm.access(size_bytes, is_write=is_write)
+            if is_write:
+                self.tag_array.mark_dirty(decomposed.mos_page)
+            result = HAMSAccessResult(address=address, is_write=is_write,
+                                      hit=True, start_ns=at_ns,
+                                      finish_ns=(at_ns + probe_ns) + serve_ns,
+                                      nvdimm_ns=probe_ns + serve_ns)
         else:
-            result.hit = True
+            # 3. A miss: the victim clone (read + write), the critical-chunk
+            #    landing and the serve, then the install.  Installing before
+            #    the clocked replay is exact: the replay touches the entry
+            #    only through the hazard manager's busy bit, which
+            #    begin_miss sets and complete_miss clears.
+            page_bytes = self.mos_page_bytes
+            if lookup.needs_eviction:
+                nvdimm.access(page_bytes, is_write=False)
+                nvdimm.access(page_bytes, is_write=True)
+            nvdimm.access(page_bytes, is_write=True)
+            nvdimm.access(size_bytes, is_write=is_write)
+            self.tag_array.install(decomposed.mos_page, dirty=is_write)
+            result = self.replay_miss(address, decomposed, lookup, size_bytes,
+                                      is_write, at_ns)
 
-        # 4. Serve the data from the NVDIMM cache entry.
-        serve_ns = self._nvdimm_serve_ns(size_bytes)
-        self.nvdimm.access(size_bytes, is_write=is_write)
-        result.nvdimm_ns += serve_ns
-        now += serve_ns
-        if is_write:
-            self.tag_array.mark_dirty(decomposed.mos_page)
-
-        result.finish_ns = now
         self.delays.nvdimm_ns += result.nvdimm_ns
         self.delays.dma_ns += result.dma_ns
         self.delays.ssd_ns += result.ssd_ns
@@ -223,8 +225,7 @@ class HAMSController:
         depend on the clock, so one scalar-order walk classifies the whole
         batch and leaves the tag state exactly where the scalar loop would:
         hits mark their entry dirty on stores, misses install their page
-        (the scalar path installs at the end of :meth:`_handle_miss`, but
-        nothing between the lookup and the install reads the array).  The
+        (before their clocked replay, as :meth:`access` does).  The
         walk also records the batch's complete NVDIMM traffic — probe,
         victim clone, critical-chunk landing, serve — in the exact scalar
         call order and charges it through one
@@ -326,11 +327,11 @@ class HAMSController:
                     at_ns: float) -> HAMSAccessResult:
         """Clocked replay of one pre-classified miss (see :meth:`classify_batch`).
 
-        Runs the exact scalar miss sequence — probe time, background-eviction
-        parking, engine wait, clone, NVMe issue, landing, serve — without
-        re-charging the NVDIMM counters or re-touching the tag array (both
-        already folded by the classification walk).  The caller accumulates
-        the returned delay components in batch order.
+        Runs the clock-dependent miss sequence — probe time, background-
+        eviction parking, engine wait, clone, NVMe issue, landing, serve.
+        The NVDIMM counters and the tag install are the caller's (the
+        classification walk, or :meth:`access`), and so is accumulating the
+        returned delay components.
         """
         result = HAMSAccessResult(address=address, is_write=is_write,
                                   hit=False, start_ns=at_ns, finish_ns=at_ns)
@@ -347,8 +348,7 @@ class HAMSController:
             self._background_evictions.pop(decomposed.index, None)
             self.hazards.drain_parked()
 
-        now = self._handle_miss(decomposed, lookup, is_write, now, result,
-                                charge_nvdimm=False, install_tag=False)
+        now = self._handle_miss(decomposed, lookup, is_write, now, result)
 
         serve_ns = self._nvdimm_serve_ns(size_bytes)
         result.nvdimm_ns += serve_ns
@@ -365,14 +365,12 @@ class HAMSController:
     CRITICAL_CHUNK_BYTES = 4096
 
     def _handle_miss(self, decomposed, lookup, is_write: bool, now: float,
-                     result: HAMSAccessResult, *, charge_nvdimm: bool = True,
-                     install_tag: bool = True) -> float:
+                     result: HAMSAccessResult) -> float:
         """Evict the victim (if dirty) and fill the requested page.
 
-        ``charge_nvdimm=False`` / ``install_tag=False`` are the batched
-        replay's knobs: :meth:`classify_batch` has already recorded the
-        NVDIMM traffic (in one order-exact schedule) and installed the tag
-        entry, so :meth:`replay_miss` re-runs only the clock-dependent part.
+        Only the clock-dependent part: the NVDIMM traffic (clone, landing)
+        is charged and the tag installed by the caller of
+        :meth:`replay_miss`; here those steps only add their time.
 
         In extend mode only the *critical chunk* (the 4 KB covering the
         requested address) sits on the access's critical path; the rest of
@@ -402,9 +400,6 @@ class HAMSController:
             # hazard while the DMA is in flight.  The copy runs at DRAM
             # bandwidth and overlaps with the critical fill coming from flash.
             clone_ns = 2 * self.nvdimm.page_access_ns(self.mos_page_bytes)
-            if charge_nvdimm:
-                self.nvdimm.access(self.mos_page_bytes, is_write=False)
-                self.nvdimm.access(self.mos_page_bytes, is_write=True)
             result.nvdimm_ns += clone_ns
             evict_command = self.engine.build_evict(
                 lba=self.address_manager.lba_of(victim_page),
@@ -491,14 +486,10 @@ class HAMSController:
         # The critical chunk lands in the NVDIMM cache entry; the remainder
         # streams in behind it off the critical path.
         landing_ns = self.nvdimm.page_access_ns(chunk)
-        if charge_nvdimm:
-            self.nvdimm.access(self.mos_page_bytes, is_write=True)
         result.nvdimm_ns += landing_ns
         now += landing_ns
 
         self.hazards.complete_miss(lookup.index)
-        if install_tag:
-            self.tag_array.install(decomposed.mos_page, dirty=is_write)
         result.evicted = evict_command is not None
         return now
 

@@ -54,10 +54,6 @@ class WaitQueue:
     def __len__(self) -> int:
         return len(self._queue)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._queue
-
     def push(self, request: WaitingRequest) -> None:
         if len(self._queue) >= self.depth:
             raise WaitQueueFullError(

@@ -454,7 +454,7 @@ class SSD:
                 in_page = offset % page_size
                 if size <= page_size - in_page:
                     n_sub = 1
-                    lpns = None
+                    lpns = (offset // page_size,)
                 else:
                     lpns = []
                     cursor = offset
@@ -477,76 +477,10 @@ class SSD:
                                                           + 0.05 * (n_sub - 1))
                 finish = firmware_done
 
-                if n_sub == 1 and not is_write:
-                    # -- single-page read (the dominant shape) ------------
-                    lpn = (offset // page_size) % logical_pages
-                    if buffer_enabled and lpn in buffer_pages:
-                        buffer_move(lpn)
-                        buf_read_hits += 1
-                        sub_finish = firmware_done + hit_ns
-                    else:
-                        buf_read_misses += 1
-                        k = lpn - base_start
-                        if 0 <= k < base_count and lpn not in base_gone:
-                            ppn = ((k % plane_count) * pages_per_plane
-                                   + k // plane_count)
-                        else:
-                            ppn = mapping_get(lpn)
-                        if ppn is None:
-                            # Never-written page: zeroes from the controller.
-                            sub_finish = firmware_done + hit_ns
-                        else:
-                            # Inlined FlashInterfaceLayer.read_page against
-                            # the flat occupancy arrays: array sensing, then
-                            # the (optionally split) channel DMA.
-                            state = die_states[ppn // pages_per_die]
-                            busy = state.busy_until_ns
-                            array_start = (firmware_done
-                                           if firmware_done >= busy else busy)
-                            array_finish = array_start + read_ns
-                            state.busy_until_ns = array_finish
-                            state.reads += 1
-                            channel = ppn // pages_per_channel
-                            if split:
-                                partner = channel + 1
-                                if partner == channel_count:
-                                    partner = 0
-                                busy = chan_busy[channel]
-                                t_start = (array_finish
-                                           if array_finish >= busy else busy)
-                                finish_a = t_start + t_half
-                                chan_busy[channel] = finish_a
-                                chan_bytes[channel] += half
-                                chan_transfers[channel] += 1
-                                busy = chan_busy[partner]
-                                t_start = (array_finish
-                                           if array_finish >= busy else busy)
-                                finish_b = t_start + t_rest
-                                chan_busy[partner] = finish_b
-                                chan_bytes[partner] += rest
-                                chan_transfers[partner] += 1
-                                sub_finish = (finish_a if finish_a >= finish_b
-                                              else finish_b)
-                            else:
-                                busy = chan_busy[channel]
-                                t_start = (array_finish
-                                           if array_finish >= busy else busy)
-                                sub_finish = t_start + t_full
-                                chan_busy[channel] = sub_finish
-                                chan_bytes[channel] += page_size
-                                chan_transfers[channel] += 1
-                            page_reads_local += 1
-                            # Read-miss fill: the page is known absent, so
-                            # a clean insert (its eviction programs nothing).
-                            if buffer_enabled:
-                                buffer_insert(lpn, False)
-                    if sub_finish > finish:
-                        finish = sub_finish
-                elif not is_write:
-                    # -- multi-page read (the migration-chunk shape) ------
-                    # One fused pass in piece order: buffer classification,
-                    # translation and the die/channel reservations are the
-                    # same per-page sequence as above, so a 16-page chunk
+                if not is_write:
+                    # -- reads: one fused pass in piece order -------------
+                    # Buffer classification, translation and the die and
+                    # channel reservations per page, so a 16-page chunk
                     # read is one tight loop instead of 16 scalar walks.
                     zero_finish = firmware_done + hit_ns
                     for raw_lpn in lpns:
@@ -564,8 +498,14 @@ class SSD:
                             else:
                                 ppn = mapping_get(lpn)
                             if ppn is None:
+                                # Never-written page: zeroes from the
+                                # controller.
                                 sub_finish = zero_finish
                             else:
+                                # Inlined FlashInterfaceLayer.read_page
+                                # against the flat occupancy arrays: array
+                                # sensing, then the (optionally split)
+                                # channel DMA.
                                 state = die_states[ppn // pages_per_die]
                                 busy = state.busy_until_ns
                                 array_start = (firmware_done
@@ -608,6 +548,9 @@ class SSD:
                                     chan_bytes[channel] += page_size
                                     chan_transfers[channel] += 1
                                 page_reads_local += 1
+                                # Read-miss fill: the page is known absent,
+                                # so a clean insert (its eviction programs
+                                # nothing).
                                 if buffer_enabled:
                                     buffer_insert(lpn, False)
                         if sub_finish > finish:
@@ -615,11 +558,8 @@ class SSD:
                 else:
                     # -- writes (single- or multi-page) -------------------
                     fua = fua_col[j]
-                    if lpns is None:
-                        write_lpns = ((offset // page_size) % logical_pages,)
-                    else:
-                        write_lpns = [lpn % logical_pages for lpn in lpns]
-                    for lpn in write_lpns:
+                    for raw_lpn in lpns:
+                        lpn = raw_lpn % logical_pages
                         if not fua and buffer_enabled:
                             # Buffered write: hits mark dirty in place,
                             # misses insert (possibly evicting the LRU

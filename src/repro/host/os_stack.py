@@ -242,32 +242,21 @@ class PageCache:
             if len(tenant_column) != count:
                 raise ValueError("tenants column must match the batch")
             tenants_list = tenant_column.tolist()
-            for start, end, page in zip(starts_list, ends_list, run_pages):
-                index = start
-                while index < end and page not in residency:
-                    miss_positions.append(index)
+        for start, end, page in zip(starts_list, ends_list, run_pages):
+            index = start
+            while index < end and page not in residency:
+                miss_positions.append(index)
+                if attribute:
                     self._install_tenant = tenants_list[index]
-                    evictions.append(install(page, writes_list[index]))
-                    index += 1
-                if index < end:
-                    move_to_end(page)
-                    if write_prefix[end] > write_prefix[index]:
-                        residency[page] = True
-            self._install_tenant = None
-        else:
-            for start, end, page in zip(starts_list, ends_list, run_pages):
-                index = start
-                while index < end and page not in residency:
-                    miss_positions.append(index)
-                    evictions.append(install(page, writes_list[index]))
-                    index += 1
-                if index < end:
-                    # The rest of the run is guaranteed hits: one MRU move
-                    # and one dirty-flag update stand in for each scalar
-                    # touch.
-                    move_to_end(page)
-                    if write_prefix[end] > write_prefix[index]:
-                        residency[page] = True
+                evictions.append(install(page, writes_list[index]))
+                index += 1
+            if index < end:
+                # The rest of the run is guaranteed hits: one MRU move and
+                # one dirty-flag update stand in for each scalar touch.
+                move_to_end(page)
+                if write_prefix[end] > write_prefix[index]:
+                    residency[page] = True
+        self._install_tenant = None
         miss_count = len(miss_positions)
         miss_indices = np.asarray(miss_positions, dtype=np.int64)
         hits[miss_indices] = False

@@ -42,10 +42,6 @@ class _Ring:
         return self._used
 
     @property
-    def is_empty(self) -> bool:
-        return self.slots_used() == 0
-
-    @property
     def is_full(self) -> bool:
         return self.slots_used() >= self.depth - 1
 
@@ -158,9 +154,6 @@ class CompletionQueue:
     def reap(self) -> Optional[NVMeCompletion]:
         """Host consumes the completion at the head."""
         return self._ring.pop()  # type: ignore[return-value]
-
-    def pending_completions(self) -> List[NVMeCompletion]:
-        return list(self._ring.peek_all())  # type: ignore[arg-type]
 
 
 @dataclass

@@ -13,7 +13,7 @@ at the base CPI, fine-grained references filter through the on-chip caches,
 and what misses goes off-chip.  Two execution strategies produce
 bit-identical results:
 
-* the legacy **scalar** loop hands each miss to
+* the **scalar** reference loop hands each miss to
   :meth:`Platform.service_memory_access` one at a time, and
 * the default **batched** loop takes the trace's L1/L2 outcomes from the
   memoised filter stage (:func:`repro.host.caches.filter_trace`, one walk
@@ -101,10 +101,11 @@ class MemoryRequestBatch:
 
     ``addresses`` / ``sizes`` / ``writes`` are equal-length columns,
     ``on_chip_ns`` is the on-chip (cache walk) latency already paid per
-    request, and ``start_ns`` is the replay clock when the batch was formed.
-    The optional :class:`BatchTimeline` lets :meth:`service_page_cached`
-    reproduce the scalar replay loop's per-request issue times exactly;
-    without it, requests are assumed back-to-back from ``start_ns``.
+    request, ``start_ns`` is the replay clock when the batch was formed and
+    the :class:`BatchTimeline` is the chunk's clock sequence, from which
+    every ``service_batch`` reproduces the scalar replay loop's
+    per-request issue times exactly.  The batched replay loop builds every
+    batch and always passes all three.
 
     ``tenant_ids`` is an optional int64 column tagging each request with
     the scenario tenant that issued it.  It is ``None`` for every
@@ -117,15 +118,12 @@ class MemoryRequestBatch:
                  "timeline", "tenant_ids")
 
     def __init__(self, addresses: np.ndarray, sizes: np.ndarray,
-                 writes: np.ndarray, on_chip_ns: Optional[np.ndarray] = None,
-                 start_ns: float = 0.0,
-                 timeline: Optional[BatchTimeline] = None,
+                 writes: np.ndarray, on_chip_ns: np.ndarray, start_ns: float,
+                 timeline: BatchTimeline,
                  tenant_ids: Optional[np.ndarray] = None) -> None:
         self.addresses = np.asarray(addresses, dtype=np.int64)
         self.sizes = np.asarray(sizes, dtype=np.int64)
         self.writes = np.asarray(writes, dtype=bool)
-        if on_chip_ns is None:
-            on_chip_ns = np.zeros(len(self.addresses), dtype=np.float64)
         self.on_chip_ns = np.asarray(on_chip_ns, dtype=np.float64)
         self.start_ns = start_ns
         self.timeline = timeline
@@ -149,35 +147,31 @@ class MemoryRequestBatch:
 
         The engine behind the DRAM-cache platforms' vectorized
         ``service_batch`` (and, with every request a miss, behind the
-        default :meth:`Platform.service_batch`): the caller classifies every request against its
-        page cache (one :meth:`~repro.host.os_stack.PageCache.access_batch`
-        walk) and computes the hits' clock-independent service latencies in
-        one vectorized pass (``hit_latency_ns``, a full-length column whose
-        values at miss positions are ignored); this method then walks only
+        default :meth:`Platform.service_batch`).  The caller classifies
+        every request against its page cache (one
+        :meth:`~repro.host.os_stack.PageCache.access_batch` walk) and
+        computes the hits' clock-independent service latencies in one
+        vectorized pass (``hit_latency_ns``, a full-length column whose
+        values at miss positions are ignored).  This method then walks only
         the misses, handing ``miss_service(k, index, now)`` — the *k*-th
         miss, batch row *index* — the exact issue clock the scalar replay
         loop would have passed, and expecting ``(latency_ns, os_ns,
         storage_ns)`` back.  The clock is reconstructed from the batch's
-        :class:`BatchTimeline` by the same left-to-right float accumulation
-        the scalar loop performs (hit slots are pre-filled with their
-        on-chip + service addends), so clock- and history-dependent miss
-        paths (SSD reads, link transfers) stay bit-identical while the hits
-        never enter a Python loop.
+        :class:`BatchTimeline` (every batch carries one) by the same
+        left-to-right float accumulation the scalar loop performs (hit
+        slots are pre-filled with their on-chip + service addends), so
+        clock- and history-dependent miss paths (SSD reads, link transfers)
+        stay bit-identical while the hits never enter a Python loop.
         """
         count = len(self)
         latency = np.array(hit_latency_ns, dtype=np.float64, copy=True)
         os_ns = np.zeros(count, dtype=np.float64)
         storage_ns = np.zeros(count, dtype=np.float64)
-        if self.timeline is not None:
-            addends = self.timeline.addends.copy()
-            slots = self.timeline.service_slots
-        else:
-            # No timeline: requests issue back to back, one addend each.
-            addends = np.zeros(count, dtype=np.float64)
-            slots = np.arange(count, dtype=np.int64)
         if len(miss_indices) == 0:
             return MemoryServiceBatch(latency_ns=latency, os_ns=os_ns,
                                       storage_ns=storage_ns)
+        addends = self.timeline.addends.copy()
+        slots = self.timeline.service_slots
         hit_indices = np.flatnonzero(hit_mask)
         addends[slots[hit_indices]] = (self.on_chip_ns[hit_indices]
                                        + latency[hit_indices])
@@ -299,10 +293,6 @@ class Platform(abc.ABC):
     #: Human-readable platform name (matches the paper's legend labels).
     name: str = "abstract"
 
-    #: Default replay strategy; ``run(..., execution="scalar")`` forces the
-    #: legacy per-access loop (the two are bit-identical).
-    replay_mode: str = "batched"
-
     #: Accesses per replay chunk (one service batch each).
     replay_chunk_size: int = 4096
 
@@ -382,8 +372,7 @@ class Platform(abc.ABC):
         """
         return []
 
-    def run(self, trace: WorkloadTrace, *,
-            execution: Optional[str] = None,
+    def run(self, trace: WorkloadTrace, *, execution: str = "batched",
             observer: Optional[object] = None) -> RunResult:
         """Replay *trace* and return the full measurement record.
 
@@ -399,15 +388,14 @@ class Platform(abc.ABC):
         no misses).  Observation is read-only and batched-only; the
         scenario engine rides it for per-tenant attribution.
         """
-        mode = execution if execution is not None else self.replay_mode
-        if mode == "batched":
+        if execution == "batched":
             return self._run_batched(trace, observer=observer)
-        if mode == "scalar":
+        if execution == "scalar":
             if observer is not None:
                 raise ValueError(
                     "replay observers require the batched execution mode")
             return self._run_scalar(trace)
-        raise ValueError(f"unknown execution mode {mode!r}; "
+        raise ValueError(f"unknown execution mode {execution!r}; "
                          f"expected 'batched' or 'scalar'")
 
     def _run_scalar(self, trace: WorkloadTrace) -> RunResult:

@@ -72,16 +72,20 @@ class BypassPlatform(Platform):
             self._nvdimm_busy_ns += result.latency_ns
             return MemoryServiceResult(latency_ns=result.latency_ns)
 
-        # Every miss is a synchronous 4 KB device access on the load/store path.
+        latency = self._flash_access(page, is_write, at_ns)
+        if self.strategy == "ull-buff":
+            self.page_buffer.install(page, dirty=is_write)
+        return MemoryServiceResult(latency_ns=latency)
+
+    def _flash_access(self, page: int, is_write: bool, at_ns: float) -> float:
+        """One miss: a synchronous 4 KB device access on the load/store
+        path plus its PCIe transfer; returns the latency seen at *at_ns*."""
         if is_write:
             io = self.ssd.write(page * _PAGE, _PAGE, at_ns)
         else:
             io = self.ssd.read(page * _PAGE, _PAGE, at_ns)
         transfer = self.link.transfer(_PAGE, io.finish_ns)
-        latency = (io.finish_ns - at_ns) + transfer.latency_ns
-        if self.strategy == "ull-buff":
-            self.page_buffer.install(page, dirty=is_write)
-        return MemoryServiceResult(latency_ns=latency)
+        return (io.finish_ns - at_ns) + transfer.latency_ns
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """Vectorized service for every bypass strategy.
@@ -138,13 +142,8 @@ class BypassPlatform(Platform):
         writes_list = batch.writes.tolist() if any_misses else []
 
         def miss_service(k: int, index: int, now: float):
-            page = pages_list[index]
-            if writes_list[index]:
-                io = self.ssd.write(page * _PAGE, _PAGE, now)
-            else:
-                io = self.ssd.read(page * _PAGE, _PAGE, now)
-            transfer = self.link.transfer(_PAGE, io.finish_ns)
-            return (io.finish_ns - now) + transfer.latency_ns, 0.0, 0.0
+            return (self._flash_access(pages_list[index], writes_list[index],
+                                       now), 0.0, 0.0)
 
         return batch.service_page_cached(hit_mask, hit_latency, miss_indices,
                                          miss_service)
@@ -161,25 +160,19 @@ class BypassPlatform(Platform):
         returns ``None`` and the caller uses the per-miss fold instead.
         """
         count = len(batch)
-        timeline = batch.timeline
-        if timeline is not None:
-            addends = timeline.addends
-            slots = timeline.service_slots
-            if len(addends) == 2 * count:
-                expected = 2 * np.arange(count, dtype=np.int64) + 1
-                if not np.array_equal(slots, expected):
-                    return None
-                pre_gap = addends[0::2]
-            elif len(addends) == count:
-                if not np.array_equal(slots,
-                                      np.arange(count, dtype=np.int64)):
-                    return None
-                pre_gap = None
-            else:
+        addends = batch.timeline.addends
+        slots = batch.timeline.service_slots
+        if len(addends) == 2 * count:
+            expected = 2 * np.arange(count, dtype=np.int64) + 1
+            if not np.array_equal(slots, expected):
                 return None
-        else:
-            # No timeline: requests issue back to back (zero pre-gap).
+            pre_gap = addends[0::2]
+        elif len(addends) == count:
+            if not np.array_equal(slots, np.arange(count, dtype=np.int64)):
+                return None
             pre_gap = None
+        else:
+            return None
         io_batch = IORequestBatch(
             is_write=batch.writes,
             byte_offset=(batch.addresses // _PAGE) * _PAGE,

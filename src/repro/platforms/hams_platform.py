@@ -115,13 +115,8 @@ class HAMSPlatform(Platform):
         sizes_list = sizes.tolist()
         writes_list = batch.writes.tolist()
         on_chip = batch.on_chip_ns.tolist()
-        timeline = batch.timeline
-        if timeline is not None:
-            addends = timeline.addends.tolist()
-            slots = timeline.service_slots.tolist()
-        else:
-            addends = None
-            slots = None
+        addends = batch.timeline.addends.tolist()
+        slots = batch.timeline.service_slots.tolist()
 
         latency = [0.0] * count
         delays = controller.delays
@@ -135,12 +130,11 @@ class HAMSPlatform(Platform):
         now = batch.start_ns
         cursor = 0
         for j in range(count):
-            if slots is not None:
-                slot = slots[j]
-                while cursor < slot:
-                    now += addends[cursor]
-                    cursor += 1
-                cursor = slot + 1
+            slot = slots[j]
+            while cursor < slot:
+                now += addends[cursor]
+                cursor += 1
+            cursor = slot + 1
             if hits[j]:
                 finish = (now + probe) + serve[j]
                 lat = finish - now

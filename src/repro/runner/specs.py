@@ -12,7 +12,7 @@ trace objects locally from the spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..config import SystemConfig
@@ -101,14 +101,21 @@ def apply_config_overrides(config: SystemConfig,
 
     ``overrides`` maps a :data:`CONFIG_SECTIONS` name to ``{field: value}``,
     e.g. ``{"hams": {"mos_page_bytes": 4096}}``.  The input config is frozen
-    and never mutated.
+    and never mutated.  An unknown section or field raises ``ValueError``.
     """
-    for section, fields in overrides.items():
+    for section, values in overrides.items():
         if section not in CONFIG_SECTIONS:
             raise ValueError(
                 f"unknown config section {section!r}; "
                 f"expected one of {CONFIG_SECTIONS}")
-        section_config = replace(getattr(config, section), **dict(fields))
+        current = getattr(config, section)
+        known = tuple(f.name for f in fields(current) if f.init)
+        unknown = sorted(set(values) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown field(s) {', '.join(map(repr, unknown))} in config "
+                f"section {section!r}; expected one of {known}")
+        section_config = replace(current, **dict(values))
         config = replace(config, **{section: section_config})
     return config
 

@@ -131,8 +131,7 @@ def aggregate_registry(registries: List[StatRegistry]) -> StatRegistry:
     return merged
 
 
-def run_scenario(scenario: ScenarioSpec, platform, scale,
-                 *, execution: Optional[str] = None) -> RunResult:
+def run_scenario(scenario: ScenarioSpec, platform, scale) -> RunResult:
     """Replay *scenario* on a live *platform*, attaching tenant payloads.
 
     The low-level entry point: builds the mixed trace at *scale*, applies
@@ -142,15 +141,14 @@ def run_scenario(scenario: ScenarioSpec, platform, scale,
     executor-tiered path.
     """
     trace = build_mixed_trace(scenario, scale)
-    return _replay(scenario, platform, trace, execution=execution)
+    return _replay(scenario, platform, trace)
 
 
-def _replay(scenario: ScenarioSpec, platform, trace,
-            *, execution: Optional[str] = None) -> RunResult:
+def _replay(scenario: ScenarioSpec, platform, trace) -> RunResult:
     names = scenario.tenant_names()
     cache_names = install_policy(platform, scenario, len(names))
     observer = TenantAttribution(len(names))
-    result = platform.run(trace, execution=execution, observer=observer)
+    result = platform.run(trace, observer=observer)
     _harvest_cache_counters(platform, cache_names, observer.registries)
 
     total_accesses = sum(

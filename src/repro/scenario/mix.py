@@ -291,10 +291,6 @@ class MixedAccessStream(AccessStream):
         """Per-tenant address-space base offsets."""
         return self._bases
 
-    @property
-    def tenant_lengths(self) -> Tuple[int, ...]:
-        return self._lengths
-
     # -- merge streaming ---------------------------------------------------------
 
     def _blocks(self) -> Iterator[TenantAccessStream]:

@@ -1,13 +1,8 @@
-"""Discrete-event simulation primitives and statistics collection."""
+"""Statistics collection shared by the device and platform models."""
 
-from .engine import Event, EventQueue, SimClock, Simulator
 from .stats import Counter, Histogram, LatencyStat, StatRegistry
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "SimClock",
-    "Simulator",
     "Counter",
     "Histogram",
     "LatencyStat",

@@ -44,10 +44,6 @@ class WorkloadCharacteristics:
     store_ratio: float
     dataset_bytes: int
 
-    @property
-    def memory_instruction_ratio(self) -> float:
-        return self.load_ratio + self.store_ratio
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:

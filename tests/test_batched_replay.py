@@ -23,6 +23,7 @@ device-cache evictions fire, with their device-side state compared too.
 
 import dataclasses
 import functools
+import inspect
 import os
 
 import numpy as np
@@ -30,7 +31,7 @@ import pytest
 
 from repro.config import default_config
 from repro.numerics import sequential_add
-from repro.platforms.base import MemoryRequestBatch, Platform
+from repro.platforms.base import Platform
 from repro.platforms.registry import available_platforms, create_platform
 from repro.scenario import ScenarioSpec, TenantSpec, scenario_source
 from repro.units import KB
@@ -248,7 +249,8 @@ def test_dram_cache_stats_exposed_and_exact(platform_name, config, traces):
 
 def test_default_mode_is_batched(config, traces):
     platform = create_platform("oracle", config)
-    assert platform.replay_mode == "batched"
+    assert inspect.signature(
+        Platform.run).parameters["execution"].default == "batched"
     reference = create_platform("oracle", config).run(traces["seqRd"],
                                                       execution="batched")
     assert result_fields(platform.run(traces["seqRd"])) \
@@ -353,30 +355,6 @@ def test_default_service_batch_is_bit_identical(platform_name, workload,
         platform.replay_chunk_size = chunk_size
         batched = platform.run(trace, execution="batched")
         assert result_fields(batched) == result_fields(scalar), chunk_size
-
-
-def test_default_service_batch_without_timeline(config):
-    """Without a timeline the requests issue back to back from the batch's
-    start clock, each after the previous one's full cost."""
-    rng = np.random.default_rng(3)
-    count = 40
-    addresses = rng.integers(0, 64, count) * KB(4)
-    writes = rng.random(count) < 0.5
-    on_chip = rng.random(count) * 10.0
-    batch = MemoryRequestBatch(addresses=addresses,
-                               sizes=np.full(count, KB(4)), writes=writes,
-                               on_chip_ns=on_chip, start_ns=250.0)
-    result = Platform.service_batch(create_platform("mmap", config), batch)
-    reference = create_platform("mmap", config)
-    now = 250.0
-    for j in range(count):
-        expected = reference.service_memory_access(
-            int(addresses[j]), KB(4), bool(writes[j]), now)
-        assert result.latency_ns[j] == expected.latency_ns
-        assert result.os_ns[j] == expected.os_ns
-        assert result.storage_ns[j] == expected.storage_ns
-        now += (((on_chip[j] + expected.latency_ns) + expected.os_ns)
-                + expected.storage_ns)
 
 
 @pytest.mark.parametrize("platform_name", ("hams-LE", "hams-TE"))

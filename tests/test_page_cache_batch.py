@@ -10,9 +10,10 @@ same eviction ``(page, dirty)`` sequence.  Hypothesis drives arbitrary page
 streams, capacities (including the 0 and 1 edge cases), chunked submission
 and the install policies of the platforms: nvdimm-C's chunk install (which
 can evict the faulting page itself), mmap's adjacency-keyed readahead
-install and FlatFlash's count-then-maybe-install promotion; a state
-machine interleaves batched and scalar operations against a mirrored
-reference cache.
+install and FlatFlash's count-then-maybe-install promotion, with the
+chunk and readahead walks also run tenant-tracked (a scenario run's random
+tenant column must leave the walk unchanged); a state machine interleaves
+batched and scalar operations against a mirrored reference cache.
 """
 
 from typing import List, Optional, Tuple
@@ -32,6 +33,11 @@ stream_st = st.lists(st.tuples(pages_st, st.booleans()), max_size=120)
 #: Capacities in pages; 0 (retains nothing) and 1 (evicts on every new
 #: page) are the edge cases the ISSUE calls out.
 capacity_st = st.sampled_from([0, 1, 2, 3, 5, 8, 1 << 20])
+TENANTS = 3
+#: An optional tenant column for the tracked walk (truncated to the stream).
+tenants_st = st.one_of(
+    st.none(), st.lists(st.integers(min_value=0, max_value=TENANTS - 1),
+                        min_size=120, max_size=120))
 
 
 def make_cache(capacity_pages: int) -> PageCache:
@@ -55,10 +61,15 @@ def scalar_replay(cache: PageCache, stream, install=None):
     return hits, evictions
 
 
-def batched_replay(cache: PageCache, stream, install=None):
+def batched_replay(cache: PageCache, stream, install=None, tenants=None):
+    """One ``access_batch`` call; a *tenants* column turns on tracking."""
     pages = np.asarray([page for page, _ in stream], dtype=np.int64)
     writes = np.asarray([write for _, write in stream], dtype=bool)
-    result = cache.access_batch(pages, writes, install=install)
+    if tenants is not None:
+        tenants = np.asarray(tenants[:len(stream)], dtype=np.int64)
+        cache.enable_tenant_tracking(TENANTS)
+    result = cache.access_batch(pages, writes, install=install,
+                                tenants=tenants)
     evictions = [list(eviction) for eviction in result.evictions]
     return result.hits.tolist(), evictions, result
 
@@ -67,6 +78,21 @@ def cache_state(cache: PageCache):
     """Every observable of the cache, including LRU order and dirty flags."""
     return (cache.resident_pages(), sorted(cache.dirty_pages()),
             cache.hits, cache.misses, cache.dirty_writebacks)
+
+
+def assert_tenants_conserved(cache: PageCache, tenants, stream) -> None:
+    """Per-tenant hits plus misses add up to the aggregate counters, and
+    to each tenant's own access count; pollution is counted both ways."""
+    if tenants is None:
+        return
+    stats = cache.tenant_statistics()
+    assert sum(row["cache_hits"] for row in stats.values()) == cache.hits
+    assert sum(row["cache_misses"] for row in stats.values()) == cache.misses
+    column = tenants[:len(stream)]
+    for tenant, row in stats.items():
+        assert row["cache_hits"] + row["cache_misses"] == column.count(tenant)
+    assert (sum(row["evictions_suffered"] for row in stats.values())
+            == sum(row["evictions_inflicted"] for row in stats.values()))
 
 
 def chunk_install(cache: PageCache, chunk_pages: int):
@@ -169,32 +195,35 @@ def test_access_batch_is_split_invariant(capacity, stream, boundaries):
 @settings(max_examples=150, deadline=None)
 @given(capacity=st.sampled_from([0, 1, 2, 3, 5, 8, 1 << 20]),
        chunk_pages=st.sampled_from([1, 2, 4, 8]),
-       stream=stream_st)
+       stream=stream_st, tracked=tenants_st)
 def test_access_batch_matches_scalar_with_chunk_install(capacity, chunk_pages,
-                                                        stream):
+                                                        stream, tracked):
     """The nvdimm-C migration-chunk policy — including installs that evict
-    the faulting page itself when capacity < chunk — stays order-exact."""
+    the faulting page itself when capacity < chunk — stays order-exact,
+    tenant-tracked or not."""
     scalar_cache = make_cache(capacity)
     batched_cache = make_cache(capacity)
     scalar_hits, scalar_evictions = scalar_replay(
         scalar_cache, stream, install=chunk_install(scalar_cache, chunk_pages))
     batched_hits, batched_evictions, _ = batched_replay(
         batched_cache, stream,
-        install=chunk_install(batched_cache, chunk_pages))
+        install=chunk_install(batched_cache, chunk_pages), tenants=tracked)
     assert batched_hits == scalar_hits
     assert batched_evictions == scalar_evictions
     assert cache_state(batched_cache) == cache_state(scalar_cache)
+    assert_tenants_conserved(batched_cache, tracked, stream)
 
 
 @settings(max_examples=150, deadline=None)
 @given(capacity=capacity_st, readahead_pages=st.sampled_from([1, 2, 4, 8]),
-       stream=stream_st)
+       stream=stream_st, tracked=tenants_st)
 def test_access_batch_matches_scalar_with_readahead_install(
-        capacity, readahead_pages, stream):
+        capacity, readahead_pages, stream, tracked):
     """mmap's readahead policy: the adjacency decision is a function of
     the miss sequence alone, so the walk takes the same faults, installs
     the same pages and reports the same dirty victims as the scalar
-    loop — including readahead that evicts the faulting page again."""
+    loop — including readahead that evicts the faulting page again, and
+    with tenant tracking on."""
     scalar_cache = make_cache(capacity)
     batched_cache = make_cache(capacity)
     scalar_policy, scalar_counts = readahead_install(scalar_cache,
@@ -204,11 +233,12 @@ def test_access_batch_matches_scalar_with_readahead_install(
     scalar_hits, scalar_evictions = scalar_replay(scalar_cache, stream,
                                                   install=scalar_policy)
     batched_hits, batched_evictions, _ = batched_replay(
-        batched_cache, stream, install=batched_policy)
+        batched_cache, stream, install=batched_policy, tenants=tracked)
     assert batched_hits == scalar_hits
     assert batched_evictions == scalar_evictions
     assert batched_counts == scalar_counts
     assert cache_state(batched_cache) == cache_state(scalar_cache)
+    assert_tenants_conserved(batched_cache, tracked, stream)
 
 
 @settings(max_examples=150, deadline=None)

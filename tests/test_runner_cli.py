@@ -179,6 +179,18 @@ class TestRunCommand:
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert not spool.exists()
 
+    def test_sweep_unknown_field_is_an_error(self, tmp_path, capsys):
+        """An unknown --field exits 2 with one clean error line."""
+        status = main(["sweep", "--platform", "hams-TE",
+                       "--workloads", "seqRd", "--section", "hams",
+                       "--field", "no_such", "--values", "1", "2",
+                       "--smoke", "--executor", "serial", "--quiet",
+                       "--output-dir", str(tmp_path)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'no_such'" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_platforms_without_workloads_is_an_error(self, tmp_path,
                                                      capsys):
         status = main(["run", "--smoke", "--platforms", "mmap",

@@ -92,6 +92,17 @@ class TestRunSpecs:
             apply_config_overrides(tiny_session().config,
                                    {"bogus": {"x": 1}})
 
+    def test_unknown_config_field_rejected(self):
+        """An unknown field is a ValueError naming the section and its
+        valid fields, not a TypeError from the dataclass constructor."""
+        with pytest.raises(ValueError) as error:
+            apply_config_overrides(tiny_session().config,
+                                   {"hams": {"mos_page_bytes": KB(4),
+                                             "no_such": 1}})
+        message = str(error.value)
+        assert "'no_such'" in message and "'hams'" in message
+        assert "mos_page_bytes" in message
+
     def test_platform_kwargs_reach_constructor(self):
         result = tiny_session().simulate(
             "oracle", "seqRd", platform_kwargs={"capacity_bytes": 1 << 26})
