@@ -8,7 +8,8 @@ This package is the paper's primary contribution.  It contains:
   exposes the ULL-Flash capacity to the MMU and maps the pinned region,
 * :mod:`~repro.core.nvme_engine` — the hardware NVMe queue engine that
   composes commands, rings doorbells and reaps completions without any OS
-  involvement,
+  involvement (modelled as one protocol recurrence over floats per
+  command),
 * :mod:`~repro.core.register_interface` — the advanced-HAMS SSD command
   generator that talks to the unboxed ULL-Flash over DDR4 (Figure 12),
 * :mod:`~repro.core.hazard` — eviction-hazard and redundant-eviction
@@ -21,7 +22,7 @@ This package is the paper's primary contribution.  It contains:
 
 from .tag_array import MoSTagArray, TagEntry, TagLookup
 from .address_manager import AddressManager, DecomposedAddress
-from .nvme_engine import HardwareNVMeEngine, EngineIOResult
+from .nvme_engine import HardwareNVMeEngine
 from .register_interface import RegisterInterface
 from .hazard import HazardManager, WaitQueue
 from .persistency import PersistencyController, RecoveryReport
@@ -34,7 +35,6 @@ __all__ = [
     "AddressManager",
     "DecomposedAddress",
     "HardwareNVMeEngine",
-    "EngineIOResult",
     "RegisterInterface",
     "HazardManager",
     "WaitQueue",

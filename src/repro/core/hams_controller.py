@@ -35,6 +35,7 @@ from ..flash.ssd import SSD
 from ..interconnect.ddr_bus import DDR4Bus
 from ..interconnect.pcie import PCIeLink
 from ..memory.nvdimm import NVDIMM
+from ..nvme.commands import next_command_id
 from ..nvme.controller import NVMeController
 from ..nvme.prp import PRPPool, PRPPoolExhausted
 from ..nvme.queues import QueuePair
@@ -131,10 +132,11 @@ class HAMSController:
                                 self.mos_page_bytes)
         self.hazards = HazardManager(self.tag_array, self.prp_pool,
                                      config.hams.wait_queue_depth)
+        # The SQ/CQ pair in the pinned region.  The engine drains it within
+        # each issue, so only the power-failure recovery ever finds entries.
         self.queue_pair = QueuePair.create(depth=1024)
         self.nvme_controller = NVMeController(self.ssd, self.link, config.nvme)
-        self.engine = HardwareNVMeEngine(self.nvme_controller, self.queue_pair,
-                                         config.hams, config.nvme,
+        self.engine = HardwareNVMeEngine(self.nvme_controller, config.hams,
                                          register_interface=self.register_interface)
         self.persistency = PersistencyController(self.nvdimm, self.ssd,
                                                  self.nvme_controller,
@@ -168,7 +170,8 @@ class HAMSController:
         The request is classified on its own — validation, tag probe,
         lookup — and its NVDIMM traffic is charged in scalar call order.  A
         hit is served straight from the cache entry; a miss installs its tag
-        and then runs :meth:`replay_miss`, the clocked miss sequence the
+        and then runs :meth:`replay_miss` on a batch-of-one
+        :meth:`~repro.flash.ssd.SSD.walk`, the clocked miss sequence the
         batched path replays after :meth:`classify_batch`.  Requests must
         arrive in non-decreasing time order (the platform's trace loop
         guarantees this).
@@ -206,8 +209,9 @@ class HAMSController:
             nvdimm.access(page_bytes, is_write=True)
             nvdimm.access(size_bytes, is_write=is_write)
             self.tag_array.install(decomposed.mos_page, dirty=is_write)
-            result = self.replay_miss(address, decomposed, lookup, size_bytes,
-                                      is_write, at_ns)
+            with self.ssd.walk() as step:
+                result = self.replay_miss(address, decomposed, lookup,
+                                          size_bytes, is_write, at_ns, step)
 
         self.delays.nvdimm_ns += result.nvdimm_ns
         self.delays.dma_ns += result.dma_ns
@@ -324,14 +328,18 @@ class HAMSController:
 
     def replay_miss(self, address: int, decomposed: DecomposedAddress,
                     lookup: TagLookup, size_bytes: int, is_write: bool,
-                    at_ns: float) -> HAMSAccessResult:
+                    at_ns: float, step) -> HAMSAccessResult:
         """Clocked replay of one pre-classified miss (see :meth:`classify_batch`).
 
         Runs the clock-dependent miss sequence — probe time, background-
         eviction parking, engine wait, clone, NVMe issue, landing, serve.
-        The NVDIMM counters and the tag install are the caller's (the
-        classification walk, or :meth:`access`), and so is accumulating the
-        returned delay components.
+        Every NVMe command the miss issues goes through *step*, the step of
+        an open :meth:`~repro.flash.ssd.SSD.walk` on :attr:`ssd`: the
+        batched path opens one walk per service chunk, :meth:`access` a
+        batch-of-one walk per miss.  The NVDIMM counters and the tag
+        install are the caller's (the classification walk, or
+        :meth:`access`), and so is accumulating the returned delay
+        components.
         """
         result = HAMSAccessResult(address=address, is_write=is_write,
                                   hit=False, start_ns=at_ns, finish_ns=at_ns)
@@ -348,7 +356,8 @@ class HAMSController:
             self._background_evictions.pop(decomposed.index, None)
             self.hazards.drain_parked()
 
-        now = self._handle_miss(decomposed, lookup, is_write, now, result)
+        now = self._handle_miss(decomposed, lookup, is_write, now, result,
+                                step)
 
         serve_ns = self._nvdimm_serve_ns(size_bytes)
         result.nvdimm_ns += serve_ns
@@ -365,7 +374,7 @@ class HAMSController:
     CRITICAL_CHUNK_BYTES = 4096
 
     def _handle_miss(self, decomposed, lookup, is_write: bool, now: float,
-                     result: HAMSAccessResult) -> float:
+                     result: HAMSAccessResult, step) -> float:
         """Evict the victim (if dirty) and fill the requested page.
 
         Only the clock-dependent part: the NVDIMM traffic (clone, landing)
@@ -386,10 +395,9 @@ class HAMSController:
         chunk = min(self.CRITICAL_CHUNK_BYTES, self.mos_page_bytes)
         page_lba = self.address_manager.lba_of(decomposed.mos_page)
         chunk_lba = page_lba + (decomposed.offset // chunk) * (chunk // 512)
-        slot_offset = self.address_manager.cache_slot_offset(decomposed.index)
+        issue = self.engine.issue
 
         # -- eviction of the dirty victim -------------------------------------
-        evict_command = None
         victim_page = None
         clone_ns = 0.0
         if lookup.needs_eviction:
@@ -397,58 +405,42 @@ class HAMSController:
                                                    lookup.victim_tag)
             # Clone the victim into the PRP pool: an NVDIMM-internal copy of
             # one MoS page (read + write) that protects against the eviction
-            # hazard while the DMA is in flight.  The copy runs at DRAM
-            # bandwidth and overlaps with the critical fill coming from flash.
+            # hazard while the DMA is in flight — the eviction's PRP points
+            # at the clone, not at the live cache entry.  The copy runs at
+            # DRAM bandwidth and overlaps with the critical fill from flash.
             clone_ns = 2 * self.nvdimm.page_access_ns(self.mos_page_bytes)
             result.nvdimm_ns += clone_ns
-            evict_command = self.engine.build_evict(
-                lba=self.address_manager.lba_of(victim_page),
-                length_bytes=self.mos_page_bytes,
-                # The PRP points at the clone inside the pinned PRP pool, not
-                # at the live cache entry (eviction-hazard avoidance).
-                prp=self.address_manager.pinned_region_base)
             self.evictions += 1
 
-        critical_fill = self.engine.build_fill(lba=chunk_lba,
-                                               length_bytes=chunk,
-                                               prp=slot_offset)
         remainder_bytes = self.mos_page_bytes - chunk
-        remainder_fill = (self.engine.build_fill(lba=page_lba,
-                                                 length_bytes=remainder_bytes,
-                                                 prp=slot_offset)
-                          if remainder_bytes > 0 else None)
         self.fills += 1
 
         try:
+            # The clone is keyed by the critical fill's command id.
             self.hazards.begin_miss(
                 lookup.index, decomposed.mos_page, victim_page,
-                command_id=critical_fill.command_id, completes_at_ns=now)
+                command_id=next_command_id(), completes_at_ns=now)
         except PRPPoolExhausted:
             # The pool is sized for the worst case; running out means the
             # caller is issuing more concurrent misses than the design
             # supports, so serialise behind the engine instead.
             pass
 
-        background_finish = now
         if self.hams_config.is_persist:
             # Persist mode: one outstanding I/O at a time, eviction first
             # (FUA), then the whole page fill — everything stalls the MMU.
+            commands = [(False, chunk_lba, chunk)]
+            if victim_page is not None:
+                commands.insert(0, (True, self.address_manager.lba_of(
+                    victim_page), self.mos_page_bytes))
+            if remainder_bytes > 0:
+                commands.append((False, page_lba, remainder_bytes))
             cursor = now + clone_ns
-            if evict_command is not None:
-                evict_result = self.engine.issue(evict_command, cursor)
-                result.dma_ns += (evict_result.protocol_ns
-                                  + evict_result.transfer_ns)
-                result.ssd_ns += evict_result.device_ns
-                cursor = evict_result.finish_ns
-            fill_result = self.engine.issue(critical_fill, cursor)
-            result.dma_ns += fill_result.protocol_ns + fill_result.transfer_ns
-            result.ssd_ns += fill_result.device_ns
-            cursor = fill_result.finish_ns
-            if remainder_fill is not None:
-                rest = self.engine.issue(remainder_fill, cursor)
-                result.dma_ns += rest.protocol_ns + rest.transfer_ns
-                result.ssd_ns += rest.device_ns
-                cursor = rest.finish_ns
+            for evict, lba, length in commands:
+                cursor, protocol_ns, transfer_ns, device_ns = issue(
+                    step, evict, lba, length, cursor)
+                result.dma_ns += protocol_ns + transfer_ns
+                result.ssd_ns += device_ns
             critical_finish = cursor
         else:
             # Extend mode: the critical chunk stalls the MMU; the remainder
@@ -459,19 +451,20 @@ class HAMSController:
             # (visible in the energy accounting and in the per-entry reuse
             # blocking below) but does not head-of-line-block later critical
             # fills the way a single serialised command stream would.
-            fill_result = self.engine.issue(critical_fill, now)
-            result.dma_ns += fill_result.protocol_ns + fill_result.transfer_ns
-            result.ssd_ns += fill_result.device_ns
+            fill_finish, protocol_ns, transfer_ns, device_ns = issue(
+                step, False, chunk_lba, chunk, now)
+            result.dma_ns += protocol_ns + transfer_ns
+            result.ssd_ns += device_ns
             # The victim clone overlaps with the flash access; only the part
             # that outlasts the critical fill shows on the critical path.
-            critical_finish = max(fill_result.finish_ns, now + clone_ns)
-            background_finish = fill_result.finish_ns
-            if remainder_fill is not None:
+            critical_finish = max(fill_finish, now + clone_ns)
+            background_finish = fill_finish
+            if remainder_bytes > 0:
                 background_finish = max(
                     background_finish,
                     self._background_transfer(remainder_bytes, is_write=False,
-                                              at_ns=fill_result.finish_ns))
-            if evict_command is not None:
+                                              at_ns=fill_finish))
+            if victim_page is not None:
                 background_finish = max(
                     background_finish,
                     self._background_transfer(self.mos_page_bytes,
@@ -490,7 +483,7 @@ class HAMSController:
         now += landing_ns
 
         self.hazards.complete_miss(lookup.index)
-        result.evicted = evict_command is not None
+        result.evicted = victim_page is not None
         return now
 
     def _background_transfer(self, size_bytes: int, is_write: bool,

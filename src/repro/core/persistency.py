@@ -68,10 +68,6 @@ class PersistencyController:
         """Commands currently journalled as in flight (tag still 1)."""
         return self.queue_pair.in_flight_commands()
 
-    @property
-    def is_failed(self) -> bool:
-        return self._failed
-
     # -- power failure -------------------------------------------------------------------
 
     def power_failure(self, at_ns: float,

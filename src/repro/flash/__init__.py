@@ -5,7 +5,7 @@ and the Amber simulator): Z-NAND dies and planes, channel DMA scheduling, a
 page-mapping flash translation layer with garbage collection, the flash
 interface layer and the SSD-internal DRAM write-back buffer.  Every
 per-request operation — the host interface's request split and parse
-cost included — runs in one walk, :meth:`SSD.submit_batch`; the layer
+cost included — runs in one resumable walk, :meth:`SSD.walk`; the layer
 classes hold the state it advances.  Three device presets are provided —
 ULL-Flash (Z-NAND), a conventional NVMe SSD (V-NAND TLC) and a SATA SSD —
 matching the comparison points of Figures 5 and 6.

@@ -10,8 +10,8 @@ answers "when can channel C move N bytes starting at time T?".
 
 Channel occupancy is kept as flat parallel arrays (``busy_until_ns``,
 ``bytes_moved``, ``transfers`` indexed by channel) rather than per-channel
-objects, so the batched submission walk of :meth:`repro.flash.ssd.SSD.
-submit_batch` reserves transfers against the shared state without a
+objects, so the flash walk of :meth:`repro.flash.ssd.SSD.walk`
+reserves transfers against the shared state without a
 per-command attribute chase.  A reservation is the recurrence
 ``start = max(at, busy); busy = start + t``: the walk inlines it for host
 requests, and :meth:`ChannelScheduler.reserve` runs it for the page moves

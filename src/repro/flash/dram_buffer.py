@@ -8,7 +8,7 @@ programmed into flash.
 
 This class holds the buffer's state (the LRU order and dirty flags), its
 counters and the LRU insert.  The per-request hit, fill and dirty-evict
-operations run inside :meth:`repro.flash.ssd.SSD.submit_batch`, against
+operations run inside :meth:`repro.flash.ssd.SSD.walk`, against
 these structures; :meth:`flush_all` serves the supercap flush.
 
 The *advanced* HAMS design removes this buffer entirely (the NVDIMM becomes

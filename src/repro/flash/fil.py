@@ -12,7 +12,7 @@ the paper leans on:
   halves the DMA component of the access latency (Section II-C).
 
 Host requests reach the flash complex through
-:meth:`repro.flash.ssd.SSD.submit_batch`, which inlines :meth:`read_page`
+:meth:`repro.flash.ssd.SSD.walk`, which inlines :meth:`read_page`
 and :meth:`write_page` against the shared die and channel occupancy.  The
 methods themselves serve the page moves of GC relocation and the supercap
 flush, and this class keeps the page counters of both paths.  Block erases

@@ -11,18 +11,20 @@ its state (:class:`~repro.flash.dram_buffer.InternalDRAMBuffer`,
 :class:`~repro.flash.znand.ZNANDArray`,
 :class:`~repro.flash.channel.ChannelScheduler`).
 
-:meth:`SSD.submit_batch` owns every per-request operation: one walk over
-an :class:`IORequestBatch` parses and splits each request (the host
-interface), applies the DRAM-buffer hit/fill/dirty-evict steps, translates
-on integer PPNs (the die and channel are decoded from the PPN by integer
-division, so no address objects are built) and reserves die and channel
-occupancy against the layers' flat arrays.  The layer classes keep only
-their state, their counters, and the page operations that GC relocation
-(:meth:`SSD._charge_gc`) and :meth:`SSD.supercap_flush` use.  The scalar
-:meth:`SSD.submit` is a batch-of-one wrapper around the walk, so there is
-exactly one service path; ``tests/test_flash_batch.py`` pins the
-equivalence and the platform golden-parity suite
-(``tests/test_batched_replay.py``) gates every consumer.
+:meth:`SSD.walk` owns every per-request operation: one resumable walk
+parses and splits each request (the host interface), applies the
+DRAM-buffer hit/fill/dirty-evict steps, translates on integer PPNs (the die
+and channel are decoded from the PPN by integer division, so no address
+objects are built) and reserves die and channel occupancy against the
+layers' flat arrays.  :meth:`SSD.submit_batch` drives one walk per batch,
+:meth:`SSD.submit` is a batch-of-one ``submit_batch``, and the platforms'
+miss paths step one walk per service chunk, so there is exactly one
+service path.  The layer classes keep only their state, their counters,
+and the page operations that GC relocation (:meth:`SSD._charge_gc`) and
+:meth:`SSD.supercap_flush` use.  ``tests/test_flash_walk.py`` and
+``tests/test_flash_batch.py`` pin the equivalence and the platform
+golden-parity suite (``tests/test_batched_replay.py``) gates every
+consumer.
 
 Three factory presets mirror the devices used in the paper's evaluation:
 ULL-Flash (Z-NAND), a conventional NVMe SSD and a SATA SSD.
@@ -30,9 +32,10 @@ ULL-Flash (Z-NAND), a conventional NVMe SSD and a SATA SSD.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..config import SSDConfig
 from ..sim.stats import StatRegistry
@@ -225,11 +228,6 @@ class IOBatchResult:
     def __len__(self) -> int:
         return len(self.finish_ns)
 
-    def result(self, index: int, request: IORequest) -> IOResult:
-        """Materialise the scalar :class:`IOResult` view of one row."""
-        return IOResult(request=request, start_ns=self.start_ns[index],
-                        finish_ns=self.finish_ns[index])
-
 
 class SSD:
     """A simulated NVMe/SATA solid-state drive."""
@@ -261,6 +259,8 @@ class SSD:
         self.requests_served = 0
         self.bytes_read = 0
         self.bytes_written = 0
+        # True while a walk holds the hoisted state (see walk()).
+        self._walking = False
 
     # -- capacity ------------------------------------------------------------------
 
@@ -285,6 +285,7 @@ class SSD:
         device that fill is the FTL's base stripe, kept as a formula
         rather than as per-page mapping entries.
         """
+        self._check_idle("precondition")
         if start_lpn < 0:
             raise ValueError("start_lpn must be non-negative")
         if page_count < 0:
@@ -309,13 +310,14 @@ class SSD:
     # -- request servicing -------------------------------------------------------------
 
     def submit(self, request: IORequest) -> IOResult:
-        """Service one request: the batch-of-one wrapper over the batch path.
+        """Service one request: a batch-of-one :meth:`submit_batch`.
 
-        Requests must be submitted in non-decreasing ``submit_ns`` order (the
-        callers — NVMe controller, OS stack, HAMS engine — all do this).
+        Requests must be submitted in non-decreasing ``submit_ns`` order.
+        The platforms' miss paths step an open :meth:`walk` instead.
         """
         batch_result = self.submit_batch(IORequestBatch.of_request(request))
-        return batch_result.result(0, request)
+        return IOResult(request=request, start_ns=batch_result.start_ns[0],
+                        finish_ns=batch_result.finish_ns[0])
 
     def read(self, byte_offset: int, size_bytes: int, at_ns: float) -> IOResult:
         """Convenience wrapper for a read request."""
@@ -330,15 +332,98 @@ class SSD:
                                      fua=fua))
 
     def submit_batch(self, batch: IORequestBatch) -> IOBatchResult:
-        """Service a whole request vector with one walk over the flash stack.
+        """Service a whole request vector through one :meth:`walk`.
 
         Bit-identical to submitting each request through :meth:`submit` in
         order: per-resource state (buffer LRU order, FTL mapping, die and
         channel occupancy) only ever advances in request order, and garbage
         collection triggers at the same points.  Requests must be ordered
         by non-decreasing submission clock, like :meth:`submit` callers.
+        Chained batches run the closed-loop clock (and the optional inlined
+        :meth:`~repro.interconnect.link.Link.transfer` recurrence) around
+        the walk's steps.
         """
-        count = len(batch)
+        chained = batch.chained
+        now = batch.start_ns
+        submits = batch.submit_ns
+        pre_gaps = batch.pre_gap_ns
+        post_gaps = batch.post_gap_ns
+        link = batch.link
+        link_count = 0
+        if link is not None:
+            link_bytes = batch.link_bytes
+            link_busy = link.busy_until_ns
+            link_overhead = link.per_transfer_overhead(link_bytes)
+            link_raw = link.raw_transfer_time(link_bytes)
+        starts: List[float] = []
+        finishes: List[float] = []
+        latencies: List[float] = []
+        service_latencies: List[float] = []
+        try:
+            with self.walk(starts) as step:
+                for j, (is_write, offset, size, fua) in enumerate(zip(
+                        batch.is_write, batch.byte_offset, batch.size_bytes,
+                        batch.fua)):
+                    if not chained:
+                        submit = submits[j]
+                    elif pre_gaps is not None:
+                        submit = now = now + pre_gaps[j]
+                    else:
+                        submit = now
+                    finish = step((is_write, offset, size, submit, fua))
+                    latency = finish - submit
+                    finishes.append(finish)
+                    latencies.append(latency)
+                    if not chained:
+                        continue
+                    if link is not None:
+                        # Inlined Link.transfer recurrence at finish time.
+                        t_start = finish if finish >= link_busy else link_busy
+                        link_busy = (t_start + link_overhead) + link_raw
+                        link_count += 1
+                        latency += link_busy - t_start
+                    service_latencies.append(latency)
+                    if post_gaps is not None:
+                        now += post_gaps[j] + latency
+                    else:
+                        now += latency
+        finally:
+            if link_count:
+                link.commit_transfers(link_count, link_count * link_bytes,
+                                      link_busy)
+        return IOBatchResult(
+            start_ns=starts, finish_ns=finishes, latency_ns=latencies,
+            service_latency_ns=service_latencies if chained else None,
+            end_ns=now if chained else 0.0)
+
+    @contextlib.contextmanager
+    def walk(self, starts: Optional[List[float]] = None
+             ) -> Iterator[Callable[[tuple], float]]:
+        """Open one resumable walk over the flash stack and yield its step.
+
+        Opening hoists the layer state once; ``step((is_write,
+        byte_offset, size_bytes, submit_ns, fua))`` services one request
+        and returns its finish (appending its admission time to *starts*
+        when given); closing writes the lifted statistics back — also when
+        a step raised, so the device then matches the per-request
+        :meth:`submit` sequence up to the failing request.  Requests must
+        arrive validated and in non-decreasing ``submit_ns`` order.  While
+        the walk is open, :meth:`submit`, :meth:`submit_batch`,
+        :meth:`precondition`, :meth:`supercap_flush`, :meth:`statistics`
+        and a second :meth:`walk` raise :class:`RuntimeError` rather than
+        read or overwrite the hoisted state.
+        """
+        steps = self._steps(starts)
+        next(steps)
+        try:
+            yield steps.send
+        finally:
+            steps.close()
+
+    def _steps(self, starts: Optional[List[float]]):
+        """The walk of :meth:`walk` as a generator: one request per send."""
+        if self._walking:
+            raise RuntimeError("a walk is already open on this SSD")
         config = self.config
         # -- hoisted layer state (shared mutable structures, loop locals) --
         page_size = self.page_size
@@ -354,7 +439,8 @@ class SSD:
         ftl = self.ftl
         mapping_get = ftl._mapping.get
         # The base stripe (FlashTranslationLayer._lpn_to_ppn, inlined): only
-        # fill on a pristine FTL sets the range, so it is fixed per batch.
+        # fill on a pristine FTL sets the range, and precondition refuses to
+        # run while a walk is open, so it is fixed per walk.
         base_start = ftl._base_start
         base_count = ftl._base_end - base_start
         base_gone = ftl._base_gone
@@ -406,38 +492,11 @@ class SSD:
         served_local = 0
         bytes_read_local = 0
         bytes_written_local = 0
-        # -- batch columns -------------------------------------------------
-        write_col = batch.is_write
-        offset_col = batch.byte_offset
-        size_col = batch.size_bytes
-        fua_col = batch.fua
-        chained = batch.chained
-        if chained:
-            now = batch.start_ns
-            pre_gaps = batch.pre_gap_ns
-            post_gaps = batch.post_gap_ns
-            link = batch.link
-            service_latencies: List[float] = []
-            if link is not None:
-                link_bytes = batch.link_bytes
-                link_busy = link.busy_until_ns
-                link_overhead = link.per_transfer_overhead(link_bytes)
-                link_raw = link.raw_transfer_time(link_bytes)
-                link_count = 0
-        else:
-            submit_col = batch.submit_ns
-        starts: List[float] = []
-        finishes: List[float] = []
-        latencies: List[float] = []
-
+        finish = None
+        self._walking = True
         try:
-            for j in range(count):
-                if chained:
-                    if pre_gaps is not None:
-                        now += pre_gaps[j]
-                    submit = now
-                else:
-                    submit = submit_col[j]
+            while True:
+                is_write, offset, size, submit, fua = yield finish
                 # Admission: drain completions, then gate on the queue bound.
                 while outstanding and outstanding[0] <= submit:
                     heappop(outstanding)
@@ -448,9 +507,6 @@ class SSD:
                     start = submit if submit >= earliest else earliest
                 # Host-interface parse/split into page-sized sub-requests.
                 # The single-whole-page fast path covers every hot caller.
-                offset = offset_col[j]
-                size = size_col[j]
-                is_write = write_col[j]
                 in_page = offset % page_size
                 if size <= page_size - in_page:
                     n_sub = 1
@@ -557,7 +613,6 @@ class SSD:
                             finish = sub_finish
                 else:
                     # -- writes (single- or multi-page) -------------------
-                    fua = fua_col[j]
                     for raw_lpn in lpns:
                         lpn = raw_lpn % logical_pages
                         if not fua and buffer_enabled:
@@ -650,28 +705,13 @@ class SSD:
                 delta = latency - s_mean
                 s_mean += delta / s_count
                 s_m2 += delta * (latency - s_mean)
-                starts.append(start)
-                finishes.append(finish)
-                latencies.append(latency)
-                if chained:
-                    service_latency = latency
-                    if link is not None:
-                        # Inlined Link.transfer recurrence at finish time.
-                        t_start = (finish if finish >= link_busy
-                                   else link_busy)
-                        link_finish = (t_start + link_overhead) + link_raw
-                        link_busy = link_finish
-                        link_count += 1
-                        service_latency = latency + (link_finish - t_start)
-                    service_latencies.append(service_latency)
-                    if post_gaps is not None:
-                        now += post_gaps[j] + service_latency
-                    else:
-                        now += service_latency
+                if starts is not None:
+                    starts.append(start)
         finally:
-            # Fold the lifted statistics back even if a layer raised
-            # mid-batch (partial state then matches the scalar sequence up
-            # to the failing request).
+            # Fold the lifted statistics back, also when a step raised
+            # (partial state then matches the scalar sequence up to the
+            # failing request) or the walk was closed.
+            self._walking = False
             stat.count = s_count
             stat.total = s_total
             stat.min = s_min
@@ -689,14 +729,6 @@ class SSD:
             self.requests_served += served_local
             self.bytes_read += bytes_read_local
             self.bytes_written += bytes_written_local
-            if chained and link is not None and link_count:
-                link.commit_transfers(link_count, link_count * link_bytes,
-                                      link_busy)
-
-        return IOBatchResult(
-            start_ns=starts, finish_ns=finishes, latency_ns=latencies,
-            service_latency_ns=service_latencies if chained else None,
-            end_ns=now if chained else 0.0)
 
     # -- power failure -------------------------------------------------------------------
 
@@ -707,6 +739,7 @@ class SSD:
         persistency design, which adds super-capacitors to ULL-Flash so the
         volatile internal buffer survives power loss (Section IV-B).
         """
+        self._check_idle("supercap_flush")
         finish = at_ns
         for lpn in self.buffer.flush_all():
             address, gc_result = self.ftl.write(lpn)
@@ -716,6 +749,11 @@ class SSD:
         return finish
 
     # -- internals -------------------------------------------------------------------
+
+    def _check_idle(self, operation: str) -> None:
+        """Refuse *operation* while a walk holds the hoisted state."""
+        if self._walking:
+            raise RuntimeError(f"{operation} while a walk is open on this SSD")
 
     def _charge_gc(self, gc_result: GCResult, at_ns: float) -> float:
         """Charge garbage-collection relocations triggered by an allocation."""
@@ -737,6 +775,7 @@ class SSD:
         traffic counters all appear under ``flash_`` keys.  Block erases
         are the FTL's (GC is the only eraser).
         """
+        self._check_idle("statistics")
         buffer_stats = self.buffer.stats
         summary: Dict[str, float] = {
             "flash_requests_served": float(self.requests_served),

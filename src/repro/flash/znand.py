@@ -9,7 +9,7 @@ may cover several planes of that die with a single array time.
 
 Die state lives in one flat list indexed by
 ``(channel * packages_per_channel + package) * dies_per_package + die`` so
-the batched submission walk (:meth:`repro.flash.ssd.SSD.submit_batch`) can
+the flash walk (:meth:`repro.flash.ssd.SSD.walk`) can
 index occupancy directly.  The walk inlines the per-die recurrence
 ``start = max(at, busy); busy = start + t`` for host requests;
 :meth:`ZNANDArray.issue` runs it for the page moves of GC relocation and

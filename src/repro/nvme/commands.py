@@ -31,6 +31,11 @@ class NVMeOpcode(Enum):
 _command_ids = itertools.count(1)
 
 
+def next_command_id() -> int:
+    """The next id of the process-wide counter (commands, PRP clone keys)."""
+    return next(_command_ids)
+
+
 @dataclass
 class NVMeCommand:
     """One 64 B submission-queue entry.
@@ -48,7 +53,7 @@ class NVMeCommand:
     prp: int
     fua: bool = False
     journal_tag: int = 0
-    command_id: int = field(default_factory=lambda: next(_command_ids))
+    command_id: int = field(default_factory=next_command_id)
     submitted_ns: Optional[float] = None
     completed_ns: Optional[float] = None
 
@@ -97,10 +102,6 @@ class NVMeCompletion:
     posted_ns: float = 0.0
 
     SIZE_BYTES = 16
-
-    @property
-    def success(self) -> bool:
-        return self.status == 0
 
 
 def build_read(lba: int, length_bytes: int, prp: int,

@@ -10,15 +10,18 @@ The same controller object serves both integrations of HAMS — only the
 ``link`` differs (a :class:`~repro.interconnect.pcie.PCIeLink` for the
 baseline, a :class:`~repro.interconnect.ddr_bus.DDR4Bus` for the advanced
 design) — and also the software NVMe driver path of the mmap baseline.
+The timing is one recurrence over floats,
+:meth:`NVMeController.round_trip`; :meth:`NVMeController.execute` wraps
+it for command objects (the recovery path).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..config import NVMeConfig
-from ..flash.ssd import IORequest, SSD
+from ..flash.ssd import SSD
 from ..interconnect.link import Link
 from .commands import NVMeCommand
 
@@ -34,10 +37,6 @@ class CommandResult:
     transfer_ns: float
     device_ns: float
 
-    @property
-    def latency_ns(self) -> float:
-        return self.finish_ns - self.submit_ns
-
 
 class NVMeController:
     """Executes NVMe commands against an SSD device over a host link."""
@@ -49,49 +48,57 @@ class NVMeController:
         self.commands_executed = 0
         self.bytes_dma = 0
 
-    # -- single-command execution ------------------------------------------------
+    # -- the protocol recurrence ---------------------------------------------------
+
+    def round_trip(self, step, is_write: bool, byte_offset: int,
+                   length_bytes: int, fua: bool, at_ns: float
+                   ) -> Tuple[float, float, float, float]:
+        """One command's timing over floats: ``(finish_ns, protocol_ns,
+        transfer_ns, device_ns)``.
+
+        Section II-C's walk-through: doorbell + controller fetch/parse, the
+        PRP-referenced link DMA (before a program, after a read), the flash
+        service — one *step* of an open :meth:`~repro.flash.ssd.SSD.walk`
+        on :attr:`ssd` — and the completion posting plus MSI.
+        """
+        config = self.config
+        protocol_in = config.doorbell_ns + config.controller_processing_ns
+        now = at_ns + protocol_in
+        transfer_ns = 0.0
+        if is_write:
+            # Data moves host -> device before the media program.
+            record = self.link.transfer(length_bytes, now)
+            transfer_ns = record.latency_ns
+            now = record.finish_ns
+        finish = step((is_write, byte_offset, length_bytes, now, fua))
+        device_ns = finish - now
+        now = finish
+        if not is_write:
+            # Data moves device -> host after the media read.
+            record = self.link.transfer(length_bytes, now)
+            transfer_ns = record.latency_ns
+            now = record.finish_ns
+        protocol_out = config.msi_ns
+        self.bytes_dma += length_bytes
+        self.commands_executed += 1
+        return (now + protocol_out, protocol_in + protocol_out, transfer_ns,
+                device_ns)
 
     def execute(self, command: NVMeCommand, at_ns: float) -> CommandResult:
         """Execute *command* submitted at *at_ns* and return its timing.
 
-        The latency composition follows the protocol walk-through of
-        Section II-C: doorbell + controller fetch/parse, the PRP-referenced
-        DMA over the host link, the flash firmware service, completion
-        posting and the MSI interrupt.
+        :meth:`round_trip` on a batch-of-one walk, with the command's
+        journal tag set at submission and cleared at completion (the
+        recovery path replays journalled commands through here).
         """
         command.mark_submitted(at_ns)
-        protocol_in = self.config.doorbell_ns + self.config.controller_processing_ns
-        now = at_ns + protocol_in
-        transfer_ns = 0.0
-
-        if command.is_write:
-            # Data moves host -> device before the media program.
-            record = self.link.transfer(command.length_bytes, now)
-            transfer_ns += record.latency_ns
-            now = record.finish_ns
-            self.bytes_dma += command.length_bytes
-
-        io = self.ssd.submit(IORequest(is_write=command.is_write,
-                                       byte_offset=command.byte_offset,
-                                       size_bytes=command.length_bytes,
-                                       submit_ns=now,
-                                       fua=command.fua))
-        device_ns = io.finish_ns - now
-        now = io.finish_ns
-
-        if not command.is_write:
-            # Data moves device -> host after the media read.
-            record = self.link.transfer(command.length_bytes, now)
-            transfer_ns += record.latency_ns
-            now = record.finish_ns
-            self.bytes_dma += command.length_bytes
-
-        protocol_out = self.config.msi_ns
-        finish = now + protocol_out
+        with self.ssd.walk() as step:
+            finish, protocol_ns, transfer_ns, device_ns = self.round_trip(
+                step, command.is_write, command.byte_offset,
+                command.length_bytes, command.fua, at_ns)
         command.mark_completed(finish)
-        self.commands_executed += 1
-        return CommandResult(command=command, submit_ns=at_ns, finish_ns=finish,
-                             protocol_ns=protocol_in + protocol_out,
+        return CommandResult(command=command, submit_ns=at_ns,
+                             finish_ns=finish, protocol_ns=protocol_ns,
                              transfer_ns=transfer_ns, device_ns=device_ns)
 
     def statistics(self) -> Dict[str, float]:

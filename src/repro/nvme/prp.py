@@ -29,10 +29,6 @@ class PRPEntry:
     source_page: Optional[int] = None
     command_id: Optional[int] = None
 
-    @property
-    def address(self) -> int:
-        return self.base_address
-
 
 class PRPPool:
     """Fixed pool of page-sized buffers carved out of the pinned region."""
@@ -58,10 +54,6 @@ class PRPPool:
     @property
     def in_use(self) -> int:
         return self.capacity - len(self._free)
-
-    @property
-    def available(self) -> int:
-        return len(self._free)
 
     def clone(self, source_page: int, command_id: int) -> PRPEntry:
         """Reserve an entry holding a clone of *source_page* for *command_id*.

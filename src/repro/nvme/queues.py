@@ -13,7 +13,7 @@ re-issues commands whose journal tags are still set (Sections IV-B and V-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .commands import NVMeCommand, NVMeCompletion
@@ -35,18 +35,11 @@ class _Ring:
         self.tail = 0
         self._used = 0
 
-    def __len__(self) -> int:
-        return (self.tail - self.head) % self.depth if self._used else 0
-
     def slots_used(self) -> int:
         return self._used
 
-    @property
-    def is_full(self) -> bool:
-        return self.slots_used() >= self.depth - 1
-
     def push(self, item: object) -> int:
-        if self.is_full:
+        if self._used >= self.depth - 1:
             raise QueueFullError("ring is full")
         slot = self.tail
         self.slots[slot] = item
@@ -88,20 +81,8 @@ class SubmissionQueue:
         return self._ring.depth
 
     @property
-    def head(self) -> int:
-        return self._ring.head
-
-    @property
-    def tail(self) -> int:
-        return self._ring.tail
-
-    @property
     def outstanding(self) -> int:
         return self._ring.slots_used()
-
-    @property
-    def is_full(self) -> bool:
-        return self._ring.is_full
 
     def submit(self, command: NVMeCommand) -> int:
         """Append *command* at the tail and return its slot index."""
@@ -128,18 +109,6 @@ class CompletionQueue:
         self.queue_id = queue_id
         self._ring = _Ring(depth)
         self.interrupts_raised = 0
-
-    @property
-    def depth(self) -> int:
-        return self._ring.depth
-
-    @property
-    def head(self) -> int:
-        return self._ring.head
-
-    @property
-    def tail(self) -> int:
-        return self._ring.tail
 
     @property
     def outstanding(self) -> int:

@@ -72,20 +72,21 @@ class BypassPlatform(Platform):
             self._nvdimm_busy_ns += result.latency_ns
             return MemoryServiceResult(latency_ns=result.latency_ns)
 
-        latency = self._flash_access(page, is_write, at_ns)
+        with self.ssd.walk() as step:
+            latency = self._flash_access(page, is_write, at_ns, step)
         if self.strategy == "ull-buff":
             self.page_buffer.install(page, dirty=is_write)
         return MemoryServiceResult(latency_ns=latency)
 
-    def _flash_access(self, page: int, is_write: bool, at_ns: float) -> float:
+    def _flash_access(self, page: int, is_write: bool, at_ns: float,
+                      step) -> float:
         """One miss: a synchronous 4 KB device access on the load/store
-        path plus its PCIe transfer; returns the latency seen at *at_ns*."""
-        if is_write:
-            io = self.ssd.write(page * _PAGE, _PAGE, at_ns)
-        else:
-            io = self.ssd.read(page * _PAGE, _PAGE, at_ns)
-        transfer = self.link.transfer(_PAGE, io.finish_ns)
-        return (io.finish_ns - at_ns) + transfer.latency_ns
+        path plus its PCIe transfer; returns the latency seen at *at_ns*.
+        The device access is one *step* of an open
+        :meth:`~repro.flash.ssd.SSD.walk` on :attr:`ssd`."""
+        finish = step((is_write, page * _PAGE, _PAGE, at_ns, False))
+        transfer = self.link.transfer(_PAGE, finish)
+        return (finish - at_ns) + transfer.latency_ns
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """Vectorized service for every bypass strategy.
@@ -143,10 +144,11 @@ class BypassPlatform(Platform):
 
         def miss_service(k: int, index: int, now: float):
             return (self._flash_access(pages_list[index], writes_list[index],
-                                       now), 0.0, 0.0)
+                                       now, step), 0.0, 0.0)
 
-        return batch.service_page_cached(hit_mask, hit_latency, miss_indices,
-                                         miss_service)
+        with self.ssd.walk() as step:
+            return batch.service_page_cached(hit_mask, hit_latency,
+                                             miss_indices, miss_service)
 
     def _service_chained(self, batch: MemoryRequestBatch):
         """Run an all-miss batch as one chained flash submission.

@@ -97,9 +97,11 @@ class FlatFlashPlatform(Platform):
             evicted = self.device_cache.install(page, dirty=is_write)
             if evicted is not None:
                 victims.append(evicted)
-        latency, busy = self._mmio_access(page, size_bytes, is_write,
-                                          device_hit, victims, promoted,
-                                          at_ns, self.link.busy_until_ns)
+        with self.ssd.walk() as step:
+            latency, busy = self._mmio_access(page, size_bytes, is_write,
+                                              device_hit, victims, promoted,
+                                              at_ns, self.link.busy_until_ns,
+                                              step)
         self._commit_link(1, int(size_bytes // 64 > 1), int(promoted), busy)
         return MemoryServiceResult(latency_ns=latency)
 
@@ -113,8 +115,9 @@ class FlatFlashPlatform(Platform):
         the scalar path touches it exactly once per host miss, with the
         default install — and the misses replay at their exact scalar-loop
         issue clocks (:meth:`MemoryRequestBatch.service_page_cached`),
-        threading the link horizon through locals and committing the link
-        accounting once at the end.
+        stepping one :meth:`~repro.flash.ssd.SSD.walk` opened for the
+        chunk, threading the link horizon through locals and committing the
+        link accounting once at the end.
         """
         count = len(batch)
         if count == 0:
@@ -161,11 +164,12 @@ class FlatFlashPlatform(Platform):
             nonlocal busy
             latency, busy = self._mmio_access(
                 pages_list[index], sizes_list[index], writes_list[index],
-                device_hits[k], victims[k], promoted[k], now, busy)
+                device_hits[k], victims[k], promoted[k], now, busy, step)
             return latency, 0.0, 0.0
 
-        result = batch.service_page_cached(hit_mask, hit_latency,
-                                           miss_indices, miss_service)
+        with self.ssd.walk() as step:
+            result = batch.service_page_cached(hit_mask, hit_latency,
+                                               miss_indices, miss_service)
         self._commit_link(len(miss_indices),
                           int((batch.sizes[miss_indices] // 64 > 1).sum()),
                           sum(promoted), busy)
@@ -190,8 +194,8 @@ class FlatFlashPlatform(Platform):
 
     def _mmio_access(self, page: int, size_bytes: int, is_write: bool,
                      device_hit: bool, victims: List[Tuple[int, bool]],
-                     promoted: bool, at_ns: float,
-                     busy: float) -> Tuple[float, float]:
+                     promoted: bool, at_ns: float, busy: float,
+                     step) -> Tuple[float, float]:
         """One MMIO reference to the SSD, given its cache outcomes.
 
         FlatFlash has no DMA engine on the access path: the CPU pulls data
@@ -199,8 +203,10 @@ class FlatFlashPlatform(Platform):
         costs one PCIe round trip per 64 B line (the ~4.8 us/64 B figure
         the paper quotes), while the flash page itself is read only once.
         *device_hit* and *victims* are the SSD-internal cache's outcome,
-        *promoted* the promotion counter's.  Every link transfer runs the
-        exact :meth:`~repro.interconnect.link.Link.transfer` recurrence
+        *promoted* the promotion counter's.  Every flash access is one
+        *step* of an open :meth:`~repro.flash.ssd.SSD.walk`.  Every link
+        transfer runs the exact
+        :meth:`~repro.interconnect.link.Link.transfer` recurrence
         (``start = max(at, busy)``, ``finish = (start + overhead) + raw``)
         against the link horizon *busy*; returns ``(latency_ns, busy)`` and
         leaves the link accounting to :meth:`_commit_link`.
@@ -213,14 +219,12 @@ class FlatFlashPlatform(Platform):
             latency += self.config.ssd.dram_buffer_hit_ns
         else:
             # Device-cache miss: the flash array serves a 4 KB page.
-            if is_write:
-                io = self.ssd.write(page * _PAGE, _PAGE, at_ns + latency)
-            else:
-                io = self.ssd.read(page * _PAGE, _PAGE, at_ns + latency)
-            latency += io.finish_ns - (at_ns + latency)
+            at = at_ns + latency
+            finish = step((is_write, page * _PAGE, _PAGE, at, False))
+            latency += finish - at
             for victim, victim_dirty in victims:
                 if victim_dirty:
-                    self.ssd.write(victim * _PAGE, _PAGE, io.finish_ns)
+                    step((True, victim * _PAGE, _PAGE, finish, False))
         lines = max(1, size_bytes // 64)
         if lines > 1:
             at = at_ns + latency
@@ -230,12 +234,12 @@ class FlatFlashPlatform(Platform):
             latency += (lines - 1) * per_line_ns
         if promoted:
             # Promote the hot page: one 4 KB device read plus a DRAM fill.
-            promote_io = self.ssd.read(page * _PAGE, _PAGE, at_ns + latency)
-            at = promote_io.finish_ns
-            start = at if at >= busy else busy
+            at = at_ns + latency
+            finish = step((False, page * _PAGE, _PAGE, at, False))
+            start = finish if finish >= busy else busy
             busy = (start + self._page_overhead_ns) + self._page_raw_ns
-            latency += (promote_io.finish_ns - (at_ns + latency)
-                        + (busy - start)) * 0.25  # mostly off the path
+            # Mostly off the path: a quarter of it shows.
+            latency += (finish - at + (busy - start)) * 0.25
         return latency, busy
 
     def _commit_link(self, accesses: int, extra_lines: int, promotions: int,

@@ -88,9 +88,10 @@ class HAMSPlatform(Platform):
         latency in place (``((now + probe) + serve) - now`` — the same
         float-rounding path the scalar loop takes) and replays only the
         misses against the engine/ULL-Flash via
-        :meth:`~repro.core.hams_controller.HAMSController.replay_miss`.
-        Bit-identical to the scalar path — ``tests/test_batched_replay.py``
-        is the contract.
+        :meth:`~repro.core.hams_controller.HAMSController.replay_miss`, all
+        of them stepping one :meth:`~repro.flash.ssd.SSD.walk` opened for
+        the chunk.  Bit-identical to the scalar path —
+        ``tests/test_batched_replay.py`` is the contract.
         """
         count = len(batch)
         if count == 0:
@@ -129,28 +130,30 @@ class HAMSPlatform(Platform):
         replay_miss = controller.replay_miss
         now = batch.start_ns
         cursor = 0
-        for j in range(count):
-            slot = slots[j]
-            while cursor < slot:
-                now += addends[cursor]
-                cursor += 1
-            cursor = slot + 1
-            if hits[j]:
-                finish = (now + probe) + serve[j]
-                lat = finish - now
-                s_nvdimm += nv_hit[j]
-            else:
-                _, address, decomposed, lookup = next_miss
-                result = replay_miss(address, decomposed, lookup,
-                                     sizes_list[j], writes_list[j], now)
-                lat = result.finish_ns - now
-                s_nvdimm += result.nvdimm_ns
-                s_dma += result.dma_ns
-                s_ssd += result.ssd_ns
-                s_wait += result.wait_ns
-                next_miss = next(miss_iter, None)
-            latency[j] = lat
-            now += on_chip[j] + lat
+        with controller.ssd.walk() as step:
+            for j in range(count):
+                slot = slots[j]
+                while cursor < slot:
+                    now += addends[cursor]
+                    cursor += 1
+                cursor = slot + 1
+                if hits[j]:
+                    finish = (now + probe) + serve[j]
+                    lat = finish - now
+                    s_nvdimm += nv_hit[j]
+                else:
+                    _, address, decomposed, lookup = next_miss
+                    result = replay_miss(address, decomposed, lookup,
+                                         sizes_list[j], writes_list[j],
+                                         now, step)
+                    lat = result.finish_ns - now
+                    s_nvdimm += result.nvdimm_ns
+                    s_dma += result.dma_ns
+                    s_ssd += result.ssd_ns
+                    s_wait += result.wait_ns
+                    next_miss = next(miss_iter, None)
+                latency[j] = lat
+                now += on_chip[j] + lat
         delays.nvdimm_ns = s_nvdimm
         delays.dma_ns = s_dma
         delays.ssd_ns = s_ssd

@@ -33,7 +33,6 @@ from ..interconnect.pcie import PCIeLink
 from ..interconnect.sata import SATALink
 from ..memory.nvdimm import NVDIMM
 from ..numerics import sequential_add
-from ..nvme.commands import build_read, build_write
 from ..nvme.controller import NVMeController
 from ..units import KB
 from ..workloads.trace import WorkloadTrace
@@ -91,7 +90,9 @@ class MmapPlatform(Platform):
         hit = self.page_cache.access(page, is_write)
         if not hit:
             readahead, victims = self._install_fault(page, is_write)
-            os_ns, storage_ns = self._fault_io(page, readahead, victims, at_ns)
+            with self.ssd.walk() as step:
+                os_ns, storage_ns = self._fault_io(page, readahead, victims,
+                                                   at_ns, step)
         # The reference completes from DRAM (after the fault, on a miss).
         dram = self.nvdimm.access(min(size_bytes, OS_PAGE_BYTES), is_write)
         self._nvdimm_busy_ns += dram.latency_ns
@@ -107,7 +108,9 @@ class MmapPlatform(Platform):
         readahead and the dirty-victim schedule are settled up front; every
         request's DRAM charge folds in one vectorized call, and the faults
         replay against the OS stack and the SSD at their exact scalar-loop
-        issue clocks (:meth:`MemoryRequestBatch.service_page_cached`).
+        issue clocks (:meth:`MemoryRequestBatch.service_page_cached`), all
+        of them stepping one :meth:`~repro.flash.ssd.SSD.walk` opened for
+        the chunk.
         """
         if len(batch) == 0:
             return MemoryServiceBatch(latency_ns=np.empty(0))
@@ -132,11 +135,13 @@ class MmapPlatform(Platform):
 
         def miss_service(k: int, index: int, now: float):
             os_ns, storage_ns = self._fault_io(pages_list[index],
-                                               readaheads[k], victims[k], now)
+                                               readaheads[k], victims[k], now,
+                                               step)
             return dram_latency_list[index], os_ns, storage_ns
 
-        return batch.service_page_cached(walk.hits, dram_latency,
-                                         walk.miss_indices, miss_service)
+        with self.ssd.walk() as step:
+            return batch.service_page_cached(walk.hits, dram_latency,
+                                             walk.miss_indices, miss_service)
 
     def _install_fault(self, page: int, is_write: bool
                        ) -> Tuple[int, List[Tuple[int, bool]]]:
@@ -161,38 +166,35 @@ class MmapPlatform(Platform):
         return readahead, victims
 
     def _fault_io(self, page: int, readahead: int,
-                  victims: List[Tuple[int, bool]],
-                  at_ns: float) -> Tuple[float, float]:
+                  victims: List[Tuple[int, bool]], at_ns: float,
+                  step) -> Tuple[float, float]:
         """Storage side of a major fault: software stack, read, writebacks.
 
-        Returns the fault's ``(os_ns, storage_ns)``; the dirty victims go
-        back to the SSD once the read has landed.
+        Returns the fault's ``(os_ns, storage_ns)``.  The read and, once it
+        has landed, each dirty writeback is one NVMe
+        :meth:`~repro.nvme.controller.NVMeController.round_trip` through
+        *step*, the step of an open :meth:`~repro.flash.ssd.SSD.walk`.
         """
         self.major_faults += 1
         fault = self.os_stack.fault_cost(needs_io=True)
         os_ns = fault.mmap_ns + fault.io_stack_ns + fault.copy_ns
-        command = build_read(lba=page * (OS_PAGE_BYTES // 512),
-                             length_bytes=OS_PAGE_BYTES * readahead, prp=0)
-        storage_ns = self.controller.execute(command, at_ns + os_ns).latency_ns
+        round_trip = self.controller.round_trip
+        read_at = at_ns + os_ns
+        storage_ns = round_trip(step, False, page * OS_PAGE_BYTES,
+                                OS_PAGE_BYTES * readahead, False,
+                                read_at)[0] - read_at
         writeback_at = at_ns + os_ns + storage_ns
         writeback_os_ns = 0.0
         for victim, _ in victims:
-            writeback_os_ns += self._writeback_page(victim, writeback_at)
+            # Writeback is mostly asynchronous (pdflush-style): a tenth of
+            # the device time lands on the faulting thread, the software
+            # cost of building and submitting the bio all of it.
+            self.writebacks += 1
+            software_ns = self.os_stack.writeback_cost()
+            finish = round_trip(step, True, victim * OS_PAGE_BYTES,
+                                OS_PAGE_BYTES, False, writeback_at)[0]
+            writeback_os_ns += software_ns + (finish - writeback_at) * 0.1
         return os_ns + writeback_os_ns, storage_ns
-
-    def _writeback_page(self, page: int, at_ns: float) -> float:
-        """Write one dirty page back through the storage stack.
-
-        Writeback runs mostly asynchronously (pdflush-style), so only a
-        fraction of the device time lands on the faulting thread; the
-        software cost of building and submitting the bio is still paid.
-        """
-        self.writebacks += 1
-        software_ns = self.os_stack.writeback_cost()
-        command = build_write(lba=page * (OS_PAGE_BYTES // 512),
-                              length_bytes=OS_PAGE_BYTES, prp=0)
-        io = self.controller.execute(command, at_ns)
-        return software_ns + io.latency_ns * 0.1
 
     # -- energy -------------------------------------------------------------------
 

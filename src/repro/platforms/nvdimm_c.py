@@ -16,7 +16,7 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..energy.accounting import EnergyAccount
-from ..flash.ssd import IORequestBatch, SSD
+from ..flash.ssd import SSD
 from ..host.os_stack import PageCache
 from ..memory.nvdimm import NVDIMM
 from ..numerics import sequential_add
@@ -45,7 +45,8 @@ class NvdimmCPlatform(Platform):
     :meth:`~repro.memory.nvdimm.NVDIMM.access_batch` call, and only the
     misses — whose migrations genuinely depend on the clock — replay
     against the SSD at exactly reconstructed issue times
-    (:meth:`~repro.platforms.base.MemoryRequestBatch.service_page_cached`).
+    (:meth:`~repro.platforms.base.MemoryRequestBatch.service_page_cached`),
+    stepping one :meth:`~repro.flash.ssd.SSD.walk` opened for the batch.
     """
 
     name = "nvdimm-C"
@@ -82,7 +83,8 @@ class NvdimmCPlatform(Platform):
         # during refresh windows — the flash read is cheap, the wait is not.
         self.migrations += 1
         evictions = self._install_migration_chunk(page, is_write)
-        migration_ns = self._migrate_chunk(page, evictions, at_ns)
+        with self.ssd.walk() as step:
+            migration_ns = self._migrate_chunk(page, evictions, at_ns, step)
         served = self.dram.access(size_bytes, is_write)
         self._dram_busy_ns += served.latency_ns
         return MemoryServiceResult(latency_ns=migration_ns + served.latency_ns)
@@ -111,50 +113,19 @@ class NvdimmCPlatform(Platform):
         return evictions
 
     def _migrate_chunk(self, page: int, evictions: List[Tuple[int, bool]],
-                       at_ns: float) -> float:
-        """Charge one refresh-window migration plus its dirty writebacks."""
+                       at_ns: float, step) -> float:
+        """Charge one refresh-window migration plus its dirty writebacks,
+        each flash request one *step* of an open :meth:`SSD.walk`."""
         chunk_first = self._chunk_first(page)
-        io = self.ssd.read(chunk_first * _PAGE,
-                           self.migration_granularity_bytes, at_ns)
-        device_ns = io.finish_ns - at_ns
-        migration_ns = max(self.migration_latency_ns, device_ns)
+        finish = step((False, chunk_first * _PAGE,
+                       self.migration_granularity_bytes, at_ns, False))
+        migration_ns = max(self.migration_latency_ns, finish - at_ns)
         for victim, victim_dirty in evictions:
             if victim_dirty:
-                self.ssd.write(victim * _PAGE, _PAGE, at_ns + migration_ns)
-                migration_ns += self.migration_latency_ns * 0.1  # mostly overlapped
-        return migration_ns
-
-    def _migrate_chunk_batched(self, page: int,
-                               evictions: List[Tuple[int, bool]],
-                               at_ns: float) -> float:
-        """The batch-API route of :meth:`_migrate_chunk` (bit-identical).
-
-        The chunk read goes through one
-        :meth:`~repro.flash.ssd.SSD.submit_batch` call, and — because a
-        victim writeback's completion never feeds back into the migration
-        latency (the scalar loop ignores its result and bumps the clock by
-        a fixed overlap term) — every dirty writeback's submission clock is
-        known up front, so they all fold into *one* open-loop batch instead
-        of per-victim scalar submissions.
-        """
-        chunk_first = self._chunk_first(page)
-        read = self.ssd.submit_batch(IORequestBatch(
-            is_write=False, byte_offset=[chunk_first * _PAGE],
-            size_bytes=self.migration_granularity_bytes, submit_ns=at_ns))
-        device_ns = read.finish_ns[0] - at_ns
-        migration_ns = max(self.migration_latency_ns, device_ns)
-        offsets: List[int] = []
-        submits: List[float] = []
-        bump = self.migration_latency_ns * 0.1  # mostly overlapped
-        for victim, victim_dirty in evictions:
-            if victim_dirty:
-                offsets.append(victim * _PAGE)
-                submits.append(at_ns + migration_ns)
-                migration_ns += bump
-        if offsets:
-            self.ssd.submit_batch(IORequestBatch(
-                is_write=True, byte_offset=offsets, size_bytes=_PAGE,
-                submit_ns=submits))
+                step((True, victim * _PAGE, _PAGE, at_ns + migration_ns,
+                      False))
+                # Mostly overlapped with the migration.
+                migration_ns += self.migration_latency_ns * 0.1
         return migration_ns
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
@@ -182,12 +153,13 @@ class NvdimmCPlatform(Platform):
         evictions = walk.evictions
 
         def miss_service(k: int, index: int, now: float):
-            migration_ns = self._migrate_chunk_batched(pages_list[index],
-                                                       evictions[k], now)
+            migration_ns = self._migrate_chunk(pages_list[index],
+                                               evictions[k], now, step)
             return migration_ns + dram_latency_list[index], 0.0, 0.0
 
-        return batch.service_page_cached(walk.hits, dram_latency,
-                                         walk.miss_indices, miss_service)
+        with self.ssd.walk() as step:
+            return batch.service_page_cached(walk.hits, dram_latency,
+                                             walk.miss_indices, miss_service)
 
     def page_caches(self) -> list:
         return ["dram_cache"]

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -133,10 +134,35 @@ _FOOTER_FIELDS = ("schema", "length", "compression", "chunk_accesses",
                   "chunks", "content_hash", "write_count", "min_address",
                   "max_end", "meta")
 
+#: Typed footer fields: name -> (accepted JSON types, least value or None).
+_TYPED_FIELDS = {"length": (int, 0), "chunk_accesses": (int, 1),
+                 "write_count": (int, 0), "max_end": (int, 0),
+                 "content_hash": (str, None)}
+#: The WorkloadTrace metadata every footer carries (trace_meta_defaults);
+#: the least accesses_per_operation is the smallest positive float.
+_META_FIELDS = {"name": (str, None), "suite": (str, None),
+                "operation_unit": (str, None), "dataset_bytes": (int, 1),
+                "total_instructions": ((int, float), 0),
+                "compute_instructions_per_access": ((int, float), 0),
+                "accesses_per_operation": ((int, float), 5e-324)}
+
+
+def _invalid(value: Any, types, least=None) -> bool:
+    """True unless *value* is a finite non-bool *types* value >= *least*."""
+    return (not isinstance(value, types) or isinstance(value, bool)
+            or (isinstance(value, float) and not math.isfinite(value))
+            or (least is not None and value < least))
+
 
 def validate_footer(footer: Dict[str, Any], path: Path,
                     file_size: int) -> Dict[str, Any]:
-    """Structural validation of a parsed footer; returns it for chaining."""
+    """Structural validation of a parsed footer; returns it for chaining.
+
+    Every field a reader, ``repro trace info`` or a replay consumes is
+    checked for type and range here, so a hostile or bit-flipped footer
+    fails with :class:`TraceFormatError` at open instead of a
+    ``TypeError``/``ValueError`` later.
+    """
     if footer.get("schema") != TRACE_SCHEMA:
         raise TraceFormatError(
             f"{path}: unsupported trace schema {footer.get('schema')!r} "
@@ -147,10 +173,28 @@ def validate_footer(footer: Dict[str, Any], path: Path,
     if footer["compression"] not in COMPRESSIONS:
         raise TraceFormatError(
             f"{path}: unknown compression {footer['compression']!r}")
+    for name, (types, least) in _TYPED_FIELDS.items():
+        if _invalid(footer[name], types, least):
+            raise TraceFormatError(
+                f"{path}: footer field {name!r} is invalid ({footer[name]!r})")
+    if (footer["min_address"] is not None
+            and _invalid(footer["min_address"], int, 0)
+            or footer["write_count"] > footer["length"]):
+        raise TraceFormatError(f"{path}: footer summary statistics are "
+                               f"inconsistent")
+    provenance = footer.get("provenance")
+    if provenance is not None and (not isinstance(provenance, dict) or
+                                   _invalid(provenance.get("workload"), str)):
+        raise TraceFormatError(f"{path}: footer provenance is malformed")
+    chunks = footer["chunks"]
+    if not isinstance(chunks, list):
+        raise TraceFormatError(f"{path}: footer chunk index is not a list")
+    uncompressed = footer["compression"] == "none"
     total = 0
     previous_end = HEADER_SIZE
-    for index, entry in enumerate(footer["chunks"]):
-        if not (isinstance(entry, list) and len(entry) == 4):
+    for index, entry in enumerate(chunks):
+        if not (isinstance(entry, list) and len(entry) == 4) or any(
+                _invalid(field, int, 0) for field in entry):
             raise TraceFormatError(
                 f"{path}: chunk index entry {index} is malformed")
         offset, accesses, stored_bytes, _crc = entry
@@ -162,12 +206,23 @@ def validate_footer(footer: Dict[str, Any], path: Path,
                 f"{path}: chunk {index} lies outside the data region "
                 f"(offset {offset}, {stored_bytes} stored bytes, file is "
                 f"{file_size} bytes)")
+        if uncompressed and stored_bytes != accesses * ACCESS_BYTES:
+            raise TraceFormatError(
+                f"{path}: uncompressed chunk {index} stores {stored_bytes} "
+                f"bytes for {accesses} accesses (expected "
+                f"{accesses * ACCESS_BYTES})")
         previous_end = offset + stored_bytes
         total += accesses
     if total != footer["length"]:
         raise TraceFormatError(
             f"{path}: chunk index covers {total} accesses but the footer "
             f"declares {footer['length']}")
+    meta = footer["meta"]
+    if not isinstance(meta, dict) or any(
+            _invalid(meta.get(name), types, least)
+            for name, (types, least) in _META_FIELDS.items()):
+        raise TraceFormatError(f"{path}: footer meta is not a valid "
+                               f"WorkloadTrace metadata object")
     return footer
 
 
@@ -176,7 +231,8 @@ def read_trace_footer(path: Union[str, Path]) -> Dict[str, Any]:
 
     Raises :class:`TraceFormatError` for anything that is not a complete,
     structurally sound ``repro.trace/1`` file — wrong magic, truncated
-    tail, torn footer JSON, chunk offsets outside the data region.
+    tail, torn footer JSON, a footer field of the wrong type or range
+    (:func:`validate_footer`), chunk offsets outside the data region.
     """
     path = Path(path)
     try:

@@ -10,7 +10,9 @@ from repro.config import (
     NVMeConfig,
     PCIeConfig,
     SSDConfig,
+    default_config,
 )
+from repro.core.hams_controller import HAMSController
 from repro.core.nvme_engine import HardwareNVMeEngine
 from repro.core.persistency import PersistencyController
 from repro.core.register_interface import RegisterInterface
@@ -18,10 +20,11 @@ from repro.flash.ssd import SSD
 from repro.interconnect.ddr_bus import DDR4Bus
 from repro.interconnect.pcie import PCIeLink
 from repro.memory.nvdimm import NVDIMM
-from repro.nvme.commands import build_write
+from repro.nvme.commands import build_read, build_write
 from repro.nvme.controller import NVMeController
 from repro.nvme.queues import QueuePair
 from repro.units import KB, MB
+from repro.workloads.registry import ExperimentScale, scale_system_config
 
 
 def _ssd() -> SSD:
@@ -44,9 +47,15 @@ def _engine(mode: str = "extend",
     controller = NVMeController(ssd, link, NVMeConfig())
     hams = HAMSConfig(mode=mode,
                       integration="tight" if tight else "loose")
-    return HardwareNVMeEngine(controller, QueuePair.create(256), hams,
-                              NVMeConfig(),
+    return HardwareNVMeEngine(controller, hams,
                               register_interface=link if tight else None)
+
+
+def _issue(engine: HardwareNVMeEngine, is_write: bool, lba: int,
+           length_bytes: int, at_ns: float):
+    """One engine issue on a batch-of-one walk of the engine's SSD."""
+    with engine.controller.ssd.walk() as step:
+        return engine.issue(step, is_write, lba, length_bytes, at_ns)
 
 
 class TestRegisterInterface:
@@ -77,42 +86,87 @@ class TestRegisterInterface:
 class TestHardwareNVMeEngine:
     def test_fill_command_is_read(self):
         engine = _engine()
-        command = engine.build_fill(lba=0, length_bytes=KB(128), prp=0)
-        assert not command.is_write
-        assert not command.fua
+        ssd = engine.controller.ssd
+        before = ssd.statistics()
+        _issue(engine, False, 0, KB(128), 0.0)
+        after = ssd.statistics()
+        assert (after["flash_bytes_read"] - before["flash_bytes_read"]
+                == KB(128))
+        assert after["flash_bytes_written"] == before["flash_bytes_written"]
+        assert after["flash_page_programs"] == before["flash_page_programs"]
 
     def test_evict_in_persist_mode_uses_fua(self):
-        assert _engine("persist").build_evict(0, KB(128), 0).fua
-        assert not _engine("extend").build_evict(0, KB(128), 0).fua
+        def programs(mode: str) -> int:
+            engine = _engine(mode)
+            ssd = engine.controller.ssd
+            before = ssd.fil.page_programs
+            _issue(engine, True, 0, KB(128), 0.0)
+            return ssd.fil.page_programs - before
+
+        # FUA: every page of the evicted MoS page reaches the media at once;
+        # extend mode's eviction lands in the SSD-internal DRAM buffer.
+        assert programs("persist") == KB(128) // _ssd().page_size
+        assert programs("extend") == 0
 
     def test_issue_cleans_queue_entries(self):
-        engine = _engine()
-        command = engine.build_fill(lba=0, length_bytes=KB(4), prp=0)
-        result = engine.issue(command, at_ns=0.0)
-        assert result.finish_ns > 0
-        assert engine.queue_pair.sq.outstanding == 0
-        assert engine.queue_pair.cq.outstanding == 0
-        assert command.journal_tag == 0
+        config = scale_system_config(default_config(),
+                                     ExperimentScale(capacity_scale=1 / 512))
+        hams = HAMSController(config.with_hams(integration="loose",
+                                               mode="persist"))
+        now = 0.0
+        for index in range(4):
+            result = hams.access(index * hams.mos_page_bytes, 64,
+                                 is_write=True, at_ns=now)
+            now = result.finish_ns
+        # Misses with dirty victims: fills and evictions were issued.
+        for index in range(4):
+            result = hams.access((index + hams.tag_array.entries_count)
+                                 * hams.mos_page_bytes, 64, is_write=False,
+                                 at_ns=now)
+            now = result.finish_ns
+        assert hams.engine.evictions_issued == 4
+        # The engine drains the ring within each issue: nothing is left for
+        # a power failure to find.
+        assert hams.queue_pair.sq.outstanding == 0
+        assert hams.queue_pair.cq.outstanding == 0
+        assert hams.persistency.pending_commands() == []
+
+    def test_issue_matches_execute_of_the_command(self):
+        for mode in ("persist", "extend"):
+            for is_write in (False, True):
+                engine = _engine(mode)
+                twin = _engine(mode)
+                timing = _issue(engine, is_write, 64, KB(4), 100.0)
+                builder = build_write if is_write else build_read
+                command = builder(lba=64, length_bytes=KB(4), prp=0,
+                                  fua=is_write and mode == "persist")
+                result = twin.controller.execute(command, 100.0)
+                assert timing == (result.finish_ns, result.protocol_ns,
+                                  result.transfer_ns, result.device_ns)
+                assert (engine.controller.ssd.statistics()
+                        == twin.controller.ssd.statistics())
+                assert (engine.controller.statistics()
+                        == twin.controller.statistics())
 
     def test_persist_mode_serialises_outstanding_io(self):
         engine = _engine("persist")
-        first = engine.issue(engine.build_fill(0, KB(128), 0), 0.0)
-        assert engine.next_available(0.0) == first.finish_ns
+        finish = _issue(engine, False, 0, KB(128), 0.0)[0]
+        assert engine.next_available(0.0) == finish
 
     def test_extend_mode_allows_immediate_issue(self):
         engine = _engine("extend")
-        engine.issue(engine.build_fill(0, KB(128), 0), 0.0)
+        _issue(engine, False, 0, KB(128), 0.0)
         assert engine.next_available(0.0) == 0.0
 
     def test_tight_engine_charges_register_delivery(self):
         engine = _engine(tight=True)
-        engine.issue(engine.build_fill(0, KB(4), 0), 0.0)
+        _issue(engine, False, 0, KB(4), 0.0)
         assert engine.register_interface.commands_delivered == 1
 
     def test_statistics(self):
         engine = _engine()
-        engine.issue(engine.build_fill(0, KB(4), 0), 0.0)
-        engine.issue(engine.build_evict(0, KB(4), 0), 0.0)
+        _issue(engine, False, 0, KB(4), 0.0)
+        _issue(engine, True, 0, KB(4), 0.0)
         stats = engine.statistics()
         assert stats["fills_issued"] == 1
         assert stats["evictions_issued"] == 1
