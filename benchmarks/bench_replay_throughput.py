@@ -24,8 +24,8 @@ what the batched path buys in wall-clock terms:
   >= 5x bar when both its hit fold *and* its flash miss path (the
   batched ``SSD.submit_batch`` walk) are vectorized.  ``nvdimm-C``,
   ``bypass-ull`` (the chained closed-loop flash recurrence) and
-  ``hams-TE`` (the clock-free tag-array walk + miss replay) are held to
-  it; their ``seqRd`` rows document the colder chunk-miss regime,
+  ``hams-TE`` (the index-sorted tag classification + miss replay) are
+  held to it; their ``seqRd`` rows document the colder chunk-miss regime,
 * ``mmap`` / ``flatflash-M`` / ``flatflash-P`` are the page-fault
   baselines: their batched path is the same page-cache walk (the fault
   install with readahead, the promotion counter) plus an exact replay of

@@ -25,7 +25,7 @@ hams-TE   tight, extend   DDR4 register interface, parallel queue
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -86,19 +86,25 @@ class HAMSBatchPlan:
     """Clock-free classification of one request batch (see :meth:`classify_batch`).
 
     ``hits`` marks the requests served straight from the NVDIMM cache,
-    ``serve_ns`` / ``probe_ns`` are their pure timing ingredients, and
-    ``misses`` carries everything the clocked replay of each miss needs:
-    ``(position, address, decomposed, lookup)`` in batch order.
+    ``serve_ns`` / ``probe_ns`` are the pure timing ingredients of every
+    request, and ``misses`` carries what the clocked replay of each miss
+    needs: ``(position, decomposed, lookup)`` in batch order.
     """
 
     hits: np.ndarray
     serve_ns: np.ndarray
     probe_ns: float
-    misses: List[Tuple[int, int, DecomposedAddress, TagLookup]]
+    misses: List[Tuple[int, DecomposedAddress, TagLookup]]
 
 
 class HAMSController:
     """Hardware-automated Memory-over-Storage controller in the MCH."""
+
+    #: Size of the critical chunk fetched first on a miss.  The MMU request
+    #: only stalls until this chunk lands in the NVDIMM; the remainder of the
+    #: MoS page streams in afterwards ("critical-chunk-first", matching the
+    #: flash page size the ULL-Flash serves natively).
+    CRITICAL_CHUNK_BYTES = 4096
 
     def __init__(self, config: SystemConfig,
                  ssd: Optional[SSD] = None) -> None:
@@ -149,10 +155,27 @@ class HAMSController:
         # Background evictions outstanding per tag-array index (extend mode).
         self._background_evictions: Dict[int, float] = {}
         # Traffic moved by background fills/evictions in extend mode,
-        # modelled analytically (see _background_transfer).
+        # modelled analytically (see _background_stream).
         self.background_flash_reads = 0
         self.background_flash_programs = 0
         self.background_link_bytes = 0
+
+        # Per-controller constants of the miss recurrence.
+        nvdimm = self.nvdimm
+        page_bytes = self.mos_page_bytes
+        self._persist = self.hams_config.is_persist
+        self._line_size = config.nvdimm.ddr.line_size
+        self._probe_ns = (nvdimm.line_access_ns()
+                          + self.hams_config.tag_check_ns)
+        self._chunk_bytes = min(self.CRITICAL_CHUNK_BYTES, page_bytes)
+        self._chunk_sectors = self._chunk_bytes // 512
+        self._remainder_bytes = page_bytes - self._chunk_bytes
+        self._clone_ns = 2 * nvdimm.page_access_ns(page_bytes)
+        self._landing_ns = nvdimm.page_access_ns(self._chunk_bytes)
+        self._remainder_pages, self._remainder_ns = self._background_stream(
+            self._remainder_bytes, is_write=False)
+        self._eviction_pages, self._eviction_ns = self._background_stream(
+            page_bytes, is_write=True)
 
     # -- capacity -------------------------------------------------------------------
 
@@ -182,13 +205,13 @@ class HAMSController:
         nvdimm = self.nvdimm
 
         # 1. Tag probe: one NVDIMM line access plus the comparator.
-        probe_ns = nvdimm.line_access_ns() + self.hams_config.tag_check_ns
-        nvdimm.access(self.config.nvdimm.ddr.line_size, is_write=False)
+        probe_ns = self._probe_ns
+        nvdimm.access(self._line_size, is_write=False)
         lookup = self.tag_array.lookup(decomposed.mos_page)
+        serve_ns = self._nvdimm_serve_ns(size_bytes)
 
         if lookup.hit:
             # 2. Serve the data from the NVDIMM cache entry.
-            serve_ns = self._nvdimm_serve_ns(size_bytes)
             nvdimm.access(size_bytes, is_write=is_write)
             if is_write:
                 self.tag_array.mark_dirty(decomposed.mos_page)
@@ -210,8 +233,12 @@ class HAMSController:
             nvdimm.access(size_bytes, is_write=is_write)
             self.tag_array.install(decomposed.mos_page, dirty=is_write)
             with self.ssd.walk() as step:
-                result = self.replay_miss(address, decomposed, lookup,
-                                          size_bytes, is_write, at_ns, step)
+                finish, nvdimm_ns, dma_ns, ssd_ns, wait_ns = self.replay_miss(
+                    decomposed, lookup, is_write, serve_ns, at_ns, step)
+            result = HAMSAccessResult(
+                address=address, is_write=is_write, hit=False, start_ns=at_ns,
+                finish_ns=finish, nvdimm_ns=nvdimm_ns, dma_ns=dma_ns,
+                ssd_ns=ssd_ns, wait_ns=wait_ns, evicted=lookup.needs_eviction)
 
         self.delays.nvdimm_ns += result.nvdimm_ns
         self.delays.dma_ns += result.dma_ns
@@ -223,17 +250,27 @@ class HAMSController:
 
     def classify_batch(self, addresses: np.ndarray, sizes: np.ndarray,
                        writes: np.ndarray) -> HAMSBatchPlan:
-        """Walk one request batch through the tag array, clock-free.
+        """Classify one non-empty request batch, clock-free.
 
         The tag array, the dirty bits and the direct-mapped installs do not
-        depend on the clock, so one scalar-order walk classifies the whole
-        batch and leaves the tag state exactly where the scalar loop would:
-        hits mark their entry dirty on stores, misses install their page
-        (before their clocked replay, as :meth:`access` does).  The
-        walk also records the batch's complete NVDIMM traffic — probe,
-        victim clone, critical-chunk landing, serve — in the exact scalar
-        call order and charges it through one
-        :meth:`~repro.memory.nvdimm.NVDIMM.access_batch` fold, so the DRAM
+        depend on the clock, and in a direct-mapped array the outcome of a
+        request depends only on the previous request of the batch to the
+        same index — or, for the first one, on that entry's state at batch
+        start.  So one index-sorted pass classifies the whole batch: a
+        stable argsort by index groups each entry's requests in scalar
+        order; a request hits when its tag equals its predecessor's (a
+        group's head compares with the entry's gathered tag).  Each miss
+        opens a *residency segment*; one ``np.logical_or.reduceat`` over
+        the stores of each segment gives every miss its victim's dirty bit
+        and every entry its final dirty bit.  Each touched
+        :class:`~repro.core.tag_array.TagEntry` is read once and written
+        once, left exactly where the scalar loop leaves it (misses install
+        their page before their clocked replay, as :meth:`access` does).
+
+        The batch's NVDIMM traffic — probe, victim clone read and write,
+        critical-chunk landing, serve — is laid out in exact scalar call
+        order from ``cumsum`` offsets and charged through one
+        :meth:`~repro.memory.nvdimm.NVDIMM.access_batch`, so the DRAM
         counters (and the bit-exact ``busy_ns`` accumulation) match the
         scalar replay.  Everything clock-dependent — engine waits, NVMe
         issue, background-eviction parking — stays out of the plan and runs
@@ -241,145 +278,130 @@ class HAMSController:
         """
         count = len(addresses)
         self.accesses += count
-        nvdimm = self.nvdimm
-        mos_page_bytes = self.mos_page_bytes
         tag_array = self.tag_array
         entries = tag_array._entries
         entries_count = tag_array.entries_count
-        line_size = self.config.nvdimm.ddr.line_size
-        line_ns = nvdimm.line_access_ns()
-        probe_ns = line_ns + self.hams_config.tag_check_ns
+        page_bytes = self.mos_page_bytes
+        line_size = self._line_size
 
-        mos_pages = addresses // mos_page_bytes
-        offsets_col = addresses % mos_page_bytes
-        indices_col = mos_pages % entries_count
-        tags_col = mos_pages // entries_count
-
+        mos_pages = addresses // page_bytes
+        indices = mos_pages % entries_count
+        tags = mos_pages // entries_count
         serve_ns = np.empty(count, dtype=np.float64)
-        fine = sizes <= line_size
-        serve_ns[fine] = line_ns
-        for size in np.unique(sizes[~fine]):
-            serve_ns[sizes == size] = nvdimm.page_access_ns(int(size))
+        for size in np.unique(sizes).tolist():
+            serve_ns[sizes == size] = self._nvdimm_serve_ns(size)
 
-        mos_list = mos_pages.tolist()
-        offset_list = offsets_col.tolist()
-        index_list = indices_col.tolist()
-        tag_list = tags_col.tolist()
-        writes_list = writes.tolist()
-        sizes_list = sizes.tolist()
+        # -- group each entry's requests, in scalar order ---------------------
+        order = np.argsort(indices, kind="stable")
+        s_index = indices[order]
+        s_tag = tags[order]
+        s_write = writes[order]
+        head = np.empty(count, dtype=bool)
+        head[0] = True
+        np.not_equal(s_index[1:], s_index[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        group = np.cumsum(head) - 1
 
-        hits = np.empty(count, dtype=bool)
-        misses: List[Tuple[int, int, DecomposedAddress, TagLookup]] = []
-        hit_count = 0
-        # The batch's NVDIMM call sequence, in exact scalar order.
-        sched_sizes: List[int] = []
-        sched_writes: List[bool] = []
-        size_append = sched_sizes.append
-        write_append = sched_writes.append
-        addresses_list = None  # materialised only when the batch has misses
-        for j in range(count):
-            index = index_list[j]
-            tag = tag_list[j]
-            is_write = writes_list[j]
-            entry = entries[index]
-            size_append(line_size)        # tag probe
-            write_append(False)
-            if entry.valid and entry.tag == tag:
-                hit_count += 1
-                hits[j] = True
-                if is_write:
-                    entry.dirty = True
-            else:
-                hits[j] = False
-                victim_tag = entry.tag if entry.valid else None
-                victim_dirty = entry.dirty if victim_tag is not None else False
-                lookup = TagLookup(index=index, tag=tag, hit=False,
-                                   busy=entry.busy, victim_tag=victim_tag,
-                                   victim_dirty=victim_dirty)
-                decomposed = DecomposedAddress(mos_page=mos_list[j], tag=tag,
-                                               index=index,
-                                               offset=offset_list[j])
-                if addresses_list is None:
-                    addresses_list = addresses.tolist()
-                misses.append((j, addresses_list[j], decomposed, lookup))
-                if victim_tag is not None and victim_dirty:
-                    size_append(mos_page_bytes)   # victim clone read
-                    write_append(False)
-                    size_append(mos_page_bytes)   # victim clone write
-                    write_append(True)
-                size_append(mos_page_bytes)       # critical-chunk landing
-                write_append(True)
-                # Install now so later lookups in this batch classify
-                # exactly; the dirty bit already folds in the scalar
-                # install + mark-dirty pair.
-                entry.tag = tag
-                entry.valid = True
-                entry.dirty = is_write
-                entry.busy = False
-            size_append(sizes_list[j])    # serve from the cache entry
-            write_append(is_write)
+        # The touched entries' state at batch start (tag -1 when invalid).
+        touched = [entries[index] for index in s_index[heads].tolist()]
+        start_tag = np.array([entry.tag if entry.valid else -1
+                              for entry in touched], dtype=np.int64)
+        start_dirty = np.array([entry.valid and entry.dirty
+                                for entry in touched], dtype=bool)
+        start_busy = np.array([entry.busy for entry in touched], dtype=bool)
+
+        # -- hits: each tag against the entry's previous one -----------------
+        prev_tag = np.empty(count, dtype=np.int64)
+        prev_tag[1:] = s_tag[:-1]
+        prev_tag[heads] = start_tag
+        s_miss = s_tag != prev_tag
+
+        # -- dirty bits: OR of the stores over each residency segment --------
+        # A segment starts at each miss and at each group head; a head hit
+        # continues the entry's batch-start residency, dirty bit included.
+        seg_start = s_miss | head
+        seg_starts = np.flatnonzero(seg_start)
+        stores = s_write.copy()
+        stores[heads] |= start_dirty & ~s_miss[heads]
+        seg_dirty = np.logical_or.reduceat(stores, seg_starts)
+        segment = np.cumsum(seg_start) - 1
+        # The victim of a miss is the residency just before it.
+        prev_dirty = np.empty(count, dtype=bool)
+        prev_dirty[1:] = seg_dirty[segment[:-1]]
+        prev_dirty[heads] = start_dirty
+        # The busy bit survives only until the group's first miss installs.
+        misses_before = np.cumsum(s_miss) - s_miss
+        s_busy = start_busy[group] & (misses_before
+                                      == misses_before[heads][group])
+
+        # -- write the touched entries back, once each ------------------------
+        lasts = np.empty(len(heads), dtype=np.int64)
+        lasts[:-1] = heads[1:] - 1
+        lasts[-1] = count - 1
+        final_busy = start_busy & (misses_before[lasts] + s_miss[lasts]
+                                   == misses_before[heads])
+        for entry, tag, dirty, busy in zip(
+                touched, s_tag[lasts].tolist(),
+                seg_dirty[segment[lasts]].tolist(), final_busy.tolist()):
+            entry.tag = tag
+            entry.valid = True
+            entry.dirty = dirty
+            entry.busy = busy
+
+        # -- back to batch order ---------------------------------------------
+        rank = np.empty(count, dtype=np.int64)
+        rank[order] = np.arange(count)
+        hits = ~s_miss[rank]
+        rows = np.flatnonzero(~hits)
+        at = rank[rows]           # each miss's position in index order
+        victim_dirty = prev_dirty[at]
+        misses = []
+        append = misses.append
+        for row, mos_page, index, tag, offset, busy, victim_tag, dirty in zip(
+                rows.tolist(), mos_pages[rows].tolist(),
+                indices[rows].tolist(), tags[rows].tolist(),
+                (addresses[rows] % page_bytes).tolist(), s_busy[at].tolist(),
+                prev_tag[at].tolist(), victim_dirty.tolist()):
+            append((row, DecomposedAddress(mos_page, tag, index, offset),
+                    TagLookup(index, tag, False, busy,
+                              victim_tag if victim_tag >= 0 else None,
+                              dirty)))
         tag_array.lookups += count
-        tag_array.hits += hit_count
-        tag_array.misses += count - hit_count
-        nvdimm.access_batch(np.array(sched_sizes, dtype=np.int64),
-                            np.array(sched_writes, dtype=bool))
-        return HAMSBatchPlan(hits=hits, serve_ns=serve_ns, probe_ns=probe_ns,
-                             misses=misses)
+        tag_array.hits += count - len(rows)
+        tag_array.misses += len(rows)
 
-    def replay_miss(self, address: int, decomposed: DecomposedAddress,
-                    lookup: TagLookup, size_bytes: int, is_write: bool,
-                    at_ns: float, step) -> HAMSAccessResult:
-        """Clocked replay of one pre-classified miss (see :meth:`classify_batch`).
+        # -- the NVDIMM schedule, in exact scalar order -----------------------
+        # Per request: probe, [clone read, clone write], landing, serve.
+        calls = np.full(count, 2, dtype=np.int64)
+        calls[rows] += 1 + 2 * victim_dirty
+        ends = np.cumsum(calls)
+        starts = ends - calls
+        sched_sizes = np.full(int(ends[-1]), page_bytes, dtype=np.int64)
+        sched_writes = np.ones(int(ends[-1]), dtype=bool)
+        sched_sizes[starts] = line_size
+        sched_writes[starts] = False
+        sched_writes[starts[rows[victim_dirty]] + 1] = False
+        sched_sizes[ends - 1] = sizes
+        sched_writes[ends - 1] = writes
+        self.nvdimm.access_batch(sched_sizes, sched_writes)
+        return HAMSBatchPlan(hits=hits, serve_ns=serve_ns,
+                             probe_ns=self._probe_ns, misses=misses)
+
+    def replay_miss(self, decomposed: DecomposedAddress, lookup: TagLookup,
+                    is_write: bool, serve_ns: float, at_ns: float, step
+                    ) -> Tuple[float, float, float, float, float]:
+        """Clocked replay of one classified miss: one recurrence over floats.
 
         Runs the clock-dependent miss sequence — probe time, background-
-        eviction parking, engine wait, clone, NVMe issue, landing, serve.
-        Every NVMe command the miss issues goes through *step*, the step of
-        an open :meth:`~repro.flash.ssd.SSD.walk` on :attr:`ssd`: the
-        batched path opens one walk per service chunk, :meth:`access` a
-        batch-of-one walk per miss.  The NVDIMM counters and the tag
-        install are the caller's (the classification walk, or
-        :meth:`access`), and so is accumulating the returned delay
-        components.
-        """
-        result = HAMSAccessResult(address=address, is_write=is_write,
-                                  hit=False, start_ns=at_ns, finish_ns=at_ns)
-        probe_ns = (self.nvdimm.line_access_ns()
-                    + self.hams_config.tag_check_ns)
-        result.nvdimm_ns += probe_ns
-        now = at_ns + probe_ns
-
-        pending = self._background_evictions.get(decomposed.index, 0.0)
-        if pending > now:
-            self.hazards.park(decomposed.mos_page, is_write, now)
-            result.wait_ns += pending - now
-            now = pending
-            self._background_evictions.pop(decomposed.index, None)
-            self.hazards.drain_parked()
-
-        now = self._handle_miss(decomposed, lookup, is_write, now, result,
-                                step)
-
-        serve_ns = self._nvdimm_serve_ns(size_bytes)
-        result.nvdimm_ns += serve_ns
-        now += serve_ns
-        result.finish_ns = now
-        return result
-
-    # -- miss handling -------------------------------------------------------------------
-
-    #: Size of the critical chunk fetched first on a miss.  The MMU request
-    #: only stalls until this chunk lands in the NVDIMM; the remainder of the
-    #: MoS page streams in afterwards ("critical-chunk-first", matching the
-    #: flash page size the ULL-Flash serves natively).
-    CRITICAL_CHUNK_BYTES = 4096
-
-    def _handle_miss(self, decomposed, lookup, is_write: bool, now: float,
-                     result: HAMSAccessResult, step) -> float:
-        """Evict the victim (if dirty) and fill the requested page.
-
-        Only the clock-dependent part: the NVDIMM traffic (clone, landing)
-        is charged and the tag installed by the caller of
-        :meth:`replay_miss`; here those steps only add their time.
+        eviction parking, engine wait, victim clone, NVMe issue, landing and
+        the *serve_ns* of the request — and returns ``(finish_ns,
+        nvdimm_ns, dma_ns, ssd_ns, wait_ns)``.  Every NVMe command the miss
+        issues goes through *step*, the step of an open
+        :meth:`~repro.flash.ssd.SSD.walk` on :attr:`ssd`: the batched path
+        opens one walk per service chunk, :meth:`access` a batch-of-one walk
+        per miss.  The NVDIMM counters and the tag install are the caller's
+        (:meth:`classify_batch`, or :meth:`access`), and so is accumulating
+        the returned delay components.
 
         In extend mode only the *critical chunk* (the 4 KB covering the
         requested address) sits on the access's critical path; the rest of
@@ -388,135 +410,146 @@ class HAMSController:
         over persist mode comes from (Figure 18).  Persist mode serialises
         everything: the FUA eviction, the critical chunk and the remainder.
         """
-        engine_start = self.engine.next_available(now)
-        result.wait_ns += engine_start - now
+        probe_ns = self._probe_ns
+        now = at_ns + probe_ns
+        wait_ns = 0.0
+        index = lookup.index
+        mos_page = decomposed.mos_page
+        pending = self._background_evictions.get(index, 0.0)
+        if pending > now:
+            self.hazards.park(mos_page, is_write, now)
+            wait_ns = pending - now
+            now = pending
+            self._background_evictions.pop(index, None)
+            self.hazards.drain_parked()
+
+        engine = self.engine
+        engine_start = engine.next_available(now)
+        wait_ns += engine_start - now
         now = engine_start
 
-        chunk = min(self.CRITICAL_CHUNK_BYTES, self.mos_page_bytes)
-        page_lba = self.address_manager.lba_of(decomposed.mos_page)
-        chunk_lba = page_lba + (decomposed.offset // chunk) * (chunk // 512)
-        issue = self.engine.issue
-
-        # -- eviction of the dirty victim -------------------------------------
+        page_lba = self.address_manager.lba_of(mos_page)
+        chunk = self._chunk_bytes
+        chunk_lba = (page_lba
+                     + (decomposed.offset // chunk) * self._chunk_sectors)
+        nvdimm_ns = probe_ns
         victim_page = None
         clone_ns = 0.0
         if lookup.needs_eviction:
-            victim_page = self.tag_array.page_from(lookup.index,
-                                                   lookup.victim_tag)
+            victim_page = self.tag_array.page_from(index, lookup.victim_tag)
             # Clone the victim into the PRP pool: an NVDIMM-internal copy of
             # one MoS page (read + write) that protects against the eviction
             # hazard while the DMA is in flight — the eviction's PRP points
             # at the clone, not at the live cache entry.  The copy runs at
             # DRAM bandwidth and overlaps with the critical fill from flash.
-            clone_ns = 2 * self.nvdimm.page_access_ns(self.mos_page_bytes)
-            result.nvdimm_ns += clone_ns
+            clone_ns = self._clone_ns
+            nvdimm_ns += clone_ns
             self.evictions += 1
-
-        remainder_bytes = self.mos_page_bytes - chunk
         self.fills += 1
 
         try:
             # The clone is keyed by the critical fill's command id.
-            self.hazards.begin_miss(
-                lookup.index, decomposed.mos_page, victim_page,
-                command_id=next_command_id(), completes_at_ns=now)
+            self.hazards.begin_miss(index, mos_page, victim_page,
+                                    command_id=next_command_id(),
+                                    completes_at_ns=now)
         except PRPPoolExhausted:
             # The pool is sized for the worst case; running out means the
             # caller is issuing more concurrent misses than the design
             # supports, so serialise behind the engine instead.
             pass
 
-        if self.hams_config.is_persist:
+        issue = engine.issue
+        remainder = self._remainder_bytes
+        if self._persist:
             # Persist mode: one outstanding I/O at a time, eviction first
             # (FUA), then the whole page fill — everything stalls the MMU.
-            commands = [(False, chunk_lba, chunk)]
-            if victim_page is not None:
-                commands.insert(0, (True, self.address_manager.lba_of(
-                    victim_page), self.mos_page_bytes))
-            if remainder_bytes > 0:
-                commands.append((False, page_lba, remainder_bytes))
             cursor = now + clone_ns
-            for evict, lba, length in commands:
-                cursor, protocol_ns, transfer_ns, device_ns = issue(
-                    step, evict, lba, length, cursor)
-                result.dma_ns += protocol_ns + transfer_ns
-                result.ssd_ns += device_ns
+            dma_ns = ssd_ns = 0.0
+            if victim_page is not None:
+                cursor, protocol, transfer, device = issue(
+                    step, True, self.address_manager.lba_of(victim_page),
+                    self.mos_page_bytes, cursor)
+                dma_ns += protocol + transfer
+                ssd_ns += device
+            cursor, protocol, transfer, device = issue(
+                step, False, chunk_lba, chunk, cursor)
+            dma_ns += protocol + transfer
+            ssd_ns += device
+            if remainder > 0:
+                cursor, protocol, transfer, device = issue(
+                    step, False, page_lba, remainder, cursor)
+                dma_ns += protocol + transfer
+                ssd_ns += device
             critical_finish = cursor
         else:
             # Extend mode: the critical chunk stalls the MMU; the remainder
             # and the eviction ride the NVMe queue in the background.  The
             # NVMe queue arbitration gives incoming (critical) reads priority
             # over the streaming background traffic, so the background work
-            # is modelled analytically: it consumes flash and link bandwidth
-            # (visible in the energy accounting and in the per-entry reuse
-            # blocking below) but does not head-of-line-block later critical
-            # fills the way a single serialised command stream would.
-            fill_finish, protocol_ns, transfer_ns, device_ns = issue(
+            # is modelled analytically (the constants hoisted at
+            # construction): it consumes flash and link bandwidth (visible
+            # in the energy accounting and in the per-entry reuse blocking
+            # below) but does not head-of-line-block later critical fills
+            # the way a single serialised command stream would.
+            fill_finish, protocol, transfer, device = issue(
                 step, False, chunk_lba, chunk, now)
-            result.dma_ns += protocol_ns + transfer_ns
-            result.ssd_ns += device_ns
+            dma_ns = protocol + transfer
+            ssd_ns = device
             # The victim clone overlaps with the flash access; only the part
             # that outlasts the critical fill shows on the critical path.
             critical_finish = max(fill_finish, now + clone_ns)
+            # The remainder streams in after the critical fill, the
+            # eviction after the remainder.
             background_finish = fill_finish
-            if remainder_bytes > 0:
-                background_finish = max(
-                    background_finish,
-                    self._background_transfer(remainder_bytes, is_write=False,
-                                              at_ns=fill_finish))
+            if remainder > 0:
+                self.background_flash_reads += self._remainder_pages
+                self.background_link_bytes += remainder
+                background_finish += self._remainder_ns
             if victim_page is not None:
-                background_finish = max(
-                    background_finish,
-                    self._background_transfer(self.mos_page_bytes,
-                                              is_write=True,
-                                              at_ns=background_finish))
+                self.background_flash_programs += self._eviction_pages
+                self.background_link_bytes += self.mos_page_bytes
+                background_finish += self._eviction_ns
             if background_finish > critical_finish:
                 # Block reuse of the entry until the background work drains.
-                self._background_evictions[lookup.index] = background_finish
+                self._background_evictions[index] = background_finish
 
-        now = max(now, critical_finish)
-
+        if critical_finish > now:
+            now = critical_finish
         # The critical chunk lands in the NVDIMM cache entry; the remainder
         # streams in behind it off the critical path.
-        landing_ns = self.nvdimm.page_access_ns(chunk)
-        result.nvdimm_ns += landing_ns
-        now += landing_ns
+        landing_ns = self._landing_ns
+        self.hazards.complete_miss(index)
+        return ((now + landing_ns) + serve_ns,
+                (nvdimm_ns + landing_ns) + serve_ns, dma_ns, ssd_ns, wait_ns)
 
-        self.hazards.complete_miss(lookup.index)
-        result.evicted = victim_page is not None
-        return now
-
-    def _background_transfer(self, size_bytes: int, is_write: bool,
-                             at_ns: float) -> float:
-        """Account for background traffic between ULL-Flash and NVDIMM.
+    def _background_stream(self, size_bytes: int,
+                           is_write: bool) -> Tuple[int, float]:
+        """Flash pages and duration of one extend-mode background transfer.
 
         Extend mode streams the non-critical part of a fill and the eviction
         of the dirty victim through the NVMe queue while the MMU already
         continues; the traffic still costs flash operations, link bytes and
-        time (returned as the estimated completion, used to block premature
-        reuse of the cache entry), but it is not serialised in front of later
-        critical fills — the hardware queue arbitration prioritises those.
+        time (the duration blocks premature reuse of the cache entry), but
+        it is not serialised in front of later critical fills — the
+        hardware queue arbitration prioritises those.  The estimate is
+        closed-form in the transfer size, so :meth:`replay_miss` adds the
+        two durations computed here at construction.
         """
         if size_bytes <= 0:
-            return at_ns
+            return 0, 0.0
         flash_page = self.ssd.page_size
         pages = max(1, size_bytes // flash_page)
-        if is_write:
-            self.background_flash_programs += pages
-            array_ns = self.ssd.config.timing.program_ns
-        else:
-            self.background_flash_reads += pages
-            array_ns = self.ssd.config.timing.read_ns
-        self.background_link_bytes += size_bytes
+        timing = self.ssd.config.timing
+        array_ns = timing.program_ns if is_write else timing.read_ns
         channel_count = max(1, self.ssd.channels.geometry.channels)
         flash_stream_ns = (pages * self.ssd.channels.transfer_time(flash_page)
                            / channel_count) + array_ns
         link_ns = (self.link.raw_transfer_time(size_bytes)
                    + self.link.per_transfer_overhead(size_bytes))
-        return at_ns + max(flash_stream_ns, link_ns)
+        return pages, max(flash_stream_ns, link_ns)
 
     def _nvdimm_serve_ns(self, size_bytes: int) -> float:
-        if size_bytes <= self.config.nvdimm.ddr.line_size:
+        if size_bytes <= self._line_size:
             return self.nvdimm.line_access_ns()
         return self.nvdimm.page_access_ns(size_bytes)
 

@@ -14,13 +14,14 @@ Batched replay note: the controller's tag array, eviction journal and
 ULL-Flash queues make each access depend on request order and issue time —
 but the *classification* (tag probes, dirty bits, direct-mapped installs)
 is clock-free.  :meth:`HAMSPlatform.service_batch` therefore splits the
-datapath: one scalar-order
-:meth:`~repro.core.hams_controller.HAMSController.classify_batch` walk
+datapath: one index-sorted numpy pass,
+:meth:`~repro.core.hams_controller.HAMSController.classify_batch`,
 resolves every hit/miss, victim and NVDIMM charge up front, a tight
 timeline-cursor fold reproduces each hit's clock-relative latency bit for
 bit, and only the misses — engine waits, NVMe issues, background-eviction
 parking — replay against the device at their exact scalar issue clocks
-through :meth:`~repro.core.hams_controller.HAMSController.replay_miss`.
+through :meth:`~repro.core.hams_controller.HAMSController.replay_miss`,
+one recurrence over floats per miss.
 """
 
 from __future__ import annotations
@@ -79,19 +80,21 @@ class HAMSPlatform(Platform):
         return MemoryServiceResult(latency_ns=result.latency_ns)
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
-        """Vectorized service around the clock-free tag-array walk.
+        """Vectorized service around the clock-free tag classification.
 
         One :meth:`~repro.core.hams_controller.HAMSController.classify_batch`
-        walk resolves hits, misses, victims and the whole NVDIMM charge
+        pass resolves hits, misses, victims and the whole NVDIMM charge
         schedule; the fold below then reconstructs each request's exact
         scalar issue clock from the batch timeline, computes every hit's
         latency in place (``((now + probe) + serve) - now`` — the same
         float-rounding path the scalar loop takes) and replays only the
         misses against the engine/ULL-Flash via
-        :meth:`~repro.core.hams_controller.HAMSController.replay_miss`, all
-        of them stepping one :meth:`~repro.flash.ssd.SSD.walk` opened for
-        the chunk.  Bit-identical to the scalar path —
-        ``tests/test_batched_replay.py`` is the contract.
+        :meth:`~repro.core.hams_controller.HAMSController.replay_miss`,
+        which takes the serve time from the plan and returns its delay
+        components as a plain tuple; every miss steps one
+        :meth:`~repro.flash.ssd.SSD.walk` opened for the chunk.
+        Bit-identical to the scalar path — ``tests/test_batched_replay.py``
+        is the contract.
         """
         count = len(batch)
         if count == 0:
@@ -113,7 +116,6 @@ class HAMSPlatform(Platform):
         # accumulates it: (0.0 + probe) + serve.
         nv_hit = (probe + plan.serve_ns).tolist()
         serve = plan.serve_ns.tolist()
-        sizes_list = sizes.tolist()
         writes_list = batch.writes.tolist()
         on_chip = batch.on_chip_ns.tolist()
         addends = batch.timeline.addends.tolist()
@@ -142,15 +144,15 @@ class HAMSPlatform(Platform):
                     lat = finish - now
                     s_nvdimm += nv_hit[j]
                 else:
-                    _, address, decomposed, lookup = next_miss
-                    result = replay_miss(address, decomposed, lookup,
-                                         sizes_list[j], writes_list[j],
-                                         now, step)
-                    lat = result.finish_ns - now
-                    s_nvdimm += result.nvdimm_ns
-                    s_dma += result.dma_ns
-                    s_ssd += result.ssd_ns
-                    s_wait += result.wait_ns
+                    _, decomposed, lookup = next_miss
+                    finish, nvdimm_ns, dma_ns, ssd_ns, wait_ns = replay_miss(
+                        decomposed, lookup, writes_list[j], serve[j], now,
+                        step)
+                    lat = finish - now
+                    s_nvdimm += nvdimm_ns
+                    s_dma += dma_ns
+                    s_ssd += ssd_ns
+                    s_wait += wait_ns
                     next_miss = next(miss_iter, None)
                 latency[j] = lat
                 now += on_chip[j] + lat

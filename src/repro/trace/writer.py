@@ -120,6 +120,7 @@ class TraceWriter:
         self._size_sha = hashlib.sha256()
         self._write_sha = hashlib.sha256()
         self._closed = False
+        self._aborted = False
 
     # -- appending ---------------------------------------------------------------
 
@@ -221,8 +222,14 @@ class TraceWriter:
         }
 
     def close(self) -> Path:
-        """Flush the final partial chunk, write the footer, rename, return."""
+        """Flush the final partial chunk, write the footer, rename, return.
+
+        Closing an aborted build — including one whose first close failed
+        at the rename — raises instead of returning a path it never wrote.
+        """
         if self._closed:
+            if self._aborted:
+                raise RuntimeError(f"trace build of {self.path} was aborted")
             return self.path
         if self._pending_count:
             self._flush_chunk(self._pending_count)
@@ -244,6 +251,7 @@ class TraceWriter:
         if self._closed:
             return
         self._closed = True
+        self._aborted = True
         try:
             self._handle.close()
         finally:
@@ -256,7 +264,7 @@ class TraceWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
+        if exc_type is None and not self._aborted:
             self.close()
         else:
             self.abort()

@@ -32,6 +32,7 @@ import pytest
 from repro.config import default_config
 from repro.numerics import sequential_add
 from repro.platforms.base import Platform
+from repro.platforms.hams_platform import HAMSPlatform
 from repro.platforms.registry import available_platforms, create_platform
 from repro.scenario import ScenarioSpec, TenantSpec, scenario_source
 from repro.units import KB
@@ -63,8 +64,18 @@ DRAM_CACHE_PLATFORMS = {
 }
 
 
-#: The page-fault platforms and the event counters (attribute paths) the
-#: stress config must fire on each.
+#: The HAMS events the stress config must fire: dirty-victim evictions and
+#: their PRP clones in both modes, plus (extend mode only, where the
+#: background remainder/eviction blocks reuse of the entry) hazard stalls.
+HAMS_PERSIST_EVENTS = ("controller.evictions",
+                       "controller.hazards.evictions_cloned")
+HAMS_EXTEND_EVENTS = HAMS_PERSIST_EVENTS + (
+    "controller.hazards.hazard_stalls",)
+
+#: The page-fault platforms and the HAMS variants, with the event counters
+#: (attribute paths) the stress config must fire on each.  A ``/4KB``
+#: suffix runs the variant with 4 KB MoS pages, so a miss has no remainder
+#: fill.
 STRESS_COUNTERS = {
     "mmap": ("major_faults", "readahead_fills", "writebacks",
              "page_cache.hits"),
@@ -74,7 +85,15 @@ STRESS_COUNTERS = {
                     "device_cache.misses", "device_cache.dirty_writebacks"),
     "flatflash-P": ("device_cache.hits", "device_cache.misses",
                     "device_cache.dirty_writebacks"),
+    "hams-LP": HAMS_PERSIST_EVENTS,
+    "hams-TP": HAMS_PERSIST_EVENTS,
+    "hams-LE": HAMS_EXTEND_EVENTS,
+    "hams-TE": HAMS_EXTEND_EVENTS,
+    "hams-TE/4KB": HAMS_EXTEND_EVENTS,
 }
+
+#: MoS pages the HAMS stress config's NVDIMM caches.
+HAMS_STRESS_ENTRIES = 4
 
 
 def _chunk_sizes():
@@ -112,6 +131,22 @@ def stress_config(config):
         nvdimm=dataclasses.replace(config.nvdimm, capacity_bytes=KB(64),
                                    pinned_region_bytes=KB(32)),
         ssd=dataclasses.replace(config.ssd, dram_buffer_bytes=KB(64)))
+
+
+def _stress_case(case: str, stress_config):
+    """The platform name and config of one ``STRESS_COUNTERS`` case.
+
+    The HAMS variants get a NVDIMM that caches only
+    ``HAMS_STRESS_ENTRIES`` MoS pages (the page-fault platforms' 32 KB
+    cacheable NVDIMM is smaller than one 128 KB MoS page)."""
+    platform_name, _, page = case.partition("/")
+    if not platform_name.startswith("hams-"):
+        return platform_name, stress_config
+    mos_page = KB(4) if page == "4KB" else stress_config.hams.mos_page_bytes
+    config = stress_config.with_hams(mos_page_bytes=mos_page)
+    return platform_name, config.with_nvdimm(
+        capacity_bytes=HAMS_STRESS_ENTRIES * mos_page + KB(32),
+        pinned_region_bytes=KB(32))
 
 
 def result_fields(result) -> dict:
@@ -182,7 +217,15 @@ def _counter(platform, path: str):
 
 
 def _device_state(platform) -> dict:
-    """The page-fault platforms' device-side observables."""
+    """The page-fault platforms' and HAMS variants' device-side observables."""
+    if isinstance(platform, HAMSPlatform):
+        controller = platform.controller
+        return {"controller": controller.statistics(),
+                "ssd": controller.ssd.statistics(),
+                "nvdimm": controller.nvdimm.statistics(),
+                "entries": [(entry.tag, entry.valid, entry.dirty, entry.busy)
+                            for entry in controller.tag_array._entries],
+                "delays": controller.memory_delay_breakdown()}
     state = {"link": platform.link.statistics(),
              "ssd": platform.ssd.statistics()}
     if hasattr(platform, "os_stack"):
@@ -195,25 +238,29 @@ def _device_state(platform) -> dict:
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_page_fault_platform_stress_parity(platform_name, workload,
                                            stress_config, traces):
-    """mmap/FlatFlash replay only their misses, exactly, at any chunk size.
+    """mmap/FlatFlash and HAMS replay only their misses, exactly, at any
+    chunk size.
 
     Under the shrunken DRAM every batched path's side effects fire —
     readahead installs, dirty writebacks, promotions, device-cache
-    evictions — and the link horizon, the OS-stack and NVMe counters and
-    the SSD's statistics must end where the scalar loop leaves them.
+    evictions, HAMS victim clones and hazard stalls — and the link
+    horizon, the OS-stack, NVMe and HAMS counters, the tag array and the
+    SSD's statistics must end where the scalar loop leaves them.
     """
     trace = traces[workload]
-    scalar_platform = create_platform(platform_name, stress_config)
+    counters = STRESS_COUNTERS[platform_name]
+    platform_name, config = _stress_case(platform_name, stress_config)
+    scalar_platform = create_platform(platform_name, config)
     scalar = result_fields(scalar_platform.run(trace, execution="scalar"))
     chunk_sizes = {1, 7, len(trace)} | {size for size in CHUNK_SIZES
                                         if size is not None}
     for chunk_size in sorted(chunk_sizes):
-        platform, batched = _run_batched(platform_name, stress_config, trace,
+        platform, batched = _run_batched(platform_name, config, trace,
                                          chunk_size)
         assert result_fields(batched) == scalar, chunk_size
         assert _device_state(platform) == _device_state(scalar_platform), \
             chunk_size
-        for counter in STRESS_COUNTERS[platform_name]:
+        for counter in counters:
             assert _counter(platform, counter) \
                 == _counter(scalar_platform, counter), (chunk_size, counter)
 
@@ -223,10 +270,10 @@ def test_stress_config_fires_every_event(platform_name, stress_config,
                                          traces):
     """The stress parity above is not vacuous: every event it guards
     happens on the fine-grained ``update`` trace."""
-    platform, _ = _run_batched(platform_name, stress_config,
-                               traces["update"], None)
-    fired = {counter: _counter(platform, counter)
-             for counter in STRESS_COUNTERS[platform_name]}
+    counters = STRESS_COUNTERS[platform_name]
+    platform_name, config = _stress_case(platform_name, stress_config)
+    platform, _ = _run_batched(platform_name, config, traces["update"], None)
+    fired = {counter: _counter(platform, counter) for counter in counters}
     assert all(fired.values()), fired
 
 
