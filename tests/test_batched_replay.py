@@ -122,8 +122,7 @@ def traces():
             for workload in WORKLOADS}
 
 
-@pytest.fixture(scope="module")
-def stress_config(config):
+def make_stress_config(config):
     """Host DRAM of 16 pages (8 cacheable) and an SSD-internal DRAM of 16
     pages (12 for data), so the smoke traces overflow every page cache."""
     return dataclasses.replace(
@@ -133,7 +132,12 @@ def stress_config(config):
         ssd=dataclasses.replace(config.ssd, dram_buffer_bytes=KB(64)))
 
 
-def _stress_case(case: str, stress_config):
+@pytest.fixture(scope="module")
+def stress_config(config):
+    return make_stress_config(config)
+
+
+def stress_case(case: str, stress_config):
     """The platform name and config of one ``STRESS_COUNTERS`` case.
 
     The HAMS variants get a NVDIMM that caches only
@@ -249,7 +253,7 @@ def test_page_fault_platform_stress_parity(platform_name, workload,
     """
     trace = traces[workload]
     counters = STRESS_COUNTERS[platform_name]
-    platform_name, config = _stress_case(platform_name, stress_config)
+    platform_name, config = stress_case(platform_name, stress_config)
     scalar_platform = create_platform(platform_name, config)
     scalar = result_fields(scalar_platform.run(trace, execution="scalar"))
     chunk_sizes = {1, 7, len(trace)} | {size for size in CHUNK_SIZES
@@ -271,7 +275,7 @@ def test_stress_config_fires_every_event(platform_name, stress_config,
     """The stress parity above is not vacuous: every event it guards
     happens on the fine-grained ``update`` trace."""
     counters = STRESS_COUNTERS[platform_name]
-    platform_name, config = _stress_case(platform_name, stress_config)
+    platform_name, config = stress_case(platform_name, stress_config)
     platform, _ = _run_batched(platform_name, config, traces["update"], None)
     fired = {counter: _counter(platform, counter) for counter in counters}
     assert all(fired.values()), fired

@@ -8,6 +8,14 @@ this oracle does not depend on a second implementation surviving: a
 platform's service path can be rewritten or its scalar twin deleted, and
 the replay must still reproduce the recorded result to the last ulp.
 
+The ``stress:`` entries pin the HAMS variants on the 4-entry NVDIMM of the
+stress config of ``tests/test_batched_replay.py``, where dirty-victim
+evictions fire on every workload and the extend-mode variants stall on
+busy entries 14-292 times per run (the smoke-scale runs above stall at
+most 3 times, on rndWr).  Before these entries the stress runs were
+checked only for batched == scalar parity, which a change to the miss
+replay both paths share passes on both sides.
+
 The digests were recorded before any platform adopted its own batched
 service path.  When the model changes on purpose, re-record them with::
 
@@ -29,11 +37,16 @@ from repro.workloads.registry import (
     build_trace,
     scale_system_config,
 )
+from test_batched_replay import make_stress_config, stress_case
 
 #: The smoke scale and workload set of ``tests/test_batched_replay.py``.
 SCALE = ExperimentScale(capacity_scale=1 / 256, min_accesses=200,
                         max_accesses=600)
 WORKLOADS = ("seqRd", "rndWr", "update")
+
+#: The HAMS cases of ``STRESS_COUNTERS`` in ``tests/test_batched_replay.py``
+#: (``/4KB`` runs 4 KB MoS pages).
+STRESS_CASES = ("hams-LP", "hams-TP", "hams-LE", "hams-TE", "hams-TE/4KB")
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
@@ -47,12 +60,17 @@ def result_digest(result) -> str:
 
 def compute_digests() -> dict:
     config = scale_system_config(default_config(), SCALE)
+    stress_config = make_stress_config(config)
     digests = {}
     for workload in WORKLOADS:
         trace = build_trace(workload, SCALE)
         for platform_name in available_platforms():
             result = create_platform(platform_name, config).run(trace)
             digests[f"{platform_name}/{workload}"] = result_digest(result)
+        for case in STRESS_CASES:
+            platform_name, case_config = stress_case(case, stress_config)
+            result = create_platform(platform_name, case_config).run(trace)
+            digests[f"stress:{case}/{workload}"] = result_digest(result)
     return digests
 
 
@@ -70,6 +88,8 @@ def test_golden_covers_every_platform_and_workload(golden):
     expected = {f"{platform}/{workload}"
                 for platform in available_platforms()
                 for workload in WORKLOADS}
+    expected |= {f"stress:{case}/{workload}"
+                 for case in STRESS_CASES for workload in WORKLOADS}
     assert set(golden) == expected
 
 
@@ -78,6 +98,14 @@ def test_replay_matches_golden_digest(platform_name, golden, digests):
     mismatched = [f"{platform_name}/{workload}" for workload in WORKLOADS
                   if digests[f"{platform_name}/{workload}"]
                   != golden[f"{platform_name}/{workload}"]]
+    assert not mismatched
+
+
+@pytest.mark.parametrize("case", STRESS_CASES)
+def test_stress_replay_matches_golden_digest(case, golden, digests):
+    mismatched = [f"stress:{case}/{workload}" for workload in WORKLOADS
+                  if digests[f"stress:{case}/{workload}"]
+                  != golden[f"stress:{case}/{workload}"]]
     assert not mismatched
 
 
