@@ -166,24 +166,38 @@ def build_bench_trace(workload: str, scale: ExperimentScale) -> WorkloadTrace:
     )
 
 
-def _best_rate(platform_name: str, trace, config, mode: str,
-               repeats: int):
-    """Accesses/sec of the fastest of *repeats* fresh-platform replays.
+def _replay_seconds(platform_name: str, trace, config, mode: str):
+    """Wall seconds of one fresh-platform replay in *mode*, and the platform."""
+    platform = create_platform(platform_name, config)
+    # Warm the device state outside the timed region; run() re-invokes
+    # prepare(), which is an O(1) no-op on an already-warmed platform.
+    platform.prepare(trace)
+    started = time.perf_counter()
+    platform.run(trace, execution=mode)
+    return time.perf_counter() - started, platform
 
-    Returns ``(rate, platform)`` — the last replayed platform, whose device
-    counters the caller may record.
+
+def _best_rates(platform_name: str, trace, config, repeats: int):
+    """Accesses/sec of the fastest of *repeats* scalar and batched replays.
+
+    Each repeat times one scalar and one batched replay back to back, and
+    the repeats alternate which of the two runs first, so a drift of the
+    host's speed lands on both strategies rather than on whichever ran
+    later.  Returns ``(scalar_rate, batched_rate, platform)`` — the last
+    batched platform, whose device counters the caller may record.
     """
-    best = float("inf")
+    best = {"scalar": float("inf"), "batched": float("inf")}
     platform = None
-    for _ in range(repeats):
-        platform = create_platform(platform_name, config)
-        # Warm the device state outside the timed region; run() re-invokes
-        # prepare(), which is an O(1) no-op on an already-warmed platform.
-        platform.prepare(trace)
-        started = time.perf_counter()
-        platform.run(trace, execution=mode)
-        best = min(best, time.perf_counter() - started)
-    return len(trace) / best, platform
+    for repeat in range(repeats):
+        modes = ("scalar", "batched") if repeat % 2 == 0 else ("batched",
+                                                               "scalar")
+        for mode in modes:
+            seconds, replayed = _replay_seconds(platform_name, trace, config,
+                                                mode)
+            best[mode] = min(best[mode], seconds)
+            if mode == "batched":
+                platform = replayed
+    return len(trace) / best["scalar"], len(trace) / best["batched"], platform
 
 
 def _flash_statistics(platform) -> Dict[str, float]:
@@ -208,10 +222,8 @@ def measure(scale: ExperimentScale = REPLAY_SCALE,
         if workload not in traces:
             traces[workload] = build_bench_trace(workload, scale)
         trace = traces[workload]
-        scalar, _ = _best_rate(platform_name, trace, config, "scalar",
-                               repeats)
-        batched, platform = _best_rate(platform_name, trace, config,
-                                       "batched", repeats)
+        scalar, batched, platform = _best_rates(platform_name, trace, config,
+                                                repeats)
         row = {
             "accesses": float(len(trace)),
             "scalar_accesses_per_s": scalar,

@@ -347,8 +347,6 @@ class HAMSConfig:
     mode: str = "extend"             # "persist" | "extend"
     mos_page_bytes: int = KB(128)
     tag_check_ns: float = 10.0
-    prp_pool_bytes: int = MB(512)
-    wait_queue_depth: int = 256
 
     def __post_init__(self) -> None:
         if self.integration not in ("loose", "tight"):

@@ -6,9 +6,9 @@ The controller fields every memory request coming from the MMU:
    costs one NVDIMM line access plus the comparator,
 2. a hit is served directly from the NVDIMM at DRAM latency,
 3. a miss secures the direct-mapped entry — evicting the dirty victim to
-   ULL-Flash (after cloning it into the PRP pool to avoid eviction hazards)
-   and filling the requested page from ULL-Flash — through the hardware
-   NVMe engine, with no OS involvement, and
+   ULL-Flash (from a clone of the page, to avoid eviction hazards) and
+   filling the requested page from ULL-Flash — through the hardware NVMe
+   engine, with no OS involvement, and
 4. the stalled instruction is retried once the data sits in the NVDIMM.
 
 The same class covers all four evaluated configurations:
@@ -35,12 +35,9 @@ from ..flash.ssd import SSD
 from ..interconnect.ddr_bus import DDR4Bus
 from ..interconnect.pcie import PCIeLink
 from ..memory.nvdimm import NVDIMM
-from ..nvme.commands import next_command_id
 from ..nvme.controller import NVMeController
-from ..nvme.prp import PRPPool, PRPPoolExhausted
 from ..nvme.queues import QueuePair
 from .address_manager import AddressManager, DecomposedAddress
-from .hazard import HazardManager
 from .tag_array import TagLookup
 from .nvme_engine import HardwareNVMeEngine
 from .persistency import PersistencyController, RecoveryReport
@@ -134,10 +131,6 @@ class HAMSController:
         self.address_manager = AddressManager(config.hams, config.nvdimm,
                                               self.ssd.capacity_bytes)
         self.tag_array = self.address_manager.tag_array
-        self.prp_pool = PRPPool(config.hams.prp_pool_bytes,
-                                self.mos_page_bytes)
-        self.hazards = HazardManager(self.tag_array, self.prp_pool,
-                                     config.hams.wait_queue_depth)
         # The SQ/CQ pair in the pinned region.  The engine drains it within
         # each issue, so only the power-failure recovery ever finds entries.
         self.queue_pair = QueuePair.create(depth=1024)
@@ -152,8 +145,11 @@ class HAMSController:
         self.accesses = 0
         self.evictions = 0
         self.fills = 0
-        # Background evictions outstanding per tag-array index (extend mode).
+        # Per tag-array index, the time until which the entry's background
+        # remainder fill and eviction (extend mode) block its reuse; a miss
+        # arriving earlier stalls until then (see replay_miss).
         self._background_evictions: Dict[int, float] = {}
+        self.hazard_stalls = 0
         # Traffic moved by background fills/evictions in extend mode,
         # modelled analytically (see _background_stream).
         self.background_flash_reads = 0
@@ -222,9 +218,8 @@ class HAMSController:
         else:
             # 3. A miss: the victim clone (read + write), the critical-chunk
             #    landing and the serve, then the install.  Installing before
-            #    the clocked replay is exact: the replay touches the entry
-            #    only through the hazard manager's busy bit, which
-            #    begin_miss sets and complete_miss clears.
+            #    the clocked replay is exact: the replay never reads the
+            #    entry, only the lookup taken before the install.
             page_bytes = self.mos_page_bytes
             if lookup.needs_eviction:
                 nvdimm.access(page_bytes, is_write=False)
@@ -234,7 +229,7 @@ class HAMSController:
             self.tag_array.install(decomposed.mos_page, dirty=is_write)
             with self.ssd.walk() as step:
                 finish, nvdimm_ns, dma_ns, ssd_ns, wait_ns = self.replay_miss(
-                    decomposed, lookup, is_write, serve_ns, at_ns, step)
+                    decomposed, lookup, serve_ns, at_ns, step)
             result = HAMSAccessResult(
                 address=address, is_write=is_write, hit=False, start_ns=at_ns,
                 finish_ns=finish, nvdimm_ns=nvdimm_ns, dma_ns=dma_ns,
@@ -273,7 +268,7 @@ class HAMSController:
         :meth:`~repro.memory.nvdimm.NVDIMM.access_batch`, so the DRAM
         counters (and the bit-exact ``busy_ns`` accumulation) match the
         scalar replay.  Everything clock-dependent — engine waits, NVMe
-        issue, background-eviction parking — stays out of the plan and runs
+        issue, background-eviction stalls — stays out of the plan and runs
         later through :meth:`replay_miss`.
         """
         count = len(addresses)
@@ -300,7 +295,6 @@ class HAMSController:
         head[0] = True
         np.not_equal(s_index[1:], s_index[:-1], out=head[1:])
         heads = np.flatnonzero(head)
-        group = np.cumsum(head) - 1
 
         # The touched entries' state at batch start (tag -1 when invalid).
         touched = [entries[index] for index in s_index[heads].tolist()]
@@ -308,7 +302,6 @@ class HAMSController:
                               for entry in touched], dtype=np.int64)
         start_dirty = np.array([entry.valid and entry.dirty
                                 for entry in touched], dtype=bool)
-        start_busy = np.array([entry.busy for entry in touched], dtype=bool)
 
         # -- hits: each tag against the entry's previous one -----------------
         prev_tag = np.empty(count, dtype=np.int64)
@@ -329,24 +322,16 @@ class HAMSController:
         prev_dirty = np.empty(count, dtype=bool)
         prev_dirty[1:] = seg_dirty[segment[:-1]]
         prev_dirty[heads] = start_dirty
-        # The busy bit survives only until the group's first miss installs.
-        misses_before = np.cumsum(s_miss) - s_miss
-        s_busy = start_busy[group] & (misses_before
-                                      == misses_before[heads][group])
 
         # -- write the touched entries back, once each ------------------------
         lasts = np.empty(len(heads), dtype=np.int64)
         lasts[:-1] = heads[1:] - 1
         lasts[-1] = count - 1
-        final_busy = start_busy & (misses_before[lasts] + s_miss[lasts]
-                                   == misses_before[heads])
-        for entry, tag, dirty, busy in zip(
-                touched, s_tag[lasts].tolist(),
-                seg_dirty[segment[lasts]].tolist(), final_busy.tolist()):
+        for entry, tag, dirty in zip(touched, s_tag[lasts].tolist(),
+                                     seg_dirty[segment[lasts]].tolist()):
             entry.tag = tag
             entry.valid = True
             entry.dirty = dirty
-            entry.busy = busy
 
         # -- back to batch order ---------------------------------------------
         rank = np.empty(count, dtype=np.int64)
@@ -357,13 +342,13 @@ class HAMSController:
         victim_dirty = prev_dirty[at]
         misses = []
         append = misses.append
-        for row, mos_page, index, tag, offset, busy, victim_tag, dirty in zip(
+        for row, mos_page, index, tag, offset, victim_tag, dirty in zip(
                 rows.tolist(), mos_pages[rows].tolist(),
                 indices[rows].tolist(), tags[rows].tolist(),
-                (addresses[rows] % page_bytes).tolist(), s_busy[at].tolist(),
+                (addresses[rows] % page_bytes).tolist(),
                 prev_tag[at].tolist(), victim_dirty.tolist()):
             append((row, DecomposedAddress(mos_page, tag, index, offset),
-                    TagLookup(index, tag, False, busy,
+                    TagLookup(index, tag, False,
                               victim_tag if victim_tag >= 0 else None,
                               dirty)))
         tag_array.lookups += count
@@ -388,12 +373,12 @@ class HAMSController:
                              probe_ns=self._probe_ns, misses=misses)
 
     def replay_miss(self, decomposed: DecomposedAddress, lookup: TagLookup,
-                    is_write: bool, serve_ns: float, at_ns: float, step
+                    serve_ns: float, at_ns: float, step
                     ) -> Tuple[float, float, float, float, float]:
         """Clocked replay of one classified miss: one recurrence over floats.
 
         Runs the clock-dependent miss sequence — probe time, background-
-        eviction parking, engine wait, victim clone, NVMe issue, landing and
+        eviction stall, engine wait, victim clone, NVMe issue, landing and
         the *serve_ns* of the request — and returns ``(finish_ns,
         nvdimm_ns, dma_ns, ssd_ns, wait_ns)``.  Every NVMe command the miss
         issues goes through *step*, the step of an open
@@ -409,6 +394,25 @@ class HAMSController:
         NVMe queue in the background, which is where extend mode's advantage
         over persist mode comes from (Figure 18).  Persist mode serialises
         everything: the FUA eviction, the critical chunk and the remainder.
+
+        Because the NVDIMM is both the MoS cache and the buffer NVMe
+        commands transfer from, a miss faces two hazards (Section V-B,
+        Figures 13-14): the *eviction hazard*, where the DMA of an eviction
+        reads a cache frame the fill is already overwriting, and the
+        *redundant eviction*, where a second miss on an entry whose
+        eviction is still in flight issues it again.  The hardware clones
+        the victim page into a PRP-pool buffer in pinned memory and points
+        the eviction at the clone, sets a busy bit on the tag-array entry
+        while its commands are in flight, and parks colliding requests in a
+        wait queue until the bit clears.  Here the clone is the
+        ``_clone_ns`` NVDIMM copy on the miss path (counted by
+        ``hazards.evictions_cloned``, which equals :attr:`evictions`).  The
+        busy bit and the wait queue are :attr:`_background_evictions`, the
+        time until which the entry's background traffic blocks its reuse: a
+        miss arriving earlier stalls until then, counted by
+        :attr:`hazard_stalls`.  Every other command of a miss completes
+        within this call, so no entry is busy between calls and the wait
+        queue never holds more than the one stalled request.
         """
         probe_ns = self._probe_ns
         now = at_ns + probe_ns
@@ -417,11 +421,10 @@ class HAMSController:
         mos_page = decomposed.mos_page
         pending = self._background_evictions.get(index, 0.0)
         if pending > now:
-            self.hazards.park(mos_page, is_write, now)
+            self.hazard_stalls += 1
             wait_ns = pending - now
             now = pending
-            self._background_evictions.pop(index, None)
-            self.hazards.drain_parked()
+            del self._background_evictions[index]
 
         engine = self.engine
         engine_start = engine.next_available(now)
@@ -446,17 +449,6 @@ class HAMSController:
             nvdimm_ns += clone_ns
             self.evictions += 1
         self.fills += 1
-
-        try:
-            # The clone is keyed by the critical fill's command id.
-            self.hazards.begin_miss(index, mos_page, victim_page,
-                                    command_id=next_command_id(),
-                                    completes_at_ns=now)
-        except PRPPoolExhausted:
-            # The pool is sized for the worst case; running out means the
-            # caller is issuing more concurrent misses than the design
-            # supports, so serialise behind the engine instead.
-            pass
 
         issue = engine.issue
         remainder = self._remainder_bytes
@@ -518,7 +510,6 @@ class HAMSController:
         # The critical chunk lands in the NVDIMM cache entry; the remainder
         # streams in behind it off the critical path.
         landing_ns = self._landing_ns
-        self.hazards.complete_miss(index)
         return ((now + landing_ns) + serve_ns,
                 (nvdimm_ns + landing_ns) + serve_ns, dma_ns, ssd_ns, wait_ns)
 
@@ -597,7 +588,15 @@ class HAMSController:
             "background_link_bytes": float(self.background_link_bytes),
         }
         stats.update({f"engine.{k}": v for k, v in self.engine.statistics().items()})
-        stats.update({f"hazards.{k}": v
-                      for k, v in self.hazards.statistics().items()})
+        # The Figure 13-14 hazard counters, kept under their hardware names
+        # (see replay_miss): one clone per eviction, one parked request per
+        # stall, and at most one clone and one parked request at a time.
+        stats.update({
+            "hazards.evictions_cloned": float(self.evictions),
+            "hazards.redundant_evictions_avoided": float(self.hazard_stalls),
+            "hazards.hazard_stalls": float(self.hazard_stalls),
+            "hazards.wait_queue_max_occupancy": float(self.hazard_stalls > 0),
+            "hazards.prp_peak_in_use": float(self.evictions > 0),
+        })
         stats.update({f"link.{k}": v for k, v in self.link.statistics().items()})
         return stats

@@ -1,9 +1,11 @@
 """MoS tag-array: the direct-mapped NVDIMM cache metadata (Figure 11).
 
 Instead of a large SRAM inside the HAMS controller (costly and volatile),
-the paper stores each cache entry's metadata — tag, valid bit, dirty bit and
-the *busy* bit that marks an in-flight DMA — alongside the ECC bits of the
-corresponding NVDIMM cache line, similar to Knights Landing's MCDRAM tags.
+the paper stores each cache entry's metadata — tag, valid bit and dirty bit
+— alongside the ECC bits of the corresponding NVDIMM cache line, similar to
+Knights Landing's MCDRAM tags.  (The paper's *busy* bit, set while a DMA
+targets the entry, is modelled by the controller's per-entry reuse time;
+see :meth:`repro.core.hams_controller.HAMSController.replay_miss`.)
 The cache is direct-mapped at MoS-page granularity (128 KB by default,
 Table II), so a MoS address decomposes into tag / index / offset and a
 lookup costs one NVDIMM line read plus the comparator.
@@ -23,7 +25,6 @@ class TagEntry:
     tag: Optional[int] = None
     valid: bool = False
     dirty: bool = False
-    busy: bool = False
 
     def matches(self, tag: int) -> bool:
         return self.valid and self.tag == tag
@@ -32,7 +33,6 @@ class TagEntry:
         self.tag = None
         self.valid = False
         self.dirty = False
-        self.busy = False
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class TagLookup:
     index: int
     tag: int
     hit: bool
-    busy: bool
     victim_tag: Optional[int]
     victim_dirty: bool
 
@@ -97,7 +96,7 @@ class MoSTagArray:
             self.misses += 1
         victim_tag = entry.tag if (entry.valid and not hit) else None
         victim_dirty = entry.dirty if victim_tag is not None else False
-        return TagLookup(index=index, tag=tag, hit=hit, busy=entry.busy,
+        return TagLookup(index=index, tag=tag, hit=hit,
                          victim_tag=victim_tag, victim_dirty=victim_dirty)
 
     def entry(self, index: int) -> TagEntry:
@@ -114,7 +113,6 @@ class MoSTagArray:
         entry.tag = self.tag_of(mos_page)
         entry.valid = True
         entry.dirty = dirty
-        entry.busy = False
         return entry
 
     def mark_dirty(self, mos_page: int) -> None:
@@ -124,14 +122,6 @@ class MoSTagArray:
         if not entry.matches(self.tag_of(mos_page)):
             raise ValueError(f"page {mos_page} is not resident")
         entry.dirty = True
-
-    def set_busy(self, index: int, busy: bool) -> None:
-        """Toggle the busy bit while an NVMe command targets the entry.
-
-        While busy, the entry is excluded from eviction and colliding misses
-        are parked in the wait queue (Section IV-B / V-B).
-        """
-        self.entry(index).busy = busy
 
     def invalidate(self, mos_page: int) -> None:
         index = self.index_of(mos_page)
@@ -155,9 +145,6 @@ class MoSTagArray:
 
     def dirty_count(self) -> int:
         return sum(1 for entry in self._entries if entry.valid and entry.dirty)
-
-    def busy_count(self) -> int:
-        return sum(1 for entry in self._entries if entry.busy)
 
     def statistics(self) -> Dict[str, float]:
         return {

@@ -1,16 +1,14 @@
-"""NVMe protocol substrate: commands, queue pairs, PRP pool, controller.
+"""NVMe protocol substrate: commands, queue pairs, controller.
 
 This package implements the protocol machinery that both the software NVMe
 driver (mmap baseline) and the HAMS hardware NVMe engine sit on top of:
 64 B command structures with opcode / PRP / LBA / length fields plus the
 journal tag HAMS adds in the reserved area, submission/completion queue
-rings with head/tail pointers and doorbells, a physical-region-page pool,
-and a controller front-end that forwards commands to an SSD device model and
+rings with head/tail pointers and doorbells, and a controller front-end that forwards commands to an SSD device model and
 posts completions (Section II-C, Figure 4b).
 """
 
 from .commands import NVMeCommand, NVMeCompletion, NVMeOpcode
-from .prp import PRPEntry, PRPPool
 from .queues import CompletionQueue, QueuePair, SubmissionQueue
 from .controller import NVMeController
 
@@ -18,8 +16,6 @@ __all__ = [
     "NVMeCommand",
     "NVMeCompletion",
     "NVMeOpcode",
-    "PRPEntry",
-    "PRPPool",
     "SubmissionQueue",
     "CompletionQueue",
     "QueuePair",

@@ -32,7 +32,7 @@ _command_ids = itertools.count(1)
 
 
 def next_command_id() -> int:
-    """The next id of the process-wide counter (commands, PRP clone keys)."""
+    """The next id of the process-wide command counter."""
     return next(_command_ids)
 
 

@@ -19,7 +19,7 @@ datapath: one index-sorted numpy pass,
 resolves every hit/miss, victim and NVDIMM charge up front, a tight
 timeline-cursor fold reproduces each hit's clock-relative latency bit for
 bit, and only the misses — engine waits, NVMe issues, background-eviction
-parking — replay against the device at their exact scalar issue clocks
+stalls — replay against the device at their exact scalar issue clocks
 through :meth:`~repro.core.hams_controller.HAMSController.replay_miss`,
 one recurrence over floats per miss.
 """
@@ -116,7 +116,6 @@ class HAMSPlatform(Platform):
         # accumulates it: (0.0 + probe) + serve.
         nv_hit = (probe + plan.serve_ns).tolist()
         serve = plan.serve_ns.tolist()
-        writes_list = batch.writes.tolist()
         on_chip = batch.on_chip_ns.tolist()
         addends = batch.timeline.addends.tolist()
         slots = batch.timeline.service_slots.tolist()
@@ -146,8 +145,7 @@ class HAMSPlatform(Platform):
                 else:
                     _, decomposed, lookup = next_miss
                     finish, nvdimm_ns, dma_ns, ssd_ns, wait_ns = replay_miss(
-                        decomposed, lookup, writes_list[j], serve[j], now,
-                        step)
+                        decomposed, lookup, serve[j], now, step)
                     lat = finish - now
                     s_nvdimm += nvdimm_ns
                     s_dma += dma_ns

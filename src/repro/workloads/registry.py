@@ -343,9 +343,9 @@ def scale_system_config(config: SystemConfig,
                         scale: ExperimentScale) -> SystemConfig:
     """Shrink every capacity in *config* by ``scale.capacity_scale``.
 
-    The NVDIMM (and its pinned region), the ULL-Flash, the Optane DIMM and
-    the HAMS PRP pool all shrink together so that the footprint ratios of
-    the paper's Table II setup are preserved at laptop scale.
+    The NVDIMM (and its pinned region), the ULL-Flash and the Optane DIMM
+    all shrink together so that the footprint ratios of the paper's
+    Table II setup are preserved at laptop scale.
     """
     factor = scale.capacity_scale
     nvdimm = replace(
@@ -358,8 +358,4 @@ def scale_system_config(config: SystemConfig,
     optane = replace(
         config.optane,
         capacity_bytes=max(MB(32), int(config.optane.capacity_bytes * factor)))
-    hams = replace(
-        config.hams,
-        prp_pool_bytes=max(config.hams.mos_page_bytes * 8,
-                           int(config.hams.prp_pool_bytes * factor)))
-    return replace(config, nvdimm=nvdimm, ssd=ssd, optane=optane, hams=hams)
+    return replace(config, nvdimm=nvdimm, ssd=ssd, optane=optane)

@@ -64,13 +64,12 @@ DRAM_CACHE_PLATFORMS = {
 }
 
 
-#: The HAMS events the stress config must fire: dirty-victim evictions and
-#: their PRP clones in both modes, plus (extend mode only, where the
-#: background remainder/eviction blocks reuse of the entry) hazard stalls.
-HAMS_PERSIST_EVENTS = ("controller.evictions",
-                       "controller.hazards.evictions_cloned")
-HAMS_EXTEND_EVENTS = HAMS_PERSIST_EVENTS + (
-    "controller.hazards.hazard_stalls",)
+#: The HAMS events the stress config must fire: dirty-victim evictions
+#: (each one cloned, ``hazards.evictions_cloned``) in both modes, plus
+#: (extend mode only, where the background remainder/eviction blocks reuse
+#: of the entry) hazard stalls.
+HAMS_PERSIST_EVENTS = ("controller.evictions",)
+HAMS_EXTEND_EVENTS = HAMS_PERSIST_EVENTS + ("controller.hazard_stalls",)
 
 #: The page-fault platforms and the HAMS variants, with the event counters
 #: (attribute paths) the stress config must fire on each.  A ``/4KB``
@@ -227,7 +226,7 @@ def _device_state(platform) -> dict:
         return {"controller": controller.statistics(),
                 "ssd": controller.ssd.statistics(),
                 "nvdimm": controller.nvdimm.statistics(),
-                "entries": [(entry.tag, entry.valid, entry.dirty, entry.busy)
+                "entries": [(entry.tag, entry.valid, entry.dirty)
                             for entry in controller.tag_array._entries],
                 "delays": controller.memory_delay_breakdown()}
     state = {"link": platform.link.statistics(),

@@ -1,12 +1,13 @@
-"""Address manager (Figure 9) and hazard management (Figures 13-14)."""
+"""Address manager (Figure 9).
+
+The eviction-hazard avoidance of Figures 13-14 is tested with the miss
+replay it lives in, in ``tests/test_core_hams_controller.py``.
+"""
 
 import pytest
 
 from repro.config import HAMSConfig, NVDIMMConfig
 from repro.core.address_manager import AddressManager
-from repro.core.hazard import HazardManager, WaitQueue, WaitQueueFullError, WaitingRequest
-from repro.core.tag_array import MoSTagArray
-from repro.nvme.prp import PRPPool
 from repro.units import GB, KB, MB
 
 
@@ -76,112 +77,3 @@ class TestAddressManager:
         stats = manager().statistics()
         assert stats["pinned_region_bytes"] == MB(8)
         assert stats["mos_pages"] > 0
-
-
-class TestWaitQueue:
-    def test_fifo_order(self):
-        queue = WaitQueue(depth=4)
-        queue.push(WaitingRequest(1, False, 0.0))
-        queue.push(WaitingRequest(2, True, 1.0))
-        assert queue.pop().mos_page == 1
-        assert queue.pop().mos_page == 2
-        assert queue.pop() is None
-
-    def test_overflow(self):
-        queue = WaitQueue(depth=1)
-        queue.push(WaitingRequest(1, False, 0.0))
-        with pytest.raises(WaitQueueFullError):
-            queue.push(WaitingRequest(2, False, 0.0))
-
-    def test_pending_for(self):
-        queue = WaitQueue(depth=4)
-        queue.push(WaitingRequest(1, False, 0.0))
-        queue.push(WaitingRequest(1, True, 1.0))
-        queue.push(WaitingRequest(2, False, 2.0))
-        assert len(queue.pending_for(1)) == 2
-
-    def test_occupancy_tracking(self):
-        queue = WaitQueue(depth=4)
-        queue.push(WaitingRequest(1, False, 0.0))
-        queue.push(WaitingRequest(2, False, 0.0))
-        queue.pop()
-        assert queue.max_occupancy == 2
-        assert queue.enqueued_total == 2
-
-
-def _hazards(entries: int = 8) -> HazardManager:
-    tag_array = MoSTagArray(entries * KB(128), KB(128))
-    pool = PRPPool(MB(1), KB(128))
-    return HazardManager(tag_array, pool, wait_queue_depth=16)
-
-
-class TestHazardManager:
-    def test_begin_miss_sets_busy_and_clones_victim(self):
-        hazards = _hazards()
-        clone = hazards.begin_miss(index=2, mos_page=10, victim_page=2,
-                                   command_id=1, completes_at_ns=100.0)
-        assert clone is not None
-        assert clone.source_page == 2
-        assert hazards.is_busy(2)
-        assert hazards.evictions_cloned == 1
-        assert hazards.busy_until(2) == 100.0
-
-    def test_begin_miss_without_victim_skips_clone(self):
-        hazards = _hazards()
-        clone = hazards.begin_miss(index=1, mos_page=9, victim_page=None,
-                                   command_id=2, completes_at_ns=50.0)
-        assert clone is None
-        assert hazards.prp_pool.in_use == 0
-
-    def test_begin_miss_on_busy_entry_rejected(self):
-        hazards = _hazards()
-        hazards.begin_miss(index=0, mos_page=8, victim_page=None,
-                           command_id=1, completes_at_ns=10.0)
-        with pytest.raises(RuntimeError):
-            hazards.begin_miss(index=0, mos_page=16, victim_page=None,
-                               command_id=2, completes_at_ns=20.0)
-
-    def test_complete_miss_releases_everything(self):
-        hazards = _hazards()
-        hazards.begin_miss(index=3, mos_page=11, victim_page=3,
-                           command_id=7, completes_at_ns=10.0)
-        hazards.complete_miss(3)
-        assert not hazards.is_busy(3)
-        assert hazards.prp_pool.in_use == 0
-        assert hazards.outstanding_operations == 0
-
-    def test_complete_unknown_index_is_noop(self):
-        _hazards().complete_miss(5)
-
-    def test_attach_command_extends_completion(self):
-        hazards = _hazards()
-        hazards.begin_miss(index=1, mos_page=9, victim_page=None,
-                           command_id=1, completes_at_ns=10.0)
-        hazards.attach_command(1, command_id=2, completes_at_ns=200.0)
-        assert hazards.busy_until(1) == 200.0
-
-    def test_attach_to_unknown_operation_rejected(self):
-        with pytest.raises(KeyError):
-            _hazards().attach_command(4, command_id=1, completes_at_ns=1.0)
-
-    def test_park_counts_redundant_eviction(self):
-        """A second miss on a busy entry is parked, not re-issued (Figure 14)."""
-        hazards = _hazards()
-        hazards.begin_miss(index=0, mos_page=8, victim_page=0,
-                           command_id=1, completes_at_ns=100.0)
-        hazards.park(mos_page=16, is_write=True, at_ns=50.0)
-        assert hazards.redundant_evictions_avoided == 1
-        assert len(hazards.wait_queue) == 1
-        drained = hazards.drain_parked()
-        assert len(drained) == 1
-        assert drained[0].mos_page == 16
-
-    def test_statistics(self):
-        hazards = _hazards()
-        hazards.begin_miss(index=0, mos_page=8, victim_page=0,
-                           command_id=1, completes_at_ns=10.0)
-        hazards.park(16, False, 5.0)
-        stats = hazards.statistics()
-        assert stats["evictions_cloned"] == 1
-        assert stats["redundant_evictions_avoided"] == 1
-        assert stats["prp_peak_in_use"] == 1

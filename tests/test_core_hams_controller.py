@@ -105,6 +105,55 @@ class TestEvictions:
         assert hams.background_flash_programs > 0
 
 
+class TestEvictionHazards:
+    """Figures 13-14: a miss on an entry whose background eviction is still
+    in flight waits for it to drain instead of issuing it again."""
+
+    @staticmethod
+    def _evict_then_collide(mode: str):
+        """Dirty entry 0, evict it once its fill has drained, and miss on
+        it again at once."""
+        hams = warm_controller(mode=mode)
+        way = hams.tag_array.entries_count * hams.mos_page_bytes
+        first = hams.access(0, 64, True, 0.0)
+        drained = hams._background_evictions.get(0, first.finish_ns)
+        evicting = hams.access(way, 64, True, drained)
+        assert evicting.wait_ns == 0.0
+        assert evicting.evicted
+        reuse_at = hams._background_evictions.get(0, 0.0)
+        colliding = hams.access(2 * way, 64, False, evicting.finish_ns)
+        return hams, evicting, reuse_at, colliding
+
+    def test_miss_during_background_eviction_stalls_until_it_drains(self):
+        hams, evicting, reuse_at, colliding = self._evict_then_collide(
+            "extend")
+        arrival = evicting.finish_ns + hams._probe_ns
+        assert reuse_at > arrival
+        assert colliding.wait_ns == reuse_at - arrival
+        assert hams.hazard_stalls == 1
+        assert hams.engine.evictions_issued == 0  # extend: background only
+
+    def test_persist_mode_drains_within_the_miss(self):
+        hams, _, reuse_at, colliding = self._evict_then_collide("persist")
+        assert reuse_at == 0.0
+        assert colliding.wait_ns == 0.0
+        assert hams.hazard_stalls == 0
+        assert hams.engine.evictions_issued == 2
+
+    def test_statistics_keep_the_hardware_counters(self):
+        fresh = warm_controller().statistics()
+        assert all(fresh[f"hazards.{key}"] == 0.0 for key in (
+            "evictions_cloned", "redundant_evictions_avoided",
+            "hazard_stalls", "wait_queue_max_occupancy", "prp_peak_in_use"))
+        hams, *_ = self._evict_then_collide("extend")
+        stats = hams.statistics()
+        assert stats["hazards.evictions_cloned"] == hams.evictions == 2
+        assert stats["hazards.redundant_evictions_avoided"] == 1
+        assert stats["hazards.hazard_stalls"] == 1
+        assert stats["hazards.wait_queue_max_occupancy"] == 1
+        assert stats["hazards.prp_peak_in_use"] == 1
+
+
 class TestModes:
     def test_persist_mode_miss_slower_than_extend(self):
         persist = controller(mode="persist")

@@ -1,4 +1,4 @@
-"""MoS tag-array: direct-mapped lookup, busy/dirty bits, Figure 11 behaviour."""
+"""MoS tag-array: direct-mapped lookup, dirty bits, Figure 11 behaviour."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,20 +95,6 @@ class TestStateBits:
         array = small_array()
         with pytest.raises(ValueError):
             array.mark_dirty(2)
-
-    def test_busy_bit(self):
-        array = small_array()
-        array.set_busy(3, True)
-        assert array.entry(3).busy
-        assert array.busy_count() == 1
-        array.set_busy(3, False)
-        assert array.busy_count() == 0
-
-    def test_install_clears_busy(self):
-        array = small_array()
-        array.set_busy(array.index_of(5), True)
-        array.install(5)
-        assert not array.entry(array.index_of(5)).busy
 
     def test_invalidate(self):
         array = small_array()

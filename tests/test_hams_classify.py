@@ -51,19 +51,17 @@ def _config(mos_page: int):
 
 
 def _pair(mos_page: int, initial=()):
-    """Two identical controllers; *initial* seeds ``(index, tag, dirty,
-    busy)`` entry states (a ``None`` tag leaves the entry invalid but
-    possibly busy)."""
+    """Two identical controllers; *initial* seeds ``(index, tag, dirty)``
+    entry states (a ``None`` tag leaves the entry invalid)."""
     config = _config(mos_page)
     controllers = (HAMSController(config), HAMSController(config))
     for controller in controllers:
         assert controller.tag_array.entries_count == ENTRIES
-        for index, tag, dirty, busy in initial:
+        for index, tag, dirty in initial:
             entry = controller.tag_array.entry(index)
             entry.tag = tag
             entry.valid = tag is not None
             entry.dirty = dirty and tag is not None
-            entry.busy = busy
     return controllers
 
 
@@ -101,7 +99,7 @@ def _state(controller):
     tag_array = controller.tag_array
     dram = controller.nvdimm.dram
     return {
-        "entries": [(entry.tag, entry.valid, entry.dirty, entry.busy)
+        "entries": [(entry.tag, entry.valid, entry.dirty)
                     for entry in tag_array._entries],
         "tags": (tag_array.lookups, tag_array.hits, tag_array.misses),
         "dram": (dram.reads, dram.writes, dram.bytes_read,
@@ -146,10 +144,10 @@ requests_strategy = st.lists(
        initial=st.lists(st.tuples(
            st.integers(0, ENTRIES - 1),
            st.one_of(st.none(), st.integers(0, 2)),
-           st.booleans(), st.booleans()), max_size=ENTRIES))
+           st.booleans()), max_size=ENTRIES))
 def test_classify_matches_scalar_sequence(mos_page, streams, initial):
     """Random batches over 3x the cached pages, from random entry states
-    (resident, dirty, busy), carried across batches."""
+    (resident, dirty), carried across batches."""
     batches = []
     for stream in streams:
         batch = [(_address(mos_page, page, (slot * KB(4)) % mos_page), size,
@@ -183,29 +181,13 @@ def test_whole_batch_on_one_index(mos_page):
 def test_entries_start_resident_and_dirty(mos_page):
     """A head hit keeps the batch-start dirty bit; a head miss evicts the
     dirty victim; a clean resident entry stays clean under loads."""
-    initial = [(0, 1, True, False), (1, 0, True, False),
-               (2, 2, False, False)]
+    initial = [(0, 1, True), (1, 0, True), (2, 2, False)]
     batch = [(_address(mos_page, 0 + ENTRIES), 64, False),    # hit, dirty
              (_address(mos_page, 1 + 2 * ENTRIES), 64, False),  # evict dirty
              (_address(mos_page, 2 + 2 * ENTRIES), KB(4), False),
              (_address(mos_page, 0 + ENTRIES), 64, False),
              (_address(mos_page, 1), 64, False)]              # evict clean
     _check(mos_page, [batch], initial)
-
-
-@pytest.mark.parametrize("mos_page", (KB(4), KB(128)))
-def test_busy_entry(mos_page):
-    """A busy entry reports busy until its first miss installs over it:
-    hits before the miss leave the bit, the miss's lookup sees it, and a
-    second miss on the entry sees it cleared."""
-    initial = [(3, 0, False, True), (1, None, False, True)]
-    batch = [(_address(mos_page, 3), 64, True),                 # hit, busy
-             (_address(mos_page, 3 + ENTRIES), 64, False),      # miss, busy
-             (_address(mos_page, 3), 64, False),                # miss, clear
-             (_address(mos_page, 1), KB(4), False)]             # invalid+busy
-    _check(mos_page, [batch], initial)
-    # Untouched busy entries keep their bit.
-    _check(mos_page, [[(_address(mos_page, 0), 64, False)]], initial)
 
 
 @pytest.mark.parametrize("mos_page", (KB(4), KB(128)))

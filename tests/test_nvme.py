@@ -1,4 +1,4 @@
-"""NVMe protocol substrate: commands, queue rings, PRP pool, controller."""
+"""NVMe protocol substrate: commands, queue rings, controller."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.nvme.commands import (
     build_write,
 )
 from repro.nvme.controller import NVMeController
-from repro.nvme.prp import PRPPool, PRPPoolExhausted
 from repro.nvme.queues import CompletionQueue, QueueFullError, QueuePair, SubmissionQueue
 from repro.units import KB, MB
 
@@ -102,51 +101,6 @@ class TestQueues:
         assert pair.in_flight_commands() == [command]
         command.mark_completed(10.0)
         assert pair.in_flight_commands() == []
-
-
-class TestPRPPool:
-    def test_clone_and_release(self):
-        pool = PRPPool(MB(1), KB(128))
-        entry = pool.clone(source_page=7, command_id=11)
-        assert entry.in_use
-        assert pool.in_use == 1
-        assert pool.entry_for(11) is entry
-        pool.release(11)
-        assert pool.in_use == 0
-        assert pool.entry_for(11) is None
-
-    def test_exhaustion(self):
-        pool = PRPPool(KB(256), KB(128))  # two entries
-        pool.clone(0, 1)
-        pool.clone(1, 2)
-        with pytest.raises(PRPPoolExhausted):
-            pool.clone(2, 3)
-
-    def test_release_unknown_command_is_noop(self):
-        pool = PRPPool(MB(1), KB(128))
-        pool.release(999)
-
-    def test_outstanding_entries(self):
-        pool = PRPPool(MB(1), KB(128))
-        pool.clone(0, 1)
-        pool.clone(1, 2)
-        pool.release(1)
-        outstanding = pool.outstanding_entries()
-        assert len(outstanding) == 1
-        assert outstanding[0].command_id == 2
-
-    def test_reset(self):
-        pool = PRPPool(MB(1), KB(128))
-        pool.clone(0, 1)
-        pool.reset()
-        assert pool.in_use == 0
-
-    def test_peak_tracking(self):
-        pool = PRPPool(MB(1), KB(128))
-        pool.clone(0, 1)
-        pool.clone(1, 2)
-        pool.release(1)
-        assert pool.peak_in_use == 2
 
 
 def _controller() -> NVMeController:
