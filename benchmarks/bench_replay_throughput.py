@@ -21,8 +21,9 @@ what the batched path buys in wall-clock terms:
 * the ``migrate`` rows are the migration-bound acceptance rows: a
   repeated sequential sweep whose chunk-level locality keeps every
   migration surrounded by cache hits, so a platform only clears the
-  >= 5x bar when both its hit fold *and* its flash miss path (the
-  batched ``SSD.submit_batch`` walk) are vectorized.  ``nvdimm-C``,
+  >= 5x bar when both its hit fold *and* its flash miss path (one
+  ``SSD.walk`` opened per chunk and stepped once per miss) are
+  vectorized.  ``nvdimm-C``,
   ``bypass-ull`` (the chained closed-loop flash recurrence) and
   ``hams-TE`` (the index-sorted tag classification + miss replay) are
   held to it; their ``seqRd`` rows document the colder chunk-miss regime,

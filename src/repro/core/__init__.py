@@ -3,7 +3,8 @@
 This package is the paper's primary contribution.  It contains:
 
 * :mod:`~repro.core.tag_array` — the direct-mapped MoS tag-array embedded in
-  NVDIMM cache lines (tag + valid/dirty bits, Figure 11),
+  NVDIMM cache lines (tag + valid/dirty bits, Figure 11), kept as a tag
+  column and a dirty column that only it reads and writes,
 * :mod:`~repro.core.address_manager` — the 64-bit MoS address space that
   exposes the ULL-Flash capacity to the MMU and maps the pinned region,
 * :mod:`~repro.core.nvme_engine` — the hardware NVMe queue engine that
@@ -21,7 +22,7 @@ This package is the paper's primary contribution.  It contains:
   time that stands for the busy bit and the wait queue).
 """
 
-from .tag_array import MoSTagArray, TagEntry, TagLookup
+from .tag_array import MoSTagArray, TagLookup
 from .address_manager import AddressManager, DecomposedAddress
 from .nvme_engine import HardwareNVMeEngine
 from .register_interface import RegisterInterface
@@ -30,7 +31,6 @@ from .hams_controller import HAMSController, HAMSAccessResult
 
 __all__ = [
     "MoSTagArray",
-    "TagEntry",
     "TagLookup",
     "AddressManager",
     "DecomposedAddress",

@@ -32,10 +32,6 @@ class DecomposedAddress:
     index: int
     offset: int
 
-    def nvdimm_offset(self, mos_page_bytes: int) -> int:
-        """Byte offset of the data inside the NVDIMM cache region."""
-        return self.index * mos_page_bytes + self.offset
-
 
 class AddressManager:
     """Maps the MoS address space onto the NVDIMM cache and ULL-Flash LBAs."""
@@ -87,28 +83,11 @@ class AddressManager:
             raise ValueError(f"MoS page {mos_page} out of range")
         return mos_page * (self.mos_page_bytes // LBA_BYTES)
 
-    def mos_page_of_lba(self, lba: int) -> int:
-        """Inverse of :meth:`lba_of`."""
-        return lba // (self.mos_page_bytes // LBA_BYTES)
-
     # -- NVDIMM layout ---------------------------------------------------------------
 
     @property
     def pinned_region_base(self) -> int:
         return self.nvdimm.capacity_bytes - self.nvdimm.pinned_region_bytes
-
-    def is_pinned(self, nvdimm_offset: int) -> bool:
-        """True when the offset falls in the MMU-invisible pinned region."""
-        if nvdimm_offset < 0 or nvdimm_offset >= self.nvdimm.capacity_bytes:
-            raise ValueError("offset outside the NVDIMM")
-        return nvdimm_offset >= self.pinned_region_base
-
-    def cache_slot_offset(self, index: int) -> int:
-        """NVDIMM byte offset of cache entry *index*."""
-        offset = index * self.mos_page_bytes
-        if offset >= self.pinned_region_base:
-            raise ValueError("cache slot overlaps the pinned region")
-        return offset
 
     # -- reporting -------------------------------------------------------------------
 

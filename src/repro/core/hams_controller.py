@@ -37,8 +37,7 @@ from ..interconnect.pcie import PCIeLink
 from ..memory.nvdimm import NVDIMM
 from ..nvme.controller import NVMeController
 from ..nvme.queues import QueuePair
-from .address_manager import AddressManager, DecomposedAddress
-from .tag_array import TagLookup
+from .address_manager import AddressManager
 from .nvme_engine import HardwareNVMeEngine
 from .persistency import PersistencyController, RecoveryReport
 from .register_interface import RegisterInterface
@@ -84,14 +83,18 @@ class HAMSBatchPlan:
 
     ``hits`` marks the requests served straight from the NVDIMM cache,
     ``serve_ns`` / ``probe_ns`` are the pure timing ingredients of every
-    request, and ``misses`` carries what the clocked replay of each miss
-    needs: ``(position, decomposed, lookup)`` in batch order.
+    request, and the three ``miss_*`` lists carry, one int per miss in
+    batch order, what :meth:`HAMSController.replay_miss` takes: the MoS
+    page, the offset in it and the dirty victim's MoS page (``-1`` when the
+    miss evicts nothing).
     """
 
     hits: np.ndarray
     serve_ns: np.ndarray
     probe_ns: float
-    misses: List[Tuple[int, DecomposedAddress, TagLookup]]
+    miss_pages: List[int]
+    miss_offsets: List[int]
+    miss_victims: List[int]
 
 
 class HAMSController:
@@ -199,18 +202,19 @@ class HAMSController:
         self.accesses += 1
         decomposed = self.address_manager.decompose(address)
         nvdimm = self.nvdimm
+        tag_array = self.tag_array
 
         # 1. Tag probe: one NVDIMM line access plus the comparator.
         probe_ns = self._probe_ns
         nvdimm.access(self._line_size, is_write=False)
-        lookup = self.tag_array.lookup(decomposed.mos_page)
+        lookup = tag_array.lookup(decomposed.mos_page)
         serve_ns = self._nvdimm_serve_ns(size_bytes)
 
         if lookup.hit:
             # 2. Serve the data from the NVDIMM cache entry.
             nvdimm.access(size_bytes, is_write=is_write)
             if is_write:
-                self.tag_array.mark_dirty(decomposed.mos_page)
+                tag_array.mark_dirty(decomposed.mos_page)
             result = HAMSAccessResult(address=address, is_write=is_write,
                                       hit=True, start_ns=at_ns,
                                       finish_ns=(at_ns + probe_ns) + serve_ns,
@@ -219,17 +223,21 @@ class HAMSController:
             # 3. A miss: the victim clone (read + write), the critical-chunk
             #    landing and the serve, then the install.  Installing before
             #    the clocked replay is exact: the replay never reads the
-            #    entry, only the lookup taken before the install.
+            #    entry, only the ints taken from the lookup before it.
             page_bytes = self.mos_page_bytes
+            victim_page = -1
             if lookup.needs_eviction:
+                victim_page = tag_array.page_from(lookup.index,
+                                                  lookup.victim_tag)
                 nvdimm.access(page_bytes, is_write=False)
                 nvdimm.access(page_bytes, is_write=True)
             nvdimm.access(page_bytes, is_write=True)
             nvdimm.access(size_bytes, is_write=is_write)
-            self.tag_array.install(decomposed.mos_page, dirty=is_write)
+            tag_array.install(decomposed.mos_page, dirty=is_write)
             with self.ssd.walk() as step:
                 finish, nvdimm_ns, dma_ns, ssd_ns, wait_ns = self.replay_miss(
-                    decomposed, lookup, serve_ns, at_ns, step)
+                    decomposed.mos_page, decomposed.offset, victim_page,
+                    serve_ns, at_ns, step)
             result = HAMSAccessResult(
                 address=address, is_write=is_write, hit=False, start_ns=at_ns,
                 finish_ns=finish, nvdimm_ns=nvdimm_ns, dma_ns=dma_ns,
@@ -248,19 +256,11 @@ class HAMSController:
         """Classify one non-empty request batch, clock-free.
 
         The tag array, the dirty bits and the direct-mapped installs do not
-        depend on the clock, and in a direct-mapped array the outcome of a
-        request depends only on the previous request of the batch to the
-        same index — or, for the first one, on that entry's state at batch
-        start.  So one index-sorted pass classifies the whole batch: a
-        stable argsort by index groups each entry's requests in scalar
-        order; a request hits when its tag equals its predecessor's (a
-        group's head compares with the entry's gathered tag).  Each miss
-        opens a *residency segment*; one ``np.logical_or.reduceat`` over
-        the stores of each segment gives every miss its victim's dirty bit
-        and every entry its final dirty bit.  Each touched
-        :class:`~repro.core.tag_array.TagEntry` is read once and written
-        once, left exactly where the scalar loop leaves it (misses install
-        their page before their clocked replay, as :meth:`access` does).
+        depend on the clock, so :meth:`MoSTagArray.classify
+        <repro.core.tag_array.MoSTagArray.classify>` resolves every hit,
+        victim and final entry state of the batch in one index-sorted pass
+        (misses install their page before their clocked replay, as
+        :meth:`access` does).
 
         The batch's NVDIMM traffic — probe, victim clone read and write,
         critical-chunk landing, serve — is laid out in exact scalar call
@@ -274,86 +274,18 @@ class HAMSController:
         count = len(addresses)
         self.accesses += count
         tag_array = self.tag_array
-        entries = tag_array._entries
-        entries_count = tag_array.entries_count
         page_bytes = self.mos_page_bytes
-        line_size = self._line_size
 
         mos_pages = addresses // page_bytes
-        indices = mos_pages % entries_count
-        tags = mos_pages // entries_count
+        hits, victim_tags, victim_dirty = tag_array.classify(mos_pages, writes)
+        rows = np.flatnonzero(~hits)
+        miss_pages = mos_pages[rows]
+        victims = np.where(victim_dirty,
+                           tag_array.page_from(tag_array.index_of(miss_pages),
+                                               victim_tags), -1)
         serve_ns = np.empty(count, dtype=np.float64)
         for size in np.unique(sizes).tolist():
             serve_ns[sizes == size] = self._nvdimm_serve_ns(size)
-
-        # -- group each entry's requests, in scalar order ---------------------
-        order = np.argsort(indices, kind="stable")
-        s_index = indices[order]
-        s_tag = tags[order]
-        s_write = writes[order]
-        head = np.empty(count, dtype=bool)
-        head[0] = True
-        np.not_equal(s_index[1:], s_index[:-1], out=head[1:])
-        heads = np.flatnonzero(head)
-
-        # The touched entries' state at batch start (tag -1 when invalid).
-        touched = [entries[index] for index in s_index[heads].tolist()]
-        start_tag = np.array([entry.tag if entry.valid else -1
-                              for entry in touched], dtype=np.int64)
-        start_dirty = np.array([entry.valid and entry.dirty
-                                for entry in touched], dtype=bool)
-
-        # -- hits: each tag against the entry's previous one -----------------
-        prev_tag = np.empty(count, dtype=np.int64)
-        prev_tag[1:] = s_tag[:-1]
-        prev_tag[heads] = start_tag
-        s_miss = s_tag != prev_tag
-
-        # -- dirty bits: OR of the stores over each residency segment --------
-        # A segment starts at each miss and at each group head; a head hit
-        # continues the entry's batch-start residency, dirty bit included.
-        seg_start = s_miss | head
-        seg_starts = np.flatnonzero(seg_start)
-        stores = s_write.copy()
-        stores[heads] |= start_dirty & ~s_miss[heads]
-        seg_dirty = np.logical_or.reduceat(stores, seg_starts)
-        segment = np.cumsum(seg_start) - 1
-        # The victim of a miss is the residency just before it.
-        prev_dirty = np.empty(count, dtype=bool)
-        prev_dirty[1:] = seg_dirty[segment[:-1]]
-        prev_dirty[heads] = start_dirty
-
-        # -- write the touched entries back, once each ------------------------
-        lasts = np.empty(len(heads), dtype=np.int64)
-        lasts[:-1] = heads[1:] - 1
-        lasts[-1] = count - 1
-        for entry, tag, dirty in zip(touched, s_tag[lasts].tolist(),
-                                     seg_dirty[segment[lasts]].tolist()):
-            entry.tag = tag
-            entry.valid = True
-            entry.dirty = dirty
-
-        # -- back to batch order ---------------------------------------------
-        rank = np.empty(count, dtype=np.int64)
-        rank[order] = np.arange(count)
-        hits = ~s_miss[rank]
-        rows = np.flatnonzero(~hits)
-        at = rank[rows]           # each miss's position in index order
-        victim_dirty = prev_dirty[at]
-        misses = []
-        append = misses.append
-        for row, mos_page, index, tag, offset, victim_tag, dirty in zip(
-                rows.tolist(), mos_pages[rows].tolist(),
-                indices[rows].tolist(), tags[rows].tolist(),
-                (addresses[rows] % page_bytes).tolist(),
-                prev_tag[at].tolist(), victim_dirty.tolist()):
-            append((row, DecomposedAddress(mos_page, tag, index, offset),
-                    TagLookup(index, tag, False,
-                              victim_tag if victim_tag >= 0 else None,
-                              dirty)))
-        tag_array.lookups += count
-        tag_array.hits += count - len(rows)
-        tag_array.misses += len(rows)
 
         # -- the NVDIMM schedule, in exact scalar order -----------------------
         # Per request: probe, [clone read, clone write], landing, serve.
@@ -363,23 +295,29 @@ class HAMSController:
         starts = ends - calls
         sched_sizes = np.full(int(ends[-1]), page_bytes, dtype=np.int64)
         sched_writes = np.ones(int(ends[-1]), dtype=bool)
-        sched_sizes[starts] = line_size
+        sched_sizes[starts] = self._line_size
         sched_writes[starts] = False
         sched_writes[starts[rows[victim_dirty]] + 1] = False
         sched_sizes[ends - 1] = sizes
         sched_writes[ends - 1] = writes
         self.nvdimm.access_batch(sched_sizes, sched_writes)
-        return HAMSBatchPlan(hits=hits, serve_ns=serve_ns,
-                             probe_ns=self._probe_ns, misses=misses)
+        return HAMSBatchPlan(
+            hits=hits, serve_ns=serve_ns, probe_ns=self._probe_ns,
+            miss_pages=miss_pages.tolist(),
+            miss_offsets=(addresses[rows] % page_bytes).tolist(),
+            miss_victims=victims.tolist())
 
-    def replay_miss(self, decomposed: DecomposedAddress, lookup: TagLookup,
+    def replay_miss(self, mos_page: int, offset: int, victim_page: int,
                     serve_ns: float, at_ns: float, step
                     ) -> Tuple[float, float, float, float, float]:
         """Clocked replay of one classified miss: one recurrence over floats.
 
-        Runs the clock-dependent miss sequence — probe time, background-
-        eviction stall, engine wait, victim clone, NVMe issue, landing and
-        the *serve_ns* of the request — and returns ``(finish_ns,
+        The miss is plain ints: the MoS page and the byte *offset* in it of
+        the request, and the MoS page of the dirty victim it evicts
+        (*victim_page*, ``-1`` when it evicts nothing).  Runs the
+        clock-dependent miss sequence — probe time, background-eviction
+        stall, engine wait, victim clone, NVMe issue, landing and the
+        *serve_ns* of the request — and returns ``(finish_ns,
         nvdimm_ns, dma_ns, ssd_ns, wait_ns)``.  Every NVMe command the miss
         issues goes through *step*, the step of an open
         :meth:`~repro.flash.ssd.SSD.walk` on :attr:`ssd`: the batched path
@@ -417,8 +355,7 @@ class HAMSController:
         probe_ns = self._probe_ns
         now = at_ns + probe_ns
         wait_ns = 0.0
-        index = lookup.index
-        mos_page = decomposed.mos_page
+        index = self.tag_array.index_of(mos_page)
         pending = self._background_evictions.get(index, 0.0)
         if pending > now:
             self.hazard_stalls += 1
@@ -433,13 +370,10 @@ class HAMSController:
 
         page_lba = self.address_manager.lba_of(mos_page)
         chunk = self._chunk_bytes
-        chunk_lba = (page_lba
-                     + (decomposed.offset // chunk) * self._chunk_sectors)
+        chunk_lba = page_lba + (offset // chunk) * self._chunk_sectors
         nvdimm_ns = probe_ns
-        victim_page = None
         clone_ns = 0.0
-        if lookup.needs_eviction:
-            victim_page = self.tag_array.page_from(index, lookup.victim_tag)
+        if victim_page >= 0:
             # Clone the victim into the PRP pool: an NVDIMM-internal copy of
             # one MoS page (read + write) that protects against the eviction
             # hazard while the DMA is in flight — the eviction's PRP points
@@ -457,7 +391,7 @@ class HAMSController:
             # (FUA), then the whole page fill — everything stalls the MMU.
             cursor = now + clone_ns
             dma_ns = ssd_ns = 0.0
-            if victim_page is not None:
+            if victim_page >= 0:
                 cursor, protocol, transfer, device = issue(
                     step, True, self.address_manager.lba_of(victim_page),
                     self.mos_page_bytes, cursor)
@@ -497,7 +431,7 @@ class HAMSController:
                 self.background_flash_reads += self._remainder_pages
                 self.background_link_bytes += remainder
                 background_finish += self._remainder_ns
-            if victim_page is not None:
+            if victim_page >= 0:
                 self.background_flash_programs += self._eviction_pages
                 self.background_link_bytes += self.mos_page_bytes
                 background_finish += self._eviction_ns

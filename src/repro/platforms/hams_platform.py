@@ -14,14 +14,15 @@ Batched replay note: the controller's tag array, eviction journal and
 ULL-Flash queues make each access depend on request order and issue time —
 but the *classification* (tag probes, dirty bits, direct-mapped installs)
 is clock-free.  :meth:`HAMSPlatform.service_batch` therefore splits the
-datapath: one index-sorted numpy pass,
-:meth:`~repro.core.hams_controller.HAMSController.classify_batch`,
-resolves every hit/miss, victim and NVDIMM charge up front, a tight
-timeline-cursor fold reproduces each hit's clock-relative latency bit for
-bit, and only the misses — engine waits, NVMe issues, background-eviction
-stalls — replay against the device at their exact scalar issue clocks
-through :meth:`~repro.core.hams_controller.HAMSController.replay_miss`,
-one recurrence over floats per miss.
+datapath:
+:meth:`~repro.core.hams_controller.HAMSController.classify_batch` resolves
+every hit/miss and victim up front (one index-sorted numpy pass inside the
+tag array) and charges the NVDIMM, a tight timeline-cursor fold reproduces
+each hit's clock-relative latency bit for bit, and only the misses —
+engine waits, NVMe issues, background-eviction stalls — replay against the
+device at their exact scalar issue clocks through
+:meth:`~repro.core.hams_controller.HAMSController.replay_miss`, one
+recurrence over floats per miss, which takes the miss as plain ints.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ class HAMSPlatform(Platform):
         float-rounding path the scalar loop takes) and replays only the
         misses against the engine/ULL-Flash via
         :meth:`~repro.core.hams_controller.HAMSController.replay_miss`,
-        which takes the serve time from the plan and returns its delay
-        components as a plain tuple; every miss steps one
+        which takes the miss's page, offset and dirty victim as ints and
+        the serve time from the plan and returns its delay components as a
+        plain tuple; every miss steps one
         :meth:`~repro.flash.ssd.SSD.walk` opened for the chunk.
         Bit-identical to the scalar path — ``tests/test_batched_replay.py``
         is the contract.
@@ -126,8 +128,7 @@ class HAMSPlatform(Platform):
         s_dma = delays.dma_ns
         s_ssd = delays.ssd_ns
         s_wait = delays.wait_ns
-        miss_iter = iter(plan.misses)
-        next_miss = next(miss_iter, None)
+        misses = zip(plan.miss_pages, plan.miss_offsets, plan.miss_victims)
         replay_miss = controller.replay_miss
         now = batch.start_ns
         cursor = 0
@@ -143,15 +144,13 @@ class HAMSPlatform(Platform):
                     lat = finish - now
                     s_nvdimm += nv_hit[j]
                 else:
-                    _, decomposed, lookup = next_miss
                     finish, nvdimm_ns, dma_ns, ssd_ns, wait_ns = replay_miss(
-                        decomposed, lookup, serve[j], now, step)
+                        *next(misses), serve[j], now, step)
                     lat = finish - now
                     s_nvdimm += nvdimm_ns
                     s_dma += dma_ns
                     s_ssd += ssd_ns
                     s_wait += wait_ns
-                    next_miss = next(miss_iter, None)
                 latency[j] = lat
                 now += on_chip[j] + lat
         delays.nvdimm_ns = s_nvdimm

@@ -113,11 +113,10 @@ class OptanePlatform(Platform):
         :meth:`~repro.memory.optane.OptaneDCPMM.access_batch` in exactly
         the scalar call order, preserving the XPBuffer state machine.
 
-        This is the same capture-the-schedule-then-replay idiom the
-        flash-backed platforms use with
-        :meth:`repro.flash.ssd.SSD.submit_batch`: classify with the
-        stateful cache walk, fold the clock-free costs vectorized, and
-        hand the ordered miss schedule to the device model in one call.
+        The flash-backed platforms classify with the same stateful cache
+        walk and fold the clock-free costs the same way, but their misses
+        depend on the clock: they step one :meth:`repro.flash.ssd.SSD.walk`
+        per miss instead of handing the device one schedule.
         """
         assert self.dram is not None and self.dram_cache is not None
         count = len(batch)

@@ -226,8 +226,8 @@ def _device_state(platform) -> dict:
         return {"controller": controller.statistics(),
                 "ssd": controller.ssd.statistics(),
                 "nvdimm": controller.nvdimm.statistics(),
-                "entries": [(entry.tag, entry.valid, entry.dirty)
-                            for entry in controller.tag_array._entries],
+                "tags": controller.tag_array.tags.tolist(),
+                "dirty": controller.tag_array.dirty.tolist(),
                 "delays": controller.memory_delay_breakdown()}
     state = {"link": platform.link.statistics(),
              "ssd": platform.ssd.statistics()}

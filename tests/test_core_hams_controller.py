@@ -153,6 +153,33 @@ class TestEvictionHazards:
         assert stats["hazards.wait_queue_max_occupancy"] == 1
         assert stats["hazards.prp_peak_in_use"] == 1
 
+    @staticmethod
+    def _collide_with_remainder_fill():
+        """A clean load of entry 0, then a conflicting load at its finish,
+        while the remainder of the first page still streams in."""
+        hams = warm_controller(mode="extend")
+        way = hams.tag_array.entries_count * hams.mos_page_bytes
+        first = hams.access(0, 64, False, 0.0)
+        colliding = hams.access(way, 64, False, first.finish_ns)
+        return hams, colliding
+
+    def test_miss_stalls_behind_a_remainder_fill(self):
+        hams, colliding = self._collide_with_remainder_fill()
+        assert colliding.wait_ns > 20_000.0
+        assert hams.hazard_stalls == 1
+        assert hams.evictions == 0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "CHANGES.md FOUND line on hazards.redundant_evictions_avoided: "
+        "replay_miss counts every stall on _background_evictions as a "
+        "redundant eviction, also a stall behind a remainder fill with no "
+        "eviction in flight; the fix moves digests, so it lands with the "
+        "re-recording of ROADMAP item 1(b)"))
+    def test_stall_behind_a_remainder_fill_is_no_redundant_eviction(self):
+        hams, _ = self._collide_with_remainder_fill()
+        stats = hams.statistics()
+        assert stats["hazards.redundant_evictions_avoided"] == 0
+
 
 class TestModes:
     def test_persist_mode_miss_slower_than_extend(self):

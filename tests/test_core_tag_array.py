@@ -1,5 +1,6 @@
 """MoS tag-array: direct-mapped lookup, dirty bits, Figure 11 behaviour."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,7 +89,7 @@ class TestStateBits:
         array = small_array()
         array.install(2, dirty=False)
         array.mark_dirty(2)
-        assert array.entry(array.index_of(2)).dirty
+        assert array.dirty[array.index_of(2)]
         assert array.dirty_count() == 1
 
     def test_mark_dirty_requires_residency(self):
@@ -96,21 +97,16 @@ class TestStateBits:
         with pytest.raises(ValueError):
             array.mark_dirty(2)
 
-    def test_invalidate(self):
-        array = small_array()
-        array.install(4)
-        array.invalidate(4)
-        assert not array.lookup(4).hit
-
-    def test_invalidate_wrong_page_is_noop(self):
+    def test_scalar_results_are_python_types(self):
+        """No numpy scalar leaks out of the columns into the callers'
+        arithmetic."""
         array = small_array(8)
-        array.install(4)
-        array.invalidate(12)  # same index, different tag
-        assert array.lookup(4).hit
-
-    def test_entry_index_bounds(self):
-        with pytest.raises(ValueError):
-            small_array(4).entry(4)
+        array.install(3, dirty=True)
+        lookup = array.lookup(11)
+        assert type(lookup.victim_tag) is int
+        assert type(lookup.victim_dirty) is bool
+        assert type(array.lookup(3).hit) is bool
+        assert type(array.dirty_count()) is int
 
 
 class TestResidency:
@@ -118,7 +114,10 @@ class TestResidency:
         array = small_array(8)
         array.install(1)
         array.install(10)
-        assert sorted(array.resident_pages()) == [1, 10]
+        resident = [array.page_from(index, tag)
+                    for index, tag in enumerate(array.tags.tolist())
+                    if tag >= 0]
+        assert sorted(resident) == [1, 10]
 
     def test_statistics(self):
         array = small_array()
@@ -145,5 +144,40 @@ class TestPropertyBased:
             last_at_index[array.index_of(page)] = page
         for index, page in last_at_index.items():
             assert array.lookup(page).hit
-            entry = array.entry(index)
-            assert array.page_from(index, entry.tag) == page
+            assert array.page_from(index, int(array.tags[index])) == page
+
+
+class TestClassify:
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.sampled_from((1, 3, 8)),
+           batches=st.lists(st.lists(
+               st.tuples(st.integers(0, 23), st.booleans()),
+               min_size=1, max_size=30), min_size=1, max_size=3))
+    def test_matches_scalar_sequence(self, entries, batches):
+        """``classify`` leaves the columns and counters where per-request
+        ``lookup`` + ``mark_dirty``/``install`` leave them, and reports each
+        miss's victim tag and dirty bit in batch order."""
+        batched, scalar = small_array(entries), small_array(entries)
+        for batch in batches:
+            pages = np.array([page for page, _ in batch], dtype=np.int64)
+            writes = np.array([write for _, write in batch], dtype=bool)
+            hits, victim_tags, victim_dirty = batched.classify(pages, writes)
+            expected_hits, expected_victims = [], []
+            for page, write in batch:
+                lookup = scalar.lookup(page)
+                expected_hits.append(lookup.hit)
+                if lookup.hit:
+                    if write:
+                        scalar.mark_dirty(page)
+                else:
+                    expected_victims.append(
+                        (-1 if lookup.victim_tag is None
+                         else lookup.victim_tag, lookup.victim_dirty))
+                    scalar.install(page, dirty=write)
+            assert hits.tolist() == expected_hits
+            assert list(zip(victim_tags.tolist(), victim_dirty.tolist())) \
+                == expected_victims
+            assert batched.tags.tolist() == scalar.tags.tolist()
+            assert batched.dirty.tolist() == scalar.dirty.tolist()
+            assert (batched.lookups, batched.hits, batched.misses) \
+                == (scalar.lookups, scalar.hits, scalar.misses)

@@ -1,14 +1,16 @@
 """Differential tests of the index-sorted ``HAMSController.classify_batch``.
 
 ``classify_batch`` classifies a whole request batch in one numpy pass
-(stable sort by tag-array index, tag-vs-predecessor compare, residency
-segments OR-reduced for the dirty bits, a ``cumsum``-laid NVDIMM schedule).
-The reference is the scalar tag-array sequence :meth:`HAMSController.access`
-runs per request — ``lookup``, then ``mark_dirty`` on a store hit or
-``install`` on a miss, with the NVDIMM calls in scalar order (probe,
-[victim clone read, clone write], landing, serve).  Both must agree on the
-hits, each miss's ``DecomposedAddress``/``TagLookup``, the final entry
-states, the tag counters and the DRAM counters, ``busy_ns`` bit for bit.
+(``MoSTagArray.classify``: stable sort by tag-array index,
+tag-vs-predecessor compare, residency segments OR-reduced for the dirty
+bits) and lays out a ``cumsum``-laid NVDIMM schedule.  The reference is the
+scalar tag-array sequence :meth:`HAMSController.access` runs per request —
+``lookup``, then ``mark_dirty`` on a store hit or ``install`` on a miss,
+with the NVDIMM calls in scalar order (probe, [victim clone read, clone
+write], landing, serve).  Both must agree on the hits, the miss columns
+(each miss's MoS page, offset and dirty victim page), the final tag and
+dirty columns, the tag counters and the DRAM counters, ``busy_ns`` bit for
+bit.
 
 ``REPRO_TEST_CHUNK_SIZES`` (as in ``tests/test_batched_replay.py``) also
 cuts the random request streams into batches of those sizes; size 1 is the
@@ -56,12 +58,11 @@ def _pair(mos_page: int, initial=()):
     config = _config(mos_page)
     controllers = (HAMSController(config), HAMSController(config))
     for controller in controllers:
-        assert controller.tag_array.entries_count == ENTRIES
+        tag_array = controller.tag_array
+        assert tag_array.entries_count == ENTRIES
         for index, tag, dirty in initial:
-            entry = controller.tag_array.entry(index)
-            entry.tag = tag
-            entry.valid = tag is not None
-            entry.dirty = dirty and tag is not None
+            tag_array.tags[index] = -1 if tag is None else tag
+            tag_array.dirty[index] = dirty and tag is not None
     return controllers
 
 
@@ -71,9 +72,9 @@ def _scalar_classify(controller, addresses, sizes, writes):
     nvdimm = controller.nvdimm
     page_bytes = controller.mos_page_bytes
     line_size = controller.config.nvdimm.ddr.line_size
-    hits, misses, serve = [], [], []
-    for position, (address, size, is_write) in enumerate(
-            zip(addresses, sizes, writes)):
+    hits, serve = [], []
+    misses = {"miss_pages": [], "miss_offsets": [], "miss_victims": []}
+    for address, size, is_write in zip(addresses, sizes, writes):
         controller.accesses += 1
         decomposed = controller.address_manager.decompose(address)
         nvdimm.access(line_size, is_write=False)
@@ -91,7 +92,11 @@ def _scalar_classify(controller, addresses, sizes, writes):
             nvdimm.access(page_bytes, is_write=True)
             nvdimm.access(size, is_write=is_write)
             tag_array.install(decomposed.mos_page, dirty=is_write)
-            misses.append((position, decomposed, lookup))
+            misses["miss_pages"].append(decomposed.mos_page)
+            misses["miss_offsets"].append(decomposed.offset)
+            misses["miss_victims"].append(
+                tag_array.page_from(lookup.index, lookup.victim_tag)
+                if lookup.needs_eviction else -1)
     return hits, misses, serve
 
 
@@ -99,9 +104,9 @@ def _state(controller):
     tag_array = controller.tag_array
     dram = controller.nvdimm.dram
     return {
-        "entries": [(entry.tag, entry.valid, entry.dirty)
-                    for entry in tag_array._entries],
-        "tags": (tag_array.lookups, tag_array.hits, tag_array.misses),
+        "tags": tag_array.tags.tolist(),
+        "dirty": tag_array.dirty.tolist(),
+        "lookups": (tag_array.lookups, tag_array.hits, tag_array.misses),
         "dram": (dram.reads, dram.writes, dram.bytes_read,
                  dram.bytes_written, dram.busy_ns.hex()),
         "accesses": controller.accesses,
@@ -119,7 +124,9 @@ def _check(mos_page, batches, initial=()):
         hits, misses, serve = _scalar_classify(
             scalar, addresses.tolist(), sizes.tolist(), writes.tolist())
         assert plan.hits.tolist() == hits
-        assert plan.misses == misses
+        for column, values in misses.items():
+            assert getattr(plan, column) == values, column
+            assert all(type(value) is int for value in getattr(plan, column))
         assert [value.hex() for value in plan.serve_ns.tolist()] \
             == [value.hex() for value in serve]
         assert plan.probe_ns == scalar._probe_ns

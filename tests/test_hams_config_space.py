@@ -61,9 +61,9 @@ def _config(mos_page: int, entries: int):
 
 
 def _tag_state(controller):
-    """Each entry's ``(tag, dirty)``; tag -1 marks an invalid entry."""
-    return [(entry.tag if entry.valid else -1, entry.valid and entry.dirty)
-            for entry in controller.tag_array._entries]
+    """The tag and dirty columns; tag -1 marks an invalid entry."""
+    tag_array = controller.tag_array
+    return tag_array.tags.tolist(), tag_array.dirty.tolist()
 
 
 def _replay(variant, config, trace, chunk_size):
