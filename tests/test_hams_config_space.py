@@ -41,13 +41,11 @@ def _chunk_sizes():
 
 CHUNK_SIZES = _chunk_sizes()
 
-_TRACES = {}
 
-
-def _trace(workload):
-    if workload not in _TRACES:
-        _TRACES[workload] = build_trace(workload, SCALE)
-    return _TRACES[workload]
+@pytest.fixture(scope="module")
+def traces():
+    return {workload: build_trace(workload, SCALE)
+            for workload in WORKLOADS}
 
 
 def _config(mos_page: int, entries: int):
@@ -60,13 +58,9 @@ def _config(mos_page: int, entries: int):
         pinned_region_bytes=KB(64)))
 
 
-def _tag_state(controller):
-    """The tag and dirty columns; tag -1 marks an invalid entry."""
-    tag_array = controller.tag_array
-    return tag_array.tags.tolist(), tag_array.dirty.tolist()
-
-
 def _replay(variant, config, trace, chunk_size):
+    """The digest, the controller statistics and the final tag and dirty
+    columns of one run (``_run_scalar`` when *chunk_size* is None)."""
     platform = create_platform(variant, config)
     if chunk_size is None:
         result = platform.run(trace, execution="scalar")
@@ -75,7 +69,8 @@ def _replay(variant, config, trace, chunk_size):
         result = platform.run(trace, execution="batched")
     controller = platform.controller
     return (result_digest(result), controller.statistics(),
-            _tag_state(controller))
+            controller.tag_array.tags.tolist(),
+            controller.tag_array.dirty.tolist())
 
 
 @settings(max_examples=80, deadline=None)
@@ -85,24 +80,21 @@ def _replay(variant, config, trace, chunk_size):
        chunk_size=st.sampled_from(CHUNK_SIZES),
        workload=st.sampled_from(WORKLOADS))
 def test_batched_matches_scalar_across_configs(variant, mos_page, entries,
-                                               chunk_size, workload):
+                                               chunk_size, workload, traces):
     config = _config(mos_page, entries)
-    trace = _trace(workload)
-    scalar = _replay(variant, config, trace, None)
-    batched = _replay(variant, config, trace, chunk_size)
-    assert batched[0] == scalar[0]
-    assert batched[1] == scalar[1]
-    assert batched[2] == scalar[2]
+    trace = traces[workload]
+    assert _replay(variant, config, trace, chunk_size) \
+        == _replay(variant, config, trace, None)
 
 
 @pytest.mark.parametrize("entries", ENTRIES)
-def test_drawn_configs_fire_evictions_and_stalls(entries):
+def test_drawn_configs_fire_evictions_and_stalls(entries, traces):
     """The differential is not vacuous: at every drawn entry count and MoS
     page size the NVDIMM caches exactly that many pages, and the update
     trace evicts dirty victims and stalls on busy entries."""
     for mos_page in MOS_PAGES:
         platform = create_platform("hams-TE", _config(mos_page, entries))
-        platform.run(_trace("update"))
+        platform.run(traces["update"])
         controller = platform.controller
         assert controller.tag_array.entries_count == entries
         assert controller.evictions > 0
