@@ -17,6 +17,7 @@ touching module-level globals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -279,6 +280,16 @@ class CacheConfig:
     l2_size_bytes: int = MB(2)
     l2_latency_ns: float = 5.0
     line_size: int = 64
+
+    def __post_init__(self) -> None:
+        if self.line_size <= 0:
+            raise ValueError("line_size must be positive")
+        if min(self.l1_size_bytes, self.l2_size_bytes) < self.line_size:
+            raise ValueError("each cache level must hold at least one line")
+        for name in ("l1_latency_ns", "l2_latency_ns"):
+            latency = getattr(self, name)
+            if not (math.isfinite(latency) and latency >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,19 @@ runs it as a trace-pipeline stage: :func:`filter_trace` walks a whole trace
 through a fresh hierarchy once, memoises the per-access outcome codes and
 the final counters on the :class:`~repro.workloads.trace.WorkloadTrace`,
 and every platform replaying that trace reuses them.
+
+Each :class:`CacheLevel` keeps its ways in three flat numpy columns (tag,
+last-touch stamp, dirty bit) that only this module reads or writes.  The
+scalar :meth:`CacheLevel.lookup` / :meth:`CacheLevel.fill` pair is the
+reference; :meth:`CacheLevel.walk` serves a whole run in set-parallel
+rounds, one numpy step per round, since the sets of an LRU cache never
+interact.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +43,10 @@ L1_HIT, L2_HIT, MISS, BYPASS = 0, 1, 2, 3
 #: call: bounds the stage's scratch lists for long (file-backed) traces.
 FILTER_WINDOW = 1 << 16
 
+#: Stamp :meth:`CacheLevel.walk` gives a set's matching way when choosing
+#: one: below every real stamp and the empty ways' ``-1``.
+_MATCHED = -(1 << 62)
+
 
 @dataclass
 class CacheAccessResult:
@@ -52,7 +62,17 @@ class CacheAccessResult:
 
 
 class CacheLevel:
-    """One set-associative, write-back, LRU cache level."""
+    """One set-associative, write-back, LRU cache level.
+
+    The state is three flat columns of ``num_sets * associativity`` slots,
+    set ``s`` owning slots ``[s * associativity, (s + 1) * associativity)``:
+    :attr:`tags` (int64 line number, ``-1`` for an empty way),
+    :attr:`stamps` (int64 clock of the last touch, ``-1`` for an empty
+    way) and :attr:`dirty` (bool).  A set's LRU order is its stamp order.
+    The scalar :meth:`lookup` / :meth:`fill` pair and the batched
+    :meth:`walk` both read and write these columns and advance the one
+    :attr:`clock`, so the two can be interleaved freely.
+    """
 
     def __init__(self, name: str, size_bytes: int, line_size: int,
                  latency_ns: float, associativity: int = 8) -> None:
@@ -65,29 +85,38 @@ class CacheLevel:
         self.latency_ns = latency_ns
         self.associativity = associativity
         self.num_sets = max(1, size_bytes // (line_size * associativity))
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        slots = self.num_sets * associativity
+        self.tags = np.full(slots, -1, dtype=np.int64)
+        self.stamps = np.full(slots, -1, dtype=np.int64)
+        self.dirty = np.zeros(slots, dtype=bool)
+        self.clock = 0
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
 
-    def _locate(self, address: int) -> Tuple[int, int]:
+    def _probe(self, address: int) -> Tuple[int, int, int]:
+        """Line of *address*, its set's first slot, and the way holding
+        the line (``-1`` when absent)."""
         line = address // self.line_size
-        return line % self.num_sets, line
+        base = line % self.num_sets * self.associativity
+        ways = self.tags[base:base + self.associativity].tolist()
+        return line, base, ways.index(line) if line in ways else -1
+
+    def _touch(self, slot: int) -> None:
+        self.clock += 1
+        self.stamps[slot] = self.clock
 
     def lookup(self, address: int, is_write: bool) -> bool:
         """Probe the cache; returns ``True`` on a hit and updates LRU order."""
-        set_index, tag = self._locate(address)
-        ways = self._sets[set_index]
-        if tag in ways:
-            ways.move_to_end(tag)
-            if is_write:
-                ways[tag] = True
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
+        _, base, way = self._probe(address)
+        if way < 0:
+            self.misses += 1
+            return False
+        self._touch(base + way)
+        if is_write:
+            self.dirty[base + way] = True
+        self.hits += 1
+        return True
 
     def fill(self, address: int, dirty: bool) -> Optional[bool]:
         """Install the line holding *address*.
@@ -96,20 +125,82 @@ class CacheLevel:
         eviction happened); the caller decides whether the writeback costs
         anything.
         """
-        set_index, tag = self._locate(address)
-        ways = self._sets[set_index]
+        line, base, way = self._probe(address)
         victim_dirty: Optional[bool] = None
-        if tag in ways:
-            ways.move_to_end(tag)
-            if dirty:
-                ways[tag] = True
-            return None
-        if len(ways) >= self.associativity:
-            _, victim_dirty = ways.popitem(last=False)
-            if victim_dirty:
-                self.writebacks += 1
-        ways[tag] = dirty
+        if way >= 0:
+            slot = base + way
+            dirty = dirty or bool(self.dirty[slot])
+        else:
+            # An empty way's stamp (-1) is below every touched way's.
+            slot = base + int(
+                self.stamps[base:base + self.associativity].argmin())
+            if self.tags[slot] >= 0:
+                victim_dirty = bool(self.dirty[slot])
+                if victim_dirty:
+                    self.writebacks += 1
+            self.tags[slot] = line
+        self.dirty[slot] = dirty
+        self._touch(slot)
         return victim_dirty
+
+    def walk(self, lines: np.ndarray, writes: np.ndarray) -> np.ndarray:
+        """Look up and allocate a run of line numbers; returns the hit mask.
+
+        Each reference does what :meth:`lookup` and, on a miss,
+        :meth:`fill` do for it -- same hit, same victim, same dirty bits,
+        same LRU order -- but sets never interact, so the run goes one
+        *round* at a time: round ``k`` is the ``k``-th reference of every
+        set, and one numpy step serves the whole round.  The chosen way is
+        the ``argmin`` of the set's stamps with the matching way forced
+        lowest: the hit way, else an empty way, else the LRU way.
+        Reference ``i`` stamps ``clock + i + 1``, so within a set the
+        stamps keep the run's order.
+        """
+        count = len(lines)
+        ways = self.associativity
+        sets = lines % self.num_sets
+        # Keys in their narrowest dtype let the stable sorts run as radix
+        # sorts.
+        order = np.argsort(sets.astype(np.min_scalar_type(self.num_sets)),
+                           kind="stable")
+        per_set = np.bincount(sets, minlength=self.num_sets)
+        rank = np.arange(count) - (np.cumsum(per_set) - per_set)[sets[order]]
+        order = order[np.argsort(rank.astype(np.min_scalar_type(count)),
+                                 kind="stable")]
+        bounds = np.cumsum(np.bincount(rank)).tolist()
+        round_lines = lines[order]
+        round_sets = sets[order]
+        round_bases = round_sets * ways
+        round_writes = writes[order]
+        round_stamps = order + (self.clock + 1)
+        tags, stamps, dirty = self.tags, self.stamps, self.dirty
+        tag_rows = tags.reshape(self.num_sets, ways)
+        stamp_rows = stamps.reshape(self.num_sets, ways)
+        hits = np.empty(count, dtype=bool)
+        evicted_dirty = np.empty(count, dtype=bool)
+        start = 0
+        for stop in bounds:
+            members = slice(start, stop)
+            line = round_lines[members]
+            rows = round_sets[members]
+            match = tag_rows[rows] == line[:, None]
+            slot = round_bases[members] + np.where(
+                match, _MATCHED, stamp_rows[rows]).argmin(axis=1)
+            hit = hits[members] = tags[slot] == line
+            was_dirty = dirty[slot]
+            evicted_dirty[members] = was_dirty > hit
+            tags[slot] = line
+            stamps[slot] = round_stamps[members]
+            dirty[slot] = round_writes[members] | (hit & was_dirty)
+            start = stop
+        self.clock += count
+        mask = np.empty(count, dtype=bool)
+        mask[order] = hits
+        hit_count = int(np.count_nonzero(hits))
+        self.hits += hit_count
+        self.misses += count - hit_count
+        self.writebacks += int(np.count_nonzero(evicted_dirty))
+        return mask
 
     @property
     def hit_rate(self) -> float:
@@ -159,13 +250,13 @@ class CacheHierarchy:
 
     def access_batch(self, addresses: np.ndarray, writes: np.ndarray,
                      sizes: np.ndarray) -> np.ndarray:
-        """Filter a run of references through both levels in one walk.
+        """Filter a run of references through both levels.
 
-        Performs exactly the lookup/fill sequence :meth:`access` performs per
-        reference -- same LRU order, same dirty bits, same victims -- so the
-        cache state and every counter after the batch are indistinguishable
-        from the scalar walk; it just runs as one inlined loop over the two
-        levels' set lists instead of method calls per reference.
+        Leaves exactly the state the per-reference :meth:`access` sequence
+        leaves -- same LRU order, same dirty bits, same victims, same
+        counters -- as two :meth:`CacheLevel.walk` calls: L1's state never
+        depends on L2, so L1 walks the whole run, then L2 walks the L1
+        misses in order.
         References wider than a line (per *sizes*) bypass the hierarchy
         per access, as :meth:`record_bypass` accounts them: they never
         touch cache state, so the fine-grained rows walk in order on their
@@ -182,52 +273,20 @@ class CacheHierarchy:
         writes = np.asarray(writes, dtype=bool)
         count = len(addresses)
         self.accesses += count
-        l1, l2 = self.l1, self.l2
         fine_rows = None
-        fine = np.asarray(sizes) <= l1.line_size
+        fine = np.asarray(sizes) <= self.l1.line_size
         if not fine.all():
             fine_rows = np.flatnonzero(fine)
             addresses = addresses[fine_rows]
             writes = writes[fine_rows]
-        lines = addresses // l1.line_size
-        l1_sets = l1._sets
-        l2_sets, l2_set_count = l2._sets, l2.num_sets
-        l1_ways, l2_ways = l1.associativity, l2.associativity
-        outcome = bytearray(len(lines))  # zero-filled: L1_HIT
-        l1_writebacks = l2_writebacks = 0
-        index = -1
-        for line, is_write, ways in zip(
-                lines.tolist(), writes.tolist(),
-                [l1_sets[s] for s in (lines % l1.num_sets).tolist()]):
-            index += 1
-            if line in ways:
-                ways.move_to_end(line)
-                if is_write:
-                    ways[line] = True
-                continue
-            l2_set = l2_sets[line % l2_set_count]
-            if line in l2_set:
-                l2_set.move_to_end(line)
-                if is_write:
-                    l2_set[line] = True
-                outcome[index] = L2_HIT
-            else:
-                if len(l2_set) >= l2_ways and l2_set.popitem(last=False)[1]:
-                    l2_writebacks += 1
-                l2_set[line] = is_write
-                outcome[index] = MISS
-            if len(ways) >= l1_ways and ways.popitem(last=False)[1]:
-                l1_writebacks += 1
-            ways[line] = is_write
-        codes = np.frombuffer(outcome, dtype=np.uint8)
-        l1_hits, l2_hits, misses = np.bincount(codes, minlength=3).tolist()
-        l1.hits += l1_hits
-        l1.misses += l2_hits + misses
-        l1.writebacks += l1_writebacks
-        l2.hits += l2_hits
-        l2.misses += misses
-        l2.writebacks += l2_writebacks
-        self.memory_accesses += count - l1_hits - l2_hits
+        lines = addresses // self.l1.line_size
+        l1_hits = self.l1.walk(lines, writes)
+        codes = np.where(l1_hits, np.uint8(L1_HIT), np.uint8(MISS))
+        missed = np.flatnonzero(~l1_hits)
+        l2_hits = self.l2.walk(lines[missed], writes[missed])
+        codes[missed[l2_hits]] = L2_HIT
+        on_chip = len(lines) - len(missed) + int(np.count_nonzero(l2_hits))
+        self.memory_accesses += count - on_chip
         if fine_rows is None:
             return codes
         scattered = np.full(count, BYPASS, dtype=np.uint8)

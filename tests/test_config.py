@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.config import (
+    CacheConfig,
     DDRConfig,
     FlashGeometry,
     FlashTiming,
@@ -115,6 +116,30 @@ class TestHAMSConfig:
         assert HAMSConfig(mode="persist").is_persist
         assert not HAMSConfig(mode="extend").is_persist
         assert HAMSConfig(integration="tight").is_tight
+
+
+class TestCacheConfig:
+    def test_defaults_are_valid(self):
+        config = CacheConfig()
+        assert (config.line_size, config.l1_size_bytes) == (64, KB(64))
+
+    @pytest.mark.parametrize("line_size", [0, -64])
+    def test_line_size_must_be_positive(self, line_size):
+        with pytest.raises(ValueError, match="line_size"):
+            CacheConfig(line_size=line_size)
+
+    @pytest.mark.parametrize("level", ["l1_size_bytes", "l2_size_bytes"])
+    def test_each_level_holds_a_line(self, level):
+        with pytest.raises(ValueError, match="at least one line"):
+            CacheConfig(**{level: 32})
+        assert getattr(CacheConfig(**{level: 64}), level) == 64
+
+    @pytest.mark.parametrize("latency", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("level", ["l1_latency_ns", "l2_latency_ns"])
+    def test_latencies_are_finite_and_non_negative(self, level, latency):
+        with pytest.raises(ValueError, match=level):
+            CacheConfig(**{level: latency})
+        assert getattr(CacheConfig(**{level: 0.0}), level) == 0.0
 
 
 class TestPCIeConfig:

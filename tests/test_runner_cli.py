@@ -191,6 +191,24 @@ class TestRunCommand:
         assert err.startswith("error:") and "'no_such'" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("field, value", [("line_size", "0"),
+                                              ("line_size", "-64"),
+                                              ("l1_latency_ns", "-1")])
+    def test_sweep_invalid_cache_value_is_an_error(self, tmp_path, capsys,
+                                                   field, value):
+        """An out-of-range cache value exits 2 with one clean error line
+        and writes nothing, as an invalid hams value does."""
+        status = main(["sweep", "--platform", "oracle",
+                       "--workloads", "update", "--section", "caches",
+                       "--field", field, "--values", value,
+                       "--smoke", "--executor", "serial", "--quiet",
+                       "--output-dir", str(tmp_path / "out")])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert len(err.strip().splitlines()) == 1
+        assert not any((tmp_path / "out").glob("*.json"))
+
     def test_platforms_without_workloads_is_an_error(self, tmp_path,
                                                      capsys):
         status = main(["run", "--smoke", "--platforms", "mmap",
