@@ -14,12 +14,9 @@ through a fresh hierarchy once, memoises the per-access outcome codes and
 the final counters on the :class:`~repro.workloads.trace.WorkloadTrace`,
 and every platform replaying that trace reuses them.
 
-Each :class:`CacheLevel` keeps its ways in three flat numpy columns (tag,
-last-touch stamp, dirty bit) that only this module reads or writes.  The
-scalar :meth:`CacheLevel.lookup` / :meth:`CacheLevel.fill` pair is the
-reference; :meth:`CacheLevel.walk` serves a whole run in set-parallel
-rounds, one numpy step per round, since the sets of an LRU cache never
-interact.
+Each :class:`CacheLevel` keeps its ways in numpy columns that only this
+module touches, and :meth:`CacheLevel.walk` serves a whole run of lines in
+set-parallel rounds against the scalar lookup/fill reference.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ if TYPE_CHECKING:
 L1_HIT, L2_HIT, MISS, BYPASS = 0, 1, 2, 3
 
 #: Accesses :func:`filter_trace` walks per :meth:`CacheHierarchy.access_batch`
-#: call: bounds the stage's scratch lists for long (file-backed) traces.
+#: call: bounds the stage's scratch arrays for long (file-backed) traces.
 FILTER_WINDOW = 1 << 16
 
 #: Stamp :meth:`CacheLevel.walk` gives a set's matching way when choosing

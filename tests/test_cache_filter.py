@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-
-import repro.host.caches as caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.host.caches as caches
 from repro.api import Session
 from repro.config import CacheConfig, default_config
 from repro.host.caches import (
@@ -64,12 +63,11 @@ def lru_sets(level):
     """Each set's resident ``(tag, dirty)`` pairs, least recently used
     first: the order-sensitive state two walks must agree on."""
     ways = level.associativity
-    tags = level.tags.reshape(-1, ways)
-    stamps = level.stamps.reshape(-1, ways)
-    dirty = level.dirty.reshape(-1, ways)
-    return [[(tags[row, way], dirty[row, way])
-             for way in np.argsort(stamps[row]).tolist()
-             if tags[row, way] >= 0]
+    tags = level.tags.reshape(-1, ways).tolist()
+    dirty = level.dirty.reshape(-1, ways).tolist()
+    order = np.argsort(level.stamps.reshape(-1, ways), axis=1).tolist()
+    return [[(tags[row][way], dirty[row][way])
+             for way in order[row] if tags[row][way] >= 0]
             for row in range(level.num_sets)]
 
 
@@ -106,20 +104,20 @@ def test_access_batch_matches_scalar_access(case):
     scalar = CacheHierarchy(config)
     expected = scalar_walk(scalar, addresses, writes, sizes)
     batched = CacheHierarchy(config)
-    pieces = []
-    # A batch, a scalar stretch, then a batch again: the state and the
-    # stamp clock carried between the two paths are exercised too.
-    for start, stop in ((0, first), (first, second),
-                        (second, len(addresses))):
-        if start == first:
-            pieces.append(scalar_walk(batched, addresses[start:stop],
-                                      writes[start:stop], sizes[start:stop]))
-            continue
-        pieces.append(batched.access_batch(
+
+    def batch(start, stop):
+        return batched.access_batch(
             np.array(addresses[start:stop], dtype=np.int64),
             np.array(writes[start:stop], dtype=bool),
-            np.array(sizes[start:stop], dtype=np.int64)))
-    codes = np.concatenate(pieces)
+            np.array(sizes[start:stop], dtype=np.int64))
+
+    # A batch, a scalar stretch, then a batch again: the state and the
+    # stamp clock carried between the two paths are exercised too.
+    codes = np.concatenate([
+        batch(0, first),
+        scalar_walk(batched, addresses[first:second], writes[first:second],
+                    sizes[first:second]),
+        batch(second, len(addresses))])
     np.testing.assert_array_equal(codes, expected)
     scalar_latency = [
         config.l2_latency_ns if code == BYPASS
