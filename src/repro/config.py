@@ -118,6 +118,20 @@ class SSDConfig:
     # table rather than data caching (FlatFlash discussion, Section VII).
     mapping_table_fraction: float = 0.25
 
+    def __post_init__(self) -> None:
+        if self.max_outstanding < 1:
+            raise ValueError(f"max_outstanding must be at least 1, got "
+                             f"{self.max_outstanding!r}")
+        if self.dram_buffer_bytes < 0:
+            raise ValueError(f"dram_buffer_bytes cannot be negative, got "
+                             f"{self.dram_buffer_bytes!r}")
+        for name, label in (("firmware_latency_ns", "firmware latency"),
+                            ("dram_buffer_hit_ns", "buffer hit latency")):
+            latency = getattr(self, name)
+            if not (math.isfinite(latency) and latency >= 0):
+                raise ValueError(f"{label} cannot be negative or non-finite "
+                                 f"({name}={latency!r})")
+
     @staticmethod
     def ull_flash(capacity_bytes: int = GB(800)) -> "SSDConfig":
         """The 800 GB Z-SSD prototype used throughout the paper."""
@@ -266,6 +280,11 @@ class CPUConfig:
     frequency_ghz: float = 2.0
     base_cpi: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.frequency_ghz) and self.frequency_ghz > 0):
+            raise ValueError(f"frequency_ghz must be finite and positive, "
+                             f"got {self.frequency_ghz!r}")
+
     @property
     def cycle_ns(self) -> float:
         return 1.0 / self.frequency_ghz
@@ -309,6 +328,19 @@ class OSStackConfig:
     interrupt_ns: float = us(1.0)
     copy_bandwidth_bytes_per_ns: float = gb_per_s(10.0)
     readahead_pages: int = 8
+
+    def __post_init__(self) -> None:
+        for name in ("page_fault_ns", "context_switch_ns", "filesystem_ns",
+                     "blk_mq_ns", "nvme_driver_ns", "interrupt_ns"):
+            latency = getattr(self, name)
+            if not (math.isfinite(latency) and latency >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
+        bandwidth = self.copy_bandwidth_bytes_per_ns
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ValueError(
+                "copy_bandwidth_bytes_per_ns must be finite and positive")
+        if self.readahead_pages < 1:
+            raise ValueError("readahead_pages must be at least 1")
 
     @property
     def mmap_overhead_ns(self) -> float:

@@ -55,9 +55,12 @@ class InternalDRAMBuffer:
         if not 0.0 <= mapping_table_fraction < 1.0:
             raise ValueError("mapping_table_fraction must be in [0, 1)")
         self.page_size = page_size
-        self.enabled = enabled and capacity_bytes >= page_size
         data_bytes = int(capacity_bytes * (1.0 - mapping_table_fraction))
-        self.capacity_pages = max(0, data_bytes // page_size) if self.enabled else 0
+        data_pages = data_bytes // page_size
+        # A buffer whose data share holds no whole page is no buffer: its
+        # writes must take the unbuffered path, not vanish into it.
+        self.enabled = enabled and data_pages >= 1
+        self.capacity_pages = data_pages if self.enabled else 0
         # OrderedDict keyed by LPN; value is the dirty flag.  Most recently
         # used entries live at the end.
         self._pages: "OrderedDict[int, bool]" = OrderedDict()

@@ -37,7 +37,9 @@ allocating 200 M entries up front.  It has two parts:
 
 Every reader goes through one lookup pair,
 :meth:`FlashTranslationLayer._lpn_to_ppn` and
-:meth:`FlashTranslationLayer._ppn_to_lpn`.
+:meth:`FlashTranslationLayer._ppn_to_lpn`; the two per-page hot paths
+inline the former (the SSD walk's read translation and
+:meth:`FlashTranslationLayer._write_ppn`).
 """
 
 from __future__ import annotations
@@ -241,14 +243,57 @@ class FlashTranslationLayer:
 
     def _write_ppn(self, lpn: int) -> Tuple[int, Optional[GCResult]]:
         """:meth:`write` on integer PPNs; the GC result is ``None`` when no
-        plane is under GC pressure (the collection scan is then a no-op)."""
-        self._check_lpn(lpn)
+        plane is under GC pressure (the collection scan is then a no-op).
+
+        One flat body, as every programmed host page runs it: the bounds
+        check, :meth:`_unmap` (with :meth:`_lpn_to_ppn` and
+        :meth:`_Plane.invalidate`) and the open-block append of
+        :meth:`_allocate` are inlined; a block turnover falls back to
+        :meth:`_allocate` and GC pressure to :meth:`_collect`.
+        """
+        if lpn < 0 or lpn >= self._logical_pages:
+            raise ValueError(
+                f"LPN {lpn} out of range [0, {self._logical_pages})")
         self.host_writes += 1
         gc_result = self._collect() if self._gc_pressure_planes else None
-        self._unmap(lpn)
-        ppn = self._allocate()
-        self._mapping[lpn] = ppn
-        self._reverse[ppn] = lpn
+        mapping = self._mapping
+        reverse = self._reverse
+        planes = self._planes
+        pages_per_plane = self._pages_per_plane
+        pages_per_block = self._pages_per_block
+        # _unmap: invalidate the page holding lpn, if any.
+        k = lpn - self._base_start
+        if 0 <= k < self._base_end - self._base_start and (
+                lpn not in self._base_gone):
+            plane_count = self._plane_count
+            old = (k % plane_count) * pages_per_plane + k // plane_count
+        else:
+            old = mapping.get(lpn)
+        if old is not None:
+            if reverse.pop(old, None) is None:
+                self._base_gone.add(lpn)
+            else:
+                del mapping[lpn]
+            plane = planes[old // pages_per_plane]
+            block, page = divmod(old - plane.base, pages_per_block)
+            valid = plane.valid_pages.get(block)
+            if valid is not None:
+                valid.discard(page)
+        # _allocate: append to the cursor plane's open block; its free list
+        # is untouched, so its GC-pressure flag cannot change.
+        cursor = self._allocation_cursor
+        plane = planes[cursor]
+        block = plane.open_block
+        page = plane.next_page
+        if block is not None and page < pages_per_block:
+            plane.valid_pages[block].add(page)
+            plane.next_page = page + 1
+            ppn = plane.base + block * pages_per_block + page
+            self._allocation_cursor = (cursor + 1) % self._plane_count
+        else:
+            ppn = self._allocate()
+        mapping[lpn] = ppn
+        reverse[ppn] = lpn
         return ppn, gc_result
 
     def _unmap(self, lpn: int) -> None:

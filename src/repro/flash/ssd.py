@@ -243,8 +243,6 @@ class SSD:
         self.fil = FlashInterfaceLayer(self.array, self.channels,
                                        self.page_size,
                                        split_channels=config.split_channels)
-        if config.firmware_latency_ns < 0:
-            raise ValueError("firmware latency cannot be negative")
         self.buffer = InternalDRAMBuffer(
             config.dram_buffer_bytes, self.page_size,
             enabled=config.dram_buffer_enabled,
@@ -435,6 +433,8 @@ class SSD:
         # shared structures (this walk is the one service path).
         buffer_pages = buffer._pages
         buffer_move = buffer_pages.move_to_end
+        buffer_popitem = buffer_pages.popitem
+        buffer_capacity = buffer.capacity_pages
         buffer_insert = buffer._insert
         ftl = self.ftl
         mapping_get = ftl._mapping.get
@@ -489,6 +489,8 @@ class SSD:
         buf_read_misses = 0
         buf_write_hits = 0
         buf_write_misses = 0
+        buf_dirty_evictions = 0
+        buf_clean_evictions = 0
         served_local = 0
         bytes_read_local = 0
         bytes_written_local = 0
@@ -505,32 +507,26 @@ class SSD:
                 else:
                     earliest = heappop(outstanding)
                     start = submit if submit >= earliest else earliest
-                # Host-interface parse/split into page-sized sub-requests.
-                # The single-whole-page fast path covers every hot caller.
-                in_page = offset % page_size
-                if size <= page_size - in_page:
-                    n_sub = 1
-                    lpns = (offset // page_size,)
-                else:
-                    lpns = []
-                    cursor = offset
-                    remaining = size
-                    while remaining > 0:
-                        lpns.append(cursor // page_size)
-                        chunk = page_size - cursor % page_size
-                        if chunk > remaining:
-                            chunk = remaining
-                        cursor += chunk
-                        remaining -= chunk
-                    n_sub = len(lpns)
+                # Host-interface parse/split into page-sized sub-requests:
+                # the LPN run the byte range covers, wrapped onto the
+                # device only when it reaches past the last logical page.
                 # Parse cost: a fixed command decode plus 5% per extra
                 # sub-request.
-                if n_sub == 1:
+                first = offset // page_size
+                last = (offset + size - 1) // page_size
+                if first == last:
+                    lpns = (first if first < logical_pages
+                            else first % logical_pages,)
                     # firmware_ns * (1.0 + 0.05 * 0) == firmware_ns exactly.
                     firmware_done = start + firmware_ns
                 else:
-                    firmware_done = start + firmware_ns * (1.0
-                                                          + 0.05 * (n_sub - 1))
+                    if last < logical_pages:
+                        lpns = range(first, last + 1)
+                    else:
+                        lpns = [lpn % logical_pages
+                                for lpn in range(first, last + 1)]
+                    firmware_done = start + firmware_ns * (
+                        1.0 + 0.05 * (last - first))
                 finish = firmware_done
 
                 if not is_write:
@@ -539,8 +535,7 @@ class SSD:
                     # channel reservations per page, so a 16-page chunk
                     # read is one tight loop instead of 16 scalar walks.
                     zero_finish = firmware_done + hit_ns
-                    for raw_lpn in lpns:
-                        lpn = raw_lpn % logical_pages
+                    for lpn in lpns:
                         if buffer_enabled and lpn in buffer_pages:
                             buffer_move(lpn)
                             buf_read_hits += 1
@@ -604,17 +599,24 @@ class SSD:
                                     chan_bytes[channel] += page_size
                                     chan_transfers[channel] += 1
                                 page_reads_local += 1
-                                # Read-miss fill: the page is known absent,
-                                # so a clean insert (its eviction programs
-                                # nothing).
+                                # Inlined read-miss fill (the buffer's
+                                # _insert of a known-absent clean page): an
+                                # enabled buffer holds at least one page,
+                                # so a full one always has an LRU victim.
+                                # The victim is dropped without a program,
+                                # dirty or not.
                                 if buffer_enabled:
-                                    buffer_insert(lpn, False)
+                                    if len(buffer_pages) >= buffer_capacity:
+                                        if buffer_popitem(last=False)[1]:
+                                            buf_dirty_evictions += 1
+                                        else:
+                                            buf_clean_evictions += 1
+                                    buffer_pages[lpn] = False
                         if sub_finish > finish:
                             finish = sub_finish
                 else:
                     # -- writes (single- or multi-page) -------------------
-                    for raw_lpn in lpns:
-                        lpn = raw_lpn % logical_pages
+                    for lpn in lpns:
                         if not fua and buffer_enabled:
                             # Buffered write: hits mark dirty in place,
                             # misses insert (possibly evicting the LRU
@@ -726,6 +728,8 @@ class SSD:
             buffer_stats.read_misses += buf_read_misses
             buffer_stats.write_hits += buf_write_hits
             buffer_stats.write_misses += buf_write_misses
+            buffer_stats.dirty_evictions += buf_dirty_evictions
+            buffer_stats.clean_evictions += buf_clean_evictions
             self.requests_served += served_local
             self.bytes_read += bytes_read_local
             self.bytes_written += bytes_written_local

@@ -33,7 +33,7 @@ class FlashOperation(Enum):
     ERASE = "erase"
 
 
-@dataclass
+@dataclass(slots=True)
 class DieState:
     """Occupancy bookkeeping for one flash die."""
 

@@ -22,9 +22,9 @@ from ..config import OSStackConfig
 
 #: An install policy run on every batched page-cache miss: it receives the
 #: missing ``(page_number, is_write)`` and returns the evictions its
-#: ``PageCache.install`` calls produced, in install order.  The default
-#: policy installs the missing page itself; platforms with prefetching
-#: installs (migration chunks, readahead) supply their own.
+#: ``PageCache.install`` / ``install_run`` calls produced, in install
+#: order.  The default policy installs the missing page itself; platforms
+#: with prefetching installs (migration chunks, readahead) supply their own.
 InstallPolicy = Callable[[int, bool], List[Tuple[int, bool]]]
 
 
@@ -170,6 +170,63 @@ class PageCache:
                 self._owners[page_number] = installer
         return evicted
 
+    def install_run(self, first: int, count: int,
+                    dirty_first: bool) -> List[Tuple[int, bool]]:
+        """Install pages ``first .. first + count - 1``; returns evictions.
+
+        Equivalent — in LRU order, dirty flags, ``dirty_writebacks``, the
+        zero-capacity no-op and tenant ownership/pollution accounting — to::
+
+            for offset in range(count):
+                evicted = self.install(first + offset,
+                                       dirty=dirty_first and offset == 0)
+                if evicted is not None:
+                    evictions.append(evicted)
+
+        as one inlined loop: the run installs of migration chunks and
+        readahead pay no per-page call.
+        """
+        capacity = self.capacity_pages
+        evictions: List[Tuple[int, bool]] = []
+        if capacity == 0:
+            return evictions
+        resident = self._pages
+        move_to_end = resident.move_to_end
+        popitem = resident.popitem
+        append = evictions.append
+        size = len(resident)
+        track = self._track_tenants
+        installer = self._install_tenant
+        owners = self._owners
+        writebacks = 0
+        dirty = dirty_first
+        for page in range(first, first + count):
+            if page in resident:
+                move_to_end(page)
+                if dirty:
+                    resident[page] = True
+            else:
+                if size >= capacity:
+                    # popitem's (page, dirty) pair is the eviction record.
+                    evicted = popitem(last=False)
+                    if evicted[1]:
+                        writebacks += 1
+                    append(evicted)
+                    if track:
+                        victim_owner = owners.pop(evicted[0], None)
+                        if (victim_owner is not None and installer is not None
+                                and victim_owner != installer):
+                            self._evictions_suffered[victim_owner] += 1
+                            self._evictions_inflicted[installer] += 1
+                else:
+                    size += 1
+                resident[page] = dirty
+                if track and installer is not None:
+                    owners[page] = installer
+            dirty = False
+        self.dirty_writebacks += writebacks
+        return evictions
+
     def access_batch(self, pages, writes,
                      install: Optional[InstallPolicy] = None,
                      tenants: Optional[np.ndarray] = None
@@ -188,8 +245,8 @@ class PageCache:
         ``self.install(page, dirty=is_write)`` (the single-page policy of
         Optane memory mode and the buffered ULL bypass).  A custom policy
         may install any set of pages (migration chunks, readahead) but must
-        route every insertion through :meth:`install` and must not call
-        :meth:`access` re-entrantly.
+        route every insertion through :meth:`install` or
+        :meth:`install_run` and must not call :meth:`access` re-entrantly.
 
         The walk is run-length collapsed: consecutive accesses to the same
         page are folded into one LRU transition, because once a page is

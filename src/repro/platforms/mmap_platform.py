@@ -151,18 +151,20 @@ class MmapPlatform(Platform):
         covers the next pages, which then hit in the page cache.  Only the
         faulting page inherits the access's dirtiness.  Returns the
         readahead page count and the dirty victims the installs evicted, in
-        install order.
+        install order.  A lone fault is one :meth:`PageCache.install`, a
+        readahead one :meth:`PageCache.install_run`.
         """
         sequential = page == self._last_faulted_page + 1
         self._last_faulted_page = page
-        readahead = self.os_stack.readahead_pages if sequential else 1
+        if not sequential:
+            evicted = self.page_cache.install(page, dirty=is_write)
+            return 1, ([evicted] if evicted is not None and evicted[1]
+                       else [])
+        readahead = self.os_stack.readahead_pages
         self.readahead_fills += readahead - 1
-        victims: List[Tuple[int, bool]] = []
-        for offset in range(readahead):
-            evicted = self.page_cache.install(page + offset,
-                                              dirty=is_write and offset == 0)
-            if evicted is not None and evicted[1]:
-                victims.append(evicted)
+        victims = [evicted for evicted
+                   in self.page_cache.install_run(page, readahead, is_write)
+                   if evicted[1]]
         return readahead, victims
 
     def _fault_io(self, page: int, readahead: int,

@@ -103,14 +103,9 @@ class NvdimmCPlatform(Platform):
         dirtiness at migration granularity).  Also the install policy of the
         batched :meth:`~repro.host.os_stack.PageCache.access_batch` walk.
         """
-        chunk_first = self._chunk_first(page)
-        evictions: List[Tuple[int, bool]] = []
-        for offset in range(self._pages_per_migration):
-            evicted = self.dram_cache.install(chunk_first + offset,
-                                              dirty=is_write and offset == 0)
-            if evicted is not None:
-                evictions.append(evicted)
-        return evictions
+        return self.dram_cache.install_run(self._chunk_first(page),
+                                           self._pages_per_migration,
+                                           is_write)
 
     def _migrate_chunk(self, page: int, evictions: List[Tuple[int, bool]],
                        at_ns: float, step) -> float:

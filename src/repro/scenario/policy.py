@@ -93,13 +93,21 @@ class PartitionedPageCache(PageCache):
             "PartitionedPageCache has no tenant tag on the scalar path; "
             "scenario replay is batched-only")
 
-    def install(self, page_number: int, dirty: bool = False):
+    def _active_partition(self, operation: str) -> PageCache:
         active = self._active
         if active is None:
             raise RuntimeError(
-                "PartitionedPageCache.install outside a tenant-tagged "
-                "batched walk")
-        return self.partitions[active].install(page_number, dirty=dirty)
+                f"PartitionedPageCache.{operation} outside a tenant-tagged "
+                f"batched walk")
+        return self.partitions[active]
+
+    def install(self, page_number: int, dirty: bool = False):
+        return self._active_partition("install").install(page_number,
+                                                         dirty=dirty)
+
+    def install_run(self, first: int, count: int, dirty_first: bool):
+        return self._active_partition("install_run").install_run(
+            first, count, dirty_first)
 
     def access_batch(self, pages, writes,
                      install: Optional[InstallPolicy] = None,

@@ -6,12 +6,14 @@ import pytest
 
 from repro.config import (
     CacheConfig,
+    CPUConfig,
     DDRConfig,
     FlashGeometry,
     FlashTiming,
     HAMSConfig,
     NVDIMMConfig,
     OptaneConfig,
+    OSStackConfig,
     PCIeConfig,
     SSDConfig,
     SystemConfig,
@@ -79,6 +81,56 @@ class TestSSDConfig:
 
     def test_default_buffer_is_512mb(self):
         assert SSDConfig().dram_buffer_bytes == MB(512)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_queue_holds_a_request(self, depth):
+        with pytest.raises(ValueError, match="max_outstanding"):
+            SSDConfig(max_outstanding=depth)
+        assert SSDConfig(max_outstanding=1).max_outstanding == 1
+
+    def test_buffer_size_is_non_negative(self):
+        with pytest.raises(ValueError, match="dram_buffer_bytes"):
+            SSDConfig(dram_buffer_bytes=-KB(4))
+        assert SSDConfig(dram_buffer_bytes=0).dram_buffer_bytes == 0
+
+    @pytest.mark.parametrize("latency", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["firmware_latency_ns",
+                                      "dram_buffer_hit_ns"])
+    def test_latencies_are_finite_and_non_negative(self, name, latency):
+        with pytest.raises(ValueError, match=name):
+            SSDConfig(**{name: latency})
+        assert getattr(SSDConfig(**{name: 0.0}), name) == 0.0
+
+
+class TestCPUConfig:
+    @pytest.mark.parametrize("frequency", [0.0, -2.0, float("nan"),
+                                           float("inf")])
+    def test_frequency_is_finite_and_positive(self, frequency):
+        with pytest.raises(ValueError, match="frequency_ghz"):
+            CPUConfig(frequency_ghz=frequency)
+        assert CPUConfig(frequency_ghz=0.5).cycle_ns == 2.0
+
+
+class TestOSStackConfig:
+    @pytest.mark.parametrize("latency", [-5.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["page_fault_ns", "context_switch_ns",
+                                      "filesystem_ns", "blk_mq_ns",
+                                      "nvme_driver_ns", "interrupt_ns"])
+    def test_latencies_are_finite_and_non_negative(self, name, latency):
+        with pytest.raises(ValueError, match=name):
+            OSStackConfig(**{name: latency})
+        assert getattr(OSStackConfig(**{name: 0.0}), name) == 0.0
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"),
+                                           float("inf")])
+    def test_copy_bandwidth_is_finite_and_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="copy_bandwidth_bytes_per_ns"):
+            OSStackConfig(copy_bandwidth_bytes_per_ns=bandwidth)
+
+    def test_readahead_covers_the_faulting_page(self):
+        with pytest.raises(ValueError, match="readahead_pages"):
+            OSStackConfig(readahead_pages=0)
+        assert OSStackConfig(readahead_pages=1).readahead_pages == 1
 
 
 class TestNVDIMMConfig:

@@ -100,6 +100,24 @@ class TestWrites:
             ssd.write(index * KB(4), KB(4), at_ns=float(index) * 1000)
         assert ssd.fil.page_programs > programs_before
 
+    @pytest.mark.parametrize("buffer_bytes, data_pages, programs",
+                             [(KB(4), 0, 4), (KB(8), 1, 3)])
+    def test_buffer_share_below_one_page_takes_the_unbuffered_path(
+            self, buffer_bytes, data_pages, programs):
+        """The default mapping-table share (25%) leaves a 4 KB buffer no
+        whole data page: such a buffer is disabled, so four buffered
+        writes program four pages instead of vanishing.  With 8 KB, one
+        page absorbs the last write and each earlier one is evicted."""
+        ssd = SSD(SSDConfig(geometry=small_ssd().config.geometry,
+                            dram_buffer_bytes=buffer_bytes))
+        assert ssd.buffer.capacity_pages == data_pages
+        assert ssd.buffer.enabled is (data_pages > 0)
+        _, delta = counted(ssd, lambda: [
+            ssd.write(index * KB(4), KB(4), at_ns=float(index) * 1000)
+            for index in range(4)])
+        assert delta["flash_page_programs"] == programs
+        assert delta["flash_ftl_host_writes"] == programs
+
 
 class TestLatencyCharacteristics:
     def test_read_latency_close_to_znand(self):

@@ -3,7 +3,7 @@
 :meth:`repro.flash.ssd.SSD.walk` is the one per-request service path of
 the flash stack.  ``submit_batch`` drives it (open-loop and chained),
 ``submit`` is a batch-of-one ``submit_batch``, and the platforms' miss
-paths open one walk per service chunk and step it.  Three things are
+paths open one walk per service chunk and step it.  Four things are
 pinned here:
 
 * the open-walk contract — while a walk holds the hoisted state, every
@@ -15,6 +15,13 @@ pinned here:
   random points equals the per-request ``submit`` loop and one
   ``submit_batch`` — per-request finishes, full ``statistics()``, FTL
   maps, buffer order and die/channel horizons;
+* since ``submit`` and ``submit_batch`` both drive the walk, a second
+  differential against an independent oracle that serves every request
+  page by page through the layer methods (FTL ``lookup``/``write``, FIL
+  ``read_page``/``write_page``, the buffer's ``_insert``), over split and
+  unsplit channels, disabled, zero-page, one-page and four-page buffers,
+  FUA, multi-page requests that wrap past the last logical page and GC
+  relocation;
 * structurally, that the batched replay of the fig16 smoke matrix on the
   flash-backed platforms never takes the batch-of-one route (no
   ``SSD.submit/read/write``, no engine ring traffic), while the scalar
@@ -24,6 +31,7 @@ pinned here:
 the structural replay at each chunk size, i.e. with walks of every length.
 """
 
+import heapq
 import json
 from pathlib import Path
 
@@ -155,6 +163,192 @@ class TestWalkDifferential:
         assert list(zip(starts, finishes)) == expected
         assert device_state(walked) == device_state(reference)
         assert walked.ftl.gc_pages_moved > 0
+
+
+# -- an independent page-by-page oracle ------------------------------------
+
+
+def oracle_submit(ssd: SSD, request) -> tuple:
+    """Serve one request page by page through the layer methods.
+
+    A reference that shares no code with :meth:`SSD.walk`: queue
+    admission on the device's outstanding heap, a cursor split of the byte
+    range, translation and programming through
+    :meth:`~repro.flash.ftl.FlashTranslationLayer.lookup` /
+    :meth:`~repro.flash.ftl.FlashTranslationLayer.write`, timing through
+    :meth:`~repro.flash.fil.FlashInterfaceLayer.read_page` /
+    :meth:`~repro.flash.fil.FlashInterfaceLayer.write_page`, and the
+    buffer's own ``_insert`` and ``OrderedDict``.  Returns ``(start,
+    finish)``.
+    """
+    is_write, offset, size, submit, fua = request
+    config = ssd.config
+    outstanding = ssd._outstanding
+    while outstanding and outstanding[0] <= submit:
+        heapq.heappop(outstanding)
+    if len(outstanding) < config.max_outstanding:
+        start = submit
+    else:
+        start = max(submit, heapq.heappop(outstanding))
+    lpns = []
+    cursor, remaining = offset, size
+    while remaining > 0:
+        lpns.append(cursor // PAGE % ssd.logical_pages)
+        chunk = min(PAGE - cursor % PAGE, remaining)
+        cursor += chunk
+        remaining -= chunk
+    firmware_done = start + config.firmware_latency_ns * (
+        1.0 + 0.05 * (len(lpns) - 1))
+    hit_done = firmware_done + config.dram_buffer_hit_ns
+    buffer = ssd.buffer
+    resident = buffer._pages
+    counters = buffer.stats
+    finish = firmware_done
+    for lpn in lpns:
+        if not is_write:
+            if buffer.enabled and lpn in resident:
+                resident.move_to_end(lpn)
+                counters.read_hits += 1
+                done = hit_done
+            else:
+                counters.read_misses += 1
+                address = ssd.ftl.lookup(lpn)
+                if address is None:
+                    done = hit_done
+                else:
+                    done = ssd.fil.read_page(address, firmware_done).finish_ns
+                    if buffer.enabled:
+                        buffer._insert(lpn, False)
+        else:
+            program = None
+            if not fua and buffer.enabled:
+                if lpn in resident:
+                    resident.move_to_end(lpn)
+                    resident[lpn] = True
+                    counters.write_hits += 1
+                else:
+                    counters.write_misses += 1
+                    evicted = buffer._insert(lpn, True)
+                    if evicted is not None and evicted[1]:
+                        program = evicted[0]
+                done = hit_done
+            else:
+                program = lpn
+                done = firmware_done
+            if program is not None:
+                address, gc_result = ssd.ftl.write(program)
+                done = ssd.fil.write_page(address, done).finish_ns
+                for old, new in gc_result.page_moves:
+                    moved = ssd.fil.read_page(old, done).finish_ns
+                    done = ssd.fil.write_page(new, moved).finish_ns
+        finish = max(finish, done)
+    heapq.heappush(outstanding, finish)
+    ssd.requests_served += 1
+    if is_write:
+        ssd.bytes_written += size
+    else:
+        ssd.bytes_read += size
+    ssd.stats.latency("request_latency").record(finish - submit)
+    ssd.stats.counter("requests").add()
+    return start, finish
+
+
+#: Two tiny devices: one die per channel with 4-page blocks, and two dies
+#: of two planes per channel with 2-page blocks (so the die and channel
+#: decode of a PPN crosses planes and dies); 64 physical pages each.
+ORACLE_GEOMETRIES = (
+    FlashGeometry(channels=2, packages_per_channel=1, dies_per_package=1,
+                  planes_per_die=1, blocks_per_plane=8, pages_per_block=4),
+    FlashGeometry(channels=2, packages_per_channel=1, dies_per_package=2,
+                  planes_per_die=2, blocks_per_plane=4, pages_per_block=2),
+)
+
+#: (dram_buffer_bytes, dram_buffer_enabled, mapping_table_fraction) and the
+#: data pages each leaves: a disabled buffer, one whose 25% mapping-table
+#: share leaves no whole page (so it is no buffer), one page, four pages.
+ORACLE_BUFFERS = {
+    "off": ((4 * PAGE, False, 0.0), 0),
+    "no-data-page": ((PAGE, True, 0.25), 0),
+    "one-page": ((PAGE, True, 0.0), 1),
+    "four-pages": ((4 * PAGE, True, 0.0), 4),
+}
+
+
+def oracle_ssd(geometry: FlashGeometry, split: bool, buffer: str) -> SSD:
+    (buffer_bytes, enabled, fraction), data_pages = ORACLE_BUFFERS[buffer]
+    ssd = SSD(SSDConfig(geometry=geometry, split_channels=split,
+                        dram_buffer_bytes=buffer_bytes,
+                        dram_buffer_enabled=enabled,
+                        mapping_table_fraction=fraction, max_outstanding=2))
+    assert ssd.buffer.capacity_pages == data_pages
+    assert ssd.buffer.enabled is (data_pages > 0)
+    ssd.precondition(0, 8)
+    return ssd
+
+
+def gc_warmup() -> list:
+    """FUA writes that put both devices under GC pressure with
+    relocations: two hot LPNs interleaved with twelve colder ones."""
+    return [(True, (j % 2 if j % 3 else 16 + (j // 3) % 12) * PAGE, PAGE,
+             1000.0 * j, True) for j in range(60)]
+
+
+# (is_write, near the last logical page, offset, size, gap, fua): offsets
+# near the end reach up to 5 pages past it, so multi-page requests wrap.
+oracle_rows = st.lists(
+    st.tuples(st.booleans(), st.booleans(), st.integers(0, 16 * PAGE - 1),
+              st.integers(1, 3 * PAGE), st.floats(0.0, 20_000.0),
+              st.booleans()),
+    min_size=1, max_size=60)
+
+
+class TestWalkAgainstPageOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(rows=oracle_rows, geometry=st.sampled_from(ORACLE_GEOMETRIES),
+           split=st.booleans(), buffer=st.sampled_from(sorted(ORACLE_BUFFERS)))
+    def test_walk_equals_page_by_page_oracle(self, rows, geometry, split,
+                                             buffer):
+        oracle = oracle_ssd(geometry, split, buffer)
+        walked = oracle_ssd(geometry, split, buffer)
+        end = (oracle.logical_pages - 3) * PAGE
+        requests = gc_warmup()
+        clock = requests[-1][3]
+        for is_write, near_end, offset, size, gap, fua in rows:
+            clock += gap
+            if near_end:
+                offset = end + offset % (6 * PAGE)
+            requests.append((is_write, offset, size, clock, fua))
+        expected = [oracle_submit(oracle, request) for request in requests]
+        starts = []
+        with walked.walk(starts) as step:
+            finishes = [step(request) for request in requests]
+        assert list(zip(starts, finishes)) == expected
+        assert device_state(walked) == device_state(oracle)
+        assert oracle.ftl.gc_pages_moved > 0
+
+    def test_oracle_reaches_wrapping_requests_and_dirty_fill_victims(self):
+        # Guard against the differential never wrapping or never evicting
+        # a dirty page on a read fill: a buffered write to LPN 2, then a
+        # 12 KB read and a 3-page FUA write that start on the last logical
+        # page, so the read's fill of LPN 0 evicts the dirty LPN 2.
+        geometry = ORACLE_GEOMETRIES[0]
+        oracle = oracle_ssd(geometry, True, "one-page")
+        walked = oracle_ssd(geometry, True, "one-page")
+        last = (oracle.logical_pages - 1) * PAGE
+        requests = [(True, 2 * PAGE, PAGE, 0.0, False),
+                    (False, last + 100, 3 * PAGE, 1000.0, False),
+                    (True, last, 3 * PAGE, 5000.0, True)]
+        expected = [oracle_submit(oracle, request) for request in requests]
+        with walked.walk() as step:
+            finishes = [step(request) for request in requests]
+        assert finishes == [finish for _, finish in expected]
+        assert device_state(walked) == device_state(oracle)
+        statistics = oracle.statistics()
+        # The unaligned read spans four pages: the last logical page is
+        # unmapped, the three wrapped ones (LPNs 0-2) are preconditioned.
+        assert statistics["flash_page_reads"] == 3
+        assert statistics["flash_buffer_dirty_evictions"] == 1
+        assert statistics["flash_page_programs"] == 3
 
 
 def _requests(count: int) -> list:

@@ -13,7 +13,10 @@ can evict the faulting page itself), mmap's adjacency-keyed readahead
 install and FlatFlash's count-then-maybe-install promotion, with the
 chunk and readahead walks also run tenant-tracked (a scenario run's random
 tenant column must leave the walk unchanged); a state machine interleaves
-batched and scalar operations against a mirrored reference cache.
+batched and scalar operations against a mirrored reference cache.  The
+test's own chunk and readahead policies stay per-page ``install`` loops,
+so they remain references independent of ``PageCache.install_run`` (the
+platforms' run install), which is pinned against the same loop here.
 """
 
 from typing import List, Optional, Tuple
@@ -95,6 +98,18 @@ def assert_tenants_conserved(cache: PageCache, tenants, stream) -> None:
             == sum(row["evictions_inflicted"] for row in stats.values()))
 
 
+def per_page_install_run(cache: PageCache, first: int, count: int,
+                         dirty_first: bool) -> List[Tuple[int, bool]]:
+    """The per-page ``install`` loop ``PageCache.install_run`` replaces."""
+    evictions = []
+    for offset in range(count):
+        evicted = cache.install(first + offset,
+                                dirty=dirty_first and offset == 0)
+        if evicted is not None:
+            evictions.append(evicted)
+    return evictions
+
+
 def chunk_install(cache: PageCache, chunk_pages: int):
     """The nvdimm-C-style policy: install the whole chunk around the miss.
 
@@ -105,13 +120,7 @@ def chunk_install(cache: PageCache, chunk_pages: int):
 
     def install(page: int, is_write: bool) -> List[Tuple[int, bool]]:
         first = (page // chunk_pages) * chunk_pages
-        evictions = []
-        for offset in range(chunk_pages):
-            evicted = cache.install(first + offset,
-                                    dirty=is_write and offset == 0)
-            if evicted is not None:
-                evictions.append(evicted)
-        return evictions
+        return per_page_install_run(cache, first, chunk_pages, is_write)
 
     return install
 
@@ -265,6 +274,46 @@ def test_access_batch_matches_scalar_with_promotion_install(
     assert batched_counts == scalar_counts
     assert cache_state(batched_cache) == cache_state(scalar_cache)
     assert result.miss_count == len(batched_promoted)
+
+
+#: An installing tenant, or none (an install outside a tagged walk).
+installer_st = st.one_of(st.none(),
+                         st.integers(min_value=0, max_value=TENANTS - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.sampled_from([0, 1, 3, 5, 1 << 20]),
+       prefix=st.lists(st.tuples(pages_st, st.booleans(), installer_st),
+                       max_size=30),
+       runs=st.lists(st.tuples(pages_st, st.integers(0, 8), st.booleans(),
+                               installer_st), min_size=1, max_size=6),
+       tracked=st.booleans())
+def test_install_run_matches_per_page_install(capacity, prefix, runs,
+                                              tracked):
+    """``install_run`` equals the per-page ``install`` loop in returned
+    evictions, LRU order, dirty flags, ``dirty_writebacks`` and — tenant
+    tracking on — page ownership and pollution counters: at capacity 0,
+    1, below the run length (runs of up to 8 pages) and large, over runs
+    that overlap resident dirty pages."""
+    run_cache = make_cache(capacity)
+    loop_cache = make_cache(capacity)
+    caches = (run_cache, loop_cache)
+    if tracked:
+        for cache in caches:
+            cache.enable_tenant_tracking(TENANTS)
+    for page, dirty, installer in prefix:
+        for cache in caches:
+            cache._install_tenant = installer
+            cache.install(page, dirty=dirty)
+    for first, count, dirty_first, installer in runs:
+        for cache in caches:
+            cache._install_tenant = installer
+        assert (run_cache.install_run(first, count, dirty_first)
+                == per_page_install_run(loop_cache, first, count,
+                                        dirty_first))
+        assert cache_state(run_cache) == cache_state(loop_cache)
+    assert run_cache.tenant_statistics() == loop_cache.tenant_statistics()
+    assert run_cache._owners == loop_cache._owners
 
 
 @settings(max_examples=100, deadline=None)

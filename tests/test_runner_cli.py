@@ -209,6 +209,32 @@ class TestRunCommand:
         assert len(err.strip().splitlines()) == 1
         assert not any((tmp_path / "out").glob("*.json"))
 
+    @pytest.mark.parametrize("platform, section, field, value", [
+        ("hams-TE", "ssd", "max_outstanding", "0"),
+        ("hams-TE", "ssd", "dram_buffer_bytes", "-4096"),
+        ("hams-TE", "ssd", "firmware_latency_ns", "nan"),
+        ("hams-TE", "ssd", "dram_buffer_hit_ns", "-1"),
+        ("mmap", "cpu", "frequency_ghz", "0"),
+        ("mmap", "cpu", "frequency_ghz", "inf"),
+        ("mmap", "os_stack", "page_fault_ns", "-5"),
+        ("mmap", "os_stack", "readahead_pages", "0")])
+    def test_sweep_invalid_device_value_is_an_error(self, tmp_path, capsys,
+                                                    platform, section,
+                                                    field, value):
+        """Out-of-range ssd, cpu and os_stack values exit 2 with one
+        clean error line and write nothing, instead of a traceback from
+        the walk or the clock (or a run on a negative buffer)."""
+        status = main(["sweep", "--platform", platform,
+                       "--workloads", "update", "--section", section,
+                       "--field", field, f"--values={value}",
+                       "--smoke", "--executor", "serial", "--quiet",
+                       "--output-dir", str(tmp_path / "out")])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert len(err.strip().splitlines()) == 1
+        assert not any((tmp_path / "out").glob("*.json"))
+
     def test_platforms_without_workloads_is_an_error(self, tmp_path,
                                                      capsys):
         status = main(["run", "--smoke", "--platforms", "mmap",
