@@ -19,9 +19,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Optional
 
 from .units import GB, KB, MB, gb_per_s, mb_per_s, us
+
+
+def _require_finite(section, names, positive: bool = False) -> None:
+    """Raise ``ValueError`` unless every field in *names* of *section* is a
+    finite real number, > 0 when *positive* and >= 0 otherwise."""
+    for name in names:
+        value = getattr(section, name)
+        if not (isinstance(value, Real) and not isinstance(value, bool)
+                and math.isfinite(value)
+                and (value > 0 if positive else value >= 0)):
+            bound = "positive" if positive else "non-negative"
+            raise ValueError(f"{name} must be finite and {bound}, "
+                             f"got {value!r}")
+
+
+def _require_count(section, name: str, minimum: int) -> None:
+    """Raise ``ValueError`` unless field *name* is an integer >= *minimum*."""
+    value = getattr(section, name)
+    if not (isinstance(value, Integral) and not isinstance(value, bool)
+            and value >= minimum):
+        raise ValueError(f"{name} must be an integer of at least {minimum}, "
+                         f"got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +212,15 @@ class PCIeConfig:
     packet_overhead_ns: float = 250.0
     max_payload_bytes: int = 256
 
+    def __post_init__(self) -> None:
+        _require_count(self, "lanes", 1)
+        _require_finite(self, ("per_lane_bw_bytes_per_ns",), positive=True)
+        if not math.isfinite(self.bandwidth_bytes_per_ns):
+            raise ValueError(f"lanes * per_lane_bw_bytes_per_ns must be "
+                             f"finite, got {self.bandwidth_bytes_per_ns!r}")
+        _require_finite(self, ("packet_overhead_ns",))
+        _require_count(self, "max_payload_bytes", 1)
+
     @property
     def bandwidth_bytes_per_ns(self) -> float:
         return self.lanes * self.per_lane_bw_bytes_per_ns
@@ -219,6 +251,11 @@ class DDRConfig:
     register_command_ns: float = 30.0
     lock_register_ns: float = 5.0
 
+    def __post_init__(self) -> None:
+        _require_finite(self, ("channel_bw_bytes_per_ns",), positive=True)
+        _require_finite(self, ("tCL_ns", "tRCD_ns", "tRP_ns", "tBURST_ns",
+                               "register_command_ns", "lock_register_ns"))
+
 
 # ---------------------------------------------------------------------------
 # Memory devices
@@ -234,6 +271,19 @@ class NVDIMMConfig:
     pinned_region_bytes: int = MB(512)
     backup_bandwidth_bytes_per_ns: float = mb_per_s(400)
     restore_bandwidth_bytes_per_ns: float = mb_per_s(800)
+
+    def __post_init__(self) -> None:
+        _require_count(self, "pinned_region_bytes", 0)
+        capacity = self.capacity_bytes
+        if not (isinstance(capacity, Integral)
+                and not isinstance(capacity, bool)
+                and capacity >= self.pinned_region_bytes):
+            raise ValueError(f"capacity_bytes must be an integer no smaller "
+                             f"than pinned_region_bytes "
+                             f"({self.pinned_region_bytes}), got {capacity!r}")
+        _require_finite(self, ("backup_bandwidth_bytes_per_ns",
+                               "restore_bandwidth_bytes_per_ns"),
+                        positive=True)
 
     @property
     def cacheable_bytes(self) -> int:
@@ -281,9 +331,7 @@ class CPUConfig:
     base_cpi: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.frequency_ghz) and self.frequency_ghz > 0):
-            raise ValueError(f"frequency_ghz must be finite and positive, "
-                             f"got {self.frequency_ghz!r}")
+        _require_finite(self, ("frequency_ghz",), positive=True)
 
     @property
     def cycle_ns(self) -> float:
@@ -305,10 +353,7 @@ class CacheConfig:
             raise ValueError("line_size must be positive")
         if min(self.l1_size_bytes, self.l2_size_bytes) < self.line_size:
             raise ValueError("each cache level must hold at least one line")
-        for name in ("l1_latency_ns", "l2_latency_ns"):
-            latency = getattr(self, name)
-            if not (math.isfinite(latency) and latency >= 0):
-                raise ValueError(f"{name} must be finite and non-negative")
+        _require_finite(self, ("l1_latency_ns", "l2_latency_ns"))
 
 
 @dataclass(frozen=True)
@@ -330,17 +375,11 @@ class OSStackConfig:
     readahead_pages: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("page_fault_ns", "context_switch_ns", "filesystem_ns",
-                     "blk_mq_ns", "nvme_driver_ns", "interrupt_ns"):
-            latency = getattr(self, name)
-            if not (math.isfinite(latency) and latency >= 0):
-                raise ValueError(f"{name} must be finite and non-negative")
-        bandwidth = self.copy_bandwidth_bytes_per_ns
-        if not (math.isfinite(bandwidth) and bandwidth > 0):
-            raise ValueError(
-                "copy_bandwidth_bytes_per_ns must be finite and positive")
-        if self.readahead_pages < 1:
-            raise ValueError("readahead_pages must be at least 1")
+        _require_finite(self, ("page_fault_ns", "context_switch_ns",
+                               "filesystem_ns", "blk_mq_ns", "nvme_driver_ns",
+                               "interrupt_ns"))
+        _require_finite(self, ("copy_bandwidth_bytes_per_ns",), positive=True)
+        _require_count(self, "readahead_pages", 1)
 
     @property
     def mmap_overhead_ns(self) -> float:
@@ -366,6 +405,10 @@ class NVMeConfig:
     doorbell_ns: float = 100.0
     msi_ns: float = 200.0
     controller_processing_ns: float = 500.0
+
+    def __post_init__(self) -> None:
+        _require_finite(self, ("doorbell_ns", "msi_ns",
+                               "controller_processing_ns"))
 
 
 # ---------------------------------------------------------------------------

@@ -364,9 +364,12 @@ class HAMSController:
             del self._background_evictions[index]
 
         engine = self.engine
-        engine_start = engine.next_available(now)
-        wait_ns += engine_start - now
-        now = engine_start
+        if self._persist:
+            # One outstanding I/O: wait for the engine (extend mode issues
+            # at once, a wait of exactly 0.0).
+            engine_start = engine.next_available(now)
+            wait_ns += engine_start - now
+            now = engine_start
 
         page_lba = self.address_manager.lba_of(mos_page)
         chunk = self._chunk_bytes

@@ -9,10 +9,12 @@ CQ and clears the SQ/CQ entries — with no software on the path.
 
 The model keeps what that sequence costs in time.  The ring is drained
 within each issue, so no command, completion or ring entry is built: an
-issue is the command delivery (a register burst on the tight integration)
-plus one :meth:`~repro.nvme.controller.NVMeController.round_trip` over
-floats.  Power-failure recovery (:mod:`repro.core.persistency`) keeps
-the ring and the command objects.
+issue is the command delivery (a register burst on the tight integration,
+returned as its finish time) plus one
+:meth:`~repro.nvme.controller.NVMeController.round_trip` over floats.  The
+mode is read once at construction, and only persist mode checks the
+engine's availability.  Power-failure recovery
+(:mod:`repro.core.persistency`) keeps the ring and the command objects.
 
 The engine also holds the command side of the two mode policies:
 
@@ -49,6 +51,7 @@ class HardwareNVMeEngine:
         self.fills_issued = 0
         self.evictions_issued = 0
         self._busy_until_ns = 0.0
+        self._persist = hams_config.is_persist
 
     # -- availability -------------------------------------------------------------
 
@@ -59,7 +62,7 @@ class HardwareNVMeEngine:
         for the previous one; extend mode issues immediately (up to the
         device queue, which the SSD model bounds itself).
         """
-        if self.hams_config.is_persist:
+        if self._persist:
             return max(at_ns, self._busy_until_ns)
         return at_ns
 
@@ -70,13 +73,14 @@ class HardwareNVMeEngine:
         """Issue one fill (read) or eviction (write, FUA in persist mode)
         at *at_ns* through *step*, an open walk's step on the controller's
         SSD; returns the full round trip's ``(finish_ns, protocol_ns,
-        transfer_ns, device_ns)``."""
-        start = self.next_available(at_ns)
+        transfer_ns, device_ns)``.  Extend mode issues at *at_ns* itself."""
+        persist = self._persist
+        start = self.next_available(at_ns) if persist else at_ns
         if self.register_interface is not None:
-            start = self.register_interface.deliver_command(start).finish_ns
+            start = self.register_interface.deliver_command(start)
         timing = self.controller.round_trip(
-            step, is_write, lba * 512, length_bytes,
-            is_write and self.hams_config.is_persist, start)
+            step, is_write, lba * 512, length_bytes, is_write and persist,
+            start)
         self.commands_issued += 1
         if is_write:
             self.evictions_issued += 1

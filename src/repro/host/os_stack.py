@@ -48,20 +48,6 @@ class PageCacheBatchResult:
         return len(self.miss_indices)
 
 
-@dataclass
-class FaultCost:
-    """Latency decomposition of one page fault serviced by the OS."""
-
-    mmap_ns: float          # page-fault handling + context switches
-    io_stack_ns: float      # filesystem + blk-mq + driver + interrupt
-    copy_ns: float          # user/kernel data copies
-    total_software_ns: float
-
-    @property
-    def total_ns(self) -> float:
-        return self.total_software_ns
-
-
 class PageCache:
     """The OS page cache backing a memory-mapped file (LRU, write-back)."""
 
@@ -368,7 +354,12 @@ class PageCache:
 
 
 class OSStorageStack:
-    """Charges the software latencies of the mmap / storage-stack path."""
+    """Charges the software latencies of the mmap / storage-stack path.
+
+    The costs are functions of the config and the page size alone, so the
+    sums a fault and a writeback charge are taken once at construction;
+    each call adds them to the counters and returns a float.
+    """
 
     def __init__(self, config: OSStackConfig, page_size: int) -> None:
         self.config = config
@@ -378,37 +369,37 @@ class OSStorageStack:
         self.total_mmap_ns = 0.0
         self.total_io_stack_ns = 0.0
         self.total_copy_ns = 0.0
+        self._mmap_ns = config.mmap_overhead_ns
+        self._io_stack_ns = config.io_stack_ns
+        self._copy_ns = page_size / config.copy_bandwidth_bytes_per_ns
+        self._major_fault_ns = (self._mmap_ns + self._io_stack_ns
+                                + self._copy_ns)
+        self._writeback_ns = self._io_stack_ns + self._copy_ns
 
-    def fault_cost(self, page_bytes: Optional[int] = None,
-                   needs_io: bool = True) -> FaultCost:
-        """Software cost of one page fault.
+    def fault_cost(self, needs_io: bool = True) -> float:
+        """Software cost of one page fault of a :attr:`page_size` page.
 
         ``needs_io`` distinguishes a *minor* fault (page already in the page
-        cache, only the PTE is missing) from a *major* fault that has to go
-        down the I/O stack to the device.
+        cache, only the PTE is missing; the mmap/page-fault portion alone)
+        from a *major* fault that has to go down the I/O stack to the
+        device and copy the page.
         """
-        page_bytes = page_bytes if page_bytes is not None else self.page_size
-        mmap_ns = self.config.mmap_overhead_ns
-        io_ns = self.config.io_stack_ns if needs_io else 0.0
-        copy_ns = (page_bytes / self.config.copy_bandwidth_bytes_per_ns
-                   if needs_io else 0.0)
-        total = mmap_ns + io_ns + copy_ns
         self.page_faults_serviced += 1
-        self.context_switches += 2 if needs_io else 1
-        self.total_mmap_ns += mmap_ns
-        self.total_io_stack_ns += io_ns
-        self.total_copy_ns += copy_ns
-        return FaultCost(mmap_ns=mmap_ns, io_stack_ns=io_ns, copy_ns=copy_ns,
-                         total_software_ns=total)
+        if not needs_io:
+            self.context_switches += 1
+            self.total_mmap_ns += self._mmap_ns
+            return self._mmap_ns
+        self.context_switches += 2
+        self.total_mmap_ns += self._mmap_ns
+        self.total_io_stack_ns += self._io_stack_ns
+        self.total_copy_ns += self._copy_ns
+        return self._major_fault_ns
 
-    def writeback_cost(self, page_bytes: Optional[int] = None) -> float:
+    def writeback_cost(self) -> float:
         """Software cost of writing a dirty page back through the I/O stack."""
-        page_bytes = page_bytes if page_bytes is not None else self.page_size
-        io_ns = self.config.io_stack_ns
-        copy_ns = page_bytes / self.config.copy_bandwidth_bytes_per_ns
-        self.total_io_stack_ns += io_ns
-        self.total_copy_ns += copy_ns
-        return io_ns + copy_ns
+        self.total_io_stack_ns += self._io_stack_ns
+        self.total_copy_ns += self._copy_ns
+        return self._writeback_ns
 
     def msync_cost(self, dirty_page_count: int) -> float:
         """Software cost of an msync()-style flush of *dirty_page_count* pages."""

@@ -1,13 +1,12 @@
 """Interconnect models: PCIe, SATA, and the DDR4 bus with lock-register arbitration."""
 
-from .link import Link, TransferRecord
+from .link import Link
 from .pcie import PCIeLink
 from .sata import SATALink
 from .ddr_bus import DDR4Bus, LockRegister
 
 __all__ = [
     "Link",
-    "TransferRecord",
     "PCIeLink",
     "SATALink",
     "DDR4Bus",

@@ -18,52 +18,30 @@ from __future__ import annotations
 from typing import Dict
 
 from ..config import DDRConfig
-from .link import Link, TransferRecord
+from .link import Link
 
 
 class LockRegister:
     """The single-bit lock that arbitrates NVDIMM access on the shared bus.
 
-    ``acquire`` models HAMS setting the register to 1 (NVMe controller
-    becomes bus master); ``release`` models the controller resetting it to 0
-    when its DMA finishes.  Acquisition attempts while the lock is held are
-    recorded so experiments can observe contention.
+    HAMS sets the register to 1 (the NVMe controller becomes bus master)
+    and the controller resets it to 0 when its DMA finishes.  The lock is
+    busy until the previous holder's release has landed, regardless of when
+    (in wall-clock order) that release was recorded: an acquisition
+    arriving before that point is contended and waits for it, which
+    experiments observe through the counters.  The acquire -> DMA ->
+    release sequence itself is one recurrence,
+    :meth:`repro.core.register_interface.RegisterInterface.transfer`, which
+    updates every field here; the lock is never held between two calls.
     """
 
     def __init__(self, toggle_ns: float) -> None:
         self.toggle_ns = toggle_ns
-        self.held = False
         self.held_since_ns = 0.0
         self.acquisitions = 0
         self.contended_acquisitions = 0
         self.total_held_ns = 0.0
-        self._release_at_ns = 0.0
-
-    def acquire(self, at_ns: float) -> float:
-        """Acquire the lock at or after *at_ns*; returns the grant time.
-
-        The lock is considered busy until the previous holder's release has
-        landed, regardless of when (in wall-clock order) that release was
-        recorded — acquisitions arriving before that point are contended and
-        wait for it.
-        """
-        grant = at_ns
-        if self.held or self._release_at_ns > at_ns:
-            self.contended_acquisitions += 1
-            grant = max(at_ns, self._release_at_ns)
-        self.held = True
-        self.held_since_ns = grant
-        self.acquisitions += 1
-        return grant + self.toggle_ns
-
-    def release(self, at_ns: float) -> float:
-        """Release the lock at *at_ns*; returns the time the release lands."""
-        if not self.held:
-            return at_ns
-        self.held = False
-        self._release_at_ns = at_ns + self.toggle_ns
-        self.total_held_ns += max(0.0, at_ns - self.held_since_ns)
-        return self._release_at_ns
+        self.release_at_ns = 0.0
 
     def statistics(self) -> Dict[str, float]:
         return {
@@ -74,13 +52,18 @@ class LockRegister:
 
 
 class DDR4Bus(Link):
-    """One DDR4 channel used as the HAMS <-> ULL-Flash datapath."""
+    """One DDR4 channel used as the HAMS <-> ULL-Flash datapath.
+
+    The register interface
+    (:class:`~repro.core.register_interface.RegisterInterface`) drives it:
+    command bursts and lock-arbitrated DMAs reserve the channel through
+    this object's horizon and counters.
+    """
 
     def __init__(self, config: DDRConfig) -> None:
         super().__init__()
         self.config = config
         self.lock = LockRegister(config.lock_register_ns)
-        self.register_commands_sent = 0
 
     def raw_transfer_time(self, size_bytes: int) -> float:
         return size_bytes / self.config.channel_bw_bytes_per_ns
@@ -88,26 +71,3 @@ class DDR4Bus(Link):
     def per_transfer_overhead(self, size_bytes: int) -> float:
         """Row activation plus CAS latency for the first burst of a transfer."""
         return self.config.tRCD_ns + self.config.tCL_ns
-
-    def send_register_command(self, at_ns: float) -> TransferRecord:
-        """Write one 64 B NVMe command into the ULL-Flash data-buffer registers.
-
-        Models the Figure 12 sequence: CS# deselect, a WRITE command on the
-        channel, then an 8-beat burst of the 64 B command over D[63:0].
-        """
-        self.register_commands_sent += 1
-        start = self.next_free(at_ns)
-        finish = (start + self.config.register_command_ns
-                  + self.raw_transfer_time(64))
-        self._busy_until_ns = finish
-        self.bytes_transferred += 64
-        self.transfers += 1
-        return TransferRecord(start_ns=start, finish_ns=finish, size_bytes=64,
-                              overhead_ns=self.config.register_command_ns)
-
-    def dma_transfer(self, size_bytes: int, at_ns: float) -> TransferRecord:
-        """A flash<->NVDIMM DMA holding the lock register for its duration."""
-        granted = self.lock.acquire(at_ns)
-        record = self.transfer(size_bytes, granted)
-        self.lock.release(record.finish_ns)
-        return record

@@ -6,27 +6,18 @@ crosses the DDR4 bus directly.  The two are interchangeable behind this
 small :class:`Link` interface so the HAMS controller code is identical for
 both and only the datapath object differs — exactly the architectural point
 of Section IV-C.
+
+A transfer is one reservation recurrence over floats,
+:meth:`Link.transfer`: ``start = max(at, busy)``, ``finish = (start +
+overhead) + raw``.  A transfer's protocol cost depends on its size alone,
+so each size's ``(overhead, raw)`` pair is computed once, on first use, and
+no per-transfer record is built.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Dict
-
-
-@dataclass(frozen=True)
-class TransferRecord:
-    """Timing of one data movement over a link."""
-
-    start_ns: float
-    finish_ns: float
-    size_bytes: int
-    overhead_ns: float
-
-    @property
-    def latency_ns(self) -> float:
-        return self.finish_ns - self.start_ns
+from typing import Dict, Tuple
 
 
 class Link(abc.ABC):
@@ -36,6 +27,8 @@ class Link(abc.ABC):
         self.bytes_transferred = 0
         self.transfers = 0
         self._busy_until_ns = 0.0
+        # size_bytes -> (per_transfer_overhead, raw_transfer_time).
+        self._costs: Dict[int, Tuple[float, float]] = {}
 
     @abc.abstractmethod
     def raw_transfer_time(self, size_bytes: int) -> float:
@@ -45,25 +38,32 @@ class Link(abc.ABC):
     def per_transfer_overhead(self, size_bytes: int) -> float:
         """Protocol overhead added once per transfer (packetisation etc.)."""
 
-    def transfer(self, size_bytes: int, at_ns: float) -> TransferRecord:
-        """Move *size_bytes* starting no earlier than *at_ns*.
+    def _cost_of(self, size_bytes: int) -> Tuple[float, float]:
+        """``(overhead, raw)`` of one *size_bytes* transfer, memoised."""
+        if size_bytes <= 0:
+            raise ValueError("transfer size must be positive")
+        costs = (self.per_transfer_overhead(size_bytes),
+                 self.raw_transfer_time(size_bytes))
+        self._costs[size_bytes] = costs
+        return costs
+
+    def transfer(self, size_bytes: int, at_ns: float) -> Tuple[float, float]:
+        """Move *size_bytes* starting no earlier than *at_ns*; returns the
+        transfer's ``(start_ns, finish_ns)``.
 
         Transfers serialize on the link: a new transfer waits for the
         previous one to drain.
         """
-        if size_bytes <= 0:
-            raise ValueError("transfer size must be positive")
-        overhead = self.per_transfer_overhead(size_bytes)
-        start = max(at_ns, self._busy_until_ns)
-        finish = start + overhead + self.raw_transfer_time(size_bytes)
+        costs = self._costs.get(size_bytes)
+        if costs is None:
+            costs = self._cost_of(size_bytes)
+        busy = self._busy_until_ns
+        start = busy if busy > at_ns else at_ns
+        finish = (start + costs[0]) + costs[1]
         self._busy_until_ns = finish
         self.bytes_transferred += size_bytes
         self.transfers += 1
-        return TransferRecord(start_ns=start, finish_ns=finish,
-                              size_bytes=size_bytes, overhead_ns=overhead)
-
-    def next_free(self, at_ns: float) -> float:
-        return max(at_ns, self._busy_until_ns)
+        return start, finish
 
     @property
     def busy_until_ns(self) -> float:

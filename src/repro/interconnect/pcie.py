@@ -7,6 +7,10 @@ NVDIMM data into transaction-layer packets (Section IV-C).  Both effects —
 the bandwidth cap and the packetisation overhead — are what make the DMA
 portion contribute up to ~39-47 % of the average memory access time in the
 baseline design (Figure 10a).
+
+Both are functions of the transfer size alone: the link's bandwidth is
+read once at construction, and :meth:`~repro.interconnect.link.Link.transfer`
+prices each size once.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ class PCIeLink(Link):
     def __init__(self, config: PCIeConfig) -> None:
         super().__init__()
         self.config = config
+        self.bandwidth_bytes_per_ns = config.bandwidth_bytes_per_ns
 
     def raw_transfer_time(self, size_bytes: int) -> float:
-        return size_bytes / self.config.bandwidth_bytes_per_ns
+        return size_bytes / self.bandwidth_bytes_per_ns
 
     def per_transfer_overhead(self, size_bytes: int) -> float:
         """Packetisation cost: one TLP per ``max_payload_bytes`` chunk.
@@ -36,9 +41,5 @@ class PCIeLink(Link):
         """
         packets = max(1, math.ceil(size_bytes / self.config.max_payload_bytes))
         header_time = (packets - 1) * (
-            24 / self.config.bandwidth_bytes_per_ns)  # 24 B TLP header/CRC
+            24 / self.bandwidth_bytes_per_ns)  # 24 B TLP header/CRC
         return self.config.packet_overhead_ns + header_time
-
-    @property
-    def bandwidth_bytes_per_ns(self) -> float:
-        return self.config.bandwidth_bytes_per_ns

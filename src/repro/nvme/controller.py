@@ -8,11 +8,14 @@ finally posts a completion entry and raises an MSI interrupt.
 
 The same controller object serves both integrations of HAMS — only the
 ``link`` differs (a :class:`~repro.interconnect.pcie.PCIeLink` for the
-baseline, a :class:`~repro.interconnect.ddr_bus.DDR4Bus` for the advanced
-design) — and also the software NVMe driver path of the mmap baseline.
-The timing is one recurrence over floats,
-:meth:`NVMeController.round_trip`; :meth:`NVMeController.execute` wraps
-it for command objects (the recovery path).
+baseline, a :class:`~repro.core.register_interface.RegisterInterface` on
+the DDR4 bus for the advanced design) — and also the software NVMe driver
+path of the mmap baseline.  The timing is one recurrence over floats,
+:meth:`NVMeController.round_trip`: its protocol sums (doorbell plus
+fetch/parse, then MSI) are fixed at construction and the link prices each
+transfer size once, so a round trip builds no record.
+:meth:`NVMeController.execute` wraps it for command objects (the recovery
+path).
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ class NVMeController:
         self.config = config
         self.commands_executed = 0
         self.bytes_dma = 0
+        # The protocol toll every command pays, fixed by the config.
+        self._protocol_in_ns = (config.doorbell_ns
+                                + config.controller_processing_ns)
+        self._protocol_out_ns = config.msi_ns
+        self._protocol_ns = self._protocol_in_ns + self._protocol_out_ns
 
     # -- the protocol recurrence ---------------------------------------------------
 
@@ -59,29 +67,26 @@ class NVMeController:
         Section II-C's walk-through: doorbell + controller fetch/parse, the
         PRP-referenced link DMA (before a program, after a read), the flash
         service — one *step* of an open :meth:`~repro.flash.ssd.SSD.walk`
-        on :attr:`ssd` — and the completion posting plus MSI.
+        on :attr:`ssd` — and the completion posting plus MSI.  The protocol
+        sums are constants of the controller.
         """
-        config = self.config
-        protocol_in = config.doorbell_ns + config.controller_processing_ns
-        now = at_ns + protocol_in
-        transfer_ns = 0.0
+        now = at_ns + self._protocol_in_ns
         if is_write:
             # Data moves host -> device before the media program.
-            record = self.link.transfer(length_bytes, now)
-            transfer_ns = record.latency_ns
-            now = record.finish_ns
-        finish = step((is_write, byte_offset, length_bytes, now, fua))
-        device_ns = finish - now
-        now = finish
-        if not is_write:
+            start, now = self.link.transfer(length_bytes, now)
+            transfer_ns = now - start
+            finish = step((True, byte_offset, length_bytes, now, fua))
+            device_ns = finish - now
+            now = finish
+        else:
+            finish = step((False, byte_offset, length_bytes, now, fua))
+            device_ns = finish - now
             # Data moves device -> host after the media read.
-            record = self.link.transfer(length_bytes, now)
-            transfer_ns = record.latency_ns
-            now = record.finish_ns
-        protocol_out = config.msi_ns
+            start, now = self.link.transfer(length_bytes, finish)
+            transfer_ns = now - start
         self.bytes_dma += length_bytes
         self.commands_executed += 1
-        return (now + protocol_out, protocol_in + protocol_out, transfer_ns,
+        return (now + self._protocol_out_ns, self._protocol_ns, transfer_ns,
                 device_ns)
 
     def execute(self, command: NVMeCommand, at_ns: float) -> CommandResult:

@@ -85,8 +85,8 @@ class BypassPlatform(Platform):
         The device access is one *step* of an open
         :meth:`~repro.flash.ssd.SSD.walk` on :attr:`ssd`."""
         finish = step((is_write, page * _PAGE, _PAGE, at_ns, False))
-        transfer = self.link.transfer(_PAGE, finish)
-        return (finish - at_ns) + transfer.latency_ns
+        start, end = self.link.transfer(_PAGE, finish)
+        return (finish - at_ns) + (end - start)
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """Vectorized service for every bypass strategy.

@@ -178,8 +178,7 @@ class MmapPlatform(Platform):
         *step*, the step of an open :meth:`~repro.flash.ssd.SSD.walk`.
         """
         self.major_faults += 1
-        fault = self.os_stack.fault_cost(needs_io=True)
-        os_ns = fault.mmap_ns + fault.io_stack_ns + fault.copy_ns
+        os_ns = self.os_stack.fault_cost()
         round_trip = self.controller.round_trip
         read_at = at_ns + os_ns
         storage_ns = round_trip(step, False, page * OS_PAGE_BYTES,

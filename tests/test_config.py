@@ -12,6 +12,7 @@ from repro.config import (
     FlashTiming,
     HAMSConfig,
     NVDIMMConfig,
+    NVMeConfig,
     OptaneConfig,
     OSStackConfig,
     PCIeConfig,
@@ -137,6 +138,27 @@ class TestNVDIMMConfig:
     def test_default_capacity_is_8gb(self):
         assert NVDIMMConfig().capacity_bytes == GB(8)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), -1, MB(1),
+                                          1.5 * GB(1), True, "8GB"])
+    def test_capacity_is_an_integer_covering_the_pinned_region(self,
+                                                               capacity):
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            NVDIMMConfig(capacity_bytes=capacity)
+        assert NVDIMMConfig(capacity_bytes=MB(512)).cacheable_bytes == 0
+
+    @pytest.mark.parametrize("pinned", [-1, float("nan")])
+    def test_pinned_region_is_a_non_negative_integer(self, pinned):
+        with pytest.raises(ValueError, match="pinned_region_bytes"):
+            NVDIMMConfig(pinned_region_bytes=pinned)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"),
+                                           float("inf")])
+    @pytest.mark.parametrize("name", ["backup_bandwidth_bytes_per_ns",
+                                      "restore_bandwidth_bytes_per_ns"])
+    def test_bandwidths_are_finite_and_positive(self, name, bandwidth):
+        with pytest.raises(ValueError, match=name):
+            NVDIMMConfig(**{name: bandwidth})
+
     def test_pinned_region_is_512mb(self):
         assert NVDIMMConfig().pinned_region_bytes == MB(512)
 
@@ -203,6 +225,41 @@ class TestPCIeConfig:
             4 * config.per_lane_bw_bytes_per_ns)
 
 
+    @pytest.mark.parametrize("lanes", [0, -4, 1.5, float("nan")])
+    def test_lanes_are_a_positive_integer(self, lanes):
+        with pytest.raises(ValueError, match="lanes"):
+            PCIeConfig(lanes=lanes)
+        assert PCIeConfig(lanes=1).lanes == 1
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"),
+                                           float("inf"), 1e308])
+    def test_bandwidth_is_finite_and_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="per_lane_bw_bytes_per_ns"):
+            PCIeConfig(per_lane_bw_bytes_per_ns=bandwidth)
+
+    @pytest.mark.parametrize("overhead", [-1.0, float("nan"), float("inf")])
+    def test_packet_overhead_is_finite_and_non_negative(self, overhead):
+        with pytest.raises(ValueError, match="packet_overhead_ns"):
+            PCIeConfig(packet_overhead_ns=overhead)
+        assert PCIeConfig(packet_overhead_ns=0.0).packet_overhead_ns == 0.0
+
+    @pytest.mark.parametrize("payload", [0, -256, 64.5])
+    def test_max_payload_is_a_positive_integer(self, payload):
+        with pytest.raises(ValueError, match="max_payload_bytes"):
+            PCIeConfig(max_payload_bytes=payload)
+
+
+class TestNVMeConfig:
+    @pytest.mark.parametrize("latency", [-5.0, float("nan"), float("inf"),
+                                         "fast"])
+    @pytest.mark.parametrize("name", ["doorbell_ns", "msi_ns",
+                                      "controller_processing_ns"])
+    def test_latencies_are_finite_and_non_negative(self, name, latency):
+        with pytest.raises(ValueError, match=name):
+            NVMeConfig(**{name: latency})
+        assert getattr(NVMeConfig(**{name: 0.0}), name) == 0.0
+
+
 class TestSystemConfig:
     def test_default_config_builds(self):
         config = default_config()
@@ -246,3 +303,18 @@ class TestDDRConfig:
         # 20 GB/s/channel as quoted in Section IV-C.
         assert config.channel_bw_bytes_per_ns == pytest.approx(
             20 * 1024 ** 3 / 1e9)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"),
+                                           float("inf")])
+    def test_bandwidth_is_finite_and_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="channel_bw_bytes_per_ns"):
+            DDRConfig(channel_bw_bytes_per_ns=bandwidth)
+
+    @pytest.mark.parametrize("latency", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["tCL_ns", "tRCD_ns", "tRP_ns",
+                                      "tBURST_ns", "register_command_ns",
+                                      "lock_register_ns"])
+    def test_latencies_are_finite_and_non_negative(self, name, latency):
+        with pytest.raises(ValueError, match=name):
+            DDRConfig(**{name: latency})
+        assert getattr(DDRConfig(**{name: 0.0}), name) == 0.0

@@ -191,8 +191,8 @@ class TestChainedParity:
                                           size_bytes=KB(4), submit_ns=now))
             service = result.latency_ns
             if link is not None:
-                record = link.transfer(link_bytes, result.finish_ns)
-                service = result.latency_ns + record.latency_ns
+                start, finish = link.transfer(link_bytes, result.finish_ns)
+                service = result.latency_ns + (finish - start)
             latencies.append(result.latency_ns)
             services.append(service)
             now += post[j] + service

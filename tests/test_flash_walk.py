@@ -36,7 +36,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.config import FlashGeometry, SSDConfig, default_config
 from repro.flash.ssd import SSD, IORequest, IORequestBatch
@@ -50,6 +50,13 @@ from test_batched_replay import CHUNK_SIZES
 from test_golden_digests import result_digest
 
 PAGE = 4096
+
+#: Hypothesis's default phases minus ``explain``: the explain phase re-runs
+#: a shrunk failing walk many times to annotate it, which on these
+#: differentials took minutes and over a gigabyte before the failure was
+#: reported.  Example counts and shrinking are unchanged.
+REPORT_PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target,
+                 Phase.shrink)
 
 
 def tiny_ssd(split: bool = True, buffer_pages: int = 4) -> SSD:
@@ -117,7 +124,7 @@ def with_clocks(rows) -> list:
 
 
 class TestWalkDifferential:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=REPORT_PHASES)
     @given(rows=requests_strategy, cuts=st.lists(st.integers(0, 60)),
            split=st.booleans(), buffer_pages=st.sampled_from([0, 4]))
     def test_cut_walks_equal_submit_loop_and_one_batch(self, rows, cuts,
@@ -303,7 +310,7 @@ oracle_rows = st.lists(
 
 
 class TestWalkAgainstPageOracle:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, phases=REPORT_PHASES)
     @given(rows=oracle_rows, geometry=st.sampled_from(ORACLE_GEOMETRIES),
            split=st.booleans(), buffer=st.sampled_from(sorted(ORACLE_BUFFERS)))
     def test_walk_equals_page_by_page_oracle(self, rows, geometry, split,

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import DDRConfig, PCIeConfig, SATAConfig
-from repro.interconnect.ddr_bus import DDR4Bus, LockRegister
+from repro.core.register_interface import RegisterInterface
+from repro.interconnect.ddr_bus import DDR4Bus
 from repro.interconnect.pcie import PCIeLink
 from repro.interconnect.sata import SATALink
 from repro.units import KB, MB
@@ -27,9 +28,9 @@ class TestPCIeLink:
 
     def test_transfers_serialise(self):
         link = PCIeLink(PCIeConfig())
-        first = link.transfer(KB(128), 0.0)
-        second = link.transfer(KB(4), 0.0)
-        assert second.start_ns >= first.finish_ns
+        _, first_finish = link.transfer(KB(128), 0.0)
+        second_start, _ = link.transfer(KB(4), 0.0)
+        assert second_start >= first_finish
 
     def test_statistics_accumulate(self):
         link = PCIeLink(PCIeConfig())
@@ -61,45 +62,53 @@ class TestSATALink:
         assert sata.per_transfer_overhead(64) == sata.per_transfer_overhead(MB(1))
 
 
+def _interface() -> RegisterInterface:
+    return RegisterInterface(DDR4Bus(DDRConfig(lock_register_ns=5.0)))
+
+
 class TestLockRegister:
+    """The lock register as the register interface's DMAs drive it."""
+
     def test_uncontended_acquire(self):
-        lock = LockRegister(toggle_ns=5.0)
-        granted = lock.acquire(100.0)
-        assert granted == 105.0
-        assert lock.held
+        interface = _interface()
+        start, _ = interface.transfer(KB(4), 100.0)
+        lock = interface.ddr_bus.lock
+        assert start == 105.0
+        assert lock.held_since_ns == 100.0
+        assert lock.contended_acquisitions == 0
 
     def test_release_then_acquire(self):
-        lock = LockRegister(toggle_ns=5.0)
-        lock.acquire(0.0)
-        lock.release(50.0)
-        assert not lock.held
-        granted = lock.acquire(100.0)
-        assert granted == 105.0
+        interface = _interface()
+        _, finish = interface.transfer(KB(4), 0.0)
+        lock = interface.ddr_bus.lock
+        assert lock.release_at_ns == finish + 5.0
+        start, _ = interface.transfer(KB(4), finish + 100.0)
+        assert start == finish + 105.0
         assert lock.contended_acquisitions == 0
 
     def test_contended_acquire_waits_for_release(self):
-        lock = LockRegister(toggle_ns=5.0)
-        lock.acquire(0.0)
-        lock.release(200.0)
-        lock.acquire(0.0)  # arrives while the release is still in flight
-        # Second acquire happens after the first release lands.
+        interface = _interface()
+        _, finish = interface.transfer(KB(4), 0.0)
+        # Arrives while the release is still in flight: the grant waits
+        # for it to land, then the grant toggle.
+        start, _ = interface.transfer(KB(4), 0.0)
+        lock = interface.ddr_bus.lock
         assert lock.acquisitions == 2
+        assert lock.held_since_ns == finish + 5.0
+        assert start == finish + 10.0
 
     def test_contention_is_counted(self):
-        lock = LockRegister(toggle_ns=5.0)
-        lock.acquire(0.0)
-        # Another acquire while held and never released yet.
-        lock.release(1000.0)
-        lock.acquire(500.0)
-        assert lock.contended_acquisitions == 1
+        interface = _interface()
+        _, finish = interface.transfer(KB(4), 0.0)
+        interface.transfer(KB(4), finish)
+        assert interface.ddr_bus.lock.contended_acquisitions == 1
 
     def test_statistics(self):
-        lock = LockRegister(toggle_ns=5.0)
-        lock.acquire(0.0)
-        lock.release(100.0)
-        stats = lock.statistics()
+        interface = _interface()
+        _, finish = interface.transfer(KB(4), 0.0)
+        stats = interface.ddr_bus.lock.statistics()
         assert stats["acquisitions"] == 1
-        assert stats["total_held_ns"] >= 90.0
+        assert stats["total_held_ns"] == finish
 
 
 class TestDDR4Bus:
@@ -109,20 +118,22 @@ class TestDDR4Bus:
         assert bus.raw_transfer_time(KB(128)) < pcie.raw_transfer_time(KB(128))
 
     def test_register_command_is_64_bytes(self):
-        bus = DDR4Bus(DDRConfig())
-        record = bus.send_register_command(0.0)
-        assert record.size_bytes == 64
-        assert bus.register_commands_sent == 1
+        interface = _interface()
+        interface.deliver_command(0.0)
+        bus = interface.ddr_bus
+        assert bus.bytes_transferred == 64
+        assert interface.commands_delivered == 1
 
     def test_dma_transfer_holds_lock(self):
-        bus = DDR4Bus(DDRConfig())
-        record = bus.dma_transfer(KB(128), 0.0)
+        interface = _interface()
+        start, finish = interface.transfer(KB(128), 0.0)
+        bus = interface.ddr_bus
         assert bus.lock.acquisitions == 1
-        assert not bus.lock.held
-        assert record.finish_ns > record.start_ns
+        assert bus.lock.release_at_ns == finish + 5.0
+        assert finish > start
 
     def test_dma_transfers_serialise_through_lock(self):
-        bus = DDR4Bus(DDRConfig())
-        first = bus.dma_transfer(KB(128), 0.0)
-        second = bus.dma_transfer(KB(128), 0.0)
-        assert second.start_ns >= first.finish_ns
+        interface = _interface()
+        _, first_finish = interface.transfer(KB(128), 0.0)
+        second_start, _ = interface.transfer(KB(128), 0.0)
+        assert second_start >= first_finish

@@ -217,13 +217,17 @@ class TestRunCommand:
         ("mmap", "cpu", "frequency_ghz", "0"),
         ("mmap", "cpu", "frequency_ghz", "inf"),
         ("mmap", "os_stack", "page_fault_ns", "-5"),
-        ("mmap", "os_stack", "readahead_pages", "0")])
+        ("mmap", "os_stack", "readahead_pages", "0"),
+        ("mmap", "pcie", "lanes", "0"),
+        ("mmap", "nvme", "msi_ns", "-5"),
+        ("hams-TE", "nvdimm", "capacity_bytes", "nan")])
     def test_sweep_invalid_device_value_is_an_error(self, tmp_path, capsys,
                                                     platform, section,
                                                     field, value):
-        """Out-of-range ssd, cpu and os_stack values exit 2 with one
-        clean error line and write nothing, instead of a traceback from
-        the walk or the clock (or a run on a negative buffer)."""
+        """Out-of-range ssd, cpu, os_stack, pcie, nvme and nvdimm values
+        exit 2 with one clean error line and write nothing, instead of a
+        traceback from the walk, the clock or the link (or a run on a
+        negative buffer or latency)."""
         status = main(["sweep", "--platform", platform,
                        "--workloads", "update", "--section", section,
                        "--field", field, f"--values={value}",
