@@ -276,12 +276,6 @@ class TestRegisterInterfaceRecurrence:
         assert stats["lock.contended_acquisitions"] == ref.contended
         assert stats["lock.total_held_ns"].hex() == ref.total_held.hex()
 
-    def test_contention_happens(self):
-        interface = RegisterInterface(DDR4Bus(DDRConfig()))
-        _, finish = interface.transfer(4096, 0.0)
-        interface.transfer(4096, finish)
-        assert interface.ddr_bus.lock.contended_acquisitions == 1
-
 
 class TestRoundTripAndIssue:
     @settings(max_examples=120, deadline=None, phases=PHASES)
