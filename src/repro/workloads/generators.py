@@ -17,6 +17,7 @@ over a dataset of a given size.  Four patterns cover the suites:
 from __future__ import annotations
 
 import abc
+import mmap
 from typing import Iterator, List, Optional
 
 import numpy as np
@@ -26,6 +27,9 @@ from .trace import AccessStream
 #: Default accesses per block for the chunk-wise emission path; matches
 #: the trace store's chunk size so disk builds flush whole chunks.
 DEFAULT_STREAM_CHUNK = 1 << 20
+#: Slots per ``arange`` block when :func:`shuffled_slots` fills its map;
+#: keeps each block's temporary small (128 KB of int32).
+_FILL_CHUNK = 1 << 15
 
 
 class AccessPatternGenerator(abc.ABC):
@@ -170,8 +174,7 @@ class ZipfianPattern(AccessPatternGenerator):
 
     def _rank_to_slot(self, ranks: np.ndarray) -> np.ndarray:
         if self._permutation is None:
-            permutation_rng = np.random.default_rng(self.seed + 1)
-            self._permutation = permutation_rng.permutation(self.slots)
+            self._permutation = shuffled_slots(self.slots, self.seed + 1)
         return self._permutation[ranks % self.slots]
 
     def addresses(self, count: int) -> np.ndarray:
@@ -280,6 +283,28 @@ class StridedPattern(AccessPatternGenerator):
             slots = (np.arange(start, stop, dtype=np.int64)
                      * self.stride_slots) % self.slots
             yield self._slots_to_addresses(slots)
+
+
+def shuffled_slots(slots: int, seed: int) -> np.ndarray:
+    """``np.random.default_rng(seed).permutation(slots)``, value for value,
+    as int32 (int64 past its range) in an anonymous memory map.
+
+    A shuffle's swaps depend only on the length and the RNG, so shuffling
+    a narrower ``arange`` gives the same values at half the memory.  The
+    array is a scratch of up to tens of MB that lives for one trace build;
+    mapped outside the malloc heap, its pages go back to the system when
+    it is freed, where a heap block of that size leaves a hole that later
+    small allocations can pin, so the next build grows the heap again.
+    """
+    dtype = np.dtype(np.int32 if slots <= np.iinfo(np.int32).max
+                     else np.int64)
+    permutation = np.frombuffer(mmap.mmap(-1, slots * dtype.itemsize),
+                                dtype=dtype)
+    for start in range(0, slots, _FILL_CHUNK):
+        stop = min(start + _FILL_CHUNK, slots)
+        permutation[start:stop] = np.arange(start, stop, dtype=dtype)
+    np.random.default_rng(seed).shuffle(permutation)
+    return permutation
 
 
 def expand_runs(start_slots: np.ndarray, run_length: int,

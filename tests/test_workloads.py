@@ -14,6 +14,7 @@ from repro.workloads.generators import (
     ZipfianPattern,
     expand_runs,
     interleave,
+    shuffled_slots,
 )
 from repro.workloads.registry import (
     ExperimentScale,
@@ -80,6 +81,15 @@ class TestGenerators:
         starts = np.array([999], dtype=np.int64)
         expanded = expand_runs(starts, run_length=3, total_slots=1000)
         assert list(expanded) == [999, 0, 1]
+
+    @pytest.mark.parametrize("slots", [1, 2, 1 << 15, (1 << 15) + 1,
+                                       3 * (1 << 15) - 7, 1 << 20])
+    def test_shuffled_slots_equal_numpy_permutation(self, slots):
+        # Fill blocks are 1 << 15 slots: sizes straddle the block edges.
+        shuffled = shuffled_slots(slots, seed=43)
+        assert shuffled.dtype == np.int32
+        assert np.array_equal(shuffled,
+                              np.random.default_rng(43).permutation(slots))
 
     def test_run_length_creates_spatial_locality(self):
         pattern = ZipfianPattern(MB(4), 64, seed=1, run_length=8)
