@@ -223,6 +223,18 @@ class FlashTranslationLayer:
     def is_mapped(self, lpn: int) -> bool:
         return self._lpn_to_ppn(lpn) is not None
 
+    def unmapped_lpns(self, start: int, stop: int) -> List[int]:
+        """The LPNs of ``[start, stop)`` that :meth:`is_mapped` rejects, in
+        order, read off the maps: a base-stripe LPN once it left the stripe
+        and was not written again, any other LPN the mapping lacks."""
+        mapping = self._mapping
+        low = min(max(start, self._base_start), stop)
+        high = max(min(stop, self._base_end), low)
+        return ([lpn for lpn in range(start, low) if lpn not in mapping]
+                + sorted(lpn for lpn in self._base_gone
+                         if low <= lpn < high and lpn not in mapping)
+                + [lpn for lpn in range(high, stop) if lpn not in mapping])
+
     @property
     def mapped_pages(self) -> int:
         return (len(self._mapping) + self._base_end - self._base_start

@@ -278,8 +278,10 @@ class SSD:
         The paper's experiments write every data block to the flash media in
         a warm-up phase before measuring (Section VI-A); preconditioning
         reproduces that state so reads hit mapped pages.  LPNs already
-        mapped keep their pages; the rest are written in LPN order by one
-        :meth:`~repro.flash.ftl.FlashTranslationLayer.fill`.  On a fresh
+        mapped keep their pages; the rest (read off the FTL's maps by
+        :meth:`~repro.flash.ftl.FlashTranslationLayer.unmapped_lpns`, so a
+        warmed device is not probed LPN by LPN) are written in LPN order
+        by one :meth:`~repro.flash.ftl.FlashTranslationLayer.fill`.  On a fresh
         device that fill is the FTL's base stripe, kept as a formula
         rather than as per-page mapping entries.
         """
@@ -294,8 +296,7 @@ class SSD:
         ftl = self.ftl
         lpns = range(start_lpn, end)
         if ftl.mapped_pages:
-            is_mapped = ftl.is_mapped
-            lpns = [lpn for lpn in lpns if not is_mapped(lpn)]
+            lpns = ftl.unmapped_lpns(start_lpn, end)
         ftl.fill(lpns)
         self.buffer.clear()
 

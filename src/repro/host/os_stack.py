@@ -402,13 +402,15 @@ class OSStorageStack:
         return self._writeback_ns
 
     def msync_cost(self, dirty_page_count: int) -> float:
-        """Software cost of an msync()-style flush of *dirty_page_count* pages."""
+        """Software cost of an msync()-style flush of *dirty_page_count*
+        pages, counted as one context switch plus one writeback each."""
         if dirty_page_count < 0:
             raise ValueError("dirty_page_count cannot be negative")
-        if dirty_page_count == 0:
-            return self.config.context_switch_ns
+        self.context_switches += 1
+        for _ in range(dirty_page_count):
+            self.writeback_cost()
         return (self.config.context_switch_ns
-                + dirty_page_count * self.writeback_cost())
+                + dirty_page_count * self._writeback_ns)
 
     @property
     def readahead_pages(self) -> int:

@@ -29,8 +29,9 @@ implementation replays the batch through the scalar
 exactly as the scalar loop would; every registered platform overrides
 it.  The analytic platforms are truly vectorized; the page-cached
 platforms (mmap, FlatFlash, NVDIMM-C, Optane memory mode, the ULL
-bypasses) combine an order-exact batched LRU walk
-(:meth:`repro.host.os_stack.PageCache.access_batch`) with
+bypasses) run an order-exact batched LRU walk
+(:meth:`repro.host.os_stack.PageCache.access_batch`) and replay only its
+misses — FlatFlash in one MMIO loop of its own, the others through
 :meth:`MemoryRequestBatch.service_page_cached`; and HAMS splits its
 datapath into a clock-free tag classification plus clock-exact miss
 replay (:meth:`repro.core.hams_controller.HAMSController.classify_batch`).  All batched
@@ -146,7 +147,8 @@ class MemoryRequestBatch:
         """Fold a page-cache hit/miss split into a service batch, clock-exactly.
 
         The engine behind the DRAM-cache platforms' vectorized
-        ``service_batch`` (and, with every request a miss, behind the
+        ``service_batch`` (FlatFlash folds the same way inside its own
+        MMIO loop; and, with every request a miss, behind the
         default :meth:`Platform.service_batch`).  The caller classifies
         every request against its page cache (one
         :meth:`~repro.host.os_stack.PageCache.access_batch` walk) and
@@ -319,11 +321,13 @@ class Platform(abc.ABC):
         platform overrides it: those whose service cost is
         clock-independent (oracle, Optane App Direct, the NVDIMM bypass)
         with truly vectorized implementations; the page-cached platforms
-        (mmap, FlatFlash, NVDIMM-C, Optane memory mode, the ULL bypasses)
-        with the batched page-cache walk +
+        (mmap, NVDIMM-C, Optane memory mode, the ULL bypasses) with the
+        batched page-cache walk +
         :meth:`MemoryRequestBatch.service_page_cached` fold, which replays
-        only the misses against the device; and HAMS with the clock-free
-        tag-classification walk in
+        only the misses against the device; FlatFlash with its two cache
+        walks + one MMIO loop over the misses
+        (:class:`repro.platforms.flatflash.FlatFlashPlatform`); and HAMS
+        with the clock-free tag-classification walk in
         :class:`repro.platforms.hams_platform.HAMSPlatform`.
         """
         count = len(batch)

@@ -14,15 +14,17 @@ into host DRAM, trading persistence for performance.
 Batched replay: the host cache (with the promotion counter as its install
 policy) and the SSD-internal cache are each classified by one order-exact
 :meth:`~repro.host.os_stack.PageCache.access_batch` walk; host-DRAM hits
-fold in one vectorized call, and only the MMIO accesses replay against the
-link and the flash at their exact issue clocks, with the
+fold in one vectorized call, and only the MMIO accesses replay, in one
+loop (:meth:`FlatFlashPlatform._mmio_replay`) over the miss columns,
+against the link and the flash at their exact issue clocks, with the
 :meth:`~repro.interconnect.link.Link.transfer` recurrence inlined and the
-link state committed once per batch.
+link state committed once per batch.  The scalar
+``service_memory_access`` runs the same loop as a batch of one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +68,7 @@ class FlatFlashPlatform(Platform):
                            if mode == "memory" else None)
         self.dram = NVDIMM(config.nvdimm) if mode == "memory" else None
         # The 64 B MMIO and 4 KB promotion transfer costs, hoisted for the
-        # inlined link recurrence of _mmio_access.
+        # inlined link recurrence of _mmio_replay.
         self._line_overhead_ns = self.link.per_transfer_overhead(64)
         self._line_raw_ns = self.link.raw_transfer_time(64)
         self._page_overhead_ns = self.link.per_transfer_overhead(_PAGE)
@@ -83,168 +85,186 @@ class FlatFlashPlatform(Platform):
     def service_memory_access(self, address: int, size_bytes: int,
                               is_write: bool, at_ns: float) -> MemoryServiceResult:
         page = address // _PAGE
-        promoted = False
+        promoted = [False]
         if self.host_cache is not None:
             if self.host_cache.access(page, is_write):
                 assert self.dram is not None
                 result = self.dram.access(size_bytes, is_write)
                 self._dram_busy_ns += result.latency_ns
                 return MemoryServiceResult(latency_ns=result.latency_ns)
-            promoted = self._count_access(page, is_write)
+            promoted = []
+            self._promotion_policy(promoted)(page, is_write)
         device_hit = self.device_cache.access(page, is_write)
-        victims: List[Tuple[int, bool]] = []
+        evictions: List[List[Tuple[int, bool]]] = []
         if not device_hit:
             evicted = self.device_cache.install(page, dirty=is_write)
-            if evicted is not None:
-                victims.append(evicted)
-        with self.ssd.walk() as step:
-            latency, busy = self._mmio_access(page, size_bytes, is_write,
-                                              device_hit, victims, promoted,
-                                              at_ns, self.link.busy_until_ns,
-                                              step)
-        self._commit_link(1, int(size_bytes // 64 > 1), int(promoted), busy)
-        return MemoryServiceResult(latency_ns=latency)
+            evictions.append([] if evicted is None else [evicted])
+        latency = self._mmio_replay([page], [size_bytes], [is_write],
+                                    [device_hit], evictions, promoted,
+                                    at_ns, None, [0], [0.0])
+        return MemoryServiceResult(latency_ns=latency[0])
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
-        """Two cache walks up front; only the MMIO accesses replay.
+        """Two cache walks up front, then one MMIO loop over the host misses.
 
         flatflash-M first walks the host cache with the promotion counter
         as its install policy (a page becomes resident only once promoted)
         and folds the host-DRAM hits in one vectorized call.  One walk of
         the SSD-internal cache then classifies the host misses in order —
         the scalar path touches it exactly once per host miss, with the
-        default install — and the misses replay at their exact scalar-loop
-        issue clocks (:meth:`MemoryRequestBatch.service_page_cached`),
-        stepping one :meth:`~repro.flash.ssd.SSD.walk` opened for the
-        chunk, threading the link horizon through locals and committing the
-        link accounting once at the end.
+        default install — and :meth:`_mmio_replay` runs the misses at their
+        exact scalar-loop issue clocks, reconstructed from the batch
+        timeline with the host hits' slots filled in.
         """
         count = len(batch)
-        if count == 0:
-            return MemoryServiceBatch(latency_ns=np.empty(0))
         pages = batch.addresses // _PAGE
-        hit_latency = np.zeros(count, dtype=np.float64)
-        if self.host_cache is not None:
-            assert self.dram is not None
-            promoted: List[bool] = []
-
-            def install(page: int, is_write: bool) -> List[Tuple[int, bool]]:
-                promoted.append(self._count_access(page, is_write))
-                return []
-
-            walk = self.host_cache.access_batch(pages, batch.writes,
-                                                install=install)
-            hit_mask = walk.hits
-            miss_indices = walk.miss_indices
-            hit_rows = np.flatnonzero(hit_mask)
-            if len(hit_rows):
-                hit_latency[hit_rows] = self.dram.access_batch(
-                    batch.sizes[hit_rows], batch.writes[hit_rows])
-                self._dram_busy_ns = sequential_add(self._dram_busy_ns,
-                                                    hit_latency[hit_rows])
-        else:
-            hit_mask = np.zeros(count, dtype=bool)
-            miss_indices = np.arange(count, dtype=np.int64)
+        addends = batch.timeline.addends
+        slots = batch.timeline.service_slots
+        latency_ns = np.zeros(count, dtype=np.float64)
+        if self.host_cache is None:
+            misses = np.arange(count, dtype=np.int64)
             promoted = [False] * count
-        if len(miss_indices) == 0:
-            return MemoryServiceBatch(latency_ns=hit_latency)
-        device = self.device_cache.access_batch(pages[miss_indices],
-                                                batch.writes[miss_indices])
-        device_hits = device.hits.tolist()
-        victims: List[List[Tuple[int, bool]]] = [[] for _ in device_hits]
-        for k, evictions in zip(device.miss_indices.tolist(),
-                                device.evictions):
-            victims[k] = evictions
-        pages_list = pages.tolist()
-        sizes_list = batch.sizes.tolist()
-        writes_list = batch.writes.tolist()
-        busy = self.link.busy_until_ns
+        else:
+            assert self.dram is not None
+            promoted = []
+            walk = self.host_cache.access_batch(
+                pages, batch.writes, install=self._promotion_policy(promoted))
+            misses = walk.miss_indices
+            hit_rows = np.flatnonzero(walk.hits)
+            if len(hit_rows):
+                hit_latency = self.dram.access_batch(batch.sizes[hit_rows],
+                                                     batch.writes[hit_rows])
+                latency_ns[hit_rows] = hit_latency
+                self._dram_busy_ns = sequential_add(self._dram_busy_ns,
+                                                    hit_latency)
+                # The hits' slots elapse like any other timeline addend.
+                addends = addends.copy()
+                addends[slots[hit_rows]] = (batch.on_chip_ns[hit_rows]
+                                            + hit_latency)
+        if len(misses):
+            miss_pages = pages[misses]
+            miss_writes = batch.writes[misses]
+            device = self.device_cache.access_batch(miss_pages, miss_writes)
+            latency_ns[misses] = self._mmio_replay(
+                miss_pages.tolist(), batch.sizes[misses].tolist(),
+                miss_writes.tolist(), device.hits.tolist(), device.evictions,
+                promoted, batch.start_ns, addends, slots[misses].tolist(),
+                batch.on_chip_ns[misses].tolist())
+        return MemoryServiceBatch(latency_ns=latency_ns)
 
-        def miss_service(k: int, index: int, now: float):
-            nonlocal busy
-            latency, busy = self._mmio_access(
-                pages_list[index], sizes_list[index], writes_list[index],
-                device_hits[k], victims[k], promoted[k], now, busy, step)
-            return latency, 0.0, 0.0
-
-        with self.ssd.walk() as step:
-            result = batch.service_page_cached(hit_mask, hit_latency,
-                                               miss_indices, miss_service)
-        self._commit_link(len(miss_indices),
-                          int((batch.sizes[miss_indices] // 64 > 1).sum()),
-                          sum(promoted), busy)
-        return result
-
-    def _count_access(self, page: int, is_write: bool) -> bool:
-        """Count a host-cache miss; promote the page once it is hot.
-
-        The promotion counter is the host cache's install policy: the page
-        is installed (promoted to DRAM) only when its count reaches the
-        threshold, and otherwise stays non-resident.  Returns whether this
-        access promoted the page.
+    def _promotion_policy(self, promoted: List[bool]):
+        """The host cache's install policy: count a miss and, at the
+        threshold, promote the page (install it, reset its counter).  Each
+        call appends whether it promoted to *promoted*; a promotion evicts
+        nothing over the link, so every call returns one shared empty list.
         """
-        count = self._access_counts.get(page, 0) + 1
-        if count < _PROMOTION_THRESHOLD:
-            self._access_counts[page] = count
-            return False
-        self._access_counts.pop(page, None)
-        self.host_cache.install(page, dirty=is_write)
-        self.promotions += 1
-        return True
+        counts = self._access_counts
+        install = self.host_cache.install
+        record = promoted.append
+        no_evictions: List[Tuple[int, bool]] = []
 
-    def _mmio_access(self, page: int, size_bytes: int, is_write: bool,
-                     device_hit: bool, victims: List[Tuple[int, bool]],
-                     promoted: bool, at_ns: float, busy: float,
-                     step) -> Tuple[float, float]:
-        """One MMIO reference to the SSD, given its cache outcomes.
+        def policy(page: int, is_write: bool) -> List[Tuple[int, bool]]:
+            count = counts.get(page, 0) + 1
+            if count < _PROMOTION_THRESHOLD:
+                counts[page] = count
+                record(False)
+            else:
+                counts.pop(page, None)
+                install(page, dirty=is_write)
+                record(True)
+            return no_evictions
+
+        return policy
+
+    def _mmio_replay(self, pages: List[int], sizes: List[int],
+                     writes: List[bool], device_hits: List[bool],
+                     device_evictions: List[List[Tuple[int, bool]]],
+                     promoted: List[bool], now: float,
+                     addends: Optional[np.ndarray], slots: List[int],
+                     on_chip: List[float]) -> List[float]:
+        """Replay MMIO references in order; returns their latencies.
 
         FlatFlash has no DMA engine on the access path: the CPU pulls data
         cache line by cache line over MMIO, so a page-granular reference
         costs one PCIe round trip per 64 B line (the ~4.8 us/64 B figure
         the paper quotes), while the flash page itself is read only once.
-        *device_hit* and *victims* are the SSD-internal cache's outcome,
-        *promoted* the promotion counter's.  Every flash access is one
-        *step* of an open :meth:`~repro.flash.ssd.SSD.walk`.  Every link
-        transfer runs the exact
+        Each device-cache miss takes the next entry of *device_evictions*
+        (the device walk's evictions, in miss order).  Reference *k* issues
+        at *now* plus ``addends[cursor:slots[k]]``, folded left to right as
+        :meth:`MemoryRequestBatch.service_page_cached` folds them, and
+        its own slot elapses as ``on_chip[k] + latency``.  Flash accesses
+        step one :meth:`~repro.flash.ssd.SSD.walk`; link transfers run the
         :meth:`~repro.interconnect.link.Link.transfer` recurrence
-        (``start = max(at, busy)``, ``finish = (start + overhead) + raw``)
-        against the link horizon *busy*; returns ``(latency_ns, busy)`` and
-        leaves the link accounting to :meth:`_commit_link`.
+        (``finish = (max(at, busy) + overhead) + raw``) on a local horizon,
+        committed once at the end with the promotion count.
         """
-        # The MMIO round trip always crosses PCIe with a 64 B payload.
-        start = at_ns if at_ns >= busy else busy
-        busy = (start + self._line_overhead_ns) + self._line_raw_ns
-        latency = busy - start
-        if device_hit:
-            latency += self.config.ssd.dram_buffer_hit_ns
-        else:
-            # Device-cache miss: the flash array serves a 4 KB page.
-            at = at_ns + latency
-            finish = step((is_write, page * _PAGE, _PAGE, at, False))
-            latency += finish - at
-            for victim, victim_dirty in victims:
-                if victim_dirty:
-                    step((True, victim * _PAGE, _PAGE, finish, False))
-        lines = max(1, size_bytes // 64)
-        if lines > 1:
-            at = at_ns + latency
-            start = at if at >= busy else busy
-            busy = (start + self._line_overhead_ns) + self._line_raw_ns
-            per_line_ns = (busy - start) + self.config.ssd.dram_buffer_hit_ns
-            latency += (lines - 1) * per_line_ns
-        if promoted:
-            # Promote the hot page: one 4 KB device read plus a DRAM fill.
-            at = at_ns + latency
-            finish = step((False, page * _PAGE, _PAGE, at, False))
-            start = finish if finish >= busy else busy
-            busy = (start + self._page_overhead_ns) + self._page_raw_ns
-            # Mostly off the path: a quarter of it shows.
-            latency += (finish - at + (busy - start)) * 0.25
-        return latency, busy
+        line_overhead = self._line_overhead_ns
+        line_raw = self._line_raw_ns
+        page_overhead = self._page_overhead_ns
+        page_raw = self._page_raw_ns
+        hit_ns = self.config.ssd.dram_buffer_hit_ns
+        evictions = iter(device_evictions)
+        busy = self.link.busy_until_ns
+        latencies: List[float] = []
+        record = latencies.append
+        addends_list = None  # materialised lazily, for short-gap folds only
+        cursor = 0
+        extra_lines = 0
+        promotions = 0
+        with self.ssd.walk() as step:
+            for page, size, is_write, device_hit, promote, slot, chip in zip(
+                    pages, sizes, writes, device_hits, promoted, slots,
+                    on_chip):
+                gap = slot - cursor
+                if gap >= 64:
+                    # Long hit/compute stretch: one strict sequential fold.
+                    now = sequential_add(now, addends[cursor:slot])
+                elif gap:
+                    if addends_list is None:
+                        addends_list = addends.tolist()
+                    for addend in addends_list[cursor:slot]:
+                        now += addend
+                cursor = slot + 1
+                # The MMIO round trip always crosses PCIe with 64 B.
+                start = now if now >= busy else busy
+                busy = (start + line_overhead) + line_raw
+                latency = busy - start
+                if device_hit:
+                    latency += hit_ns
+                else:
+                    # Device-cache miss: the flash array serves a 4 KB page.
+                    at = now + latency
+                    finish = step((is_write, page * _PAGE, _PAGE, at, False))
+                    latency += finish - at
+                    for victim, victim_dirty in next(evictions):
+                        if victim_dirty:
+                            step((True, victim * _PAGE, _PAGE, finish,
+                                  False))
+                lines = size // 64
+                if lines > 1:
+                    extra_lines += 1
+                    at = now + latency
+                    start = at if at >= busy else busy
+                    busy = (start + line_overhead) + line_raw
+                    latency += (lines - 1) * ((busy - start) + hit_ns)
+                if promote:
+                    # Promote the page: a 4 KB device read plus a DRAM fill.
+                    promotions += 1
+                    at = now + latency
+                    finish = step((False, page * _PAGE, _PAGE, at, False))
+                    start = finish if finish >= busy else busy
+                    busy = (start + page_overhead) + page_raw
+                    # Mostly off the path: a quarter of it shows.
+                    latency += (finish - at + (busy - start)) * 0.25
+                record(latency)
+                now += chip + latency
+        self.promotions += promotions
+        self._commit_link(len(latencies), extra_lines, promotions, busy)
+        return latencies
 
     def _commit_link(self, accesses: int, extra_lines: int, promotions: int,
                      busy: float) -> None:
-        """Fold the link accounting of :meth:`_mmio_access` calls.
+        """Fold the link accounting of one :meth:`_mmio_replay`.
 
         Each access moved one 64 B round trip, plus one more 64 B line when
         it spans several lines and one 4 KB page when it promoted.

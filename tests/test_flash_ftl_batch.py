@@ -16,14 +16,17 @@ the two mapping representations: a fresh FTL preconditioned with a
 ``range`` keeps it as a base stripe (a formula) rather than as dict
 entries, and ``TestBaseStripe`` drives such an FTL (and the SSD walk
 over it) against a scalar-preconditioned twin while GC relocates base
-pages and reuses base blocks.
+pages and reuses base blocks.  ``TestUnmappedLpns`` pins
+``unmapped_lpns``, the set ``SSD.precondition`` fills on a warmed device,
+against the per-LPN ``is_mapped`` filter after writes, trims and GC
+relocations.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 from repro.config import GB, FlashGeometry, SSDConfig, default_config
 from repro.flash.ftl import FlashTranslationLayer
@@ -403,3 +406,67 @@ class TestBaseStripe:
                   + ppn // based._pages_per_plane < 40]
         assert reused
         assert based.mapped_pages == reference.mapped_pages == 40
+
+
+# Writes, trims and six-LPN hammer bursts below LPN 40 (as ``base_lpns``),
+# on both sides of a base stripe that starts at LPN 0..8: base LPNs leave
+# the stripe and are re-mapped, and GC relocates base pages.
+unmapped_steps = st.lists(st.one_of(
+    st.tuples(st.just("write"), base_lpns),
+    st.tuples(st.just("trim"), base_lpns),
+    st.tuples(st.just("hammer"), st.integers(min_value=0, max_value=33))),
+    max_size=30)
+
+
+class TestUnmappedLpns:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=8),
+           st.integers(min_value=1, max_value=40), unmapped_steps,
+           base_lpns, st.integers(min_value=0, max_value=8))
+    def test_equals_the_per_lpn_filter(self, start, count, steps,
+                                       window_start, window_count):
+        config = SSDConfig(geometry=tiny_geometry())
+        ssd, twin = SSD(config), SSD(config)
+        ssd.precondition(start, count)
+        twin.precondition(start, count)
+        for kind, lpn in steps:
+            burst = range(lpn, lpn + 6) if kind == "hammer" else [lpn]
+            for device in (ssd, twin):
+                if kind == "trim":
+                    device.ftl.trim(lpn)
+                else:
+                    result = outcome(lambda: scalar_fill(device.ftl, burst))
+            if kind != "trim" and result is not None:
+                return  # the device filled up identically on both twins
+        ftl = ssd.ftl
+        target(float(ftl.gc_pages_moved))
+        for low in range(0, 48, 5):
+            for high in (low, low + 1, low + 9, ftl._logical_pages):
+                assert ftl.unmapped_lpns(low, high) == [
+                    lpn for lpn in range(low, high)
+                    if not ftl.is_mapped(lpn)]
+        result = outcome(lambda: ssd.precondition(window_start,
+                                                  window_count))
+        assert result == outcome(lambda: precondition_unmapped(
+            twin.ftl, window_start, window_count))
+        assert_state_equal(ssd.ftl, twin.ftl)
+        assert ssd.statistics() == twin.statistics()
+
+    def test_warmed_fig16_device_is_not_probed_per_lpn(self):
+        # Re-preconditioning a warmed device (Platform.run calls prepare
+        # again) reads the unmapped set off the maps: with a few base LPNs
+        # rewritten and trimmed, is_mapped is never called.
+        ssd = SSD(scale_system_config(default_config(),
+                                      ExperimentScale()).ssd)
+        ssd.precondition(0, 65536)
+        ftl = ssd.ftl
+        for lpn in (3, 70_000, 40_000):
+            ftl.write(lpn)
+        for lpn in (5, 6, 40_000, 70_001):
+            ftl.trim(lpn)
+        ftl.is_mapped = None  # any per-LPN probe would raise TypeError
+        ssd.precondition(0, 65536)
+        del ftl.is_mapped
+        assert ftl.unmapped_lpns(0, 80_000) == [
+            lpn for lpn in range(80_000) if not ftl.is_mapped(lpn)]
+        assert ftl.mapped_pages == 65537

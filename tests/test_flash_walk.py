@@ -358,6 +358,21 @@ class TestWalkAgainstPageOracle:
         assert statistics["flash_page_programs"] == 3
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a read miss's buffer fill evicts a dirty page without programming "
+    "it, so the buffered write never reaches flash; the fix moves "
+    "digests, so it lands with the device-model work of ROADMAP item 1"))
+def test_read_fill_programs_its_dirty_victim():
+    # One-page buffer: the write to LPN 0 stays buffered, and the read miss
+    # on LPN 1 fills the buffer, evicting dirty LPN 0.
+    ssd = tiny_ssd(buffer_pages=1)
+    ssd.write(0, PAGE, 0.0)
+    ssd.read(PAGE, PAGE, 1000.0)
+    statistics = ssd.statistics()
+    assert statistics["flash_buffer_dirty_evictions"] == 1
+    assert statistics["flash_page_programs"] == 1
+
+
 def _requests(count: int) -> list:
     return [(j % 3 == 0, (j * 5 % 16) * PAGE, PAGE + (j % 2) * 100,
              500.0 * j, j % 4 == 0) for j in range(count)]

@@ -245,6 +245,23 @@ class TestOSStorageStack:
         stack = OSStorageStack(OSStackConfig(), KB(4))
         assert stack.msync_cost(10) > stack.msync_cost(1) > stack.msync_cost(0)
 
+    @pytest.mark.parametrize("pages", [0, 1, 10])
+    def test_msync_counts_each_writeback_and_one_switch(self, pages):
+        config = OSStackConfig()
+        stack = OSStorageStack(config, KB(4))
+        reference = OSStorageStack(config, KB(4))
+        per_page = [reference.writeback_cost() for _ in range(pages)]
+        cost = stack.msync_cost(pages)
+        assert cost == config.context_switch_ns + pages * (
+            per_page[0] if pages else 0.0)
+        stats = stack.statistics()
+        assert stats["context_switches"] == 1
+        for key in ("total_io_stack_ns", "total_copy_ns"):
+            assert stats[key] == reference.statistics()[key]
+        assert stats["page_faults_serviced"] == 0
+
     def test_msync_rejects_negative(self):
+        stack = OSStorageStack(OSStackConfig(), KB(4))
         with pytest.raises(ValueError):
-            OSStorageStack(OSStackConfig(), KB(4)).msync_cost(-1)
+            stack.msync_cost(-1)
+        assert stack.statistics()["context_switches"] == 0

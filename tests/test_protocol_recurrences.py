@@ -1,9 +1,10 @@
 """The miss path's protocol layers against an independent per-call reference.
 
 The link, the register interface, the NVMe round trip, the hardware
-engine's issue, the OS stack's fault and writeback charges and the mmap
-fault's storage side are float recurrences over constants fixed at
-construction (each transfer size priced once, no record objects).  The
+engine's issue, the OS stack's fault and writeback charges, the mmap
+fault's storage side and FlatFlash's MMIO loop are float recurrences over
+constants fixed at construction (each transfer size priced once, no
+record objects).  The
 reference below recomputes every cost from the config on every call, in
 the order the layers were specified (``finish = start + overhead + raw``,
 lock acquire -> bus reservation -> lock release, doorbell + fetch/parse
@@ -13,9 +14,11 @@ reordered counter update fails here even where it rounds the same way on
 the defaults.
 """
 
+import contextlib
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
@@ -35,6 +38,7 @@ from repro.interconnect.ddr_bus import DDR4Bus
 from repro.interconnect.pcie import PCIeLink
 from repro.interconnect.sata import SATALink
 from repro.nvme.controller import NVMeController
+from repro.platforms.flatflash import FlatFlashPlatform
 from repro.platforms.mmap_platform import MmapPlatform
 from repro.runner.presets import SMOKE_SCALE
 from repro.workloads.registry import scale_system_config
@@ -471,3 +475,106 @@ class TestOSStackCharges:
         assert hex_values(platform.os_stack.statistics()) == hex_values(
             ref_os.statistics())
         assert link_state(platform.link) == ref_link.state()
+
+
+# -- FlatFlash's MMIO loop ----------------------------------------------------
+
+
+def ref_mmio(link, step, hit_ns, page, size, is_write, device_hit, victims,
+             promoted, at):
+    """One MMIO reference, as FlatFlash specifies it: one 64 B round trip,
+    the device cache's hit time or a flash page (then its dirty victims'
+    write-backs), one more round trip priced for each further line, and a
+    promotion's page read plus 4 KB link transfer, a quarter of it
+    exposed."""
+    start, finish = link.transfer(64, at)
+    latency = finish - start
+    if device_hit:
+        latency = latency + hit_ns
+    else:
+        issue = at + latency
+        done = step((is_write, page * 4096, 4096, issue, False))
+        latency = latency + (done - issue)
+        for victim, dirty in victims:
+            if dirty:
+                step((True, victim * 4096, 4096, done, False))
+    lines = max(1, size // 64)
+    if lines > 1:
+        start, finish = link.transfer(64, at + latency)
+        per_line = (finish - start) + hit_ns
+        latency = latency + (lines - 1) * per_line
+    if promoted:
+        issue = at + latency
+        done = step((False, page * 4096, 4096, issue, False))
+        start, finish = link.transfer(4096, done)
+        latency = latency + (done - issue + (finish - start)) * 0.25
+    return latency
+
+
+mmio_references = st.lists(st.tuples(
+    st.integers(0, 1 << 16),                       # page
+    st.one_of(st.sampled_from([64, 65, 127, 128, 4095, 4096]),
+              st.integers(64, 4096)),               # size
+    st.booleans(),                                  # is_write
+    st.booleans(),                                  # device hit
+    st.lists(st.tuples(st.integers(0, 1 << 16), st.booleans()),
+             max_size=2),                           # victims of a miss
+    st.booleans(),                                  # promoted
+    st.one_of(st.lists(st.floats(0.0, 5e4), max_size=3),
+              # A stretch of 64+ addends, folded by sequential_add.
+              st.builds(lambda count, base: [base * (k % 7 + 1) / 3
+                                             for k in range(count)],
+                        st.integers(64, 70), st.floats(0.0, 5e4))),
+    st.floats(0.0, 50.0)),                          # on-chip latency
+    min_size=1, max_size=12)
+
+
+class TestFlatFlashMMIO:
+    @settings(max_examples=150, deadline=None, phases=PHASES)
+    @given(data=st.data(), pcie=pcie_configs, hit_ns=latency,
+           start=st.floats(0.0, 1e7))
+    def test_mmio_replay_matches_per_access_reference(self, data, pcie,
+                                                      hit_ns, start):
+        smoke = scale_system_config(default_config(), SMOKE_SCALE)
+        config = dataclasses.replace(smoke, pcie=pcie, ssd=dataclasses.replace(
+            smoke.ssd, dram_buffer_hit_ns=hit_ns))
+        platform = FlatFlashPlatform(config, mode="memory")
+        log, ref_log = [], []
+        step, ref_step = fake_device(log), fake_device(ref_log)
+        platform.ssd.walk = lambda: contextlib.nullcontext(step)
+        ref_link = ref_pcie(pcie)
+        now = start
+        promotions = 0
+        for _ in range(data.draw(st.integers(1, 3))):
+            references = data.draw(mmio_references)
+            # The batch timeline: each reference's gap addends, then its
+            # own slot (a NaN the loop must never read).
+            addends, slots = [], []
+            for reference in references:
+                addends.extend(reference[6])
+                slots.append(len(addends))
+                addends.append(math.nan)
+            expected = []
+            for (page, size, is_write, device_hit, victims, promoted, gap,
+                 on_chip) in references:
+                for addend in gap:
+                    now += addend
+                lat = ref_mmio(ref_link, ref_step, hit_ns, page, size,
+                               is_write, device_hit,
+                               [] if device_hit else victims, promoted, now)
+                expected.append(lat)
+                promotions += promoted
+                now += on_chip + lat
+            columns = list(zip(*references))
+            got = platform._mmio_replay(
+                list(columns[0]), list(columns[1]), list(columns[2]),
+                list(columns[3]),
+                [victims for hit, victims in zip(columns[3], columns[4])
+                 if not hit],
+                list(columns[5]), start, np.array(addends), slots,
+                list(columns[7]))
+            assert hexes(*got) == hexes(*expected)
+            assert log == ref_log
+            assert link_state(platform.link) == ref_link.state()
+            start = now
+        assert platform.promotions == promotions
