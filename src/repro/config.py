@@ -12,39 +12,92 @@ device parameters quoted throughout Sections II, III and V:
 
 Every subsystem receives its configuration explicitly so experiments can
 sweep a single knob (page size, footprint, queue depth, ...) without
-touching module-level globals.
+touching module-level globals.  Each field declares its valid values once,
+as a :class:`Bound` in its ``field(metadata=...)``; constructing a section
+(``replace`` included) validates it, so a bad value fails before any run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import MISSING, dataclass, field, fields, replace
 from numbers import Integral, Real
-from typing import Optional
+from typing import Optional, Tuple
 
 from .units import GB, KB, MB, gb_per_s, mb_per_s, us
 
 
-def _require_finite(section, names, positive: bool = False) -> None:
-    """Raise ``ValueError`` unless every field in *names* of *section* is a
-    finite real number, > 0 when *positive* and >= 0 otherwise."""
-    for name in names:
-        value = getattr(section, name)
-        if not (isinstance(value, Real) and not isinstance(value, bool)
-                and math.isfinite(value)
-                and (value > 0 if positive else value >= 0)):
-            bound = "positive" if positive else "non-negative"
-            raise ValueError(f"{name} must be finite and {bound}, "
-                             f"got {value!r}")
+@dataclass(frozen=True)
+class Bound:
+    """The valid values of one config field: a ``float`` (finite) or an
+    ``int`` of at least ``minimum`` (above it when ``strict``) and below
+    ``maximum`` if set, a ``bool``, a ``str`` (one of ``choices`` if set)
+    or a nested config section class."""
+
+    kind: type
+    minimum: float = 0
+    strict: bool = False
+    maximum: Optional[float] = None
+    choices: Tuple[str, ...] = ()
+
+    def admits(self, value) -> bool:
+        kind = {float: Real, int: Integral}.get(self.kind, self.kind)
+        if not isinstance(value, kind) or (isinstance(value, bool)
+                                           and kind is not bool):
+            return False
+        if kind not in (Real, Integral):
+            return not self.choices or value in self.choices
+        return (abs(value) <= sys.float_info.max  # False for NaN and inf
+                and (value > self.minimum if self.strict
+                     else value >= self.minimum)
+                and (self.maximum is None or value < self.maximum))
+
+    def describe(self) -> str:
+        if self.kind not in (float, int):
+            return (f"one of {self.choices}" if self.choices
+                    else f"a {self.kind.__name__}")
+        text = (f"{'a finite number' if self.kind is float else 'an integer'}"
+                f" {'>' if self.strict else '>='} {self.minimum}")
+        return text if self.maximum is None else f"{text} and < {self.maximum}"
 
 
-def _require_count(section, name: str, minimum: int) -> None:
-    """Raise ``ValueError`` unless field *name* is an integer >= *minimum*."""
-    value = getattr(section, name)
-    if not (isinstance(value, Integral) and not isinstance(value, bool)
-            and value >= minimum):
-        raise ValueError(f"{name} must be an integer of at least {minimum}, "
-                         f"got {value!r}")
+def bounded(kind: type, default=MISSING, *, factory=MISSING, **limits):
+    """A field whose valid values are ``Bound(kind, **limits)``."""
+    return field(default=default, default_factory=factory,
+                 metadata={"bound": Bound(kind, **limits)})
+
+
+def real(default=MISSING, minimum: float = 0.0, *, strict: bool = False,
+         maximum: Optional[float] = None):
+    """A finite real >= *minimum* (> when *strict*), < *maximum* if set."""
+    return bounded(float, default, minimum=minimum, strict=strict,
+                   maximum=maximum)
+
+
+def count(default, minimum: int, maximum: Optional[int] = None):
+    """An integer >= *minimum*, < *maximum* if set."""
+    return bounded(int, default, minimum=minimum, maximum=maximum)
+
+
+class _Bounded:
+    """Base of every config section: construction runs :meth:`validate`."""
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` naming the first field outside its bound,
+        then run the cross-field :meth:`check`."""
+        for item in fields(self):
+            bound = item.metadata["bound"]
+            value = getattr(self, item.name)
+            if not bound.admits(value):
+                raise ValueError(f"{type(self).__name__}.{item.name} must be "
+                                 f"{bound.describe()}, got {value!r}")
+        self.check()
+
+    __post_init__ = validate
+
+    def check(self) -> None:
+        """A rule tying two fields together; none by default."""
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +106,12 @@ def _require_count(section, name: str, minimum: int) -> None:
 
 
 @dataclass(frozen=True)
-class FlashTiming:
+class FlashTiming(_Bounded):
     """Raw NAND array timing for a single die operation."""
 
-    read_ns: float
-    program_ns: float
-    erase_ns: float
+    read_ns: float = real()
+    program_ns: float = real()
+    erase_ns: float = real()
 
     @staticmethod
     def znand() -> "FlashTiming":
@@ -72,7 +125,7 @@ class FlashTiming:
 
 
 @dataclass(frozen=True)
-class FlashGeometry:
+class FlashGeometry(_Bounded):
     """Physical organisation of the flash complex.
 
     The capacity exposed to the host is
@@ -80,14 +133,16 @@ class FlashGeometry:
     scaled down by the over-provisioning factor.
     """
 
-    channels: int = 8
-    packages_per_channel: int = 4
-    dies_per_package: int = 2
-    planes_per_die: int = 2
-    blocks_per_plane: int = 256
-    pages_per_block: int = 256
-    page_size: int = KB(4)
-    overprovision: float = 0.07
+    channels: int = count(8, 1)
+    packages_per_channel: int = count(4, 1)
+    dies_per_package: int = count(2, 1)
+    planes_per_die: int = count(2, 1)
+    blocks_per_plane: int = count(256, 1)
+    pages_per_block: int = count(256, 1)
+    page_size: int = count(KB(4), 1)
+    # All spare: no usable capacity, and _geometry_for_capacity divides by
+    # 1 - overprovision.
+    overprovision: float = real(0.07, maximum=1.0)
 
     @property
     def dies_total(self) -> int:
@@ -119,7 +174,7 @@ class FlashGeometry:
 
 
 @dataclass(frozen=True)
-class SSDConfig:
+class SSDConfig(_Bounded):
     """Configuration for one simulated SSD device.
 
     ``split_channels`` reproduces the ULL-Flash datapath optimisation that
@@ -127,33 +182,19 @@ class SSDConfig:
     channels simultaneously, halving the on-chip DMA time (Section II-C).
     """
 
-    name: str = "ull-flash"
-    geometry: FlashGeometry = field(default_factory=FlashGeometry)
-    timing: FlashTiming = field(default_factory=FlashTiming.znand)
-    split_channels: bool = True
-    channel_bw_bytes_per_ns: float = mb_per_s(800)
-    dram_buffer_bytes: int = MB(512)
-    dram_buffer_hit_ns: float = 500.0
-    dram_buffer_enabled: bool = True
-    firmware_latency_ns: float = 800.0
-    max_outstanding: int = 64
+    name: str = bounded(str, "ull-flash")
+    geometry: FlashGeometry = bounded(FlashGeometry, factory=FlashGeometry)
+    timing: FlashTiming = bounded(FlashTiming, factory=FlashTiming.znand)
+    split_channels: bool = bounded(bool, True)
+    channel_bw_bytes_per_ns: float = real(mb_per_s(800), strict=True)
+    dram_buffer_bytes: int = count(MB(512), 0)
+    dram_buffer_hit_ns: float = real(500.0)
+    dram_buffer_enabled: bool = bounded(bool, True)
+    firmware_latency_ns: float = real(800.0)
+    max_outstanding: int = count(64, 1)
     # Fraction of the internal DRAM buffer reserved for the FTL mapping
     # table rather than data caching (FlatFlash discussion, Section VII).
-    mapping_table_fraction: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_outstanding < 1:
-            raise ValueError(f"max_outstanding must be at least 1, got "
-                             f"{self.max_outstanding!r}")
-        if self.dram_buffer_bytes < 0:
-            raise ValueError(f"dram_buffer_bytes cannot be negative, got "
-                             f"{self.dram_buffer_bytes!r}")
-        for name, label in (("firmware_latency_ns", "firmware latency"),
-                            ("dram_buffer_hit_ns", "buffer hit latency")):
-            latency = getattr(self, name)
-            if not (math.isfinite(latency) and latency >= 0):
-                raise ValueError(f"{label} cannot be negative or non-finite "
-                                 f"({name}={latency!r})")
+    mapping_table_fraction: float = real(0.25, maximum=1.0)
 
     @staticmethod
     def ull_flash(capacity_bytes: int = GB(800)) -> "SSDConfig":
@@ -203,23 +244,19 @@ def _geometry_for_capacity(capacity_bytes: int, channels: int) -> FlashGeometry:
 
 
 @dataclass(frozen=True)
-class PCIeConfig:
+class PCIeConfig(_Bounded):
     """PCIe link used between the MCH root complex and an NVMe SSD."""
 
-    lanes: int = 4
-    per_lane_bw_bytes_per_ns: float = gb_per_s(1.0)
+    lanes: int = count(4, 1)
+    per_lane_bw_bytes_per_ns: float = real(gb_per_s(1.0), strict=True)
     # Transaction-layer packet framing cost (encapsulation + header parsing).
-    packet_overhead_ns: float = 250.0
-    max_payload_bytes: int = 256
+    packet_overhead_ns: float = real(250.0)
+    max_payload_bytes: int = count(256, 1)
 
-    def __post_init__(self) -> None:
-        _require_count(self, "lanes", 1)
-        _require_finite(self, ("per_lane_bw_bytes_per_ns",), positive=True)
+    def check(self) -> None:
         if not math.isfinite(self.bandwidth_bytes_per_ns):
             raise ValueError(f"lanes * per_lane_bw_bytes_per_ns must be "
                              f"finite, got {self.bandwidth_bytes_per_ns!r}")
-        _require_finite(self, ("packet_overhead_ns",))
-        _require_count(self, "max_payload_bytes", 1)
 
     @property
     def bandwidth_bytes_per_ns(self) -> float:
@@ -227,34 +264,29 @@ class PCIeConfig:
 
 
 @dataclass(frozen=True)
-class SATAConfig:
+class SATAConfig(_Bounded):
     """SATA 3.0 link (for the SATA SSD comparison point in Figure 6)."""
 
-    bandwidth_bytes_per_ns: float = mb_per_s(550)
-    command_overhead_ns: float = 5000.0
+    bandwidth_bytes_per_ns: float = real(mb_per_s(550), strict=True)
+    command_overhead_ns: float = real(5000.0)
 
 
 @dataclass(frozen=True)
-class DDRConfig:
+class DDRConfig(_Bounded):
     """DDR4 channel timing (DDR4-2133 RDIMM, Table II / Section V)."""
 
-    channel_bw_bytes_per_ns: float = gb_per_s(20.0)
-    tCL_ns: float = 14.0
-    tRCD_ns: float = 14.0
-    tRP_ns: float = 14.0
-    tBURST_ns: float = 3.75
-    line_size: int = 64
-    channels: int = 2
-    ranks: int = 2
+    channel_bw_bytes_per_ns: float = real(gb_per_s(20.0), strict=True)
+    tCL_ns: float = real(14.0)
+    tRCD_ns: float = real(14.0)
+    tRP_ns: float = real(14.0)
+    tBURST_ns: float = real(3.75)
+    line_size: int = count(64, 1)
+    channels: int = count(2, 1)
+    ranks: int = count(2, 1)
     # Extra cycles the advanced-HAMS register interface spends writing a 64 B
     # NVMe command into the data-buffer registers (8-beat burst, Section V-A).
-    register_command_ns: float = 30.0
-    lock_register_ns: float = 5.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self, ("channel_bw_bytes_per_ns",), positive=True)
-        _require_finite(self, ("tCL_ns", "tRCD_ns", "tRP_ns", "tBURST_ns",
-                               "register_command_ns", "lock_register_ns"))
+    register_command_ns: float = real(30.0)
+    lock_register_ns: float = real(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +295,21 @@ class DDRConfig:
 
 
 @dataclass(frozen=True)
-class NVDIMMConfig:
+class NVDIMMConfig(_Bounded):
     """NVDIMM-N module: DRAM-speed access plus supercap-backed flash backup."""
 
-    capacity_bytes: int = GB(8)
-    ddr: DDRConfig = field(default_factory=DDRConfig)
-    pinned_region_bytes: int = MB(512)
-    backup_bandwidth_bytes_per_ns: float = mb_per_s(400)
-    restore_bandwidth_bytes_per_ns: float = mb_per_s(800)
+    # The MoS tag array holds one host-memory entry per cacheable page.
+    capacity_bytes: int = count(GB(8), 0, maximum=GB(2048))
+    ddr: DDRConfig = bounded(DDRConfig, factory=DDRConfig)
+    pinned_region_bytes: int = count(MB(512), 0)
+    backup_bandwidth_bytes_per_ns: float = real(mb_per_s(400), strict=True)
+    restore_bandwidth_bytes_per_ns: float = real(mb_per_s(800), strict=True)
 
-    def __post_init__(self) -> None:
-        _require_count(self, "pinned_region_bytes", 0)
-        capacity = self.capacity_bytes
-        if not (isinstance(capacity, Integral)
-                and not isinstance(capacity, bool)
-                and capacity >= self.pinned_region_bytes):
-            raise ValueError(f"capacity_bytes must be an integer no smaller "
-                             f"than pinned_region_bytes "
-                             f"({self.pinned_region_bytes}), got {capacity!r}")
-        _require_finite(self, ("backup_bandwidth_bytes_per_ns",
-                               "restore_bandwidth_bytes_per_ns"),
-                        positive=True)
+    def check(self) -> None:
+        if self.capacity_bytes < self.pinned_region_bytes:
+            raise ValueError(f"capacity_bytes ({self.capacity_bytes}) must be "
+                             f"no smaller than pinned_region_bytes "
+                             f"({self.pinned_region_bytes})")
 
     @property
     def cacheable_bytes(self) -> int:
@@ -292,7 +318,7 @@ class NVDIMMConfig:
 
 
 @dataclass(frozen=True)
-class OptaneConfig:
+class OptaneConfig(_Bounded):
     """Optane DC PMM analytical model (numbers from [29], [66]).
 
     ``internal_block_bytes`` is the 256 B access granularity that wastes
@@ -305,17 +331,19 @@ class OptaneConfig:
     NVDIMM-N beats it by a wide margin on write-intensive workloads.
     """
 
-    capacity_bytes: int = GB(512)
-    read_latency_ns: float = 400.0
-    write_latency_ns: float = 94.0
-    internal_block_bytes: int = 256
-    block_overhead_ns: float = 150.0
+    # The oracle platform's DIMM mirrors this capacity (NVDIMM's bound).
+    capacity_bytes: int = count(GB(512), 1, maximum=GB(2048))
+    read_latency_ns: float = real(400.0)
+    write_latency_ns: float = real(94.0)
+    # Batched accesses round request sizes up to whole blocks in int64.
+    internal_block_bytes: int = count(256, 1, maximum=GB(1))
+    block_overhead_ns: float = real(150.0)
     # App Direct persistence requires cache-line writeback + fencing on every
     # store to the media, which Memory mode avoids.
-    persist_write_overhead_ns: float = 1200.0
-    xpbuffer_bytes: int = KB(16)
-    read_bw_bytes_per_ns: float = gb_per_s(2.2)
-    write_bw_bytes_per_ns: float = gb_per_s(0.8)
+    persist_write_overhead_ns: float = real(1200.0)
+    xpbuffer_bytes: int = count(KB(16), 0)
+    read_bw_bytes_per_ns: float = real(gb_per_s(2.2), strict=True)
+    write_bw_bytes_per_ns: float = real(gb_per_s(0.8), strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +352,11 @@ class OptaneConfig:
 
 
 @dataclass(frozen=True)
-class CPUConfig:
+class CPUConfig(_Bounded):
     """Simplified in-order core model (one core of Table II's ARM v8 @ 2 GHz)."""
 
-    frequency_ghz: float = 2.0
-    base_cpi: float = 1.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self, ("frequency_ghz",), positive=True)
+    frequency_ghz: float = real(2.0, strict=True)
+    base_cpi: float = real(1.0)
 
     @property
     def cycle_ns(self) -> float:
@@ -339,25 +364,24 @@ class CPUConfig:
 
 
 @dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(_Bounded):
     """Two-level cache hierarchy (64 KB L1I / 64 KB L1D / 2 MB L2)."""
 
-    l1_size_bytes: int = KB(64)
-    l1_latency_ns: float = 1.0
-    l2_size_bytes: int = MB(2)
-    l2_latency_ns: float = 5.0
-    line_size: int = 64
+    # Each line of a level is a slot in three host-memory columns (17 B).
+    l1_size_bytes: int = count(KB(64), 1, maximum=GB(1))
+    l1_latency_ns: float = real(1.0)
+    l2_size_bytes: int = count(MB(2), 1, maximum=GB(1))
+    l2_latency_ns: float = real(5.0)
+    line_size: int = count(64, 1)
 
-    def __post_init__(self) -> None:
-        if self.line_size <= 0:
-            raise ValueError("line_size must be positive")
+    def check(self) -> None:
         if min(self.l1_size_bytes, self.l2_size_bytes) < self.line_size:
-            raise ValueError("each cache level must hold at least one line")
-        _require_finite(self, ("l1_latency_ns", "l2_latency_ns"))
+            raise ValueError(f"each cache level must hold at least one line "
+                             f"of line_size={self.line_size} bytes")
 
 
 @dataclass(frozen=True)
-class OSStackConfig:
+class OSStackConfig(_Bounded):
     """Latency model of the Linux storage stack traversed by the MMF path.
 
     The paper measures 15-20 us of software time per page fault (Section
@@ -365,21 +389,16 @@ class OSStackConfig:
     NVMe driver.  The split below follows the Figure 7a decomposition.
     """
 
-    page_fault_ns: float = us(4.0)
-    context_switch_ns: float = us(5.0)
-    filesystem_ns: float = us(3.0)
-    blk_mq_ns: float = us(2.0)
-    nvme_driver_ns: float = us(1.5)
-    interrupt_ns: float = us(1.0)
-    copy_bandwidth_bytes_per_ns: float = gb_per_s(10.0)
-    readahead_pages: int = 8
-
-    def __post_init__(self) -> None:
-        _require_finite(self, ("page_fault_ns", "context_switch_ns",
-                               "filesystem_ns", "blk_mq_ns", "nvme_driver_ns",
-                               "interrupt_ns"))
-        _require_finite(self, ("copy_bandwidth_bytes_per_ns",), positive=True)
-        _require_count(self, "readahead_pages", 1)
+    page_fault_ns: float = real(us(4.0))
+    context_switch_ns: float = real(us(5.0))
+    filesystem_ns: float = real(us(3.0))
+    blk_mq_ns: float = real(us(2.0))
+    nvme_driver_ns: float = real(us(1.5))
+    interrupt_ns: float = real(us(1.0))
+    copy_bandwidth_bytes_per_ns: float = real(gb_per_s(10.0), strict=True)
+    # A fault installs its whole window page by page (Linux's default
+    # read_ahead_kb is 128 KB, 32 pages).
+    readahead_pages: int = count(8, 1, maximum=65536)
 
     @property
     def mmap_overhead_ns(self) -> float:
@@ -399,16 +418,12 @@ class OSStackConfig:
 
 
 @dataclass(frozen=True)
-class NVMeConfig:
+class NVMeConfig(_Bounded):
     """NVMe protocol timing constants (Section II-C)."""
 
-    doorbell_ns: float = 100.0
-    msi_ns: float = 200.0
-    controller_processing_ns: float = 500.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self, ("doorbell_ns", "msi_ns",
-                               "controller_processing_ns"))
+    doorbell_ns: float = real(100.0)
+    msi_ns: float = real(200.0)
+    controller_processing_ns: float = real(500.0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +432,7 @@ class NVMeConfig:
 
 
 @dataclass(frozen=True)
-class HAMSConfig:
+class HAMSConfig(_Bounded):
     """Configuration of the HAMS controller inside the MCH.
 
     ``integration`` selects the loosely-coupled baseline (``"loose"``:
@@ -429,18 +444,15 @@ class HAMSConfig:
     or ``"extend"`` (full NVMe parallelism + journal-tag persistency).
     """
 
-    integration: str = "loose"       # "loose" | "tight"
-    mode: str = "extend"             # "persist" | "extend"
-    mos_page_bytes: int = KB(128)
-    tag_check_ns: float = 10.0
+    integration: str = bounded(str, "loose", choices=("loose", "tight"))
+    mode: str = bounded(str, "extend", choices=("persist", "extend"))
+    mos_page_bytes: int = count(KB(128), KB(4))
+    tag_check_ns: float = real(10.0)
 
-    def __post_init__(self) -> None:
-        if self.integration not in ("loose", "tight"):
-            raise ValueError(f"unknown integration {self.integration!r}")
-        if self.mode not in ("persist", "extend"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mos_page_bytes <= 0 or self.mos_page_bytes % KB(4) != 0:
-            raise ValueError("mos_page_bytes must be a positive multiple of 4 KB")
+    def check(self) -> None:
+        if self.mos_page_bytes % KB(4) != 0:
+            raise ValueError(f"mos_page_bytes must be a multiple of 4 KB, "
+                             f"got {self.mos_page_bytes}")
 
     @property
     def is_persist(self) -> bool:
@@ -457,7 +469,7 @@ class HAMSConfig:
 
 
 @dataclass(frozen=True)
-class EnergyConfig:
+class EnergyConfig(_Bounded):
     """Per-component power model (McPAT / MICRON calculator style).
 
     The absolute numbers are representative datasheet values; Figure 19 only
@@ -465,17 +477,17 @@ class EnergyConfig:
     mmap baseline, SSD-internal DRAM adds ~17 % over the flash complex, ...).
     """
 
-    cpu_active_w: float = 12.0
-    cpu_idle_w: float = 3.0
-    dram_active_w_per_gb: float = 0.375
-    dram_idle_w_per_gb: float = 0.10
-    ssd_internal_dram_active_w: float = 1.4
-    ssd_internal_dram_idle_w: float = 0.45
-    znand_read_nj_per_page: float = 3_000.0
-    znand_program_nj_per_page: float = 15_000.0
-    znand_idle_w: float = 1.2
-    pcie_pj_per_byte: float = 15.0
-    ddr_pj_per_byte: float = 6.0
+    cpu_active_w: float = real(12.0)
+    cpu_idle_w: float = real(3.0)
+    dram_active_w_per_gb: float = real(0.375)
+    dram_idle_w_per_gb: float = real(0.10)
+    ssd_internal_dram_active_w: float = real(1.4)
+    ssd_internal_dram_idle_w: float = real(0.45)
+    znand_read_nj_per_page: float = real(3_000.0)
+    znand_program_nj_per_page: float = real(15_000.0)
+    znand_idle_w: float = real(1.2)
+    pcie_pj_per_byte: float = real(15.0)
+    ddr_pj_per_byte: float = real(6.0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,6 @@ class ChannelScheduler:
 
     def __init__(self, geometry: FlashGeometry,
                  bandwidth_bytes_per_ns: float) -> None:
-        if geometry.channels <= 0:
-            raise ValueError("SSD needs at least one channel")
-        if bandwidth_bytes_per_ns <= 0:
-            raise ValueError("channel bandwidth must be positive")
         self.geometry = geometry
         self.bandwidth = bandwidth_bytes_per_ns
         self.channel_count = geometry.channels

@@ -50,10 +50,6 @@ class InternalDRAMBuffer:
     def __init__(self, capacity_bytes: int, page_size: int,
                  enabled: bool = True,
                  mapping_table_fraction: float = 0.0) -> None:
-        if page_size <= 0:
-            raise ValueError("page size must be positive")
-        if not 0.0 <= mapping_table_fraction < 1.0:
-            raise ValueError("mapping_table_fraction must be in [0, 1)")
         self.page_size = page_size
         data_bytes = int(capacity_bytes * (1.0 - mapping_table_fraction))
         data_pages = data_bytes // page_size

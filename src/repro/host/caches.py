@@ -73,8 +73,6 @@ class CacheLevel:
 
     def __init__(self, name: str, size_bytes: int, line_size: int,
                  latency_ns: float, associativity: int = 8) -> None:
-        if size_bytes < line_size:
-            raise ValueError("cache smaller than one line")
         if associativity <= 0:
             raise ValueError("associativity must be positive")
         self.name = name

@@ -59,11 +59,9 @@ class FlatFlashPlatform(Platform):
         self.name = "flatflash-P" if mode == "persist" else "flatflash-M"
         self.ssd = SSD(config.ssd)
         self.link = PCIeLink(config.pcie)
-        # The SSD-internal DRAM doubles as the byte-access cache, minus the
-        # mapping table share.
-        data_bytes = int(config.ssd.dram_buffer_bytes
-                         * (1.0 - config.ssd.mapping_table_fraction))
-        self.device_cache = PageCache(data_bytes, _PAGE)
+        # The SSD buffer's data share doubles as the byte-access cache.
+        self.device_cache = PageCache(
+            self.ssd.buffer.capacity_pages * self.ssd.page_size, _PAGE)
         self.host_cache = (PageCache(config.nvdimm.capacity_bytes, _PAGE)
                            if mode == "memory" else None)
         self.dram = NVDIMM(config.nvdimm) if mode == "memory" else None

@@ -173,7 +173,7 @@ class TestRequestSplitAndParse:
 
     def test_invalid_requests_rejected(self):
         with pytest.raises(ValueError,
-                           match="firmware latency cannot be negative"):
+                           match="firmware_latency_ns"):
             small_ssd(firmware_latency_ns=-1.0)
         ssd = small_ssd()
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import FlashGeometry
+from repro.config import FlashGeometry, SSDConfig
 from repro.flash.channel import ChannelScheduler
 from repro.units import mb_per_s
 
@@ -44,7 +44,7 @@ class TestValidation:
 
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            ChannelScheduler(FlashGeometry(channels=1), 0.0)
+            SSDConfig(channel_bw_bytes_per_ns=0.0)
 
     def test_summary_and_reset(self):
         sched = scheduler()

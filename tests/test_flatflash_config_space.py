@@ -142,3 +142,20 @@ def test_drawn_configs_promote_evict_and_stream_lines(host_pages, traces):
     assert disabled.device_cache.capacity_pages == 0
     assert disabled.device_cache.hits == 0
     assert not disabled.ssd.buffer.enabled
+
+
+def test_disabled_ssd_buffer_leaves_no_device_cache(traces):
+    """The device cache is the SSD buffer's data share: with the buffer
+    disabled but its 512 MB (smoke-scaled) size kept, flatflash-P has no
+    device cache and no device hits, and batched still matches scalar."""
+    config = scale_system_config(default_config(), SCALE)
+    config = dataclasses.replace(config, ssd=dataclasses.replace(
+        config.ssd, dram_buffer_enabled=False))
+    assert config.ssd.dram_buffer_bytes > 0
+    platform = create_platform("flatflash-P", config)
+    platform.run(traces["update"])
+    assert platform.device_cache.capacity_pages == 0
+    assert platform.device_cache.hits == 0
+    for chunk_size in (1, 64, 4096):
+        assert _replay("flatflash-P", config, traces["update"], chunk_size) \
+            == _replay("flatflash-P", config, traces["update"], None)
