@@ -30,10 +30,9 @@ from .units import GB, KB, MB, gb_per_s, mb_per_s, us
 
 @dataclass(frozen=True)
 class Bound:
-    """The valid values of one config field: a ``float`` (finite) or an
-    ``int`` of at least ``minimum`` (above it when ``strict``) and below
-    ``maximum`` if set, a ``bool``, a ``str`` (one of ``choices`` if set)
-    or a nested config section class."""
+    """The valid values of one config field: a finite ``float`` or an ``int``
+    of at least ``minimum`` (above it if ``strict``) and below ``maximum`` if
+    set; a ``bool``; a ``str`` (one of ``choices`` if set); or a section."""
 
     kind: type
     minimum: float = 0
@@ -377,7 +376,8 @@ class CacheConfig(_Bounded):
     def check(self) -> None:
         if min(self.l1_size_bytes, self.l2_size_bytes) < self.line_size:
             raise ValueError(f"each cache level must hold at least one line "
-                             f"of line_size={self.line_size} bytes")
+                             f"(l1_size_bytes, l2_size_bytes >= line_size="
+                             f"{self.line_size})")
 
 
 @dataclass(frozen=True)

@@ -68,11 +68,9 @@ DEFAULT = default_config()
 #: Override section name of each top-level section class (the nested
 #: FlashTiming, FlashGeometry and DDRConfig have none).
 SECTION_OF = {type(getattr(DEFAULT, name)): name for name in CONFIG_SECTIONS}
-#: A valid instance of every section class.
-BASES = {**{type(getattr(DEFAULT, name)): getattr(DEFAULT, name)
-            for name in CONFIG_SECTIONS},
-         FlashTiming: DEFAULT.ssd.timing, FlashGeometry: DEFAULT.ssd.geometry,
-         DDRConfig: DEFAULT.nvdimm.ddr}
+#: A valid instance of each nested section.
+NESTED = {FlashTiming: DEFAULT.ssd.timing, FlashGeometry: DEFAULT.ssd.geometry,
+          DDRConfig: DEFAULT.nvdimm.ddr}
 FIELDS = [(cls, item.name) for cls in SECTIONS
           for item in dataclasses.fields(cls)]
 
@@ -83,7 +81,7 @@ def override(cls, name, value):
     if cls in SECTION_OF:
         return apply_config_overrides(DEFAULT,
                                       {SECTION_OF[cls]: {name: value}})
-    return dataclasses.replace(BASES[cls], **{name: value})
+    return dataclasses.replace(NESTED[cls], **{name: value})
 
 
 def non_finite(node):
