@@ -60,12 +60,6 @@ class ExperimentResult:
 
     # -- per-figure series -----------------------------------------------------------
 
-    def throughput_series(self, platform: str) -> Dict[str, float]:
-        """Operations/s per workload for one platform (Figure 16)."""
-        return {workload: result.operations_per_second
-                for (name, workload), result in self.results.items()
-                if name == platform}
-
     def speedup_over(self, platform: str, baseline: str) -> Dict[str, float]:
         """Per-workload throughput ratio of *platform* over *baseline*.
 

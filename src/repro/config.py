@@ -164,10 +164,6 @@ class FlashGeometry(_Bounded):
         return int(self.raw_capacity_bytes * (1.0 - self.overprovision))
 
     @property
-    def physical_pages(self) -> int:
-        return self.planes_total * self.pages_per_plane
-
-    @property
     def logical_pages(self) -> int:
         return self.usable_capacity_bytes // self.page_size
 
@@ -495,6 +491,11 @@ class EnergyConfig(_Bounded):
 # ---------------------------------------------------------------------------
 
 
+#: Most MoS tag-array entries (cacheable NVDIMM bytes // MoS page) a config
+#: may ask for: each is 9 B of host memory, so this caps the array at 75 MB.
+MAX_TAG_ENTRIES = 1 << 23
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Top-level configuration bundle handed to platforms."""
@@ -511,17 +512,18 @@ class SystemConfig:
     optane: OptaneConfig = field(default_factory=OptaneConfig)
     energy: EnergyConfig = field(default_factory=EnergyConfig)
 
+    def __post_init__(self) -> None:
+        entries = self.nvdimm.cacheable_bytes // self.hams.mos_page_bytes
+        if entries > MAX_TAG_ENTRIES:
+            raise ValueError(
+                f"nvdimm.capacity_bytes ({self.nvdimm.capacity_bytes}) over "
+                f"hams.mos_page_bytes ({self.hams.mos_page_bytes}) gives "
+                f"{entries} MoS tag-array entries; at most "
+                f"{MAX_TAG_ENTRIES} are allowed")
+
     def with_hams(self, **kwargs) -> "SystemConfig":
         """Return a copy with modified HAMS parameters."""
         return replace(self, hams=replace(self.hams, **kwargs))
-
-    def with_nvdimm(self, **kwargs) -> "SystemConfig":
-        """Return a copy with modified NVDIMM parameters."""
-        return replace(self, nvdimm=replace(self.nvdimm, **kwargs))
-
-    def with_ssd(self, ssd: SSDConfig) -> "SystemConfig":
-        """Return a copy with a different SSD device."""
-        return replace(self, ssd=ssd)
 
 
 def default_config() -> SystemConfig:

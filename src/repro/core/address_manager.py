@@ -15,7 +15,6 @@ this space and never learns that most of it lives on flash.  The manager
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..config import HAMSConfig, NVDIMMConfig
 from .tag_array import MoSTagArray
@@ -88,15 +87,3 @@ class AddressManager:
     @property
     def pinned_region_base(self) -> int:
         return self.nvdimm.capacity_bytes - self.nvdimm.pinned_region_bytes
-
-    # -- reporting -------------------------------------------------------------------
-
-    def statistics(self) -> Dict[str, float]:
-        stats = {f"tag_array.{key}": value
-                 for key, value in self.tag_array.statistics().items()}
-        stats.update({
-            "mos_capacity_bytes": float(self.mos_capacity_bytes),
-            "mos_pages": float(self.mos_pages),
-            "pinned_region_bytes": float(self.nvdimm.pinned_region_bytes),
-        })
-        return stats

@@ -22,7 +22,7 @@ module is the only one that reads or writes them: the scalar
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -193,13 +193,3 @@ class MoSTagArray:
 
     def dirty_count(self) -> int:
         return int(np.count_nonzero(self.dirty))
-
-    def statistics(self) -> Dict[str, float]:
-        return {
-            "entries": float(self.entries_count),
-            "lookups": float(self.lookups),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "hit_rate": self.hit_rate,
-            "dirty_entries": float(self.dirty_count()),
-        }

@@ -41,16 +41,6 @@ class EnergyBreakdown:
             "total": self.total_nj / denominator,
         }
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "cpu_nj": self.cpu_nj,
-            "nvdimm_nj": self.nvdimm_nj,
-            "internal_dram_nj": self.internal_dram_nj,
-            "znand_nj": self.znand_nj,
-            "total_nj": self.total_nj,
-        }
-
-
 @dataclass
 class EnergyAccount:
     """Activity counters a platform accumulates during a run."""

@@ -11,7 +11,6 @@ reports, per platform and workload, the breakdown across CPU, system memory
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..config import EnergyConfig
 from ..units import to_GB
@@ -92,10 +91,3 @@ class EnergyModel:
         """Per-byte link energy (PCIe encapsulation costs more than DDR)."""
         return (pcie_bytes * self.config.pcie_pj_per_byte
                 + ddr_bytes * self.config.ddr_pj_per_byte) / 1000.0
-
-    def component_table(self) -> Dict[str, ComponentPowerModel]:
-        return {
-            "cpu": self.cpu,
-            "nvdimm": self.nvdimm,
-            "internal_dram": self.internal_dram,
-        }

@@ -65,24 +65,12 @@ class ChannelScheduler:
         self.transfers[channel] += 1
         return start, finish
 
-    def utilisation_summary(self) -> Dict[str, float]:
-        return {
-            "bytes_moved": float(sum(self.bytes_moved)),
-            "transfers": float(sum(self.transfers)),
-            "busiest_channel_until_ns": max(self.busy_until_ns, default=0.0),
-        }
-
     def statistics(self) -> Dict[str, float]:
         """Counters for the unified ``flash_*`` statistics fold."""
         return {
             "channel_bytes_moved": float(sum(self.bytes_moved)),
             "channel_transfers": float(sum(self.transfers)),
         }
-
-    def reset(self) -> None:
-        self.busy_until_ns = [0.0] * self.channel_count
-        self.bytes_moved = [0] * self.channel_count
-        self.transfers = [0] * self.channel_count
 
     def _check(self, channel: int) -> None:
         if channel < 0 or channel >= self.channel_count:

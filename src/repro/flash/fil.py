@@ -38,10 +38,6 @@ class FlashAccessResult:
     array_time_ns: float
     transfer_time_ns: float
 
-    @property
-    def latency_ns(self) -> float:
-        return self.finish_ns - self.start_ns
-
 
 class FlashInterfaceLayer:
     """Places page reads and programs onto the flash complex."""
@@ -105,9 +101,3 @@ class FlashInterfaceLayer:
                                             at_ns)
         finish = max(finish_a, finish_b)
         return finish, self.channels.transfer_time(half)
-
-    def statistics(self) -> dict:
-        return {
-            "page_reads": self.page_reads,
-            "page_programs": self.page_programs,
-        }

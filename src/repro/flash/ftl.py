@@ -30,7 +30,7 @@ allocating 200 M entries up front.  It has two parts:
   stripes it round-robin from plane 0, so LPN ``start + k`` sits at PPN
   ``(k % planes) * pages_per_plane + k // planes``; the FTL keeps only
   the range and the set of base LPNs that have since left it
-  (overwritten, trimmed or relocated by GC).  A base LPN is live exactly
+  (overwritten or relocated by GC).  A base LPN is live exactly
   while its base PPN still holds it;
 * two dictionaries, LPN → PPN and PPN → LPN, for every page written
   after that.
@@ -220,13 +220,10 @@ class FlashTranslationLayer:
         ppn = self._lpn_to_ppn(lpn)
         return None if ppn is None else self._address(ppn)
 
-    def is_mapped(self, lpn: int) -> bool:
-        return self._lpn_to_ppn(lpn) is not None
-
     def unmapped_lpns(self, start: int, stop: int) -> List[int]:
-        """The LPNs of ``[start, stop)`` that :meth:`is_mapped` rejects, in
-        order, read off the maps: a base-stripe LPN once it left the stripe
-        and was not written again, any other LPN the mapping lacks."""
+        """The unmapped LPNs of ``[start, stop)``, in order, read off the
+        maps: a base-stripe LPN once it left the stripe and was not written
+        again, any other LPN the mapping lacks."""
         mapping = self._mapping
         low = min(max(start, self._base_start), stop)
         high = max(min(stop, self._base_end), low)
@@ -258,8 +255,8 @@ class FlashTranslationLayer:
         plane is under GC pressure (the collection scan is then a no-op).
 
         One flat body, as every programmed host page runs it: the bounds
-        check, :meth:`_unmap` (with :meth:`_lpn_to_ppn` and
-        :meth:`_Plane.invalidate`) and the open-block append of
+        check, the invalidation of the LPN's old page (:meth:`_lpn_to_ppn`
+        and :meth:`_Plane.invalidate`) and the open-block append of
         :meth:`_allocate` are inlined; a block turnover falls back to
         :meth:`_allocate` and GC pressure to :meth:`_collect`.
         """
@@ -273,7 +270,7 @@ class FlashTranslationLayer:
         planes = self._planes
         pages_per_plane = self._pages_per_plane
         pages_per_block = self._pages_per_block
-        # _unmap: invalidate the page holding lpn, if any.
+        # Invalidate the page holding lpn, if any.
         k = lpn - self._base_start
         if 0 <= k < self._base_end - self._base_start and (
                 lpn not in self._base_gone):
@@ -307,17 +304,6 @@ class FlashTranslationLayer:
         mapping[lpn] = ppn
         reverse[ppn] = lpn
         return ppn, gc_result
-
-    def _unmap(self, lpn: int) -> None:
-        """Invalidate the page holding *lpn*, if any."""
-        old = self._lpn_to_ppn(lpn)
-        if old is None:
-            return
-        if self._reverse.pop(old, None) is None:
-            self._base_gone.add(lpn)
-        else:
-            del self._mapping[lpn]
-        self._planes[old // self._pages_per_plane].invalidate(old)
 
     def fill(self, lpns) -> None:
         """Map a vector of LPNs in order (int sequence or int64 array).
@@ -427,11 +413,6 @@ class FlashTranslationLayer:
         self._allocation_cursor = (
             self._allocation_cursor + count) % self._plane_count
         return columns
-
-    def trim(self, lpn: int) -> None:
-        """Drop the mapping for *lpn* (discard / TRIM)."""
-        self._check_lpn(lpn)
-        self._unmap(lpn)
 
     # -- garbage collection -----------------------------------------------------
 

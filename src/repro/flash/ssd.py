@@ -77,10 +77,6 @@ class IOResult:
     def latency_ns(self) -> float:
         return self.finish_ns - self.request.submit_ns
 
-    @property
-    def device_time_ns(self) -> float:
-        return self.finish_ns - self.start_ns
-
 
 def _column(values, count: Optional[int] = None) -> list:
     """Normalise a per-request column to a plain Python list.
@@ -196,16 +192,6 @@ class IORequestBatch:
 
     def __len__(self) -> int:
         return len(self.byte_offset)
-
-    def request(self, index: int) -> IORequest:
-        """Scalar view of one batch row (open-loop batches only)."""
-        if self.submit_ns is None:
-            raise ValueError("chained batches have no per-request submit_ns")
-        return IORequest(is_write=bool(self.is_write[index]),
-                         byte_offset=int(self.byte_offset[index]),
-                         size_bytes=int(self.size_bytes[index]),
-                         submit_ns=float(self.submit_ns[index]),
-                         fua=bool(self.fua[index]))
 
 
 @dataclass

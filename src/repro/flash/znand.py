@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import FlashGeometry, FlashTiming
 
@@ -44,9 +44,6 @@ class DieState:
     reads: int = 0
     programs: int = 0
     erases: int = 0
-
-    def operations_total(self) -> int:
-        return self.reads + self.programs + self.erases
 
 
 class ZNANDArray:
@@ -82,12 +79,6 @@ class ZNANDArray:
         raise ValueError(
             f"die address out of range: ({channel}, {package}, {die})")
 
-    def die_state(self, channel: int, package: int, die: int) -> DieState:
-        return self._states[self.flat_index(channel, package, die)]
-
-    def dies(self) -> List[DieState]:
-        return list(self._states)
-
     # -- timing -------------------------------------------------------------
 
     def operation_time_ns(self, operation: FlashOperation) -> float:
@@ -119,25 +110,3 @@ class ZNANDArray:
         else:
             state.erases += 1
         return start, finish
-
-    # -- statistics ----------------------------------------------------------
-
-    def utilisation_summary(self) -> Dict[str, float]:
-        """Aggregate operation counts and the maximum busy-until time."""
-        reads = sum(d.reads for d in self._states)
-        programs = sum(d.programs for d in self._states)
-        erases = sum(d.erases for d in self._states)
-        busiest = max((d.busy_until_ns for d in self._states), default=0.0)
-        return {
-            "reads": float(reads),
-            "programs": float(programs),
-            "erases": float(erases),
-            "busiest_die_until_ns": busiest,
-        }
-
-    def reset(self) -> None:
-        for state in self._states:
-            state.busy_until_ns = 0.0
-            state.reads = 0
-            state.programs = 0
-            state.erases = 0

@@ -11,7 +11,6 @@ application is always stalled until the OS fetches data from storage".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
 from ..config import CPUConfig
 
@@ -101,15 +100,3 @@ class CPUModel:
         if total_s <= 0:
             return 0.0
         return self.account.instructions / 1e6 / total_s
-
-    def breakdown(self) -> Dict[str, float]:
-        """Execution-time breakdown matching the Figure 17 categories."""
-        return {
-            "app_ns": self.account.app_ns,
-            "os_ns": self.account.os_ns,
-            "ssd_ns": self.account.storage_ns,
-            "total_ns": self.account.total_ns,
-        }
-
-    def reset(self) -> None:
-        self.account = ExecutionAccount()

@@ -325,11 +325,6 @@ class PageCache:
         """The resident pages in LRU order (least recently used first)."""
         return list(self._pages)
 
-    def clean(self, page_number: int) -> None:
-        """Clear the dirty flag after the page has been written back."""
-        if page_number in self._pages:
-            self._pages[page_number] = False
-
     def dirty_pages(self) -> List[int]:
         return [page for page, dirty in self._pages.items() if dirty]
 
@@ -400,17 +395,6 @@ class OSStorageStack:
         self.total_io_stack_ns += self._io_stack_ns
         self.total_copy_ns += self._copy_ns
         return self._writeback_ns
-
-    def msync_cost(self, dirty_page_count: int) -> float:
-        """Software cost of an msync()-style flush of *dirty_page_count*
-        pages, counted as one context switch plus one writeback each."""
-        if dirty_page_count < 0:
-            raise ValueError("dirty_page_count cannot be negative")
-        self.context_switches += 1
-        for _ in range(dirty_page_count):
-            self.writeback_cost()
-        return (self.config.context_switch_ns
-                + dirty_page_count * self._writeback_ns)
 
     @property
     def readahead_pages(self) -> int:

@@ -94,8 +94,3 @@ class Link(abc.ABC):
             "transfers": float(self.transfers),
             "busy_until_ns": self._busy_until_ns,
         }
-
-    def reset(self) -> None:
-        self.bytes_transferred = 0
-        self.transfers = 0
-        self._busy_until_ns = 0.0

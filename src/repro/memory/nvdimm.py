@@ -56,16 +56,6 @@ class NVDIMM:
         """Bytes available to the MoS cache (capacity minus the pinned region)."""
         return self.config.cacheable_bytes
 
-    def pinned_region_base(self) -> int:
-        """The pinned region occupies the top of the module's address range."""
-        return self.capacity_bytes - self.pinned_region_bytes
-
-    def is_pinned_address(self, offset: int) -> bool:
-        """True when *offset* falls inside the MMU-invisible pinned region."""
-        if offset < 0 or offset >= self.capacity_bytes:
-            raise ValueError(f"offset {offset} outside the module")
-        return offset >= self.pinned_region_base()
-
     # -- accesses ---------------------------------------------------------------
 
     def access(self, size_bytes: int, is_write: bool) -> DRAMAccessResult:

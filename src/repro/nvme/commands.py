@@ -104,13 +104,6 @@ class NVMeCompletion:
     SIZE_BYTES = 16
 
 
-def build_read(lba: int, length_bytes: int, prp: int,
-               fua: bool = False) -> NVMeCommand:
-    """Convenience constructor for a read command."""
-    return NVMeCommand(opcode=NVMeOpcode.READ, lba=lba,
-                       length_bytes=length_bytes, prp=prp, fua=fua)
-
-
 def build_write(lba: int, length_bytes: int, prp: int,
                 fua: bool = False) -> NVMeCommand:
     """Convenience constructor for a write command."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .commands import NVMeCommand, NVMeCompletion
+from .commands import NVMeCommand
 
 
 class QueueFullError(RuntimeError):
@@ -108,21 +108,10 @@ class CompletionQueue:
     def __init__(self, depth: int, queue_id: int = 0) -> None:
         self.queue_id = queue_id
         self._ring = _Ring(depth)
-        self.interrupts_raised = 0
 
     @property
     def outstanding(self) -> int:
         return self._ring.slots_used()
-
-    def post(self, completion: NVMeCompletion) -> int:
-        """Controller appends a completion and raises an interrupt (MSI)."""
-        slot = self._ring.push(completion)
-        self.interrupts_raised += 1
-        return slot
-
-    def reap(self) -> Optional[NVMeCompletion]:
-        """Host consumes the completion at the head."""
-        return self._ring.pop()  # type: ignore[return-value]
 
 
 @dataclass
@@ -136,17 +125,6 @@ class QueuePair:
     def create(depth: int, queue_id: int = 0) -> "QueuePair":
         return QueuePair(sq=SubmissionQueue(depth, queue_id),
                          cq=CompletionQueue(depth, queue_id))
-
-    @property
-    def pointers_consistent(self) -> bool:
-        """True when SQ and CQ agree that no command is in flight.
-
-        The HAMS initialisation check: "if there is no power failure, the SQ
-        and CQ tail pointers should refer to the same offset of their queue
-        entries" — a mismatch (or pending journal tags) signals interrupted
-        I/O that must be replayed (Section IV-B).
-        """
-        return self.sq.outstanding == 0 and self.cq.outstanding == 0
 
     def in_flight_commands(self) -> List[NVMeCommand]:
         """Commands visible in the SQ whose journal tag is still set."""

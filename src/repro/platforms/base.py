@@ -22,12 +22,8 @@ bit-identical results:
   gathers each chunk's misses into a :class:`MemoryRequestBatch` and hands
   the whole batch to :meth:`Platform.service_batch`.
 
-``service_batch`` is the one new per-platform hook.  Its default
-implementation replays the batch through the scalar
-``service_memory_access`` hook as an all-miss
-:meth:`MemoryRequestBatch.service_page_cached` fold, advancing the clock
-exactly as the scalar loop would; every registered platform overrides
-it.  The analytic platforms are truly vectorized; the page-cached
+``service_batch`` is the batched per-platform hook.  The analytic
+platforms are truly vectorized; the page-cached
 platforms (mmap, FlatFlash, NVDIMM-C, Optane memory mode, the ULL
 bypasses) run an order-exact batched LRU walk
 (:meth:`repro.host.os_stack.PageCache.access_batch`) and replay only its
@@ -148,8 +144,7 @@ class MemoryRequestBatch:
 
         The engine behind the DRAM-cache platforms' vectorized
         ``service_batch`` (FlatFlash folds the same way inside its own
-        MMIO loop; and, with every request a miss, behind the
-        default :meth:`Platform.service_batch`).  The caller classifies
+        MMIO loop).  The caller classifies
         every request against its page cache (one
         :meth:`~repro.host.os_stack.PageCache.access_batch` walk) and
         computes the hits' clock-independent service latencies in one
@@ -232,9 +227,6 @@ class MemoryServiceBatch:
             if count and float(column.min()) < 0:
                 raise ValueError("latencies cannot be negative")
 
-    def __len__(self) -> int:
-        return len(self.latency_ns)
-
 
 @dataclass
 class RunResult:
@@ -310,40 +302,23 @@ class Platform(abc.ABC):
                               is_write: bool, at_ns: float) -> MemoryServiceResult:
         """Resolve one off-chip memory access starting at *at_ns*."""
 
+    @abc.abstractmethod
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """Resolve a whole batch of off-chip memory requests.
 
-        The default drives :meth:`service_memory_access` one request at a
-        time as an all-miss :meth:`MemoryRequestBatch.service_page_cached`
-        fold, which advances the clock exactly as the scalar replay loop
-        would (via the batch's timeline), so a new platform is correct and
-        bit-identical before it vectorizes anything.  Every registered
-        platform overrides it: those whose service cost is
-        clock-independent (oracle, Optane App Direct, the NVDIMM bypass)
-        with truly vectorized implementations; the page-cached platforms
-        (mmap, NVDIMM-C, Optane memory mode, the ULL bypasses) with the
-        batched page-cache walk +
+        Bit-identical to calling :meth:`service_memory_access` once per
+        request at the issue clocks the batch's timeline gives.  Those
+        whose service cost is clock-independent (oracle, Optane App
+        Direct, the NVDIMM bypass) are truly vectorized; the page-cached
+        platforms (mmap, NVDIMM-C, Optane memory mode, the ULL bypasses)
+        run the batched page-cache walk +
         :meth:`MemoryRequestBatch.service_page_cached` fold, which replays
-        only the misses against the device; FlatFlash with its two cache
+        only the misses against the device; FlatFlash runs its two cache
         walks + one MMIO loop over the misses
         (:class:`repro.platforms.flatflash.FlatFlashPlatform`); and HAMS
-        with the clock-free tag-classification walk in
+        the clock-free tag-classification walk in
         :class:`repro.platforms.hams_platform.HAMSPlatform`.
         """
-        count = len(batch)
-        addresses = batch.addresses.tolist()
-        sizes = batch.sizes.tolist()
-        writes = batch.writes.tolist()
-        service = self.service_memory_access
-
-        def miss_service(k, index, now):
-            result = service(addresses[index], sizes[index], writes[index],
-                             now)
-            return result.latency_ns, result.os_ns, result.storage_ns
-
-        return batch.service_page_cached(
-            np.zeros(count, dtype=bool), np.zeros(count, dtype=np.float64),
-            np.arange(count, dtype=np.int64), miss_service)
 
     @abc.abstractmethod
     def collect_energy(self, account: EnergyAccount) -> None:

@@ -38,6 +38,7 @@ from ..energy.accounting import EnergyAccount
 from ..energy.models import EnergyModel
 from ..workloads.trace import WorkloadTrace
 from .base import (
+    BatchTimeline,
     MemoryRequestBatch,
     MemoryServiceBatch,
     MemoryServiceResult,
@@ -104,12 +105,20 @@ class HAMSPlatform(Platform):
         controller = self.controller
         addresses = batch.addresses
         sizes = batch.sizes
-        # Out-of-range requests must raise mid-walk exactly where the
-        # scalar loop would; hand those batches to the per-request default.
-        if (int(addresses.min()) < 0 or int(sizes.min()) <= 0
-                or int((addresses + sizes).max())
-                > controller.mos_capacity_bytes):
-            return super().service_batch(batch)
+        # An out-of-range request raises the scalar loop's error after the
+        # requests before it were served, as the scalar loop serves them.
+        bad = ((addresses < 0) | (sizes <= 0)
+               | (addresses + sizes > controller.mos_capacity_bytes))
+        if bad.any():
+            first = int(np.argmax(bad))
+            timeline = batch.timeline
+            self.service_batch(MemoryRequestBatch(
+                addresses[:first], sizes[:first], batch.writes[:first],
+                batch.on_chip_ns[:first], batch.start_ns,
+                BatchTimeline(timeline.addends,
+                              timeline.service_slots[:first])))
+            controller.address_manager.validate(int(addresses[first]),
+                                                int(sizes[first]))
 
         plan = controller.classify_batch(addresses, sizes, batch.writes)
         probe = plan.probe_ns

@@ -564,8 +564,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sweep_value(raw: str):
-    """CLI sweep values: int where possible, float next, else the string."""
+def _parse_sweep_value(raw: str, kind: Optional[type]):
+    """One CLI sweep value, parsed as its field's declared kind: a bool
+    from ``True``/``False``, a string as given, a number as an int where
+    possible, else a float, else the string (the bound rejects it)."""
+    if kind is bool:
+        return {"true": True, "false": False}.get(raw.lower(), raw)
+    if kind is str:
+        return raw
     for parse in (int, float):
         try:
             return parse(raw)
@@ -574,8 +580,16 @@ def _parse_sweep_value(raw: str):
     return raw
 
 
+def _sweep_field_kind(section: str, name: str) -> Optional[type]:
+    """The declared ``Bound.kind`` of a config field; ``None`` if unknown."""
+    item = getattr(getattr(default_config(), section, None),
+                   "__dataclass_fields__", {}).get(name)
+    return None if item is None else item.metadata["bound"].kind
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = [_parse_sweep_value(raw) for raw in args.values]
+    kind = _sweep_field_kind(args.section, args.field)
+    values = [_parse_sweep_value(raw, kind) for raw in args.values]
     try:
         session = _session_of(args)
     except ValueError as error:

@@ -103,6 +103,7 @@ def apply_config_overrides(config: SystemConfig,
     e.g. ``{"hams": {"mos_page_bytes": 4096}}``.  The input config is frozen
     and never mutated.  An unknown section or field raises ``ValueError``.
     """
+    sections = {}
     for section, values in overrides.items():
         if section not in CONFIG_SECTIONS:
             raise ValueError(
@@ -115,9 +116,9 @@ def apply_config_overrides(config: SystemConfig,
             raise ValueError(
                 f"unknown field(s) {', '.join(map(repr, unknown))} in config "
                 f"section {section!r}; expected one of {known}")
-        section_config = replace(current, **dict(values))
-        config = replace(config, **{section: section_config})
-    return config
+        sections[section] = replace(current, **dict(values))
+    # One replace, so a cross-section rule sees every override at once.
+    return replace(config, **sections)
 
 
 def matrix_specs(platform_names, workloads) -> list:

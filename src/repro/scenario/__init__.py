@@ -30,8 +30,6 @@ from .mix import (
     MixedAccessStream,
     TenantAccessStream,
     build_mixed_trace,
-    mix_content_hash,
-    tenant_projection,
 )
 from .policy import POLICY_NAMES, jains_index
 from .spec import (
@@ -56,11 +54,9 @@ __all__ = [
     "build_mixed_trace",
     "is_scenario_source",
     "jains_index",
-    "mix_content_hash",
     "parse_scenario_source",
     "run_scenario",
     "scenario_run_spec",
     "scenario_source",
     "scenario_spec_length",
-    "tenant_projection",
 ]

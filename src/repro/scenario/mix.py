@@ -17,9 +17,7 @@ the spec and the tenant stream lengths, with no RNG and no dependence on
 how the output is chunked.  :class:`MixedAccessStream` streams the merge:
 ``chunks()`` re-runs the generator and re-slices its blocks, so a mix of
 file-backed tenants replays with RSS bounded by a few merge blocks and
-never materialises.  The per-column running-hash
-:func:`mix_content_hash` is therefore chunking-invariant, giving scenario
-runs the same content-addressed identity discipline as ``trace:`` files.
+never materialises.
 
 A key structural fact the column fetch exploits: within any emitted merge
 block, each tenant's accesses appear in position order with no gaps (both
@@ -29,7 +27,6 @@ window per (tenant, block) suffices — no gather.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -260,7 +257,7 @@ class MixedAccessStream(AccessStream):
     a mix is never materialised and file-backed tenants keep their bounded
     RSS.  Every window is a :class:`TenantAccessStream`, carrying the
     int64 tenant tag column into the batched replay loop.  The full-column
-    accessors materialise once, for the scalar compatibility path only.
+    accessors materialise once, for the scalar reference replay only.
     """
 
     __slots__ = ("_spec", "_traces", "_bases", "_lengths", "_total",
@@ -279,17 +276,6 @@ class MixedAccessStream(AccessStream):
         self._lengths = tuple(len(trace) for trace in traces)
         self._total = sum(self._lengths)
         self._columns_cache: Optional[TenantAccessStream] = None
-
-    # -- mix identity ------------------------------------------------------------
-
-    @property
-    def spec(self) -> ScenarioSpec:
-        return self._spec
-
-    @property
-    def bases(self) -> Tuple[int, ...]:
-        """Per-tenant address-space base offsets."""
-        return self._bases
 
     # -- merge streaming ---------------------------------------------------------
 
@@ -375,35 +361,9 @@ class MixedAccessStream(AccessStream):
     def tenants(self) -> np.ndarray:  # materialises the mix
         return self._columns().tenants
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._columns()[index]
-        return self._columns()[index]
-
-    def __iter__(self):
-        for chunk in self.chunks(MERGE_BLOCK):
-            yield from chunk
-
-    def __repr__(self) -> str:
-        return (f"MixedAccessStream({self._spec.name!r}, "
-                f"tenants={len(self._traces)}, length={self._total})")
-
-    @property
-    def nbytes(self) -> int:
-        """Logical footprint (25 B/access); resident memory is bounded by
-        a few merge blocks."""
-        return 25 * self._total
-
     @property
     def write_count(self) -> int:
         return sum(trace.stream.write_count for trace in self._traces)
-
-    def touched_bytes(self) -> int:
-        high = 0
-        for trace, base in zip(self._traces, self._bases):
-            if len(trace):
-                high = max(high, base + trace.stream.touched_bytes())
-        return high
 
 
 def _take_front(buffered: List[TenantAccessStream],
@@ -488,69 +448,3 @@ def build_mixed_trace(spec: ScenarioSpec, scale) -> WorkloadTrace:
         operation_unit=units.pop() if len(units) == 1 else "ops",
         total_instructions=sum(trace.total_instructions
                                for trace in traces))
-
-
-# ---------------------------------------------------------------------------
-# Content identity and projection
-# ---------------------------------------------------------------------------
-
-
-def mix_content_hash(stream: AccessStream, *,
-                     chunk_size: int = MERGE_BLOCK) -> str:
-    """Chunking-invariant ``sha256:`` content hash of a (mixed) stream.
-
-    Per-column running SHA-256 over little-endian addresses, sizes, write
-    flags and tenant tags, folded into one digest — the four-column
-    analogue of the trace store's
-    :func:`~repro.trace.format.content_hash_of`.  Running updates are
-    concatenation-invariant, so any chunking of the same sequence hashes
-    identically.
-    """
-    address_sha = hashlib.sha256()
-    size_sha = hashlib.sha256()
-    write_sha = hashlib.sha256()
-    tenant_sha = hashlib.sha256()
-    for chunk in stream.chunks(chunk_size):
-        address_sha.update(np.ascontiguousarray(
-            chunk.addresses, dtype="<i8").tobytes())
-        size_sha.update(np.ascontiguousarray(
-            chunk.sizes, dtype="<i8").tobytes())
-        write_sha.update(np.ascontiguousarray(
-            chunk.writes, dtype=np.uint8).tobytes())
-        tags = getattr(chunk, "tenants", None)
-        if tags is None:
-            tags = np.zeros(len(chunk), dtype=np.int64)
-        tenant_sha.update(np.ascontiguousarray(
-            tags, dtype="<i8").tobytes())
-    combined = hashlib.sha256()
-    combined.update(b"repro.mix/1\0")
-    for digest in (address_sha, size_sha, write_sha, tenant_sha):
-        combined.update(digest.digest())
-    return f"sha256:{combined.hexdigest()}"
-
-
-def tenant_projection(mixed: MixedAccessStream,
-                      tenant_index: int) -> AccessStream:
-    """Tenant *tenant_index*'s accesses, extracted back out of the mix.
-
-    Base offsets are removed, so (by the merge's sequential-consumption
-    property) the projection of a mixed stream equals the tenant's
-    original stream exactly — the invariant the hypothesis suite pins.
-    """
-    base = mixed.bases[tenant_index]
-    addresses: List[np.ndarray] = []
-    sizes: List[np.ndarray] = []
-    writes: List[np.ndarray] = []
-    for chunk in mixed.chunks(MERGE_BLOCK):
-        selected = chunk.tenants == tenant_index
-        if not selected.any():
-            continue
-        addresses.append(chunk.addresses[selected] - base)
-        sizes.append(chunk.sizes[selected])
-        writes.append(chunk.writes[selected])
-    if not addresses:
-        empty = np.empty(0, dtype=np.int64)
-        return AccessStream(empty, empty.copy(), np.empty(0, dtype=bool))
-    return AccessStream(np.concatenate(addresses),
-                        np.concatenate(sizes),
-                        np.concatenate(writes))

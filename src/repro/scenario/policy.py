@@ -185,10 +185,6 @@ class PartitionedPageCache(PageCache):
             resident.extend(partition.resident_pages())
         return resident
 
-    def clean(self, page_number: int) -> None:
-        for partition in self.partitions:
-            partition.clean(page_number)
-
     def dirty_pages(self) -> List[int]:
         dirty: List[int] = []
         for partition in self.partitions:

@@ -1,10 +1,9 @@
 """Statistics collection shared by the device and platform models."""
 
-from .stats import Counter, Histogram, LatencyStat, StatRegistry
+from .stats import Counter, LatencyStat, StatRegistry
 
 __all__ = [
     "Counter",
-    "Histogram",
     "LatencyStat",
     "StatRegistry",
 ]

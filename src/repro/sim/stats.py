@@ -1,4 +1,4 @@
-"""Statistics collection: counters, latency aggregates, and histograms.
+"""Statistics collection: counters and latency aggregates.
 
 Every device model owns a :class:`StatRegistry` so experiments can pull a
 flat name -> value mapping after a run.  The classes are intentionally plain
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
 
 class Counter:
@@ -31,15 +31,9 @@ class Counter:
         self.value += other.value
         return self
 
-    def reset(self) -> None:
-        self.value = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"Counter({self.name}={self.value})"
-
 
 class LatencyStat:
-    """Streaming aggregate of latency samples (count/sum/min/max/mean/std).
+    """Streaming aggregate of latency samples (count/sum/min/max/mean/variance).
 
     Uses Welford's online algorithm so the variance is numerically stable
     without retaining every sample.
@@ -77,10 +71,6 @@ class LatencyStat:
             return 0.0
         return self._m2 / (self.count - 1)
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
     def merge(self, other: "LatencyStat") -> "LatencyStat":
         """Fold another aggregate into this one (parallel merge formula).
 
@@ -109,73 +99,6 @@ class LatencyStat:
         self.max = max(self.max, other.max)
         return self
 
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (f"LatencyStat({self.name}: n={self.count}, "
-                f"mean={self.mean:.1f}ns)")
-
-
-class Histogram:
-    """Fixed-bucket histogram for latency or size distributions."""
-
-    def __init__(self, name: str, bucket_bounds: Iterable[float]) -> None:
-        self.name = name
-        self.bounds = sorted(bucket_bounds)
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        # One extra bucket catches samples above the last bound.
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total_samples = 0
-
-    def record(self, sample: float) -> None:
-        self.total_samples += 1
-        for index, bound in enumerate(self.bounds):
-            if sample <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
-
-    def fraction_at_or_below(self, bound: float) -> float:
-        """Fraction of samples at or below *bound* (must be a bucket bound)."""
-        if self.total_samples == 0:
-            return 0.0
-        cumulative = 0
-        for index, bucket_bound in enumerate(self.bounds):
-            cumulative += self.counts[index]
-            if bucket_bound >= bound:
-                break
-        return cumulative / self.total_samples
-
-    def as_dict(self) -> Dict[str, int]:
-        labels = [f"<={bound:g}" for bound in self.bounds] + ["overflow"]
-        return dict(zip(labels, self.counts))
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold another histogram into this one; bucket bounds must match.
-
-        Bucket counts are integers, so histogram merges are exact and fully
-        associative/commutative regardless of shard order.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r} into {self.name!r}: "
-                f"bucket bounds differ")
-        self.counts = [mine + theirs
-                       for mine, theirs in zip(self.counts, other.counts)]
-        self.total_samples += other.total_samples
-        return self
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total_samples = 0
-
 
 @dataclass
 class StatRegistry:
@@ -184,7 +107,6 @@ class StatRegistry:
     prefix: str = ""
     counters: Dict[str, Counter] = field(default_factory=dict)
     latencies: Dict[str, LatencyStat] = field(default_factory=dict)
-    histograms: Dict[str, Histogram] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
         if name not in self.counters:
@@ -195,11 +117,6 @@ class StatRegistry:
         if name not in self.latencies:
             self.latencies[name] = LatencyStat(self._qualify(name))
         return self.latencies[name]
-
-    def histogram(self, name: str, bounds: Iterable[float]) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(self._qualify(name), bounds)
-        return self.histograms[name]
 
     def snapshot(self) -> Dict[str, float]:
         """Flatten all statistics into ``{qualified_name: value}``."""
@@ -218,7 +135,7 @@ class StatRegistry:
         """Fold the statistics of *other* into this registry.
 
         Counters add, latency aggregates combine via the parallel Welford
-        merge, histograms add bucket-wise.  Names present only in *other*
+        merge.  Names present only in *other*
         are created here first, so no statistic is lost.  This is the
         aggregation primitive the ``repro.distrib`` shard coordinator
         relies on; ``tests/test_merge_properties.py`` pins the split-
@@ -228,17 +145,7 @@ class StatRegistry:
             self.counter(name).merge(counter)
         for name, stat in other.latencies.items():
             self.latency(name).merge(stat)
-        for name, histogram in other.histograms.items():
-            self.histogram(name, histogram.bounds).merge(histogram)
         return self
-
-    def reset(self) -> None:
-        for counter in self.counters.values():
-            counter.reset()
-        for stat in self.latencies.values():
-            stat.reset()
-        for histogram in self.histograms.values():
-            histogram.reset()
 
     def _qualify(self, name: str) -> str:
         return f"{self.prefix}.{name}" if self.prefix else name

@@ -267,12 +267,6 @@ class AdaptiveSweepResult:
     def settled_cells(self) -> List[Tuple[str, int]]:
         return [cell for round_ in self.rounds for cell in round_.settled]
 
-    def evaluated_indices(self, workload: str) -> List[int]:
-        """Sorted grid indices resolved (run or cache) for one workload."""
-        return sorted({cell.index for round_ in self.rounds
-                       for cell in (*round_.evaluated, *round_.skipped)
-                       if cell.workload == workload})
-
     def curve(self, workload: str) -> Dict[int, float]:
         """The evaluated metric curve of one workload, by grid index."""
         return {cell.index: cell.metric for round_ in self.rounds

@@ -30,7 +30,7 @@ from .format import (
 )
 from .importers import BINARY_LAYOUTS, import_binary, import_csv
 from .reader import FileAccessStream, TraceReader, load_trace_file
-from .writer import TraceWriter, build_trace_file, write_stream
+from .writer import TraceWriter, build_trace_file
 
 __all__ = [
     "ACCESS_BYTES",
@@ -53,5 +53,4 @@ __all__ = [
     "trace_source_name",
     "trace_source_path",
     "trace_summary",
-    "write_stream",
 ]

@@ -16,7 +16,7 @@ trace length.
 replay contract only ever calls ``chunks()``/``len()`` — both stream from
 the file — so replaying a 100M-access trace never materialises it.  The
 full-column accessors (``addresses``/``sizes``/``writes``) exist for the
-scalar compatibility path and materialise the window on first touch;
+scalar reference replay and materialise the window on first touch;
 that is deliberate and documented, not an accident to optimise away.
 """
 
@@ -31,7 +31,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-from ..workloads.trace import AccessStream, MemoryAccess, WorkloadTrace
+from ..workloads.trace import AccessStream, WorkloadTrace
 from .format import (
     ACCESS_BYTES,
     TraceFormatError,
@@ -190,7 +190,7 @@ class TraceReader:
 
     def full_stream(self) -> "FileAccessStream":
         """The whole file as a lazy, chunk-streaming AccessStream."""
-        return FileAccessStream(self, 0, self.length)
+        return FileAccessStream(self)
 
     # -- integrity ---------------------------------------------------------------
 
@@ -224,119 +224,60 @@ class TraceReader:
 
 
 class FileAccessStream(AccessStream):
-    """A window of a trace file behind the AccessStream interface.
+    """A whole trace file behind the AccessStream interface.
 
-    ``chunks()`` / ``len()`` / iteration / slicing all stream from the
-    file — this is the replay path and it never materialises more than a
-    window at a time.  The full-column accessors (``addresses`` etc.)
-    materialise the whole window once, for the scalar compatibility path
-    (``REPRO_REPLAY_MODE=scalar``) and debugging; batched replay never
-    touches them.
+    ``chunks()``, ``len()``, contiguous slices, ``write_count`` and
+    ``touched_bytes()`` stream from the file or read its footer: the
+    replay path never materialises more than a window at a time.  The
+    full-column accessors
+    (``addresses`` etc.), and with them the indexing, iteration and
+    equality inherited from :class:`AccessStream`, materialise the whole
+    file once; only the scalar reference replay and tests use them.
     """
 
-    __slots__ = ("_reader", "_start", "_stop", "_columns_cache")
+    __slots__ = ("_reader", "_columns_cache")
 
-    def __init__(self, reader: TraceReader, start: int, stop: int) -> None:
+    def __init__(self, reader: TraceReader) -> None:
         # Deliberately does NOT call AccessStream.__init__: the base slots
         # stay unset and the properties below shadow them.
         self._reader = reader
-        self._start = start
-        self._stop = stop
         self._columns_cache: Optional[AccessStream] = None
-
-    @property
-    def reader(self) -> TraceReader:
-        return self._reader
 
     def _columns(self) -> AccessStream:
         cached = self._columns_cache
         if cached is None:
-            cached = self._reader.window(self._start, self._stop)
+            cached = self._reader.window(0, self._reader.length)
             self._columns_cache = cached
         return cached
 
     @property
-    def addresses(self) -> np.ndarray:  # materialises the window
+    def addresses(self) -> np.ndarray:  # materialises the file
         return self._columns().addresses
 
     @property
-    def sizes(self) -> np.ndarray:  # materialises the window
+    def sizes(self) -> np.ndarray:  # materialises the file
         return self._columns().sizes
 
     @property
-    def writes(self) -> np.ndarray:  # materialises the window
+    def writes(self) -> np.ndarray:  # materialises the file
         return self._columns().writes
 
-    # -- sequence protocol -------------------------------------------------------
-
     def __len__(self) -> int:
-        return self._stop - self._start
+        return self._reader.length
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step == 1:
-                return FileAccessStream(self._reader, self._start + start,
-                                        self._start + stop)
-            return self._columns()[index]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("access index out of range")
-        return self._reader.window(self._start + index,
-                                   self._start + index + 1)[0]
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        for chunk in self.chunks(self._reader.chunk_accesses):
-            yield from chunk
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AccessStream):
-            return NotImplemented
-        if len(self) != len(other):
-            return False
-        step = self._reader.chunk_accesses
-        for start in range(0, len(self), step):
-            mine = self._reader.window(self._start + start,
-                                       min(self._start + start + step,
-                                           self._stop))
-            theirs = other[start:start + step]
-            if not (np.array_equal(mine.addresses, theirs.addresses)
-                    and np.array_equal(mine.sizes, theirs.sizes)
-                    and np.array_equal(mine.writes, theirs.writes)):
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        return (f"FileAccessStream({self._reader.path}, "
-                f"[{self._start}:{self._stop}) of {self._reader.length})")
-
-    # -- columnar accessors ------------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        """Logical column footprint (17 B/access); resident memory is
-        bounded by one chunk."""
-        return ACCESS_BYTES * len(self)
+        """A contiguous slice reads only its own window (scenario tenants)."""
+        if isinstance(index, slice) and index.step in (None, 1):
+            start, stop, _ = index.indices(len(self))
+            return self._reader.window(start, stop)
+        return super().__getitem__(index)
 
     @property
     def write_count(self) -> int:
-        if self._start == 0 and self._stop == self._reader.length:
-            return self._reader.footer["write_count"]
-        total = 0
-        for chunk in self.chunks(self._reader.chunk_accesses):
-            total += int(np.count_nonzero(chunk.writes))
-        return total
+        return self._reader.footer["write_count"]
 
     def touched_bytes(self) -> int:
-        if not len(self):
-            return 0
-        if self._start == 0 and self._stop == self._reader.length:
-            return int(self._reader.footer["max_end"])
-        high = 0
-        for chunk in self.chunks(self._reader.chunk_accesses):
-            high = max(high, int((chunk.addresses + chunk.sizes).max()))
-        return high
+        return int(self._reader.footer["max_end"])
 
     def chunks(self, chunk_size: int) -> Iterator[AccessStream]:
         """Stream plain in-memory windows of at most *chunk_size* accesses.
@@ -348,9 +289,9 @@ class FileAccessStream(AccessStream):
         """
         if chunk_size <= 0:
             raise ValueError("chunk size must be positive")
-        for start in range(self._start, self._stop, chunk_size):
-            yield self._reader.window(start,
-                                      min(start + chunk_size, self._stop))
+        length = self._reader.length
+        for start in range(0, length, chunk_size):
+            yield self._reader.window(start, min(start + chunk_size, length))
 
 
 def load_trace_file(path: Union[str, Path], *,

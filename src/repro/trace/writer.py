@@ -270,20 +270,6 @@ class TraceWriter:
             self.abort()
 
 
-def write_stream(path: Union[str, Path], stream: AccessStream, *,
-                 chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
-                 compression: Optional[str] = None,
-                 meta: Optional[Dict[str, Any]] = None,
-                 provenance: Optional[Dict[str, Any]] = None) -> Path:
-    """Write one in-memory (or file-backed) stream as a trace file."""
-    with TraceWriter(path, chunk_accesses=chunk_accesses,
-                     compression=compression, meta=meta,
-                     provenance=provenance) as writer:
-        for chunk in stream.chunks(chunk_accesses):
-            writer.append(chunk)
-    return writer.path
-
-
 def build_trace_file(workload: str, path: Union[str, Path], *,
                      scale=None, dataset_bytes_override: Optional[int] = None,
                      chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,

@@ -20,24 +20,9 @@ NS_PER_MS = 1_000_000.0
 NS_PER_S = 1_000_000_000.0
 
 
-def ns(value: float) -> float:
-    """Return *value* nanoseconds (identity, for symmetry/readability)."""
-    return float(value)
-
-
 def us(value: float) -> float:
     """Convert microseconds to nanoseconds."""
     return float(value) * NS_PER_US
-
-
-def ms(value: float) -> float:
-    """Convert milliseconds to nanoseconds."""
-    return float(value) * NS_PER_MS
-
-
-def seconds(value: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return float(value) * NS_PER_S
 
 
 def to_us(value_ns: float) -> float:
@@ -50,11 +35,6 @@ def to_ms(value_ns: float) -> float:
     return value_ns / NS_PER_MS
 
 
-def to_seconds(value_ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return value_ns / NS_PER_S
-
-
 # --------------------------------------------------------------------------
 # Size (canonical unit: bytes)
 # --------------------------------------------------------------------------
@@ -62,7 +42,6 @@ def to_seconds(value_ns: float) -> float:
 BYTES_PER_KB = 1024
 BYTES_PER_MB = 1024 ** 2
 BYTES_PER_GB = 1024 ** 3
-BYTES_PER_TB = 1024 ** 4
 
 
 def KB(value: float) -> int:
@@ -78,11 +57,6 @@ def MB(value: float) -> int:
 def GB(value: float) -> int:
     """Convert gibibytes to bytes."""
     return int(value * BYTES_PER_GB)
-
-
-def TB(value: float) -> int:
-    """Convert tebibytes to bytes."""
-    return int(value * BYTES_PER_TB)
 
 
 def to_GB(value_bytes: int) -> float:
@@ -126,27 +100,3 @@ def bandwidth_gbps(size_bytes: int, elapsed_ns: float) -> float:
     if elapsed_ns <= 0:
         return 0.0
     return (size_bytes / BYTES_PER_GB) / (elapsed_ns / NS_PER_S)
-
-
-# --------------------------------------------------------------------------
-# Energy (canonical unit: nanojoules)
-# --------------------------------------------------------------------------
-
-
-def energy_nj(power_watts: float, duration_ns: float) -> float:
-    """Energy in nanojoules for *power_watts* sustained over *duration_ns*.
-
-    1 W * 1 ns = 1 nJ, so this is a plain multiplication; the function exists
-    to make energy-accounting call sites self-describing.
-    """
-    return power_watts * duration_ns
-
-
-def to_millijoules(value_nj: float) -> float:
-    """Convert nanojoules to millijoules."""
-    return value_nj / 1e6
-
-
-def to_joules(value_nj: float) -> float:
-    """Convert nanojoules to joules."""
-    return value_nj / 1e9

@@ -22,7 +22,6 @@ from .trace import AccessStream, MemoryAccess, WorkloadTrace
 from .generators import (
     AccessPatternGenerator,
     HotspotPattern,
-    RandomPattern,
     SequentialPattern,
     StridedPattern,
     ZipfianPattern,
@@ -46,7 +45,6 @@ __all__ = [
     "WorkloadTrace",
     "AccessPatternGenerator",
     "SequentialPattern",
-    "RandomPattern",
     "HotspotPattern",
     "ZipfianPattern",
     "StridedPattern",

@@ -5,8 +5,6 @@ over a dataset of a given size.  Four patterns cover the suites:
 
 * :class:`SequentialPattern` — a linear scan, the microbenchmark's
   seqRd/seqWr and SQLite's seqSel/seqIns behaviour,
-* :class:`RandomPattern` — uniformly random positions, the rndRd/rndWr and
-  rndSel/rndIns behaviour with deliberately poor locality,
 * :class:`ZipfianPattern` — skewed accesses in which a small hot set absorbs
   most references; used for SQLite's update and the Rodinia kernels whose
   working set is partly resident,
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 import abc
 import mmap
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -67,6 +65,7 @@ class AccessPatternGenerator(abc.ABC):
         writes = write_rng.random(count) < write_fraction
         return AccessStream.from_arrays(addresses, self.access_size, writes)
 
+    @abc.abstractmethod
     def iter_addresses(self, count: int,
                        chunk_accesses: int) -> Iterator[np.ndarray]:
         """Yield :meth:`addresses`\\ (count) in order, in bounded blocks.
@@ -75,11 +74,8 @@ class AccessPatternGenerator(abc.ABC):
         generator's one-shot ``addresses(count)`` for *every* block size —
         subclasses consume ``self.rng`` in exactly the one-shot draw
         order, so disk builds that stream through here produce the same
-        trace the in-memory path does.  The base implementation is the
-        conservative fallback (one block) for exotic subclasses; every
-        registry pattern overrides it with a genuinely streaming walk.
+        trace the in-memory path does.
         """
-        yield self.addresses(count)
 
     def stream_chunks(self, count: int, write_fraction: float = 0.0,
                       write_rng: Optional[np.random.Generator] = None,
@@ -131,24 +127,6 @@ class SequentialPattern(AccessPatternGenerator):
             stop = min(start + chunk_accesses, count)
             slots = (np.arange(start, stop, dtype=np.int64)
                      + self.start_slot) % self.slots
-            yield self._slots_to_addresses(slots)
-
-
-class RandomPattern(AccessPatternGenerator):
-    """Uniformly random accesses across the whole dataset."""
-
-    def addresses(self, count: int) -> np.ndarray:
-        slots = self.rng.integers(0, self.slots, size=count, dtype=np.int64)
-        return self._slots_to_addresses(slots)
-
-    def iter_addresses(self, count: int,
-                       chunk_accesses: int) -> Iterator[np.ndarray]:
-        # PCG64 fills element-wise, so chunked integer draws concatenate
-        # bit-equal to the one-shot draw.
-        for start in range(0, count, chunk_accesses):
-            size = min(chunk_accesses, count - start)
-            slots = self.rng.integers(0, self.slots, size=size,
-                                      dtype=np.int64)
             yield self._slots_to_addresses(slots)
 
 
@@ -320,31 +298,3 @@ def expand_runs(start_slots: np.ndarray, run_length: int,
     offsets = np.arange(run_length, dtype=np.int64)
     expanded = (start_slots[:, None] + offsets[None, :]) % total_slots
     return expanded.reshape(-1)
-
-
-def interleave(generators: List[AccessPatternGenerator], count: int,
-               weights: Optional[List[float]] = None,
-               seed: int = 11) -> np.ndarray:
-    """Mix several patterns into one stream according to *weights*.
-
-    Used to build composite behaviours such as "mostly zipfian point lookups
-    with an occasional sequential range scan" for the SQLite workloads.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    if weights is None:
-        weights = [1.0 / len(generators)] * len(generators)
-    if len(weights) != len(generators):
-        raise ValueError("weights must match generators")
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    normalised = [weight / total for weight in weights]
-    rng = np.random.default_rng(seed)
-    choices = rng.choice(len(generators), size=count, p=normalised)
-    streams = [generator.addresses(count) for generator in generators]
-    out = np.empty(count, dtype=np.int64)
-    for index, stream in enumerate(streams):
-        mask = choices == index
-        out[mask] = stream[mask]
-    return out

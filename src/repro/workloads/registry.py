@@ -25,7 +25,6 @@ from ..units import GB, KB, MB
 from .generators import (
     AccessPatternGenerator,
     HotspotPattern,
-    RandomPattern,
     SequentialPattern,
     StridedPattern,
     ZipfianPattern,
@@ -50,7 +49,7 @@ class WorkloadSpec:
     """Full description used to synthesise a trace."""
 
     characteristics: WorkloadCharacteristics
-    pattern: str                       # sequential | random | zipfian | strided
+    pattern: str                       # sequential | hotspot | zipfian | strided
     access_size_bytes: int
     write_fraction: float              # fraction of dataset accesses that store
     compute_instructions_per_access: float
@@ -175,11 +174,6 @@ def get_workload(name: str) -> WorkloadSpec:
         ) from None
 
 
-def table_iii() -> List[WorkloadCharacteristics]:
-    """The raw Table III rows (paper-scale)."""
-    return list(_TABLE_III)
-
-
 # ---------------------------------------------------------------------------
 # Trace construction
 # ---------------------------------------------------------------------------
@@ -191,8 +185,6 @@ def _pattern_generator(spec: WorkloadSpec, dataset_bytes: int,
     run_length = 16 if fine_grained else 1
     if spec.pattern == "sequential":
         return SequentialPattern(dataset_bytes, spec.access_size_bytes, seed)
-    if spec.pattern == "random":
-        return RandomPattern(dataset_bytes, spec.access_size_bytes, seed)
     if spec.pattern == "hotspot":
         return HotspotPattern(dataset_bytes, spec.access_size_bytes, seed,
                               hot_fraction=0.20, hot_probability=0.90,

@@ -13,14 +13,14 @@ bytes per access (three Python objects once boxed) and ~17 bytes per access,
 and it is what lets the batched replay loop and the vectorized platforms
 (:meth:`repro.platforms.base.Platform.service_batch`) work on whole chunks
 at a time.  :class:`MemoryAccess` remains the scalar *view*: indexing or
-iterating a stream (or a trace) yields `MemoryAccess` records, so per-access
-consumers keep working unchanged.
+iterating a stream yields `MemoryAccess` records for the scalar reference
+replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -133,16 +133,7 @@ class AccessStream:
                 and np.array_equal(self.sizes, other.sizes)
                 and np.array_equal(self.writes, other.writes))
 
-    def __repr__(self) -> str:
-        return f"AccessStream(length={len(self)}, nbytes={self.nbytes})"
-
     # -- columnar accessors ----------------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        """Memory footprint of the three columns."""
-        return (self.addresses.nbytes + self.sizes.nbytes
-                + self.writes.nbytes)
 
     @property
     def read_count(self) -> int:
@@ -165,18 +156,13 @@ class AccessStream:
         for start in range(0, len(self), chunk_size):
             yield self[start:start + chunk_size]
 
-    def to_accesses(self) -> List[MemoryAccess]:
-        """Materialise the stream as scalar records (tests, debugging)."""
-        return list(self)
-
 
 class WorkloadTrace:
     """A generated trace ready to be replayed on a platform.
 
     ``accesses`` accepts either an :class:`AccessStream` or a sequence of
-    :class:`MemoryAccess` records (converted once); it is stored — and
-    exposed through both ``trace.stream`` and the legacy ``trace.accesses``
-    name — as the columnar stream.
+    :class:`MemoryAccess` records (converted once); it is stored as the
+    columnar ``trace.stream``.
 
     ``cache_filters`` memoises the trace's L1/L2 filter outcome per
     :class:`~repro.config.CacheConfig` (:func:`repro.host.caches
@@ -211,20 +197,8 @@ class WorkloadTrace:
         self.total_instructions = total_instructions
         self.cache_filters: dict = {}
 
-    @property
-    def accesses(self) -> AccessStream:
-        """Legacy name for the stream (iterates as MemoryAccess records)."""
-        return self.stream
-
     def __len__(self) -> int:
         return len(self.stream)
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        return iter(self.stream)
-
-    def __repr__(self) -> str:
-        return (f"WorkloadTrace(name={self.name!r}, suite={self.suite!r}, "
-                f"accesses={len(self)}, dataset_bytes={self.dataset_bytes})")
 
     @property
     def memory_access_count(self) -> int:
@@ -235,26 +209,6 @@ class WorkloadTrace:
         """Application-level operations represented by the trace."""
         return self.memory_access_count / self.accesses_per_operation
 
-    @property
-    def read_count(self) -> int:
-        return self.stream.read_count
-
-    @property
-    def write_count(self) -> int:
-        return self.stream.write_count
-
-    @property
-    def write_fraction(self) -> float:
-        if not len(self):
-            return 0.0
-        return self.write_count / len(self)
-
     def touched_bytes(self) -> int:
         """Upper bound of the address range the trace touches."""
         return self.stream.touched_bytes()
-
-    def operations_per_second(self, elapsed_ns: float) -> float:
-        """Convert a run duration into the paper's throughput metric."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.operations / (elapsed_ns / 1e9)

@@ -26,7 +26,7 @@ import math
 
 import pytest
 
-from repro.api import Session, compare, sweep
+from repro.api import Session, adaptive_sweep, compare, sweep
 from repro.exec import (
     Event,
     SerialExecutor,
@@ -35,6 +35,7 @@ from repro.exec import (
 )
 from repro.runner.artifacts import run_result_to_dict
 from repro.runner.events import RUN_FINISH
+from repro.runner.presets import SMOKE_SCALE
 from repro.runner.specs import RunSpec
 from repro.sweep import (
     STOP_BUDGET,
@@ -123,11 +124,28 @@ class TestRefinementGeometry:
 
 
 class TestAdaptiveDriver:
+    def test_one_shot_matches_the_session_verb(self, tmp_path):
+        """``repro.adaptive_sweep``, the one-shot the README documents,
+        finds the knees and evaluates the cells ``Session.adaptive_sweep``
+        does."""
+        session = Session(SMOKE_SCALE, workers=1,
+                          cache_dir=tmp_path / "session")
+        verb = run_adaptive(session)
+        one_shot = adaptive_sweep(
+            "hams-TE", ["rndRd"], "hams", "mos_page_bytes", GRID,
+            tolerance=0.01, seed_points=5, scale=SMOKE_SCALE, workers=1,
+            cache_dir=tmp_path / "one-shot")
+        assert one_shot.knees == verb.knees
+        assert one_shot.evaluated_cells == verb.evaluated_cells
+        assert one_shot.evaluated_cells
+
     def test_evaluated_cells_are_bit_identical_to_the_fixed_grid(
             self, tmp_path):
         session = tiny_session(cache_dir=tmp_path / "adaptive")
         adaptive = run_adaptive(session)
-        indices = adaptive.evaluated_indices("rndRd")
+        indices = sorted({cell.index for cell in (adaptive.evaluated_cells
+                                                  + adaptive.skipped_cells)
+                          if cell.workload == "rndRd"})
         assert indices, "the sweep evaluated nothing"
         assert indices[0] == 0 and indices[-1] == len(GRID) - 1, \
             "seeding must pin both grid endpoints"

@@ -57,11 +57,6 @@ class TestExperimentRunner:
                                                      "hams-TE", "oracle"}
         assert small_experiment.workloads() == ["seqRd", "rndSel"]
 
-    def test_throughput_series(self, small_experiment):
-        series = small_experiment.throughput_series("hams-TE")
-        assert set(series) == {"seqRd", "rndSel"}
-        assert all(value > 0 for value in series.values())
-
     def test_speedup_over_baseline(self, small_experiment):
         speedups = small_experiment.speedup_over("hams-TE", "mmap")
         assert speedups["seqRd"] > 1.0

@@ -23,13 +23,19 @@ from repro.runner.artifacts import (
     load_experiment_artifact,
     write_experiment_artifact,
 )
-from repro.trace import TraceReader, TraceWriter, read_trace_footer, \
-    write_stream
+from repro.trace import TraceReader, TraceWriter, read_trace_footer
 from repro.workloads.registry import ExperimentScale
 from repro.workloads.trace import AccessStream
 
 TINY = ExperimentScale(capacity_scale=1 / 256, min_accesses=200,
                        max_accesses=200)
+
+
+def write_stream(path, stream: AccessStream, **options):
+    """Write one in-memory stream as a trace file."""
+    with TraceWriter(path, **options) as writer:
+        writer.append(stream)
+    return writer.path
 
 
 @contextlib.contextmanager

@@ -22,7 +22,6 @@ device-cache evictions fire, with their device-side state compared too.
 """
 
 import dataclasses
-import functools
 import inspect
 import os
 
@@ -147,9 +146,9 @@ def stress_case(case: str, stress_config):
         return platform_name, stress_config
     mos_page = KB(4) if page == "4KB" else stress_config.hams.mos_page_bytes
     config = stress_config.with_hams(mos_page_bytes=mos_page)
-    return platform_name, config.with_nvdimm(
-        capacity_bytes=HAMS_STRESS_ENTRIES * mos_page + KB(32),
-        pinned_region_bytes=KB(32))
+    return platform_name, dataclasses.replace(config, nvdimm=dataclasses.replace(
+        config.nvdimm, capacity_bytes=HAMS_STRESS_ENTRIES * mos_page + KB(32),
+        pinned_region_bytes=KB(32)))
 
 
 def result_fields(result) -> dict:
@@ -381,37 +380,11 @@ def test_cache_statistics_match_between_paths(config, traces):
     assert scalar.caches.l2.writebacks == batched.caches.l2.writebacks
 
 
-def _with_default_service_batch(platform):
-    """Route *platform*'s batched replay through the base
-    :meth:`Platform.service_batch`, which every registered platform
-    overrides: the per-request all-miss fold a new platform starts from."""
-    platform.service_batch = functools.partial(Platform.service_batch,
-                                               platform)
-    return platform
-
-
-@pytest.mark.parametrize("platform_name", ("mmap", "hams-LE", "oracle"))
-@pytest.mark.parametrize("workload", ("rndWr", "update"))
-def test_default_service_batch_is_bit_identical(platform_name, workload,
-                                                config, traces):
-    """The default hook replays the scalar loop's clock exactly, OS and
-    storage time included, at any chunk size."""
-    trace = traces[workload]
-    scalar = create_platform(platform_name, config).run(trace,
-                                                        execution="scalar")
-    for chunk_size in (1, 7, len(trace)):
-        platform = _with_default_service_batch(
-            create_platform(platform_name, config))
-        platform.replay_chunk_size = chunk_size
-        batched = platform.run(trace, execution="batched")
-        assert result_fields(batched) == result_fields(scalar), chunk_size
-
-
 @pytest.mark.parametrize("platform_name", ("hams-LE", "hams-TE"))
 def test_hams_out_of_range_chunk_raises_like_scalar(platform_name, config):
-    """A chunk holding an address past the MoS space takes the per-request
-    fallback, so it raises the scalar loop's error at the same request and
-    leaves the controller and the ULL-Flash in the same state."""
+    """A chunk holding an address past the MoS space raises the scalar
+    loop's error at the same request and leaves the controller and the
+    ULL-Flash in the same state."""
     capacity = create_platform(platform_name,
                                config).controller.mos_capacity_bytes
     pages = [0, 3, 1, 3, 5, 2]

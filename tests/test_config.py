@@ -272,17 +272,6 @@ class TestSystemConfig:
         assert modified.hams.mode == "persist"
         assert config.hams.mode == "extend"
 
-    def test_with_nvdimm_returns_modified_copy(self):
-        config = default_config()
-        modified = config.with_nvdimm(capacity_bytes=GB(16))
-        assert modified.nvdimm.capacity_bytes == GB(16)
-        assert config.nvdimm.capacity_bytes == GB(8)
-
-    def test_with_ssd_swaps_device(self):
-        config = default_config()
-        modified = config.with_ssd(SSDConfig.sata_ssd())
-        assert modified.ssd.name == "sata-ssd"
-
     def test_configs_are_frozen(self):
         config = default_config()
         with pytest.raises(dataclasses.FrozenInstanceError):

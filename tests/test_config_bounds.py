@@ -49,6 +49,7 @@ from repro.platforms.registry import create_platform
 from repro.runner.artifacts import run_result_to_dict
 from repro.runner.presets import SMOKE_SCALE, get_preset, preset_names
 from repro.runner.specs import CONFIG_SECTIONS, apply_config_overrides
+from repro.units import GB, KB
 from repro.workloads.registry import ExperimentScale, scale_system_config
 from test_batched_replay import make_stress_config, stress_case
 from test_golden_digests import STRESS_CASES
@@ -116,7 +117,7 @@ class TestTable:
         configs += [scale_system_config(DEFAULT, ExperimentScale(
             capacity_scale=scale)) for scale in (1.0, 1 / 16, 1 / 1024)]
         configs += [stress_case(case, stress)[1] for case in STRESS_CASES]
-        configs += [DEFAULT.with_ssd(factory()) for factory in (
+        configs += [dataclasses.replace(DEFAULT, ssd=factory()) for factory in (
             SSDConfig.ull_flash, SSDConfig.nvme_ssd, SSDConfig.sata_ssd)]
         for config in configs:
             for name in CONFIG_SECTIONS:
@@ -211,3 +212,53 @@ def test_hostile_replay_is_a_clean_error_or_a_finite_run(section, name,
     else:
         assert done.returncode == 0, done.stderr
         assert non_finite(json.loads(artifact.read_text())) == []
+
+
+def run_sweep(tmp_path, platform, section, name, *values):
+    """``repro sweep --smoke`` of one field in a subprocess."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "--platform", platform,
+         "--workloads", "update", "--section", section, "--field", name,
+         "--values", *values, "--smoke", "--workers", "1",
+         "--executor", "serial", "--no-cache", "--output-dir", str(out),
+         "--quiet"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert "Traceback" not in done.stdout + done.stderr
+    return done, out / "sweep.json"
+
+
+def test_bool_field_sweeps_false_and_true(tmp_path):
+    """Sweep values parse as the field's declared kind, so a bool field
+    takes ``False True`` and writes one cell per value."""
+    done, artifact = run_sweep(tmp_path, "flatflash-P", "ssd",
+                               "dram_buffer_enabled", "False", "True")
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(artifact.read_text())["runs"]
+    assert sorted(run["platform_key"] for run in runs) == ["False", "True"]
+    rates = {run["platform_key"]: run["operations_per_second"]
+             for run in runs}
+    assert rates["False"] != rates["True"]
+
+
+def test_tag_array_entries_are_bounded_across_sections(tmp_path):
+    """Each field is legal, but a 2047 GB NVDIMM over 4 KB MoS pages asks
+    for 536M tag-array entries (4.8 GB of columns): rejected before any
+    run, naming both fields, on the library and on the sweep CLI."""
+    session = Session(scale=SMOKE_SCALE, executor="serial")
+    with pytest.raises(ValueError, match=r"nvdimm\.capacity_bytes .* "
+                                         r"hams\.mos_page_bytes"):
+        session.simulate("hams-TE", "update", config_overrides={
+            "nvdimm": {"capacity_bytes": GB(2047)},
+            "hams": {"mos_page_bytes": KB(4)}})
+    done, artifact = run_sweep(tmp_path, "hams-TE", "nvdimm",
+                               "capacity_bytes", str(GB(2047)))
+    assert done.returncode == 2
+    errors = [line for line in done.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "nvdimm.capacity_bytes" in errors[0]
+    assert "hams.mos_page_bytes" in errors[0]
+    assert not artifact.exists()

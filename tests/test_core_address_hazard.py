@@ -60,6 +60,6 @@ class TestAddressManager:
         assert cached_bytes <= mgr.pinned_region_base
 
     def test_statistics(self):
-        stats = manager().statistics()
-        assert stats["pinned_region_bytes"] == MB(8)
-        assert stats["mos_pages"] > 0
+        mgr = manager()
+        assert mgr.nvdimm.pinned_region_bytes == MB(8)
+        assert mgr.mos_pages > 0

@@ -20,7 +20,7 @@ from repro.flash.ssd import SSD
 from repro.interconnect.ddr_bus import DDR4Bus
 from repro.interconnect.pcie import PCIeLink
 from repro.memory.nvdimm import NVDIMM
-from repro.nvme.commands import build_read, build_write
+from repro.nvme.commands import NVMeCommand, NVMeOpcode, build_write
 from repro.nvme.controller import NVMeController
 from repro.nvme.queues import QueuePair
 from repro.units import KB, MB
@@ -138,9 +138,10 @@ class TestHardwareNVMeEngine:
                 engine = _engine(mode)
                 twin = _engine(mode)
                 timing = _issue(engine, is_write, 64, KB(4), 100.0)
-                builder = build_write if is_write else build_read
-                command = builder(lba=64, length_bytes=KB(4), prp=0,
-                                  fua=is_write and mode == "persist")
+                opcode = NVMeOpcode.WRITE if is_write else NVMeOpcode.READ
+                command = NVMeCommand(opcode=opcode, lba=64,
+                                      length_bytes=KB(4), prp=0,
+                                      fua=is_write and mode == "persist")
                 result = twin.controller.execute(command, 100.0)
                 assert timing == (result.finish_ns, result.protocol_ns,
                                   result.transfer_ns, result.device_ns)

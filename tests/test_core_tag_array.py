@@ -123,9 +123,8 @@ class TestResidency:
         array = small_array()
         array.install(0, dirty=True)
         array.lookup(0)
-        stats = array.statistics()
-        assert stats["hit_rate"] == 1.0
-        assert stats["dirty_entries"] == 1
+        assert array.hit_rate == 1.0
+        assert array.dirty_count() == 1
 
 
 class TestPropertyBased:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import default_config
 from repro.core.hams_controller import HAMSController
-from repro.nvme.commands import build_read, build_write
+from repro.nvme.commands import NVMeCommand, NVMeOpcode, build_write
 from repro.units import KB
 from repro.workloads.registry import ExperimentScale, scale_system_config
 
@@ -44,7 +44,8 @@ class TestCrashWithDirtyData:
         down = controller.power_failure(at_ns=now)
         report = controller.recover(at_ns=down)
         assert report.consistent
-        assert controller.queue_pair.pointers_consistent
+        assert controller.queue_pair.sq.outstanding == 0
+        assert controller.queue_pair.cq.outstanding == 0
 
     def test_recovery_replays_every_journalled_command(self):
         controller = make_controller()
@@ -66,8 +67,9 @@ class TestCrashWithDirtyData:
     def test_mixed_reads_and_writes_in_flight(self):
         controller = make_controller()
         now = dirty_working_set(controller, 4)
-        read = build_read(lba=controller.address_manager.lba_of(10),
-                          length_bytes=KB(128), prp=0)
+        read = NVMeCommand(opcode=NVMeOpcode.READ,
+                           lba=controller.address_manager.lba_of(10),
+                           length_bytes=KB(128), prp=0)
         write = build_write(lba=controller.address_manager.lba_of(2),
                             length_bytes=KB(128), prp=0)
         for command in (read, write):

@@ -29,9 +29,18 @@ def small_ssd(buffer_enabled: bool = True) -> SSD:
     return SSD(config)
 
 
+def request_at(batch: IORequestBatch, index: int) -> IORequest:
+    """Row *index* of an open-loop batch as one request."""
+    return IORequest(is_write=bool(batch.is_write[index]),
+                     byte_offset=int(batch.byte_offset[index]),
+                     size_bytes=int(batch.size_bytes[index]),
+                     submit_ns=float(batch.submit_ns[index]),
+                     fua=bool(batch.fua[index]))
+
+
 def scalar_replay(ssd: SSD, batch: IORequestBatch) -> list:
     """Feed *batch* through the scalar entry point, one request at a time."""
-    return [ssd.submit(batch.request(j)) for j in range(len(batch))]
+    return [ssd.submit(request_at(batch, j)) for j in range(len(batch))]
 
 
 def assert_batch_matches_scalar(batch_result: IOBatchResult,
@@ -80,27 +89,17 @@ class TestBatchConstruction:
             IORequestBatch(is_write=[False], byte_offset=[0, KB(4)],
                            size_bytes=[KB(4)], submit_ns=[0.0])
 
-    def test_request_view_round_trips(self):
-        batch = IORequestBatch(is_write=[True], byte_offset=[KB(8)],
-                               size_bytes=[KB(4)], submit_ns=[50.0],
-                               fua=[True])
-        request = batch.request(0)
-        assert request == IORequest(is_write=True, byte_offset=KB(8),
-                                    size_bytes=KB(4), submit_ns=50.0, fua=True)
-
     def test_of_request_is_a_batch_of_one(self):
         request = IORequest(is_write=False, byte_offset=0, size_bytes=KB(4),
                             submit_ns=10.0)
         batch = IORequestBatch.of_request(request)
         assert len(batch) == 1
-        assert batch.request(0) == request
+        assert request_at(batch, 0) == request
 
     def test_chained_batch_has_no_submit_column(self):
         batch = IORequestBatch(is_write=False, byte_offset=[0, KB(4)],
                                size_bytes=KB(4), chained=True, start_ns=5.0)
         assert batch.submit_ns is None
-        with pytest.raises(ValueError):
-            batch.request(0)
 
 
 class TestScalarShimParity:

@@ -45,12 +45,3 @@ class TestValidation:
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             SSDConfig(channel_bw_bytes_per_ns=0.0)
-
-    def test_summary_and_reset(self):
-        sched = scheduler()
-        sched.reserve(0, 4096, 0.0)
-        summary = sched.utilisation_summary()
-        assert summary["bytes_moved"] == 4096
-        assert summary["transfers"] == 1
-        sched.reset()
-        assert sched.utilisation_summary()["bytes_moved"] == 0

@@ -19,13 +19,11 @@ class TestMapping:
     def test_unmapped_lookup_returns_none(self):
         ftl = FlashTranslationLayer(tiny_geometry())
         assert ftl.lookup(0) is None
-        assert not ftl.is_mapped(0)
 
     def test_write_then_lookup(self):
         ftl = FlashTranslationLayer(tiny_geometry())
         address, _ = ftl.write(5)
         assert ftl.lookup(5) == address
-        assert ftl.is_mapped(5)
 
     def test_overwrite_moves_to_new_physical_page(self):
         ftl = FlashTranslationLayer(tiny_geometry())
@@ -40,12 +38,6 @@ class TestMapping:
             ftl.write(ftl.geometry.logical_pages)
         with pytest.raises(ValueError):
             ftl.lookup(-1)
-
-    def test_trim_removes_mapping(self):
-        ftl = FlashTranslationLayer(tiny_geometry())
-        ftl.write(3)
-        ftl.trim(3)
-        assert ftl.lookup(3) is None
 
     def test_mapped_pages_counter(self):
         ftl = FlashTranslationLayer(tiny_geometry())
@@ -103,7 +95,7 @@ class TestGarbageCollection:
         # without ever reclaiming the invalidated ones.
         ftl = FlashTranslationLayer(geometry, gc_threshold_blocks=0)
         with pytest.raises(RuntimeError):
-            for _ in range(geometry.physical_pages + 1):
+            for _ in range(geometry.planes_total * geometry.pages_per_plane + 1):
                 ftl.write(0)
 
 

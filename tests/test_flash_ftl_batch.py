@@ -10,7 +10,7 @@ duplicates and heavy overwrite skew, so GC fires on the tiny geometry and
 the loop path runs) and arbitrary unmapped ranges over a partly written
 device (so the closed form runs from a non-zero cursor and part-full open
 blocks); the suite asserts exact state equality after every interleaving,
-including trim holes and device wrap-around.  State equality compares
+including unwritten holes and device wrap-around.  State equality compares
 the complete logical LPN -> PPN and PPN -> LPN maps, so it holds across
 the two mapping representations: a fresh FTL preconditioned with a
 ``range`` keeps it as a base stripe (a formula) rather than as dict
@@ -18,8 +18,7 @@ entries, and ``TestBaseStripe`` drives such an FTL (and the SSD walk
 over it) against a scalar-preconditioned twin while GC relocates base
 pages and reuses base blocks.  ``TestUnmappedLpns`` pins
 ``unmapped_lpns``, the set ``SSD.precondition`` fills on a warmed device,
-against the per-LPN ``is_mapped`` filter after writes, trims and GC
-relocations.
+against a per-LPN filter after writes and GC relocations.
 """
 
 import tracemalloc
@@ -108,19 +107,19 @@ def assert_state_equal(left: FlashTranslationLayer,
 lpn_streams = st.lists(st.integers(min_value=0, max_value=15),
                        min_size=1, max_size=64)
 
-# (lpn, trim?) operations over LPNs 0..31 that build a partly written
-# device: a non-zero cursor, part-full open blocks and trim holes.
-pre_states = st.lists(st.tuples(st.integers(min_value=0, max_value=31),
-                                st.booleans()),
-                      max_size=48)
+# Writes over LPNs 0..31 that build a partly written device: a non-zero
+# cursor, part-full open blocks and unwritten holes.
+pre_states = st.lists(st.integers(min_value=0, max_value=31), max_size=48)
 
 
-def apply_pre_state(ftl: FlashTranslationLayer, operations) -> None:
-    for lpn, trim in operations:
-        if trim:
-            ftl.trim(lpn)
-        else:
-            ftl.write(lpn)
+def apply_pre_state(ftl: FlashTranslationLayer, lpns) -> None:
+    for lpn in lpns:
+        ftl.write(lpn)
+
+
+def is_mapped(ftl: FlashTranslationLayer, lpn: int) -> bool:
+    """The per-LPN probe ``unmapped_lpns`` must agree with."""
+    return ftl._lpn_to_ppn(lpn) is not None
 
 
 class TestWriteBatchParity:
@@ -144,23 +143,6 @@ class TestWriteBatchParity:
         split.fill(first)
         split.fill(second)
         assert_state_equal(split, whole)
-
-    @settings(max_examples=60, deadline=None)
-    @given(lpn_streams,
-           st.lists(st.integers(min_value=0, max_value=15),
-                    min_size=1, max_size=8),
-           lpn_streams)
-    def test_trim_between_batches(self, before, trims, after):
-        scalar = tiny_ftl()
-        filled = tiny_ftl()
-        scalar_fill(scalar, before)
-        filled.fill(before)
-        for lpn in trims:
-            scalar.trim(lpn)
-            filled.trim(lpn)
-        scalar_fill(scalar, after)
-        filled.fill(after)
-        assert_state_equal(filled, scalar)
 
     def test_gc_actually_fires_under_this_geometry(self):
         # Guard against the suite silently testing the no-GC fast path
@@ -194,7 +176,7 @@ class TestClosedFormFill:
         # The unmapped LPNs of [start, start + length): exactly the list
         # SSD.precondition hands to fill.
         lpns = [lpn for lpn in range(start, start + length)
-                if not filled.is_mapped(lpn)]
+                if not is_mapped(filled, lpn)]
         scalar_fill(scalar, lpns)
         forbid_scalar_writes(filled)
         filled.fill(lpns)
@@ -266,7 +248,7 @@ def precondition_unmapped(ftl: FlashTranslationLayer, start: int,
                           count: int) -> None:
     """``SSD.precondition`` on *ftl* through the scalar write loop."""
     scalar_fill(ftl, [lpn for lpn in range(start, start + count)
-                      if not ftl.is_mapped(lpn)])
+                      if not is_mapped(ftl, lpn)])
 
 
 def base_twins(start: int, count: int):
@@ -303,7 +285,6 @@ def write_outcome(ftl: FlashTranslationLayer, lpn: int):
 base_lpns = st.integers(min_value=0, max_value=39)
 base_steps = st.one_of(
     st.tuples(st.just("write"), base_lpns),
-    st.tuples(st.just("trim"), base_lpns),
     st.tuples(st.just("fill"), base_lpns,
               st.integers(min_value=0, max_value=8)),
     st.tuples(st.just("precondition"), base_lpns,
@@ -327,12 +308,9 @@ class TestBaseStripe:
             if kind == "write":
                 result = write_outcome(based, step[1])
                 assert result == write_outcome(reference, step[1])
-            elif kind == "trim":
-                based.trim(step[1])
-                reference.trim(step[1])
             elif kind == "fill":
                 lpns = [lpn for lpn in range(step[1], step[1] + step[2])
-                        if not based.is_mapped(lpn)]
+                        if not is_mapped(based, lpn)]
                 result = outcome(lambda: based.fill(lpns))
                 assert result == outcome(lambda: scalar_fill(reference, lpns))
             elif kind == "precondition":
@@ -343,8 +321,8 @@ class TestBaseStripe:
                 lpns = step[1]
                 assert ([based.lookup(lpn) for lpn in lpns]
                         == [reference.lookup(lpn) for lpn in lpns])
-                assert ([based.is_mapped(lpn) for lpn in lpns]
-                        == [reference.is_mapped(lpn) for lpn in lpns])
+                assert ([is_mapped(based, lpn) for lpn in lpns]
+                        == [is_mapped(reference, lpn) for lpn in lpns])
             assert_state_equal(based, reference)
             if isinstance(result, tuple) and result[:1] == (RuntimeError,):
                 break  # the device filled up identically on both twins
@@ -352,15 +330,13 @@ class TestBaseStripe:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=8),
            st.integers(min_value=1, max_value=40),
-           st.lists(st.tuples(
-               st.lists(st.tuples(st.booleans(), base_lpns,
-                                  st.integers(min_value=1, max_value=2)),
-                        min_size=1, max_size=4),
-               st.lists(base_lpns, max_size=2)), max_size=24))
+           st.lists(st.lists(st.tuples(st.booleans(), base_lpns,
+                                       st.integers(min_value=1, max_value=2)),
+                             min_size=1, max_size=4), max_size=24))
     def test_submit_batch_follows_the_base_stripe(self, start, count,
                                                   batches):
         # The SSD walk inlines the LPN -> PPN lookup: with the DRAM buffer
-        # off, every read of an overwritten, trimmed or relocated base LPN
+        # off, every read of an overwritten or relocated base LPN
         # must reach the page (or the zero fill) the scalar twin reaches.
         geometry = tiny_geometry()
         config = SSDConfig(geometry=geometry, dram_buffer_enabled=False)
@@ -370,7 +346,7 @@ class TestBaseStripe:
         reference = SSD(config)
         precondition_unmapped(reference.ftl, start, count)
         clock = 0.0
-        for requests, trims in batches:
+        for requests in batches:
             columns = list(zip(*requests))
             sizes = [pages * geometry.page_size for pages in columns[2]]
             offsets = [lpn * geometry.page_size for lpn in columns[1]]
@@ -380,9 +356,6 @@ class TestBaseStripe:
                 IORequestBatch(list(columns[0]), offsets, sizes, submits)))
                 for ssd in (based, reference)]
             assert results[0] == results[1]
-            for lpn in trims:
-                based.ftl.trim(lpn)
-                reference.ftl.trim(lpn)
             assert_state_equal(based.ftl, reference.ftl)
             assert based.statistics() == reference.statistics()
             if isinstance(results[0], tuple):
@@ -408,12 +381,11 @@ class TestBaseStripe:
         assert based.mapped_pages == reference.mapped_pages == 40
 
 
-# Writes, trims and six-LPN hammer bursts below LPN 40 (as ``base_lpns``),
+# Writes and six-LPN hammer bursts below LPN 40 (as ``base_lpns``),
 # on both sides of a base stripe that starts at LPN 0..8: base LPNs leave
 # the stripe and are re-mapped, and GC relocates base pages.
 unmapped_steps = st.lists(st.one_of(
     st.tuples(st.just("write"), base_lpns),
-    st.tuples(st.just("trim"), base_lpns),
     st.tuples(st.just("hammer"), st.integers(min_value=0, max_value=33))),
     max_size=30)
 
@@ -432,11 +404,8 @@ class TestUnmappedLpns:
         for kind, lpn in steps:
             burst = range(lpn, lpn + 6) if kind == "hammer" else [lpn]
             for device in (ssd, twin):
-                if kind == "trim":
-                    device.ftl.trim(lpn)
-                else:
-                    result = outcome(lambda: scalar_fill(device.ftl, burst))
-            if kind != "trim" and result is not None:
+                result = outcome(lambda: scalar_fill(device.ftl, burst))
+            if result is not None:
                 return  # the device filled up identically on both twins
         ftl = ssd.ftl
         target(float(ftl.gc_pages_moved))
@@ -444,7 +413,7 @@ class TestUnmappedLpns:
             for high in (low, low + 1, low + 9, ftl._logical_pages):
                 assert ftl.unmapped_lpns(low, high) == [
                     lpn for lpn in range(low, high)
-                    if not ftl.is_mapped(lpn)]
+                    if not is_mapped(ftl, lpn)]
         result = outcome(lambda: ssd.precondition(window_start,
                                                   window_count))
         assert result == outcome(lambda: precondition_unmapped(
@@ -455,18 +424,24 @@ class TestUnmappedLpns:
     def test_warmed_fig16_device_is_not_probed_per_lpn(self):
         # Re-preconditioning a warmed device (Platform.run calls prepare
         # again) reads the unmapped set off the maps: with a few base LPNs
-        # rewritten and trimmed, is_mapped is never called.
+        # rewritten and one LPN past the stripe written, no LPN is probed.
         ssd = SSD(scale_system_config(default_config(),
                                       ExperimentScale()).ssd)
         ssd.precondition(0, 65536)
         ftl = ssd.ftl
         for lpn in (3, 70_000, 40_000):
             ftl.write(lpn)
-        for lpn in (5, 6, 40_000, 70_001):
-            ftl.trim(lpn)
-        ftl.is_mapped = None  # any per-LPN probe would raise TypeError
-        ssd.precondition(0, 65536)
-        del ftl.is_mapped
-        assert ftl.unmapped_lpns(0, 80_000) == [
-            lpn for lpn in range(80_000) if not ftl.is_mapped(lpn)]
-        assert ftl.mapped_pages == 65537
+        fill = ftl.fill
+
+        def probe_free_until_fill(lpns):
+            del ftl._lpn_to_ppn
+            return fill(lpns)
+
+        # Until the fill, any per-LPN probe would raise TypeError.
+        ftl._lpn_to_ppn = None
+        ftl.fill = probe_free_until_fill
+        ssd.precondition(0, 80_000)
+        del ftl.fill
+        assert ftl.unmapped_lpns(0, 90_000) == [
+            lpn for lpn in range(90_000) if not is_mapped(ftl, lpn)]
+        assert ftl.mapped_pages == 80_000

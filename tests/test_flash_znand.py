@@ -53,36 +53,12 @@ class TestDieOccupancy:
         array.issue(0, 0, 0, FlashOperation.READ, 0.0)
         array.issue(0, 0, 0, FlashOperation.PROGRAM, 0.0)
         array.issue(0, 0, 0, FlashOperation.ERASE, 0.0)
-        state = array.die_state(0, 0, 0)
+        state = array._states[array.flat_index(0, 0, 0)]
         assert state.reads == 1
         assert state.programs == 1
         assert state.erases == 1
-        assert state.operations_total() == 3
 
     def test_invalid_die_address(self):
         array = small_array()
         with pytest.raises(ValueError):
-            array.die_state(9, 0, 0)
-
-
-class TestSelection:
-    def test_total_die_count(self):
-        assert len(small_array().dies()) == 4
-
-
-class TestSummaryAndReset:
-    def test_utilisation_summary(self):
-        array = small_array()
-        array.issue(0, 0, 0, FlashOperation.READ, 0.0)
-        array.issue(1, 0, 1, FlashOperation.PROGRAM, 0.0)
-        summary = array.utilisation_summary()
-        assert summary["reads"] == 1
-        assert summary["programs"] == 1
-        assert summary["busiest_die_until_ns"] == 100_000.0
-
-    def test_reset(self):
-        array = small_array()
-        array.issue(0, 0, 0, FlashOperation.READ, 0.0)
-        array.reset()
-        assert array.utilisation_summary()["reads"] == 0
-        assert array.die_state(0, 0, 0).busy_until_ns == 0.0
+            array.issue(9, 0, 0, FlashOperation.READ, 0.0)

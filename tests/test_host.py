@@ -31,11 +31,11 @@ class TestCPUModel:
         cpu.execute_memory(200.0)
         cpu.charge_os(300.0)
         cpu.charge_storage(400.0)
-        breakdown = cpu.breakdown()
-        assert breakdown["os_ns"] == 300.0
-        assert breakdown["ssd_ns"] == 400.0
-        assert breakdown["total_ns"] == pytest.approx(
-            breakdown["app_ns"] + 300.0 + 400.0)
+        account = cpu.account
+        assert account.os_ns == 300.0
+        assert account.storage_ns == 400.0
+        assert account.total_ns == pytest.approx(
+            account.app_ns + 300.0 + 400.0)
 
     def test_mips_positive(self):
         cpu = CPUModel(CPUConfig())
@@ -50,13 +50,6 @@ class TestCPUModel:
             cpu.execute_memory(-1.0)
         with pytest.raises(ValueError):
             cpu.charge_os(-1.0)
-
-    def test_reset(self):
-        cpu = CPUModel(CPUConfig())
-        cpu.execute_compute(100)
-        cpu.reset()
-        assert cpu.account.instructions == 0
-
 
 class TestCacheLevel:
     def test_hit_after_fill(self):
@@ -142,12 +135,6 @@ class TestPageCache:
         cache.install(1)
         cache.access(1, is_write=True)
         assert cache.dirty_pages() == [1]
-
-    def test_clean(self):
-        cache = PageCache(KB(16), KB(4))
-        cache.install(1, dirty=True)
-        cache.clean(1)
-        assert cache.dirty_pages() == []
 
     def test_hit_rate(self):
         cache = PageCache(KB(16), KB(4))
@@ -240,28 +227,3 @@ class TestOSStorageStack:
     def test_writeback_cost_positive(self):
         stack = OSStorageStack(OSStackConfig(), KB(4))
         assert stack.writeback_cost() > 0
-
-    def test_msync_scales_with_dirty_pages(self):
-        stack = OSStorageStack(OSStackConfig(), KB(4))
-        assert stack.msync_cost(10) > stack.msync_cost(1) > stack.msync_cost(0)
-
-    @pytest.mark.parametrize("pages", [0, 1, 10])
-    def test_msync_counts_each_writeback_and_one_switch(self, pages):
-        config = OSStackConfig()
-        stack = OSStorageStack(config, KB(4))
-        reference = OSStorageStack(config, KB(4))
-        per_page = [reference.writeback_cost() for _ in range(pages)]
-        cost = stack.msync_cost(pages)
-        assert cost == config.context_switch_ns + pages * (
-            per_page[0] if pages else 0.0)
-        stats = stack.statistics()
-        assert stats["context_switches"] == 1
-        for key in ("total_io_stack_ns", "total_copy_ns"):
-            assert stats[key] == reference.statistics()[key]
-        assert stats["page_faults_serviced"] == 0
-
-    def test_msync_rejects_negative(self):
-        stack = OSStorageStack(OSStackConfig(), KB(4))
-        with pytest.raises(ValueError):
-            stack.msync_cost(-1)
-        assert stack.statistics()["context_switches"] == 0

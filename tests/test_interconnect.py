@@ -44,12 +44,6 @@ class TestPCIeLink:
         with pytest.raises(ValueError):
             PCIeLink(PCIeConfig()).transfer(0, 0.0)
 
-    def test_reset(self):
-        link = PCIeLink(PCIeConfig())
-        link.transfer(KB(4), 0.0)
-        link.reset()
-        assert link.bytes_transferred == 0
-
 
 class TestSATALink:
     def test_sata_slower_than_pcie(self):

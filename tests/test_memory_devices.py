@@ -49,17 +49,7 @@ class TestDRAMDevice:
 class TestNVDIMM:
     def test_pinned_region_layout(self):
         nvdimm = NVDIMM(NVDIMMConfig())
-        base = nvdimm.pinned_region_base()
-        assert nvdimm.is_pinned_address(base)
-        assert not nvdimm.is_pinned_address(base - 1)
         assert nvdimm.cacheable_bytes == GB(8) - MB(512)
-
-    def test_pinned_check_rejects_out_of_range(self):
-        nvdimm = NVDIMM(NVDIMMConfig())
-        with pytest.raises(ValueError):
-            nvdimm.is_pinned_address(-1)
-        with pytest.raises(ValueError):
-            nvdimm.is_pinned_address(nvdimm.capacity_bytes)
 
     def test_access_while_online(self):
         nvdimm = NVDIMM(NVDIMMConfig())

@@ -3,7 +3,7 @@
 The distributed tier is only correct if folding shards is insensitive to
 how the work was partitioned and in which order the partial aggregates are
 combined.  These tests state that as hypothesis properties over
-``Counter.merge``, ``LatencyStat.merge``, ``Histogram.merge``,
+``Counter.merge``, ``LatencyStat.merge``,
 ``StatRegistry.merge`` and ``ExperimentResult.merge``:
 
 * **splitting invariance** — merging the aggregates of any partition of a
@@ -11,7 +11,7 @@ combined.  These tests state that as hypothesis properties over
 * **associativity / order-insensitivity** — any merge tree over the same
   shards yields the same aggregate.
 
-Counts, bucket counts, min and max are exact (integer or order-free
+Counts, min and max are exact (integer or order-free
 arithmetic).  Sums and the Welford mean/M2 are floating point, where
 reassociation legitimately perturbs the last ulps, so those compare with a
 tight relative tolerance rather than bit equality.  ``ExperimentResult``
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.analysis.experiments import ExperimentResult
 from repro.energy.accounting import EnergyBreakdown
 from repro.platforms.base import RunResult
-from repro.sim.stats import Counter, Histogram, LatencyStat, StatRegistry
+from repro.sim.stats import Counter, LatencyStat, StatRegistry
 from repro.workloads.registry import ExperimentScale
 
 SCALE = ExperimentScale()
@@ -140,48 +140,6 @@ def test_latency_shard_order_insensitive(order, shards):
     for index in order:
         permuted.merge(latency_of(shards[index]))
     assert_latency_equal(forward, permuted)
-
-
-# ---------------------------------------------------------------------------
-# Histogram (integer buckets: everything is exact)
-# ---------------------------------------------------------------------------
-
-BOUNDS = [10.0, 100.0, 1000.0]
-
-
-def histogram_of(values) -> Histogram:
-    histogram = Histogram("h", BOUNDS)
-    for value in values:
-        histogram.record(value)
-    return histogram
-
-
-@settings(max_examples=50, deadline=None)
-@given(sharded_samples)
-def test_histogram_split_invariance_is_exact(shards):
-    whole = histogram_of([value for shard in shards for value in shard])
-    merged = Histogram("h", BOUNDS)
-    for shard in shards:
-        merged.merge(histogram_of(shard))
-    assert merged.counts == whole.counts
-    assert merged.total_samples == whole.total_samples
-
-
-@settings(max_examples=50, deadline=None)
-@given(sample_lists, sample_lists, sample_lists)
-def test_histogram_merge_associative_and_commutative(a, b, c):
-    left = histogram_of(a)
-    left.merge(histogram_of(b))
-    left.merge(histogram_of(c))
-    bc = histogram_of(b)
-    bc.merge(histogram_of(c))
-    right = histogram_of(a)
-    right.merge(bc)
-    assert left.counts == right.counts
-    swapped = histogram_of(c)
-    swapped.merge(histogram_of(a))
-    swapped.merge(histogram_of(b))
-    assert swapped.counts == left.counts
 
 
 # ---------------------------------------------------------------------------

@@ -406,12 +406,6 @@ class BatchedVsScalarCache(RuleBasedStateMachine):
         assert (self.batched.install(page, dirty)
                 == self.scalar.install(page, dirty))
 
-    @rule(capacity=st.sampled_from([0, 1, 2, 3, 8]), page=pages_st)
-    def clean_page(self, capacity, page):
-        self._ensure(capacity)
-        self.batched.clean(page)
-        self.scalar.clean(page)
-
     @invariant()
     def caches_indistinguishable(self):
         if self.batched is not None:

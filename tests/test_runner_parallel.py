@@ -74,9 +74,9 @@ class TestDeterminism:
         first, second = spec.build(), spec.build()
         assert first.dataset_bytes == second.dataset_bytes
         assert [(access.address, access.is_write)
-                for access in first.accesses] == \
+                for access in first.stream] == \
                [(access.address, access.is_write)
-                for access in second.accesses]
+                for access in second.stream]
 
 
 class TestRunSpecs:

@@ -22,8 +22,8 @@ from repro.trace import (
     TraceFormatError,
     TraceReader,
     load_trace_file,
+    TraceWriter,
     read_trace_footer,
-    write_stream,
 )
 from repro.trace.format import TAIL_STRUCT, encode_footer, summarize
 from repro.workloads.trace import AccessStream
@@ -31,6 +31,13 @@ from repro.workloads.trace import AccessStream
 _names = itertools.count()
 _FUZZ = settings(max_examples=120, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def write_stream(path, stream: AccessStream, **options):
+    """Write one in-memory stream as a trace file."""
+    with TraceWriter(path, **options) as writer:
+        writer.append(stream)
+    return writer.path
 
 
 def _valid_trace(directory, compression: str) -> bytes:

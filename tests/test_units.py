@@ -9,24 +9,11 @@ class TestTimeConversions:
     def test_us_to_ns(self):
         assert units.us(3) == 3000.0
 
-    def test_ms_to_ns(self):
-        assert units.ms(1.5) == 1_500_000.0
-
-    def test_seconds_to_ns(self):
-        assert units.seconds(2) == 2e9
-
     def test_roundtrip_us(self):
         assert units.to_us(units.us(7.25)) == pytest.approx(7.25)
 
     def test_roundtrip_ms(self):
-        assert units.to_ms(units.ms(0.125)) == pytest.approx(0.125)
-
-    def test_roundtrip_seconds(self):
-        assert units.to_seconds(units.seconds(3.5)) == pytest.approx(3.5)
-
-    def test_ns_identity(self):
-        assert units.ns(42) == 42.0
-
+        assert units.to_ms(units.us(125)) == pytest.approx(0.125)
 
 class TestSizeConversions:
     def test_kb(self):
@@ -37,9 +24,6 @@ class TestSizeConversions:
 
     def test_gb(self):
         assert units.GB(8) == 8 * 1024 ** 3
-
-    def test_tb(self):
-        assert units.TB(1) == 1024 ** 4
 
     def test_to_gb_roundtrip(self):
         assert units.to_GB(units.GB(800)) == pytest.approx(800.0)
@@ -68,14 +52,3 @@ class TestBandwidth:
 
     def test_bandwidth_gbps_zero_time(self):
         assert units.bandwidth_gbps(units.GB(1), 0.0) == 0.0
-
-
-class TestEnergy:
-    def test_energy_nj_is_power_times_time(self):
-        assert units.energy_nj(2.0, 1000.0) == 2000.0
-
-    def test_to_joules(self):
-        assert units.to_joules(3e9) == pytest.approx(3.0)
-
-    def test_to_millijoules(self):
-        assert units.to_millijoules(5e6) == pytest.approx(5.0)

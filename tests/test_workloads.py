@@ -8,12 +8,10 @@ from repro.config import default_config
 from repro.units import GB, KB, MB
 from repro.workloads.generators import (
     HotspotPattern,
-    RandomPattern,
     SequentialPattern,
     StridedPattern,
     ZipfianPattern,
     expand_runs,
-    interleave,
     shuffled_slots,
 )
 from repro.workloads.registry import (
@@ -25,7 +23,6 @@ from repro.workloads.registry import (
     build_trace,
     get_workload,
     scale_system_config,
-    table_iii,
 )
 from repro.workloads.trace import MemoryAccess, WorkloadTrace
 
@@ -37,19 +34,6 @@ class TestGenerators:
         assert addresses[0] == 0
         assert addresses[16] == 0  # 16 slots of 4 KB in 64 KB
         assert all(address % KB(4) == 0 for address in addresses)
-
-    def test_random_within_bounds(self):
-        pattern = RandomPattern(MB(1), 64, seed=3)
-        addresses = pattern.addresses(1000)
-        assert addresses.min() >= 0
-        assert addresses.max() < MB(1)
-
-    def test_random_is_deterministic_per_seed(self):
-        first = RandomPattern(MB(1), 64, seed=5).addresses(100)
-        second = RandomPattern(MB(1), 64, seed=5).addresses(100)
-        third = RandomPattern(MB(1), 64, seed=6).addresses(100)
-        assert np.array_equal(first, second)
-        assert not np.array_equal(first, third)
 
     def test_zipfian_concentrates_accesses(self):
         pattern = ZipfianPattern(MB(4), 64, seed=1, theta=1.2)
@@ -97,25 +81,15 @@ class TestGenerators:
         consecutive = np.mean(np.diff(addresses) == 64)
         assert consecutive > 0.5
 
-    def test_interleave_mixes_generators(self):
-        sequential = SequentialPattern(MB(1), 64)
-        random = RandomPattern(MB(1), 64, seed=9)
-        mixed = interleave([sequential, random], 500, weights=[0.5, 0.5])
-        assert len(mixed) == 500
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             SequentialPattern(0, 64)
-        with pytest.raises(ValueError):
-            RandomPattern(MB(1), 0)
         with pytest.raises(ValueError):
             ZipfianPattern(MB(1), 64, theta=0.5)
         with pytest.raises(ValueError):
             HotspotPattern(MB(1), 64, hot_fraction=0.0)
         with pytest.raises(ValueError):
             StridedPattern(MB(1), 64, stride_slots=0)
-        with pytest.raises(ValueError):
-            interleave([], 10)
 
 
 class TestTrace:
@@ -131,15 +105,9 @@ class TestTrace:
         accesses = [MemoryAccess(0, 64, False), MemoryAccess(64, 64, True)]
         trace = self._trace(accesses)
         assert len(trace) == 2
-        assert trace.read_count == 1
-        assert trace.write_count == 1
-        assert trace.write_fraction == 0.5
+        assert trace.stream.read_count == 1
+        assert trace.stream.write_count == 1
         assert trace.operations == pytest.approx(0.2)
-
-    def test_operations_per_second(self):
-        trace = self._trace([MemoryAccess(0, 64, False)] * 10)
-        assert trace.operations_per_second(1e9) == pytest.approx(1.0)
-        assert trace.operations_per_second(0.0) == 0.0
 
     def test_touched_bytes(self):
         trace = self._trace([MemoryAccess(100, 64, False)])
@@ -160,7 +128,8 @@ class TestRegistry:
             | set(RODINIA_WORKLOADS) == set(names)
 
     def test_table_iii_matches_paper_numbers(self):
-        rows = {row.name: row for row in table_iii()}
+        rows = {name: get_workload(name).characteristics
+                for name in all_workload_names()}
         assert rows["seqRd"].total_instructions == 67_000_000_000
         assert rows["seqRd"].dataset_bytes == GB(16)
         assert rows["update"].total_instructions == 244_000_000_000
@@ -192,18 +161,20 @@ class TestBuildTrace:
         assert 500 <= len(trace) <= 1000
         assert trace.dataset_bytes == scale.scaled_bytes(GB(16))
         assert all(access.address + access.size_bytes <= trace.dataset_bytes
-                   for access in trace)
+                   for access in trace.stream)
 
     def test_traces_are_deterministic(self):
         scale = ExperimentScale(max_accesses=800)
         first = build_trace("rndSel", scale)
         second = build_trace("rndSel", scale)
-        assert [a.address for a in first] == [a.address for a in second]
+        assert [a.address for a in first.stream] == [a.address for a in
+                                                     second.stream]
 
     def test_write_fraction_close_to_spec(self):
         scale = ExperimentScale(max_accesses=4000)
         trace = build_trace("rndWr", scale)
-        assert trace.write_fraction == pytest.approx(0.9, abs=0.05)
+        assert trace.stream.write_count / len(trace) == pytest.approx(
+            0.9, abs=0.05)
 
     def test_dataset_override_for_stress_test(self):
         scale = ExperimentScale(max_accesses=500)
@@ -223,7 +194,7 @@ class TestBuildTrace:
     def test_trace_invariants(self, name, max_accesses):
         trace = build_trace(name, ExperimentScale(min_accesses=100,
                                                   max_accesses=max_accesses))
-        assert 0.0 <= trace.write_fraction <= 1.0
+        assert 0 <= trace.stream.write_count <= len(trace)
         assert trace.operations > 0
         assert trace.touched_bytes() <= trace.dataset_bytes
 
