@@ -24,7 +24,7 @@ what the batched path buys in wall-clock terms:
   >= 5x bar when both its hit fold *and* its flash miss path (one
   ``SSD.walk`` opened per chunk and stepped once per miss) are
   vectorized.  ``nvdimm-C``,
-  ``bypass-ull`` (the chained closed-loop flash recurrence) and
+  ``bypass-ull`` (one loop over every miss on one open walk) and
   ``hams-TE`` (the index-sorted tag classification + miss replay) are
   held to it; their ``seqRd`` rows document the colder chunk-miss regime,
 * ``mmap`` / ``flatflash-M`` / ``flatflash-P`` are the page-fault

@@ -8,9 +8,10 @@ the ULL-Flash, cleared when the completion interrupt arrives.
 
 On power-up the controller therefore knows exactly which I/Os were in flight
 when the lights went out: it scans the SQ region for commands whose journal
-tag is still 1 (equivalently, for SQ/CQ tail-pointer mismatches), allocates
-a fresh SQ/CQ pair, re-inserts those commands and rings the doorbell so they
-complete before the MoS space is handed back to the MMU.  The ULL-Flash's
+tag is still 1, allocates a fresh SQ, re-inserts those commands and rings
+the doorbell so they complete before the MoS space is handed back to the
+MMU.  (The paper's engine can also compare SQ and CQ tail pointers; the
+model posts no completions, so it keeps no CQ and reads the tags alone.)  The ULL-Flash's
 own supercapacitor flushes its volatile buffer, so no acknowledged write is
 ever lost.
 """
@@ -24,7 +25,7 @@ from ..flash.ssd import SSD
 from ..memory.nvdimm import NVDIMM, NVDIMMState
 from ..nvme.commands import NVMeCommand
 from ..nvme.controller import NVMeController
-from ..nvme.queues import QueuePair
+from ..nvme.queues import QueuePair, SubmissionQueue
 
 
 @dataclass
@@ -95,18 +96,18 @@ class PersistencyController:
         """Run the three-phase recovery of Figure 15.
 
         Phase 1 already happened at failure time (journal tags persisted in
-        the pinned region).  Phase 2 restores the NVDIMM and allocates a new
-        SQ/CQ pair; phase 3 re-inserts every incomplete command, advances
-        the SQ tail and rings the doorbell so the ULL-Flash replays it.
+        the pinned region).  Phase 2 restores the NVDIMM and allocates a
+        fresh SQ; phase 3 re-issues every SQ entry whose journal tag was
+        still set, advancing the SQ tail and ringing the doorbell so the
+        ULL-Flash replays it.  No CQ pointer is compared: the model posts
+        no completions.
         """
         if not self._failed:
             raise RuntimeError("recover called without a preceding power failure")
         self.recoveries += 1
         restore_ns = self.nvdimm.power_restore()
-        # Phase 2: a fresh queue pair replaces the interrupted one.
-        fresh = QueuePair.create(self.queue_pair.sq.depth)
-        self.queue_pair.sq = fresh.sq
-        self.queue_pair.cq = fresh.cq
+        # Phase 2: a fresh SQ replaces the interrupted one.
+        self.queue_pair.sq = SubmissionQueue(self.queue_pair.sq.depth)
 
         replay_start = at_ns + restore_ns
         replay_cursor = replay_start

@@ -11,16 +11,14 @@ ULL-Flash (Z-NAND), a conventional NVMe SSD (V-NAND TLC) and a SATA SSD —
 matching the comparison points of Figures 5 and 6.
 """
 
-from .znand import DieState, FlashOperation, ZNANDArray
+from .znand import FlashOperation, ZNANDArray
 from .channel import ChannelScheduler
 from .ftl import FlashTranslationLayer, PhysicalAddress
 from .dram_buffer import InternalDRAMBuffer
 from .fil import FlashInterfaceLayer
-from .ssd import (SSD, IOBatchResult, IORequest, IORequestBatch, IOResult,
-                  make_ssd)
+from .ssd import SSD, IORequest, IOResult, make_ssd
 
 __all__ = [
-    "DieState",
     "FlashOperation",
     "ZNANDArray",
     "ChannelScheduler",
@@ -30,8 +28,6 @@ __all__ = [
     "FlashInterfaceLayer",
     "SSD",
     "IORequest",
-    "IORequestBatch",
     "IOResult",
-    "IOBatchResult",
     "make_ssd",
 ]

@@ -222,14 +222,13 @@ class FlashTranslationLayer:
 
     def unmapped_lpns(self, start: int, stop: int) -> List[int]:
         """The unmapped LPNs of ``[start, stop)``, in order, read off the
-        maps: a base-stripe LPN once it left the stripe and was not written
-        again, any other LPN the mapping lacks."""
+        maps: every LPN outside the base stripe that the mapping lacks.
+        A base-stripe LPN is always mapped, since a rewrite or a GC move
+        that takes it off the stripe maps it again."""
         mapping = self._mapping
         low = min(max(start, self._base_start), stop)
         high = max(min(stop, self._base_end), low)
         return ([lpn for lpn in range(start, low) if lpn not in mapping]
-                + sorted(lpn for lpn in self._base_gone
-                         if low <= lpn < high and lpn not in mapping)
                 + [lpn for lpn in range(high, stop) if lpn not in mapping])
 
     @property

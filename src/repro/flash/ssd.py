@@ -16,7 +16,8 @@ parses and splits each request (the host interface), applies the
 DRAM-buffer hit/fill/dirty-evict steps, translates on integer PPNs (the die
 and channel are decoded from the PPN by integer division, so no address
 objects are built) and reserves die and channel occupancy against the
-layers' flat arrays.  :meth:`SSD.submit_batch` drives one walk per batch,
+layers' flat arrays.  :class:`IORequest` is the one request shape:
+:meth:`SSD.submit_batch` drives one walk over a sequence of them,
 :meth:`SSD.submit` is a batch-of-one ``submit_batch``, and the platforms'
 miss paths step one walk per service chunk, so there is exactly one
 service path.  The layer classes keep only their state, their counters,
@@ -35,7 +36,7 @@ from __future__ import annotations
 import contextlib
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..config import SSDConfig
 from ..sim.stats import StatRegistry
@@ -76,143 +77,6 @@ class IOResult:
     @property
     def latency_ns(self) -> float:
         return self.finish_ns - self.request.submit_ns
-
-
-def _column(values, count: Optional[int] = None) -> list:
-    """Normalise a per-request column to a plain Python list.
-
-    Accepts numpy arrays (converted once via ``tolist``), sequences, or a
-    scalar to broadcast over *count* requests.
-    """
-    tolist = getattr(values, "tolist", None)
-    if tolist is not None:
-        values = tolist()
-    if isinstance(values, (bool, int, float)):
-        if count is None:
-            raise ValueError("cannot broadcast a scalar column without a "
-                             "request count")
-        return [values] * count
-    return list(values)
-
-
-class IORequestBatch:
-    """A columnar vector of I/O requests serviced in one submission call.
-
-    Columns (``is_write`` / ``byte_offset`` / ``size_bytes`` / ``fua``)
-    accept numpy arrays, sequences, or scalars to broadcast.  Two submission
-    modes exist:
-
-    * **Open-loop** (default): ``submit_ns`` gives every request's
-      submission clock up front (must be non-decreasing, as for scalar
-      :meth:`SSD.submit`).  This is the migration-writeback shape: the
-      caller knows each request's issue time before any of them completes.
-    * **Chained** (``chained=True``): the submitter is a synchronous agent
-      (a load/store miss path) whose next submission clock depends on the
-      previous completion.  The clock starts at ``start_ns``; before
-      request *j* it advances by ``pre_gap_ns[j]`` (e.g. a compute phase),
-      the request submits, and afterwards the clock advances by
-      ``post_gap_ns[j] + service_latency_ns[j]`` — where the service
-      latency is ``(finish - submit)`` plus, when ``link`` is given, one
-      ``link_bytes`` transfer over the link issued at the finish time
-      (the exact :meth:`repro.interconnect.link.Link.transfer` recurrence,
-      inlined).  This runs the whole closed-loop recurrence inside one
-      batch call while remaining bit-identical to the scalar loop.
-    """
-
-    __slots__ = ("is_write", "byte_offset", "size_bytes", "submit_ns", "fua",
-                 "chained", "start_ns", "pre_gap_ns", "post_gap_ns", "link",
-                 "link_bytes")
-
-    def __init__(self, is_write, byte_offset, size_bytes,
-                 submit_ns=None, fua=None, *, chained: bool = False,
-                 start_ns: float = 0.0, pre_gap_ns=None, post_gap_ns=None,
-                 link=None, link_bytes: int = 0) -> None:
-        self.byte_offset = _column(byte_offset)
-        count = len(self.byte_offset)
-        self.size_bytes = _column(size_bytes, count)
-        self.is_write = _column(is_write, count)
-        self.fua = _column(False if fua is None else fua, count)
-        self.chained = bool(chained)
-        if not (len(self.size_bytes) == len(self.is_write)
-                == len(self.fua) == count):
-            raise ValueError("batch columns must be equal-length")
-        if count and min(self.byte_offset) < 0:
-            raise ValueError("byte_offset must be non-negative")
-        if count and min(self.size_bytes) <= 0:
-            raise ValueError("size_bytes must be positive")
-        if self.chained:
-            self.submit_ns = None
-            self.start_ns = float(start_ns)
-            if self.start_ns < 0:
-                raise ValueError("start_ns must be non-negative")
-            self.pre_gap_ns = (None if pre_gap_ns is None
-                               else _column(pre_gap_ns, count))
-            self.post_gap_ns = (None if post_gap_ns is None
-                                else _column(post_gap_ns, count))
-            for gaps in (self.pre_gap_ns, self.post_gap_ns):
-                if gaps is not None:
-                    if len(gaps) != count:
-                        raise ValueError("gap columns must be equal-length")
-                    if count and min(gaps) < 0:
-                        raise ValueError("gaps must be non-negative")
-            self.link = link
-            self.link_bytes = int(link_bytes)
-            if self.link is not None and self.link_bytes <= 0:
-                raise ValueError("link transfers need a positive link_bytes")
-        else:
-            if submit_ns is None:
-                raise ValueError("open-loop batches need a submit_ns column")
-            self.submit_ns = _column(submit_ns, count)
-            if len(self.submit_ns) != count:
-                raise ValueError("batch columns must be equal-length")
-            if count and min(self.submit_ns) < 0:
-                raise ValueError("submit_ns must be non-negative")
-            self.start_ns = 0.0
-            self.pre_gap_ns = None
-            self.post_gap_ns = None
-            self.link = None
-            self.link_bytes = 0
-
-    @classmethod
-    def of_request(cls, request: IORequest) -> "IORequestBatch":
-        """Batch-of-one view of an already-validated :class:`IORequest`."""
-        batch = cls.__new__(cls)
-        batch.is_write = [request.is_write]
-        batch.byte_offset = [request.byte_offset]
-        batch.size_bytes = [request.size_bytes]
-        batch.submit_ns = [request.submit_ns]
-        batch.fua = [request.fua]
-        batch.chained = False
-        batch.start_ns = 0.0
-        batch.pre_gap_ns = None
-        batch.post_gap_ns = None
-        batch.link = None
-        batch.link_bytes = 0
-        return batch
-
-    def __len__(self) -> int:
-        return len(self.byte_offset)
-
-
-@dataclass
-class IOBatchResult:
-    """Columnar completion record of one :class:`IORequestBatch`.
-
-    ``start_ns`` / ``finish_ns`` / ``latency_ns`` hold one entry per
-    request; device-wide counters live in :meth:`SSD.statistics`.  For
-    chained batches, ``service_latency_ns`` holds the closed-loop service
-    latency (device + link) per request and ``end_ns`` the clock after the
-    last post-gap.
-    """
-
-    start_ns: List[float]
-    finish_ns: List[float]
-    latency_ns: List[float]
-    service_latency_ns: Optional[List[float]] = None
-    end_ns: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.finish_ns)
 
 
 class SSD:
@@ -300,9 +164,7 @@ class SSD:
         Requests must be submitted in non-decreasing ``submit_ns`` order.
         The platforms' miss paths step an open :meth:`walk` instead.
         """
-        batch_result = self.submit_batch(IORequestBatch.of_request(request))
-        return IOResult(request=request, start_ns=batch_result.start_ns[0],
-                        finish_ns=batch_result.finish_ns[0])
+        return self.submit_batch([request])[0]
 
     def read(self, byte_offset: int, size_bytes: int, at_ns: float) -> IOResult:
         """Convenience wrapper for a read request."""
@@ -316,70 +178,25 @@ class SSD:
                                      size_bytes=size_bytes, submit_ns=at_ns,
                                      fua=fua))
 
-    def submit_batch(self, batch: IORequestBatch) -> IOBatchResult:
-        """Service a whole request vector through one :meth:`walk`.
+    def submit_batch(self, requests: Sequence[IORequest]) -> List[IOResult]:
+        """Service *requests* in order through one :meth:`walk`.
 
         Bit-identical to submitting each request through :meth:`submit` in
         order: per-resource state (buffer LRU order, FTL mapping, die and
         channel occupancy) only ever advances in request order, and garbage
         collection triggers at the same points.  Requests must be ordered
         by non-decreasing submission clock, like :meth:`submit` callers.
-        Chained batches run the closed-loop clock (and the optional inlined
-        :meth:`~repro.interconnect.link.Link.transfer` recurrence) around
-        the walk's steps.
         """
-        chained = batch.chained
-        now = batch.start_ns
-        submits = batch.submit_ns
-        pre_gaps = batch.pre_gap_ns
-        post_gaps = batch.post_gap_ns
-        link = batch.link
-        link_count = 0
-        if link is not None:
-            link_bytes = batch.link_bytes
-            link_busy = link.busy_until_ns
-            link_overhead = link.per_transfer_overhead(link_bytes)
-            link_raw = link.raw_transfer_time(link_bytes)
+        results: List[IOResult] = []
         starts: List[float] = []
-        finishes: List[float] = []
-        latencies: List[float] = []
-        service_latencies: List[float] = []
-        try:
-            with self.walk(starts) as step:
-                for j, (is_write, offset, size, fua) in enumerate(zip(
-                        batch.is_write, batch.byte_offset, batch.size_bytes,
-                        batch.fua)):
-                    if not chained:
-                        submit = submits[j]
-                    elif pre_gaps is not None:
-                        submit = now = now + pre_gaps[j]
-                    else:
-                        submit = now
-                    finish = step((is_write, offset, size, submit, fua))
-                    latency = finish - submit
-                    finishes.append(finish)
-                    latencies.append(latency)
-                    if not chained:
-                        continue
-                    if link is not None:
-                        # Inlined Link.transfer recurrence at finish time.
-                        t_start = finish if finish >= link_busy else link_busy
-                        link_busy = (t_start + link_overhead) + link_raw
-                        link_count += 1
-                        latency += link_busy - t_start
-                    service_latencies.append(latency)
-                    if post_gaps is not None:
-                        now += post_gaps[j] + latency
-                    else:
-                        now += latency
-        finally:
-            if link_count:
-                link.commit_transfers(link_count, link_count * link_bytes,
-                                      link_busy)
-        return IOBatchResult(
-            start_ns=starts, finish_ns=finishes, latency_ns=latencies,
-            service_latency_ns=service_latencies if chained else None,
-            end_ns=now if chained else 0.0)
+        with self.walk(starts) as step:
+            for request in requests:
+                finish = step((request.is_write, request.byte_offset,
+                               request.size_bytes, request.submit_ns,
+                               request.fua))
+                results.append(IOResult(request=request, start_ns=starts[-1],
+                                        finish_ns=finish))
+        return results
 
     @contextlib.contextmanager
     def walk(self, starts: Optional[List[float]] = None
@@ -443,7 +260,7 @@ class SSD:
         heappop = heapq.heappop
         # Flat die/channel occupancy shared with the layer objects.
         array = self.array
-        die_states = array._states
+        die_busy = array.busy_until_ns
         pages_per_die = ftl._pages_per_die
         pages_per_channel = ftl._pages_per_channel
         read_ns = array.timing.read_ns
@@ -544,14 +361,13 @@ class SSD:
                                 # against the flat occupancy arrays: array
                                 # sensing, then the (optionally split)
                                 # channel DMA.
-                                state = die_states[ppn // pages_per_die]
-                                busy = state.busy_until_ns
+                                die = ppn // pages_per_die
+                                busy = die_busy[die]
                                 array_start = (firmware_done
                                                if firmware_done >= busy
                                                else busy)
                                 array_finish = array_start + read_ns
-                                state.busy_until_ns = array_finish
-                                state.reads += 1
+                                die_busy[die] = array_finish
                                 channel = ppn // pages_per_channel
                                 if split:
                                     partner = channel + 1
@@ -659,14 +475,13 @@ class SSD:
                                 chan_busy[channel] = transfer_finish
                                 chan_bytes[channel] += page_size
                                 chan_transfers[channel] += 1
-                            state = die_states[ppn // pages_per_die]
-                            busy = state.busy_until_ns
+                            die = ppn // pages_per_die
+                            busy = die_busy[die]
                             array_start = (transfer_finish
                                            if transfer_finish >= busy
                                            else busy)
                             sub_finish = array_start + program_ns
-                            state.busy_until_ns = sub_finish
-                            state.programs += 1
+                            die_busy[die] = sub_finish
                             page_programs_local += 1
                             if gc_result is not None:
                                 # GC relocations charged serially after the

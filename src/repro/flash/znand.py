@@ -7,10 +7,11 @@ parallelism (Figure 4a).  Plane-level parallelism is modelled as multi-plane
 operations: a die can start one array operation at a time, but an operation
 may cover several planes of that die with a single array time.
 
-Die state lives in one flat list indexed by
-``(channel * packages_per_channel + package) * dies_per_package + die`` so
-the flash walk (:meth:`repro.flash.ssd.SSD.walk`) can
-index occupancy directly.  The walk inlines the per-die recurrence
+Die occupancy is one flat ``busy_until_ns`` float list indexed by
+``(channel * packages_per_channel + package) * dies_per_package + die``, as
+:class:`~repro.flash.channel.ChannelScheduler` keeps its channels, so the
+flash walk (:meth:`repro.flash.ssd.SSD.walk`) can index it directly.  The
+walk inlines the per-die recurrence
 ``start = max(at, busy); busy = start + t`` for host requests;
 :meth:`ZNANDArray.issue` runs it for the page moves of GC relocation and
 the supercap flush.
@@ -18,7 +19,6 @@ the supercap flush.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, Tuple
 
@@ -33,38 +33,22 @@ class FlashOperation(Enum):
     ERASE = "erase"
 
 
-@dataclass(slots=True)
-class DieState:
-    """Occupancy bookkeeping for one flash die."""
-
-    channel: int
-    package: int
-    die: int
-    busy_until_ns: float = 0.0
-    reads: int = 0
-    programs: int = 0
-    erases: int = 0
-
-
 class ZNANDArray:
     """All flash dies of one SSD, addressed as (channel, package, die).
 
     The array does not know about logical addresses or wear levelling — it
-    only answers "when would an operation issued at time T on die D finish?"
-    and records per-die utilisation statistics.  The authoritative state is
-    the flat ``_states`` list (see :meth:`flat_index`); the dict-of-dies of
-    earlier revisions is gone so batch walks can share it by index.
+    only answers "when would an operation issued at time T on die D
+    finish?".  ``busy_until_ns[d]`` is the reservation horizon of die *d*
+    (see :meth:`flat_index`), the authoritative state the flash walk
+    shares as a plain Python list.
     """
 
     def __init__(self, geometry: FlashGeometry, timing: FlashTiming) -> None:
         self.geometry = geometry
         self.timing = timing
-        self._states: List[DieState] = []
-        for channel in range(geometry.channels):
-            for package in range(geometry.packages_per_channel):
-                for die in range(geometry.dies_per_package):
-                    self._states.append(DieState(channel=channel,
-                                                 package=package, die=die))
+        self.busy_until_ns: List[float] = [0.0] * (
+            geometry.channels * geometry.packages_per_channel
+            * geometry.dies_per_package)
 
     # -- addressing helpers -------------------------------------------------
 
@@ -99,14 +83,9 @@ class ZNANDArray:
         becomes free (or immediately if it is idle) and occupies the die for
         the raw array time.
         """
-        state = self._states[self.flat_index(channel, package, die)]
-        start = max(at_ns, state.busy_until_ns)
+        index = self.flat_index(channel, package, die)
+        busy = self.busy_until_ns
+        start = max(at_ns, busy[index])
         finish = start + self.operation_time_ns(operation)
-        state.busy_until_ns = finish
-        if operation is FlashOperation.READ:
-            state.reads += 1
-        elif operation is FlashOperation.PROGRAM:
-            state.programs += 1
-        else:
-            state.erases += 1
+        busy[index] = finish
         return start, finish

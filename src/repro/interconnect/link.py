@@ -74,11 +74,11 @@ class Link(abc.ABC):
                          busy_until_ns: float) -> None:
         """Fold the accounting of *count* externally-computed transfers.
 
-        The chained mode of :meth:`repro.flash.ssd.SSD.submit_batch` inlines
-        the exact :meth:`transfer` recurrence (``start = max(at, busy);
-        finish = (start + overhead) + raw``) into its submission loop and
-        commits the side effects here in one call.  ``busy_until_ns`` must
-        be the horizon after the last inlined transfer.
+        FlatFlash's MMIO replay and bypass-ull's miss loop inline the exact
+        :meth:`transfer` recurrence (``start = max(at, busy); finish =
+        (start + overhead) + raw``) into their service loops and commit the
+        side effects here in one call.  ``busy_until_ns`` must be the
+        horizon after the last inlined transfer.
         """
         if count < 0 or bytes_moved < 0:
             raise ValueError("transfer accounting cannot decrease")

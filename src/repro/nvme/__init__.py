@@ -3,13 +3,13 @@
 This package implements the protocol machinery that both the software NVMe
 driver (mmap baseline) and the HAMS hardware NVMe engine sit on top of:
 64 B command structures with opcode / PRP / LBA / length fields plus the
-journal tag HAMS adds in the reserved area, submission/completion queue
-rings with head/tail pointers and doorbells, and a controller front-end that forwards commands to an SSD device model and
-posts completions (Section II-C, Figure 4b).
+journal tag HAMS adds in the reserved area, a submission queue ring with
+head/tail pointers and a doorbell, and a controller front-end that forwards
+commands to an SSD device model (Section II-C, Figure 4b).
 """
 
 from .commands import NVMeCommand, NVMeCompletion, NVMeOpcode
-from .queues import CompletionQueue, QueuePair, SubmissionQueue
+from .queues import QueuePair, SubmissionQueue
 from .controller import NVMeController
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "NVMeCompletion",
     "NVMeOpcode",
     "SubmissionQueue",
-    "CompletionQueue",
     "QueuePair",
     "NVMeController",
 ]

@@ -1,14 +1,14 @@
-"""NVMe submission/completion queue rings.
+"""NVMe submission queue ring.
 
 An NVMe queue pair is two FIFO rings with head/tail pointers (Figure 4b):
 the host appends commands at the submission-queue tail and rings a doorbell;
-the controller consumes from the head, services the command, posts a
-completion at the completion-queue tail and raises an interrupt; the host
-then advances the completion-queue head and rings the CQ doorbell.
+the controller consumes from the head, services the command and posts a
+completion.  The model keeps only the submission side: nothing here posts
+or reads a completion, so no completion queue is simulated.
 
 HAMS keeps these rings in the *pinned* (MMU-invisible) region of the NVDIMM
-so they survive power failures; recovery compares the SQ and CQ pointers and
-re-issues commands whose journal tags are still set (Sections IV-B and V-C).
+so they survive power failures; recovery re-issues the SQ entries whose
+journal tag is still set (Sections IV-B and V-C).
 """
 
 from __future__ import annotations
@@ -102,29 +102,16 @@ class SubmissionQueue:
         return list(self._ring.peek_all())  # type: ignore[arg-type]
 
 
-class CompletionQueue:
-    """NVMe completion queue (controller producer, host consumer)."""
-
-    def __init__(self, depth: int, queue_id: int = 0) -> None:
-        self.queue_id = queue_id
-        self._ring = _Ring(depth)
-
-    @property
-    def outstanding(self) -> int:
-        return self._ring.slots_used()
-
-
 @dataclass
 class QueuePair:
-    """A paired SQ/CQ as used per core (or by the HAMS NVMe engine)."""
+    """The HAMS NVMe engine's queue pair: only its SQ is modelled, since
+    nothing posts a completion."""
 
     sq: SubmissionQueue
-    cq: CompletionQueue
 
     @staticmethod
     def create(depth: int, queue_id: int = 0) -> "QueuePair":
-        return QueuePair(sq=SubmissionQueue(depth, queue_id),
-                         cq=CompletionQueue(depth, queue_id))
+        return QueuePair(sq=SubmissionQueue(depth, queue_id))
 
     def in_flight_commands(self) -> List[NVMeCommand]:
         """Commands visible in the SQ whose journal tag is still set."""

@@ -16,13 +16,13 @@ as a large hardware-managed cache.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
 from ..config import SystemConfig
 from ..energy.accounting import EnergyAccount
-from ..flash.ssd import IORequestBatch, SSD
+from ..flash.ssd import SSD
 from ..host.os_stack import PageCache
 from ..interconnect.pcie import PCIeLink
 from ..memory.nvdimm import NVDIMM
@@ -92,20 +92,16 @@ class BypassPlatform(Platform):
         """Vectorized service for every bypass strategy.
 
         ``nvdimm`` bypass is clock-independent DRAM, so the whole batch
-        resolves in one vectorized call.  ``ull-buff`` fronts the flash
+        resolves in one vectorized call.  ``ull`` is the all-miss case —
+        every access is a synchronous flash I/O whose next submission clock
+        depends on the previous completion — served by one loop over an
+        open walk (:meth:`_ull_replay`).  ``ull-buff`` fronts the flash
         with a DRAM page buffer: the order-exact batched LRU walk
         (:meth:`~repro.host.os_stack.PageCache.access_batch`) classifies
         the batch, the buffer hits fold into one vectorized NVDIMM call,
         and only the misses — whose flash reads and PCIe transfers are
         queued and history-dependent — replay at exact scalar issue clocks
         via :meth:`~repro.platforms.base.MemoryRequestBatch.service_page_cached`.
-        ``ull`` is the degenerate all-miss case — every access is a
-        synchronous flash I/O whose next submission clock depends on the
-        previous completion — so when the batch's timeline decomposes into
-        one uniform gap per request it runs the whole closed-loop recurrence
-        inside one chained :meth:`~repro.flash.ssd.SSD.submit_batch` call
-        (device walk and PCIe link inlined, bit-identical to the scalar
-        loop); otherwise it falls back to the page-cached fold below.
         """
         if self.strategy == "nvdimm":
             latency = self.nvdimm.access_batch(batch.sizes, batch.writes)
@@ -115,19 +111,16 @@ class BypassPlatform(Platform):
         count = len(batch)
         if count == 0:
             return MemoryServiceBatch(latency_ns=np.empty(0))
-        if self.strategy == "ull":
-            chained = self._service_chained(batch)
-            if chained is not None:
-                return chained
         pages = batch.addresses // _PAGE
-        if self.strategy == "ull-buff":
-            walk = self.page_buffer.access_batch(pages, batch.writes,
-                                                 tenants=batch.tenant_ids)
-            hit_mask = walk.hits
-            miss_indices = walk.miss_indices
-        else:
-            hit_mask = np.zeros(count, dtype=bool)
-            miss_indices = np.arange(count, dtype=np.int64)
+        if self.strategy == "ull":
+            return MemoryServiceBatch(latency_ns=self._ull_replay(
+                pages.tolist(), batch.writes.tolist(), batch.start_ns,
+                batch.timeline.addends, batch.timeline.service_slots.tolist(),
+                batch.on_chip_ns.tolist()))
+        walk = self.page_buffer.access_batch(pages, batch.writes,
+                                             tenants=batch.tenant_ids)
+        hit_mask = walk.hits
+        miss_indices = walk.miss_indices
         hit_latency = np.zeros(count, dtype=np.float64)
         hit_positions = np.flatnonzero(hit_mask)
         if len(hit_positions):
@@ -150,45 +143,50 @@ class BypassPlatform(Platform):
             return batch.service_page_cached(hit_mask, hit_latency,
                                              miss_indices, miss_service)
 
-    def _service_chained(self, batch: MemoryRequestBatch):
-        """Run an all-miss batch as one chained flash submission.
+    def _ull_replay(self, pages: List[int], writes: List[bool], now: float,
+                    addends: np.ndarray, slots: List[int],
+                    on_chip: List[float]) -> List[float]:
+        """Replay ``ull`` accesses in order; returns their latencies.
 
-        Exactness requires recovering every request's scalar issue clock
-        from the batch timeline as *one* pre-gap addend per request (the
-        per-access compute phase).  That holds exactly when every chunk
-        access produced an off-chip request — true for the page-granular
-        streams ``ull`` sees — and is checked structurally here; any other
-        slot pattern (fine-grained chunks with cache hits interleaved)
-        returns ``None`` and the caller uses the per-miss fold instead.
+        Each access is :meth:`_flash_access`: one step of an open
+        :meth:`~repro.flash.ssd.SSD.walk` for the 4 KB page, then its PCIe
+        transfer.  Access *k* issues at *now* plus
+        ``addends[cursor:slots[k]]``, folded left to right as
+        :meth:`MemoryRequestBatch.service_page_cached` folds them, and its
+        own slot elapses as ``on_chip[k] + latency``.  The transfers run
+        the :meth:`~repro.interconnect.link.Link.transfer` recurrence
+        (``finish = (max(at, busy) + overhead) + raw``) on a local horizon,
+        committed once at the end.
         """
-        count = len(batch)
-        addends = batch.timeline.addends
-        slots = batch.timeline.service_slots
-        if len(addends) == 2 * count:
-            expected = 2 * np.arange(count, dtype=np.int64) + 1
-            if not np.array_equal(slots, expected):
-                return None
-            pre_gap = addends[0::2]
-        elif len(addends) == count:
-            if not np.array_equal(slots, np.arange(count, dtype=np.int64)):
-                return None
-            pre_gap = None
-        else:
-            return None
-        io_batch = IORequestBatch(
-            is_write=batch.writes,
-            byte_offset=(batch.addresses // _PAGE) * _PAGE,
-            size_bytes=_PAGE,
-            chained=True,
-            start_ns=batch.start_ns,
-            pre_gap_ns=pre_gap,
-            post_gap_ns=batch.on_chip_ns,
-            link=self.link,
-            link_bytes=_PAGE)
-        result = self.ssd.submit_batch(io_batch)
-        return MemoryServiceBatch(
-            latency_ns=np.asarray(result.service_latency_ns,
-                                  dtype=np.float64))
+        overhead = self.link.per_transfer_overhead(_PAGE)
+        raw = self.link.raw_transfer_time(_PAGE)
+        busy = self.link.busy_until_ns
+        latencies: List[float] = []
+        record = latencies.append
+        addends_list = None  # materialised lazily, for short-gap folds only
+        cursor = 0
+        with self.ssd.walk() as step:
+            for page, is_write, slot, chip in zip(pages, writes, slots,
+                                                  on_chip):
+                gap = slot - cursor
+                if gap >= 64:
+                    # Long hit/compute stretch: one strict sequential fold.
+                    now = sequential_add(now, addends[cursor:slot])
+                elif gap:
+                    if addends_list is None:
+                        addends_list = addends.tolist()
+                    for addend in addends_list[cursor:slot]:
+                        now += addend
+                cursor = slot + 1
+                finish = step((is_write, page * _PAGE, _PAGE, now, False))
+                start = finish if finish >= busy else busy
+                busy = (start + overhead) + raw
+                latency = (finish - now) + (busy - start)
+                record(latency)
+                now += chip + latency
+        self.link.commit_transfers(len(latencies), _PAGE * len(latencies),
+                                   busy)
+        return latencies
 
     def page_caches(self) -> list:
         return ["page_buffer"] if self.strategy == "ull-buff" else []

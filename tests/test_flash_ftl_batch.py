@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st, target
 
 from repro.config import GB, FlashGeometry, SSDConfig, default_config
 from repro.flash.ftl import FlashTranslationLayer
-from repro.flash.ssd import SSD, IORequestBatch
+from repro.flash.ssd import SSD, IORequest
 from repro.units import MB
 from repro.workloads.registry import ExperimentScale, scale_system_config
 
@@ -352,9 +352,10 @@ class TestBaseStripe:
             offsets = [lpn * geometry.page_size for lpn in columns[1]]
             submits = [clock + 1000.0 * j for j in range(len(requests))]
             clock = submits[-1] + 1000.0
-            results = [outcome(lambda ssd=ssd: ssd.submit_batch(
-                IORequestBatch(list(columns[0]), offsets, sizes, submits)))
-                for ssd in (based, reference)]
+            io_requests = [IORequest(*row) for row in zip(
+                columns[0], offsets, sizes, submits)]
+            results = [outcome(lambda ssd=ssd: ssd.submit_batch(io_requests))
+                       for ssd in (based, reference)]
             assert results[0] == results[1]
             assert_state_equal(based.ftl, reference.ftl)
             assert based.statistics() == reference.statistics()

@@ -1,10 +1,10 @@
 """The resumable flash walk: ``SSD.walk``'s contract and its differentials.
 
 :meth:`repro.flash.ssd.SSD.walk` is the one per-request service path of
-the flash stack.  ``submit_batch`` drives it (open-loop and chained),
-``submit`` is a batch-of-one ``submit_batch``, and the platforms' miss
-paths open one walk per service chunk and step it.  Four things are
-pinned here:
+the flash stack.  ``submit_batch`` drives it over a sequence of
+``IORequest``, ``submit`` is a batch-of-one ``submit_batch``, and the
+platforms' miss paths open one walk per service chunk and step it.  Four
+things are pinned here:
 
 * the open-walk contract — while a walk holds the hoisted state, every
   other entry point that reads or writes it raises, and closing (also
@@ -23,9 +23,10 @@ pinned here:
   FUA, multi-page requests that wrap past the last logical page and GC
   relocation;
 * structurally, that the batched replay of the fig16 smoke matrix on the
-  flash-backed platforms never takes the batch-of-one route (no
-  ``SSD.submit/read/write``, no engine ring traffic), while the scalar
-  reference still reproduces the golden digests.
+  flash-backed platforms and the ULL bypasses never takes the
+  batch-of-one route (no ``SSD.submit/read/write/submit_batch``, no
+  engine ring traffic), while the scalar reference still reproduces the
+  golden digests.
 
 ``REPRO_TEST_CHUNK_SIZES`` (see ``tests/test_batched_replay.py``) re-runs
 the structural replay at each chunk size, i.e. with walks of every length.
@@ -39,7 +40,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.config import FlashGeometry, SSDConfig, default_config
-from repro.flash.ssd import SSD, IORequest, IORequestBatch
+from repro.flash.ssd import SSD, IORequest
 from repro.nvme.controller import NVMeController
 from repro.nvme.queues import _Ring
 from repro.platforms.registry import create_platform
@@ -87,8 +88,7 @@ def device_state(ssd: SSD) -> dict:
                     plane.valid_pages) for plane in ftl._planes],
         "cursor": ftl._allocation_cursor,
         "buffer": list(ssd.buffer._pages.items()),
-        "dies": [(die.busy_until_ns, die.reads, die.programs)
-                 for die in ssd.array._states],
+        "dies": list(ssd.array.busy_until_ns),
         "channels": (list(ssd.channels.busy_until_ns),
                      list(ssd.channels.bytes_moved),
                      list(ssd.channels.transfers)),
@@ -134,10 +134,10 @@ class TestWalkDifferential:
         expected = submit_loop(reference, requests)
 
         batched = tiny_ssd(split, buffer_pages)
-        columns = [list(column) for column in zip(*requests)]
-        result = batched.submit_batch(IORequestBatch(
-            columns[0], columns[1], columns[2], columns[3], columns[4]))
-        assert list(zip(result.start_ns, result.finish_ns)) == expected
+        results = batched.submit_batch([IORequest(*request)
+                                        for request in requests])
+        assert [(result.start_ns, result.finish_ns)
+                for result in results] == expected
 
         walked = tiny_ssd(split, buffer_pages)
         bounds = sorted({0, len(requests), *[cut % (len(requests) + 1)
@@ -388,8 +388,8 @@ class TestWalkContract:
             "submit": lambda: ssd.submit(IORequest(False, 0, PAGE, 1e6)),
             "read": lambda: ssd.read(0, PAGE, 1e6),
             "write": lambda: ssd.write(0, PAGE, 1e6),
-            "submit_batch": lambda: ssd.submit_batch(IORequestBatch(
-                False, [0], PAGE, [1e6])),
+            "submit_batch": lambda: ssd.submit_batch(
+                [IORequest(False, 0, PAGE, 1e6)]),
             "precondition": lambda: ssd.precondition(8, 4),
             "precondition_dataset": lambda: ssd.precondition_dataset(PAGE),
             "supercap_flush": lambda: ssd.supercap_flush(1e6),
@@ -464,9 +464,10 @@ class TestWalkContract:
             step((False, 0, PAGE, 1.0, False))
 
 
-#: The flash-backed platforms of the fig16 matrix.
+#: The flash-backed platforms of the fig16 matrix, and the ULL bypasses.
 FLASH_PLATFORMS = ("mmap", "flatflash-M", "flatflash-P", "nvdimm-C",
-                   "hams-LP", "hams-LE", "hams-TP", "hams-TE")
+                   "hams-LP", "hams-LE", "hams-TP", "hams-TE",
+                   "bypass-ull", "bypass-ull-buff")
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_digests.json").read_text())

@@ -48,16 +48,6 @@ class TestDieOccupancy:
         assert start_b == 0.0
         assert finish_a == finish_b == 3000.0
 
-    def test_operation_counters(self):
-        array = small_array()
-        array.issue(0, 0, 0, FlashOperation.READ, 0.0)
-        array.issue(0, 0, 0, FlashOperation.PROGRAM, 0.0)
-        array.issue(0, 0, 0, FlashOperation.ERASE, 0.0)
-        state = array._states[array.flat_index(0, 0, 0)]
-        assert state.reads == 1
-        assert state.programs == 1
-        assert state.erases == 1
-
     def test_invalid_die_address(self):
         array = small_array()
         with pytest.raises(ValueError):
