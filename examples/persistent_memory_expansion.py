@@ -56,7 +56,7 @@ def main() -> None:
         command = build_write(lba=hams.address_manager.lba_of(index),
                               length_bytes=KB(128),
                               prp=hams.address_manager.pinned_region_base)
-        hams.queue_pair.sq.submit(command)
+        hams.sq.submit(command)
         command.mark_submitted(now)
         in_flight.append(command)
     print(f"phase 2: {len(in_flight)} eviction commands issued but not yet "

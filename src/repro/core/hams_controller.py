@@ -36,7 +36,7 @@ from ..interconnect.ddr_bus import DDR4Bus
 from ..interconnect.pcie import PCIeLink
 from ..memory.nvdimm import NVDIMM
 from ..nvme.controller import NVMeController
-from ..nvme.queues import QueuePair
+from ..nvme.queues import SubmissionQueue
 from .address_manager import AddressManager
 from .nvme_engine import HardwareNVMeEngine
 from .persistency import PersistencyController, RecoveryReport
@@ -134,15 +134,16 @@ class HAMSController:
         self.address_manager = AddressManager(config.hams, config.nvdimm,
                                               self.ssd.capacity_bytes)
         self.tag_array = self.address_manager.tag_array
-        # The SQ/CQ pair in the pinned region.  The engine drains it within
-        # each issue, so only the power-failure recovery ever finds entries.
-        self.queue_pair = QueuePair.create(depth=1024)
+        # The SQ in the pinned region (no CQ is modelled).  The engine
+        # drains it within each issue, so only the power-failure recovery
+        # ever finds entries.
+        self.sq = SubmissionQueue(depth=1024)
         self.nvme_controller = NVMeController(self.ssd, self.link, config.nvme)
         self.engine = HardwareNVMeEngine(self.nvme_controller, config.hams,
                                          register_interface=self.register_interface)
         self.persistency = PersistencyController(self.nvdimm, self.ssd,
                                                  self.nvme_controller,
-                                                 self.queue_pair)
+                                                 self.sq)
 
         self.delays = _DelayTotals()
         self.accesses = 0

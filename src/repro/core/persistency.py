@@ -25,7 +25,7 @@ from ..flash.ssd import SSD
 from ..memory.nvdimm import NVDIMM, NVDIMMState
 from ..nvme.commands import NVMeCommand
 from ..nvme.controller import NVMeController
-from ..nvme.queues import QueuePair, SubmissionQueue
+from ..nvme.queues import SubmissionQueue
 
 
 @dataclass
@@ -53,11 +53,11 @@ class PersistencyController:
     """Implements the journal-tag protocol and the Figure 15 recovery procedure."""
 
     def __init__(self, nvdimm: NVDIMM, ssd: SSD,
-                 controller: NVMeController, queue_pair: QueuePair) -> None:
+                 controller: NVMeController, sq: SubmissionQueue) -> None:
         self.nvdimm = nvdimm
         self.ssd = ssd
         self.controller = controller
-        self.queue_pair = queue_pair
+        self.sq = sq
         self.power_failures = 0
         self.recoveries = 0
         self.commands_recovered_total = 0
@@ -68,7 +68,7 @@ class PersistencyController:
 
     def pending_commands(self) -> List[NVMeCommand]:
         """Commands currently journalled as in flight (tag still 1)."""
-        return self.queue_pair.in_flight_commands()
+        return self.sq.in_flight_commands()
 
     # -- power failure -------------------------------------------------------------------
 
@@ -106,8 +106,9 @@ class PersistencyController:
             raise RuntimeError("recover called without a preceding power failure")
         self.recoveries += 1
         restore_ns = self.nvdimm.power_restore()
-        # Phase 2: a fresh SQ replaces the interrupted one.
-        self.queue_pair.sq = SubmissionQueue(self.queue_pair.sq.depth)
+        # Phase 2: a fresh SQ replaces the interrupted one, in place.
+        sq = self.sq
+        sq.reset()
 
         replay_start = at_ns + restore_ns
         replay_cursor = replay_start
@@ -116,10 +117,10 @@ class PersistencyController:
             replayed = NVMeCommand(opcode=command.opcode, lba=command.lba,
                                    length_bytes=command.length_bytes,
                                    prp=command.prp, fua=command.fua)
-            self.queue_pair.sq.submit(replayed)
-            self.queue_pair.sq.ring_doorbell()
+            sq.submit(replayed)
+            sq.ring_doorbell()
             result = self.controller.execute(replayed, replay_cursor)
-            self.queue_pair.sq.fetch()
+            sq.fetch()
             replay_cursor = result.finish_ns
             reissued += 1
         self.commands_recovered_total += reissued

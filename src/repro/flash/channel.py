@@ -8,19 +8,22 @@ two half-page transfers on two channels, halving the DMA portion of the
 latency (Section II-C) — that policy lives in the FIL; this module only
 answers "when can channel C move N bytes starting at time T?".
 
-Channel occupancy is kept as flat parallel arrays (``busy_until_ns``,
-``bytes_moved``, ``transfers`` indexed by channel) rather than per-channel
-objects, so the flash walk of :meth:`repro.flash.ssd.SSD.walk`
-reserves transfers against the shared state without a
-per-command attribute chase.  A reservation is the recurrence
-``start = max(at, busy); busy = start + t``: the walk inlines it for host
-requests, and :meth:`ChannelScheduler.reserve` runs it for the page moves
-of GC relocation and the supercap flush.
+Channel occupancy is kept as one flat array (``busy_until_ns``, indexed
+by channel) rather than per-channel objects, so the flash walk of
+:meth:`repro.flash.ssd.SSD.walk` reserves transfers against the shared
+state without a per-command attribute chase.  A reservation is the
+recurrence ``start = max(at, busy); busy = start + t``: the walk inlines
+it for host requests, and :meth:`ChannelScheduler.reserve` runs it for the
+page moves of GC relocation and the supercap flush.  No traffic is
+counted here: every reservation moves a whole page, or one half of it on
+split channels, for one page read or program, so
+:meth:`repro.flash.ssd.SSD.statistics` derives the channel byte and
+transfer totals from the FIL's page counters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..config import FlashGeometry
 from ..units import transfer_time_ns
@@ -29,11 +32,9 @@ from ..units import transfer_time_ns
 class ChannelScheduler:
     """Tracks occupancy of every flash channel of one SSD.
 
-    State is a structure of arrays: ``busy_until_ns[c]`` is the reservation
-    horizon of channel *c*; ``bytes_moved``/``transfers`` are its traffic
-    counters.  The arrays are the authoritative state (there is no
-    per-channel object), which is what lets the batched flash walk share
-    them as plain Python lists.
+    ``busy_until_ns[c]`` is the reservation horizon of channel *c*.  The
+    list is the authoritative state (there is no per-channel object),
+    which is what lets the flash walk share it as a plain Python list.
     """
 
     def __init__(self, geometry: FlashGeometry,
@@ -42,8 +43,6 @@ class ChannelScheduler:
         self.bandwidth = bandwidth_bytes_per_ns
         self.channel_count = geometry.channels
         self.busy_until_ns: List[float] = [0.0] * self.channel_count
-        self.bytes_moved: List[int] = [0] * self.channel_count
-        self.transfers: List[int] = [0] * self.channel_count
 
     def transfer_time(self, size_bytes: int) -> float:
         """Raw bus time to move *size_bytes*, ignoring occupancy."""
@@ -61,16 +60,7 @@ class ChannelScheduler:
         start = max(at_ns, busy[channel])
         finish = start + self.transfer_time(size_bytes)
         busy[channel] = finish
-        self.bytes_moved[channel] += size_bytes
-        self.transfers[channel] += 1
         return start, finish
-
-    def statistics(self) -> Dict[str, float]:
-        """Counters for the unified ``flash_*`` statistics fold."""
-        return {
-            "channel_bytes_moved": float(sum(self.bytes_moved)),
-            "channel_transfers": float(sum(self.transfers)),
-        }
 
     def _check(self, channel: int) -> None:
         if channel < 0 or channel >= self.channel_count:

@@ -15,8 +15,9 @@ Host requests reach the flash complex through
 :meth:`repro.flash.ssd.SSD.walk`, which inlines :meth:`read_page`
 and :meth:`write_page` against the shared die and channel occupancy.  The
 methods themselves serve the page moves of GC relocation and the supercap
-flush, and this class keeps the page counters of both paths.  Block erases
-are counted by the FTL and charge no die time.
+flush, and this class keeps the page counters of both paths (the channel
+traffic totals of :meth:`repro.flash.ssd.SSD.statistics` are derived from
+them).  Block erases are counted by the FTL and charge no die time.
 """
 
 from __future__ import annotations

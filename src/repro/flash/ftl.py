@@ -11,7 +11,9 @@ implements the two mechanisms that shape SSD write behaviour:
   old physical page.  When the pool of free blocks in a plane falls below a
   threshold, a greedy collector picks the block with the fewest valid pages,
   relocates those pages and erases the block.  The relocation work is
-  returned to the caller so the device model can charge its time.
+  returned to the caller so the device model can charge its time.  A
+  plane keeps only a valid-page *count* per block: the collector walks
+  the victim's pages in order and asks the reverse map which are live.
 
 Internally a physical page is a plain integer, its *physical page number*
 ``PPN = plane_index * pages_per_plane + block * pages_per_block + page``,
@@ -80,7 +82,7 @@ class _Plane:
 
     __slots__ = ("channel", "package", "die", "plane", "base",
                  "pages_per_block", "free_blocks", "open_block", "next_page",
-                 "valid_pages", "erase_count", "gc_pressed")
+                 "valid_counts", "erase_count", "gc_pressed")
 
     def __init__(self, channel: int, package: int, die: int, plane: int,
                  base: int, blocks_per_plane: int,
@@ -95,8 +97,10 @@ class _Plane:
         self.free_blocks: List[int] = list(range(blocks_per_plane))
         self.open_block: Optional[int] = None
         self.next_page = 0
-        # block index -> set of page indices currently holding valid data
-        self.valid_pages: Dict[int, Set[int]] = {}
+        #: Block index -> number of its pages holding valid data, from the
+        #: block's opening to its erase.  Exactly the block's PPNs that
+        #: :meth:`FlashTranslationLayer._ppn_to_lpn` maps to an LPN.
+        self.valid_counts: Dict[int, int] = {}
         self.erase_count = 0
         #: Maintained by the FTL: ``len(free_blocks) < gc_threshold_blocks``.
         self.gc_pressed = False
@@ -108,32 +112,22 @@ class _Plane:
                 return None
             self.open_block = self.free_blocks.pop(0)
             self.next_page = 0
-            self.valid_pages.setdefault(self.open_block, set())
+            self.valid_counts.setdefault(self.open_block, 0)
         page = self.next_page
-        self.valid_pages[self.open_block].add(page)
+        self.valid_counts[self.open_block] += 1
         self.next_page = page + 1
         return self.base + self.open_block * self.pages_per_block + page
 
-    def invalidate(self, ppn: int) -> None:
-        block, page = divmod(ppn - self.base, self.pages_per_block)
-        pages = self.valid_pages.get(block)
-        if pages is not None:
-            pages.discard(page)
-
     def victim_block(self) -> Optional[int]:
-        """Block with the fewest valid pages, excluding the open block."""
-        candidates = [
-            (len(pages), block)
-            for block, pages in self.valid_pages.items()
-            if block != self.open_block
-        ]
-        if not candidates:
-            return None
-        candidates.sort()
-        return candidates[0][1]
+        """Block with the fewest valid pages (the lowest index on a tie),
+        excluding the open block."""
+        victim = min(((count, block)
+                      for block, count in self.valid_counts.items()
+                      if block != self.open_block), default=None)
+        return None if victim is None else victim[1]
 
     def erase_block(self, block: int) -> None:
-        self.valid_pages.pop(block, None)
+        self.valid_counts.pop(block, None)
         self.free_blocks.append(block)
         self.erase_count += 1
 
@@ -255,7 +249,7 @@ class FlashTranslationLayer:
 
         One flat body, as every programmed host page runs it: the bounds
         check, the invalidation of the LPN's old page (:meth:`_lpn_to_ppn`
-        and :meth:`_Plane.invalidate`) and the open-block append of
+        and its block's valid count) and the open-block append of
         :meth:`_allocate` are inlined; a block turnover falls back to
         :meth:`_allocate` and GC pressure to :meth:`_collect`.
         """
@@ -283,10 +277,7 @@ class FlashTranslationLayer:
             else:
                 del mapping[lpn]
             plane = planes[old // pages_per_plane]
-            block, page = divmod(old - plane.base, pages_per_block)
-            valid = plane.valid_pages.get(block)
-            if valid is not None:
-                valid.discard(page)
+            plane.valid_counts[(old - plane.base) // pages_per_block] -= 1
         # _allocate: append to the cursor plane's open block; its free list
         # is untouched, so its GC-pressure flag cannot change.
         cursor = self._allocation_cursor
@@ -294,7 +285,7 @@ class FlashTranslationLayer:
         block = plane.open_block
         page = plane.next_page
         if block is not None and page < pages_per_block:
-            plane.valid_pages[block].add(page)
+            plane.valid_counts[block] += 1
             plane.next_page = page + 1
             ppn = plane.base + block * pages_per_block + page
             self._allocation_cursor = (cursor + 1) % self._plane_count
@@ -394,15 +385,15 @@ class FlashTranslationLayer:
                 take = min(quota, pages_per_block - page)
                 start = plane.base + plane.open_block * pages_per_block + page
                 runs.append(range(start, start + take))
-                plane.valid_pages[plane.open_block].update(
-                    range(page, page + take))
+                plane.valid_counts[plane.open_block] += take
                 plane.next_page = page + take
                 quota -= take
             for block in plane.free_blocks[:opened]:
                 take = min(quota, pages_per_block)
                 start = plane.base + block * pages_per_block
                 runs.append(range(start, start + take))
-                plane.valid_pages.setdefault(block, set()).update(range(take))
+                plane.valid_counts[block] = (
+                    plane.valid_counts.get(block, 0) + take)
                 plane.open_block = block
                 plane.next_page = take
                 quota -= take
@@ -434,17 +425,19 @@ class FlashTranslationLayer:
 
     def _collect_block(self, plane: _Plane, block: int,
                        result: GCResult) -> bool:
-        valid = sorted(plane.valid_pages.get(block, set()))
+        """Relocate *block*'s live pages in page order, then erase it.
+
+        The block's valid count is not decremented per move: the erase
+        drops it.
+        """
+        valid = plane.valid_counts.get(block, 0)
         block_base = plane.base + block * self._pages_per_block
         moved_any = False
-        for page in valid:
-            old = block_base + page
+        for old in range(block_base, block_base + self._pages_per_block):
             lpn = self._ppn_to_lpn(old)
             if lpn is None:
-                plane.invalidate(old)
                 continue
             new = self._allocate(exclude_plane=plane)
-            plane.invalidate(old)
             if self._reverse.pop(old, None) is None:
                 self._base_gone.add(lpn)
             self._mapping[lpn] = new

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..config import SSDConfig
-from ..sim.stats import StatRegistry
 from .channel import ChannelScheduler
 from .dram_buffer import InternalDRAMBuffer
 from .fil import FlashInterfaceLayer
@@ -97,7 +96,6 @@ class SSD:
             config.dram_buffer_bytes, self.page_size,
             enabled=config.dram_buffer_enabled,
             mapping_table_fraction=config.mapping_table_fraction)
-        self.stats = StatRegistry(prefix=config.name)
         # Hoisted from the frozen geometry's property chain: recomputing it
         # per sub-request dominates profiles of migration-heavy replays.
         self._logical_pages = config.geometry.logical_pages
@@ -206,7 +204,7 @@ class SSD:
         Opening hoists the layer state once; ``step((is_write,
         byte_offset, size_bytes, submit_ns, fua))`` services one request
         and returns its finish (appending its admission time to *starts*
-        when given); closing writes the lifted statistics back — also when
+        when given); closing writes the lifted counters back — also when
         a step raised, so the device then matches the per-request
         :meth:`submit` sequence up to the failing request.  Requests must
         arrive validated and in non-decreasing ``submit_ns`` order.  While
@@ -267,25 +265,15 @@ class SSD:
         program_ns = array.timing.program_ns
         channels = self.channels
         chan_busy = channels.busy_until_ns
-        chan_bytes = channels.bytes_moved
-        chan_transfers = channels.transfers
         channel_count = channels.channel_count
         split = fil.split_channels
         if split:
             half = page_size // 2
-            rest = page_size - half
             t_half = channels.transfer_time(half)
-            t_rest = channels.transfer_time(rest)
+            t_rest = channels.transfer_time(page_size - half)
         else:
             t_full = channels.transfer_time(page_size)
-        # -- lifted per-request statistics (written back in ``finally``) --
-        stat = self.stats.latency("request_latency")
-        s_count = stat.count
-        s_total = stat.total
-        s_min = stat.min
-        s_max = stat.max
-        s_mean = stat._mean
-        s_m2 = stat._m2
+        # -- lifted counters (written back in ``finally``) --
         page_reads_local = 0
         page_programs_local = 0
         buffer_stats = buffer.stats
@@ -379,16 +367,12 @@ class SSD:
                                                else busy)
                                     finish_a = t_start + t_half
                                     chan_busy[channel] = finish_a
-                                    chan_bytes[channel] += half
-                                    chan_transfers[channel] += 1
                                     busy = chan_busy[partner]
                                     t_start = (array_finish
                                                if array_finish >= busy
                                                else busy)
                                     finish_b = t_start + t_rest
                                     chan_busy[partner] = finish_b
-                                    chan_bytes[partner] += rest
-                                    chan_transfers[partner] += 1
                                     sub_finish = (finish_a
                                                   if finish_a >= finish_b
                                                   else finish_b)
@@ -399,8 +383,6 @@ class SSD:
                                                else busy)
                                     sub_finish = t_start + t_full
                                     chan_busy[channel] = sub_finish
-                                    chan_bytes[channel] += page_size
-                                    chan_transfers[channel] += 1
                                 page_reads_local += 1
                                 # Inlined read-miss fill (the buffer's
                                 # _insert of a known-absent clean page): an
@@ -455,15 +437,11 @@ class SSD:
                                            else busy)
                                 finish_a = t_start + t_half
                                 chan_busy[channel] = finish_a
-                                chan_bytes[channel] += half
-                                chan_transfers[channel] += 1
                                 busy = chan_busy[partner]
                                 t_start = (sub_finish if sub_finish >= busy
                                            else busy)
                                 finish_b = t_start + t_rest
                                 chan_busy[partner] = finish_b
-                                chan_bytes[partner] += rest
-                                chan_transfers[partner] += 1
                                 transfer_finish = (finish_a
                                                    if finish_a >= finish_b
                                                    else finish_b)
@@ -473,8 +451,6 @@ class SSD:
                                            else busy)
                                 transfer_finish = t_start + t_full
                                 chan_busy[channel] = transfer_finish
-                                chan_bytes[channel] += page_size
-                                chan_transfers[channel] += 1
                             die = ppn // pages_per_die
                             busy = die_busy[die]
                             array_start = (transfer_finish
@@ -498,32 +474,13 @@ class SSD:
                     bytes_written_local += size
                 else:
                     bytes_read_local += size
-                latency = finish - submit
-                # Inlined LatencyStat.record (Welford, exact update order).
-                s_count += 1
-                s_total += latency
-                if latency < s_min:
-                    s_min = latency
-                if latency > s_max:
-                    s_max = latency
-                delta = latency - s_mean
-                s_mean += delta / s_count
-                s_m2 += delta * (latency - s_mean)
                 if starts is not None:
                     starts.append(start)
         finally:
-            # Fold the lifted statistics back, also when a step raised
+            # Fold the lifted counters back, also when a step raised
             # (partial state then matches the scalar sequence up to the
             # failing request) or the walk was closed.
             self._walking = False
-            stat.count = s_count
-            stat.total = s_total
-            stat.min = s_min
-            stat.max = s_max
-            stat._mean = s_mean
-            stat._m2 = s_m2
-            if served_local:
-                self.stats.counter("requests").value += float(served_local)
             fil.page_reads += page_reads_local
             fil.page_programs += page_programs_local
             buffer_stats.read_hits += buf_read_hits
@@ -579,10 +536,15 @@ class SSD:
         dictionaries: request service counters, the DRAM buffer's
         hit/eviction counters, FTL mapping/GC counters and the FIL/channel
         traffic counters all appear under ``flash_`` keys.  Block erases
-        are the FTL's (GC is the only eraser).
+        are the FTL's (GC is the only eraser).  Channel traffic is derived
+        from the FIL's page counters: every channel reservation is one
+        page read or program, moving the whole page in one transfer or,
+        with split channels, in two halves.
         """
         self._check_idle("statistics")
         buffer_stats = self.buffer.stats
+        fil = self.fil
+        page_ops = fil.page_reads + fil.page_programs
         summary: Dict[str, float] = {
             "flash_requests_served": float(self.requests_served),
             "flash_bytes_read": float(self.bytes_read),
@@ -596,12 +558,13 @@ class SSD:
                 buffer_stats.dirty_evictions),
             "flash_buffer_clean_evictions": float(
                 buffer_stats.clean_evictions),
-            "flash_page_reads": float(self.fil.page_reads),
-            "flash_page_programs": float(self.fil.page_programs),
+            "flash_page_reads": float(fil.page_reads),
+            "flash_page_programs": float(fil.page_programs),
             "flash_block_erases": float(sum(self.ftl.erase_counts())),
+            "flash_channel_bytes_moved": float(page_ops * self.page_size),
+            "flash_channel_transfers": float(
+                page_ops * (2 if fil.split_channels else 1)),
         }
-        summary.update({f"flash_{key}": value
-                        for key, value in self.channels.statistics().items()})
         summary.update({f"flash_ftl_{key}": float(value)
                         for key, value in self.ftl.statistics().items()})
         return summary

@@ -1,4 +1,4 @@
-"""NVMe protocol substrate: commands, queue pairs, controller.
+"""NVMe protocol substrate: commands, the submission queue, controller.
 
 This package implements the protocol machinery that both the software NVMe
 driver (mmap baseline) and the HAMS hardware NVMe engine sit on top of:
@@ -9,7 +9,7 @@ commands to an SSD device model (Section II-C, Figure 4b).
 """
 
 from .commands import NVMeCommand, NVMeCompletion, NVMeOpcode
-from .queues import QueuePair, SubmissionQueue
+from .queues import SubmissionQueue
 from .controller import NVMeController
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "NVMeCompletion",
     "NVMeOpcode",
     "SubmissionQueue",
-    "QueuePair",
     "NVMeController",
 ]

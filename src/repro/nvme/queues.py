@@ -3,8 +3,9 @@
 An NVMe queue pair is two FIFO rings with head/tail pointers (Figure 4b):
 the host appends commands at the submission-queue tail and rings a doorbell;
 the controller consumes from the head, services the command and posts a
-completion.  The model keeps only the submission side: nothing here posts
-or reads a completion, so no completion queue is simulated.
+completion.  The model keeps only the submission side, one
+:class:`SubmissionQueue`: nothing here posts or reads a completion, so no
+completion queue is simulated.
 
 HAMS keeps these rings in the *pinned* (MMU-invisible) region of the NVDIMM
 so they survive power failures; recovery re-issues the SQ entries whose
@@ -13,7 +14,6 @@ journal tag is still set (Sections IV-B and V-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .commands import NVMeCommand
@@ -97,23 +97,14 @@ class SubmissionQueue:
         command = self._ring.pop()
         return command  # type: ignore[return-value]
 
-    def pending_commands(self) -> List[NVMeCommand]:
-        """Commands currently sitting in the ring (for crash recovery scans)."""
-        return list(self._ring.peek_all())  # type: ignore[arg-type]
-
-
-@dataclass
-class QueuePair:
-    """The HAMS NVMe engine's queue pair: only its SQ is modelled, since
-    nothing posts a completion."""
-
-    sq: SubmissionQueue
-
-    @staticmethod
-    def create(depth: int, queue_id: int = 0) -> "QueuePair":
-        return QueuePair(sq=SubmissionQueue(depth, queue_id))
-
     def in_flight_commands(self) -> List[NVMeCommand]:
-        """Commands visible in the SQ whose journal tag is still set."""
-        return [command for command in self.sq.pending_commands()
-                if command.is_pending]
+        """Commands in the ring whose journal tag is still set (the crash
+        recovery scan)."""
+        return [command for command in self._ring.peek_all()
+                if command.is_pending]  # type: ignore[attr-defined]
+
+    def reset(self) -> None:
+        """Discard every entry and the doorbell count: recovery's fresh SQ,
+        allocated in place so every holder of this queue sees it."""
+        self._ring = _Ring(self.depth)
+        self.doorbell_rings = 0

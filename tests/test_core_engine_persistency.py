@@ -22,7 +22,7 @@ from repro.interconnect.pcie import PCIeLink
 from repro.memory.nvdimm import NVDIMM
 from repro.nvme.commands import NVMeCommand, NVMeOpcode, build_write
 from repro.nvme.controller import NVMeController
-from repro.nvme.queues import QueuePair
+from repro.nvme.queues import SubmissionQueue
 from repro.units import KB, MB
 from repro.workloads.registry import ExperimentScale, scale_system_config
 
@@ -128,7 +128,7 @@ class TestHardwareNVMeEngine:
         assert hams.engine.evictions_issued == 4
         # The engine drains the ring within each issue: nothing is left for
         # a power failure to find.
-        assert hams.queue_pair.sq.outstanding == 0
+        assert hams.sq.outstanding == 0
         assert hams.persistency.pending_commands() == []
 
     def test_issue_matches_execute_of_the_command(self):
@@ -180,8 +180,8 @@ def _persistency():
     controller = NVMeController(ssd, link, NVMeConfig())
     nvdimm = NVDIMM(NVDIMMConfig(capacity_bytes=MB(64),
                                  pinned_region_bytes=MB(8)))
-    queue_pair = QueuePair.create(64)
-    return PersistencyController(nvdimm, ssd, controller, queue_pair), queue_pair
+    sq = SubmissionQueue(64)
+    return PersistencyController(nvdimm, ssd, controller, sq), sq
 
 
 class TestPersistencyController:
@@ -194,9 +194,9 @@ class TestPersistencyController:
         assert report.consistent
 
     def test_interrupted_command_is_replayed(self):
-        persistency, queue_pair = _persistency()
+        persistency, sq = _persistency()
         command = build_write(lba=0, length_bytes=KB(128), prp=0)
-        queue_pair.sq.submit(command)
+        sq.submit(command)
         command.mark_submitted(500.0)   # issued, completion never arrived
         persistency.power_failure(at_ns=1000.0)
         report = persistency.recover(at_ns=2000.0)
@@ -206,9 +206,9 @@ class TestPersistencyController:
         assert report.replay_ns > 0
 
     def test_completed_commands_are_not_replayed(self):
-        persistency, queue_pair = _persistency()
+        persistency, sq = _persistency()
         command = build_write(lba=0, length_bytes=KB(4), prp=0)
-        queue_pair.sq.submit(command)
+        sq.submit(command)
         command.mark_submitted(100.0)
         command.mark_completed(200.0)
         persistency.power_failure(at_ns=1000.0)

@@ -44,7 +44,7 @@ class TestCrashWithDirtyData:
         down = controller.power_failure(at_ns=now)
         report = controller.recover(at_ns=down)
         assert report.consistent
-        assert controller.queue_pair.sq.outstanding == 0
+        assert controller.sq.outstanding == 0
 
     def test_recovery_replays_every_journalled_command(self):
         controller = make_controller()
@@ -55,13 +55,18 @@ class TestCrashWithDirtyData:
                 lba=controller.address_manager.lba_of(index),
                 length_bytes=KB(128),
                 prp=controller.address_manager.pinned_region_base)
-            controller.queue_pair.sq.submit(command)
+            controller.sq.submit(command)
             command.mark_submitted(now)
             pending.append(command)
         down = controller.power_failure(at_ns=now)
         report = controller.recover(at_ns=down)
         assert report.pending_commands_found == len(pending)
         assert report.commands_reissued == len(pending)
+        # Recovery re-issued them through the one SQ the controller and its
+        # persistency logic share, reset in place.
+        assert controller.persistency.sq is controller.sq
+        assert controller.sq.outstanding == 0
+        assert controller.sq.doorbell_rings == len(pending)
 
     def test_mixed_reads_and_writes_in_flight(self):
         controller = make_controller()
@@ -72,7 +77,7 @@ class TestCrashWithDirtyData:
         write = build_write(lba=controller.address_manager.lba_of(2),
                             length_bytes=KB(128), prp=0)
         for command in (read, write):
-            controller.queue_pair.sq.submit(command)
+            controller.sq.submit(command)
             command.mark_submitted(now)
         down = controller.power_failure(at_ns=now)
         report = controller.recover(at_ns=down)

@@ -96,7 +96,7 @@ def assert_state_equal(left: FlashTranslationLayer,
         assert plane_l.free_blocks == plane_r.free_blocks
         assert plane_l.open_block == plane_r.open_block
         assert plane_l.next_page == plane_r.next_page
-        assert plane_l.valid_pages == plane_r.valid_pages
+        assert plane_l.valid_counts == plane_r.valid_counts
         assert plane_l.gc_pressed == plane_r.gc_pressed
     assert left._gc_pressure_planes == right._gc_pressure_planes
 
@@ -163,6 +163,64 @@ class TestWriteBatchParity:
         assert ftl.gc_pages_moved > 0
 
 
+def assert_valid_counts_exact(ftl: FlashTranslationLayer) -> None:
+    """Each plane's per-block valid count is the number of the block's
+    PPNs that hold an LPN, and every block holding one has a count."""
+    pages_per_block = ftl._pages_per_block
+    for plane in ftl._planes:
+        live = {}
+        for ppn in range(plane.base, plane.base + ftl._pages_per_plane):
+            if ftl._ppn_to_lpn(ppn) is not None:
+                block = (ppn - plane.base) // pages_per_block
+                live[block] = live.get(block, 0) + 1
+        assert set(live) <= set(plane.valid_counts)
+        assert plane.valid_counts == {
+            block: live.get(block, 0) for block in plane.valid_counts}
+
+
+# Tiny geometries for the count invariant: one or two channels, dies and
+# planes, six to eight blocks per plane and two- or four-page blocks.
+count_geometries = st.builds(
+    FlashGeometry, channels=st.integers(1, 2),
+    packages_per_channel=st.just(1), dies_per_package=st.integers(1, 2),
+    planes_per_die=st.integers(1, 2), blocks_per_plane=st.integers(6, 8),
+    pages_per_block=st.sampled_from([2, 4]))
+
+#: Whether any drawn example of the count invariant ran GC.
+_COUNT_GC_SEEN = []
+
+
+class TestValidCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(count_geometries, st.integers(min_value=0, max_value=63),
+           st.lists(st.integers(min_value=0, max_value=63), min_size=1,
+                    max_size=120))
+    def test_counts_equal_live_pages_after_every_write(self, geometry,
+                                                       precondition, lpns):
+        # The working set fits one plane with three blocks to spare, even
+        # if every live page gathers there, so GC always finds a victim
+        # with an invalid page; overwrites then make it relocate live
+        # pages and reuse the preconditioned base stripe's blocks.
+        working_set = ((geometry.blocks_per_plane - 3)
+                       * geometry.pages_per_block - 1)
+        ftl = FlashTranslationLayer(geometry)
+        ftl.fill(range(precondition % (working_set + 1)))
+        assert_valid_counts_exact(ftl)
+        for lpn in lpns:
+            ftl.write(lpn % working_set)
+            assert_valid_counts_exact(ftl)
+        target(float(ftl.gc_invocations))
+        if ftl.gc_invocations:
+            _COUNT_GC_SEEN.append(True)
+
+    def test_some_drawn_example_ran_gc(self):
+        # Runs after the property above (pytest keeps definition order)
+        # and fails if none of its examples reached the collector.
+        if not _COUNT_GC_SEEN:
+            self.test_counts_equal_live_pages_after_every_write()
+        assert _COUNT_GC_SEEN
+
+
 class TestClosedFormFill:
     @settings(max_examples=120, deadline=None)
     @given(pre_states, st.integers(min_value=0, max_value=200),
@@ -224,8 +282,8 @@ class TestClosedFormFill:
     def test_fresh_fig16_precondition_is_the_base_stripe(self):
         # A fresh device keeps its preconditioned range as a formula: no
         # mapping entry is stored, so the warm-up allocates only the
-        # per-plane valid-page sets (a per-entry pair of dicts would take
-        # ~11 MB here).
+        # per-block valid counts, ~30 KB (a per-entry pair of dicts would
+        # take ~11 MB here).
         ssd = SSD(scale_system_config(default_config(),
                                       ExperimentScale()).ssd)
         was_tracing = tracemalloc.is_tracing()
@@ -241,7 +299,7 @@ class TestClosedFormFill:
         assert ftl._mapping == {} and ftl._reverse == {}
         assert (ftl._base_start, ftl._base_end) == (0, 65536)
         assert ftl.mapped_pages == 65536
-        assert peak - before < MB(4)
+        assert peak - before < MB(1)
 
 
 def precondition_unmapped(ftl: FlashTranslationLayer, start: int,

@@ -21,7 +21,8 @@ things are pinned here:
   ``read_page``/``write_page``, the buffer's ``_insert``), over split and
   unsplit channels, disabled, zero-page, one-page and four-page buffers,
   FUA, multi-page requests that wrap past the last logical page and GC
-  relocation;
+  relocation; the channel traffic that ``statistics()`` derives from the
+  page counters equals the oracle's reservations, counted one by one;
 * structurally, that the batched replay of the fig16 smoke matrix on the
   flash-backed platforms and the ULL bypasses never takes the
   batch-of-one route (no ``SSD.submit/read/write/submit_batch``, no
@@ -78,23 +79,18 @@ def device_state(ssd: SSD) -> dict:
     """Everything the walk hoists or mutates, in comparable form."""
     ftl = ssd.ftl
     physical = len(ftl._planes) * ftl._pages_per_plane
-    stat = ssd.stats.latency("request_latency")
     return {
         "statistics": ssd.statistics(),
         "forward": {lpn: ftl._lpn_to_ppn(lpn)
                     for lpn in range(ssd.logical_pages)},
         "reverse": {ppn: ftl._ppn_to_lpn(ppn) for ppn in range(physical)},
         "planes": [(plane.free_blocks, plane.open_block, plane.next_page,
-                    plane.valid_pages) for plane in ftl._planes],
+                    plane.valid_counts) for plane in ftl._planes],
         "cursor": ftl._allocation_cursor,
         "buffer": list(ssd.buffer._pages.items()),
         "dies": list(ssd.array.busy_until_ns),
-        "channels": (list(ssd.channels.busy_until_ns),
-                     list(ssd.channels.bytes_moved),
-                     list(ssd.channels.transfers)),
+        "channels": list(ssd.channels.busy_until_ns),
         "outstanding": sorted(ssd._outstanding),
-        "latency": (stat.count, stat.total, stat.min, stat.max, stat._mean,
-                    stat._m2),
     }
 
 
@@ -255,9 +251,31 @@ def oracle_submit(ssd: SSD, request) -> tuple:
         ssd.bytes_written += size
     else:
         ssd.bytes_read += size
-    ssd.stats.latency("request_latency").record(finish - submit)
-    ssd.stats.counter("requests").add()
     return start, finish
+
+
+def count_reservations(ssd: SSD) -> list:
+    """Count *ssd*'s channel reservations from now on: ``[transfers,
+    bytes]``, updated in place.  The oracle reaches
+    :meth:`~repro.flash.channel.ChannelScheduler.reserve` through the FIL's
+    page methods, GC moves included, so this is an independent count of
+    the traffic ``statistics()`` derives from the page counters."""
+    counts = [0, 0]
+    reserve = ssd.channels.reserve
+
+    def counted(channel, size_bytes, at_ns):
+        counts[0] += 1
+        counts[1] += size_bytes
+        return reserve(channel, size_bytes, at_ns)
+
+    ssd.channels.reserve = counted
+    return counts
+
+
+def channel_traffic(ssd: SSD) -> list:
+    statistics = ssd.statistics()
+    return [statistics["flash_channel_transfers"],
+            statistics["flash_channel_bytes_moved"]]
 
 
 #: Two tiny devices: one die per channel with 4-page blocks, and two dies
@@ -317,6 +335,7 @@ class TestWalkAgainstPageOracle:
                                              buffer):
         oracle = oracle_ssd(geometry, split, buffer)
         walked = oracle_ssd(geometry, split, buffer)
+        reserved = count_reservations(oracle)
         end = (oracle.logical_pages - 3) * PAGE
         requests = gc_warmup()
         clock = requests[-1][3]
@@ -332,6 +351,28 @@ class TestWalkAgainstPageOracle:
         assert list(zip(starts, finishes)) == expected
         assert device_state(walked) == device_state(oracle)
         assert oracle.ftl.gc_pages_moved > 0
+        assert channel_traffic(walked) == reserved
+
+    @pytest.mark.parametrize("split", [True, False])
+    def test_channel_counters_equal_oracle_reservations(self, split):
+        # Guard against the differential never covering one channel mode:
+        # GC moves, read misses and FUA programs on split and unsplit
+        # channels, counted reservation by reservation on the oracle.
+        geometry = ORACLE_GEOMETRIES[1]
+        oracle = oracle_ssd(geometry, split, "one-page")
+        walked = oracle_ssd(geometry, split, "one-page")
+        reserved = count_reservations(oracle)
+        requests = gc_warmup() + [(False, lpn * PAGE, PAGE, 1e5 + lpn, False)
+                                  for lpn in range(16)]
+        for request in requests:
+            oracle_submit(oracle, request)
+        with walked.walk() as step:
+            for request in requests:
+                step(request)
+        assert oracle.ftl.gc_pages_moved > 0
+        assert reserved[0] == (walked.fil.page_reads
+                               + walked.fil.page_programs) * (1 + split)
+        assert channel_traffic(walked) == reserved
 
     def test_oracle_reaches_wrapping_requests_and_dirty_fill_victims(self):
         # Guard against the differential never wrapping or never evicting

@@ -7,7 +7,7 @@ from repro.flash.ssd import SSD
 from repro.interconnect.pcie import PCIeLink
 from repro.nvme.commands import NVMeCommand, NVMeOpcode, build_write
 from repro.nvme.controller import NVMeController
-from repro.nvme.queues import QueueFullError, QueuePair, SubmissionQueue
+from repro.nvme.queues import QueueFullError, SubmissionQueue
 from repro.units import KB, MB
 
 
@@ -72,14 +72,14 @@ class TestQueues:
         assert sq.doorbell_rings == 2
 
     def test_in_flight_commands_follow_journal_tags(self):
-        pair = QueuePair.create(depth=8)
+        sq = SubmissionQueue(depth=8)
         command = build_write(lba=0, length_bytes=KB(4), prp=0)
-        pair.sq.submit(command)
-        assert pair.in_flight_commands() == []
+        sq.submit(command)
+        assert sq.in_flight_commands() == []
         command.mark_submitted(0.0)
-        assert pair.in_flight_commands() == [command]
+        assert sq.in_flight_commands() == [command]
         command.mark_completed(10.0)
-        assert pair.in_flight_commands() == []
+        assert sq.in_flight_commands() == []
 
 
 def _controller() -> NVMeController:
