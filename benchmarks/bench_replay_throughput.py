@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Replay-throughput microbenchmark: scalar vs batched accesses/sec.
 
-Replays the same traces through both execution strategies of the shared
-replay loop (``Platform.run(..., execution="scalar" | "batched")``) and
-records the accesses/sec of each, per (platform, workload), as
-``results/BENCH_replay_throughput.json``.  The two strategies produce
-bit-identical results (see ``tests/test_batched_replay.py``); this records
-what the batched path buys in wall-clock terms:
+Replays the same traces through the product replay (``Platform.run``, one
+``service_batch`` call per chunk) and through the per-access reference
+replay of ``tests/oracles/`` (``run_scalar``), and records the accesses/sec
+of each, per (platform, workload), as
+``results/BENCH_replay_throughput.json``.  The two produce bit-identical
+results (see ``tests/test_batched_replay.py``); this records what the
+batched path buys in wall-clock terms:
 
 * ``oracle`` / ``optane-P`` have truly vectorized ``service_batch``
   implementations — page-granular traces collapse to numpy work, so these
@@ -51,12 +52,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+# The per-access reference replay lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from oracles import run_scalar
 from repro.config import default_config
 from repro.platforms.registry import create_platform
 from repro.units import GB, KB
@@ -168,13 +174,17 @@ def build_bench_trace(workload: str, scale: ExperimentScale) -> WorkloadTrace:
 
 
 def _replay_seconds(platform_name: str, trace, config, mode: str):
-    """Wall seconds of one fresh-platform replay in *mode*, and the platform."""
+    """Wall seconds of one fresh-platform replay in *mode* (``"scalar"``:
+    :func:`run_scalar`, ``"batched"``: ``Platform.run``), and the platform."""
     platform = create_platform(platform_name, config)
-    # Warm the device state outside the timed region; run() re-invokes
-    # prepare(), which is an O(1) no-op on an already-warmed platform.
+    # Warm the device state outside the timed region; both replays
+    # re-invoke prepare(), an O(1) no-op on an already-warmed platform.
     platform.prepare(trace)
     started = time.perf_counter()
-    platform.run(trace, execution=mode)
+    if mode == "scalar":
+        run_scalar(platform, trace)
+    else:
+        platform.run(trace)
     return time.perf_counter() - started, platform
 
 

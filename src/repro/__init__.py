@@ -57,7 +57,6 @@ from .core.hams_controller import HAMSAccessResult, HAMSController
 from .platforms.base import (
     MemoryRequestBatch,
     MemoryServiceBatch,
-    MemoryServiceResult,
     Platform,
     RunResult,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "scenario_run_spec",
     "MemoryRequestBatch",
     "MemoryServiceBatch",
-    "MemoryServiceResult",
     "CPUConfig",
     "DDRConfig",
     "EnergyConfig",

@@ -188,67 +188,41 @@ class HAMSController:
 
     def access(self, address: int, size_bytes: int, is_write: bool,
                at_ns: float) -> HAMSAccessResult:
-        """Serve one memory request from the MMU (the scalar reference).
+        """Serve one memory request from the MMU, as a batch of one.
 
-        The request is classified on its own — validation, tag probe,
-        lookup — and its NVDIMM traffic is charged in scalar call order.  A
-        hit is served straight from the cache entry; a miss installs its tag
-        and then runs :meth:`replay_miss` on a batch-of-one
-        :meth:`~repro.flash.ssd.SSD.walk`, the clocked miss sequence the
-        batched path replays after :meth:`classify_batch`.  Requests must
-        arrive in non-decreasing time order (the platform's trace loop
-        guarantees this).
+        :meth:`classify_batch` classifies the request on one-element
+        columns and charges its NVDIMM traffic.  A hit is served straight
+        from the cache entry; a miss runs :meth:`replay_miss` on a
+        batch-of-one :meth:`~repro.flash.ssd.SSD.walk`.  Requests must
+        arrive in non-decreasing time order.
         """
         self.address_manager.validate(address, size_bytes)
-        self.accesses += 1
-        decomposed = self.address_manager.decompose(address)
-        nvdimm = self.nvdimm
-        tag_array = self.tag_array
-
-        # 1. Tag probe: one NVDIMM line access plus the comparator.
-        probe_ns = self._probe_ns
-        nvdimm.access(self._line_size, is_write=False)
-        lookup = tag_array.lookup(decomposed.mos_page)
-        serve_ns = self._nvdimm_serve_ns(size_bytes)
-
-        if lookup.hit:
-            # 2. Serve the data from the NVDIMM cache entry.
-            nvdimm.access(size_bytes, is_write=is_write)
-            if is_write:
-                tag_array.mark_dirty(decomposed.mos_page)
-            result = HAMSAccessResult(address=address, is_write=is_write,
-                                      hit=True, start_ns=at_ns,
-                                      finish_ns=(at_ns + probe_ns) + serve_ns,
-                                      nvdimm_ns=probe_ns + serve_ns)
+        plan = self.classify_batch(np.array([address], dtype=np.int64),
+                                   np.array([size_bytes], dtype=np.int64),
+                                   np.array([is_write], dtype=bool))
+        hit = bool(plan.hits[0])
+        serve_ns = float(plan.serve_ns[0])
+        victim_page = -1
+        if hit:
+            probe_ns = plan.probe_ns
+            finish = (at_ns + probe_ns) + serve_ns
+            nvdimm_ns = probe_ns + serve_ns
+            dma_ns = ssd_ns = wait_ns = 0.0
         else:
-            # 3. A miss: the victim clone (read + write), the critical-chunk
-            #    landing and the serve, then the install.  Installing before
-            #    the clocked replay is exact: the replay never reads the
-            #    entry, only the ints taken from the lookup before it.
-            page_bytes = self.mos_page_bytes
-            victim_page = -1
-            if lookup.needs_eviction:
-                victim_page = tag_array.page_from(lookup.index,
-                                                  lookup.victim_tag)
-                nvdimm.access(page_bytes, is_write=False)
-                nvdimm.access(page_bytes, is_write=True)
-            nvdimm.access(page_bytes, is_write=True)
-            nvdimm.access(size_bytes, is_write=is_write)
-            tag_array.install(decomposed.mos_page, dirty=is_write)
+            victim_page = plan.miss_victims[0]
             with self.ssd.walk() as step:
                 finish, nvdimm_ns, dma_ns, ssd_ns, wait_ns = self.replay_miss(
-                    decomposed.mos_page, decomposed.offset, victim_page,
+                    plan.miss_pages[0], plan.miss_offsets[0], victim_page,
                     serve_ns, at_ns, step)
-            result = HAMSAccessResult(
-                address=address, is_write=is_write, hit=False, start_ns=at_ns,
-                finish_ns=finish, nvdimm_ns=nvdimm_ns, dma_ns=dma_ns,
-                ssd_ns=ssd_ns, wait_ns=wait_ns, evicted=lookup.needs_eviction)
-
-        self.delays.nvdimm_ns += result.nvdimm_ns
-        self.delays.dma_ns += result.dma_ns
-        self.delays.ssd_ns += result.ssd_ns
-        self.delays.wait_ns += result.wait_ns
-        return result
+        delays = self.delays
+        delays.nvdimm_ns += nvdimm_ns
+        delays.dma_ns += dma_ns
+        delays.ssd_ns += ssd_ns
+        delays.wait_ns += wait_ns
+        return HAMSAccessResult(
+            address=address, is_write=is_write, hit=hit, start_ns=at_ns,
+            finish_ns=finish, nvdimm_ns=nvdimm_ns, dma_ns=dma_ns,
+            ssd_ns=ssd_ns, wait_ns=wait_ns, evicted=victim_page >= 0)
 
     # -- batched classification (the clock-free half of the datapath) --------------------
 
@@ -260,15 +234,14 @@ class HAMSController:
         depend on the clock, so :meth:`MoSTagArray.classify
         <repro.core.tag_array.MoSTagArray.classify>` resolves every hit,
         victim and final entry state of the batch in one index-sorted pass
-        (misses install their page before their clocked replay, as
-        :meth:`access` does).
+        (misses install their page before their clocked replay).
 
         The batch's NVDIMM traffic — probe, victim clone read and write,
         critical-chunk landing, serve — is laid out in exact scalar call
         order from ``cumsum`` offsets and charged through one
         :meth:`~repro.memory.nvdimm.NVDIMM.access_batch`, so the DRAM
-        counters (and the bit-exact ``busy_ns`` accumulation) match the
-        scalar replay.  Everything clock-dependent — engine waits, NVMe
+        counters (and the bit-exact ``busy_ns`` accumulation) match a
+        per-request replay.  Everything clock-dependent — engine waits, NVMe
         issue, background-eviction stalls — stays out of the plan and runs
         later through :meth:`replay_miss`.
         """
@@ -323,9 +296,9 @@ class HAMSController:
         issues goes through *step*, the step of an open
         :meth:`~repro.flash.ssd.SSD.walk` on :attr:`ssd`: the batched path
         opens one walk per service chunk, :meth:`access` a batch-of-one walk
-        per miss.  The NVDIMM counters and the tag install are the caller's
-        (:meth:`classify_batch`, or :meth:`access`), and so is accumulating
-        the returned delay components.
+        per miss.  The NVDIMM counters and the tag install are
+        :meth:`classify_batch`'s, and accumulating the returned delay
+        components is the caller's.
 
         In extend mode only the *critical chunk* (the 4 KB covering the
         requested address) sits on the access's critical path; the rest of

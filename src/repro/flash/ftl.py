@@ -411,7 +411,7 @@ class FlashTranslationLayer:
         for plane in self._planes:
             while len(plane.free_blocks) < self.gc_threshold_blocks:
                 victim = plane.victim_block()
-                if victim is None:
+                if victim is None or self._collection_cycles(plane, victim):
                     break
                 moved = self._collect_block(plane, victim, result)
                 if not moved and not plane.free_blocks:
@@ -422,6 +422,30 @@ class FlashTranslationLayer:
             self.gc_invocations += 1
             self.gc_pages_moved += result.pages_moved
         return result
+
+    def _collection_cycles(self, plane: _Plane, victim: int) -> bool:
+        """Whether collecting *victim* would leave *plane* as it was.
+
+        So it is when no page of the plane is invalid (the victim, the
+        closed block with the fewest valid pages, is fully live, and so is
+        the open block), no other plane has a free page, and the plane
+        has a block's worth of free pages: the victim's pages then move
+        back into the plane and its erase frees just what they took, on
+        every step.
+        """
+        per_block = self._pages_per_block
+        counts = plane.valid_counts
+        open_block = plane.open_block
+        room = 0 if open_block is None else per_block - plane.next_page
+        if (counts[victim] < per_block
+                or (open_block is not None
+                    and counts[open_block] < plane.next_page)
+                or room + per_block * len(plane.free_blocks) < per_block):
+            return False
+        return not any(other.free_blocks
+                       or (other.open_block is not None
+                           and other.next_page < per_block)
+                       for other in self._planes if other is not plane)
 
     def _collect_block(self, plane: _Plane, block: int,
                        result: GCResult) -> bool:

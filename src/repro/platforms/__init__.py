@@ -17,7 +17,7 @@ One class per system configuration evaluated in Section VI:
 =============  =================================================================
 """
 
-from .base import MemoryServiceResult, Platform, RunResult
+from .base import Platform, RunResult
 from .oracle import OraclePlatform
 from .mmap_platform import MmapPlatform
 from .bypass import BypassPlatform
@@ -28,7 +28,6 @@ from .hams_platform import HAMSPlatform
 from .registry import PLATFORM_NAMES, create_platform
 
 __all__ = [
-    "MemoryServiceResult",
     "Platform",
     "RunResult",
     "OraclePlatform",

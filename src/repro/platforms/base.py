@@ -10,20 +10,15 @@ the headline claim.
 
 The replay loop is identical across platforms: compute instructions retire
 at the base CPI, fine-grained references filter through the on-chip caches,
-and what misses goes off-chip.  Two execution strategies produce
-bit-identical results:
+and what misses goes off-chip.  :meth:`Platform.run` takes the trace's
+L1/L2 outcomes from the memoised filter stage
+(:func:`repro.host.caches.filter_trace`, one walk per trace and
+``CacheConfig``, shared by every platform), walks the columnar
+:class:`~repro.workloads.trace.AccessStream` chunk-at-a-time, gathers each
+chunk's misses into a :class:`MemoryRequestBatch` and hands the whole batch
+to :meth:`Platform.service_batch`, the one service hook of a platform.
 
-* the **scalar** reference loop hands each miss to
-  :meth:`Platform.service_memory_access` one at a time, and
-* the default **batched** loop takes the trace's L1/L2 outcomes from the
-  memoised filter stage (:func:`repro.host.caches.filter_trace`, one walk
-  per trace and ``CacheConfig``, shared by every platform), walks the
-  columnar :class:`~repro.workloads.trace.AccessStream` chunk-at-a-time,
-  gathers each chunk's misses into a :class:`MemoryRequestBatch` and hands
-  the whole batch to :meth:`Platform.service_batch`.
-
-``service_batch`` is the batched per-platform hook.  The analytic
-platforms are truly vectorized; the page-cached
+The analytic platforms are truly vectorized; the page-cached
 platforms (mmap, FlatFlash, NVDIMM-C, Optane memory mode, the ULL
 bypasses) run an order-exact batched LRU walk
 (:meth:`repro.host.os_stack.PageCache.access_batch`) and replay only its
@@ -31,9 +26,11 @@ misses — FlatFlash in one MMIO loop of its own, the others through
 :meth:`MemoryRequestBatch.service_page_cached`; and HAMS splits its
 datapath into a clock-free tag classification plus clock-exact miss
 replay (:meth:`repro.core.hams_controller.HAMSController.classify_batch`).  All batched
-bookkeeping uses :func:`repro.numerics.sequential_add`, which reproduces the
-scalar loop's left-to-right floating-point rounding bit for bit — the
-equivalence is locked in by ``tests/test_batched_replay.py``.
+bookkeeping uses :func:`repro.numerics.sequential_add`, which reproduces a
+per-access loop's left-to-right floating-point rounding bit for bit.  The
+per-access reference replay lives with the tests (``tests/oracles/``), and
+``tests/test_batched_replay.py`` holds every platform to bit-identical
+results against it.
 """
 
 from __future__ import annotations
@@ -54,33 +51,11 @@ from ..workloads.trace import WorkloadTrace
 
 
 @dataclass
-class MemoryServiceResult:
-    """What one off-chip memory access cost on a given platform.
-
-    The three components are *additive* and classified the way Figure 17
-    classifies them: ``latency_ns`` is the part charged to the application
-    itself (the LD/ST stall), ``os_ns`` is software-stack time (page faults,
-    context switches, file system, block layer, driver), and ``storage_ns``
-    is raw device wait that the OS exposes to the application.  Platforms
-    without OS involvement (HAMS, oracle, Optane) fold everything into
-    ``latency_ns``.
-    """
-
-    latency_ns: float
-    os_ns: float = 0.0
-    storage_ns: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.latency_ns < 0 or self.os_ns < 0 or self.storage_ns < 0:
-            raise ValueError("latencies cannot be negative")
-
-
-@dataclass
 class BatchTimeline:
     """Exact clock-reconstruction data attached to a request batch.
 
-    ``addends`` is the full sequence of time increments the scalar replay
-    loop would apply to its ``now`` clock over the originating trace chunk —
+    ``addends`` is the full sequence of time increments a per-access replay
+    would apply to its ``now`` clock over the originating trace chunk —
     compute phases, cache-hit latencies and one (initially placeholder) slot
     per off-chip request.  ``service_slots[j]`` is the index of request
     *j*'s slot: everything before it has already elapsed when the request
@@ -100,9 +75,9 @@ class MemoryRequestBatch:
     ``on_chip_ns`` is the on-chip (cache walk) latency already paid per
     request, ``start_ns`` is the replay clock when the batch was formed and
     the :class:`BatchTimeline` is the chunk's clock sequence, from which
-    every ``service_batch`` reproduces the scalar replay loop's
-    per-request issue times exactly.  The batched replay loop builds every
-    batch and always passes all three.
+    every ``service_batch`` reproduces a per-access replay's per-request
+    issue times exactly.  :meth:`Platform.run` builds every batch and always
+    passes all three.
 
     ``tenant_ids`` is an optional int64 column tagging each request with
     the scenario tenant that issued it.  It is ``None`` for every
@@ -151,11 +126,11 @@ class MemoryRequestBatch:
         vectorized pass (``hit_latency_ns``, a full-length column whose
         values at miss positions are ignored).  This method then walks only
         the misses, handing ``miss_service(k, index, now)`` — the *k*-th
-        miss, batch row *index* — the exact issue clock the scalar replay
-        loop would have passed, and expecting ``(latency_ns, os_ns,
+        miss, batch row *index* — the exact issue clock a per-access replay
+        would have passed, and expecting ``(latency_ns, os_ns,
         storage_ns)`` back.  The clock is reconstructed from the batch's
         :class:`BatchTimeline` (every batch carries one) by the same
-        left-to-right float accumulation the scalar loop performs (hit
+        left-to-right float accumulation a per-access loop performs (hit
         slots are pre-filled with their on-chip + service addends), so
         clock- and history-dependent miss paths (SSD reads, link transfers)
         stay bit-identical while the hits never enter a Python loop.
@@ -204,9 +179,13 @@ class MemoryRequestBatch:
 class MemoryServiceBatch:
     """Columnar result of servicing a :class:`MemoryRequestBatch`.
 
-    The three columns mirror :class:`MemoryServiceResult`; ``os_ns`` /
-    ``storage_ns`` default to zeros (the common case for hardware-managed
-    platforms).
+    The three columns are *additive* and classified the way Figure 17
+    classifies them: ``latency_ns`` is the part charged to the application
+    itself (the LD/ST stall), ``os_ns`` is software-stack time (page faults,
+    context switches, file system, block layer, driver), and ``storage_ns``
+    is raw device wait that the OS exposes to the application.  ``os_ns`` /
+    ``storage_ns`` default to zeros: platforms without OS involvement (HAMS,
+    oracle, Optane) fold everything into ``latency_ns``.
     """
 
     __slots__ = ("latency_ns", "os_ns", "storage_ns")
@@ -298,17 +277,12 @@ class Platform(abc.ABC):
     # -- per-platform hooks -------------------------------------------------------
 
     @abc.abstractmethod
-    def service_memory_access(self, address: int, size_bytes: int,
-                              is_write: bool, at_ns: float) -> MemoryServiceResult:
-        """Resolve one off-chip memory access starting at *at_ns*."""
-
-    @abc.abstractmethod
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """Resolve a whole batch of off-chip memory requests.
 
-        Bit-identical to calling :meth:`service_memory_access` once per
-        request at the issue clocks the batch's timeline gives.  Those
-        whose service cost is clock-independent (oracle, Optane App
+        The one service hook of a platform: each request is served at the
+        issue clock the batch's timeline gives, in request order.  The
+        platforms whose service cost is clock-independent (oracle, Optane App
         Direct, the NVDIMM bypass) are truly vectorized; the page-cached
         platforms (mmap, NVDIMM-C, Optane memory mode, the ULL bypasses)
         run the batched page-cache walk +
@@ -351,77 +325,9 @@ class Platform(abc.ABC):
         """
         return []
 
-    def run(self, trace: WorkloadTrace, *, execution: str = "batched",
+    def run(self, trace: WorkloadTrace, *,
             observer: Optional[object] = None) -> RunResult:
-        """Replay *trace* and return the full measurement record.
-
-        ``execution`` selects the replay strategy: ``"batched"`` (the
-        default) or ``"scalar"``.  Both produce bit-identical results; the
-        scalar loop exists as the reference implementation and for the
-        equivalence tests and throughput benchmarks that compare the two.
-
-        ``observer``, when given, receives ``on_chunk(chunk, stall_ns,
-        miss_indices, service)`` after each replayed chunk — the chunk's
-        per-access memory-stall addends, its off-chip positions and the
-        resolved :class:`MemoryServiceBatch` (``None`` when the chunk had
-        no misses).  Observation is read-only and batched-only; the
-        scenario engine rides it for per-tenant attribution.
-        """
-        if execution == "batched":
-            return self._run_batched(trace, observer=observer)
-        if execution == "scalar":
-            if observer is not None:
-                raise ValueError(
-                    "replay observers require the batched execution mode")
-            return self._run_scalar(trace)
-        raise ValueError(f"unknown execution mode {execution!r}; "
-                         f"expected 'batched' or 'scalar'")
-
-    def _run_scalar(self, trace: WorkloadTrace) -> RunResult:
-        """The reference per-access replay loop."""
-        self.prepare(trace)
-        now = 0.0
-        compute_per_access = trace.compute_instructions_per_access
-        cache_line = self.config.caches.line_size
-        offchip = 0
-        stream = trace.stream
-
-        for address, size_bytes, is_write in zip(stream.addresses.tolist(),
-                                                 stream.sizes.tolist(),
-                                                 stream.writes.tolist()):
-            # Compute phase between memory references.
-            compute_instructions = int(compute_per_access)
-            if compute_instructions:
-                now += self.cpu.execute_compute(compute_instructions)
-
-            # Page-granular references (the mmap microbenchmark) stream
-            # through the caches without reuse, so they are treated as
-            # off-chip accesses directly; fine-grained references filter
-            # through L1/L2 first.
-            if size_bytes <= cache_line:
-                cache_result = self.caches.access(address, is_write)
-                if not cache_result.is_miss:
-                    now += self.cpu.execute_memory(cache_result.latency_ns)
-                    continue
-                on_chip_ns = cache_result.latency_ns
-            else:
-                self.caches.record_bypass()
-                on_chip_ns = self.config.caches.l2_latency_ns
-
-            offchip += 1
-            service = self.service_memory_access(address, size_bytes,
-                                                 is_write, now)
-            stall_ns = on_chip_ns + service.latency_ns
-            self.cpu.execute_memory(stall_ns)
-            self.cpu.charge_os(service.os_ns)
-            self.cpu.charge_storage(service.storage_ns)
-            now += stall_ns + service.os_ns + service.storage_ns
-
-        return self._build_result(trace, now, offchip)
-
-    def _run_batched(self, trace: WorkloadTrace,
-                     observer: Optional[object] = None) -> RunResult:
-        """Chunk-at-a-time replay over the trace's columnar stream.
+        """Replay *trace* chunk-at-a-time and return the measurement record.
 
         The L1/L2 filter is not part of the loop: :func:`~repro.host.caches
         .filter_trace` classifies the whole trace once per (trace,
@@ -431,9 +337,16 @@ class Platform(abc.ABC):
         latencies, the misses form a :class:`MemoryRequestBatch` resolved by
         one :meth:`service_batch` call, and all CPU/clock accounting folds
         in through :func:`~repro.numerics.sequential_add`, which reproduces
-        the scalar loop's floating-point rounding exactly.  After the loop
+        a per-access loop's floating-point rounding exactly.  After the loop
         the filter's counters are installed into ``self.caches``, so its
-        statistics match the scalar walk's.
+        statistics match a per-access walk's.
+
+        ``observer``, when given, receives ``on_chunk(chunk, stall_ns,
+        miss_indices, service)`` after each replayed chunk — the chunk's
+        per-access memory-stall addends, its off-chip positions and the
+        resolved :class:`MemoryServiceBatch` (``None`` when the chunk had
+        no misses).  Observation is read-only; the scenario engine rides it
+        for per-tenant attribution.
         """
         self.prepare(trace)
         cache_filter = filter_trace(trace, self.config.caches)
@@ -456,7 +369,7 @@ class Platform(abc.ABC):
             miss_indices = np.flatnonzero(miss)
             misses = len(miss_indices)
 
-            # The scalar loop advances its clock with one addend per access
+            # A per-access loop advances its clock with one addend per access
             # (plus one compute addend when the workload has a compute
             # phase); reproduce that exact sequence, with the miss slots
             # filled in after the batch resolves.

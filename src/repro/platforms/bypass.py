@@ -32,7 +32,6 @@ from ..workloads.trace import WorkloadTrace
 from .base import (
     MemoryRequestBatch,
     MemoryServiceBatch,
-    MemoryServiceResult,
     Platform,
 )
 
@@ -58,25 +57,6 @@ class BypassPlatform(Platform):
     def prepare(self, trace: WorkloadTrace) -> None:
         if self.strategy != "nvdimm":
             self.ssd.precondition_dataset(trace.dataset_bytes)
-
-    def service_memory_access(self, address: int, size_bytes: int,
-                              is_write: bool, at_ns: float) -> MemoryServiceResult:
-        if self.strategy == "nvdimm":
-            result = self.nvdimm.access(size_bytes, is_write)
-            self._nvdimm_busy_ns += result.latency_ns
-            return MemoryServiceResult(latency_ns=result.latency_ns)
-
-        page = address // _PAGE
-        if self.strategy == "ull-buff" and self.page_buffer.access(page, is_write):
-            result = self.nvdimm.access(min(size_bytes, _PAGE), is_write)
-            self._nvdimm_busy_ns += result.latency_ns
-            return MemoryServiceResult(latency_ns=result.latency_ns)
-
-        with self.ssd.walk() as step:
-            latency = self._flash_access(page, is_write, at_ns, step)
-        if self.strategy == "ull-buff":
-            self.page_buffer.install(page, dirty=is_write)
-        return MemoryServiceResult(latency_ns=latency)
 
     def _flash_access(self, page: int, is_write: bool, at_ns: float,
                       step) -> float:

@@ -18,8 +18,9 @@ fold in one vectorized call, and only the MMIO accesses replay, in one
 loop (:meth:`FlatFlashPlatform._mmio_replay`) over the miss columns,
 against the link and the flash at their exact issue clocks, with the
 :meth:`~repro.interconnect.link.Link.transfer` recurrence inlined and the
-link state committed once per batch.  The scalar
-``service_memory_access`` runs the same loop as a batch of one.
+link state committed once per batch.  The per-access reference replay
+(``tests/oracles/``) runs the same loop as a batch of one; the loop's
+independent MMIO reference is in ``tests/test_protocol_recurrences.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from ..workloads.trace import WorkloadTrace
 from .base import (
     MemoryRequestBatch,
     MemoryServiceBatch,
-    MemoryServiceResult,
     Platform,
 )
 
@@ -79,28 +79,6 @@ class FlatFlashPlatform(Platform):
         self.ssd.precondition_dataset(trace.dataset_bytes)
 
     # -- the MMIO datapath -------------------------------------------------------
-
-    def service_memory_access(self, address: int, size_bytes: int,
-                              is_write: bool, at_ns: float) -> MemoryServiceResult:
-        page = address // _PAGE
-        promoted = [False]
-        if self.host_cache is not None:
-            if self.host_cache.access(page, is_write):
-                assert self.dram is not None
-                result = self.dram.access(size_bytes, is_write)
-                self._dram_busy_ns += result.latency_ns
-                return MemoryServiceResult(latency_ns=result.latency_ns)
-            promoted = []
-            self._promotion_policy(promoted)(page, is_write)
-        device_hit = self.device_cache.access(page, is_write)
-        evictions: List[List[Tuple[int, bool]]] = []
-        if not device_hit:
-            evicted = self.device_cache.install(page, dirty=is_write)
-            evictions.append([] if evicted is None else [evicted])
-        latency = self._mmio_replay([page], [size_bytes], [is_write],
-                                    [device_hit], evictions, promoted,
-                                    at_ns, None, [0], [0.0])
-        return MemoryServiceResult(latency_ns=latency[0])
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """Two cache walks up front, then one MMIO loop over the host misses.

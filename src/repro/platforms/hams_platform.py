@@ -41,7 +41,6 @@ from .base import (
     BatchTimeline,
     MemoryRequestBatch,
     MemoryServiceBatch,
-    MemoryServiceResult,
     Platform,
 )
 
@@ -76,11 +75,6 @@ class HAMSPlatform(Platform):
 
     # -- the hardware datapath -------------------------------------------------------
 
-    def service_memory_access(self, address: int, size_bytes: int,
-                              is_write: bool, at_ns: float) -> MemoryServiceResult:
-        result = self.controller.access(address, size_bytes, is_write, at_ns)
-        return MemoryServiceResult(latency_ns=result.latency_ns)
-
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """Vectorized service around the clock-free tag classification.
 
@@ -96,8 +90,8 @@ class HAMSPlatform(Platform):
         the serve time from the plan and returns its delay components as a
         plain tuple; every miss steps one
         :meth:`~repro.flash.ssd.SSD.walk` opened for the chunk.
-        Bit-identical to the scalar path — ``tests/test_batched_replay.py``
-        is the contract.
+        Bit-identical to the per-access reference of ``tests/oracles/`` —
+        ``tests/test_batched_replay.py`` is the contract.
         """
         count = len(batch)
         if count == 0:
@@ -105,8 +99,9 @@ class HAMSPlatform(Platform):
         controller = self.controller
         addresses = batch.addresses
         sizes = batch.sizes
-        # An out-of-range request raises the scalar loop's error after the
-        # requests before it were served, as the scalar loop serves them.
+        # An out-of-range request raises the per-request validation error
+        # after the requests before it were served, as a per-access loop
+        # serves them.
         bad = ((addresses < 0) | (sizes <= 0)
                | (addresses + sizes > controller.mos_capacity_bytes))
         if bad.any():

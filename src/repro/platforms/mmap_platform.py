@@ -39,7 +39,6 @@ from ..workloads.trace import WorkloadTrace
 from .base import (
     MemoryRequestBatch,
     MemoryServiceBatch,
-    MemoryServiceResult,
     Platform,
 )
 
@@ -83,23 +82,6 @@ class MmapPlatform(Platform):
         self.ssd.precondition_dataset(trace.dataset_bytes)
 
     # -- the software datapath -------------------------------------------------------
-
-    def service_memory_access(self, address: int, size_bytes: int,
-                              is_write: bool, at_ns: float) -> MemoryServiceResult:
-        page = address // OS_PAGE_BYTES
-        hit = self.page_cache.access(page, is_write)
-        if not hit:
-            readahead, victims = self._install_fault(page, is_write)
-            with self.ssd.walk() as step:
-                os_ns, storage_ns = self._fault_io(page, readahead, victims,
-                                                   at_ns, step)
-        # The reference completes from DRAM (after the fault, on a miss).
-        dram = self.nvdimm.access(min(size_bytes, OS_PAGE_BYTES), is_write)
-        self._nvdimm_busy_ns += dram.latency_ns
-        if hit:
-            return MemoryServiceResult(latency_ns=dram.latency_ns)
-        return MemoryServiceResult(latency_ns=dram.latency_ns, os_ns=os_ns,
-                                   storage_ns=storage_ns)
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """One page-cache walk for the whole batch; only faults replay.

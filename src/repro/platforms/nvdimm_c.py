@@ -25,7 +25,6 @@ from ..workloads.trace import WorkloadTrace
 from .base import (
     MemoryRequestBatch,
     MemoryServiceBatch,
-    MemoryServiceResult,
     Platform,
 )
 
@@ -71,24 +70,6 @@ class NvdimmCPlatform(Platform):
     def prepare(self, trace: WorkloadTrace) -> None:
         self.ssd.precondition_dataset(trace.dataset_bytes)
 
-    def service_memory_access(self, address: int, size_bytes: int,
-                              is_write: bool, at_ns: float) -> MemoryServiceResult:
-        page = address // _PAGE
-        if self.dram_cache.access(page, is_write):
-            result = self.dram.access(size_bytes, is_write)
-            self._dram_busy_ns += result.latency_ns
-            return MemoryServiceResult(latency_ns=result.latency_ns)
-
-        # Miss: a whole migration chunk moves from flash to DRAM, but only
-        # during refresh windows — the flash read is cheap, the wait is not.
-        self.migrations += 1
-        evictions = self._install_migration_chunk(page, is_write)
-        with self.ssd.walk() as step:
-            migration_ns = self._migrate_chunk(page, evictions, at_ns, step)
-        served = self.dram.access(size_bytes, is_write)
-        self._dram_busy_ns += served.latency_ns
-        return MemoryServiceResult(latency_ns=migration_ns + served.latency_ns)
-
     def _chunk_first(self, page: int) -> int:
         """First OS page of the migration chunk covering *page*."""
         return (page // self._pages_per_migration) * self._pages_per_migration
@@ -130,8 +111,9 @@ class NvdimmCPlatform(Platform):
         the chunk-install policy) yields the hit mask and the per-miss
         eviction schedule, the DRAM cost of every request folds in one
         vectorized call, and only the misses replay against the SSD at
-        their exact scalar-loop issue clocks.  Bit-identical to the scalar
-        path — ``tests/test_batched_replay.py`` is the contract.
+        their exact scalar-loop issue clocks.  Bit-identical to the per-access
+        reference of ``tests/oracles/`` — ``tests/test_batched_replay.py``
+        is the contract.
         """
         if len(batch) == 0:
             return MemoryServiceBatch(latency_ns=np.empty(0))

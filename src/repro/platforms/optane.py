@@ -25,7 +25,6 @@ from ..units import KB
 from .base import (
     MemoryRequestBatch,
     MemoryServiceBatch,
-    MemoryServiceResult,
     Platform,
 )
 
@@ -47,36 +46,6 @@ class OptanePlatform(Platform):
         self.dram_cache = (PageCache(config.nvdimm.capacity_bytes, _CACHE_PAGE)
                            if self.dram_cache_enabled else None)
         self._dram_busy_ns = 0.0
-
-    def service_memory_access(self, address: int, size_bytes: int,
-                              is_write: bool, at_ns: float) -> MemoryServiceResult:
-        if not self.dram_cache_enabled:
-            access = (self.optane.write(size_bytes) if is_write
-                      else self.optane.read(size_bytes))
-            latency = access.latency_ns
-            if is_write:
-                # App Direct persistence: clwb + sfence on the store path.
-                latency += self.config.optane.persist_write_overhead_ns
-            return MemoryServiceResult(latency_ns=latency)
-
-        assert self.dram is not None and self.dram_cache is not None
-        page = address // _CACHE_PAGE
-        if self.dram_cache.access(page, is_write):
-            result = self.dram.access(size_bytes, is_write)
-            self._dram_busy_ns += result.latency_ns
-            return MemoryServiceResult(latency_ns=result.latency_ns)
-
-        # Memory-mode miss: fetch the 4 KB block from the media into DRAM,
-        # write back the dirty victim if needed, then serve from DRAM.
-        fetch = self.optane.read(_CACHE_PAGE)
-        latency = fetch.latency_ns
-        evicted = self.dram_cache.install(page, dirty=is_write)
-        if evicted is not None and evicted[1]:
-            latency += self.optane.write(_CACHE_PAGE).latency_ns
-        served = self.dram.access(size_bytes, is_write)
-        self._dram_busy_ns += served.latency_ns
-        latency += served.latency_ns
-        return MemoryServiceResult(latency_ns=latency)
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """Vectorized service in both Optane modes.

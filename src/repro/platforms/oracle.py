@@ -20,7 +20,6 @@ from ..units import GB
 from .base import (
     MemoryRequestBatch,
     MemoryServiceBatch,
-    MemoryServiceResult,
     Platform,
 )
 
@@ -43,19 +42,13 @@ class OraclePlatform(Platform):
         self.nvdimm = NVDIMM(nvdimm_config)
         self._nvdimm_busy_ns = 0.0
 
-    def service_memory_access(self, address: int, size_bytes: int,
-                              is_write: bool, at_ns: float) -> MemoryServiceResult:
-        result = self.nvdimm.access(size_bytes, is_write)
-        self._nvdimm_busy_ns += result.latency_ns
-        return MemoryServiceResult(latency_ns=result.latency_ns)
-
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """Vectorized service: DRAM latency is clock-independent.
 
         One :meth:`~repro.memory.nvdimm.NVDIMM.access_batch` call resolves
         the whole batch; the busy-time counter folds in with bit-exact
-        sequential accumulation so batched and scalar replay agree to the
-        last ulp.
+        sequential accumulation so the replay agrees with the per-access
+        reference to the last ulp.
         """
         latency = self.nvdimm.access_batch(batch.sizes, batch.writes)
         self._nvdimm_busy_ns = sequential_add(self._nvdimm_busy_ns, latency)

@@ -213,5 +213,6 @@ class TestTopLevelExports:
 
     def test_batch_protocol_exported(self):
         for name in ("AccessStream", "MemoryRequestBatch",
-                     "MemoryServiceBatch", "MemoryServiceResult"):
+                     "MemoryServiceBatch"):
             assert hasattr(repro, name), name
+        assert not hasattr(repro, "MemoryServiceResult")

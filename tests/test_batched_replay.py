@@ -1,11 +1,13 @@
-"""Golden equivalence of the batched and scalar replay paths.
+"""Golden equivalence of the batched replay and the per-access reference.
 
-The batched replay loop (the memoised whole-trace cache filter,
-``service_batch``, ``sequential_add`` accounting) promises results that are *bit-identical* to
-the legacy scalar loop on every registered platform — not approximately
-equal: every float in the ``RunResult``, including the energy breakdown and
-the extras counters, must match to the last ulp.  These tests are the
-contract that lets the vectorized platforms rewrite their hot paths freely.
+The product replay, ``Platform.run`` (the memoised whole-trace cache
+filter, ``service_batch``, ``sequential_add`` accounting), promises results
+that are *bit-identical* to the per-access reference replay of
+``tests/oracles/`` (``run_scalar``) on every registered platform — not
+approximately equal: every float in the ``RunResult``, including the energy
+breakdown and the extras counters, must match to the last ulp.  These
+tests are the contract that lets the vectorized platforms rewrite their
+hot paths freely.
 
 ``REPRO_TEST_CHUNK_SIZES`` (a comma-separated list, e.g. ``1,7,64``; the
 token ``default`` keeps the platform default) re-runs the whole golden
@@ -28,6 +30,7 @@ import os
 import numpy as np
 import pytest
 
+from oracles import run_scalar
 from repro.config import default_config
 from repro.numerics import sequential_add
 from repro.platforms.base import Platform
@@ -159,7 +162,7 @@ def _run_batched(platform_name, config, trace, chunk_size):
     platform = create_platform(platform_name, config)
     if chunk_size is not None:
         platform.replay_chunk_size = chunk_size
-    return platform, platform.run(trace, execution="batched")
+    return platform, platform.run(trace)
 
 
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
@@ -168,8 +171,7 @@ def _run_batched(platform_name, config, trace, chunk_size):
 def test_batched_replay_is_bit_identical(platform_name, workload, chunk_size,
                                          config, traces):
     trace = traces[workload]
-    scalar = create_platform(platform_name, config).run(trace,
-                                                        execution="scalar")
+    scalar = run_scalar(create_platform(platform_name, config), trace)
     _, batched = _run_batched(platform_name, config, trace, chunk_size)
     scalar_fields = result_fields(scalar)
     batched_fields = result_fields(batched)
@@ -192,7 +194,7 @@ def test_dram_cache_platform_chunk_parity(platform_name, workload, config,
     """
     trace = traces[workload]
     scalar_platform = create_platform(platform_name, config)
-    scalar = scalar_platform.run(trace, execution="scalar")
+    scalar = run_scalar(scalar_platform, trace)
     scalar_fields = result_fields(scalar)
     scalar_cache = getattr(scalar_platform,
                            DRAM_CACHE_PLATFORMS[platform_name])
@@ -253,7 +255,7 @@ def test_page_fault_platform_stress_parity(platform_name, workload,
     counters = STRESS_COUNTERS[platform_name]
     platform_name, config = stress_case(platform_name, stress_config)
     scalar_platform = create_platform(platform_name, config)
-    scalar = result_fields(scalar_platform.run(trace, execution="scalar"))
+    scalar = result_fields(run_scalar(scalar_platform, trace))
     chunk_sizes = {1, 7, len(trace)} | {size for size in CHUNK_SIZES
                                         if size is not None}
     for chunk_size in sorted(chunk_sizes):
@@ -284,8 +286,7 @@ def test_stress_config_fires_every_event(platform_name, stress_config,
 def test_dram_cache_stats_exposed_and_exact(platform_name, config, traces):
     """The hit-rate / writeback extras match exactly between the paths."""
     trace = traces["rndWr"]
-    scalar = create_platform(platform_name, config).run(trace,
-                                                        execution="scalar")
+    scalar = run_scalar(create_platform(platform_name, config), trace)
     _, batched = _run_batched(platform_name, config, trace, None)
     prefix = ("dram_cache" if platform_name != "bypass-ull-buff"
               else "page_buffer")
@@ -296,20 +297,61 @@ def test_dram_cache_stats_exposed_and_exact(platform_name, config, traces):
     assert scalar.extras[f"{prefix}_hits"] > 0
 
 
-def test_default_mode_is_batched(config, traces):
-    platform = create_platform("oracle", config)
-    assert inspect.signature(
-        Platform.run).parameters["execution"].default == "batched"
-    reference = create_platform("oracle", config).run(traces["seqRd"],
-                                                      execution="batched")
-    assert result_fields(platform.run(traces["seqRd"])) \
-        == result_fields(reference)
+def test_run_is_the_only_replay(config, traces):
+    """``run(trace, *, observer=None)`` is the one replay, and
+    ``service_batch`` the one abstract service hook."""
+    assert list(inspect.signature(Platform.run).parameters) \
+        == ["self", "trace", "observer"]
+    assert Platform.__abstractmethods__ == {"service_batch",
+                                           "collect_energy"}
+    assert not hasattr(Platform, "service_memory_access")
+    assert not hasattr(Platform, "_run_scalar")
 
 
 def test_unknown_execution_mode_rejected(config, traces):
     platform = create_platform("oracle", config)
-    with pytest.raises(ValueError):
-        platform.run(traces["seqRd"], execution="warp")
+    with pytest.raises(TypeError):
+        platform.run(traces["seqRd"], execution="scalar")
+
+
+class _MinimalPlatform(Platform):
+    """A platform defining only the two abstract hooks.  It serves one
+    request at a time through an all-miss ``service_page_cached`` fold:
+    100 ns each, 10 ns of it OS time, and records every issue clock."""
+
+    name = "minimal"
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.issue_clocks = []
+
+    def service_batch(self, batch):
+        count = len(batch)
+
+        def serve(k, index, now):
+            self.issue_clocks.append(now)
+            return 90.0, 10.0, 0.0
+
+        return batch.service_page_cached(
+            np.zeros(count, dtype=bool), np.zeros(count),
+            np.arange(count), serve)
+
+    def collect_energy(self, account):
+        pass
+
+
+def test_platform_needs_only_service_batch_and_collect_energy(config,
+                                                              traces):
+    trace = traces["update"]
+    platform = _MinimalPlatform(config)
+    result = platform.run(trace)
+    assert result.memory_accesses == len(trace)
+    assert 0 < result.offchip_accesses < len(trace)
+    assert len(platform.issue_clocks) == result.offchip_accesses
+    assert platform.issue_clocks == sorted(platform.issue_clocks)
+    assert platform.issue_clocks[-1] < result.total_ns
+    assert result.os_ns == 10.0 * result.offchip_accesses
+    assert result.ssd_ns == 0.0
 
 
 @pytest.mark.parametrize("platform_name", ("hams-TE", "nvdimm-C"))
@@ -345,7 +387,7 @@ def test_mixed_granularity_replay_is_bit_identical(platform_name, chunk_size,
     line = config.caches.line_size
     assert (head <= line).any() and (head > line).any()
     scalar_platform = create_platform(platform_name, config)
-    scalar = scalar_platform.run(mixed_trace, execution="scalar")
+    scalar = run_scalar(scalar_platform, mixed_trace)
     platform, batched = _run_batched(platform_name, config, mixed_trace,
                                      chunk_size)
     assert result_fields(batched) == result_fields(scalar)
@@ -372,9 +414,9 @@ def test_cache_statistics_match_between_paths(config, traces):
     counters)."""
     trace = traces["update"]
     scalar = create_platform("oracle", config)
-    scalar.run(trace, execution="scalar")
+    run_scalar(scalar, trace)
     batched = create_platform("oracle", config)
-    batched.run(trace, execution="batched")
+    batched.run(trace)
     assert scalar.caches.statistics() == batched.caches.statistics()
     assert scalar.caches.l1.hits == batched.caches.l1.hits
     assert scalar.caches.l2.writebacks == batched.caches.l2.writebacks
@@ -398,10 +440,10 @@ def test_hams_out_of_range_chunk_raises_like_scalar(platform_name, config):
         accesses_per_operation=1.0, operation_unit="ops",
         total_instructions=10 * len(addresses))
     outcomes = []
-    for execution in ("scalar", "batched"):
+    for replay in (run_scalar, Platform.run):
         platform = create_platform(platform_name, config)
         with pytest.raises(ValueError) as error:
-            platform.run(trace, execution=execution)
+            replay(platform, trace)
         outcomes.append((str(error.value),
                          platform.controller.statistics(),
                          platform.controller.ssd.statistics()))

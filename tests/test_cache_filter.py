@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.host.caches as caches
+from oracles import run_scalar
 from repro.api import Session
 from repro.config import CacheConfig, default_config
 from repro.host.caches import (
@@ -290,8 +291,8 @@ def test_batched_statistics_equal_the_scalar_walk(platform_name, workload,
                                                   config):
     trace = build_trace(workload, SCALE)
     scalar = create_platform(platform_name, config)
-    scalar.run(trace, execution="scalar")
+    run_scalar(scalar, trace)
     batched = create_platform(platform_name, config)
-    batched.run(trace, execution="batched")
+    batched.run(trace)
     assert batched.caches.statistics() == scalar.caches.statistics()
     assert counters(batched.caches) == counters(scalar.caches)

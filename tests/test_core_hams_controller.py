@@ -1,8 +1,11 @@
 """The HAMS controller: hits, misses, evictions, modes, integrations, recovery."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import hams_access
 from repro.config import default_config
 from repro.core.hams_controller import HAMSController
 from repro.units import GB, KB, MB
@@ -311,3 +314,64 @@ class TestPropertyBased:
             assert result.latency_ns >= 0
             now = result.finish_ns
         assert hams.tag_array.hits + hams.tag_array.misses == len(accesses)
+
+
+def _few_entry_config(integration: str, mode: str, mos_page: int):
+    """:func:`small_config` with an NVDIMM that caches four MoS pages."""
+    config = small_config(integration, mode, mos_page)
+    return dataclasses.replace(config, nvdimm=dataclasses.replace(
+        config.nvdimm, capacity_bytes=4 * mos_page + KB(64),
+        pinned_region_bytes=KB(64)))
+
+
+def _controller_state(hams: HAMSController) -> dict:
+    return {"statistics": hams.statistics(),
+            "delays": hams.memory_delay_breakdown(),
+            "tags": hams.tag_array.tags.tolist(),
+            "dirty": hams.tag_array.dirty.tolist(),
+            "nvdimm": hams.nvdimm.statistics(),
+            "busy": hams.nvdimm.dram.busy_ns.hex(),
+            "ssd": hams.ssd.statistics(),
+            "background": dict(hams._background_evictions)}
+
+
+class TestAccessAgainstOracle:
+    """``access`` is a batch of one over ``classify_batch`` and
+    ``replay_miss``; the oracle's ``hams_access`` classifies the request
+    on its own through the scalar tag-array sequence.  Every result and
+    the controller's whole state must agree, float for float."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["loose", "tight"]),
+           st.sampled_from(["persist", "extend"]),
+           st.sampled_from([KB(4), KB(128)]),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(0, 31),
+                              st.sampled_from([64, KB(4)]), st.booleans(),
+                              st.sampled_from([0.0, 100.0, 1e5])),
+                    min_size=1, max_size=40))
+    def test_access_equals_oracle(self, integration, mode, mos_page,
+                                  requests):
+        config = _few_entry_config(integration, mode, mos_page)
+        product, oracle = HAMSController(config), HAMSController(config)
+        for hams in (product, oracle):
+            hams.ssd.precondition(0, min(hams.ssd.logical_pages, 512))
+        now = 0.0
+        for page, slot, size, is_write, gap in requests:
+            address = page * mos_page + (slot * KB(4)) % mos_page
+            expected = hams_access(oracle, address, size, is_write, now)
+            got = product.access(address, size, is_write, now)
+            assert dataclasses.astuple(got) == dataclasses.astuple(expected)
+            assert type(got.hit) is bool
+            now = expected.finish_ns + gap
+        assert _controller_state(product) == _controller_state(oracle)
+
+    def test_out_of_range_request_raises_like_oracle(self):
+        product, oracle = controller(), controller()
+        errors = []
+        for serve in (product.access, lambda *args: hams_access(oracle,
+                                                                 *args)):
+            with pytest.raises(ValueError) as error:
+                serve(product.mos_capacity_bytes - 32, 64, False, 0.0)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
+        assert _controller_state(product) == _controller_state(oracle)

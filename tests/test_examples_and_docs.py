@@ -17,6 +17,25 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES = REPO_ROOT / "examples"
 BENCHMARKS = REPO_ROOT / "benchmarks"
 
+#: The printout of ``examples/persistent_memory_expansion.py``.
+PERSISTENT_MEMORY_EXPANSION_OUTPUT = [
+    'MoS address space: 3.1 GiB backed by ULL-Flash,',
+    'NVDIMM cache: 30 MiB (240 direct-mapped 128 KiB entries)',
+    '',
+    'phase 1: wrote 64 MoS pages, 64 dirty cache entries, hit rate 0.00',
+    'phase 2: 3 eviction commands issued but not yet completed (journal tags = 1)',
+    'power failure at 0.49 ms; supercap flush and NVDIMM backup complete at 5.49 ms',
+    '',
+    'recovery report:',
+    '  interrupted commands found : 3',
+    '  commands replayed          : 3',
+    '  NVDIMM restore time        : 40.00 ms',
+    '  replay time                : 854.0 us',
+    '  consistent                 : True',
+    '',
+    'phase 4: first access after recovery completed in 0.1 us (hit=True)',
+]
+
 
 def _load_module(path: pathlib.Path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
@@ -43,6 +62,14 @@ class TestExamples:
         output = capsys.readouterr().out
         assert "recovery report" in output
         assert "consistent                 : True" in output
+
+    def test_persistent_memory_expansion_output_is_pinned(self, capsys):
+        """The example is the one product caller of the per-request
+        ``HAMSController.access``; its whole printout is pinned."""
+        module = _load_module(EXAMPLES / "persistent_memory_expansion.py")
+        module.main()
+        assert capsys.readouterr().out.splitlines() == \
+            PERSISTENT_MEMORY_EXPANSION_OUTPUT
 
     def test_examples_have_docstrings(self):
         for path in sorted(EXAMPLES.glob("*.py")):

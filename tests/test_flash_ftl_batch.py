@@ -19,8 +19,13 @@ over it) against a scalar-preconditioned twin while GC relocates base
 pages and reuses base blocks.  ``TestUnmappedLpns`` pins
 ``unmapped_lpns``, the set ``SSD.precondition`` fills on a warmed device,
 against a per-LPN filter after writes and GC relocations.
+``TestGCTermination`` pins the collector's stop in the one state where
+relocating a victim frees nothing, against a step-capped copy of the loop
+without that stop.
 """
 
+import contextlib
+import signal
 import tracemalloc
 
 import numpy as np
@@ -28,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st, target
 
 from repro.config import GB, FlashGeometry, SSDConfig, default_config
-from repro.flash.ftl import FlashTranslationLayer
+from repro.flash.ftl import FlashTranslationLayer, GCResult
 from repro.flash.ssd import SSD, IORequest
 from repro.units import MB
 from repro.workloads.registry import ExperimentScale, scale_system_config
@@ -504,3 +509,152 @@ class TestUnmappedLpns:
         assert ftl.unmapped_lpns(0, 90_000) == [
             lpn for lpn in range(90_000) if not is_mapped(ftl, lpn)]
         assert ftl.mapped_pages == 80_000
+
+
+class _StepCapReached(Exception):
+    """The uncapped-loop copy ran past its step cap."""
+
+
+class LoopWithoutCycleStop(FlashTranslationLayer):
+    """The FTL with the collection loop as it was before
+    ``_collection_cycles``, capped at ``STEP_CAP`` relocations per
+    collection so that a stream it never finishes fails instead of
+    hanging."""
+
+    STEP_CAP = 500
+
+    def _collect(self) -> GCResult:
+        result = GCResult()
+        steps = 0
+        for plane in self._planes:
+            while len(plane.free_blocks) < self.gc_threshold_blocks:
+                victim = plane.victim_block()
+                if victim is None:
+                    break
+                steps += 1
+                if steps > self.STEP_CAP:
+                    raise _StepCapReached
+                moved = self._collect_block(plane, victim, result)
+                if not moved and not plane.free_blocks:
+                    break
+        if result.pages_moved or result.blocks_erased:
+            self.gc_invocations += 1
+            self.gc_pages_moved += result.pages_moved
+        return result
+
+
+def cycling_geometry() -> FlashGeometry:
+    """One plane of 5 blocks x 2 pages: 9 logical pages."""
+    return FlashGeometry(channels=1, packages_per_channel=1,
+                         dies_per_package=1, planes_per_die=1,
+                         blocks_per_plane=5, pages_per_block=2)
+
+
+#: Planes per channel and channels of the GC termination streams: one or
+#: two planes, split across dies or channels.
+_PLANE_LAYOUTS = st.sampled_from([(1, 1), (1, 2), (2, 1)])
+
+
+@st.composite
+def gc_streams(draw):
+    """A tiny one- or two-plane FTL and a write stream over its LPNs."""
+    planes, channels = draw(_PLANE_LAYOUTS)
+    geometry = FlashGeometry(
+        channels=channels, packages_per_channel=1, dies_per_package=1,
+        planes_per_die=planes, blocks_per_plane=draw(st.integers(2, 6)),
+        pages_per_block=draw(st.integers(1, 3)),
+        overprovision=draw(st.sampled_from([0.0, 0.07, 0.25])))
+    threshold = draw(st.integers(1, 3))
+    logical = geometry.logical_pages
+    lpns = draw(st.lists(st.integers(0, max(0, logical - 1)), min_size=1,
+                         max_size=60)) if logical else []
+    return geometry, threshold, lpns
+
+
+def _write_outcome(ftl: FlashTranslationLayer, lpn: int):
+    """One write's GC result, or the type of the error it raised."""
+    try:
+        ppn, gc_result = ftl._write_ppn(lpn)
+    except RuntimeError as error:
+        return type(error), str(error)
+    return ppn, (None if gc_result is None
+                 else (gc_result.page_moves, gc_result.blocks_erased))
+
+
+@contextlib.contextmanager
+def returns_within(seconds: int):
+    """Fail, rather than hang, when the body runs longer than *seconds*."""
+    def hang(signum, frame):
+        raise AssertionError(f"the writes did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestGCTermination:
+    def test_write_after_a_fully_live_plane_returns(self):
+        # 8 live LPNs in 9 logical pages of one plane: from the 8th write
+        # on, every victim is fully live and nothing else has room.
+        with returns_within(10):
+            ftl = FlashTranslationLayer(cycling_geometry())
+            for index in range(40):
+                ftl.write(index % 8)
+        assert ftl.gc_invocations > 0
+        assert_valid_counts_exact(ftl)
+        for lpn in range(8):
+            assert ftl.lookup(lpn) is not None
+
+    def test_loop_without_the_stop_cycles_on_that_stream(self):
+        ftl = LoopWithoutCycleStop(cycling_geometry())
+        for index in range(7):
+            ftl.write(index % 8)
+        with pytest.raises(_StepCapReached):
+            ftl.write(7)
+
+    @settings(max_examples=400, deadline=None)
+    @given(gc_streams())
+    def test_equals_the_loop_without_the_stop_wherever_it_returns(
+            self, stream):
+        geometry, threshold, lpns = stream
+        fixed = FlashTranslationLayer(geometry, gc_threshold_blocks=threshold)
+        reference = LoopWithoutCycleStop(geometry,
+                                         gc_threshold_blocks=threshold)
+        for lpn in lpns:
+            try:
+                expected = _write_outcome(reference, lpn)
+            except _StepCapReached:
+                # The reference cycles; the fixed FTL returns, with a
+                # mapping for lpn or with the device-full error.
+                with returns_within(2):
+                    outcome = _write_outcome(fixed, lpn)
+                if outcome[0] is RuntimeError:
+                    assert "flash device is full" in outcome[1]
+                else:
+                    assert fixed._lpn_to_ppn(lpn) == outcome[0]
+                _GC_CYCLE_SEEN.append(True)
+                return
+            assert _write_outcome(fixed, lpn) == expected
+            if expected[0] is RuntimeError:
+                return
+            assert_state_equal(fixed, reference)
+            assert_valid_counts_exact(fixed)
+            if fixed.gc_invocations:
+                _GC_RAN_SEEN.append(True)
+
+    def test_some_drawn_stream_ran_gc_and_some_cycled(self):
+        # Runs after the property above (pytest keeps definition order) and
+        # fails if none of its examples collected, or none cycled.
+        if not (_GC_RAN_SEEN and _GC_CYCLE_SEEN):
+            self.test_equals_the_loop_without_the_stop_wherever_it_returns()
+        assert _GC_RAN_SEEN and _GC_CYCLE_SEEN
+
+
+#: Whether any drawn GC termination stream collected, and whether any
+#: cycled in the loop without the stop.
+_GC_RAN_SEEN = []
+_GC_CYCLE_SEEN = []

@@ -40,6 +40,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from oracles import run_scalar
 from repro.config import FlashGeometry, SSDConfig, default_config
 from repro.flash.ssd import SSD, IORequest
 from repro.nvme.controller import NVMeController
@@ -571,5 +572,5 @@ def test_scalar_reference_matches_golden(platform_name, smoke_config,
                                          smoke_traces):
     for workload in ("seqRd", "rndWr", "update"):
         platform = create_platform(platform_name, smoke_config)
-        result = platform.run(smoke_traces[workload], execution="scalar")
+        result = run_scalar(platform, smoke_traces[workload])
         assert result_digest(result) == GOLDEN[f"{platform_name}/{workload}"]

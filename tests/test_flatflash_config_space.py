@@ -1,18 +1,18 @@
 """Config-space differential of the FlatFlash batched replay.
 
-``tests/test_batched_replay.py`` pins batched == scalar for flatflash-M/P
-at the registry defaults and on one stress config.  This suite draws the
-FlatFlash configuration instead: the mode (flatflash-P/M), the host cache
-(1, 4 and 16 pages, or the smoke default), the SSD-internal DRAM's data
-share (disabled, one page, four pages — the FlatFlash device cache and the
-SSD's own buffer both follow it) and the replay chunk size (1, 7, 64,
-4096), over the seqRd/rndWr (4 KB) and update (64 B) smoke traces plus two
-small hot traces: 4 KB pages, and a mix of 64 B lines and 128 B-4 KB
-references, whose reuse makes pages reach the promotion threshold.  For
-every draw the batched ``run`` and ``_run_scalar`` must agree on the
-``RunResult`` digest, on the PCIe link's bytes, transfers and horizon, on
-the promotion count and counters, on both page caches' LRU order and dirty
-flags and on ``ssd.statistics()``.
+``tests/test_batched_replay.py`` pins batched == the per-access reference of
+``tests/oracles/`` for flatflash-M/P at the registry defaults and on one
+stress config.  This suite draws the FlatFlash configuration instead: the
+mode (flatflash-P/M), the host cache (1, 4 and 16 pages, or the smoke
+default), the SSD-internal DRAM's data share (disabled, one page, four pages
+— the FlatFlash device cache and the SSD's own buffer both follow it) and
+the replay chunk size (1, 7, 64, 4096), over the seqRd/rndWr (4 KB) and
+update (64 B) smoke traces plus two small hot traces: 4 KB pages, and a mix
+of 64 B lines and 128 B-4 KB references, whose reuse makes pages reach the
+promotion threshold.  For every draw the batched ``run`` and ``run_scalar``
+must agree on the ``RunResult`` digest, on the PCIe link's bytes, transfers
+and horizon, on the promotion count and counters, on both page caches' LRU
+order and dirty flags and on ``ssd.statistics()``.
 
 ``REPRO_TEST_CHUNK_SIZES`` (as in ``tests/test_batched_replay.py``) adds its
 sizes to the drawn chunk sizes.
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import run_scalar
 from repro.config import default_config
 from repro.platforms.registry import create_platform
 from repro.units import KB
@@ -87,14 +88,14 @@ def cache_state(cache):
 
 
 def _replay(mode, config, trace, chunk_size):
-    """Everything the MMIO path touches after one run (``_run_scalar``
+    """Everything the MMIO path touches after one run (``run_scalar``
     when *chunk_size* is None)."""
     platform = create_platform(mode, config)
     if chunk_size is None:
-        result = platform.run(trace, execution="scalar")
+        result = run_scalar(platform, trace)
     else:
         platform.replay_chunk_size = chunk_size
-        result = platform.run(trace, execution="batched")
+        result = platform.run(trace)
     link = platform.link
     return (result_digest(result), link.bytes_transferred, link.transfers,
             float(link.busy_until_ns).hex(), platform.promotions,

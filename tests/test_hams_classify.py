@@ -4,10 +4,10 @@
 (``MoSTagArray.classify``: stable sort by tag-array index,
 tag-vs-predecessor compare, residency segments OR-reduced for the dirty
 bits) and lays out a ``cumsum``-laid NVDIMM schedule.  The reference is the
-scalar tag-array sequence :meth:`HAMSController.access` runs per request —
-``lookup``, then ``mark_dirty`` on a store hit or ``install`` on a miss,
-with the NVDIMM calls in scalar order (probe, [victim clone read, clone
-write], landing, serve).  Both must agree on the hits, the miss columns
+scalar tag-array sequence ``hams_classify`` of ``tests/oracles/`` runs per
+request — ``lookup``, then ``mark_dirty`` on a store hit or ``install`` on
+a miss, with the NVDIMM calls in scalar order (probe, [victim clone read,
+clone write], landing, serve).  Both must agree on the hits, the miss columns
 (each miss's MoS page, offset and dirty victim page), the final tag and
 dirty columns, the tag counters and the DRAM counters, ``busy_ns`` bit for
 bit.
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import hams_classify
 from repro.config import default_config
 from repro.core.hams_controller import HAMSController
 from repro.units import KB
@@ -67,36 +68,18 @@ def _pair(mos_page: int, initial=()):
 
 
 def _scalar_classify(controller, addresses, sizes, writes):
-    """The tag-array/NVDIMM half of ``HAMSController.access``, per request."""
-    tag_array = controller.tag_array
-    nvdimm = controller.nvdimm
-    page_bytes = controller.mos_page_bytes
-    line_size = controller.config.nvdimm.ddr.line_size
+    """The oracle's per-request classification of each request in turn."""
     hits, serve = [], []
     misses = {"miss_pages": [], "miss_offsets": [], "miss_victims": []}
     for address, size, is_write in zip(addresses, sizes, writes):
-        controller.accesses += 1
-        decomposed = controller.address_manager.decompose(address)
-        nvdimm.access(line_size, is_write=False)
-        lookup = tag_array.lookup(decomposed.mos_page)
-        hits.append(lookup.hit)
-        serve.append(controller._nvdimm_serve_ns(size))
-        if lookup.hit:
-            nvdimm.access(size, is_write=is_write)
-            if is_write:
-                tag_array.mark_dirty(decomposed.mos_page)
-        else:
-            if lookup.needs_eviction:
-                nvdimm.access(page_bytes, is_write=False)
-                nvdimm.access(page_bytes, is_write=True)
-            nvdimm.access(page_bytes, is_write=True)
-            nvdimm.access(size, is_write=is_write)
-            tag_array.install(decomposed.mos_page, dirty=is_write)
-            misses["miss_pages"].append(decomposed.mos_page)
-            misses["miss_offsets"].append(decomposed.offset)
-            misses["miss_victims"].append(
-                tag_array.page_from(lookup.index, lookup.victim_tag)
-                if lookup.needs_eviction else -1)
+        hit, mos_page, offset, victim_page, serve_ns = hams_classify(
+            controller, address, size, is_write)
+        hits.append(hit)
+        serve.append(serve_ns)
+        if not hit:
+            misses["miss_pages"].append(mos_page)
+            misses["miss_offsets"].append(offset)
+            misses["miss_victims"].append(victim_page)
     return hits, misses, serve
 
 

@@ -1,15 +1,15 @@
 """Config-space differential of the HAMS batched replay.
 
-``tests/test_batched_replay.py`` pins batched == scalar at the registry
-defaults and on one 4-entry stress NVDIMM.  This suite draws the HAMS
-configuration instead: the variant (hams-LP/TP/LE/TE), the MoS page size
-(4 KB, 16 KB, 128 KB — no remainder fill, a short one, the default), the
-number of direct-mapped NVDIMM entries (1, 2, 3, 8 — a non-power-of-two
-count exercises the modulo, one entry puts every request on one index) and
-the replay chunk size (1, 7, 64, 4096), over the seqRd/rndWr/update smoke
-traces.  For every draw the batched ``run`` and ``_run_scalar`` must agree
-on the ``RunResult`` digest, on ``controller.statistics()`` and on the
-final tag-array state.
+``tests/test_batched_replay.py`` pins batched == the per-access reference of
+``tests/oracles/`` at the registry defaults and on one 4-entry stress
+NVDIMM.  This suite draws the HAMS configuration instead: the variant
+(hams-LP/TP/LE/TE), the MoS page size (4 KB, 16 KB, 128 KB — no remainder
+fill, a short one, the default), the number of direct-mapped NVDIMM entries
+(1, 2, 3, 8 — a non-power-of-two count exercises the modulo, one entry puts
+every request on one index) and the replay chunk size (1, 7, 64, 4096), over
+the seqRd/rndWr/update smoke traces.  For every draw the batched ``run`` and
+``run_scalar`` must agree on the ``RunResult`` digest, on
+``controller.statistics()`` and on the final tag-array state.
 
 ``REPRO_TEST_CHUNK_SIZES`` (as in ``tests/test_batched_replay.py``) adds its
 sizes to the drawn chunk sizes.
@@ -21,6 +21,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import run_scalar
 from repro.config import default_config
 from repro.platforms.registry import create_platform
 from repro.units import KB
@@ -60,13 +61,13 @@ def _config(mos_page: int, entries: int):
 
 def _replay(variant, config, trace, chunk_size):
     """The digest, the controller statistics and the final tag and dirty
-    columns of one run (``_run_scalar`` when *chunk_size* is None)."""
+    columns of one run (``run_scalar`` when *chunk_size* is None)."""
     platform = create_platform(variant, config)
     if chunk_size is None:
-        result = platform.run(trace, execution="scalar")
+        result = run_scalar(platform, trace)
     else:
         platform.replay_chunk_size = chunk_size
-        result = platform.run(trace, execution="batched")
+        result = platform.run(trace)
     controller = platform.controller
     return (result_digest(result), controller.statistics(),
             controller.tag_array.tags.tolist(),

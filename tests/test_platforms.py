@@ -1,9 +1,16 @@
-"""Platform models: construction, replay, and per-platform behaviour."""
+"""Platform models: construction, replay, and per-platform behaviour.
 
+The per-access checks serve single accesses through the per-access
+reference of ``tests/oracles/``, which calls each platform's own device
+helpers.
+"""
+
+import numpy as np
 import pytest
 
+from oracles import service_access
 from repro.config import default_config
-from repro.platforms.base import MemoryServiceResult
+from repro.platforms.base import MemoryServiceBatch
 from repro.platforms.bypass import BypassPlatform
 from repro.platforms.flatflash import FlatFlashPlatform
 from repro.platforms.hams_platform import HAMSPlatform
@@ -43,19 +50,23 @@ class TestRegistry:
             default_config().nvdimm.capacity_bytes
 
 
-class TestMemoryServiceResult:
+class TestMemoryServiceBatch:
     def test_rejects_negative_latencies(self):
         with pytest.raises(ValueError):
-            MemoryServiceResult(latency_ns=-1.0)
+            MemoryServiceBatch(latency_ns=np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            MemoryServiceBatch(latency_ns=np.zeros(2),
+                               storage_ns=np.array([0.0, -1.0]))
 
 
 class TestOracle:
     def test_every_access_is_dram_speed(self):
         platform = OraclePlatform(CONFIG)
-        result = platform.service_memory_access(0, 64, False, 0.0)
-        assert result.latency_ns < 200.0
-        assert result.os_ns == 0.0
-        assert result.storage_ns == 0.0
+        latency_ns, os_ns, storage_ns = service_access(platform, 0, 64,
+                                                       False, 0.0)
+        assert latency_ns < 200.0
+        assert os_ns == 0.0
+        assert storage_ns == 0.0
 
     def test_run_produces_result(self):
         result = OraclePlatform(CONFIG).run(small_trace())
@@ -69,23 +80,23 @@ class TestMmap:
     def test_page_fault_charges_os_and_storage(self):
         platform = MmapPlatform(CONFIG)
         platform.prepare(small_trace())
-        result = platform.service_memory_access(0, KB(4), False, 0.0)
-        assert result.os_ns > 0
-        assert result.storage_ns > 0
+        _, os_ns, storage_ns = service_access(platform, 0, KB(4), False, 0.0)
+        assert os_ns > 0
+        assert storage_ns > 0
 
     def test_resident_page_is_cheap(self):
         platform = MmapPlatform(CONFIG)
         platform.prepare(small_trace())
-        platform.service_memory_access(0, KB(4), False, 0.0)
-        hit = platform.service_memory_access(0, KB(4), False, 1e6)
-        assert hit.os_ns == 0.0
-        assert hit.latency_ns < 5_000.0
+        service_access(platform, 0, KB(4), False, 0.0)
+        latency_ns, os_ns, _ = service_access(platform, 0, KB(4), False, 1e6)
+        assert os_ns == 0.0
+        assert latency_ns < 5_000.0
 
     def test_sequential_faults_use_readahead(self):
         platform = MmapPlatform(CONFIG)
         platform.prepare(small_trace())
-        platform.service_memory_access(0, KB(4), False, 0.0)
-        platform.service_memory_access(KB(4), KB(4), False, 1e6)
+        service_access(platform, 0, KB(4), False, 0.0)
+        service_access(platform, KB(4), KB(4), False, 1e6)
         assert platform.readahead_fills > 0
 
     def test_run_has_significant_os_share(self):
@@ -168,15 +179,15 @@ class TestNvdimmC:
     def test_migration_latency_dominates_misses(self):
         platform = NvdimmCPlatform(CONFIG)
         platform.prepare(small_trace())
-        miss = platform.service_memory_access(0, 64, False, 0.0)
-        assert miss.latency_ns >= platform.migration_latency_ns
+        latency_ns, _, _ = service_access(platform, 0, 64, False, 0.0)
+        assert latency_ns >= platform.migration_latency_ns
 
     def test_hit_after_migration_is_fast(self):
         platform = NvdimmCPlatform(CONFIG)
         platform.prepare(small_trace())
-        platform.service_memory_access(0, 64, False, 0.0)
-        hit = platform.service_memory_access(0, 64, False, 1e6)
-        assert hit.latency_ns < 1_000.0
+        service_access(platform, 0, 64, False, 0.0)
+        latency_ns, _, _ = service_access(platform, 0, 64, False, 1e6)
+        assert latency_ns < 1_000.0
 
 
 class TestHAMSPlatform:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import run_scalar
 from repro.config import default_config
 from repro.distrib.manifest import estimate_spec_cost
 from repro.platforms.registry import available_platforms, create_platform
@@ -330,8 +331,8 @@ class TestFileAccessStream:
         config = scale_system_config(default_config(), SCALE)
         trace = load_trace_file(path)
         batched = create_platform("mmap", config).run(trace)
-        scalar = create_platform("mmap", config).run(
-            load_trace_file(path), execution="scalar")
+        scalar = run_scalar(create_platform("mmap", config),
+                            load_trace_file(path))
         assert dataclasses.asdict(batched) == dataclasses.asdict(scalar)
 
 

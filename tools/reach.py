@@ -72,17 +72,21 @@ HOOK = textwrap.dedent('''\
         import threading
 
         _PREFIX = os.environ["REACH_PACKAGE"] + os.sep
-        _SEEN = set()
-        _ADD = _SEEN.add
+        # Keyed by identity: code objects compare equal across files when
+        # their name, bytecode and first line match, so a set would keep
+        # only one of two such functions.  The values keep each code
+        # object alive, so its id is never reused.
+        _SEEN = {}
         _DUMPS = [0]
 
         def _profile(frame, event, arg):
             if event == "call":
-                _ADD(frame.f_code)
+                code = frame.f_code
+                _SEEN[id(code)] = code
 
         def _dump():
             lines = sorted({f"{code.co_filename}:{code.co_firstlineno}"
-                            for code in list(_SEEN)
+                            for code in list(_SEEN.values())
                             if code.co_filename.startswith(_PREFIX)})
             _DUMPS[0] += 1
             path = os.path.join(_OUT, f"{os.getpid()}-{_DUMPS[0]}.txt")
