@@ -235,6 +235,7 @@ class SSD:
         # shared structures (this walk is the one service path).
         buffer_pages = buffer._pages
         buffer_move = buffer_pages.move_to_end
+        buffer_has = buffer_pages.__contains__
         buffer_popitem = buffer_pages.popitem
         buffer_capacity = buffer.capacity_pages
         buffer_insert = buffer._insert
@@ -327,6 +328,17 @@ class SSD:
                     # channel reservations per page, so a 16-page chunk
                     # read is one tight loop instead of 16 scalar walks.
                     zero_finish = firmware_done + hit_ns
+                    if (buffer_enabled and first != last
+                            and all(map(buffer_has, lpns))):
+                        # Every page is buffered: each is a hit that only
+                        # moves it to the MRU end and finishes at
+                        # zero_finish, so one pass serves the read.
+                        for lpn in lpns:
+                            buffer_move(lpn)
+                        buf_read_hits += len(lpns)
+                        if zero_finish > finish:
+                            finish = zero_finish
+                        lpns = ()  # nothing left for the per-page loop
                     for lpn in lpns:
                         if buffer_enabled and lpn in buffer_pages:
                             buffer_move(lpn)

@@ -14,18 +14,20 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..config import OSStackConfig
 
 #: An install policy run on every batched page-cache miss: it receives the
-#: missing ``(page_number, is_write)`` and returns the evictions its
-#: ``PageCache.install`` / ``install_run`` calls produced, in install
-#: order.  The default policy installs the missing page itself; platforms
-#: with prefetching installs (migration chunks, readahead) supply their own.
-InstallPolicy = Callable[[int, bool], List[Tuple[int, bool]]]
+#: missing ``(page_number, is_write)`` and returns the page numbers of the
+#: dirty victims its ``PageCache.install`` / ``install_run`` calls evicted,
+#: in install order (a clean victim needs no writeback, so it is not
+#: recorded).  The default policy installs the missing page itself;
+#: platforms with prefetching installs (migration chunks, readahead)
+#: supply their own.
+InstallPolicy = Callable[[int, bool], List[int]]
 
 
 @dataclass
@@ -34,14 +36,14 @@ class PageCacheBatchResult:
 
     ``hits[i]`` is ``True`` when access *i* of the batch was resident;
     ``miss_indices`` lists the missing positions in access order, and
-    ``evictions[k]`` holds the ``(page, dirty)`` pairs the *k*-th miss's
-    install policy evicted (in install order) — the writeback schedule the
-    platforms replay against their devices.
+    ``evictions[k]`` holds the page numbers of the dirty victims the
+    *k*-th miss's install policy evicted (in install order) — the
+    writeback schedule the platforms replay against their devices.
     """
 
     hits: np.ndarray
     miss_indices: np.ndarray
-    evictions: List[List[Tuple[int, bool]]] = field(default_factory=list)
+    evictions: List[List[int]] = field(default_factory=list)
 
     @property
     def miss_count(self) -> int:
@@ -124,67 +126,74 @@ class PageCache:
         return False
 
     def install(self, page_number: int,
-                dirty: bool = False) -> Optional[Tuple[int, bool]]:
-        """Insert a page after a fault; returns an evicted ``(page, dirty)``."""
+                dirty: bool = False) -> Optional[int]:
+        """Insert a page after a fault; returns the evicted page when it
+        was dirty (``None`` when the install evicted nothing or a clean
+        page)."""
         if self.capacity_pages == 0:
             # A zero-capacity cache retains nothing: no insert and, in
             # particular, no eviction — the pre-existing residency set is
             # empty by construction, so there is never a victim to write
             # back.  Every access keeps counting a miss.
             return None
-        evicted: Optional[Tuple[int, bool]] = None
-        if page_number in self._pages:
-            self._pages.move_to_end(page_number)
+        resident = self._pages
+        if page_number in resident:
+            resident.move_to_end(page_number)
             if dirty:
-                self._pages[page_number] = True
+                resident[page_number] = True
             return None
-        if len(self._pages) >= self.capacity_pages:
-            victim, victim_dirty = self._pages.popitem(last=False)
+        dirty_victim: Optional[int] = None
+        if len(resident) >= self.capacity_pages:
+            victim, victim_dirty = resident.popitem(last=False)
             if victim_dirty:
                 self.dirty_writebacks += 1
-            evicted = (victim, victim_dirty)
-        self._pages[page_number] = dirty
-        if self._track_tenants:
-            installer = self._install_tenant
-            if evicted is not None:
-                victim_owner = self._owners.pop(evicted[0], None)
-                if (victim_owner is not None and installer is not None
-                        and victim_owner != installer):
-                    self._evictions_suffered[victim_owner] += 1
-                    self._evictions_inflicted[installer] += 1
-            if installer is not None:
-                self._owners[page_number] = installer
-        return evicted
+                dirty_victim = victim
+            if self._track_tenants:
+                self._charge_pollution(victim)
+        resident[page_number] = dirty
+        if self._track_tenants and self._install_tenant is not None:
+            self._owners[page_number] = self._install_tenant
+        return dirty_victim
+
+    def _charge_pollution(self, victim: int) -> None:
+        """Drop *victim*'s owner; a cross-tenant eviction counts against
+        both the owner (suffered) and the installing tenant (inflicted)."""
+        installer = self._install_tenant
+        victim_owner = self._owners.pop(victim, None)
+        if (victim_owner is not None and installer is not None
+                and victim_owner != installer):
+            self._evictions_suffered[victim_owner] += 1
+            self._evictions_inflicted[installer] += 1
 
     def install_run(self, first: int, count: int,
-                    dirty_first: bool) -> List[Tuple[int, bool]]:
-        """Install pages ``first .. first + count - 1``; returns evictions.
+                    dirty_first: bool) -> List[int]:
+        """Install pages ``first .. first + count - 1``; returns the dirty
+        victims' page numbers.
 
         Equivalent — in LRU order, dirty flags, ``dirty_writebacks``, the
         zero-capacity no-op and tenant ownership/pollution accounting — to::
 
             for offset in range(count):
-                evicted = self.install(first + offset,
-                                       dirty=dirty_first and offset == 0)
-                if evicted is not None:
-                    evictions.append(evicted)
+                victim = self.install(first + offset,
+                                      dirty=dirty_first and offset == 0)
+                if victim is not None:
+                    victims.append(victim)
 
         as one inlined loop: the run installs of migration chunks and
         readahead pay no per-page call.
         """
         capacity = self.capacity_pages
-        evictions: List[Tuple[int, bool]] = []
+        victims: List[int] = []
         if capacity == 0:
-            return evictions
+            return victims
         resident = self._pages
         move_to_end = resident.move_to_end
         popitem = resident.popitem
-        append = evictions.append
+        append = victims.append
         size = len(resident)
         track = self._track_tenants
         installer = self._install_tenant
         owners = self._owners
-        writebacks = 0
         dirty = dirty_first
         for page in range(first, first + count):
             if page in resident:
@@ -193,25 +202,19 @@ class PageCache:
                     resident[page] = True
             else:
                 if size >= capacity:
-                    # popitem's (page, dirty) pair is the eviction record.
-                    evicted = popitem(last=False)
-                    if evicted[1]:
-                        writebacks += 1
-                    append(evicted)
+                    victim, victim_dirty = popitem(last=False)
+                    if victim_dirty:
+                        append(victim)
                     if track:
-                        victim_owner = owners.pop(evicted[0], None)
-                        if (victim_owner is not None and installer is not None
-                                and victim_owner != installer):
-                            self._evictions_suffered[victim_owner] += 1
-                            self._evictions_inflicted[installer] += 1
+                        self._charge_pollution(victim)
                 else:
                     size += 1
                 resident[page] = dirty
                 if track and installer is not None:
                     owners[page] = installer
             dirty = False
-        self.dirty_writebacks += writebacks
-        return evictions
+        self.dirty_writebacks += len(victims)
+        return victims
 
     def access_batch(self, pages, writes,
                      install: Optional[InstallPolicy] = None,
@@ -220,8 +223,8 @@ class PageCache:
         """Replay a whole access column through the LRU, order-exactly.
 
         Equivalent — in residency set, LRU order, dirty flags, the
-        ``hits``/``misses``/``dirty_writebacks`` counters and the eviction
-        ``(page, dirty)`` sequence — to the scalar loop::
+        ``hits``/``misses``/``dirty_writebacks`` counters and the dirty-victim
+        sequence — to the scalar loop::
 
             for page, is_write in zip(pages, writes):
                 if not self.access(page, is_write):
@@ -237,7 +240,9 @@ class PageCache:
         The walk is run-length collapsed: consecutive accesses to the same
         page are folded into one LRU transition, because once a page is
         resident the rest of its run can only hit (a hit moves the page to
-        the MRU end and never evicts).  Residency is re-checked after every
+        the MRU end and never evicts).  Residency is tested first, so a run
+        whose page is resident costs one membership test, one MRU move and
+        one precomputed any-write flag.  Residency is re-checked after every
         install, so policies that fail to leave the missing page resident —
         a zero-capacity cache, or a chunk install whose own tail evicts the
         faulting page again — fall out of the collapse and keep missing,
@@ -255,7 +260,7 @@ class PageCache:
             raise ValueError("pages and writes must be equal-length")
         hits = np.ones(count, dtype=bool)
         miss_positions: List[int] = []
-        evictions: List[List[Tuple[int, bool]]] = []
+        evictions: List[List[int]] = []
         if count == 0:
             return PageCacheBatchResult(hits=hits,
                                         miss_indices=np.empty(0, dtype=np.int64),
@@ -270,11 +275,9 @@ class PageCache:
         run_pages = pages[starts].tolist()
         starts_list = starts.tolist()
         ends_list = ends.tolist()
-        # Prefix write counts: any write in [a, b) iff write_prefix[b] >
-        # write_prefix[a] — O(1) per collapsed run tail.
-        write_prefix = np.concatenate(
-            (np.zeros(1, dtype=np.int64),
-             np.cumsum(writes, dtype=np.int64))).tolist()
+        # Whether each run holds a write: a resident run's one dirty-flag
+        # update.
+        run_writes = np.logical_or.reduceat(writes, starts).tolist()
         writes_list = writes.tolist()
 
         residency = self._pages
@@ -285,20 +288,30 @@ class PageCache:
             if len(tenant_column) != count:
                 raise ValueError("tenants column must match the batch")
             tenants_list = tenant_column.tolist()
-        for start, end, page in zip(starts_list, ends_list, run_pages):
+        for start, end, page, run_write in zip(starts_list, ends_list,
+                                               run_pages, run_writes):
+            if page in residency:
+                # A resident run is all hits: one MRU move and one
+                # dirty-flag update stand in for each scalar touch.
+                move_to_end(page)
+                if run_write:
+                    residency[page] = True
+                continue
             index = start
-            while index < end and page not in residency:
+            while True:
                 miss_positions.append(index)
                 if attribute:
                     self._install_tenant = tenants_list[index]
                 evictions.append(install(page, writes_list[index]))
                 index += 1
-            if index < end:
-                # The rest of the run is guaranteed hits: one MRU move and
-                # one dirty-flag update stand in for each scalar touch.
-                move_to_end(page)
-                if write_prefix[end] > write_prefix[index]:
-                    residency[page] = True
+                if index == end:
+                    break
+                if page in residency:
+                    # The rest of the run is guaranteed hits.
+                    move_to_end(page)
+                    if run_write and True in writes_list[index:end]:
+                        residency[page] = True
+                    break
         self._install_tenant = None
         miss_count = len(miss_positions)
         miss_indices = np.asarray(miss_positions, dtype=np.int64)
@@ -316,10 +329,10 @@ class PageCache:
                                     evictions=evictions)
 
     def _install_single_page(self, page_number: int,
-                             is_write: bool) -> List[Tuple[int, bool]]:
+                             is_write: bool) -> List[int]:
         """The default install policy: the missing page itself."""
-        evicted = self.install(page_number, dirty=is_write)
-        return [] if evicted is None else [evicted]
+        victim = self.install(page_number, dirty=is_write)
+        return [] if victim is None else [victim]
 
     def resident_pages(self) -> List[int]:
         """The resident pages in LRU order (least recently used first)."""

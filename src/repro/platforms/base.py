@@ -22,7 +22,8 @@ The analytic platforms are truly vectorized; the page-cached
 platforms (mmap, FlatFlash, NVDIMM-C, Optane memory mode, the ULL
 bypasses) run an order-exact batched LRU walk
 (:meth:`repro.host.os_stack.PageCache.access_batch`) and replay only its
-misses — FlatFlash in one MMIO loop of its own, the others through
+misses — FlatFlash, NVDIMM-C and bypass-ull in one loop of their own,
+mmap and bypass-ull-buff through
 :meth:`MemoryRequestBatch.service_page_cached`; and HAMS splits its
 datapath into a clock-free tag classification plus clock-exact miss
 replay (:meth:`repro.core.hams_controller.HAMSController.classify_batch`).  All batched
@@ -117,9 +118,9 @@ class MemoryRequestBatch:
                             miss_service) -> "MemoryServiceBatch":
         """Fold a page-cache hit/miss split into a service batch, clock-exactly.
 
-        The engine behind the DRAM-cache platforms' vectorized
-        ``service_batch`` (FlatFlash folds the same way inside its own
-        MMIO loop).  The caller classifies
+        The engine behind mmap's and bypass-ull-buff's vectorized
+        ``service_batch`` (FlatFlash, NVDIMM-C and bypass-ull fold the
+        same way inside loops of their own).  The caller classifies
         every request against its page cache (one
         :meth:`~repro.host.os_stack.PageCache.access_batch` walk) and
         computes the hits' clock-independent service latencies in one
@@ -284,11 +285,12 @@ class Platform(abc.ABC):
         issue clock the batch's timeline gives, in request order.  The
         platforms whose service cost is clock-independent (oracle, Optane App
         Direct, the NVDIMM bypass) are truly vectorized; the page-cached
-        platforms (mmap, NVDIMM-C, Optane memory mode, the ULL bypasses)
-        run the batched page-cache walk +
-        :meth:`MemoryRequestBatch.service_page_cached` fold, which replays
-        only the misses against the device; FlatFlash runs its two cache
-        walks + one MMIO loop over the misses
+        platforms run the batched page-cache walk and replay only the
+        misses against the device — mmap and bypass-ull-buff through the
+        :meth:`MemoryRequestBatch.service_page_cached` fold, NVDIMM-C in
+        one migration loop, Optane memory mode as one vectorized media
+        schedule; FlatFlash runs its two cache walks + one MMIO loop over
+        the misses
         (:class:`repro.platforms.flatflash.FlatFlashPlatform`); and HAMS
         the clock-free tag-classification walk in
         :class:`repro.platforms.hams_platform.HAMSPlatform`.

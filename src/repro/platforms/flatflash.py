@@ -25,7 +25,7 @@ independent MMIO reference is in ``tests/test_protocol_recurrences.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -137,9 +137,9 @@ class FlatFlashPlatform(Platform):
         counts = self._access_counts
         install = self.host_cache.install
         record = promoted.append
-        no_evictions: List[Tuple[int, bool]] = []
+        no_evictions: List[int] = []
 
-        def policy(page: int, is_write: bool) -> List[Tuple[int, bool]]:
+        def policy(page: int, is_write: bool) -> List[int]:
             count = counts.get(page, 0) + 1
             if count < _PROMOTION_THRESHOLD:
                 counts[page] = count
@@ -154,7 +154,7 @@ class FlatFlashPlatform(Platform):
 
     def _mmio_replay(self, pages: List[int], sizes: List[int],
                      writes: List[bool], device_hits: List[bool],
-                     device_evictions: List[List[Tuple[int, bool]]],
+                     device_evictions: List[List[int]],
                      promoted: List[bool], now: float,
                      addends: Optional[np.ndarray], slots: List[int],
                      on_chip: List[float]) -> List[float]:
@@ -165,7 +165,8 @@ class FlatFlashPlatform(Platform):
         costs one PCIe round trip per 64 B line (the ~4.8 us/64 B figure
         the paper quotes), while the flash page itself is read only once.
         Each device-cache miss takes the next entry of *device_evictions*
-        (the device walk's evictions, in miss order).  Reference *k* issues
+        (the device walk's dirty victims, in miss order) and writes each
+        victim back once its own read is done.  Reference *k* issues
         at *now* plus ``addends[cursor:slots[k]]``, folded left to right as
         :meth:`MemoryRequestBatch.service_page_cached` folds them, and
         its own slot elapses as ``on_chip[k] + latency``.  Flash accesses
@@ -212,10 +213,8 @@ class FlatFlashPlatform(Platform):
                     at = now + latency
                     finish = step((is_write, page * _PAGE, _PAGE, at, False))
                     latency += finish - at
-                    for victim, victim_dirty in next(evictions):
-                        if victim_dirty:
-                            step((True, victim * _PAGE, _PAGE, finish,
-                                  False))
+                    for victim in next(evictions):
+                        step((True, victim * _PAGE, _PAGE, finish, False))
                 lines = size // 64
                 if lines > 1:
                     extra_lines += 1

@@ -99,7 +99,7 @@ class MmapPlatform(Platform):
         pages = batch.addresses // OS_PAGE_BYTES
         readaheads: List[int] = []
 
-        def install(page: int, is_write: bool) -> List[Tuple[int, bool]]:
+        def install(page: int, is_write: bool) -> List[int]:
             readahead, victims = self._install_fault(page, is_write)
             readaheads.append(readahead)
             return victims
@@ -126,31 +126,28 @@ class MmapPlatform(Platform):
                                              walk.miss_indices, miss_service)
 
     def _install_fault(self, page: int, is_write: bool
-                       ) -> Tuple[int, List[Tuple[int, bool]]]:
+                       ) -> Tuple[int, List[int]]:
         """Page-cache side of a major fault: install the page + readahead.
 
         Sequential faults benefit from readahead: one larger device read
         covers the next pages, which then hit in the page cache.  Only the
         faulting page inherits the access's dirtiness.  Returns the
-        readahead page count and the dirty victims the installs evicted, in
-        install order.  A lone fault is one :meth:`PageCache.install`, a
+        readahead page count and the pages of the dirty victims the
+        installs evicted, in install order.  A lone fault is one :meth:`PageCache.install`, a
         readahead one :meth:`PageCache.install_run`.
         """
         sequential = page == self._last_faulted_page + 1
         self._last_faulted_page = page
         if not sequential:
-            evicted = self.page_cache.install(page, dirty=is_write)
-            return 1, ([evicted] if evicted is not None and evicted[1]
-                       else [])
+            victim = self.page_cache.install(page, dirty=is_write)
+            return 1, [] if victim is None else [victim]
         readahead = self.os_stack.readahead_pages
         self.readahead_fills += readahead - 1
-        victims = [evicted for evicted
-                   in self.page_cache.install_run(page, readahead, is_write)
-                   if evicted[1]]
-        return readahead, victims
+        return readahead, self.page_cache.install_run(page, readahead,
+                                                      is_write)
 
     def _fault_io(self, page: int, readahead: int,
-                  victims: List[Tuple[int, bool]], at_ns: float,
+                  victims: List[int], at_ns: float,
                   step) -> Tuple[float, float]:
         """Storage side of a major fault: software stack, read, writebacks.
 
@@ -168,7 +165,7 @@ class MmapPlatform(Platform):
                                 read_at)[0] - read_at
         writeback_at = at_ns + os_ns + storage_ns
         writeback_os_ns = 0.0
-        for victim, _ in victims:
+        for victim in victims:
             # Writeback is mostly asynchronous (pdflush-style): a tenth of
             # the device time lands on the faulting thread, the software
             # cost of building and submitting the bio all of it.

@@ -10,7 +10,7 @@ as ~48 us even though the Z-NAND read itself takes 3 us (Section VI-B).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -39,13 +39,13 @@ class NvdimmCPlatform(Platform):
     history — make every request order- and time-dependent.
     :meth:`service_batch` nevertheless vectorizes the replay: one
     order-exact :meth:`~repro.host.os_stack.PageCache.access_batch` walk
-    classifies the whole batch and captures the per-miss eviction schedule,
+    classifies the whole batch and captures each miss's dirty victims,
     the DRAM latencies fold in one vectorized
     :meth:`~repro.memory.nvdimm.NVDIMM.access_batch` call, and only the
     misses — whose migrations genuinely depend on the clock — replay
-    against the SSD at exactly reconstructed issue times
-    (:meth:`~repro.platforms.base.MemoryRequestBatch.service_page_cached`),
-    stepping one :meth:`~repro.flash.ssd.SSD.walk` opened for the batch.
+    against the SSD at exactly reconstructed issue times, in one
+    :meth:`_migration_replay` loop over one open
+    :meth:`~repro.flash.ssd.SSD.walk`.
     """
 
     name = "nvdimm-C"
@@ -70,50 +70,30 @@ class NvdimmCPlatform(Platform):
     def prepare(self, trace: WorkloadTrace) -> None:
         self.ssd.precondition_dataset(trace.dataset_bytes)
 
-    def _chunk_first(self, page: int) -> int:
-        """First OS page of the migration chunk covering *page*."""
-        return (page // self._pages_per_migration) * self._pages_per_migration
-
-    def _install_migration_chunk(self, page: int,
-                                 is_write: bool) -> List[Tuple[int, bool]]:
-        """Install the migration chunk covering *page*; returns evictions.
+    def _install_migration_chunk(self, page: int, is_write: bool) -> List[int]:
+        """Install the migration chunk covering *page*; returns the dirty
+        victims' pages.
 
         The on-DIMM controller moves a whole chunk per refresh window, so a
         miss installs every OS page the chunk covers (the faulting access's
         dirtiness lands on the chunk head, as the controller tracks
-        dirtiness at migration granularity).  Also the install policy of the
+        dirtiness at migration granularity).  The install policy of the
         batched :meth:`~repro.host.os_stack.PageCache.access_batch` walk.
         """
-        return self.dram_cache.install_run(self._chunk_first(page),
-                                           self._pages_per_migration,
+        chunk = self._pages_per_migration
+        return self.dram_cache.install_run((page // chunk) * chunk, chunk,
                                            is_write)
-
-    def _migrate_chunk(self, page: int, evictions: List[Tuple[int, bool]],
-                       at_ns: float, step) -> float:
-        """Charge one refresh-window migration plus its dirty writebacks,
-        each flash request one *step* of an open :meth:`SSD.walk`."""
-        chunk_first = self._chunk_first(page)
-        finish = step((False, chunk_first * _PAGE,
-                       self.migration_granularity_bytes, at_ns, False))
-        migration_ns = max(self.migration_latency_ns, finish - at_ns)
-        for victim, victim_dirty in evictions:
-            if victim_dirty:
-                step((True, victim * _PAGE, _PAGE, at_ns + migration_ns,
-                      False))
-                # Mostly overlapped with the migration.
-                migration_ns += self.migration_latency_ns * 0.1
-        return migration_ns
 
     def service_batch(self, batch: MemoryRequestBatch) -> MemoryServiceBatch:
         """Vectorized service around the order-exact batched LRU walk.
 
         One :meth:`~repro.host.os_stack.PageCache.access_batch` walk (with
-        the chunk-install policy) yields the hit mask and the per-miss
-        eviction schedule, the DRAM cost of every request folds in one
+        the chunk-install policy) yields the hit mask and each miss's
+        dirty victims, the DRAM cost of every request folds in one
         vectorized call, and only the misses replay against the SSD at
-        their exact scalar-loop issue clocks.  Bit-identical to the per-access
-        reference of ``tests/oracles/`` — ``tests/test_batched_replay.py``
-        is the contract.
+        their exact scalar-loop issue clocks (:meth:`_migration_replay`).
+        Bit-identical to the per-access reference of ``tests/oracles/`` —
+        ``tests/test_batched_replay.py`` is the contract.
         """
         if len(batch) == 0:
             return MemoryServiceBatch(latency_ns=np.empty(0))
@@ -123,20 +103,75 @@ class NvdimmCPlatform(Platform):
             tenants=batch.tenant_ids)
         dram_latency = self.dram.access_batch(batch.sizes, batch.writes)
         self._dram_busy_ns = sequential_add(self._dram_busy_ns, dram_latency)
-        self.migrations += walk.miss_count
-        # Only the misses read the scalar views; all-hit chunks skip them.
-        pages_list = pages.tolist() if walk.miss_count else []
-        dram_latency_list = dram_latency.tolist() if walk.miss_count else []
-        evictions = walk.evictions
+        misses = walk.miss_indices
+        latency = dram_latency.copy()
+        if len(misses) == 0:
+            return MemoryServiceBatch(latency_ns=latency)
+        self.migrations += len(misses)
+        addends = batch.timeline.addends.copy()
+        slots = batch.timeline.service_slots
+        hit_rows = np.flatnonzero(walk.hits)
+        # The hits' slots elapse like any other timeline addend.
+        addends[slots[hit_rows]] = (batch.on_chip_ns[hit_rows]
+                                    + dram_latency[hit_rows])
+        latency[misses] = self._migration_replay(
+            pages[misses].tolist(), walk.evictions, batch.start_ns, addends,
+            slots[misses].tolist(), batch.on_chip_ns[misses].tolist(),
+            dram_latency[misses].tolist())
+        return MemoryServiceBatch(latency_ns=latency)
 
-        def miss_service(k: int, index: int, now: float):
-            migration_ns = self._migrate_chunk(pages_list[index],
-                                               evictions[k], now, step)
-            return migration_ns + dram_latency_list[index], 0.0, 0.0
+    def _migration_replay(self, pages: List[int], victims: List[List[int]],
+                          now: float, addends: np.ndarray, slots: List[int],
+                          on_chip: List[float],
+                          dram_latency: List[float]) -> List[float]:
+        """Replay the misses' migrations in order; returns their latencies.
 
+        Miss *k* issues at *now* plus ``addends[cursor:slots[k]]``, folded
+        left to right as
+        :meth:`~repro.platforms.base.MemoryRequestBatch.service_page_cached`
+        folds them.  It reads the whole migration chunk covering its page
+        in one flash request and waits at least one refresh window
+        (``migration_latency_ns``) for it.  Each of its dirty victims
+        (``victims[k]``) is then written back once the migration so far is
+        over, each adding a tenth of a window, as a writeback mostly
+        overlaps the migration.  The miss is served from DRAM after that,
+        and its own slot elapses as ``on_chip[k] + latency``.  Every flash
+        request is one step of one open :meth:`~repro.flash.ssd.SSD.walk`.
+        """
+        chunk = self._pages_per_migration
+        chunk_bytes = self.migration_granularity_bytes
+        window = self.migration_latency_ns
+        writeback_ns = window * 0.1
+        latencies: List[float] = []
+        record = latencies.append
+        addends_list = None  # materialised lazily, for short-gap folds only
+        cursor = 0
         with self.ssd.walk() as step:
-            return batch.service_page_cached(walk.hits, dram_latency,
-                                             walk.miss_indices, miss_service)
+            for page, dirty, slot, chip, served in zip(
+                    pages, victims, slots, on_chip, dram_latency):
+                gap = slot - cursor
+                if gap >= 64:
+                    # Long hit/compute stretch: one strict sequential fold.
+                    now = sequential_add(now, addends[cursor:slot])
+                elif gap:
+                    if addends_list is None:
+                        addends_list = addends.tolist()
+                    for addend in addends_list[cursor:slot]:
+                        now += addend
+                cursor = slot + 1
+                finish = step((False, (page // chunk) * chunk * _PAGE,
+                               chunk_bytes, now, False))
+                migration_ns = finish - now
+                if window >= migration_ns:
+                    migration_ns = window
+                for victim in dirty:
+                    step((True, victim * _PAGE, _PAGE, now + migration_ns,
+                          False))
+                    migration_ns += writeback_ns
+                latency = migration_ns + served
+                record(latency)
+                now += chip + latency
+        return latencies
 
     def page_caches(self) -> list:
         return ["dram_cache"]

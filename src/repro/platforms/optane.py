@@ -99,9 +99,8 @@ class OptanePlatform(Platform):
         latency = dram_latency.copy()
         misses = walk.miss_indices
         if len(misses):
-            dirty_victim = np.fromiter(
-                (bool(evicted) and evicted[0][1] for evicted in walk.evictions),
-                dtype=bool, count=len(misses))
+            dirty_victim = np.fromiter(map(bool, walk.evictions),
+                                       dtype=bool, count=len(misses))
             writeback_count = int(np.count_nonzero(dirty_victim))
             # The scalar media-call schedule: per miss one 4 KB fetch read,
             # followed — when the install evicted a dirty victim — by one

@@ -12,11 +12,13 @@ the second, independent implementation that path is compared against:
 * :func:`service_access` serves one off-chip access on any registered
   platform, through one per-access function per platform class.  Those
   call the same device helpers the batched paths call (mmap's
-  ``_install_fault`` / ``_fault_io``, nvdimm-C's
-  ``_install_migration_chunk`` / ``_migrate_chunk``, the ULL bypass's
-  ``_flash_access``, FlatFlash's ``_mmio_replay`` as a batch of one), but
-  classify each access on its own through the scalar
-  ``PageCache.access`` / ``install``;
+  ``_install_fault`` / ``_fault_io``, the ULL bypass's ``_flash_access``,
+  FlatFlash's ``_mmio_replay`` as a batch of one), but classify each
+  access on its own through the scalar ``PageCache.access`` /
+  ``install``.  nvdimm-C's keeps a copy of its own of the miss: the chunk
+  installed page by page, the chunk read, then the dirty victims'
+  writebacks — so its differential compares two implementations of the
+  migration charge, not one;
 * :func:`hams_access` serves one HAMS request with the scalar tag-array
   sequence (:func:`hams_classify`: ``MoSTagArray.lookup``, then
   ``mark_dirty`` or ``install``, with the NVDIMM charged call by call),

@@ -138,8 +138,7 @@ def serve_optane(platform: OptanePlatform, address: int, size_bytes: int,
     # Memory-mode miss: fetch the 4 KB block from the media into DRAM,
     # write back the dirty victim if needed, then serve from DRAM.
     latency = optane.read(PAGE).latency_ns
-    evicted = platform.dram_cache.install(page, dirty=is_write)
-    if evicted is not None and evicted[1]:
+    if platform.dram_cache.install(page, dirty=is_write) is not None:
         latency += optane.write(PAGE).latency_ns
     served = platform.dram.access(size_bytes, is_write)
     platform._dram_busy_ns += served.latency_ns
@@ -157,10 +156,27 @@ def serve_nvdimm_c(platform: NvdimmCPlatform, address: int, size_bytes: int,
 
     # Miss: a whole migration chunk moves from flash to DRAM, but only
     # during refresh windows — the flash read is cheap, the wait is not.
+    # The chunk installs page by page; only its head takes the access's
+    # dirtiness.
     platform.migrations += 1
-    evictions = platform._install_migration_chunk(page, is_write)
+    chunk = platform._pages_per_migration
+    first = (page // chunk) * chunk
+    victims = []
+    for offset in range(chunk):
+        victim = platform.dram_cache.install(first + offset,
+                                             dirty=is_write and offset == 0)
+        if victim is not None:
+            victims.append(victim)
+    window = platform.migration_latency_ns
     with platform.ssd.walk() as step:
-        migration_ns = platform._migrate_chunk(page, evictions, at_ns, step)
+        finish = step((False, first * PAGE,
+                       platform.migration_granularity_bytes, at_ns, False))
+        migration_ns = max(window, finish - at_ns)
+        for victim in victims:
+            # Each dirty victim's writeback issues once the migration so
+            # far is over and mostly overlaps it: a tenth of a window shows.
+            step((True, victim * PAGE, PAGE, at_ns + migration_ns, False))
+            migration_ns += window * 0.1
     served = platform.dram.access(size_bytes, is_write)
     platform._dram_busy_ns += served.latency_ns
     return migration_ns + served.latency_ns, 0.0, 0.0
@@ -195,10 +211,10 @@ def serve_flatflash(platform: FlatFlashPlatform, address: int,
         promoted = []
         platform._promotion_policy(promoted)(page, is_write)
     device_hit = platform.device_cache.access(page, is_write)
-    evictions: List[List[Tuple[int, bool]]] = []
+    evictions: List[List[int]] = []
     if not device_hit:
-        evicted = platform.device_cache.install(page, dirty=is_write)
-        evictions.append([] if evicted is None else [evicted])
+        victim = platform.device_cache.install(page, dirty=is_write)
+        evictions.append([] if victim is None else [victim])
     latency = platform._mmio_replay([page], [size_bytes], [is_write],
                                     [device_hit], evictions, promoted,
                                     at_ns, None, [0], [0.0])

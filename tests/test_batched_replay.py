@@ -16,11 +16,12 @@ the vectorized platforms on bit-exactness at pathological chunk
 boundaries.  The DRAM-cache platforms (nvdimm-C, optane-M and the ULL
 bypasses), whose batched path is the order-exact ``PageCache.access_batch``
 walk, additionally get a dedicated chunk-size sweep ({1, 7, whole-trace})
-with explicit page-cache hit-rate / writeback assertions.  The page-fault
-platforms (mmap and FlatFlash, whose batched path replays only the misses
-against the storage stack or the MMIO link) get the same sweep on a
-shrunken-DRAM config that makes readahead, dirty writebacks, promotions and
-device-cache evictions fire, with their device-side state compared too.
+with explicit page-cache hit-rate / writeback assertions.  The platforms
+that replay only their misses against a device (mmap, FlatFlash,
+nvdimm-C's migrations, the buffered ULL bypass and HAMS) get the same
+sweep on a shrunken-DRAM config that makes readahead, migrations, dirty
+writebacks, promotions and device-cache evictions fire, with their
+device-side state compared too.
 """
 
 import dataclasses
@@ -73,10 +74,10 @@ DRAM_CACHE_PLATFORMS = {
 HAMS_PERSIST_EVENTS = ("controller.evictions",)
 HAMS_EXTEND_EVENTS = HAMS_PERSIST_EVENTS + ("controller.hazard_stalls",)
 
-#: The page-fault platforms and the HAMS variants, with the event counters
-#: (attribute paths) the stress config must fire on each.  A ``/4KB``
-#: suffix runs the variant with 4 KB MoS pages, so a miss has no remainder
-#: fill.
+#: The page-fault platforms, the flash-backed DRAM-cache platforms and the
+#: HAMS variants, with the event counters (attribute paths) the stress
+#: config must fire on each.  A ``/4KB`` suffix runs the variant with 4 KB
+#: MoS pages, so a miss has no remainder fill.
 STRESS_COUNTERS = {
     "mmap": ("major_faults", "readahead_fills", "writebacks",
              "page_cache.hits"),
@@ -86,6 +87,11 @@ STRESS_COUNTERS = {
                     "device_cache.misses", "device_cache.dirty_writebacks"),
     "flatflash-P": ("device_cache.hits", "device_cache.misses",
                     "device_cache.dirty_writebacks"),
+    "nvdimm-C": ("migrations", "dram_cache.hits",
+                 "dram_cache.dirty_writebacks"),
+    "bypass-ull-buff": ("page_buffer.hits", "page_buffer.misses",
+                        "ssd.buffer.stats.dirty_evictions",
+                        "ssd.fil.page_programs"),
     "hams-LP": HAMS_PERSIST_EVENTS,
     "hams-TP": HAMS_PERSIST_EVENTS,
     "hams-LE": HAMS_EXTEND_EVENTS,
@@ -221,7 +227,10 @@ def _counter(platform, path: str):
 
 
 def _device_state(platform) -> dict:
-    """The page-fault platforms' and HAMS variants' device-side observables."""
+    """The device-side observables of a ``STRESS_COUNTERS`` platform: the
+    SSD's statistics and, where the platform has them, the link, the OS
+    stack and NVMe controller, the migration count and the DRAM cache's
+    counters, LRU order and dirty pages."""
     if isinstance(platform, HAMSPlatform):
         controller = platform.controller
         return {"controller": controller.statistics(),
@@ -230,11 +239,21 @@ def _device_state(platform) -> dict:
                 "tags": controller.tag_array.tags.tolist(),
                 "dirty": controller.tag_array.dirty.tolist(),
                 "delays": controller.memory_delay_breakdown()}
-    state = {"link": platform.link.statistics(),
-             "ssd": platform.ssd.statistics()}
+    state = {"ssd": platform.ssd.statistics()}
+    if hasattr(platform, "link"):
+        state["link"] = platform.link.statistics()
     if hasattr(platform, "os_stack"):
         state["os_stack"] = platform.os_stack.statistics()
         state["controller"] = platform.controller.statistics()
+    if hasattr(platform, "migrations"):
+        state["migrations"] = platform.migrations
+    cache_name = DRAM_CACHE_PLATFORMS.get(platform.name)
+    if cache_name is not None:
+        cache = getattr(platform, cache_name)
+        state["cache"] = {"hits": cache.hits, "misses": cache.misses,
+                          "dirty_writebacks": cache.dirty_writebacks,
+                          "resident": cache.resident_pages(),
+                          "dirty": cache.dirty_pages()}
     return state
 
 
@@ -242,14 +261,16 @@ def _device_state(platform) -> dict:
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_page_fault_platform_stress_parity(platform_name, workload,
                                            stress_config, traces):
-    """mmap/FlatFlash and HAMS replay only their misses, exactly, at any
-    chunk size.
+    """mmap, FlatFlash, nvdimm-C, the buffered ULL bypass and HAMS replay
+    only their misses, exactly, at any chunk size.
 
     Under the shrunken DRAM every batched path's side effects fire —
-    readahead installs, dirty writebacks, promotions, device-cache
-    evictions, HAMS victim clones and hazard stalls — and the link
-    horizon, the OS-stack, NVMe and HAMS counters, the tag array and the
-    SSD's statistics must end where the scalar loop leaves them.
+    readahead installs, migrations, dirty writebacks, promotions,
+    device-cache evictions, HAMS victim clones and hazard stalls — and
+    the link horizon, the OS-stack, NVMe and HAMS counters, the
+    migration count, the DRAM cache's counters and contents, the tag
+    array and the SSD's statistics must end where the scalar loop leaves
+    them.
     """
     trace = traces[workload]
     counters = STRESS_COUNTERS[platform_name]

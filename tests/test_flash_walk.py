@@ -400,6 +400,98 @@ class TestWalkAgainstPageOracle:
         assert statistics["flash_page_programs"] == 3
 
 
+def mapped_oracle_ssd(geometry: FlashGeometry, split: bool,
+                      buffer: str) -> SSD:
+    """An ``oracle_ssd`` whose first 24 LPNs are mapped, so every read of
+    ``buffered_read_rows`` fills the buffer."""
+    ssd = oracle_ssd(geometry, split, buffer)
+    ssd.precondition(8, 16)
+    return ssd
+
+
+def buffered_share(ssd: SSD, request) -> str:
+    """Classify a multi-page read by how many of its pages *ssd*'s buffer
+    holds before it is served: ``"all"``, ``"some"`` or ``"none"``."""
+    _, offset, size, _, _ = request
+    lpns = [lpn % ssd.logical_pages
+            for lpn in range(offset // PAGE, (offset + size - 1) // PAGE + 1)]
+    held = sum(lpn in ssd.buffer._pages for lpn in lpns)
+    return "all" if held == len(lpns) else "some" if held else "none"
+
+
+# (warm first LPN, warm pages, is_write, read first LPN, read pages, gap):
+# each row warms the buffer with a read or a buffered write, then issues
+# a multi-page read that overlaps it in full, in part or not at all.
+buffered_read_rows = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(1, 6), st.booleans(),
+              st.integers(0, 12), st.integers(2, 6),
+              st.floats(0.0, 5_000.0)),
+    min_size=1, max_size=25)
+
+
+def buffered_read_requests(rows) -> list:
+    requests = []
+    clock = 0.0
+    for warm, warm_pages, warm_write, first, pages, gap in rows:
+        clock += gap
+        requests.append((warm_write, warm * PAGE, warm_pages * PAGE, clock,
+                         False))
+        clock += gap
+        requests.append((False, first * PAGE, pages * PAGE, clock, False))
+    return requests
+
+
+class TestMultiPageReadsAgainstPageOracle:
+    """Multi-page reads whose pages are all, some or none buffered — and
+    reads longer than the buffer — equal the page-by-page oracle in start
+    and finish, buffer LRU order and dirty flags, buffer counters and the
+    outstanding queue (all in ``device_state``)."""
+
+    @settings(max_examples=100, deadline=None, phases=REPORT_PHASES)
+    @given(rows=buffered_read_rows,
+           geometry=st.sampled_from(ORACLE_GEOMETRIES), split=st.booleans(),
+           buffer=st.sampled_from(["one-page", "four-pages"]))
+    def test_buffered_reads_equal_page_by_page_oracle(self, rows, geometry,
+                                                      split, buffer):
+        oracle = mapped_oracle_ssd(geometry, split, buffer)
+        walked = mapped_oracle_ssd(geometry, split, buffer)
+        starts, finishes = [], []
+        with walked.walk(starts) as step:
+            for request in buffered_read_requests(rows):
+                expected = oracle_submit(oracle, request)
+                finishes.append(step(request))
+                assert (starts[-1], finishes[-1]) == expected, request
+        assert device_state(walked) == device_state(oracle)
+
+    def test_every_buffered_share_is_reached(self):
+        # Guard against the differential above never taking one of the
+        # three read shapes: a read of pages the buffer holds in full
+        # (after a read and after buffered writes), in part and not at
+        # all, and a six-page read through a four-page buffer.
+        geometry = ORACLE_GEOMETRIES[0]
+        oracle = mapped_oracle_ssd(geometry, True, "four-pages")
+        walked = mapped_oracle_ssd(geometry, True, "four-pages")
+        requests = [(False, 0, 4 * PAGE, 0.0, False),
+                    (False, 0, 4 * PAGE, 1e4, False),
+                    (False, 2 * PAGE, 4 * PAGE, 2e4, False),
+                    (False, 8 * PAGE, 6 * PAGE, 3e4, False),
+                    (False, 10 * PAGE, 4 * PAGE, 4e4, False),
+                    (True, PAGE, 2 * PAGE, 5e4, False),
+                    (False, PAGE + 100, PAGE, 6e4, False)]
+        shares = []
+        with walked.walk() as step:
+            for request in requests:
+                shares.append(buffered_share(oracle, request))
+                expected = oracle_submit(oracle, request)
+                assert step(request) == expected[1]
+        # The write finds only LPNs 10-13 buffered, so its pages 1 and 2
+        # are buffered misses; the last read then holds both in full.
+        assert shares == ["none", "all", "some", "none", "all", "none",
+                          "all"]
+        assert device_state(walked) == device_state(oracle)
+        assert walked.buffer.stats.read_hits == 4 + 2 + 4 + 2
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "a read miss's buffer fill evicts a dirty page without programming "
     "it, so the buffered write never reaches flash; the fix moves "

@@ -126,8 +126,10 @@ class TestPageCache:
         cache = PageCache(KB(8), KB(4))
         cache.install(1, dirty=True)
         cache.install(2)
-        evicted = cache.install(3)
-        assert evicted == (1, True)
+        # install returns the page of a dirty victim, and nothing else.
+        assert cache.install(3) == 1
+        assert cache.resident_pages() == [2, 3]
+        assert cache.install(4) is None
         assert cache.dirty_writebacks == 1
 
     def test_write_marks_dirty(self):
@@ -186,8 +188,9 @@ class TestPageCacheCapacityEdges:
     def test_capacity_one_evicts_on_every_new_page(self):
         cache = PageCache(KB(4), KB(4))
         assert cache.install(1, dirty=True) is None
-        assert cache.install(2) == (1, True)
-        assert cache.install(3) == (2, False)
+        assert cache.install(2) == 1
+        # The clean victim, page 2, needs no writeback, so none is reported.
+        assert cache.install(3) is None
         assert cache.resident_pages() == [3]
         assert cache.dirty_writebacks == 1
 

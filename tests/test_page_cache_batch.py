@@ -6,7 +6,10 @@ install policy, one ``access_batch`` call must leave the cache in exactly
 the state the scalar ``access``/``install`` loop would — same residency
 set, same LRU order, same dirty flags, same ``hits``/``misses``/
 ``dirty_writebacks`` counters — and must report the same hit mask and the
-same eviction ``(page, dirty)`` sequence.  Hypothesis drives arbitrary page
+same dirty-victim sequence (the page numbers of the dirty pages each miss's
+install evicted; clean victims need no writeback and are not recorded).
+``install`` itself is pinned against a list-based LRU written here that
+keeps the full ``(page, dirty)`` record.  Hypothesis drives arbitrary page
 streams, capacities (including the 0 and 1 edge cases), chunked submission
 and the install policies of the platforms: nvdimm-C's chunk install (which
 can evict the faulting page itself), mmap's adjacency-keyed readahead
@@ -19,9 +22,10 @@ so they remain references independent of ``PageCache.install_run`` (the
 platforms' run install), which is pinned against the same loop here.
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -50,18 +54,22 @@ def make_cache(capacity_pages: int) -> PageCache:
 def scalar_replay(cache: PageCache, stream, install=None):
     """The reference loop ``access_batch`` must reproduce bit-for-bit."""
     hits: List[bool] = []
-    evictions: List[List[Tuple[int, bool]]] = []
+    evictions: List[List[int]] = []
     for page, is_write in stream:
         if cache.access(page, is_write):
             hits.append(True)
         else:
             hits.append(False)
             if install is None:
-                evicted = cache.install(page, dirty=is_write)
-                evictions.append([] if evicted is None else [evicted])
+                victim = cache.install(page, dirty=is_write)
+                evictions.append([] if victim is None else [victim])
             else:
                 evictions.append(install(page, is_write))
     return hits, evictions
+
+
+def victim_count(evictions) -> int:
+    return sum(len(victims) for victims in evictions)
 
 
 def batched_replay(cache: PageCache, stream, install=None, tenants=None):
@@ -99,15 +107,16 @@ def assert_tenants_conserved(cache: PageCache, tenants, stream) -> None:
 
 
 def per_page_install_run(cache: PageCache, first: int, count: int,
-                         dirty_first: bool) -> List[Tuple[int, bool]]:
-    """The per-page ``install`` loop ``PageCache.install_run`` replaces."""
-    evictions = []
+                         dirty_first: bool) -> List[int]:
+    """The per-page ``install`` loop ``PageCache.install_run`` replaces:
+    the dirty victims' pages, in install order."""
+    victims = []
     for offset in range(count):
-        evicted = cache.install(first + offset,
-                                dirty=dirty_first and offset == 0)
-        if evicted is not None:
-            evictions.append(evicted)
-    return evictions
+        victim = cache.install(first + offset,
+                               dirty=dirty_first and offset == 0)
+        if victim is not None:
+            victims.append(victim)
+    return victims
 
 
 def chunk_install(cache: PageCache, chunk_pages: int):
@@ -118,7 +127,7 @@ def chunk_install(cache: PageCache, chunk_pages: int):
     must fall out of.
     """
 
-    def install(page: int, is_write: bool) -> List[Tuple[int, bool]]:
+    def install(page: int, is_write: bool) -> List[int]:
         first = (page // chunk_pages) * chunk_pages
         return per_page_install_run(cache, first, chunk_pages, is_write)
 
@@ -133,16 +142,16 @@ def readahead_install(cache: PageCache, readahead_pages: int):
     last = [-2]
     counts: List[int] = []
 
-    def install(page: int, is_write: bool) -> List[Tuple[int, bool]]:
+    def install(page: int, is_write: bool) -> List[int]:
         readahead = readahead_pages if page == last[0] + 1 else 1
         last[0] = page
         counts.append(readahead)
         victims = []
         for offset in range(readahead):
-            evicted = cache.install(page + offset,
-                                    dirty=is_write and offset == 0)
-            if evicted is not None and evicted[1]:
-                victims.append(evicted)
+            victim = cache.install(page + offset,
+                                   dirty=is_write and offset == 0)
+            if victim is not None:
+                victims.append(victim)
         return victims
 
     return install, counts
@@ -155,7 +164,7 @@ def promotion_install(cache: PageCache, threshold: int):
     counts = {}
     promoted: List[bool] = []
 
-    def install(page: int, is_write: bool) -> List[Tuple[int, bool]]:
+    def install(page: int, is_write: bool) -> List[int]:
         count = counts.get(page, 0) + 1
         if count < threshold:
             counts[page] = count
@@ -163,8 +172,8 @@ def promotion_install(cache: PageCache, threshold: int):
             return []
         counts.pop(page, None)
         promoted.append(True)
-        evicted = cache.install(page, dirty=is_write)
-        return [] if evicted is None else [evicted]
+        victim = cache.install(page, dirty=is_write)
+        return [] if victim is None else [victim]
 
     return install, counts, promoted
 
@@ -180,6 +189,7 @@ def test_access_batch_matches_scalar_replay(capacity, stream):
     assert batched_hits == scalar_hits
     assert batched_evictions == scalar_evictions
     assert cache_state(batched_cache) == cache_state(scalar_cache)
+    assert batched_cache.dirty_writebacks == victim_count(batched_evictions)
     assert result.miss_count == scalar_hits.count(False)
     assert result.miss_indices.tolist() == \
         [i for i, hit in enumerate(scalar_hits) if not hit]
@@ -220,6 +230,7 @@ def test_access_batch_matches_scalar_with_chunk_install(capacity, chunk_pages,
     assert batched_hits == scalar_hits
     assert batched_evictions == scalar_evictions
     assert cache_state(batched_cache) == cache_state(scalar_cache)
+    assert batched_cache.dirty_writebacks == victim_count(batched_evictions)
     assert_tenants_conserved(batched_cache, tracked, stream)
 
 
@@ -290,11 +301,12 @@ installer_st = st.one_of(st.none(),
        tracked=st.booleans())
 def test_install_run_matches_per_page_install(capacity, prefix, runs,
                                               tracked):
-    """``install_run`` equals the per-page ``install`` loop in returned
-    evictions, LRU order, dirty flags, ``dirty_writebacks`` and — tenant
-    tracking on — page ownership and pollution counters: at capacity 0,
-    1, below the run length (runs of up to 8 pages) and large, over runs
-    that overlap resident dirty pages."""
+    """``install_run`` equals the per-page ``install`` loop in the dirty
+    victims it returns (in order), LRU order, dirty flags,
+    ``dirty_writebacks`` (which grows by exactly the victim count) and —
+    tenant tracking on — page ownership and pollution counters: at
+    capacity 0, 1, below the run length (runs of up to 8 pages) and
+    large, over runs that overlap resident dirty pages."""
     run_cache = make_cache(capacity)
     loop_cache = make_cache(capacity)
     caches = (run_cache, loop_cache)
@@ -308,12 +320,119 @@ def test_install_run_matches_per_page_install(capacity, prefix, runs,
     for first, count, dirty_first, installer in runs:
         for cache in caches:
             cache._install_tenant = installer
-        assert (run_cache.install_run(first, count, dirty_first)
-                == per_page_install_run(loop_cache, first, count,
-                                        dirty_first))
+        writebacks = run_cache.dirty_writebacks
+        victims = run_cache.install_run(first, count, dirty_first)
+        assert victims == per_page_install_run(loop_cache, first, count,
+                                               dirty_first)
+        assert run_cache.dirty_writebacks - writebacks == len(victims)
         assert cache_state(run_cache) == cache_state(loop_cache)
     assert run_cache.tenant_statistics() == loop_cache.tenant_statistics()
     assert run_cache._owners == loop_cache._owners
+
+
+class ReferenceLRU:
+    """A list-based LRU written for these tests, independent of
+    ``PageCache``: it keeps the full ``(page, dirty)`` record of each
+    eviction, from which the dirty victims are read."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.entries: List[list] = []  # [page, dirty], least recent first
+
+    def _find(self, page: int) -> Optional[list]:
+        for entry in self.entries:
+            if entry[0] == page:
+                return entry
+        return None
+
+    def access(self, page: int, is_write: bool) -> bool:
+        entry = self._find(page)
+        if entry is None:
+            return False
+        self.entries.remove(entry)
+        self.entries.append(entry)
+        entry[1] = entry[1] or is_write
+        return True
+
+    def install(self, page: int, dirty: bool):
+        """Returns the evicted ``(page, dirty)`` pair, or ``None``."""
+        if self.capacity == 0:
+            return None
+        if self.access(page, dirty):
+            return None
+        evicted = None
+        if len(self.entries) >= self.capacity:
+            evicted = tuple(self.entries.pop(0))
+        self.entries.append([page, dirty])
+        return evicted
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=capacity_st,
+       operations=st.lists(st.tuples(st.booleans(), pages_st, st.booleans(),
+                                     installer_st), max_size=80),
+       tracked=st.booleans())
+def test_install_returns_the_dirty_victims_of_a_reference_lru(
+        capacity, operations, tracked):
+    """``install`` returns the evicted page exactly when the reference LRU
+    evicts a dirty page, and ``None`` for a clean victim or none; the
+    cache's order and dirty flags follow the reference, and
+    ``dirty_writebacks`` counts the dirty victims — tenant-tracked or
+    not, at capacity 0 too."""
+    cache = make_cache(capacity)
+    reference = ReferenceLRU(capacity)
+    if tracked:
+        cache.enable_tenant_tracking(TENANTS)
+    victims = []
+    for is_install, page, flag, installer in operations:
+        if is_install:
+            cache._install_tenant = installer
+            evicted = reference.install(page, flag)
+            expected = (evicted[0] if evicted is not None and evicted[1]
+                        else None)
+            victim = cache.install(page, dirty=flag)
+            assert victim == expected
+            if victim is not None:
+                victims.append(victim)
+        else:
+            assert cache.access(page, flag) == reference.access(page, flag)
+        assert cache.resident_pages() == [entry[0]
+                                          for entry in reference.entries]
+        assert sorted(cache.dirty_pages()) == sorted(
+            entry[0] for entry in reference.entries if entry[1])
+    assert cache.dirty_writebacks == len(victims)
+
+
+@pytest.mark.parametrize("tracked", [False, True])
+def test_chunk_install_that_evicts_its_own_faulting_page(tracked):
+    """A four-page chunk into a two-page cache evicts its own faulting
+    page: the walk reports only the dirty victims, in install order —
+    the faulting page among them, dirtied by the store that installed it
+    — and the next access to that page misses again."""
+    cache = make_cache(2)
+    if tracked:
+        cache.enable_tenant_tracking(TENANTS)
+    cache.install(9, dirty=True)
+    cache.install(5, dirty=True)
+    tenants = np.asarray([1, 2], dtype=np.int64) if tracked else None
+    result = cache.access_batch(np.asarray([0, 0], dtype=np.int64),
+                                np.asarray([True, False]),
+                                install=chunk_install(cache, 4),
+                                tenants=tenants)
+    # The store installs 0 (dirty), 1, 2, 3: victims 9 (dirty), 5
+    # (dirty), 0 (dirty), 1 (clean).  The load misses again and installs
+    # the chunk clean: victims 2, 3, 0, 1, all clean.
+    assert result.hits.tolist() == [False, False]
+    assert result.evictions == [[9, 5, 0], []]
+    assert cache.resident_pages() == [2, 3]
+    assert cache.dirty_pages() == []
+    assert cache.dirty_writebacks == 3
+    if tracked:
+        stats = cache.tenant_statistics()
+        assert stats[1]["cache_misses"] == stats[2]["cache_misses"] == 1
+        # The load's chunk evicts pages 2 and 3, which the store's owned.
+        assert stats[1]["evictions_suffered"] == 2
+        assert stats[2]["evictions_inflicted"] == 2
 
 
 @settings(max_examples=100, deadline=None)

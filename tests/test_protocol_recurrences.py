@@ -2,7 +2,8 @@
 
 The link, the register interface, the NVMe round trip, the hardware
 engine's issue, the OS stack's fault and writeback charges, the mmap
-fault's storage side and FlatFlash's MMIO loop are float recurrences over
+fault's storage side, FlatFlash's MMIO loop and nvdimm-C's migration loop
+are float recurrences over
 constants fixed at construction (each transfer size priced once, no
 record objects).  The
 reference below recomputes every cost from the config on every call, in
@@ -40,6 +41,7 @@ from repro.interconnect.sata import SATALink
 from repro.nvme.controller import NVMeController
 from repro.platforms.flatflash import FlatFlashPlatform
 from repro.platforms.mmap_platform import MmapPlatform
+from repro.platforms.nvdimm_c import NvdimmCPlatform
 from repro.runner.presets import SMOKE_SCALE
 from repro.workloads.registry import scale_system_config
 
@@ -451,9 +453,7 @@ class TestOSStackCharges:
                       st.floats(0.0, 1e7)),
             min_size=1, max_size=12))
         for page, readahead, victims, at in faults:
-            got = platform._fault_io(page, readahead,
-                                     [(victim, True) for victim in victims],
-                                     at, step)
+            got = platform._fault_io(page, readahead, victims, at, step)
             os_ns = ref_os.fault()
             read_at = at + os_ns
             storage_ns = ref_round_trip(
@@ -569,8 +569,9 @@ class TestFlatFlashMMIO:
             got = platform._mmio_replay(
                 list(columns[0]), list(columns[1]), list(columns[2]),
                 list(columns[3]),
-                [victims for hit, victims in zip(columns[3], columns[4])
-                 if not hit],
+                # The device walk records only the dirty victims' pages.
+                [[victim for victim, dirty in victims if dirty]
+                 for hit, victims in zip(columns[3], columns[4]) if not hit],
                 list(columns[5]), start, np.array(addends), slots,
                 list(columns[7]))
             assert hexes(*got) == hexes(*expected)
@@ -578,3 +579,78 @@ class TestFlatFlashMMIO:
             assert link_state(platform.link) == ref_link.state()
             start = now
         assert platform.promotions == promotions
+
+
+# -- nvdimm-C's migration loop ------------------------------------------------
+
+
+def ref_migration(step, window, chunk_pages, page, victims, served, at):
+    """One nvdimm-C miss as the platform specifies it: one read of the
+    migration chunk covering the page, taking at least one refresh
+    window; then each dirty victim's write-back, issued once the
+    migration so far is over and adding a tenth of a window; then the
+    DRAM service."""
+    first = page - page % chunk_pages
+    done = step((False, first * 4096, chunk_pages * 4096, at, False))
+    migration = max(window, done - at)
+    for victim in victims:
+        step((True, victim * 4096, 4096, at + migration, False))
+        migration = migration + window * 0.1
+    return migration + served
+
+
+migration_misses = st.lists(st.tuples(
+    st.integers(0, 1 << 16),                                 # page
+    st.lists(st.integers(0, 1 << 16), max_size=3),           # dirty victims
+    st.one_of(st.lists(st.floats(0.0, 5e4), max_size=3),
+              # A stretch of 64+ addends, folded by sequential_add.
+              st.builds(lambda count, base: [base * (k % 7 + 1) / 3
+                                             for k in range(count)],
+                        st.integers(64, 70), st.floats(0.0, 5e4))),
+    st.floats(0.0, 50.0),                                    # on-chip
+    st.floats(0.0, 500.0)),                                  # DRAM service
+    min_size=1, max_size=12)
+
+
+class TestNvdimmCMigration:
+    @settings(max_examples=150, deadline=None, phases=PHASES)
+    @given(data=st.data(), window=st.floats(0.0, 1e5),
+           chunk_pages=st.sampled_from([1, 3, 16]),
+           start=st.floats(0.0, 1e7))
+    def test_migration_replay_matches_per_miss_reference(
+            self, data, window, chunk_pages, start):
+        """``NvdimmCPlatform._migration_replay``: each miss's chunk read,
+        write-backs and latency, at the issue clock the timeline gives,
+        request by request (the device log) and bit for bit."""
+        config = scale_system_config(default_config(), SMOKE_SCALE)
+        platform = NvdimmCPlatform(config, migration_latency_ns=window,
+                                   migration_granularity_bytes=chunk_pages
+                                   * 4096)
+        log, ref_log = [], []
+        step, ref_step = fake_device(log), fake_device(ref_log)
+        platform.ssd.walk = lambda: contextlib.nullcontext(step)
+        now = start
+        for _ in range(data.draw(st.integers(1, 3))):
+            misses = data.draw(migration_misses)
+            # The batch timeline: each miss's gap addends, then its own
+            # slot (a NaN the loop must never read).
+            addends, slots = [], []
+            for miss in misses:
+                addends.extend(miss[2])
+                slots.append(len(addends))
+                addends.append(math.nan)
+            expected = []
+            for page, victims, gap, on_chip, served in misses:
+                for addend in gap:
+                    now += addend
+                latency = ref_migration(ref_step, window, chunk_pages, page,
+                                        victims, served, now)
+                expected.append(latency)
+                now += on_chip + latency
+            columns = list(zip(*misses))
+            got = platform._migration_replay(
+                list(columns[0]), list(columns[1]), start, np.array(addends),
+                slots, list(columns[3]), list(columns[4]))
+            assert hexes(*got) == hexes(*expected)
+            assert log == ref_log
+            start = now
